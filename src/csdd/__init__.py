@@ -33,6 +33,7 @@ from .credal import (
 from .formula import Formula, Var, conj, disj, parse_formula
 from .infer import (
     ConditionalResult,
+    EvidenceSession,
     ExactnessCertificate,
     InferenceError,
     InferenceTrace,

@@ -295,6 +295,7 @@ class Circuit:
         self.node(nid)
         self.root = nid
         self._connectivity = None
+        self._false_ids = None
 
     def _root(self, root: int | None) -> int:
         nid = self.root if root is None else root

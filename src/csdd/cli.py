@@ -30,6 +30,7 @@ from .experiment import Metrics, Scenario, run_cell
 from .fixtures import squares_fixture
 from .formula import parse_formula
 from .infer import (
+    EvidenceSession,
     credal_map_upper,
     lower_conditional,
     lower_marginal,
@@ -213,8 +214,11 @@ def cmd_query(args) -> int:
                 raise CliError("evidence violates circuit constraints")
             payload["value"] = marginal(circuit, params, {**evidence, var: val}) / denom
         else:
-            lo = lower_conditional(circuit, params, var, val, evidence, tol=args.tol)
-            hi = upper_conditional(circuit, params, var, val, evidence, tol=args.tol)
+            session = EvidenceSession(circuit, params, evidence)
+            lo = lower_conditional(circuit, params, var, val, evidence, tol=args.tol,
+                                   session=session)
+            hi = upper_conditional(circuit, params, var, val, evidence, tol=args.tol,
+                                   session=session)
             payload["lower"] = lo.value
             payload["upper"] = hi.value
             payload["iterations"] = lo.iterations + hi.iterations

@@ -28,6 +28,7 @@ from .circuit import Circuit, Vtree, compile_formula
 from .formula import Formula, Var, conj, disj
 from .infer import (
     NOT_ROBUST,
+    EvidenceSession,
     lower_conditional,
     map_query,
     marginal,
@@ -165,14 +166,15 @@ def classify_segments(
     p_obs = marginal(circuit, psdd, observation)
     if p_obs <= 0.0:
         raise ValueError("observation has zero probability under the point table")
+    session = EvidenceSession(circuit, csdd, observation)
     out = []
     for i in range(1, SEGMENTS + 1):
         var = hidden_var(i)
         p_on = marginal(circuit, psdd, {**observation, var: True}) / p_obs
         lo = lower_conditional(circuit, csdd, var, True, observation, tol=tol,
-                               want_certificate=False).value
+                               want_certificate=False, session=session).value
         hi = upper_conditional(circuit, csdd, var, True, observation, tol=tol,
-                               want_certificate=False).value
+                               want_certificate=False, session=session).value
         if lo > 0.5:
             credal = "on"
         elif hi < 0.5:

@@ -226,18 +226,6 @@ def dumps_csdd(circuit: Circuit, params: CsddParams) -> str:
     return "\n".join(_node_lines(circuit, _MODE_CSDD, csdd=params)) + "\n"
 
 
-class _PendingConstant:
-    """A T/F line carries no vtree id; the leaf is pinned by first use."""
-
-    __slots__ = ("kind", "lineno", "leaf", "node_id")
-
-    def __init__(self, kind: int, lineno: int) -> None:
-        self.kind = kind
-        self.lineno = lineno
-        self.leaf: int | None = None
-        self.node_id: int | None = None
-
-
 def _loads_circuit(text: str, vtree: Vtree, mode: str):
     count = None
     order: list[int] = []                     # file ids in appearance order

@@ -6,7 +6,12 @@ with a local linear program over the node's credal set:
 
 * lower/upper probability of evidence is exact for every topology;
 * lower/upper conditional probability of a single variable runs the
-  evidence pass inside a sign test that is bisected over [0, 1];
+  evidence pass inside a sign test whose crossing in [0, 1] is found by a
+  safeguarded Illinois (regula falsi) search: the sign stays positive at
+  the bracket's left edge and non-positive at its right edge, and the
+  left edge is returned, so the answer never passes the crossing;
+  an :class:`EvidenceSession` shares the evidence passes among all
+  conditional queries on one evidence;
 * robustness checks whether one most-probable completion stays optimal
   for every parameter table between the bounds.
 
@@ -50,6 +55,7 @@ __all__ = [
     "InferenceTrace",
     "ExactnessCertificate",
     "ConditionalResult",
+    "EvidenceSession",
     "RobustnessVerdict",
     "EXACT",
     "POSSIBLY_OUTER",
@@ -74,7 +80,8 @@ __all__ = [
 ZERO_TOL = 1e-12        # numerical zero for sign decisions
 TIE_REL = 1e-12         # relative tolerance for max ties
 V_TOL = 1e-9            # robustness verdict threshold on V - 1
-DEFAULT_BISECTION_TOL = 1e-6
+DEFAULT_BISECTION_TOL = 1e-6  # bracket width at which the conditional search stops
+MIN_CROSSING_TOL = 2.0 ** -50  # finest bracket whose edges floats can still split
 ORACLE_CAP = 10 ** 6
 ORACLE_VAR_LIMIT = 16
 
@@ -419,11 +426,72 @@ def _mark_chain(
 # conditional queries
 
 
+_Plan = dict[int, tuple[IntervalCredalSet, list[tuple[int, int]]]]
+
+
+class EvidenceSession:
+    """Evidence-side work shared by every conditional query on one evidence.
+
+    Built for one (circuit, params, evidence) triple: it checks the
+    evidence and its consistency once, runs the lower and upper evidence
+    sweeps once, and keeps each target variable's spine and plan after
+    its first query.  Pass it as ``session=`` to :func:`lower_conditional`
+    and :func:`upper_conditional`; a call whose circuit, params or
+    evidence differ from the session's raises :class:`InferenceError`.
+    """
+
+    def __init__(
+        self, circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]
+    ) -> None:
+        _check_evidence(circuit, evidence)
+        if not is_consistent(circuit, evidence):
+            raise InferenceError("evidence violates circuit constraints")
+        self.circuit = circuit
+        self.params = params
+        self.evidence = dict(evidence)
+        self.root = circuit._root(None)
+        self.low = _credal_sweep(circuit, params, self.evidence, MIN)
+        self.up = _credal_sweep(circuit, params, self.evidence, MAX)
+        self._targets: dict[int, tuple[list[int], _Plan]] = {}
+
+    def check(self, circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> None:
+        """Raise unless the session was built for exactly these arguments."""
+        if (
+            circuit is not self.circuit
+            or params is not self.params
+            or circuit._root(None) != self.root
+            or dict(evidence) != self.evidence
+        ):
+            raise InferenceError("session was built for another circuit, table or evidence")
+
+    def target(self, var: int) -> tuple[list[int], _Plan]:
+        """Spine (nodes whose vtree contains ``var``) and per spine decision
+        node the credal set with its (query-side child, sibling child) pairs."""
+        cached = self._targets.get(var)
+        if cached is None:
+            circuit, vtree = self.circuit, self.circuit.vtree
+            spine = [
+                nid
+                for nid in circuit.cone(self.root)
+                if vtree.contains_var(circuit.nodes[nid].vtree, var)
+            ]
+            plan: _Plan = {}
+            for nid in spine:
+                node = circuit.nodes[nid]
+                if node.kind != DECISION or nid not in self.params.table:
+                    continue
+                left = vtree.contains_var(vtree.left(node.vtree), var)
+                pairs = [(p, s) if left else (s, p) for p, s in node.elements]
+                plan[nid] = (self.params.table[nid], pairs)
+            cached = self._targets[var] = (spine, plan)
+        return cached
+
+
 class _ConditionalEngine:
     """Shared machinery for the sign test at a given threshold.
 
-    Sibling evidence bounds are computed once; each threshold evaluation
-    only walks the nodes containing the queried variable.
+    Sibling evidence bounds come from the session; each threshold
+    evaluation only walks the nodes containing the queried variable.
     """
 
     def __init__(
@@ -433,36 +501,23 @@ class _ConditionalEngine:
         var: int,
         val: bool,
         evidence: Mapping[int, bool],
+        session: EvidenceSession | None = None,
     ) -> None:
         if var in evidence:
             raise InferenceError(f"queried variable {var} appears in the evidence")
-        _check_evidence(circuit, evidence)
         _check_evidence(circuit, {var: val})
-        if not is_consistent(circuit, evidence):
-            raise InferenceError("evidence violates circuit constraints")
+        if session is None:
+            session = EvidenceSession(circuit, params, evidence)
+        else:
+            session.check(circuit, params, evidence)
         self.circuit = circuit
         self.params = params
         self.var = var
         self.val = bool(val)
-        self.evidence = dict(evidence)
-        self.root = circuit._root(None)
-        self.low = _credal_sweep(circuit, params, evidence, MIN)
-        self.up = _credal_sweep(circuit, params, evidence, MAX)
-        vtree = circuit.vtree
-        self.spine = [
-            nid
-            for nid in circuit.cone(self.root)
-            if vtree.contains_var(circuit.nodes[nid].vtree, var)
-        ]
-        # per spine decision node: (credal set, [(query-side child, sibling child)])
-        self.plan: dict[int, tuple[IntervalCredalSet, list[tuple[int, int]]]] = {}
-        for nid in self.spine:
-            node = circuit.nodes[nid]
-            if node.kind != DECISION or nid not in params.table:
-                continue
-            left = vtree.contains_var(vtree.left(node.vtree), var)
-            pairs = [(p, s) if left else (s, p) for p, s in node.elements]
-            self.plan[nid] = (params.table[nid], pairs)
+        self.root = session.root
+        self.low = session.low
+        self.up = session.up
+        self.spine, self.plan = session.target(var)
 
     def value_at(self, mu: float, trace: InferenceTrace | None = None) -> float:
         """Root message of the threshold test; positive iff the lower
@@ -543,6 +598,58 @@ def conditional_sign(
     return _ConditionalEngine(circuit, params, var, val, evidence).sign_at(mu)
 
 
+def _find_crossing(value_at, tol: float) -> tuple[float, float, int]:
+    """Bracket the sign change of ``value_at`` in [0, 1] to width ``tol``.
+
+    The sign is positive where ``value_at(mu) > ZERO_TOL``.  Returns
+    ``(lo, hi, passes)`` with a positive sign at ``lo`` and a non-positive
+    one at ``hi``, ``hi - lo <= tol``, and the number of ``value_at``
+    calls; ``(0, 0, 1)`` when the sign at 0 is already non-positive.
+    ``value_at(1)`` must be non-positive, as every sign-test message is
+    at ``mu = 1``.  A ``tol`` below ``MIN_CROSSING_TOL`` is raised to it:
+    a narrower bracket could not be split and the search would not end.
+
+    Illinois steps (regula falsi that halves the value kept at an edge
+    retained twice in a row) land on the crossing in a few passes on the
+    piecewise-linear sign test.  Each trial is clamped at least
+    ``tol / 2`` inside the bracket, so a trial next to a found crossing
+    closes the bracket, and a secant step that fails to halve the
+    bracket is followed by a bisection step, so no search takes more
+    than about twice the passes of plain bisection.
+    """
+    g_lo = value_at(0.0) - ZERO_TOL
+    if g_lo <= 0.0:
+        return 0.0, 0.0, 1
+    lo, hi = 0.0, 1.0
+    g_hi = value_at(1.0) - ZERO_TOL
+    passes = 2
+    tol = max(tol, MIN_CROSSING_TOL)
+    margin = 0.5 * tol
+    bisect = False
+    last = None  # edge moved by the previous step
+    while hi - lo > tol:
+        width = hi - lo
+        if bisect:
+            mu = lo + 0.5 * width
+        else:
+            mu = lo + width * g_lo / (g_lo - g_hi)
+            mu = min(max(mu, lo + margin), hi - margin)
+        g = value_at(mu) - ZERO_TOL
+        passes += 1
+        if g > 0.0:
+            lo, g_lo = mu, g
+            if last == "lo":
+                g_hi *= 0.5
+            last = "lo"
+        else:
+            hi, g_hi = mu, g
+            if last == "hi":
+                g_lo *= 0.5
+            last = "hi"
+        bisect = not bisect and hi - lo > 0.5 * width
+    return lo, hi, passes
+
+
 def lower_conditional(
     circuit: Circuit,
     params: CsddParams,
@@ -551,36 +658,29 @@ def lower_conditional(
     evidence: Mapping[int, bool],
     tol: float = DEFAULT_BISECTION_TOL,
     want_certificate: bool = True,
+    session: EvidenceSession | None = None,
 ) -> ConditionalResult:
     """Lower conditional probability of a single variable given evidence.
 
-    Bisects the sign test until the bracket is narrower than ``tol`` and
-    returns the bracket's left edge, so the answer never overshoots the
-    true bound.  Exact on singly connected circuits up to ``tol``; an
-    outer bound otherwise, flagged through the certificate.
+    Narrows a bracket on the sign test's crossing with a safeguarded
+    Illinois search until it is at most ``tol`` wide, and returns the
+    bracket's left edge, where the sign is still positive, so the answer
+    never passes the crossing.  Exact on singly connected circuits up to
+    ``tol``; an outer bound otherwise, flagged through the certificate.
+    ``iterations`` counts sign-test passes.  ``session``, built for the
+    same circuit, params and evidence, shares the evidence passes across
+    queries; without it a one-shot session is built.
     """
     if tol <= 0:
         raise InferenceError("tolerance must be positive")
-    engine = _ConditionalEngine(circuit, params, var, val, evidence)
-    iterations = 1
-    lo, hi = 0.0, 1.0
-    if engine.sign_at(0.0) <= 0:
-        mu_hat, lo, hi = 0.0, 0.0, 0.0
-    else:
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            iterations += 1
-            if engine.sign_at(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        mu_hat = lo
+    engine = _ConditionalEngine(circuit, params, var, val, evidence, session)
+    lo, hi, iterations = _find_crossing(engine.value_at, tol)
     trace = certificate = None
     if want_certificate:
         trace = InferenceTrace()
-        engine.value_at(mu_hat, trace)
+        engine.value_at(lo, trace)
         certificate = exactness_certificate(trace, circuit.connectivity())
-    return ConditionalResult(mu_hat, iterations, (lo, hi), trace, certificate)
+    return ConditionalResult(lo, iterations, (lo, hi), trace, certificate)
 
 
 def upper_conditional(
@@ -591,9 +691,12 @@ def upper_conditional(
     evidence: Mapping[int, bool],
     tol: float = DEFAULT_BISECTION_TOL,
     want_certificate: bool = True,
+    session: EvidenceSession | None = None,
 ) -> ConditionalResult:
     """Upper conditional via conjugacy with the complementary lower query."""
-    inner = lower_conditional(circuit, params, var, not val, evidence, tol, want_certificate)
+    inner = lower_conditional(
+        circuit, params, var, not val, evidence, tol, want_certificate, session
+    )
     return ConditionalResult(
         1.0 - inner.value, inner.iterations, inner.bracket, inner.trace, inner.certificate
     )

@@ -130,6 +130,26 @@ class TestConnectivity:
         assert multiplicity_report(c).singly_connected
 
 
+class TestRootCaches:
+    def test_set_root_resets_false_ids(self):
+        vt = Vtree((1, 2))
+        c = Circuit(vt)
+        sat = c.add_decision(vt.root, [(c.add_literal(1, True), c.add_literal(2, True))])
+        leaf2 = vt.leaf_of(2)
+        unsat = c.add_decision(
+            vt.root,
+            [
+                (c.add_literal(1, True), c.add_false(leaf2)),
+                (c.add_literal(1, False), c.add_false(leaf2)),
+            ],
+        )
+        c.set_root(sat)
+        assert c.false_ids() == frozenset()
+        c.set_root(unsat)
+        assert c.false_ids() == c.false_ids(unsat)
+        assert unsat in c.false_ids()
+
+
 class TestTopologicalOrder:
     def test_children_precede_parents(self, squares):
         order = topological_order(squares.circuit)

@@ -9,13 +9,15 @@ import pytest
 
 from csdd.circuit import Circuit, Vtree, enumerate_models
 from csdd.credal import IntervalCredalSet
-from csdd.fixtures import shared_node_fixture
+from csdd.fixtures import shared_node_fixture, squares_fixture
 from csdd.infer import (
     EXACT,
     NOT_ROBUST,
     POSSIBLY_OUTER,
     ROBUST,
     WEAKLY_ROBUST,
+    ZERO_TOL,
+    EvidenceSession,
     InferenceError,
     Query,
     brute_force_exact,
@@ -30,6 +32,8 @@ from csdd.infer import (
     strong_extension_oracle,
     upper_conditional,
     upper_marginal,
+    _ConditionalEngine,
+    _find_crossing,
 )
 from csdd.params import CsddParams, PsddParams
 
@@ -177,7 +181,11 @@ class TestConditional:
             q = Query.make("conditional", evidence, target=(var, True))
             res = lower_conditional(circuit, params, var, True, evidence, tol=1e-7)
             oracle = strong_extension_oracle(circuit, params, q, "min")
-            assert res.value <= oracle + 1e-6
+            # the left bracket edge sits strictly below the algorithm's own
+            # crossing, which is itself an outer bound
+            assert res.value <= oracle
+            engine = _ConditionalEngine(circuit, params, var, True, evidence)
+            assert abs(res.value - _bisection(engine, 1e-7)) <= 1e-7
             if res.certificate.status == EXACT:
                 assert res.value == pytest.approx(oracle, abs=1e-6)
 
@@ -186,8 +194,6 @@ class TestConditional:
         for _ in range(5):
             circuit, params = random_credal_instance(rng, 4, bool(rng.getrandbits(1)), 0.3)
             var, evidence = _pick_conditional_query(rng, circuit)
-            from csdd.infer import _ConditionalEngine
-
             engine = _ConditionalEngine(circuit, params, var, True, evidence)
             signs = [engine.sign_at(mu / 40) for mu in range(41)]
             # once non-positive, never positive again
@@ -234,6 +240,155 @@ def _pick_conditional_query(rng: Random, circuit: Circuit):
         ):
             return var, evidence
     return var, {}
+
+
+def _bisection(engine, tol: float) -> float:
+    """Reference search: plain bisection of the sign test, left edge."""
+    if engine.sign_at(0.0) <= 0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if engine.sign_at(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _same_result(a, b) -> bool:
+    return (
+        (a.value, a.iterations, a.bracket, a.certificate)
+        == (b.value, b.iterations, b.bracket, b.certificate)
+        and a.trace.uses == b.trace.uses
+        and a.trace.sigma == b.trace.sigma
+    )
+
+
+class TestEvidenceSession:
+    @pytest.mark.parametrize("singly", [True, False])
+    def test_session_matches_one_shot(self, singly):
+        rng = Random(808 if singly else 909)
+        for _ in range(5):
+            circuit, params = random_credal_instance(rng, rng.randint(3, 5), singly, 0.25)
+            _, evidence = _pick_conditional_query(rng, circuit)
+            session = EvidenceSession(circuit, params, evidence)
+            for var in range(1, circuit.vtree.var_count + 1):
+                if var in evidence:
+                    continue
+                for val in (True, False):
+                    for query in (lower_conditional, upper_conditional):
+                        shared = query(circuit, params, var, val, evidence, tol=1e-7,
+                                       session=session)
+                        alone = query(circuit, params, var, val, evidence, tol=1e-7)
+                        assert _same_result(shared, alone)
+
+    def test_session_for_other_arguments_rejected(self, squares, squares_idm, squares_ml):
+        evidence = {3: False, 4: True}
+        session = EvidenceSession(squares.circuit, squares_idm, evidence)
+        other_params = CsddParams.degenerate(squares_ml)
+        other_circuit = squares_fixture().circuit
+        calls = [
+            (squares.circuit, squares_idm, {3: False}),
+            (squares.circuit, squares_idm, {3: False, 4: False}),
+            (squares.circuit, squares_idm, {2: False, 3: False, 4: True}),
+            (squares.circuit, other_params, evidence),
+            (other_circuit, squares_idm, evidence),
+        ]
+        for circuit, params, ev in calls:
+            for query in (lower_conditional, upper_conditional):
+                with pytest.raises(InferenceError):
+                    query(circuit, params, 1, True, ev, session=session)
+        # the matching call goes through
+        lower_conditional(squares.circuit, squares_idm, 1, True, dict(evidence), session=session)
+
+    def test_session_rejected_after_root_change(self, squares_idm):
+        fx = squares_fixture()
+        session = EvidenceSession(fx.circuit, squares_idm, {4: True})
+        fx.circuit.set_root(fx.circuit.nodes[fx.root].elements[0][0])
+        with pytest.raises(InferenceError):
+            lower_conditional(fx.circuit, squares_idm, 1, True, {4: True}, session=session)
+
+    def test_inconsistent_evidence_rejected(self, squares, squares_idm):
+        with pytest.raises(InferenceError):
+            EvidenceSession(squares.circuit, squares_idm, {1: True, 2: True, 3: True})
+
+
+def _piecewise(root: float, left_slope: float, right_slope: float):
+    """Decreasing two-piece linear function crossing zero at ``root``."""
+
+    def value_at(mu: float) -> float:
+        gap = root - mu
+        return gap * (left_slope if gap > 0 else right_slope)
+
+    return value_at
+
+
+def _concave(root: float, slopes):
+    """Minimum of lines through (root, 0), like the sign test's message."""
+
+    def value_at(mu: float) -> float:
+        return min(slope * (root - mu) + 0.01 * k * (1.0 - mu) for k, slope in enumerate(slopes))
+
+    return value_at
+
+
+class TestFindCrossing:
+    ROOTS = (1e-9, 1e-5, 0.01, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.99, 1 - 1e-5, 1 - 1e-9, 1.0)
+    SLOPE_RATIOS = tuple(10.0 ** e for e in range(-9, 10))
+
+    @staticmethod
+    def _check(value_at, tol: float) -> None:
+        calls = []
+
+        def counted(mu: float) -> float:
+            calls.append(mu)
+            return value_at(mu)
+
+        lo, hi, passes = _find_crossing(counted, tol)
+        assert passes == len(calls)
+        assert passes <= 2 * math.ceil(math.log2(1 / tol)) + 3
+        assert 0.0 <= lo <= hi <= 1.0
+        assert hi - lo <= tol
+        assert value_at(hi) <= ZERO_TOL
+        if (lo, hi) == (0.0, 0.0):
+            assert value_at(0.0) <= ZERO_TOL
+        else:
+            assert value_at(lo) > ZERO_TOL
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-9])
+    def test_two_piece_functions(self, tol):
+        for root in self.ROOTS:
+            for scale in (1e-3, 1.0, 1e3):
+                for ratio in self.SLOPE_RATIOS:
+                    self._check(_piecewise(root, scale, scale * ratio), tol)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-9])
+    def test_concave_functions(self, tol):
+        rng = Random(1971)
+        for root in self.ROOTS:
+            for _ in range(10):
+                slopes = [10.0 ** rng.uniform(-9, 9) for _ in range(rng.randint(1, 6))]
+                self._check(_concave(root, slopes), tol)
+
+    def test_nonpositive_at_zero_exits_at_once(self):
+        assert _find_crossing(_piecewise(0.0, 1.0, 1.0), 1e-6) == (0.0, 0.0, 1)
+        assert _find_crossing(lambda mu: -1.0, 1e-6) == (0.0, 0.0, 1)
+
+    def test_tolerance_below_float_resolution_terminates(self, squares, squares_idm):
+        for root in self.ROOTS:
+            lo, hi, passes = _find_crossing(_piecewise(root, 1.0, 1e9), 1e-300)
+            assert hi - lo <= 2.0 ** -50
+            assert passes <= 2 * 50 + 3
+        res = lower_conditional(squares.circuit, squares_idm, 1, True,
+                                {2: False, 3: False, 4: True}, tol=1e-17)
+        assert res.bracket[1] - res.bracket[0] <= 2.0 ** -50
+
+    def test_lands_within_tol_of_linear_root(self):
+        lo, hi, passes = _find_crossing(_piecewise(0.3, 2.0, 2.0), 1e-6)
+        assert 0.3 - 1e-6 <= lo < 0.3 <= hi + 1e-12
+        # f(0), f(1), the secant step onto the root, one step to close
+        assert passes <= 4
 
 
 class TestSharedNodeExample:
@@ -449,7 +604,7 @@ class TestBruteForce:
                 flagged += 1
                 assert refined == pytest.approx(oracle, abs=1e-9)
             else:
-                # certified-exact answers carry only the bisection tolerance
+                # certified-exact answers carry only the search tolerance
                 assert refined == res.value
                 assert res.value == pytest.approx(oracle, abs=1e-6)
         # the generator must actually exercise the refinement path
