@@ -171,7 +171,12 @@ class Vtree:
 
     def vars_under(self, vid: int) -> tuple[int, ...]:
         mask = self._mask[vid]
-        return tuple(v for v in range(1, self.var_count + 1) if mask >> (v - 1) & 1)
+        out = []
+        while mask:  # one step per variable under vid, not per variable in the vtree
+            low = mask & -mask
+            out.append(low.bit_length())
+            mask ^= low
+        return tuple(out)
 
     def structure(self):
         """Nested tuple form, inverse of the constructor."""
@@ -307,22 +312,9 @@ class Circuit:
         """Ids of all nodes reachable from the root, ascending (= topological)."""
         nid = self._root(root)
         cached = self._cone_cache.get(nid)
-        if cached is not None:
-            return cached
-        seen = {nid}
-        stack = [nid]
-        while stack:
-            node = self.nodes[stack.pop()]
-            for p, s in node.elements:
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-                if s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        result = sorted(seen)
-        self._cone_cache[nid] = result
-        return result
+        if cached is None:
+            cached = self._cone_cache[nid] = _reach(self.nodes, (nid,))
+        return cached
 
     def false_ids(self, root: int | None = None) -> frozenset[int]:
         """Nodes whose sentence is unsatisfiable.
@@ -380,6 +372,56 @@ class Circuit:
         if self._connectivity is None:
             self._connectivity = multiplicity_report(self)
         return self._connectivity
+
+
+def _reach(nodes: Sequence[SddNode], starts) -> list[int]:
+    """Ids reachable from ``starts``, ascending (= topological)."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for p, s in nodes[stack.pop()].elements:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+            if s not in seen:
+                seen.add(s)
+                stack.append(s)
+    return sorted(seen)
+
+
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _pack_bits(flags) -> int:
+    """The int whose bit ``r`` is the truth of ``flags[r]``."""
+    return int(bytes(map(bool, flags))[::-1].translate(_BIT_CHARS) or b"0", 2)
+
+
+def _truth_bits(
+    nodes: Sequence[SddNode], ids: Sequence[int], var_bits, full: int
+) -> dict[int, int]:
+    """Truth of every node in ``ids`` on many complete assignments at once.
+
+    Bit ``r`` of ``var_bits[var]`` is the value of ``var`` in assignment
+    ``r`` and ``full`` has one bit set per assignment.  ``ids`` must be
+    closed under children and in topological order.  Bit ``r`` of a
+    result is the node's truth on assignment ``r``; a decision node is
+    the disjunction of its elements' conjunctions.
+    """
+    truth: dict[int, int] = {}
+    for nid in ids:
+        node = nodes[nid]
+        kind = node.kind
+        if kind == DECISION:
+            value = 0
+            for p, s in node.elements:
+                value |= truth[p] & truth[s]
+        elif kind == LITERAL:
+            value = var_bits[node.var] if node.polarity else full ^ var_bits[node.var]
+        else:
+            value = full if kind == TRUE else 0
+        truth[nid] = value
+    return truth
 
 
 def evaluate(circuit: Circuit, node_id: int, assignment: Mapping[int, bool]) -> bool:
@@ -503,26 +545,47 @@ def validate_partitions(
 ) -> None:
     """Check that every decision node's primes partition the left assignments.
 
-    Exhaustive up to ``exhaustive_limit`` left states, sampled above.
+    Exhaustive up to ``exhaustive_limit`` left states, otherwise ``samples``
+    assignments drawn from ``Random(seed)``, node by node in topological
+    order.  A node's cases are packed one per bit and its primes are
+    evaluated on all of them in one bit-parallel pass over the primes'
+    cones; the lowest case covered zero or several times is reported.
     """
     vtree = circuit.vtree
+    nodes = circuit.nodes
     rng = Random(seed)
     for nid in circuit.cone(root):
-        node = circuit.nodes[nid]
+        node = nodes[nid]
         if node.kind != DECISION:
             continue
         left_vars = vtree.vars_under(vtree.left(node.vtree))
-        if 2 ** len(left_vars) <= exhaustive_limit:
-            cases = product((False, True), repeat=len(left_vars))
+        width = len(left_vars)
+        if 2 ** width <= exhaustive_limit:
+            # case k is row k of itertools.product: the first variable is its top bit
+            size = 2 ** width
+            var_bits = {
+                var: _pack_bits(k >> (width - 1 - i) & 1 for k in range(size))
+                for i, var in enumerate(left_vars)
+            }
         else:
-            cases = (tuple(rng.random() < 0.5 for _ in left_vars) for _ in range(samples))
-        for values in cases:
-            assignment = dict(zip(left_vars, values))
-            hits = sum(1 for p, _ in node.elements if evaluate(circuit, p, assignment))
-            if hits != 1:
-                raise CircuitError(
-                    f"node {nid}: primes cover left assignment {values} {hits} times (want exactly 1)"
-                )
+            size = samples
+            draws = [rng.random() < 0.5 for _ in range(samples * width)]
+            var_bits = {var: _pack_bits(draws[i::width]) for i, var in enumerate(left_vars)}
+        full = (1 << size) - 1
+        primes = [p for p, _ in node.elements]
+        truth = _truth_bits(nodes, _reach(nodes, primes), var_bits, full)
+        once = twice = 0
+        for p in primes:
+            twice |= once & truth[p]
+            once |= truth[p]
+        bad = twice | (full ^ once)
+        if bad:
+            k = (bad & -bad).bit_length() - 1
+            values = tuple(bool(var_bits[var] >> k & 1) for var in left_vars)
+            hits = sum(truth[p] >> k & 1 for p in primes)
+            raise CircuitError(
+                f"node {nid}: primes cover left assignment {values} {hits} times (want exactly 1)"
+            )
 
 
 def is_consistent(circuit: Circuit, evidence: Mapping[int, bool], root: int | None = None) -> bool:

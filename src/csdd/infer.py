@@ -77,7 +77,7 @@ __all__ = [
     "brute_force_exact",
 ]
 
-ZERO_TOL = 1e-12        # numerical zero for sign decisions
+ZERO_TOL = 1e-12        # numerical zero; sign tests scale it by the upper evidence probability
 TIE_REL = 1e-12         # relative tolerance for max ties
 V_TOL = 1e-9            # robustness verdict threshold on V - 1
 DEFAULT_BISECTION_TOL = 1e-6  # bracket width at which the conditional search stops
@@ -518,6 +518,9 @@ class _ConditionalEngine:
         self.low = session.low
         self.up = session.up
         self.spine, self.plan = session.target(var)
+        # every sign-test message is at most the upper evidence probability
+        # in size, so the numerical zero scales with it
+        self.zero = ZERO_TOL * self.up.values[self.root]
 
     def value_at(self, mu: float, trace: InferenceTrace | None = None) -> float:
         """Root message of the threshold test; positive iff the lower
@@ -579,9 +582,9 @@ class _ConditionalEngine:
 
     def sign_at(self, mu: float) -> int:
         value = self.value_at(mu)
-        if value > ZERO_TOL:
+        if value > self.zero:
             return 1
-        if value < -ZERO_TOL:
+        if value < -self.zero:
             return -1
         return 0
 
@@ -598,10 +601,10 @@ def conditional_sign(
     return _ConditionalEngine(circuit, params, var, val, evidence).sign_at(mu)
 
 
-def _find_crossing(value_at, tol: float) -> tuple[float, float, int]:
+def _find_crossing(value_at, tol: float, zero: float = ZERO_TOL) -> tuple[float, float, int]:
     """Bracket the sign change of ``value_at`` in [0, 1] to width ``tol``.
 
-    The sign is positive where ``value_at(mu) > ZERO_TOL``.  Returns
+    The sign is positive where ``value_at(mu) > zero``.  Returns
     ``(lo, hi, passes)`` with a positive sign at ``lo`` and a non-positive
     one at ``hi``, ``hi - lo <= tol``, and the number of ``value_at``
     calls; ``(0, 0, 1)`` when the sign at 0 is already non-positive.
@@ -617,11 +620,11 @@ def _find_crossing(value_at, tol: float) -> tuple[float, float, int]:
     bracket is followed by a bisection step, so no search takes more
     than about twice the passes of plain bisection.
     """
-    g_lo = value_at(0.0) - ZERO_TOL
+    g_lo = value_at(0.0) - zero
     if g_lo <= 0.0:
         return 0.0, 0.0, 1
     lo, hi = 0.0, 1.0
-    g_hi = value_at(1.0) - ZERO_TOL
+    g_hi = value_at(1.0) - zero
     passes = 2
     tol = max(tol, MIN_CROSSING_TOL)
     margin = 0.5 * tol
@@ -634,7 +637,7 @@ def _find_crossing(value_at, tol: float) -> tuple[float, float, int]:
         else:
             mu = lo + width * g_lo / (g_lo - g_hi)
             mu = min(max(mu, lo + margin), hi - margin)
-        g = value_at(mu) - ZERO_TOL
+        g = value_at(mu) - zero
         passes += 1
         if g > 0.0:
             lo, g_lo = mu, g
@@ -674,7 +677,7 @@ def lower_conditional(
     if tol <= 0:
         raise InferenceError("tolerance must be positive")
     engine = _ConditionalEngine(circuit, params, var, val, evidence, session)
-    lo, hi, iterations = _find_crossing(engine.value_at, tol)
+    lo, hi, iterations = _find_crossing(engine.value_at, tol, engine.zero)
     trace = certificate = None
     if want_certificate:
         trace = InferenceTrace()

@@ -4,6 +4,9 @@ Counting routes every instance from the root: at each decision node the
 unique element whose prime the instance satisfies is incremented and the
 walk recurses into both the prime and the sub.  A node reached through
 several contexts (shared structure) accumulates counts across all of them.
+All rows are routed at once: each row is one bit of a Python ``int``, one
+bottom-up pass gives every node's truth on every row, and one top-down
+pass carries each node's context, the set of rows reaching it, as a mask.
 
 Three estimators turn counts into parameter tables: maximum likelihood,
 Bayesian smoothing with a symmetric prior of total mass ``s`` spread over
@@ -16,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .circuit import Circuit, DECISION, FALSE, LITERAL, TRUE
+from .circuit import Circuit, DECISION, TRUE, _pack_bits, _truth_bits
 from .credal import IntervalCredalSet, normalize_reachable
-from .params import CsddParams, PsddParams
+from .params import CsddParams, PsddParams, _forbidden_states
 
 __all__ = [
     "LearnError",
@@ -100,6 +103,18 @@ def collect_counts(circuit: Circuit, dataset: Dataset, strict: bool = True) -> C
 
     Rows inconsistent with the circuit raise in strict mode and are
     dropped (counted in ``dropped``) otherwise.
+
+    Bit ``r`` of every mask stands for row ``r``.  A bit-parallel truth
+    pass gives each node's truth on all rows.  A top-down pass then
+    splits each decision node's context (the rows reaching it) among its
+    elements, each row going to the first element whose prime it
+    satisfies, and passes each element's share on to its prime and sub.
+    Contexts reaching a node from several parents are joined by union,
+    which is exact: primes sit at ``left(v)`` and subs at ``right(v)`` of
+    their decision node's vtree node ``v``, so a row's route meets each
+    vtree node, hence each circuit node, at most once.  A mask's count,
+    the sum of its rows' multiplicities, is read off the bit-planes of
+    the multiplicities.
     """
     root = circuit._root(None)
     if len(dataset.variables) != circuit.vtree.var_count:
@@ -112,52 +127,51 @@ def collect_counts(circuit: Circuit, dataset: Dataset, strict: bool = True) -> C
         node = circuit.nodes[nid]
         counts[nid] = [0, 0] if node.kind == TRUE else [0] * len(node.elements)
         totals[nid] = 0
-    dropped = 0
     nodes = circuit.nodes
     cone = circuit.cone(root)
-    truth = [False] * (max(cone) + 1)
-    for assignment, count in dataset.assignments():
-        for nid in cone:  # one truth pass per row, reused while routing
-            node = nodes[nid]
-            if node.kind == FALSE:
-                truth[nid] = False
-            elif node.kind == TRUE:
-                truth[nid] = True
-            elif node.kind == LITERAL:
-                truth[nid] = assignment[node.var] == node.polarity
-            else:
-                truth[nid] = any(truth[p] and truth[s] for p, s in node.elements)
-        if not truth[root]:
-            if strict:
-                raise LearnError(f"row {assignment} is inconsistent with the circuit")
-            dropped += count
+    rows = dataset.rows
+    full = (1 << len(rows)) - 1
+    columns = list(zip(*(values for values, _ in rows))) or [()] * circuit.vtree.var_count
+    var_bits = [0] + [_pack_bits(column) for column in columns]  # indexed by variable
+    multiplicities = [count for _, count in rows]
+    planes = [
+        _pack_bits(count >> j & 1 for count in multiplicities)
+        for j in range(max(multiplicities, default=0).bit_length())
+    ]
+
+    def weight(mask: int) -> int:
+        return sum((mask & plane).bit_count() << j for j, plane in enumerate(planes))
+
+    truth = _truth_bits(nodes, cone, var_bits, full)
+    inconsistent = full ^ truth[root]
+    if inconsistent and strict:
+        values = rows[(inconsistent & -inconsistent).bit_length() - 1][0]
+        assignment = {i + 1: bool(v) for i, v in enumerate(values)}
+        raise LearnError(f"row {assignment} is inconsistent with the circuit")
+    context = {root: truth[root]}
+    for nid in reversed(cone):
+        ctx = context.pop(nid, 0)
+        if not ctx:
             continue
-        stack = [root]
-        while stack:
-            nid = stack.pop()
-            node = nodes[nid]
-            if node.kind == TRUE:
-                totals[nid] += count
-                counts[nid][0 if assignment[node.var] else 1] += count
-            elif node.kind == DECISION:
-                totals[nid] += count
-                for idx, (p, s) in enumerate(node.elements):
-                    if truth[p]:
-                        counts[nid][idx] += count
-                        stack.append(p)
-                        stack.append(s)
-                        break
-                else:  # primes partition the left space; cannot happen
-                    raise LearnError(f"no prime of node {nid} matched a consistent row")
-    return ContextCounts(counts, totals, dropped)
-
-
-def _forbidden(circuit: Circuit, nid: int) -> tuple[bool, ...]:
-    node = circuit.nodes[nid]
-    if node.kind == TRUE:
-        return (False, False)
-    false = circuit.false_ids()
-    return tuple(s in false for _, s in node.elements)
+        node = nodes[nid]
+        if node.kind == TRUE:
+            totals[nid] = weight(ctx)
+            on = ctx & var_bits[node.var]
+            counts[nid] = [weight(on), weight(ctx ^ on)]
+        elif node.kind == DECISION:
+            totals[nid] = weight(ctx)
+            vector = counts[nid]
+            rest = ctx
+            for idx, (p, s) in enumerate(node.elements):
+                hit = rest & truth[p]
+                if hit:
+                    rest ^= hit
+                    vector[idx] = weight(hit)
+                    context[p] = context.get(p, 0) | hit
+                    context[s] = context.get(s, 0) | hit
+            if rest:  # primes partition the left space; cannot happen
+                raise LearnError(f"no prime of node {nid} matched a consistent row")
+    return ContextCounts(counts, totals, weight(inconsistent))
 
 
 def ml_estimate(circuit: Circuit, counts: ContextCounts) -> PsddParams:
@@ -169,7 +183,7 @@ def ml_estimate(circuit: Circuit, counts: ContextCounts) -> PsddParams:
     feasible = _feasible_reachable(circuit, circuit._root(None))
     table: dict[int, tuple[float, ...]] = {}
     for nid, vector in counts.counts.items():
-        forbidden = _forbidden(circuit, nid)
+        forbidden = _forbidden_states(circuit, nid)
         total = counts.totals[nid]
         if total == 0:
             if nid in feasible:
@@ -196,7 +210,7 @@ def bayes_estimate(circuit: Circuit, counts: ContextCounts, ess: float) -> PsddP
         raise LearnError("equivalent sample size must be positive")
     table: dict[int, tuple[float, ...]] = {}
     for nid, vector in counts.counts.items():
-        forbidden = _forbidden(circuit, nid)
+        forbidden = _forbidden_states(circuit, nid)
         free = sum(1 for bad in forbidden if not bad)
         total = counts.totals[nid]
         table[nid] = tuple(
@@ -218,7 +232,7 @@ def idm_estimate(circuit: Circuit, counts: ContextCounts, ess: float) -> CsddPar
         raise LearnError("equivalent sample size must be positive")
     table: dict[int, IntervalCredalSet] = {}
     for nid, vector in counts.counts.items():
-        forbidden = _forbidden(circuit, nid)
+        forbidden = _forbidden_states(circuit, nid)
         total = counts.totals[nid]
         lower = tuple(0.0 if bad else c / (total + ess) for c, bad in zip(vector, forbidden))
         upper = tuple(0.0 if bad else (c + ess) / (total + ess) for c, bad in zip(vector, forbidden))

@@ -4,6 +4,8 @@ The oracles here are deliberately independent of the message-passing
 implementations: joint probabilities come from routing a complete
 assignment through the circuit and multiplying local parameters, and
 marginals/completions from exhaustive enumeration over those joints.
+The scalar references route or evaluate one row at a time, for the
+bit-parallel passes to be compared against.
 """
 
 from __future__ import annotations
@@ -13,7 +15,19 @@ from random import Random
 
 import pytest
 
-from csdd.circuit import Circuit, FALSE, LITERAL, TRUE, Vtree, compile_formula, model_count, multiplicity_report
+from csdd.circuit import (
+    DECISION,
+    FALSE,
+    LITERAL,
+    TRUE,
+    Circuit,
+    CircuitError,
+    Vtree,
+    compile_formula,
+    evaluate,
+    model_count,
+    multiplicity_report,
+)
 from csdd.credal import IntervalCredalSet, enumerate_vertices, normalize_reachable
 from csdd.formula import Formula, Var, conj, disj
 from csdd.params import CsddParams, PsddParams
@@ -192,6 +206,90 @@ def brute_map(circuit: Circuit, params: PsddParams, evidence: dict[int, bool]):
         if p > best:
             best, arg = p, assignment
     return best, arg
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the bit-parallel passes
+
+
+def route_counts(circuit: Circuit, dataset, strict: bool = True):
+    """``collect_counts`` one row at a time: a truth pass per row, then a
+    walk from the root into the first element whose prime holds."""
+    from csdd.learn import ContextCounts, LearnError
+
+    root = circuit._root(None)
+    counts: dict[int, list[int]] = {}
+    totals: dict[int, int] = {}
+    for nid in circuit.parameterized_ids(root):
+        node = circuit.nodes[nid]
+        counts[nid] = [0, 0] if node.kind == TRUE else [0] * len(node.elements)
+        totals[nid] = 0
+    dropped = 0
+    nodes = circuit.nodes
+    cone = circuit.cone(root)
+    truth = [False] * (max(cone) + 1)
+    for assignment, count in dataset.assignments():
+        for nid in cone:
+            node = nodes[nid]
+            if node.kind == FALSE:
+                truth[nid] = False
+            elif node.kind == TRUE:
+                truth[nid] = True
+            elif node.kind == LITERAL:
+                truth[nid] = assignment[node.var] == node.polarity
+            else:
+                truth[nid] = any(truth[p] and truth[s] for p, s in node.elements)
+        if not truth[root]:
+            if strict:
+                raise LearnError(f"row {assignment} is inconsistent with the circuit")
+            dropped += count
+            continue
+        stack = [root]
+        while stack:
+            nid = stack.pop()
+            node = nodes[nid]
+            if node.kind == TRUE:
+                totals[nid] += count
+                counts[nid][0 if assignment[node.var] else 1] += count
+            elif node.kind == DECISION:
+                totals[nid] += count
+                for idx, (p, s) in enumerate(node.elements):
+                    if truth[p]:
+                        counts[nid][idx] += count
+                        stack.append(p)
+                        stack.append(s)
+                        break
+                else:
+                    raise LearnError(f"no prime of node {nid} matched a consistent row")
+    return ContextCounts(counts, totals, dropped)
+
+
+def check_partitions(
+    circuit: Circuit,
+    root: int | None = None,
+    exhaustive_limit: int = 16,
+    samples: int = 64,
+    seed: int = 0,
+) -> None:
+    """``validate_partitions`` one case and one prime at a time, by ``evaluate``."""
+    vtree = circuit.vtree
+    rng = Random(seed)
+    for nid in circuit.cone(root):
+        node = circuit.nodes[nid]
+        if node.kind != DECISION:
+            continue
+        left_vars = vtree.vars_under(vtree.left(node.vtree))
+        if 2 ** len(left_vars) <= exhaustive_limit:
+            cases = product((False, True), repeat=len(left_vars))
+        else:
+            cases = (tuple(rng.random() < 0.5 for _ in left_vars) for _ in range(samples))
+        for values in cases:
+            assignment = dict(zip(left_vars, values))
+            hits = sum(1 for p, _ in node.elements if evaluate(circuit, p, assignment))
+            if hits != 1:
+                raise CircuitError(
+                    f"node {nid}: primes cover left assignment {values} {hits} times (want exactly 1)"
+                )
 
 
 # ---------------------------------------------------------------------------

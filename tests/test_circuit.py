@@ -1,9 +1,12 @@
 """Vtree and circuit structure: evaluation, models, connectivity, compile."""
 
+from dataclasses import replace
 from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csdd.circuit import (
     Circuit,
@@ -23,7 +26,7 @@ from csdd.circuit import (
 from csdd.fixtures import shared_node_fixture, squares_formula, squares_vtree
 from csdd.formula import FALSE as F_CONST, TRUE as T_CONST, Var, parse_formula
 
-from conftest import random_circuit, random_formula, random_vtree
+from conftest import check_partitions, random_circuit, random_formula, random_vtree
 
 
 class TestVtree:
@@ -248,6 +251,90 @@ class TestCompileFormula:
             circuit = compile_formula(random_formula(rng, n, 3), random_vtree(rng, n))
             validate_structure(circuit)
             validate_partitions(circuit)
+
+
+def _corrupt(circuit: Circuit, nid: int, mode: str) -> Circuit:
+    """Copy with one decision node's partition broken: ``overlap`` repeats its
+    first element, ``gap`` drops its last one."""
+    bad = circuit.extract(circuit.root)
+    node = bad.nodes[nid]
+    elements = node.elements + node.elements[:1] if mode == "overlap" else node.elements[:-1]
+    bad.nodes[nid] = replace(node, elements=elements)
+    return bad
+
+
+def _partition_error(check, circuit: Circuit) -> str | None:
+    try:
+        check(circuit)
+    except CircuitError as exc:
+        return str(exc)
+    return None
+
+
+class TestPartitionParity:
+    """The bit-parallel partition check against the scalar reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        balanced=st.booleans(),
+        mode=st.sampled_from(["overlap", "gap"]),
+        pick=st.integers(0, 2**16),
+    )
+    def test_corrupted_node_same_message(self, seed, balanced, mode, pick):
+        # 10 balanced variables put 5 under the root's left child: the sampled branch
+        rng = Random(seed)
+        n = 10 if balanced else rng.randint(2, 5)
+        vtree = Vtree.balanced(n) if balanced else random_vtree(rng, n)
+        circuit = compile_formula(random_formula(rng, n, 3), vtree)
+        assert _partition_error(validate_partitions, circuit) is None
+        assert _partition_error(check_partitions, circuit) is None
+        wide = [nid for nid in circuit.cone() if len(circuit.nodes[nid].elements) >= 2]
+        if not wide:
+            return
+        bad = _corrupt(circuit, wide[pick % len(wide)], mode)
+        assert _partition_error(validate_partitions, bad) == _partition_error(check_partitions, bad)
+
+    @pytest.mark.parametrize("mode", ["overlap", "gap"])
+    def test_exhaustive_branch(self, squares, mode):
+        bad = _corrupt(squares.circuit, squares.root, mode)
+        message = _partition_error(validate_partitions, bad)
+        assert message is not None and message.startswith(f"node {squares.root}: ")
+        assert message == _partition_error(check_partitions, bad)
+
+    def test_reports_first_case_in_product_order(self):
+        # the gap is (False, True) and (True, False): the first in product order is reported
+        vt = Vtree(((1, 2), 3))
+        c = Circuit(vt)
+        inner, leaf3 = vt.parent(vt.leaf_of(1)), vt.leaf_of(3)
+
+        def equal_bits(equal: bool) -> int:  # x1 == x2, or x1 != x2
+            return c.add_decision(inner, [(c.add_literal(1, True), c.add_literal(2, equal)),
+                                          (c.add_literal(1, False), c.add_literal(2, not equal))])
+
+        xnor, xor = equal_bits(True), equal_bits(False)
+        c.set_root(c.add_decision(vt.root, [(xnor, c.add_true(leaf3)), (xor, c.add_false(leaf3))]))
+        validate_partitions(c)
+        bad = _corrupt(c, c.root, "gap")
+        message = f"node {c.root}: primes cover left assignment (False, True) 0 times (want exactly 1)"
+        assert _partition_error(validate_partitions, bad) == message
+        assert _partition_error(check_partitions, bad) == message
+
+    @pytest.mark.parametrize("mode", ["overlap", "gap"])
+    def test_sampled_branch(self, mode):
+        vtree = Vtree.balanced(10)
+        circuit = compile_formula((Var(1) | Var(2)) & (Var(6) | Var(7)), vtree)
+        root = circuit.root
+        assert len(vtree.vars_under(vtree.left(circuit.nodes[root].vtree))) == 5
+        assert len(circuit.nodes[root].elements) >= 2
+        bad = _corrupt(circuit, root, mode)
+        message = _partition_error(validate_partitions, bad)
+        assert message is not None and message.startswith(f"node {root}: ")
+        assert message == _partition_error(check_partitions, bad)
+        for seed in range(5):
+            assert _partition_error(lambda c: validate_partitions(c, seed=seed), bad) == (
+                _partition_error(lambda c: check_partitions(c, seed=seed), bad)
+            )
 
 
 class TestConsistency:

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from csdd.circuit import Circuit, Vtree, enumerate_models
+from csdd.circuit import Circuit, Vtree, compile_formula, enumerate_models
 from csdd.credal import IntervalCredalSet
 from csdd.fixtures import shared_node_fixture, squares_fixture
 from csdd.infer import (
@@ -35,6 +35,8 @@ from csdd.infer import (
     _ConditionalEngine,
     _find_crossing,
 )
+from csdd.formula import TRUE as T_CONST
+from csdd.learn import Dataset, collect_counts, ml_estimate
 from csdd.params import CsddParams, PsddParams
 
 from conftest import random_credal_instance
@@ -383,6 +385,21 @@ class TestFindCrossing:
         res = lower_conditional(squares.circuit, squares_idm, 1, True,
                                 {2: False, 3: False, 4: True}, tol=1e-17)
         assert res.bracket[1] - res.bracket[0] <= 2.0 ** -50
+
+    def test_tiny_evidence_probability_keeps_the_answer(self):
+        # every variable at 0.5: P(evidence) = 2**-43 lies below ZERO_TOL, yet the
+        # conditional is 0.5; the sign test's zero scales with P(evidence)
+        n = 44
+        circuit = compile_formula(T_CONST, Vtree.right_linear(n))
+        rows = [((True,) * n, 1), ((False,) * n, 1)]
+        counts = collect_counts(circuit, Dataset(tuple(f"X{i}" for i in range(1, n + 1)), rows))
+        params = CsddParams.degenerate(ml_estimate(circuit, counts))
+        evidence = {var: True for var in range(2, n + 1)}
+        low = lower_conditional(circuit, params, 1, True, evidence)
+        assert 0.5 - 1e-6 <= low.value <= 0.5
+        assert low.iterations > 1
+        up = upper_conditional(circuit, params, 1, True, evidence)
+        assert 0.5 <= up.value <= 0.5 + 1e-6
 
     def test_lands_within_tol_of_linear_root(self):
         lo, hi, passes = _find_crossing(_piecewise(0.3, 2.0, 2.0), 1e-6)

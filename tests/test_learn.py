@@ -5,7 +5,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from csdd.circuit import compile_formula, enumerate_models
 from csdd.fixtures import shared_node_fixture, squares_dataset, squares_fixture
 from csdd.learn import (
     Dataset,
@@ -15,7 +18,7 @@ from csdd.learn import (
     idm_estimate,
     ml_estimate,
 )
-from conftest import brute_joint, random_circuit
+from conftest import brute_joint, random_circuit, random_formula, random_vtree, route_counts
 
 
 class TestCollectCounts:
@@ -75,6 +78,98 @@ class TestCollectCounts:
             ds = Dataset(tuple(f"X{i}" for i in range(1, 5)), rows)
             counts = collect_counts(circuit, ds)
             assert counts.totals[circuit.root] == ds.total
+
+
+def _compiled(seed: int, n: int, share: bool):
+    rng = Random(seed)
+    formula = random_formula(rng, n, rng.randint(1, 3))
+    return compile_formula(formula, random_vtree(rng, n), share=share)
+
+
+def _names(n: int) -> tuple[str, ...]:
+    return tuple(f"X{i}" for i in range(1, n + 1))
+
+
+def _learn_error(call) -> str | None:
+    try:
+        call()
+    except LearnError as exc:
+        return str(exc)
+    return None
+
+
+class TestCountsMatchScalarRouter:
+    """The bit-parallel counter against the one-row-at-a-time router."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        share=st.booleans(),
+        picks=st.lists(st.tuples(st.integers(0, 2**12), st.integers(1, 1000)), max_size=12),
+    )
+    def test_consistent_rows(self, seed, n, share, picks):
+        circuit = _compiled(seed, n, share)
+        models = sorted(enumerate_models(circuit, circuit.root))
+        rows = [(models[i % len(models)], count) for i, count in picks] if models else []
+        ds = Dataset(_names(n), rows)
+        got = collect_counts(circuit, ds)
+        assert got == route_counts(circuit, ds)
+        assert got.dropped == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        share=st.booleans(),
+        data=st.data(),
+    )
+    def test_lenient_drops_and_strict_message(self, seed, n, share, data):
+        circuit = _compiled(seed, n, share)
+        rows = data.draw(
+            st.lists(
+                st.tuples(st.tuples(*[st.booleans()] * n), st.integers(1, 1000)), max_size=12
+            )
+        )
+        ds = Dataset(_names(n), rows)
+        assert collect_counts(circuit, ds, strict=False) == route_counts(circuit, ds, strict=False)
+        assert _learn_error(lambda: collect_counts(circuit, ds)) == _learn_error(
+            lambda: route_counts(circuit, ds)
+        )
+
+    def test_single_row_and_no_rows(self):
+        rng = Random(17)
+        for _ in range(10):
+            circuit = random_circuit(rng, 5, singly=bool(rng.getrandbits(1)))
+            models = sorted(enumerate_models(circuit, circuit.root))
+            for rows in ([], [(rng.choice(models), 1)], [(rng.choice(models), 300)]):
+                ds = Dataset(_names(5), rows)
+                assert collect_counts(circuit, ds) == route_counts(circuit, ds)
+
+    def test_strict_message_names_first_inconsistent_row(self, squares):
+        rows = [
+            ((False, False, False, True), 3),
+            ((True, False, True, True), 1),
+            ((True, True, True, True), 2),
+        ]
+        ds = Dataset(("X1", "X2", "X3", "X4"), rows)
+        with pytest.raises(LearnError) as exc:
+            collect_counts(squares.circuit, ds)
+        assert str(exc.value) == (
+            "row {1: True, 2: False, 3: True, 4: True} is inconsistent with the circuit"
+        )
+        lenient = collect_counts(squares.circuit, ds, strict=False)
+        assert lenient == route_counts(squares.circuit, ds, strict=False)
+        assert lenient.dropped == 3
+
+    def test_fixtures_match(self, squares):
+        fx = shared_node_fixture()
+        rows = [((a, True, c, a), 7 * a + 3 * c + 1) for a in (False, True) for c in (False, True)]
+        ds = Dataset(("X1", "X2", "X3", "X4"), rows)
+        assert collect_counts(fx.circuit, ds) == route_counts(fx.circuit, ds)
+        assert collect_counts(squares.circuit, squares_dataset()) == route_counts(
+            squares.circuit, squares_dataset()
+        )
 
 
 class TestMlEstimate:
