@@ -73,56 +73,66 @@ class Vtree:
     """
 
     def __init__(self, structure) -> None:
-        kinds: list[tuple] = []
-
-        def walk(shape) -> int:
-            if isinstance(shape, int):
-                kinds.append(("leaf", shape))
-                return len(kinds) - 1
-            if not (isinstance(shape, tuple) and len(shape) == 2):
-                raise CircuitError(f"vtree structure nodes are ints or pairs, got {shape!r}")
-            left = walk(shape[0])
-            my = len(kinds)
-            kinds.append(None)  # placeholder keeps in-order position
-            right = walk(shape[1])
-            kinds[my] = ("internal", left, right)
-            return my
-
-        self.root = walk(structure)
-        count = len(kinds)
-        self._var = [0] * count
-        self._left = [-1] * count
-        self._right = [-1] * count
-        self._parent = [-1] * count
-        self._mask = [0] * count
-        self._leaf_of: dict[int, int] = {}
-        for vid, entry in enumerate(kinds):
-            if entry[0] == "leaf":
-                var = entry[1]
-                if var in self._leaf_of:
-                    raise CircuitError(f"variable {var} appears twice in the vtree")
-                self._var[vid] = var
-                self._leaf_of[var] = vid
-                self._mask[vid] = 1 << (var - 1)
+        var: list[int] = []
+        left: list[int] = []
+        right: list[int] = []
+        post: list[int] = []
+        # iterative in-order numbering: a frame is (shape, -1) while its left
+        # subtree is numbered, then (None, id) while its right one is
+        stack: list[tuple] = []
+        shape = structure
+        while True:
+            while not isinstance(shape, int):
+                if not (isinstance(shape, tuple) and len(shape) == 2):
+                    raise CircuitError(f"vtree structure nodes are ints or pairs, got {shape!r}")
+                stack.append((shape, -1))
+                shape = shape[0]
+            done = len(var)
+            var.append(shape)
+            left.append(-1)
+            right.append(-1)
+            post.append(done)
+            while stack:
+                pending, vid = stack.pop()
+                if vid < 0:  # left subtree done: number this node, descend right
+                    vid = len(var)
+                    var.append(0)
+                    left.append(done)
+                    right.append(-1)
+                    stack.append((None, vid))
+                    shape = pending[1]
+                    break
+                right[vid] = done
+                post.append(vid)
+                done = vid
             else:
-                _, left, right = entry
-                self._left[vid] = left
-                self._right[vid] = right
-                self._parent[left] = vid
-                self._parent[right] = vid
+                break
+        self.root = done
+        count = len(var)
+        self._var = var
+        self._left = left
+        self._right = right
+        self._parent = [-1] * count
+        self._leaf_of: dict[int, int] = {}
+        for vid in range(count):
+            if left[vid] < 0:
+                if var[vid] in self._leaf_of:
+                    raise CircuitError(f"variable {var[vid]} appears twice in the vtree")
+                self._leaf_of[var[vid]] = vid
+            else:
+                self._parent[left[vid]] = vid
+                self._parent[right[vid]] = vid
         n = len(self._leaf_of)
         if set(self._leaf_of) != set(range(1, n + 1)):
             raise CircuitError("vtree variables must be exactly 1..n")
-        # masks bottom-up; ids are in-order so children of an internal node
-        # are not always smaller, walk explicitly
-        def fill_mask(vid: int) -> int:
-            if self._mask[vid]:
-                return self._mask[vid]
-            m = fill_mask(self._left[vid]) | fill_mask(self._right[vid])
-            self._mask[vid] = m
-            return m
-
-        fill_mask(self.root)
+        # masks bottom-up: post-order puts both children before their parent
+        self._mask = [0] * count
+        for vid in post:
+            self._mask[vid] = (
+                1 << (var[vid] - 1) if left[vid] < 0 else self._mask[left[vid]] | self._mask[right[vid]]
+            )
+        self._post = tuple(post)
+        self._key = (tuple(var), tuple(left), tuple(right))
         self.var_count = n
         self.node_count = count
 
@@ -178,21 +188,26 @@ class Vtree:
             mask ^= low
         return tuple(out)
 
+    def post_order(self) -> tuple[int, ...]:
+        """Node ids in post-order, left subtree first: children before parents."""
+        return self._post
+
     def structure(self):
         """Nested tuple form, inverse of the constructor."""
-
-        def walk(vid: int):
-            if self.is_leaf(vid):
-                return self._var[vid]
-            return (walk(self._left[vid]), walk(self._right[vid]))
-
-        return walk(self.root)
+        shapes: dict[int, object] = {}
+        for vid in self._post:
+            shapes[vid] = (
+                self._var[vid] if self.is_leaf(vid)
+                else (shapes.pop(self._left[vid]), shapes.pop(self._right[vid]))
+            )
+        return shapes[self.root]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Vtree) and self.structure() == other.structure()
+        # the in-order arrays determine the tree, and comparing them never recurses
+        return isinstance(other, Vtree) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.structure())
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return f"Vtree({self.structure()!r})"
@@ -629,6 +644,10 @@ class CircuitBuilder:
         self._constant_memo: dict[tuple, int] = {}
         self._is_false: dict[int, bool] = {}
         self._is_true: dict[int, bool] = {}
+        # n-ary And/Or fold their operands in this order: descendants first
+        self._rank = [0] * vtree.node_count
+        for rank, vid in enumerate(vtree.post_order()):
+            self._rank[vid] = rank
 
     # -- node constructors ------------------------------------------------
 
@@ -734,14 +753,12 @@ class CircuitBuilder:
         return self._apply(a, b, op)
 
     def _join(self, va: int, vb: int) -> int:
-        seen = set()
+        """Lowest common ancestor: the first ancestor of ``va`` covering ``vb``'s variables."""
+        vtree = self.vtree
+        need = vtree.mask(vb)
         v = va
-        while v != -1:
-            seen.add(v)
-            v = self.vtree.parent(v)
-        v = vb
-        while v not in seen:
-            v = self.vtree.parent(v)
+        while vtree.mask(v) & need != need:
+            v = vtree.parent(v)
         return v
 
     def lift(self, a: int, target: int) -> int:
@@ -770,6 +787,14 @@ class CircuitBuilder:
         return a
 
     def _apply(self, a: int, b: int, op: str) -> int:
+        if self.share:
+            # constants decide the result; with sharing off it must be a fresh copy
+            absorbing, neutral = (self._is_false, self._is_true) if op == "and" else (
+                self._is_true, self._is_false)
+            if absorbing[a] or neutral[b]:
+                return a
+            if absorbing[b] or neutral[a]:
+                return b
         if a == b:
             return a if self.share else self._copy(a)
         key = (op, a, b) if a < b else (op, b, a)
@@ -805,23 +830,35 @@ class CircuitBuilder:
     # -- formula compilation -----------------------------------------------
 
     def compile(self, formula: Formula) -> int:
+        """Node id of the formula's sentence; ``lift`` it to normalize it for the root.
+
+        The operands of an n-ary And/Or are combined in post-order of the
+        vtree nodes they are normalized for, so a node's descendants are
+        folded before it: apply costs the product of its operands' sizes,
+        and this keeps the intermediate results small.
+        """
         missing = formula.variables() - set(range(1, self.vtree.var_count + 1))
         if missing:
             raise CircuitError(f"formula uses variables outside the vtree: {sorted(missing)}")
+        return self._compile(formula)
+
+    def _compile(self, formula: Formula) -> int:
         if isinstance(formula, Const):
             return self.true_at(self.vtree.root) if formula.value else self.false_at(self.vtree.root)
         if isinstance(formula, Var):
             return self.literal(formula.var, True)
         if isinstance(formula, Not):
-            return self.negate(self.compile(formula.child))
+            return self.negate(self._compile(formula.child))
         if isinstance(formula, (And, Or)):
             op = "and" if isinstance(formula, And) else "or"
-            acc = None
-            for child in formula.children:
-                nid = self.compile(child)
-                acc = nid if acc is None else self.apply(acc, nid, op)
-            if acc is None:
-                return self.compile(Const(op == "and"))
+            if not formula.children:
+                return self._compile(Const(op == "and"))
+            ids = [self._compile(child) for child in formula.children]
+            nodes, rank = self.circuit.nodes, self._rank
+            ids.sort(key=lambda nid: rank[nodes[nid].vtree])
+            acc = ids[0]
+            for nid in ids[1:]:
+                acc = self.apply(acc, nid, op)
             return acc
         raise CircuitError(f"unknown formula node {formula!r}")
 

@@ -91,16 +91,7 @@ def _float(tok: str, lineno: int, what: str) -> float:
 
 def dumps_vtree(vtree: Vtree) -> str:
     lines = [f"vtree {vtree.node_count}"]
-    order: list[int] = []
-
-    def post(vid: int) -> None:
-        if not vtree.is_leaf(vid):
-            post(vtree.left(vid))
-            post(vtree.right(vid))
-        order.append(vid)
-
-    post(vtree.root)
-    for vid in order:
+    for vid in vtree.post_order():
         if vtree.is_leaf(vid):
             lines.append(f"L {vid} {vtree.var(vid)}")
         else:
@@ -155,14 +146,12 @@ def loads_vtree(text: str) -> Vtree:
     if len(roots) != 1:
         raise ParseError(1, f"expected a single root, found {len(roots)}")
 
-    def build(vid: int):
-        entry = entries[vid]
-        if entry[0] == "L":
-            return entry[1]
-        return (build(entry[1]), build(entry[2]))
-
+    # children precede parents in the file, so one pass in file order builds every shape
+    shapes: dict[int, object] = {}
+    for vid, entry in entries.items():
+        shapes[vid] = entry[1] if entry[0] == "L" else (shapes.pop(entry[1]), shapes.pop(entry[2]))
     try:
-        return Vtree(build(roots[0]))
+        return Vtree(shapes[roots[0]])
     except ValueError as exc:
         raise ParseError(1, str(exc)) from None
 

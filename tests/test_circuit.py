@@ -24,7 +24,17 @@ from csdd.circuit import (
     validate_structure,
 )
 from csdd.fixtures import shared_node_fixture, squares_formula, squares_vtree
-from csdd.formula import FALSE as F_CONST, TRUE as T_CONST, Var, parse_formula
+from csdd.formula import (
+    FALSE as F_CONST,
+    TRUE as T_CONST,
+    And,
+    Not,
+    Or,
+    Var,
+    conj,
+    disj,
+    parse_formula,
+)
 
 from conftest import check_partitions, random_circuit, random_formula, random_vtree
 
@@ -53,6 +63,24 @@ class TestVtree:
     def test_balanced_and_right_linear(self):
         assert Vtree.balanced(5).var_count == 5
         assert Vtree.right_linear(4).structure() == (1, (2, (3, 4)))
+
+    def test_post_order_left_first(self):
+        assert squares_vtree().post_order() == (0, 2, 1, 4, 6, 5, 3)
+
+    def test_structure_inverts_constructor(self):
+        rng = Random(9)
+        for _ in range(20):
+            vt = random_vtree(rng, rng.randint(1, 12))
+            again = Vtree(vt.structure())
+            assert again == vt and hash(again) == hash(vt)
+            assert [again.mask(v) for v in range(vt.node_count)] == [
+                vt.mask(v) for v in range(vt.node_count)
+            ]
+        assert Vtree((1, (2, 3))) != Vtree(((1, 2), 3))
+
+    def test_rejects_malformed_shape(self):
+        with pytest.raises(CircuitError, match="ints or pairs"):
+            Vtree((1, (2, 3, 4)))
 
 
 class TestEvaluate:
@@ -208,6 +236,21 @@ class TestApply:
             full = set(product((False, True), repeat=n))
             assert enumerate_models(b.circuit, neg) == full - ma
 
+    def test_constant_operands_short_circuit(self):
+        vt = Vtree.balanced(4)
+        b = CircuitBuilder(vt)
+        a = b.lift(b.compile(parse_formula("(or x1 (and x2 (not x4)))")), vt.root)
+        top, bottom = b.true_at(vt.root), b.false_at(vt.root)
+        memo, size = dict(b._apply_memo), len(b.circuit)
+        for x, y in ((a, top), (top, a)):
+            assert b._apply(x, y, "and") == a
+            assert b._apply(x, y, "or") == top
+        for x, y in ((a, bottom), (bottom, a)):
+            assert b._apply(x, y, "and") == bottom
+            assert b._apply(x, y, "or") == a
+        # answered from the flags alone: no apply recursion, no new nodes
+        assert b._apply_memo == memo and len(b.circuit) == size
+
     def test_vtree_mismatch_rejected(self):
         vt = Vtree((1, 2))
         b = CircuitBuilder(vt)
@@ -236,6 +279,15 @@ class TestCompileFormula:
         with pytest.raises(CircuitError):
             compile_formula(Var(5), Vtree.balanced(3))
 
+    def test_unbound_variable_deep_in_nested_formula(self):
+        # operators nest to the left, so x50 ends up 40 levels down
+        formula = Var(1) | ~Var(50)
+        for var in range(2, 40):
+            formula = formula & (Var(var) | ~Var(var - 1))
+        with pytest.raises(CircuitError) as err:
+            compile_formula(formula, Vtree.balanced(39))
+        assert str(err.value) == "formula uses variables outside the vtree: [50]"
+
     def test_unshared_compilation_is_singly_connected(self):
         rng = Random(3)
         for _ in range(5):
@@ -251,6 +303,49 @@ class TestCompileFormula:
             circuit = compile_formula(random_formula(rng, n, 3), random_vtree(rng, n))
             validate_structure(circuit)
             validate_partitions(circuit)
+
+
+def _shuffled(formula, rng: Random):
+    """The same formula with the children of every And/Or in random order."""
+    if isinstance(formula, Not):
+        return Not(_shuffled(formula.child, rng))
+    if isinstance(formula, (And, Or)):
+        children = [_shuffled(child, rng) for child in formula.children]
+        rng.shuffle(children)
+        return type(formula)(tuple(children))
+    return formula
+
+
+def _chain(n: int):
+    return conj(disj((~Var(i), Var(i + 1))) for i in range(1, n))
+
+
+class TestFoldOrder:
+    """n-ary And/Or are folded in vtree post-order, whatever the child order."""
+
+    @pytest.mark.parametrize("share", [True, False])
+    def test_child_order_does_not_change_the_circuit(self, share):
+        rng = Random(13)
+        for _ in range(30):
+            n = rng.randint(2, 7)
+            vtree = random_vtree(rng, n)
+            formula = random_formula(rng, n, 3)
+            plain = compile_formula(formula, vtree)
+            shuffled = compile_formula(_shuffled(formula, rng), vtree, share=share)
+            assert enumerate_models(shuffled, shuffled.root) == enumerate_models(plain, plain.root)
+            if share:
+                assert len(shuffled) == len(plain)
+            else:
+                assert multiplicity_report(shuffled).singly_connected
+
+    def test_chain_compile_is_linear_in_work(self):
+        # a left fold in clause order would allocate about 242k nodes here
+        n = 400
+        vtree = Vtree.right_linear(n)
+        builder = CircuitBuilder(vtree)
+        root = builder.lift(builder.compile(_chain(n)), vtree.root)
+        assert len(builder.circuit) <= 20 * n
+        assert model_count(builder.finish(root)) == n + 1
 
 
 def _corrupt(circuit: Circuit, nid: int, mode: str) -> Circuit:

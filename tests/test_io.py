@@ -1,5 +1,6 @@
 """File format grammars, validation errors and canonical round trips."""
 
+import sys
 from random import Random
 
 import pytest
@@ -33,6 +34,17 @@ class TestVtreeFormat:
             back = formats.loads_vtree(text)
             assert back == vt
             assert formats.dumps_vtree(back) == text
+
+    def test_deep_right_linear_round_trip(self, tmp_path):
+        # 5,000 levels: far deeper than the default recursion limit
+        assert sys.getrecursionlimit() < 5000
+        vt = Vtree.right_linear(5000)
+        assert vt == Vtree(vt.structure()) and hash(vt) == hash(Vtree.right_linear(5000))
+        path = tmp_path / "deep.vtree"
+        formats.write_vtree(vt, path)
+        back = formats.read_vtree(path)
+        assert back == vt and hash(back) == hash(vt)
+        assert formats.dumps_vtree(back).encode("utf-8") == path.read_bytes()
 
     def test_comments_ignored(self):
         text = "c banner\nvtree 3\nL 0 1\nL 2 2\nI 1 0 2\nc trailing\n"
