@@ -210,7 +210,19 @@ class Vtree:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        return f"Vtree({self.structure()!r})"
+        # the text of ``structure()``, written from an explicit stack: the
+        # nested tuple's own repr recurses once per level
+        parts = ["Vtree("]
+        stack: list = [")", self.root]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif self.is_leaf(item):
+                parts.append(str(self._var[item]))
+            else:
+                stack += (")", self._right[item], ", ", self._left[item], "(")
+        return "".join(parts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -339,16 +351,10 @@ class Circuit:
         distribution and their probability is identically zero.
         """
         if self._false_ids is None or root is not None:
-            false: set[int] = set()
-            for nid in self.cone(root):
-                node = self.nodes[nid]
-                if node.kind == FALSE:
-                    false.add(nid)
-                elif node.kind == DECISION and all(
-                    p in false or s in false for p, s in node.elements
-                ):
-                    false.add(nid)
-            ids = frozenset(false)
+            cone = self.cone(root)
+            free = [1] * (self.vtree.var_count + 1)  # one row, every variable free
+            sat = _truth_bits(self.nodes, cone, free, free, 1)
+            ids = frozenset(nid for nid in cone if not sat[nid])
             if root is not None:
                 return ids
             self._false_ids = ids
@@ -413,15 +419,18 @@ def _pack_bits(flags) -> int:
 
 
 def _truth_bits(
-    nodes: Sequence[SddNode], ids: Sequence[int], var_bits, full: int
+    nodes: Sequence[SddNode], ids: Sequence[int], pos, neg, full: int
 ) -> dict[int, int]:
-    """Truth of every node in ``ids`` on many complete assignments at once.
+    """Satisfiability of every node in ``ids`` on many assignments at once.
 
-    Bit ``r`` of ``var_bits[var]`` is the value of ``var`` in assignment
-    ``r`` and ``full`` has one bit set per assignment.  ``ids`` must be
-    closed under children and in topological order.  Bit ``r`` of a
-    result is the node's truth on assignment ``r``; a decision node is
-    the disjunction of its elements' conjunctions.
+    Bit ``r`` of ``pos[var]`` (``neg[var]``) is set when assignment ``r``
+    lets ``var`` be true (false): a complete assignment sets one of the
+    two, a partial one sets both for its free variables.  ``full`` has one
+    bit set per assignment.  ``ids`` must be closed under children and in
+    topological order.  Bit ``r`` of a result is set when some extension
+    of assignment ``r`` satisfies the node.  A decision node is the
+    disjunction of its elements' conjunctions, which is exact on partial
+    assignments too: a prime and its sub share no variable.
     """
     truth: dict[int, int] = {}
     for nid in ids:
@@ -432,7 +441,7 @@ def _truth_bits(
             for p, s in node.elements:
                 value |= truth[p] & truth[s]
         elif kind == LITERAL:
-            value = var_bits[node.var] if node.polarity else full ^ var_bits[node.var]
+            value = (pos if node.polarity else neg)[node.var]
         else:
             value = full if kind == TRUE else 0
         truth[nid] = value
@@ -588,7 +597,8 @@ def validate_partitions(
             var_bits = {var: _pack_bits(draws[i::width]) for i, var in enumerate(left_vars)}
         full = (1 << size) - 1
         primes = [p for p, _ in node.elements]
-        truth = _truth_bits(nodes, _reach(nodes, primes), var_bits, full)
+        neg_bits = {var: full ^ bits for var, bits in var_bits.items()}
+        truth = _truth_bits(nodes, _reach(nodes, primes), var_bits, neg_bits, full)
         once = twice = 0
         for p in primes:
             twice |= once & truth[p]
@@ -606,38 +616,30 @@ def validate_partitions(
 def is_consistent(circuit: Circuit, evidence: Mapping[int, bool], root: int | None = None) -> bool:
     """Whether some model of the root extends the partial assignment."""
     nid = circuit._root(root)
-    ok: dict[int, bool] = {}
-    for i in circuit.cone(nid):
-        n = circuit.nodes[i]
-        if n.kind == FALSE:
-            ok[i] = False
-        elif n.kind == TRUE:
-            ok[i] = True
-        elif n.kind == LITERAL:
-            val = evidence.get(n.var)
-            ok[i] = val is None or bool(val) == n.polarity
-        else:
-            ok[i] = any(ok[p] and ok[s] for p, s in n.elements)
-    return ok[nid]
+    n = circuit.vtree.var_count
+    pos = [1] * (n + 1)
+    neg = [1] * (n + 1)
+    for var, val in evidence.items():
+        if val is not None and 1 <= var <= n:  # no literal reads any other variable
+            (neg if val else pos)[var] = 0
+    return bool(_truth_bits(circuit.nodes, circuit.cone(nid), pos, neg, 1)[nid])
 
 
-_NEG = {FALSE: TRUE, TRUE: FALSE}
 _TT = {FALSE: 0b00, TRUE: 0b11}  # bit 1: value at var=true, bit 0: at var=false
 
 
 class CircuitBuilder:
     """Bottom-up compiler: literals combined through apply/negate.
 
-    With ``share=True`` (default) structurally equal nodes are reused, which
-    generally yields multiply connected circuits.  With ``share=False``
-    every intermediate node is fresh and the result is tree-shaped, hence
-    singly connected.
+    Every constructor and operation is memoized over one node store, so
+    structurally equal nodes are reused, as canonical SDD apply assumes;
+    the results are generally multiply connected.
+    ``compile_formula(..., share=False)`` turns a result into a tree.
     """
 
-    def __init__(self, vtree: Vtree, share: bool = True) -> None:
+    def __init__(self, vtree: Vtree) -> None:
         self.vtree = vtree
         self.circuit = Circuit(vtree)
-        self.share = share
         self._terminal_memo: dict[tuple, int] = {}
         self._apply_memo: dict[tuple, int] = {}
         self._negate_memo: dict[int, int] = {}
@@ -653,7 +655,7 @@ class CircuitBuilder:
 
     def _terminal(self, leaf: int, tt: int) -> int:
         key = (leaf, tt)
-        if self.share and key in self._terminal_memo:
+        if key in self._terminal_memo:
             return self._terminal_memo[key]
         circuit = self.circuit
         if tt == 0b00:
@@ -664,8 +666,7 @@ class CircuitBuilder:
             nid = circuit.add_literal(circuit.vtree.var(leaf), tt == 0b10)
         self._is_false[nid] = tt == 0b00
         self._is_true[nid] = tt == 0b11
-        if self.share:
-            self._terminal_memo[key] = nid
+        self._terminal_memo[key] = nid
         return nid
 
     def literal(self, var: int, polarity: bool = True) -> int:
@@ -673,7 +674,7 @@ class CircuitBuilder:
 
     def true_at(self, vid: int) -> int:
         key = (vid, True)
-        if self.share and key in self._constant_memo:
+        if key in self._constant_memo:
             return self._constant_memo[key]
         if self.vtree.is_leaf(vid):
             nid = self._terminal(vid, 0b11)
@@ -681,13 +682,12 @@ class CircuitBuilder:
             nid = self._decision(
                 vid, [(self.true_at(self.vtree.left(vid)), self.true_at(self.vtree.right(vid)))]
             )
-        if self.share:
-            self._constant_memo[key] = nid
+        self._constant_memo[key] = nid
         return nid
 
     def false_at(self, vid: int) -> int:
         key = (vid, False)
-        if self.share and key in self._constant_memo:
+        if key in self._constant_memo:
             return self._constant_memo[key]
         if self.vtree.is_leaf(vid):
             nid = self._terminal(vid, 0b00)
@@ -695,8 +695,7 @@ class CircuitBuilder:
             nid = self._decision(
                 vid, [(self.true_at(self.vtree.left(vid)), self.false_at(self.vtree.right(vid)))]
             )
-        if self.share:
-            self._constant_memo[key] = nid
+        self._constant_memo[key] = nid
         return nid
 
     def _decision(self, vid: int, elements: list[tuple[int, int]]) -> int:
@@ -710,35 +709,17 @@ class CircuitBuilder:
     # -- boolean operations ------------------------------------------------
 
     def negate(self, a: int) -> int:
-        if self.share and a in self._negate_memo:
+        if a in self._negate_memo:
             return self._negate_memo[a]
         node = self.circuit.node(a)
         if node.kind == DECISION:
-            # without sharing the primes must be duplicated to stay tree-shaped
-            result = self._decision(
-                node.vtree,
-                [
-                    (p if self.share else self._copy(p), self.negate(s))
-                    for p, s in node.elements
-                ],
-            )
+            result = self._decision(node.vtree, [(p, self.negate(s)) for p, s in node.elements])
         else:
             tt = _TT[node.kind] if node.kind in _TT else (0b10 if node.polarity else 0b01)
             result = self._terminal(node.vtree, tt ^ 0b11)
-        if self.share:
-            self._negate_memo[a] = result
-            self._negate_memo[result] = a
+        self._negate_memo[a] = result
+        self._negate_memo[result] = a
         return result
-
-    def _copy(self, a: int) -> int:
-        """Fresh structural duplicate (used only when sharing is off)."""
-        node = self.circuit.node(a)
-        if node.kind == DECISION:
-            return self._decision(
-                node.vtree, [(self._copy(p), self._copy(s)) for p, s in node.elements]
-            )
-        tt = _TT[node.kind] if node.kind in _TT else (0b10 if node.polarity else 0b01)
-        return self._terminal(node.vtree, tt)
 
     def apply(self, a: int, b: int, op: str) -> int:
         """Conjoin or disjoin two nodes; operands may sit at different vtree nodes."""
@@ -748,8 +729,8 @@ class CircuitBuilder:
         vb = self.circuit.node(b).vtree
         if va != vb:
             join = self._join(va, vb)
-            a = self._lift(a, join)
-            b = self._lift(b, join)
+            a = self.lift(a, join)
+            b = self.lift(b, join)
         return self._apply(a, b, op)
 
     def _join(self, va: int, vb: int) -> int:
@@ -763,9 +744,6 @@ class CircuitBuilder:
 
     def lift(self, a: int, target: int) -> int:
         """Re-normalize a node for an ancestor vtree node (same sentence)."""
-        return self._lift(a, target)
-
-    def _lift(self, a: int, target: int) -> int:
         if self._is_false[a]:
             return self.false_at(target)
         if self._is_true[a]:
@@ -787,18 +765,17 @@ class CircuitBuilder:
         return a
 
     def _apply(self, a: int, b: int, op: str) -> int:
-        if self.share:
-            # constants decide the result; with sharing off it must be a fresh copy
-            absorbing, neutral = (self._is_false, self._is_true) if op == "and" else (
-                self._is_true, self._is_false)
-            if absorbing[a] or neutral[b]:
-                return a
-            if absorbing[b] or neutral[a]:
-                return b
+        # constants decide the result
+        absorbing, neutral = (self._is_false, self._is_true) if op == "and" else (
+            self._is_true, self._is_false)
+        if absorbing[a] or neutral[b]:
+            return a
+        if absorbing[b] or neutral[a]:
+            return b
         if a == b:
-            return a if self.share else self._copy(a)
+            return a
         key = (op, a, b) if a < b else (op, b, a)
-        if self.share and key in self._apply_memo:
+        if key in self._apply_memo:
             return self._apply_memo[key]
         na, nb = self.circuit.node(a), self.circuit.node(b)
         if na.vtree != nb.vtree:
@@ -823,8 +800,7 @@ class CircuitBuilder:
                 else:
                     by_sub[sub] = prime
             result = self._decision(na.vtree, [(p, s) for s, p in by_sub.items()])
-        if self.share:
-            self._apply_memo[key] = result
+        self._apply_memo[key] = result
         return result
 
     # -- formula compilation -----------------------------------------------
@@ -870,8 +846,45 @@ class CircuitBuilder:
 def compile_formula(formula: Formula, vtree: Vtree, share: bool = True) -> Circuit:
     """Compile a formula into a circuit normalized for the vtree.
 
-    ``share=False`` produces a tree-shaped (singly connected) circuit.
+    ``share=False`` returns the tree copy of the shared result: one fresh
+    node per root-to-node path, so the circuit is singly connected.
     """
-    builder = CircuitBuilder(vtree, share=share)
+    builder = CircuitBuilder(vtree)
     root = builder.lift(builder.compile(formula), vtree.root)
-    return builder.finish(root)
+    circuit = builder.finish(root)
+    return circuit if share else _tree_copy(circuit)
+
+
+def _tree_copy(circuit: Circuit) -> Circuit:
+    """The root's cone with every shared node copied once per context.
+
+    Nodes are added in post-order from an explicit stack, children before
+    their parent, so the copy's ids stay topological.  A decision frame is
+    pushed once to expand it and once more, marked expanded, to add it from
+    its children's copies.
+    """
+    nodes = circuit.nodes
+    out = Circuit(circuit.vtree)
+    copies: list[int] = []  # copied children, element by element, awaiting their parent
+    stack = [(circuit._root(None), False)]
+    while stack:
+        nid, expanded = stack.pop()
+        node = nodes[nid]
+        if node.kind == DECISION:
+            if not expanded:
+                stack.append((nid, True))
+                for p, s in reversed(node.elements):
+                    stack += ((s, False), (p, False))
+                continue
+            width = 2 * len(node.elements)
+            ids = copies[-width:]
+            del copies[-width:]
+            copies.append(out.add_decision(node.vtree, list(zip(ids[::2], ids[1::2]))))
+        elif node.kind == LITERAL:
+            copies.append(out.add_literal(node.var, node.polarity))
+        elif node.kind == TRUE:
+            copies.append(out.add_true(node.vtree))
+        else:
+            copies.append(out.add_false(node.vtree))
+    out.set_root(copies[0])
+    return out

@@ -135,17 +135,19 @@ def minimize_linear(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[flo
     Ties between equal coefficients break toward the lower state index, so
     the returned optimizer is deterministic.
     """
-    if len(coeffs) != cs.k:
-        raise CredalSetError(f"expected {cs.k} coefficients, got {len(coeffs)}")
-    point = _greedy_min_point(cs, coeffs)
-    value = math.fsum(c * t for c, t in zip(coeffs, point))
-    return value, Vertex(point, _vertex_index(cs, point))
+    return _solve(cs, coeffs, _min_fast)
 
 
 def maximize_linear(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, Vertex]:
     """Dual of :func:`minimize_linear`; equals ``-minimize(-coeffs)``."""
-    value, vertex = minimize_linear(cs, tuple(-c for c in coeffs))
-    return -value, vertex
+    return _solve(cs, coeffs, _max_fast)
+
+
+def _solve(cs: IntervalCredalSet, coeffs: Sequence[float], fast) -> tuple[float, Vertex]:
+    if len(coeffs) != cs.k:
+        raise CredalSetError(f"expected {cs.k} coefficients, got {len(coeffs)}")
+    value, point = fast(cs, coeffs)
+    return value, Vertex(point, _vertex_index(cs, point))
 
 
 def _min_fast(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, tuple[float, ...]]:

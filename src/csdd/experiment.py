@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from random import Random
 from .circuit import Circuit, Vtree, compile_formula
 from .formula import Formula, Var, conj, disj
@@ -114,16 +115,10 @@ def scenario_vtree() -> Vtree:
     return Vtree(balance(1, SEGMENTS))
 
 
-_circuit_cache: dict[str, Circuit] = {}
-
-
+@cache
 def scenario_circuit() -> Circuit:
     """Compiled display constraint (cached; the circuit is immutable)."""
-    circuit = _circuit_cache.get("circuit")
-    if circuit is None:
-        circuit = compile_formula(build_scenario_formula(), scenario_vtree())
-        _circuit_cache["circuit"] = circuit
-    return circuit
+    return compile_formula(build_scenario_formula(), scenario_vtree())
 
 
 def generate_data(n: int, p_f: float, rng: Random) -> Dataset:

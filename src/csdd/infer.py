@@ -38,6 +38,7 @@ from .circuit import (
     FALSE,
     LITERAL,
     TRUE,
+    _truth_bits,
     is_consistent,
 )
 from .credal import (
@@ -308,11 +309,9 @@ def map_query(
 class _Sweep:
     """One lower or upper evidence pass: per-node value and pinned point."""
 
-    __slots__ = ("sense", "evidence", "values", "vertices")
+    __slots__ = ("values", "vertices")
 
-    def __init__(self, sense: int, evidence: Mapping[int, bool], size: int) -> None:
-        self.sense = sense
-        self.evidence = evidence
+    def __init__(self, size: int) -> None:
         self.values = [0.0] * size
         self.vertices: list[tuple[float, ...] | None] = [None] * size
 
@@ -320,7 +319,7 @@ class _Sweep:
 def _credal_sweep(
     circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool], sense: int
 ) -> _Sweep:
-    sweep = _Sweep(sense, evidence, len(circuit.nodes))
+    sweep = _Sweep(len(circuit.nodes))
     values = sweep.values
     vertices = sweep.vertices
     table = params.table
@@ -784,17 +783,11 @@ def _credal_map(circuit: Circuit, params: CsddParams, evidence: Mapping[int, boo
             )
             cm.values[nid] = best
             cm.tied[nid] = tied
-            reps: list[Rep] = []
-            for idx in tied:
-                p, s = node.elements[idx]
-                for rep in _merge_reps(cm.reps[p], cm.reps[s]):
-                    if rep not in reps:
-                        reps.append(rep)
-                    if len(reps) >= 2:
-                        break
-                if len(reps) >= 2:
-                    break
-            cm.reps[nid] = reps
+            cm.reps[nid] = _dedup_reps(
+                rep
+                for p, s in (node.elements[idx] for idx in tied)
+                for rep in _merge_reps(cm.reps[p], cm.reps[s])
+            )
     return cm
 
 
@@ -846,17 +839,9 @@ def _mark_map_chain(
 def _route(circuit: Circuit, assignment: Mapping[int, bool]) -> dict[int, int]:
     """Realized element index per decision node on the assignment's subtree."""
     root = circuit._root(None)
-    truth: dict[int, bool] = {}
-    for nid in circuit.cone(root):
-        node = circuit.nodes[nid]
-        if node.kind == FALSE:
-            truth[nid] = False
-        elif node.kind == TRUE:
-            truth[nid] = True
-        elif node.kind == LITERAL:
-            truth[nid] = assignment[node.var] == node.polarity
-        else:
-            truth[nid] = any(truth[p] and truth[s] for p, s in node.elements)
+    pos = {var: 1 if val else 0 for var, val in assignment.items()}
+    neg = {var: 1 - bit for var, bit in pos.items()}
+    truth = _truth_bits(circuit.nodes, circuit.cone(root), pos, neg, 1)
     realized: dict[int, int] = {}
     stack = [root]
     while stack:
@@ -1019,17 +1004,17 @@ def robustness(
                     _mark_chain(trace, circuit, sj, low_xe, up_xe, MIN)
         certificate = exactness_certificate(trace, circuit.connectivity())
 
-    xrep = tuple(sorted((int(v), bool(b)) for v, b in xstar.items()))
     attaining = tuple(reps[root])
+    return RobustnessVerdict(value, _label(value, attaining, xstar), attaining, trace, certificate)
+
+
+def _label(value: float, attaining: Sequence[Rep], xstar: Mapping[int, bool]) -> str:
+    """Robust when only ``xstar`` attains V = 1, weakly robust on a tie."""
     if math.isinf(value) or value > 1.0 + V_TOL:
-        label = NOT_ROBUST
-    elif xrep not in attaining:
-        label = NOT_ROBUST
-    elif len(attaining) >= 2:
-        label = WEAKLY_ROBUST
-    else:
-        label = ROBUST
-    return RobustnessVerdict(value, label, attaining, trace, certificate)
+        return NOT_ROBUST
+    if tuple(sorted((int(v), bool(b)) for v, b in xstar.items())) not in attaining:
+        return NOT_ROBUST
+    return WEAKLY_ROBUST if len(attaining) >= 2 else ROBUST
 
 
 def _dedup_reps(reps: Iterable[Rep], cap: int = 2) -> list[Rep]:
@@ -1176,13 +1161,5 @@ def _brute_robustness(circuit, params, query, result, cap) -> RobustnessVerdict:
             attaining = list(leaf.attaining)
         elif _close(leaf.value, best_value):
             attaining = _dedup_reps(attaining + list(leaf.attaining), cap=4)
-    xrep = tuple(sorted((int(v), bool(b)) for v, b in xstar.items()))
-    if math.isinf(best_value) or best_value > 1.0 + V_TOL:
-        label = NOT_ROBUST
-    elif xrep not in attaining:
-        label = NOT_ROBUST
-    elif len(attaining) >= 2:
-        label = WEAKLY_ROBUST
-    else:
-        label = ROBUST
+    label = _label(best_value, attaining, xstar)
     return RobustnessVerdict(best_value, label, tuple(attaining), None, ExactnessCertificate(EXACT))

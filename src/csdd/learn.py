@@ -142,7 +142,7 @@ def collect_counts(circuit: Circuit, dataset: Dataset, strict: bool = True) -> C
     def weight(mask: int) -> int:
         return sum((mask & plane).bit_count() << j for j, plane in enumerate(planes))
 
-    truth = _truth_bits(nodes, cone, var_bits, full)
+    truth = _truth_bits(nodes, cone, var_bits, [full ^ bits for bits in var_bits], full)
     inconsistent = full ^ truth[root]
     if inconsistent and strict:
         values = rows[(inconsistent & -inconsistent).bit_length() - 1][0]

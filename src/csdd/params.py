@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .circuit import Circuit, TRUE
-from .credal import IntervalCredalSet
+from .credal import IntervalCredalSet, _greedy_min_point
 
 __all__ = ["ParamError", "PsddParams", "CsddParams"]
 
@@ -96,7 +96,7 @@ class CsddParams:
             if nid in points:
                 table[nid] = tuple(points[nid])
             else:
-                table[nid] = _center(cs)
+                table[nid] = _greedy_min_point(cs, (0.0,) * cs.k)
         return PsddParams(table)
 
     def pinned(self, points: Mapping[int, tuple[float, ...]]) -> "CsddParams":
@@ -109,16 +109,3 @@ class CsddParams:
     def max_width(self) -> float:
         return max((cs.width for cs in self.table.values()), default=0.0)
 
-
-def _center(cs: IntervalCredalSet) -> tuple[float, ...]:
-    # lower bounds plus the leftover mass spread ascending: a valid member
-    theta = list(cs.lower)
-    remaining = 1.0 - math.fsum(theta)
-    for i in range(cs.k):
-        if remaining <= 0:
-            break
-        room = cs.upper[i] - theta[i]
-        add = room if room < remaining else remaining
-        theta[i] += add
-        remaining -= add
-    return tuple(theta)

@@ -82,6 +82,19 @@ class TestVtree:
         with pytest.raises(CircuitError, match="ints or pairs"):
             Vtree((1, (2, 3, 4)))
 
+    def test_repr_is_the_structure(self):
+        assert repr(Vtree(1)) == "Vtree(1)"
+        assert repr(Vtree(((1, 2), (3, 4)))) == "Vtree(((1, 2), (3, 4)))"
+        rng = Random(21)
+        for _ in range(20):
+            vt = random_vtree(rng, rng.randint(1, 12))
+            assert repr(vt) == f"Vtree({vt.structure()!r})"
+
+    def test_deep_repr(self):
+        text = repr(Vtree.right_linear(5000))
+        assert text.startswith("Vtree((1, (2, (3, ")
+        assert text.endswith("(4999, 5000)" + ")" * 4999)
+
 
 class TestEvaluate:
     def test_squares_permitted_image(self, squares):
@@ -296,6 +309,28 @@ class TestCompileFormula:
             tree = compile_formula(formula, random_vtree(rng, n), share=False)
             assert multiplicity_report(tree).singly_connected
 
+    def test_unshared_is_the_tree_copy_of_the_shared_circuit(self):
+        # one node per root-to-node path of the shared circuit, no more
+        rng = Random(17)
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            vtree = random_vtree(rng, n)
+            formula = random_formula(rng, n, 3)
+            shared = compile_formula(formula, vtree)
+            tree = compile_formula(formula, vtree, share=False)
+            assert len(tree) == sum(multiplicity_report(shared).multiplicity.values())
+            assert multiplicity_report(tree).singly_connected
+            assert enumerate_models(tree, tree.root) == enumerate_models(shared, shared.root)
+            validate_structure(tree)
+
+    def test_tree_copy_of_a_deep_circuit(self):
+        # x_n lifted to the root of a right-linear vtree: n decision levels
+        n = 3000
+        tree = compile_formula(Var(n), Vtree.right_linear(n), share=False)
+        assert len(tree) == 2 * n - 1
+        assert multiplicity_report(tree).singly_connected
+        assert model_count(tree) == 2 ** (n - 1)
+
     def test_every_compiled_circuit_validates(self):
         rng = Random(5)
         for _ in range(10):
@@ -438,6 +473,37 @@ class TestConsistency:
         assert is_consistent(squares.circuit, {})
         # three black pixels are never legal
         assert not is_consistent(squares.circuit, {1: True, 2: True, 3: True})
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), singly=st.booleans(), data=st.data())
+    def test_matches_model_enumeration(self, seed, singly, data):
+        rng = Random(seed)
+        n = rng.randint(3, 6)
+        circuit = random_circuit(rng, n, singly=singly)
+        evidence = data.draw(st.dictionaries(st.integers(1, n), st.booleans()))
+        expected = any(
+            all(model[var - 1] == val for var, val in evidence.items())
+            for model in enumerate_models(circuit, circuit.root)
+        )
+        assert is_consistent(circuit, evidence) == expected
+        # no literal reads a variable outside 1..n, nor one at the end of a list
+        outside = data.draw(st.fixed_dictionaries(
+            {0: st.booleans(), -1: st.booleans(), n + 1: st.booleans()}
+        ))
+        assert is_consistent(circuit, {**outside, **evidence}) == expected
+
+
+class TestFalseIds:
+    @pytest.mark.parametrize("singly", [True, False])
+    def test_false_exactly_when_no_model(self, singly):
+        rng = Random(23)
+        for _ in range(15):
+            circuit = random_circuit(rng, rng.randint(3, 6), singly=singly)
+            root_false = circuit.false_ids()
+            for nid in range(len(circuit)):
+                unsat = model_count(circuit, nid) == 0
+                assert (nid in circuit.false_ids(nid)) == unsat
+                assert (nid in root_false) == unsat
 
 
 class TestFormulaParser:
