@@ -62,6 +62,7 @@ SINGLY_CONNECTED = "singly_connected"
 MULTIPLY_CONNECTED = "multiply_connected"
 
 ENUMERATION_VAR_LIMIT = 24
+TREE_COPY_CAP = 10 ** 6  # most nodes a share=False compile may produce
 
 
 class Vtree:
@@ -847,12 +848,21 @@ def compile_formula(formula: Formula, vtree: Vtree, share: bool = True) -> Circu
     """Compile a formula into a circuit normalized for the vtree.
 
     ``share=False`` returns the tree copy of the shared result: one fresh
-    node per root-to-node path, so the circuit is singly connected.
+    node per root-to-node path, so the circuit is singly connected.  A
+    copy of more than ``TREE_COPY_CAP`` nodes raises :class:`CircuitError`
+    before any node is copied.
     """
     builder = CircuitBuilder(vtree)
     root = builder.lift(builder.compile(formula), vtree.root)
     circuit = builder.finish(root)
-    return circuit if share else _tree_copy(circuit)
+    if share:
+        return circuit
+    size = sum(circuit.connectivity().multiplicity.values())
+    if size > TREE_COPY_CAP:
+        raise CircuitError(
+            f"the unshared circuit would have {size} nodes, more than {TREE_COPY_CAP}"
+        )
+    return _tree_copy(circuit)
 
 
 def _tree_copy(circuit: Circuit) -> Circuit:

@@ -85,9 +85,6 @@ class IntervalCredalSet:
     def width(self) -> float:
         return max(u - l for l, u in zip(self.lower, self.upper))
 
-    def is_point(self, tol: float = EQ_TOL) -> bool:
-        return self.width <= tol
-
     def contains(self, pmf: Sequence[float], tol: float = BUILD_TOL) -> bool:
         if abs(math.fsum(pmf) - 1.0) > tol:
             return False

@@ -286,26 +286,21 @@ def run_cell(scenario: Scenario) -> Metrics:
 
     per_instance = []
     joint = []
-    seg_cache: dict[tuple[bool, ...], list[SegmentPrediction]] = {}
-    joint_cache: dict[tuple[bool, ...], tuple[dict[int, bool], bool]] = {}
+    # answers per distinct observation: (segment predictions, completion, determinacy)
+    cache: dict[tuple[bool, ...], tuple[list[SegmentPrediction], dict[int, bool], bool]] = {}
     for _ in range(scenario.test_size):
         pattern = DIGIT_PATTERNS[rng.randrange(10)]
         shown = tuple(on and rng.random() >= scenario.p_f for on in pattern)
         observation = {observed_var(i + 1): shown[i] for i in range(SEGMENTS)}
-        preds = seg_cache.get(shown)
-        if preds is None:
-            preds = classify_segments(circuit, psdd, csdd, observation, scenario.tol)
-            seg_cache[shown] = preds
-        per_instance.append((preds, pattern))
-
-        cached = joint_cache.get(shown)
+        cached = cache.get(shown)
         if cached is None:
+            preds = classify_segments(circuit, psdd, csdd, observation, scenario.tol)
             _, completion = map_query(circuit, psdd, observation)
             xstar = {hidden_var(i + 1): completion[hidden_var(i + 1)] for i in range(SEGMENTS)}
             verdict = robustness(circuit, csdd, observation, xstar, want_certificate=False)
-            cached = (xstar, verdict.label != NOT_ROBUST)
-            joint_cache[shown] = cached
-        xstar, det = cached
+            cached = cache[shown] = (preds, xstar, verdict.label != NOT_ROBUST)
+        preds, xstar, det = cached
+        per_instance.append((preds, pattern))
         correct = all(xstar[hidden_var(i + 1)] == pattern[i] for i in range(SEGMENTS))
         joint.append((xstar, det, correct))
     return evaluate_predictions(per_instance, joint)

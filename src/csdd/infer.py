@@ -22,6 +22,12 @@ than the truth.  Every query records which extreme point each local
 program used, and an exactness certificate inspects shared nodes for
 divergent choices; a brute-force refinement enumerates the flagged nodes'
 extreme points to recover the exact value.
+
+Bottom-up passes scan the root's cone forward, children first.  The
+top-down passes after them (the MAP backtrack, a completion's route and
+the certificates' marking) scan it in reverse, pushing marks from each
+marked node to its children, so a certificate marks in one top-down pass
+however many nodes it starts from.
 """
 
 from __future__ import annotations
@@ -287,14 +293,13 @@ def map_query(
     if values[root] <= 0.0:
         raise InferenceError("evidence has zero probability under the table")
     assignment = dict(evidence)
-    stack = [root]
-    while stack:
-        nid = stack.pop()
+    chosen = {root}
+    for nid in reversed(circuit.cone(root)):
+        if nid not in chosen:
+            continue
         node = nodes[nid]
         if node.kind == DECISION:
-            p, s = node.elements[choice[nid]]
-            stack.append(p)
-            stack.append(s)
+            chosen.update(node.elements[choice[nid]])
         elif node.kind == LITERAL and node.var not in evidence:
             assignment[node.var] = node.polarity
         elif node.kind == TRUE and node.var not in evidence:
@@ -352,6 +357,21 @@ def _credal_sweep(
     return sweep
 
 
+def _marginal_bound(
+    circuit: Circuit,
+    params: CsddParams,
+    evidence: Mapping[int, bool],
+    trace: InferenceTrace | None,
+    sense: int,
+) -> float:
+    _check_evidence(circuit, evidence)
+    sweep = _credal_sweep(circuit, params, evidence, sense)
+    if trace is not None:
+        for nid, point in enumerate(sweep.vertices):
+            trace.record(nid, point)
+    return sweep.values[circuit._root(None)]
+
+
 def lower_marginal(
     circuit: Circuit,
     params: CsddParams,
@@ -359,12 +379,7 @@ def lower_marginal(
     trace: InferenceTrace | None = None,
 ) -> float:
     """Exact lower probability of the evidence, any topology."""
-    _check_evidence(circuit, evidence)
-    sweep = _credal_sweep(circuit, params, evidence, MIN)
-    if trace is not None:
-        for nid, point in enumerate(sweep.vertices):
-            trace.record(nid, point)
-    return sweep.values[circuit._root(None)]
+    return _marginal_bound(circuit, params, evidence, trace, MIN)
 
 
 def upper_marginal(
@@ -374,51 +389,42 @@ def upper_marginal(
     trace: InferenceTrace | None = None,
 ) -> float:
     """Exact upper probability of the evidence, any topology."""
-    _check_evidence(circuit, evidence)
-    sweep = _credal_sweep(circuit, params, evidence, MAX)
-    if trace is not None:
-        for nid, point in enumerate(sweep.vertices):
-            trace.record(nid, point)
-    return sweep.values[circuit._root(None)]
+    return _marginal_bound(circuit, params, evidence, trace, MAX)
 
 
-def _mark_chain(
+def _mark_sweeps(
     trace: InferenceTrace,
     circuit: Circuit,
-    start: int,
     low: _Sweep,
     up: _Sweep,
-    sense: int,
+    starts: Sequence[tuple[int, int]],
 ) -> None:
-    """Record the extreme points that realize one node's swept value.
+    """Record the extreme points that realize the swept values at ``starts``.
 
-    For a lower value, elements whose contribution vanishes only because a
-    child's lower bound is zero pin that child too (the zero must be
-    attained); contributions that are zero for every member are free.
+    ``starts`` holds (node, sense) pairs; marks run top-down, one reverse
+    scan of the cone per sense.  For a lower value, elements whose
+    contribution vanishes only because a child's lower bound is zero pin
+    that child too (the zero must be attained); contributions that are
+    zero for every member are free.
     """
-    sweep = low if sense == MIN else up
-    stack = [start]
-    seen = set()
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
+    for sense, sweep in ((MIN, low), (MAX, up)):
+        marked = {nid for nid, start_sense in starts if start_sense == sense}
+        if not marked:
             continue
-        seen.add(nid)
-        node = circuit.nodes[nid]
-        if node.kind == TRUE:
-            trace.record(nid, sweep.vertices[nid])
-        elif node.kind == DECISION:
-            trace.record(nid, sweep.vertices[nid])
-            for p, s in node.elements:
-                vp, vs = sweep.values[p], sweep.values[s]
+        values = sweep.values
+        for nid in reversed(circuit.cone(None)):
+            if nid not in marked:
+                continue
+            trace.record(nid, sweep.vertices[nid])  # None on literals and FALSE
+            for p, s in circuit.nodes[nid].elements:
+                vp, vs = values[p], values[s]
                 if vp > 0.0 and vs > 0.0:
-                    stack.append(p)
-                    stack.append(s)
+                    marked.update((p, s))
                 elif sense == MIN:
                     if vp == 0.0 and up.values[p] > 0.0:
-                        stack.append(p)
+                        marked.add(p)
                     elif vp > 0.0 and vs == 0.0 and up.values[s] > 0.0:
-                        stack.append(s)
+                        marked.add(s)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +533,7 @@ class _ConditionalEngine:
         circuit = self.circuit
         low_values, up_values = self.low.values, self.up.values
         msg: dict[int, float] = {}
+        starts: list[tuple[int, int]] = []  # sibling values the trace must pin
         for nid in self.spine:
             node = circuit.nodes[nid]
             if node.kind == FALSE:
@@ -565,18 +572,13 @@ class _ConditionalEngine:
                     if trace is not None:
                         trace.sigma[(nid, idx)] = (direction, sigma)
                         if w_node.kind != FALSE:
-                            _mark_chain(
-                                trace,
-                                circuit,
-                                w_child,
-                                self.low,
-                                self.up,
-                                MAX if direction == "upper" else MIN,
-                            )
+                            starts.append((w_child, MAX if direction == "upper" else MIN))
                 value, point = _min_fast(cs, coeffs)
                 msg[nid] = value
                 if trace is not None:
                     trace.record(nid, point if any(coeffs) else None)
+        if trace is not None:
+            _mark_sweeps(trace, circuit, self.low, self.up, starts)
         return msg[self.root]
 
     def sign_at(self, mu: float) -> int:
@@ -797,21 +799,20 @@ def credal_map_upper(circuit: Circuit, params: CsddParams, evidence: Mapping[int
     return _credal_map(circuit, params, evidence).values[circuit._root(None)]
 
 
-def _mark_map_chain(
+def _mark_map(
     trace: InferenceTrace,
     circuit: Circuit,
     params: CsddParams,
     cm: _CredalMap,
     evidence: Mapping[int, bool],
-    start: int,
+    starts: Iterable[int],
 ) -> None:
-    stack = [start]
-    seen = set()
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
+    """Record the extreme points that realize the completion bounds at
+    ``starts``, marking top-down through every tied element."""
+    marked = set(starts)
+    for nid in reversed(circuit.cone(None)):
+        if nid not in marked:
             continue
-        seen.add(nid)
         node = circuit.nodes[nid]
         if node.kind == TRUE:
             cs = params.table[nid]
@@ -831,31 +832,28 @@ def _mark_map_chain(
             for idx in cm.tied[nid]:
                 coeffs = tuple(1.0 if i == idx else 0.0 for i in range(cs.k))
                 trace.record(nid, _max_fast(cs, coeffs)[1])
-                p, s = node.elements[idx]
-                stack.append(p)
-                stack.append(s)
+                marked.update(node.elements[idx])
 
 
-def _route(circuit: Circuit, assignment: Mapping[int, bool]) -> dict[int, int]:
-    """Realized element index per decision node on the assignment's subtree."""
+def _route(circuit: Circuit, assignment: Mapping[int, bool]) -> tuple[dict[int, int], set[int]]:
+    """Realized element index per decision node on the assignment's route,
+    and the set of nodes on that route."""
     root = circuit._root(None)
+    cone = circuit.cone(root)
     pos = {var: 1 if val else 0 for var, val in assignment.items()}
     neg = {var: 1 - bit for var, bit in pos.items()}
-    truth = _truth_bits(circuit.nodes, circuit.cone(root), pos, neg, 1)
+    truth = _truth_bits(circuit.nodes, cone, pos, neg, 1)
     realized: dict[int, int] = {}
-    stack = [root]
-    while stack:
-        nid = stack.pop()
-        node = circuit.nodes[nid]
-        if node.kind != DECISION or nid in realized:
+    on_route = {root}
+    for nid in reversed(cone):
+        if nid not in on_route:
             continue
-        for idx, (p, s) in enumerate(node.elements):
+        for idx, (p, s) in enumerate(circuit.nodes[nid].elements):
             if truth[p]:
                 realized[nid] = idx
-                stack.append(p)
-                stack.append(s)
+                on_route.update((p, s))
                 break
-    return realized
+    return realized, on_route
 
 
 def robustness(
@@ -888,29 +886,30 @@ def robustness(
                                  ExactnessCertificate(EXACT) if want_certificate else None)
     cm = _credal_map(circuit, params, evidence)
     low_xe = _credal_sweep(circuit, params, total, MIN)
-    realized = _route(circuit, total)
+    realized, on_route = _route(circuit, total)
     table = params.table
     nodes = circuit.nodes
+    root = circuit._root(None)
+    cone = circuit.cone(root)
 
     values: dict[int, float] = {}
     reps: dict[int, list[Rep]] = {}
     # candidates kept for the certificate pass:
     #   ('A', j) stay on the realized branch, ('U', i, j, point) switch to i
     cands: dict[int, list[tuple[float, tuple]]] = {}
-
-    def visit(nid: int) -> None:
-        if nid in values:
-            return
+    for nid in cone:
+        if nid not in on_route:
+            continue
         node = nodes[nid]
         if node.kind == LITERAL:
             values[nid] = 1.0
             reps[nid] = [((node.var, node.polarity),)] if node.var in xstar else [()]
-            return
+            continue
         if node.kind == TRUE:
             if node.var not in xstar:
                 values[nid] = 1.0
                 reps[nid] = [()]
-                return
+                continue
             cs = table[nid]
             want_true = xstar[node.var]
             if want_true:
@@ -930,12 +929,10 @@ def robustness(
                 rep_list = _dedup_reps(rep_list + [((node.var, not want_true),)])
             reps[nid] = rep_list
             cands[nid] = [(flip, ("T", point))]
-            return
+            continue
         # realized decision node
         j = realized[nid]
         pj, sj = node.elements[j]
-        visit(pj)
-        visit(sj)
         cs = table[nid]
         local: list[tuple[float, tuple]] = []
         stay = values[pj] * values[sj]
@@ -966,22 +963,17 @@ def robustness(
                 rep_list = _dedup_reps(rep_list + _merge_reps(cm.reps[pi], cm.reps[si]))
         reps[nid] = rep_list
         cands[nid] = local
-
-    root = circuit._root(None)
-    visit(root)
     value = values[root]
 
     trace = certificate = None
     if want_certificate:
         trace = InferenceTrace()
-        up_xe = _credal_sweep(circuit, params, total, MAX)
-        stack = [root]
-        marked = set()
-        while stack:
-            nid = stack.pop()
-            if nid in marked:
+        map_starts: list[int] = []
+        sweep_starts: list[tuple[int, int]] = []
+        marked = {root}
+        for nid in reversed(cone):
+            if nid not in marked:
                 continue
-            marked.add(nid)
             node = nodes[nid]
             best = values.get(nid)
             for cand_value, tag in cands.get(nid, ()):
@@ -990,18 +982,15 @@ def robustness(
                 if tag[0] == "T":
                     trace.record(nid, tag[1])
                 elif tag[0] == "A":
-                    p, s = node.elements[tag[1]]
-                    stack.append(p)
-                    stack.append(s)
+                    marked.update(node.elements[tag[1]])
                 else:
                     _, i, j, point = tag
                     trace.record(nid, point)
-                    pi, si = node.elements[i]
-                    pj, sj = node.elements[j]
-                    _mark_map_chain(trace, circuit, params, cm, evidence, pi)
-                    _mark_map_chain(trace, circuit, params, cm, evidence, si)
-                    _mark_chain(trace, circuit, pj, low_xe, up_xe, MIN)
-                    _mark_chain(trace, circuit, sj, low_xe, up_xe, MIN)
+                    map_starts += node.elements[i]
+                    sweep_starts += ((child, MIN) for child in node.elements[j])
+        _mark_map(trace, circuit, params, cm, evidence, map_starts)
+        up_xe = _credal_sweep(circuit, params, total, MAX)
+        _mark_sweeps(trace, circuit, low_xe, up_xe, sweep_starts)
         certificate = exactness_certificate(trace, circuit.connectivity())
 
     attaining = tuple(reps[root])
@@ -1067,12 +1056,7 @@ def strong_extension_oracle(
     if circuit.vtree.var_count > ORACLE_VAR_LIMIT:
         raise InferenceError(f"oracle guarded at {ORACLE_VAR_LIMIT} variables")
     node_ids = circuit.parameterized_ids(None)
-    vertex_lists = [enumerate_vertices(params.table[nid]) for nid in node_ids]
-    combos = 1
-    for lst in vertex_lists:
-        combos *= len(lst)
-        if combos > cap:
-            raise InferenceError(f"oracle would enumerate more than {cap} tables")
+    vertex_lists, _ = _conflict_combos(params, node_ids, cap)
     best = None
     better = min if sense == "min" else max
     for combo in product(*vertex_lists):
@@ -1116,13 +1100,13 @@ def brute_force_exact(
     raise InferenceError("brute force applies to conditional and robustness queries")
 
 
-def _conflict_combos(params: CsddParams, conflicted: Sequence[int], cap: int):
-    vertex_lists = [enumerate_vertices(params.table[nid]) for nid in conflicted]
+def _conflict_combos(params: CsddParams, node_ids: Sequence[int], cap: int):
+    vertex_lists = [enumerate_vertices(params.table[nid]) for nid in node_ids]
     combos = 1
     for lst in vertex_lists:
         combos *= len(lst)
         if combos > cap:
-            raise InferenceError(f"brute force would enumerate more than {cap} tables")
+            raise InferenceError(f"would enumerate more than {cap} tables")
     return vertex_lists, combos
 
 

@@ -80,9 +80,6 @@ class ContextCounts:
     totals: dict[int, int]
     dropped: int = 0
 
-    def state_count(self, nid: int) -> int:
-        return len(self.counts[nid])
-
 
 def _feasible_reachable(circuit: Circuit, root: int) -> set[int]:
     # nodes with at least one context free of false subs

@@ -5,7 +5,8 @@ implementations: joint probabilities come from routing a complete
 assignment through the circuit and multiplying local parameters, and
 marginals/completions from exhaustive enumeration over those joints.
 The scalar references route or evaluate one row at a time, for the
-bit-parallel passes to be compared against.
+bit-parallel passes to be compared against, and mark top-down one start
+at a time, for the single-scan markers in ``csdd.infer``.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def brute_map(circuit: Circuit, params: PsddParams, evidence: dict[int, bool]):
 
 
 # ---------------------------------------------------------------------------
-# scalar references for the bit-parallel passes
+# scalar references for the bit-parallel passes and the top-down markers
 
 
 def route_counts(circuit: Circuit, dataset, strict: bool = True):
@@ -262,6 +263,70 @@ def route_counts(circuit: Circuit, dataset, strict: bool = True):
                 else:
                     raise LearnError(f"no prime of node {nid} matched a consistent row")
     return ContextCounts(counts, totals, dropped)
+
+
+def mark_sweep_walk(trace, circuit: Circuit, start: int, low, up, sense: int) -> None:
+    """``infer._mark_sweeps`` for one start, by a depth-first walk from it.
+
+    The walk visits each node once and pushes the children whose value
+    the swept value depends on: both children of an element with a
+    positive contribution, and, for a lower value, a child whose zero
+    lower bound alone makes a contribution vanish.
+    """
+    from csdd.infer import MIN
+
+    sweep = low if sense == MIN else up
+    stack = [start]
+    seen = set()
+    while stack:
+        nid = stack.pop()
+        if nid in seen:
+            continue
+        seen.add(nid)
+        node = circuit.nodes[nid]
+        if node.kind in (TRUE, DECISION):
+            trace.record(nid, sweep.vertices[nid])
+        for p, s in node.elements:
+            vp, vs = sweep.values[p], sweep.values[s]
+            if vp > 0.0 and vs > 0.0:
+                stack.append(p)
+                stack.append(s)
+            elif sense == MIN:
+                if vp == 0.0 and up.values[p] > 0.0:
+                    stack.append(p)
+                elif vp > 0.0 and vs == 0.0 and up.values[s] > 0.0:
+                    stack.append(s)
+
+
+def mark_map_walk(trace, circuit: Circuit, params: CsddParams, cm, evidence, start: int) -> None:
+    """``infer._mark_map`` for one start, by a depth-first walk through
+    every tied element."""
+    from csdd.credal import _max_fast
+
+    stack = [start]
+    seen = set()
+    while stack:
+        nid = stack.pop()
+        if nid in seen:
+            continue
+        seen.add(nid)
+        node = circuit.nodes[nid]
+        if node.kind == TRUE:
+            cs = params.table[nid]
+            val = evidence.get(node.var)
+            if val is None:
+                if len(cm.tied[nid]) == 1:
+                    coeffs = (1.0, 0.0) if cm.tied[nid][0] == 0 else (0.0, 1.0)
+                    trace.record(nid, _max_fast(cs, coeffs)[1])
+            elif cm.values[nid] > 0.0:
+                coeffs = (1.0, 0.0) if val else (0.0, 1.0)
+                trace.record(nid, _max_fast(cs, coeffs)[1])
+        elif node.kind == DECISION and nid in params.table:
+            cs = params.table[nid]
+            for idx in cm.tied[nid]:
+                coeffs = tuple(1.0 if i == idx else 0.0 for i in range(cs.k))
+                trace.record(nid, _max_fast(cs, coeffs)[1])
+                stack.extend(node.elements[idx])
 
 
 def check_partitions(

@@ -1,5 +1,6 @@
 """Vtree and circuit structure: evaluation, models, connectivity, compile."""
 
+import time
 from dataclasses import replace
 from itertools import product
 from random import Random
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csdd.circuit import (
+    TREE_COPY_CAP,
     Circuit,
     CircuitBuilder,
     CircuitError,
@@ -330,6 +332,15 @@ class TestCompileFormula:
         assert len(tree) == 2 * n - 1
         assert multiplicity_report(tree).singly_connected
         assert model_count(tree) == 2 ** (n - 1)
+
+    def test_unshared_size_guard(self):
+        # the tree copy of the implication chain has 333,499 nodes at n=100
+        tree = compile_formula(_chain(100), Vtree.right_linear(100), share=False)
+        assert len(tree) == 333_499 <= TREE_COPY_CAP
+        start = time.perf_counter()
+        with pytest.raises(CircuitError, match="more than 1000000"):
+            compile_formula(_chain(400), Vtree.right_linear(400), share=False)
+        assert time.perf_counter() - start < 1.0
 
     def test_every_compiled_circuit_validates(self):
         rng = Random(5)

@@ -1,14 +1,20 @@
 """Interval-valued inference: evidence bounds, conditionals, completions,
 robustness, certificates and the brute-force refinement."""
 
+import json
 import math
+import sys
 from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csdd.circuit import Circuit, Vtree, compile_formula, enumerate_models
-from csdd.credal import IntervalCredalSet
+from csdd import formats
+from csdd.circuit import TRUE, Circuit, Vtree, compile_formula, enumerate_models
+from csdd.cli import main
+from csdd.credal import IntervalCredalSet, normalize_reachable
 from csdd.fixtures import shared_node_fixture, squares_fixture
 from csdd.infer import (
     EXACT,
@@ -17,8 +23,11 @@ from csdd.infer import (
     ROBUST,
     WEAKLY_ROBUST,
     ZERO_TOL,
+    MAX,
+    MIN,
     EvidenceSession,
     InferenceError,
+    InferenceTrace,
     Query,
     brute_force_exact,
     conditional_sign,
@@ -33,13 +42,17 @@ from csdd.infer import (
     upper_conditional,
     upper_marginal,
     _ConditionalEngine,
+    _credal_map,
+    _credal_sweep,
     _find_crossing,
+    _mark_map,
+    _mark_sweeps,
 )
 from csdd.formula import TRUE as T_CONST
 from csdd.learn import Dataset, collect_counts, ml_estimate
 from csdd.params import CsddParams, PsddParams
 
-from conftest import random_credal_instance
+from conftest import mark_map_walk, mark_sweep_walk, random_credal_instance
 
 EVIDENCE_DARK_CORNER = {1: False, 2: False, 3: False, 4: True}
 
@@ -626,3 +639,106 @@ class TestBruteForce:
                 assert res.value == pytest.approx(oracle, abs=1e-6)
         # the generator must actually exercise the refinement path
         assert flagged >= 1
+
+
+def _point_sets(trace: InferenceTrace) -> dict[int, set[tuple[float, ...]]]:
+    return {nid: set(points) for nid, points in trace.uses.items()}
+
+
+class TestMarkers:
+    """The one-scan markers record what one depth-first walk per start does."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), singly=st.booleans())
+    def test_marks_equal_the_union_of_walks(self, seed, singly):
+        rng = Random(seed)
+        circuit, params = random_credal_instance(rng, rng.randint(3, 6), singly, 0.3)
+        # a zero lower bound on some terminals gives lower values of zero
+        # under positive upper values, where the lower sweep's rule differs
+        for nid, cs in params.table.items():
+            if circuit.nodes[nid].kind == TRUE and rng.random() < 0.4:
+                params.table[nid] = normalize_reachable((0.0, cs.lower[1]), (cs.upper[0], 1.0))
+        n = circuit.vtree.var_count
+        evidence = {v: bool(rng.getrandbits(1)) for v in range(1, n + 1) if rng.random() < 0.5}
+        low = _credal_sweep(circuit, params, evidence, MIN)
+        up = _credal_sweep(circuit, params, evidence, MAX)
+        cm = _credal_map(circuit, params, evidence)
+        cone = circuit.cone()
+        sweep_starts = [(rng.choice(cone), rng.choice((MIN, MAX))) for _ in range(rng.randint(1, 6))]
+        map_starts = [rng.choice(cone) for _ in range(rng.randint(1, 6))]
+
+        got, want = InferenceTrace(), InferenceTrace()
+        _mark_sweeps(got, circuit, low, up, sweep_starts)
+        for nid, sense in sweep_starts:
+            mark_sweep_walk(want, circuit, nid, low, up, sense)
+        assert _point_sets(got) == _point_sets(want)
+
+        got, want = InferenceTrace(), InferenceTrace()
+        _mark_map(got, circuit, params, cm, evidence, map_starts)
+        for nid in map_starts:
+            mark_map_walk(want, circuit, params, cm, evidence, nid)
+        assert _point_sets(got) == _point_sets(want)
+
+
+DEEP_VARS = 3000
+
+
+@pytest.fixture(scope="module")
+def deep_model(tmp_path_factory):
+    """Right-linear chain over ``DEEP_VARS`` variables, written and read back.
+
+    Every internal vtree node has one decision node with one element: a
+    TRUE prime with an interval set, then the rest of the chain.  The
+    lower-greedy point table puts all mass on the true states, so every
+    answer is exact in floating point.
+    """
+    vtree = Vtree.right_linear(DEEP_VARS)
+    circuit = Circuit(vtree)
+    interval = IntervalCredalSet((0.6, 0.0), (1.0, 0.4))
+    table = {}
+    spine = []
+    vid = vtree.root
+    while not vtree.is_leaf(vid):
+        spine.append(vid)
+        vid = vtree.right(vid)
+    rest = circuit.add_true(vid)
+    table[rest] = interval
+    for vid in reversed(spine):
+        prime = circuit.add_true(vtree.left(vid))
+        table[prime] = interval
+        rest = circuit.add_decision(vid, [(prime, rest)])
+        table[rest] = IntervalCredalSet((1.0,), (1.0,))
+    circuit.set_root(rest)
+    params = CsddParams(table)
+    d = tmp_path_factory.mktemp("deep")
+    formats.write_vtree(vtree, d / "m.vtree")
+    formats.write_csdd(circuit, params, d / "m.csdd")
+    formats.write_psdd(circuit, params.select({}), d / "m.psdd")
+    circuit, params = formats.read_csdd(d / "m.csdd", formats.read_vtree(d / "m.vtree"))
+    return d, circuit, params
+
+
+class TestDeepModel:
+    """Queries on a chain deeper than the default recursion limit."""
+
+    def test_queries_return(self, deep_model):
+        _, circuit, params = deep_model
+        assert sys.getrecursionlimit() < DEEP_VARS
+        xstar = {var: True for var in range(1, DEEP_VARS + 1)}
+        verdict = robustness(circuit, params, {}, xstar)
+        assert (verdict.value, verdict.label) == (1.0, ROBUST)
+        assert verdict.certificate.is_exact
+        assert lower_conditional(circuit, params, DEEP_VARS, True, {}).value == pytest.approx(
+            0.6, abs=1e-6
+        )
+        assert credal_map_upper(circuit, params, {}) == 1.0
+        assert map_query(circuit, params.select({}), {}) == (1.0, xstar)
+
+    def test_cli_robust(self, deep_model, capsys):
+        d, _, _ = deep_model
+        code = main(
+            ["robust", "--csdd", str(d / "m.csdd"), "--psdd", str(d / "m.psdd"),
+             "--vtree", str(d / "m.vtree")]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["label"] == ROBUST
