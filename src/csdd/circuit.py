@@ -271,6 +271,7 @@ class Circuit:
         self._connectivity: ConnectivityReport | None = None
         self._false_ids: frozenset[int] | None = None
         self._cone_cache: dict[int, list[int]] = {}
+        self._spine_cache: dict[tuple[int, int], list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -342,6 +343,18 @@ class Circuit:
         cached = self._cone_cache.get(nid)
         if cached is None:
             cached = self._cone_cache[nid] = _reach(self.nodes, (nid,))
+        return cached
+
+    def spine(self, var: int, root: int | None = None) -> list[int]:
+        """Ids of the root's cone whose vtree contains ``var``, ascending:
+        the only nodes whose value evidence on ``var`` can change."""
+        nid = self._root(root)
+        cached = self._spine_cache.get((nid, var))
+        if cached is None:
+            contains, nodes = self.vtree.contains_var, self.nodes
+            cached = self._spine_cache[nid, var] = [
+                i for i in self.cone(nid) if contains(nodes[i].vtree, var)
+            ]
         return cached
 
     def false_ids(self, root: int | None = None) -> frozenset[int]:

@@ -14,9 +14,10 @@ A run draws a training set, learns a point table (Bayesian smoothing) and
 a credal table (interval estimates) with the same equivalent sample size,
 then classifies each segment of fresh observations: the point model
 thresholds P(x_i = on | o) at one half, the credal model answers on / off
-only when the whole posterior interval clears one half and abstains
-otherwise.  Joint variants do the same at the level of the full hidden
-vector, using the most probable completion and its robustness check.
+only when the whole posterior interval clears one half (a sign test at
+one half decides it) and abstains otherwise.  Joint variants do the same
+at the level of the full hidden vector, using the most probable
+completion and its robustness check.
 """
 
 from __future__ import annotations
@@ -25,14 +26,18 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from random import Random
+from typing import Sequence
 from .circuit import Circuit, Vtree, compile_formula
 from .formula import Formula, Var, conj, disj
 from .infer import (
     NOT_ROBUST,
     EvidenceSession,
+    _point_pass,
+    _spine_marginal,
+    conditional_sign,
     lower_conditional,
     map_query,
-    marginal,
+    marginal,  # noqa: F401  (a binding perfbench's tracing wraps)
     robustness,
     upper_conditional,
 )
@@ -43,12 +48,14 @@ __all__ = [
     "DIGIT_PATTERNS",
     "SEGMENTS",
     "Scenario",
+    "SegmentDecision",
     "SegmentPrediction",
     "Metrics",
     "build_scenario_formula",
     "scenario_vtree",
     "scenario_circuit",
     "generate_data",
+    "decide_segments",
     "classify_segments",
     "evaluate_predictions",
     "run_cell",
@@ -137,17 +144,65 @@ def generate_data(n: int, p_f: float, rng: Random) -> Dataset:
 
 
 @dataclass(frozen=True)
-class SegmentPrediction:
+class SegmentDecision:
     segment: int
     probability: float        # point-model posterior of "on"
-    lower: float
-    upper: float
     point_on: bool
     credal: str               # "on" | "off" | "indeterminate"
 
     @property
     def determinate(self) -> bool:
         return self.credal != "indeterminate"
+
+
+@dataclass(frozen=True)
+class SegmentPrediction:
+    """A :class:`SegmentDecision` with the credal posterior's bounds."""
+
+    segment: int
+    probability: float
+    lower: float
+    upper: float
+    point_on: bool
+    credal: str
+
+    determinate = SegmentDecision.determinate
+
+
+def decide_segments(
+    circuit: Circuit,
+    psdd: PsddParams,
+    csdd: CsddParams,
+    observation: dict[int, bool],
+    session: EvidenceSession | None = None,
+) -> list[SegmentDecision]:
+    """Per-segment point posterior and credal label for one observation.
+
+    The label is the conditional algorithm's sign test at one half: "on"
+    when lower P(x_i = on | o) > 1/2, "off" when lower P(x_i = off | o)
+    > 1/2, "indeterminate" otherwise.  One point pass gives P(o) and every
+    node's value; each P(x_i = on, o) then recomputes only x_i's spine.
+    ``session`` is an :class:`EvidenceSession` for (circuit, csdd,
+    observation); without it one is built.
+    """
+    values = _point_pass(circuit, psdd, observation, circuit.cone(), {})
+    p_obs = values[circuit.root]
+    if p_obs <= 0.0:
+        raise ValueError("observation has zero probability under the point table")
+    if session is None:
+        session = EvidenceSession(circuit, csdd, observation)
+    out = []
+    for i in range(1, SEGMENTS + 1):
+        var = hidden_var(i)
+        p_on = _spine_marginal(circuit, psdd, observation, values, var, True) / p_obs
+        if conditional_sign(circuit, csdd, 0.5, var, True, observation, session) > 0:
+            credal = "on"
+        elif conditional_sign(circuit, csdd, 0.5, var, False, observation, session) > 0:
+            credal = "off"
+        else:
+            credal = "indeterminate"
+        out.append(SegmentDecision(i, p_on, p_on > 0.5, credal))
+    return out
 
 
 def classify_segments(
@@ -157,26 +212,17 @@ def classify_segments(
     observation: dict[int, bool],
     tol: float = 1e-4,
 ) -> list[SegmentPrediction]:
-    """Per-segment point and credal posteriors for one observation."""
-    p_obs = marginal(circuit, psdd, observation)
-    if p_obs <= 0.0:
-        raise ValueError("observation has zero probability under the point table")
+    """:func:`decide_segments` plus each segment's credal bounds, found to
+    ``tol``; the labels do not depend on ``tol``."""
     session = EvidenceSession(circuit, csdd, observation)
     out = []
-    for i in range(1, SEGMENTS + 1):
-        var = hidden_var(i)
-        p_on = marginal(circuit, psdd, {**observation, var: True}) / p_obs
+    for d in decide_segments(circuit, psdd, csdd, observation, session):
+        var = hidden_var(d.segment)
         lo = lower_conditional(circuit, csdd, var, True, observation, tol=tol,
                                want_certificate=False, session=session).value
         hi = upper_conditional(circuit, csdd, var, True, observation, tol=tol,
                                want_certificate=False, session=session).value
-        if lo > 0.5:
-            credal = "on"
-        elif hi < 0.5:
-            credal = "off"
-        else:
-            credal = "indeterminate"
-        out.append(SegmentPrediction(i, p_on, lo, hi, p_on > 0.5, credal))
+        out.append(SegmentPrediction(d.segment, d.probability, lo, hi, d.point_on, d.credal))
     return out
 
 
@@ -225,7 +271,7 @@ def _mean(values: list[float]) -> float:
 
 
 def evaluate_predictions(
-    per_instance: list[tuple[list[SegmentPrediction], tuple[bool, ...]]],
+    per_instance: list[tuple[Sequence[SegmentDecision | SegmentPrediction], tuple[bool, ...]]],
     joint: list[tuple[dict[int, bool], bool, bool]] | None = None,
 ) -> Metrics:
     """Aggregate scores; ``joint`` rows are (completion, robust?, correct?)."""
@@ -272,7 +318,6 @@ class Scenario:
     seed: int
     test_size: int = 140
     ess: float = 1.0
-    tol: float = 1e-4
 
 
 def run_cell(scenario: Scenario) -> Metrics:
@@ -286,15 +331,15 @@ def run_cell(scenario: Scenario) -> Metrics:
 
     per_instance = []
     joint = []
-    # answers per distinct observation: (segment predictions, completion, determinacy)
-    cache: dict[tuple[bool, ...], tuple[list[SegmentPrediction], dict[int, bool], bool]] = {}
+    # answers per distinct observation: (segment decisions, completion, determinacy)
+    cache: dict[tuple[bool, ...], tuple[list[SegmentDecision], dict[int, bool], bool]] = {}
     for _ in range(scenario.test_size):
         pattern = DIGIT_PATTERNS[rng.randrange(10)]
         shown = tuple(on and rng.random() >= scenario.p_f for on in pattern)
         observation = {observed_var(i + 1): shown[i] for i in range(SEGMENTS)}
         cached = cache.get(shown)
         if cached is None:
-            preds = classify_segments(circuit, psdd, csdd, observation, scenario.tol)
+            preds = decide_segments(circuit, psdd, csdd, observation)
             _, completion = map_query(circuit, psdd, observation)
             xstar = {hidden_var(i + 1): completion[hidden_var(i + 1)] for i in range(SEGMENTS)}
             verdict = robustness(circuit, csdd, observation, xstar, want_certificate=False)

@@ -215,13 +215,17 @@ def _check_evidence(circuit: Circuit, evidence: Mapping[int, bool]) -> None:
             raise InferenceError(f"evidence variable {var} is not in the circuit")
 
 
-def marginal(circuit: Circuit, params: PsddParams, evidence: Mapping[int, bool]) -> float:
-    """Probability of the (partial) evidence under the point table."""
-    _check_evidence(circuit, evidence)
-    root = circuit._root(None)
-    values: dict[int, float] = {}
+def _point_pass(
+    circuit: Circuit,
+    params: PsddParams,
+    evidence: Mapping[int, bool],
+    ids: Sequence[int],
+    values: dict[int, float],
+) -> dict[int, float]:
+    """Point-table value of each node of ``ids`` (children first) under the
+    evidence, written into ``values``, which holds every child outside ``ids``."""
     nodes = circuit.nodes
-    for nid in circuit.cone(root):
+    for nid in ids:
         node = nodes[nid]
         if node.kind == FALSE:
             values[nid] = 0.0
@@ -240,7 +244,31 @@ def marginal(circuit: Circuit, params: PsddParams, evidence: Mapping[int, bool])
                 values[nid] = math.fsum(
                     values[p] * values[s] * t for (p, s), t in zip(node.elements, theta)
                 )
-    return values[root]
+    return values
+
+
+def marginal(circuit: Circuit, params: PsddParams, evidence: Mapping[int, bool]) -> float:
+    """Probability of the (partial) evidence under the point table."""
+    _check_evidence(circuit, evidence)
+    root = circuit._root(None)
+    return _point_pass(circuit, params, evidence, circuit.cone(root), {})[root]
+
+
+def _spine_marginal(
+    circuit: Circuit,
+    params: PsddParams,
+    evidence: Mapping[int, bool],
+    values: Mapping[int, float],
+    var: int,
+    val: bool,
+) -> float:
+    """``marginal(circuit, params, {**evidence, var: val})`` from ``values``,
+    the node values of the pass on ``evidence``: only the nodes on ``var``'s
+    spine are recomputed, by the same per-node code, so the result is
+    bit-identical."""
+    root = circuit._root(None)
+    spine = circuit.spine(var, root)
+    return _point_pass(circuit, params, {**evidence, var: val}, spine, dict(values))[root]
 
 
 def joint_probability(circuit: Circuit, params: PsddParams, assignment: Mapping[int, bool]) -> float:
@@ -439,9 +467,10 @@ class EvidenceSession:
 
     Built for one (circuit, params, evidence) triple: it checks the
     evidence and its consistency once, runs the lower and upper evidence
-    sweeps once, and keeps each target variable's spine and plan after
-    its first query.  Pass it as ``session=`` to :func:`lower_conditional`
-    and :func:`upper_conditional`; a call whose circuit, params or
+    sweeps once, and keeps each target variable's plan after its first
+    query (the spine itself is cached on the circuit).  Pass it as
+    ``session=`` to :func:`conditional_sign`, :func:`lower_conditional`
+    and :func:`upper_conditional`; a call whose circuit, root, params or
     evidence differ from the session's raises :class:`InferenceError`.
     """
 
@@ -475,11 +504,7 @@ class EvidenceSession:
         cached = self._targets.get(var)
         if cached is None:
             circuit, vtree = self.circuit, self.circuit.vtree
-            spine = [
-                nid
-                for nid in circuit.cone(self.root)
-                if vtree.contains_var(circuit.nodes[nid].vtree, var)
-            ]
+            spine = circuit.spine(var, self.root)
             plan: _Plan = {}
             for nid in spine:
                 node = circuit.nodes[nid]
@@ -597,9 +622,15 @@ def conditional_sign(
     var: int,
     val: bool,
     evidence: Mapping[int, bool],
+    session: EvidenceSession | None = None,
 ) -> int:
-    """Sign of ``lower P(var=val | evidence) - mu`` (0 means numerical zero)."""
-    return _ConditionalEngine(circuit, params, var, val, evidence).sign_at(mu)
+    """Sign of ``lower P(var=val | evidence) - mu`` (0 means numerical zero).
+
+    One sign-test pass: the exact decision whether the (possibly outer)
+    lower conditional exceeds ``mu``, with no search and no tolerance.
+    ``session`` works as for :func:`lower_conditional`.
+    """
+    return _ConditionalEngine(circuit, params, var, val, evidence, session).sign_at(mu)
 
 
 def _find_crossing(value_at, tol: float, zero: float = ZERO_TOL) -> tuple[float, float, int]:

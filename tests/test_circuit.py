@@ -25,7 +25,7 @@ from csdd.circuit import (
     validate_partitions,
     validate_structure,
 )
-from csdd.fixtures import shared_node_fixture, squares_formula, squares_vtree
+from csdd.fixtures import shared_node_fixture, squares_fixture, squares_formula, squares_vtree
 from csdd.formula import (
     FALSE as F_CONST,
     TRUE as T_CONST,
@@ -194,6 +194,30 @@ class TestRootCaches:
         c.set_root(unsat)
         assert c.false_ids() == c.false_ids(unsat)
         assert unsat in c.false_ids()
+
+    @pytest.mark.parametrize("singly", [True, False])
+    def test_spine_is_the_filtered_cone(self, singly):
+        rng = Random(31)
+        for _ in range(10):
+            c = random_circuit(rng, rng.randint(3, 6), singly=singly)
+            for var in range(1, c.vtree.var_count + 1):
+                spine = c.spine(var)
+                assert spine == [
+                    nid for nid in c.cone() if c.vtree.contains_var(c.nodes[nid].vtree, var)
+                ]
+                assert c.spine(var) is spine
+                assert c.spine(var, c.root) is spine
+
+    def test_spine_follows_set_root(self):
+        c = squares_fixture().circuit
+        top = c.root
+        below = c.nodes[top].elements[0][0]
+        whole = c.spine(1)
+        c.set_root(below)
+        assert c.spine(1) == [nid for nid in c.cone(below) if nid in whole]
+        assert top not in c.spine(1)
+        c.set_root(top)
+        assert c.spine(1) is whole
 
 
 class TestTopologicalOrder:

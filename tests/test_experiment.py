@@ -14,6 +14,7 @@ from csdd.experiment import (
     SegmentPrediction,
     build_scenario_formula,
     classify_segments,
+    decide_segments,
     evaluate_predictions,
     generate_data,
     hidden_var,
@@ -192,6 +193,44 @@ class TestClassification:
                     assert posterior > 0.5
                 elif pred.credal == "off":
                     assert posterior < 0.5
+
+
+ALL_OBSERVATIONS = [
+    {observed_var(i + 1): v for i, v in enumerate(shown)}
+    for shown in product((False, True), repeat=7)
+]
+
+
+class TestLabels:
+    """The credal label is the sign test at one half, whatever ``tol``."""
+
+    def test_decide_matches_classify(self, trained):
+        circuit, psdd, csdd = trained
+        for observation in ALL_OBSERVATIONS:
+            decided = decide_segments(circuit, psdd, csdd, observation)
+            classified = classify_segments(circuit, psdd, csdd, observation)
+            assert [(d.segment, d.probability, d.point_on, d.credal) for d in decided] == [
+                (c.segment, c.probability, c.point_on, c.credal) for c in classified
+            ]
+
+    def test_labels_agree_with_bounds_outside_the_tol_band(self, trained):
+        circuit, psdd, csdd = trained
+        tol = 1e-3
+        for observation in ALL_OBSERVATIONS:
+            for pred in classify_segments(circuit, psdd, csdd, observation, tol=tol):
+                if pred.lower > 0.5 + tol:
+                    assert pred.credal == "on"
+                if pred.upper < 0.5 - tol:
+                    assert pred.credal == "off"
+
+    def test_labels_do_not_depend_on_tol(self, trained):
+        circuit, psdd, csdd = trained
+        for observation in ALL_OBSERVATIONS:
+            labels = {
+                tol: [p.credal for p in classify_segments(circuit, psdd, csdd, observation, tol)]
+                for tol in (1e-2, 1e-4, 1e-6)
+            }
+            assert labels[1e-2] == labels[1e-4] == labels[1e-6]
 
 
 def _vacuify(cs):

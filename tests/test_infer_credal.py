@@ -298,6 +298,21 @@ class TestEvidenceSession:
                         alone = query(circuit, params, var, val, evidence, tol=1e-7)
                         assert _same_result(shared, alone)
 
+    def test_sign_with_session_matches_one_shot(self):
+        rng = Random(707)
+        for singly in (True, False):
+            for _ in range(4):
+                circuit, params = random_credal_instance(rng, rng.randint(3, 5), singly, 0.25)
+                _, evidence = _pick_conditional_query(rng, circuit)
+                session = EvidenceSession(circuit, params, evidence)
+                for var in range(1, circuit.vtree.var_count + 1):
+                    if var in evidence:
+                        continue
+                    for val, mu in product((True, False), (0.0, 0.25, 0.5, 0.75, 1.0)):
+                        shared = conditional_sign(circuit, params, mu, var, val, evidence,
+                                                  session=session)
+                        assert shared == conditional_sign(circuit, params, mu, var, val, evidence)
+
     def test_session_for_other_arguments_rejected(self, squares, squares_idm, squares_ml):
         evidence = {3: False, 4: True}
         session = EvidenceSession(squares.circuit, squares_idm, evidence)
@@ -314,8 +329,11 @@ class TestEvidenceSession:
             for query in (lower_conditional, upper_conditional):
                 with pytest.raises(InferenceError):
                     query(circuit, params, 1, True, ev, session=session)
-        # the matching call goes through
+            with pytest.raises(InferenceError):
+                conditional_sign(circuit, params, 0.5, 1, True, ev, session=session)
+        # the matching calls go through
         lower_conditional(squares.circuit, squares_idm, 1, True, dict(evidence), session=session)
+        conditional_sign(squares.circuit, squares_idm, 0.5, 1, True, dict(evidence), session=session)
 
     def test_session_rejected_after_root_change(self, squares_idm):
         fx = squares_fixture()
@@ -323,6 +341,8 @@ class TestEvidenceSession:
         fx.circuit.set_root(fx.circuit.nodes[fx.root].elements[0][0])
         with pytest.raises(InferenceError):
             lower_conditional(fx.circuit, squares_idm, 1, True, {4: True}, session=session)
+        with pytest.raises(InferenceError):
+            conditional_sign(fx.circuit, squares_idm, 0.5, 1, True, {4: True}, session=session)
 
     def test_inconsistent_evidence_rejected(self, squares, squares_idm):
         with pytest.raises(InferenceError):

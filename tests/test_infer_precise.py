@@ -3,9 +3,18 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csdd.circuit import Vtree, Circuit
-from csdd.infer import InferenceError, joint_probability, map_query, marginal
+from csdd.infer import (
+    InferenceError,
+    _point_pass,
+    _spine_marginal,
+    joint_probability,
+    map_query,
+    marginal,
+)
 from csdd.params import PsddParams
 
 from conftest import brute_joint, brute_map, brute_marginal, random_circuit, random_psdd_params
@@ -34,6 +43,22 @@ class TestMarginal:
             got = marginal(circuit, params, evidence)
             want = brute_marginal(circuit, params, evidence)
             assert got == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), singly=st.booleans(), data=st.data())
+    def test_spine_reevaluation_is_bit_identical(self, seed, singly, data):
+        rng = Random(seed)
+        n = rng.randint(3, 6)
+        circuit = random_circuit(rng, n, singly=singly)
+        params = random_psdd_params(rng, circuit)
+        evidence = data.draw(st.dictionaries(st.integers(1, n), st.booleans()))
+        values = _point_pass(circuit, params, evidence, circuit.cone(), {})
+        for var in range(1, n + 1):
+            if var in evidence:
+                continue
+            for val in (True, False):
+                got = _spine_marginal(circuit, params, evidence, values, var, val)
+                assert got == marginal(circuit, params, {**evidence, var: val})
 
     def test_joint_requires_complete_assignment(self, squares, squares_ml):
         with pytest.raises(InferenceError):
