@@ -345,10 +345,10 @@ class Circuit:
             cached = self._cone_cache[nid] = _reach(self.nodes, (nid,))
         return cached
 
-    def spine(self, var: int, root: int | None = None) -> list[int]:
+    def spine(self, var: int) -> list[int]:
         """Ids of the root's cone whose vtree contains ``var``, ascending:
         the only nodes whose value evidence on ``var`` can change."""
-        nid = self._root(root)
+        nid = self._root(None)
         cached = self._spine_cache.get((nid, var))
         if cached is None:
             contains, nodes = self.vtree.contains_var, self.nodes

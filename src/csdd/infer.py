@@ -10,8 +10,9 @@ with a local linear program over the node's credal set:
   safeguarded Illinois (regula falsi) search: the sign stays positive at
   the bracket's left edge and non-positive at its right edge, and the
   left edge is returned, so the answer never passes the crossing;
-  an :class:`EvidenceSession` shares the evidence passes among all
-  conditional queries on one evidence;
+  an :class:`EvidenceSession` runs the evidence passes once per
+  evidence and the sign test itself for every target, keeping no
+  per-variable state (each target's spine is cached on the circuit);
 * robustness checks whether one most-probable completion stays optimal
   for every parameter table between the bounds.
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -48,7 +50,6 @@ from .circuit import (
     is_consistent,
 )
 from .credal import (
-    IntervalCredalSet,
     _max_fast,
     _max_ratio_vertex,
     _min_fast,
@@ -266,9 +267,8 @@ def _spine_marginal(
     the node values of the pass on ``evidence``: only the nodes on ``var``'s
     spine are recomputed, by the same per-node code, so the result is
     bit-identical."""
-    root = circuit._root(None)
-    spine = circuit.spine(var, root)
-    return _point_pass(circuit, params, {**evidence, var: val}, spine, dict(values))[root]
+    spine = circuit.spine(var)
+    return _point_pass(circuit, params, {**evidence, var: val}, spine, dict(values))[circuit.root]
 
 
 def joint_probability(circuit: Circuit, params: PsddParams, assignment: Mapping[int, bool]) -> float:
@@ -459,18 +459,16 @@ def _mark_sweeps(
 # conditional queries
 
 
-_Plan = dict[int, tuple[IntervalCredalSet, list[tuple[int, int]]]]
-
-
 class EvidenceSession:
     """Evidence-side work shared by every conditional query on one evidence.
 
     Built for one (circuit, params, evidence) triple: it checks the
-    evidence and its consistency once, runs the lower and upper evidence
-    sweeps once, and keeps each target variable's plan after its first
-    query (the spine itself is cached on the circuit).  Pass it as
-    ``session=`` to :func:`conditional_sign`, :func:`lower_conditional`
-    and :func:`upper_conditional`; a call whose circuit, root, params or
+    evidence and its consistency once and runs the lower and upper
+    evidence sweeps once.  It then runs the sign test for any target
+    itself; it keeps no per-variable state, since the target's spine is
+    cached on the circuit.  Pass it as ``session=`` to
+    :func:`conditional_sign`, :func:`lower_conditional` and
+    :func:`upper_conditional`; a call whose circuit, root, params or
     evidence differ from the session's raises :class:`InferenceError`.
     """
 
@@ -486,7 +484,9 @@ class EvidenceSession:
         self.root = circuit._root(None)
         self.low = _credal_sweep(circuit, params, self.evidence, MIN)
         self.up = _credal_sweep(circuit, params, self.evidence, MAX)
-        self._targets: dict[int, tuple[list[int], _Plan]] = {}
+        # every sign-test message is at most the upper evidence probability
+        # in size, so the numerical zero scales with it
+        self.zero = ZERO_TOL * self.up.values[self.root]
 
     def check(self, circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> None:
         """Raise unless the session was built for exactly these arguments."""
@@ -498,121 +498,77 @@ class EvidenceSession:
         ):
             raise InferenceError("session was built for another circuit, table or evidence")
 
-    def target(self, var: int) -> tuple[list[int], _Plan]:
-        """Spine (nodes whose vtree contains ``var``) and per spine decision
-        node the credal set with its (query-side child, sibling child) pairs."""
-        cached = self._targets.get(var)
-        if cached is None:
-            circuit, vtree = self.circuit, self.circuit.vtree
-            spine = circuit.spine(var, self.root)
-            plan: _Plan = {}
-            for nid in spine:
-                node = circuit.nodes[nid]
-                if node.kind != DECISION or nid not in self.params.table:
-                    continue
-                left = vtree.contains_var(vtree.left(node.vtree), var)
-                pairs = [(p, s) if left else (s, p) for p, s in node.elements]
-                plan[nid] = (self.params.table[nid], pairs)
-            cached = self._targets[var] = (spine, plan)
-        return cached
+    def _sign_test(
+        self, var: int, val: bool, mu: float, trace: InferenceTrace | None = None
+    ) -> float:
+        """Root message of the threshold test at ``mu``; positive iff the
+        lower conditional of ``var = val`` exceeds ``mu``.
 
-
-class _ConditionalEngine:
-    """Shared machinery for the sign test at a given threshold.
-
-    Sibling evidence bounds come from the session; each threshold
-    evaluation only walks the nodes containing the queried variable.
-    """
-
-    def __init__(
-        self,
-        circuit: Circuit,
-        params: CsddParams,
-        var: int,
-        val: bool,
-        evidence: Mapping[int, bool],
-        session: EvidenceSession | None = None,
-    ) -> None:
-        if var in evidence:
-            raise InferenceError(f"queried variable {var} appears in the evidence")
-        _check_evidence(circuit, {var: val})
-        if session is None:
-            session = EvidenceSession(circuit, params, evidence)
-        else:
-            session.check(circuit, params, evidence)
-        self.circuit = circuit
-        self.params = params
-        self.var = var
-        self.val = bool(val)
-        self.root = session.root
-        self.low = session.low
-        self.up = session.up
-        self.spine, self.plan = session.target(var)
-        # every sign-test message is at most the upper evidence probability
-        # in size, so the numerical zero scales with it
-        self.zero = ZERO_TOL * self.up.values[self.root]
-
-    def value_at(self, mu: float, trace: InferenceTrace | None = None) -> float:
-        """Root message of the threshold test; positive iff the lower
-        conditional exceeds ``mu``."""
-        circuit = self.circuit
+        One bottom-up pass over ``var``'s spine.  ``msg`` holds spine nodes
+        only, so a decision node's query-side child is its prime exactly
+        when its first prime has a message; the sibling's bound comes from
+        the evidence sweeps.
+        """
+        nodes, table = self.circuit.nodes, self.params.table
         low_values, up_values = self.low.values, self.up.values
         msg: dict[int, float] = {}
         starts: list[tuple[int, int]] = []  # sibling values the trace must pin
-        for nid in self.spine:
-            node = circuit.nodes[nid]
+        for nid in self.circuit.spine(var):
+            node = nodes[nid]
             if node.kind == FALSE:
                 msg[nid] = 0.0
             elif node.kind == LITERAL:
-                msg[nid] = (1.0 - mu) if node.polarity == self.val else -mu
+                msg[nid] = (1.0 - mu) if node.polarity == val else -mu
             elif node.kind == TRUE:
-                cs = self.params.table[nid]
-                state = 0 if self.val else 1
+                cs = table[nid]
+                state = 0 if val else 1
                 lx, ux = cs.lower[state], cs.upper[state]
                 lnot, unot = cs.lower[1 - state], cs.upper[1 - state]
-                value = min((1.0 - mu) * lx - mu * unot, (1.0 - mu) * ux - mu * lnot)
-                msg[nid] = value
+                msg[nid] = min((1.0 - mu) * lx - mu * unot, (1.0 - mu) * ux - mu * lnot)
                 if trace is not None:
                     # the minimum pins the member with the smaller target mass
-                    point = (lx, unot) if state == 0 else (unot, lx)
-                    trace.record(nid, point)
-            elif nid not in self.plan:
+                    trace.record(nid, (lx, unot) if state == 0 else (unot, lx))
+            elif nid not in table:
                 msg[nid] = 0.0  # unsatisfiable decision node
             else:
-                cs, pairs = self.plan[nid]
+                prime_side = node.elements[0][0] in msg
                 coeffs = []
-                for idx, (u_child, w_child) in enumerate(pairs):
+                for idx, (p, s) in enumerate(node.elements):
+                    u_child, w_child = (p, s) if prime_side else (s, p)
                     mu_msg = msg[u_child]
-                    w_node = circuit.nodes[w_child]
-                    if w_node.kind == FALSE:
-                        sigma = 0.0
-                        direction = "lower"
-                    elif mu_msg < 0.0:
-                        sigma = up_values[w_child]
-                        direction = "upper"
-                    else:
-                        sigma = low_values[w_child]
-                        direction = "lower"
+                    # a negative message takes the sibling's upper value; a
+                    # FALSE sibling is zero in both sweeps and reads as lower
+                    upper = mu_msg < 0.0 and nodes[w_child].kind != FALSE
+                    sigma = (up_values if upper else low_values)[w_child]
                     coeffs.append(mu_msg * sigma)
                     if trace is not None:
-                        trace.sigma[(nid, idx)] = (direction, sigma)
-                        if w_node.kind != FALSE:
-                            starts.append((w_child, MAX if direction == "upper" else MIN))
-                value, point = _min_fast(cs, coeffs)
+                        trace.sigma[(nid, idx)] = ("upper" if upper else "lower", sigma)
+                        starts.append((w_child, MAX if upper else MIN))  # FALSE marks nothing
+                value, point = _min_fast(table[nid], coeffs)
                 msg[nid] = value
                 if trace is not None:
                     trace.record(nid, point if any(coeffs) else None)
         if trace is not None:
-            _mark_sweeps(trace, circuit, self.low, self.up, starts)
+            _mark_sweeps(trace, self.circuit, self.low, self.up, starts)
         return msg[self.root]
 
-    def sign_at(self, mu: float) -> int:
-        value = self.value_at(mu)
-        if value > self.zero:
-            return 1
-        if value < -self.zero:
-            return -1
-        return 0
+
+def _session(
+    circuit: Circuit,
+    params: CsddParams,
+    var: int,
+    val: bool,
+    evidence: Mapping[int, bool],
+    session: EvidenceSession | None,
+) -> EvidenceSession:
+    """Check the target; return ``session`` once it matches, else a one-shot session."""
+    if var in evidence:
+        raise InferenceError(f"queried variable {var} appears in the evidence")
+    _check_evidence(circuit, {var: val})
+    if session is None:
+        return EvidenceSession(circuit, params, evidence)
+    session.check(circuit, params, evidence)
+    return session
 
 
 def conditional_sign(
@@ -630,7 +586,9 @@ def conditional_sign(
     lower conditional exceeds ``mu``, with no search and no tolerance.
     ``session`` works as for :func:`lower_conditional`.
     """
-    return _ConditionalEngine(circuit, params, var, val, evidence, session).sign_at(mu)
+    session = _session(circuit, params, var, val, evidence, session)
+    value = session._sign_test(var, bool(val), mu)
+    return (value > session.zero) - (value < -session.zero)
 
 
 def _find_crossing(value_at, tol: float, zero: float = ZERO_TOL) -> tuple[float, float, int]:
@@ -706,14 +664,15 @@ def lower_conditional(
     same circuit, params and evidence, shares the evidence passes across
     queries; without it a one-shot session is built.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InferenceError("tolerance must be positive")
-    engine = _ConditionalEngine(circuit, params, var, val, evidence, session)
-    lo, hi, iterations = _find_crossing(engine.value_at, tol, engine.zero)
+    session = _session(circuit, params, var, val, evidence, session)
+    sign_test = partial(session._sign_test, var, bool(val))
+    lo, hi, iterations = _find_crossing(sign_test, tol, session.zero)
     trace = certificate = None
     if want_certificate:
         trace = InferenceTrace()
-        engine.value_at(lo, trace)
+        sign_test(lo, trace)
         certificate = exactness_certificate(trace, circuit.connectivity())
     return ConditionalResult(lo, iterations, (lo, hi), trace, certificate)
 
@@ -1097,13 +1056,6 @@ def strong_extension_oracle(
     return best
 
 
-def _psdd_from_trace(
-    circuit: Circuit, params: CsddParams, trace: InferenceTrace
-) -> PsddParams:
-    points = {nid: uses[0] for nid, uses in trace.uses.items() if uses}
-    return params.select(points)
-
-
 def brute_force_exact(
     circuit: Circuit,
     params: CsddParams,
@@ -1144,7 +1096,7 @@ def _conflict_combos(params: CsddParams, node_ids: Sequence[int], cap: int):
 def _brute_conditional(circuit, params, query, result, cap, tol) -> float:
     if result.certificate.is_exact:
         if result.trace is not None and result.trace.uses:
-            table = _psdd_from_trace(circuit, params, result.trace)
+            table = params.select({nid: uses[0] for nid, uses in result.trace.uses.items() if uses})
             return _functional(circuit, table, query)
         return result.value
     conflicted = result.certificate.conflicted

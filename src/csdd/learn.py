@@ -16,6 +16,7 @@ tightened to reachable form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -203,8 +204,8 @@ def bayes_estimate(circuit: Circuit, counts: ContextCounts, ess: float) -> PsddP
     The prior mass ``s`` spreads over the feasible states only, so states
     with a false sub keep probability exactly zero.
     """
-    if ess <= 0:
-        raise LearnError("equivalent sample size must be positive")
+    if not 0 < ess < math.inf:
+        raise LearnError(f"equivalent sample size must be positive and finite, got {ess}")
     table: dict[int, tuple[float, ...]] = {}
     for nid, vector in counts.counts.items():
         forbidden = _forbidden_states(circuit, nid)
@@ -225,8 +226,8 @@ def idm_estimate(circuit: Circuit, counts: ContextCounts, ess: float) -> CsddPar
     States with a false sub get [0, 0]; the result is tightened to
     reachable form, which never changes the feasible set.
     """
-    if ess <= 0:
-        raise LearnError("equivalent sample size must be positive")
+    if not 0 < ess < math.inf:
+        raise LearnError(f"equivalent sample size must be positive and finite, got {ess}")
     table: dict[int, IntervalCredalSet] = {}
     for nid, vector in counts.counts.items():
         forbidden = _forbidden_states(circuit, nid)

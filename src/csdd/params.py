@@ -54,6 +54,8 @@ class PsddParams:
             forbidden = _forbidden_states(circuit, nid)
             if len(pmf) != len(forbidden):
                 raise ParamError(f"node {nid}: expected {len(forbidden)} states, got {len(pmf)}")
+            if not all(math.isfinite(p) for p in pmf):
+                raise ParamError(f"node {nid}: probabilities {pmf} are not all finite")
             if any(p < 0 for p in pmf):
                 raise ParamError(f"node {nid}: negative probability")
             if abs(math.fsum(pmf) - 1.0) > SUM_TOL:

@@ -206,7 +206,6 @@ class TestRootCaches:
                     nid for nid in c.cone() if c.vtree.contains_var(c.nodes[nid].vtree, var)
                 ]
                 assert c.spine(var) is spine
-                assert c.spine(var, c.root) is spine
 
     def test_spine_follows_set_root(self):
         c = squares_fixture().circuit

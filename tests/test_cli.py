@@ -103,6 +103,19 @@ class TestLearn:
         )
         assert code != 0 and "positive" in err
 
+    @pytest.mark.parametrize("mode", ["bayes", "idm"])
+    @pytest.mark.parametrize("ess", ["nan", "inf"])
+    def test_nonfinite_mass_fails_without_output(self, capsys, workdir, mode, ess):
+        run_json(capsys, "compile", "--fixture", "squares", "-o", "squares.sdd")
+        formats.write_dataset(squares_dataset(), workdir / "data.csv")
+        code, out, err = run(
+            capsys,
+            "learn", "--sdd", "squares.sdd", "--vtree", "squares.vtree",
+            "--data", "data.csv", "--mode", mode, "--ess", ess, "-o", "x.model",
+        )
+        assert code == 1 and out == "" and "finite" in err
+        assert not (workdir / "x.model").exists()
+
     def test_ml_zero_context_reports_node(self, capsys, workdir):
         run_json(capsys, "compile", "--fixture", "squares", "-o", "squares.sdd")
         (workdir / "one.csv").write_text("X1,X2,X3,X4,count\n0,0,0,1,5\n")
@@ -135,6 +148,16 @@ class TestQuery:
         )
         assert payload["certificate"]["status"] == "exact"
         assert payload["lower"] <= payload["upper"]
+
+    def test_nan_tolerance_fails(self, capsys, workdir):
+        model = _write_squares_model(capsys, workdir, "idm")
+        code, out, err = run(
+            capsys,
+            "query", "--model", model, "--vtree", "squares.vtree",
+            "--type", "conditional", "--target", "X1=1",
+            "--evidence", "X3=0,X4=1", "--tol", "nan",
+        )
+        assert code == 1 and out == "" and "tolerance" in err
 
     def test_point_map(self, capsys, workdir):
         model = _write_squares_model(capsys, workdir, "bayes")

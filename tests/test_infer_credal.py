@@ -41,7 +41,6 @@ from csdd.infer import (
     strong_extension_oracle,
     upper_conditional,
     upper_marginal,
-    _ConditionalEngine,
     _credal_map,
     _credal_sweep,
     _find_crossing,
@@ -199,8 +198,11 @@ class TestConditional:
             # the left bracket edge sits strictly below the algorithm's own
             # crossing, which is itself an outer bound
             assert res.value <= oracle
-            engine = _ConditionalEngine(circuit, params, var, True, evidence)
-            assert abs(res.value - _bisection(engine, 1e-7)) <= 1e-7
+            session = EvidenceSession(circuit, params, evidence)
+            sign = lambda mu: conditional_sign(
+                circuit, params, mu, var, True, evidence, session=session
+            )
+            assert abs(res.value - _bisection(sign, 1e-7)) <= 1e-7
             if res.certificate.status == EXACT:
                 assert res.value == pytest.approx(oracle, abs=1e-6)
 
@@ -209,8 +211,11 @@ class TestConditional:
         for _ in range(5):
             circuit, params = random_credal_instance(rng, 4, bool(rng.getrandbits(1)), 0.3)
             var, evidence = _pick_conditional_query(rng, circuit)
-            engine = _ConditionalEngine(circuit, params, var, True, evidence)
-            signs = [engine.sign_at(mu / 40) for mu in range(41)]
+            session = EvidenceSession(circuit, params, evidence)
+            signs = [
+                conditional_sign(circuit, params, mu / 40, var, True, evidence, session=session)
+                for mu in range(41)
+            ]
             # once non-positive, never positive again
             seen_nonpos = False
             for s in signs:
@@ -229,6 +234,12 @@ class TestConditional:
             denom = marginal(squares.circuit, member, evidence)
             p = marginal(squares.circuit, member, {**evidence, 1: True}) / denom
             assert lo.value - 1e-6 <= p <= hi.value + 1e-6
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_nonpositive_or_nan_tolerance_rejected(self, squares, squares_idm, tol):
+        for query in (lower_conditional, upper_conditional):
+            with pytest.raises(InferenceError, match="tolerance"):
+                query(squares.circuit, squares_idm, 1, True, {3: False, 4: True}, tol=tol)
 
     def test_target_in_evidence_rejected(self, squares, squares_idm):
         with pytest.raises(InferenceError):
@@ -257,14 +268,14 @@ def _pick_conditional_query(rng: Random, circuit: Circuit):
     return var, {}
 
 
-def _bisection(engine, tol: float) -> float:
+def _bisection(sign, tol: float) -> float:
     """Reference search: plain bisection of the sign test, left edge."""
-    if engine.sign_at(0.0) <= 0:
+    if sign(0.0) <= 0:
         return 0.0
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if engine.sign_at(mid) > 0:
+        if sign(mid) > 0:
             lo = mid
         else:
             hi = mid

@@ -18,6 +18,7 @@ from csdd.learn import (
     idm_estimate,
     ml_estimate,
 )
+from csdd.params import ParamError, PsddParams
 from conftest import brute_joint, random_circuit, random_formula, random_vtree, route_counts
 
 
@@ -248,6 +249,19 @@ class TestBayesEstimate:
         with pytest.raises(LearnError):
             bayes_estimate(squares.circuit, squares_counts, 0.0)
 
+    @pytest.mark.parametrize("ess", [math.nan, math.inf])
+    def test_rejects_nonfinite_mass(self, squares, squares_counts, ess):
+        with pytest.raises(LearnError, match="finite"):
+            bayes_estimate(squares.circuit, squares_counts, ess)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_point_table_rejects_nonfinite_entry(self, squares, squares_ml, bad):
+        # NaN passes both the sign and the sum check, so finiteness is its own check
+        table = dict(squares_ml.table)
+        table[squares.root] = (bad, 0.5, 0.5)
+        with pytest.raises(ParamError, match="finite"):
+            PsddParams(table).validate(squares.circuit)
+
 
 class TestIdmEstimate:
     def test_squares_intervals_match_hand_computation(self, squares, squares_idm):
@@ -264,6 +278,11 @@ class TestIdmEstimate:
             for state, n in enumerate(counts):
                 assert cs.lower[state] == pytest.approx(n / denom, abs=1e-15)
                 assert cs.upper[state] == pytest.approx((n + 1) / denom, abs=1e-15)
+
+    @pytest.mark.parametrize("ess", [math.nan, math.inf])
+    def test_rejects_nonfinite_mass(self, squares, squares_counts, ess):
+        with pytest.raises(LearnError, match="finite"):
+            idm_estimate(squares.circuit, squares_counts, ess)
 
     def test_vacuous_without_data(self, squares):
         empty = Dataset(("X1", "X2", "X3", "X4"), [])
