@@ -583,36 +583,46 @@ def validate_partitions(
 ) -> None:
     """Check that every decision node's primes partition the left assignments.
 
-    Exhaustive up to ``exhaustive_limit`` left states, otherwise ``samples``
-    assignments drawn from ``Random(seed)``, node by node in topological
-    order.  A node's cases are packed one per bit and its primes are
-    evaluated on all of them in one bit-parallel pass over the primes'
-    cones; the lowest case covered zero or several times is reported.
+    A node whose left vtree has at most ``exhaustive_limit`` states is
+    checked on all of them; otherwise on ``samples`` assignments of its own,
+    drawn from ``Random(seed)`` node by node in topological order.  Cases
+    are packed one per bit and primes are evaluated on all of them in one
+    bit-parallel pass.  The exhaustive nodes of one vtree node share their
+    cases, so one pass over the union of all their primes' cones serves
+    them all; a sampled node gets a pass over its own primes' cones.  The
+    first node in topological order with a case covered zero or several
+    times is reported, with its lowest such case.
     """
     vtree = circuit.vtree
     nodes = circuit.nodes
+    decisions = [nid for nid in circuit.cone(root) if nodes[nid].kind == DECISION]
+    primes_at: dict[int, list[int]] = {}  # vtree node -> primes of its decision nodes
+    for nid in decisions:
+        primes_at.setdefault(nodes[nid].vtree, []).extend(p for p, _ in nodes[nid].elements)
+    shared: dict[int, tuple] = {}  # exhaustive vtree node -> (left_vars, var_bits, full, truth)
     rng = Random(seed)
-    for nid in circuit.cone(root):
+    for nid in decisions:
         node = nodes[nid]
-        if node.kind != DECISION:
-            continue
-        left_vars = vtree.vars_under(vtree.left(node.vtree))
-        width = len(left_vars)
-        if 2 ** width <= exhaustive_limit:
-            # case k is row k of itertools.product: the first variable is its top bit
-            size = 2 ** width
-            var_bits = {
-                var: _pack_bits(k >> (width - 1 - i) & 1 for k in range(size))
-                for i, var in enumerate(left_vars)
-            }
-        else:
-            size = samples
-            draws = [rng.random() < 0.5 for _ in range(samples * width)]
-            var_bits = {var: _pack_bits(draws[i::width]) for i, var in enumerate(left_vars)}
-        full = (1 << size) - 1
         primes = [p for p, _ in node.elements]
-        neg_bits = {var: full ^ bits for var, bits in var_bits.items()}
-        truth = _truth_bits(nodes, _reach(nodes, primes), var_bits, neg_bits, full)
+        if node.vtree in shared:
+            left_vars, var_bits, full, truth = shared[node.vtree]
+        else:
+            left_vars = vtree.vars_under(vtree.left(node.vtree))
+            width = len(left_vars)
+            if 2 ** width <= exhaustive_limit:
+                # case k is row k of itertools.product: the first variable is its top bit
+                var_bits = {
+                    var: _pack_bits(k >> (width - 1 - i) & 1 for k in range(2 ** width))
+                    for i, var in enumerate(left_vars)
+                }
+                full = (1 << 2 ** width) - 1
+                truth = _cases_truth(nodes, primes_at[node.vtree], var_bits, full)
+                shared[node.vtree] = left_vars, var_bits, full, truth
+            else:
+                draws = [rng.random() < 0.5 for _ in range(samples * width)]
+                var_bits = {var: _pack_bits(draws[i::width]) for i, var in enumerate(left_vars)}
+                full = (1 << samples) - 1
+                truth = _cases_truth(nodes, primes, var_bits, full)
         once = twice = 0
         for p in primes:
             twice |= once & truth[p]
@@ -625,6 +635,14 @@ def validate_partitions(
             raise CircuitError(
                 f"node {nid}: primes cover left assignment {values} {hits} times (want exactly 1)"
             )
+
+
+def _cases_truth(
+    nodes: Sequence[SddNode], primes: list[int], var_bits: dict, full: int
+) -> dict[int, int]:
+    """One truth pass over the primes' cones on the cases packed in ``var_bits``."""
+    neg_bits = {var: full ^ bits for var, bits in var_bits.items()}
+    return _truth_bits(nodes, _reach(nodes, primes), var_bits, neg_bits, full)
 
 
 def is_consistent(circuit: Circuit, evidence: Mapping[int, bool], root: int | None = None) -> bool:

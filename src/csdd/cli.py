@@ -11,6 +11,7 @@ them differently.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -174,7 +175,10 @@ def cmd_learn(args) -> int:
 
 def _load_model(path: str, vtree_path: str):
     vtree = formats.read_vtree(vtree_path)
-    head = Path(path).read_text(encoding="utf-8").lstrip().split(None, 1)[0]
+    # the header is the file's first token: read up to it, and leave the
+    # one full read of the file to read_psdd / read_csdd
+    with open(path, encoding="utf-8") as f:
+        head = next((line.split(None, 1)[0] for line in f if line.strip()), "")
     if head == "psdd":
         circuit, params = formats.read_psdd(path, vtree)
         return circuit, params, "psdd"
@@ -377,9 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one serves every call in the process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:

@@ -30,7 +30,6 @@ from .circuit import (
     TRUE,
     Vtree,
     validate_partitions,
-    validate_structure,
 )
 from .credal import IntervalCredalSet
 from .learn import Dataset
@@ -365,15 +364,18 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str):
             remap[fid] = nid
             if mode != _MODE_SDD:
                 pending_decision[nid] = (lineno, mapped, numbers)
+    # add_decision has checked id precedence and vtree normalization node by
+    # node, so the partition check is the only whole-circuit structure pass
     root_fid = order[-1]
     circuit.set_root(remap[root_fid])
     try:
-        validate_structure(circuit)
         validate_partitions(circuit)
     except ValueError as exc:
         raise ParseError(raw[root_fid][1], str(exc)) from None
     if mode == _MODE_SDD:
         return circuit
+    # every parameter check of PsddParams/CsddParams.validate, node by node:
+    # _float refused non-finite numbers and TRUE lines were range-checked above
     false = circuit.false_ids()
     for nid, (lineno, mapped, numbers) in pending_decision.items():
         if nid in false:
@@ -382,8 +384,12 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str):
             continue
         if mode == _MODE_PSDD:
             theta = tuple(numbers)
-            if abs(math.fsum(theta) - 1.0) > SUM_TOL:
-                raise ParseError(lineno, f"element probabilities sum to {math.fsum(theta)}")
+            try:
+                total = math.fsum(theta)
+            except OverflowError:  # finite entries whose partial sums pass 1e308
+                total = math.inf
+            if not abs(total - 1.0) <= SUM_TOL:
+                raise ParseError(lineno, f"element probabilities sum to {total}")
             for idx, ((_, s), t) in enumerate(zip(mapped, theta)):
                 if s in false and t != 0.0:
                     raise ParseError(lineno, f"element {idx} has a false sub but theta={t}")
@@ -403,14 +409,8 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str):
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
     if mode == _MODE_PSDD:
-        params = PsddParams(point_table)
-    else:
-        params = CsddParams(credal_table)
-    try:
-        params.validate(circuit)
-    except ValueError as exc:
-        raise ParseError(raw[root_fid][1], str(exc)) from None
-    return circuit, params
+        return circuit, PsddParams(point_table)
+    return circuit, CsddParams(credal_table)
 
 
 def loads_sdd(text: str, vtree: Vtree) -> Circuit:

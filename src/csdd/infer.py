@@ -664,8 +664,8 @@ def lower_conditional(
     same circuit, params and evidence, shares the evidence passes across
     queries; without it a one-shot session is built.
     """
-    if not tol > 0:
-        raise InferenceError("tolerance must be positive")
+    if not 0 < tol < 1:  # [0, 1] is already 1 wide: a tol of 1 or more asks for nothing
+        raise InferenceError("tolerance must be positive and below 1")
     session = _session(circuit, params, var, val, evidence, session)
     sign_test = partial(session._sign_test, var, bool(val))
     lo, hi, iterations = _find_crossing(sign_test, tol, session.zero)

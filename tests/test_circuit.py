@@ -417,13 +417,15 @@ class TestFoldOrder:
         assert model_count(builder.finish(root)) == n + 1
 
 
-def _corrupt(circuit: Circuit, nid: int, mode: str) -> Circuit:
-    """Copy with one decision node's partition broken: ``overlap`` repeats its
-    first element, ``gap`` drops its last one."""
+def _corrupt(circuit: Circuit, nid: int, mode: str, *more: tuple[int, str]) -> Circuit:
+    """Copy with decision nodes' partitions broken: ``overlap`` repeats a
+    node's first element, ``gap`` drops its last one.  ``more`` holds
+    further (node, mode) pairs broken in the same copy."""
     bad = circuit.extract(circuit.root)
-    node = bad.nodes[nid]
-    elements = node.elements + node.elements[:1] if mode == "overlap" else node.elements[:-1]
-    bad.nodes[nid] = replace(node, elements=elements)
+    for nid, mode in ((nid, mode), *more):
+        node = bad.nodes[nid]
+        elements = node.elements + node.elements[:1] if mode == "overlap" else node.elements[:-1]
+        bad.nodes[nid] = replace(node, elements=elements)
     return bad
 
 
@@ -499,6 +501,31 @@ class TestPartitionParity:
             assert _partition_error(lambda c: validate_partitions(c, seed=seed), bad) == (
                 _partition_error(lambda c: check_partitions(c, seed=seed), bad)
             )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_corrupted_vtree_nodes_report_the_first_in_cone_order(self, seed):
+        # on 10 balanced variables only the vtree root has a sampled left side
+        # (5 variables); every lower vtree node is checked exhaustively and
+        # shares one truth pass among its decision nodes
+        rng = Random(seed)
+        vtree = Vtree.balanced(10)
+        checked = {"exhaustive": 0, "sampled": 0}
+        for _ in range(60):
+            circuit = compile_formula(random_formula(rng, 10, 4), vtree)
+            wide = [nid for nid in circuit.cone() if len(circuit.nodes[nid].elements) >= 2]
+            pairs = [(a, b) for a in wide for b in wide
+                     if a < b and circuit.nodes[a].vtree != circuit.nodes[b].vtree]
+            if not pairs:
+                continue
+            a, b = rng.choice(pairs)
+            bad = _corrupt(circuit, a, rng.choice(["overlap", "gap"]),
+                           (b, rng.choice(["overlap", "gap"])))
+            message = _partition_error(lambda c: validate_partitions(c, seed=seed), bad)
+            assert message is not None
+            assert message == _partition_error(lambda c: check_partitions(c, seed=seed), bad)
+            sampled = circuit.nodes[b].vtree == vtree.root
+            checked["sampled" if sampled else "exhaustive"] += 1
+        assert min(checked.values()) >= 3, checked
 
 
 class TestConsistency:

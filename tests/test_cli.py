@@ -159,6 +159,52 @@ class TestQuery:
         )
         assert code == 1 and out == "" and "tolerance" in err
 
+    @pytest.mark.parametrize("tol", ["1", "inf"])
+    def test_tolerance_of_one_or_more_fails(self, capsys, workdir, tol):
+        model = _write_squares_model(capsys, workdir, "idm")
+        code, out, err = run(
+            capsys,
+            "query", "--model", model, "--vtree", "squares.vtree",
+            "--type", "conditional", "--target", "X1=1",
+            "--evidence", "X3=0,X4=1", "--tol", tol,
+        )
+        assert code == 1 and out == "" and "tolerance" in err
+
+    def test_partition_overlap_fails(self, capsys, workdir):
+        model = _write_squares_model(capsys, workdir, "idm")
+        lines = (workdir / model).read_text().splitlines()
+        toks = lines[-1].split()  # the root: D <id> <vtree> <k>, then 4 fields per element
+        toks[3] = str(int(toks[3]) + 1)
+        lines[-1] = " ".join(toks + toks[4:8])  # its first prime, twice
+        (workdir / "overlap.csdd").write_text("\n".join(lines) + "\n")
+        code, out, err = run(
+            capsys,
+            "query", "--model", "overlap.csdd", "--vtree", "squares.vtree",
+            "--type", "marginal", "--evidence", "X4=1",
+        )
+        assert code == 1 and out == "" and "primes cover" in err
+
+    @pytest.mark.parametrize("text", ["", "  \n\n", "c a comment first\n"])
+    def test_model_without_a_header_fails(self, capsys, workdir, text):
+        _write_squares_model(capsys, workdir, "idm")
+        (workdir / "odd.csdd").write_text(text)
+        code, out, err = run(
+            capsys,
+            "query", "--model", "odd.csdd", "--vtree", "squares.vtree", "--type", "marginal",
+        )
+        assert code == 1 and out == "" and "expected a psdd or csdd file" in err
+
+    def test_usage_errors_repeat(self, capsys, workdir):
+        # the parser is built once per process; a bad call leaves it usable
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["query", "--type", "marginal"])
+            assert exc.value.code == 2
+            assert "--model" in capsys.readouterr().err
+        model = _write_squares_model(capsys, workdir, "idm")
+        run_json(capsys, "query", "--model", model, "--vtree", "squares.vtree",
+                 "--type", "marginal")
+
     def test_point_map(self, capsys, workdir):
         model = _write_squares_model(capsys, workdir, "bayes")
         payload = run_json(

@@ -241,6 +241,13 @@ class TestConditional:
             with pytest.raises(InferenceError, match="tolerance"):
                 query(squares.circuit, squares_idm, 1, True, {3: False, 4: True}, tol=tol)
 
+    @pytest.mark.parametrize("tol", [1.0, 2.5, math.inf])
+    def test_tolerance_of_one_or_more_rejected(self, squares, squares_idm, tol):
+        # [0, 1] already meets such a tol: the answer would be the vacuous bracket
+        for query in (lower_conditional, upper_conditional):
+            with pytest.raises(InferenceError, match="below 1"):
+                query(squares.circuit, squares_idm, 1, True, {3: False, 4: True}, tol=tol)
+
     def test_target_in_evidence_rejected(self, squares, squares_idm):
         with pytest.raises(InferenceError):
             lower_conditional(squares.circuit, squares_idm, 1, True, {1: False})

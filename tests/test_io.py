@@ -89,6 +89,13 @@ class TestSddFormat:
             formats.loads_sdd(text, Vtree((1, 2)))
         assert "forward" in str(err.value)
 
+    def test_prime_normalized_for_the_wrong_vtree_node_rejected(self):
+        # the prime is x2, which lives at the right leaf of Vtree((1, 2))
+        text = "sdd 3\nL 0 2 2\nL 1 0 1\nD 2 1 1 0 1\n"
+        with pytest.raises(ParseError, match="not normalized") as err:
+            formats.loads_sdd(text, Vtree((1, 2)))
+        assert err.value.line == 4
+
     def test_partition_violation_rejected(self):
         # both primes are the same literal: x1 true covers twice, false never
         text = "sdd 5\nL 0 0 1\nL 1 2 2\nL 2 0 1\nL 3 2 -2\nD 4 1 2 0 1 2 3\n"
@@ -144,6 +151,47 @@ class TestParameterFormats:
         assert broken != text
         with pytest.raises(ParseError):
             formats.loads_csdd(broken, squares.circuit.vtree)
+
+    @pytest.mark.parametrize("number", ["nan", "inf", "-inf"])
+    def test_nonfinite_point_parameter_rejected(self, squares, squares_counts, number):
+        params = bayes_estimate(squares.circuit, squares_counts, 1.0)
+        text = formats.dumps_psdd(squares.circuit, params)
+        lines = text.splitlines()
+        toks = lines[-1].split()  # the root: D <id> <vtree> <k> <p> <s> <theta> ...
+        toks[6] = number
+        broken = "\n".join(lines[:-1] + [" ".join(toks)]) + "\n"
+        with pytest.raises(ParseError, match="not finite") as err:
+            formats.loads_psdd(broken, squares.circuit.vtree)
+        assert err.value.line == len(lines)
+
+    def test_point_parameters_too_large_to_sum_rejected(self, squares, squares_counts):
+        params = bayes_estimate(squares.circuit, squares_counts, 1.0)
+        text = formats.dumps_psdd(squares.circuit, params)
+        lines = text.splitlines()
+        toks = lines[-1].split()
+        toks[6] = toks[9] = "1e308"
+        broken = "\n".join(lines[:-1] + [" ".join(toks)]) + "\n"
+        with pytest.raises(ParseError, match="sum to inf") as err:
+            formats.loads_psdd(broken, squares.circuit.vtree)
+        assert err.value.line == len(lines)
+
+    def test_nonfinite_interval_rejected(self, squares, squares_idm):
+        text = formats.dumps_csdd(squares.circuit, squares_idm)
+        lines = text.splitlines()
+        toks = lines[-1].split()  # D <id> <vtree> <k> <p> <s> <lower> <upper> ...
+        toks[7] = "nan"
+        broken = "\n".join(lines[:-1] + [" ".join(toks)]) + "\n"
+        with pytest.raises(ParseError, match="not finite"):
+            formats.loads_csdd(broken, squares.circuit.vtree)
+
+    def test_nonzero_on_false_sub_names_the_line(self, squares, squares_idm):
+        text = formats.dumps_csdd(squares.circuit, squares_idm)
+        broken = text.replace("1.0 1.0 2 3 0.0 0.0", "1.0 1.0 2 3 0.0 0.25")
+        assert broken != text
+        lineno = next(i for i, line in enumerate(broken.splitlines(), 1) if "0.0 0.25" in line)
+        with pytest.raises(ParseError, match="false sub") as err:
+            formats.loads_csdd(broken, squares.circuit.vtree)
+        assert err.value.line == lineno
 
     def test_random_round_trips(self):
         rng = Random(56)
