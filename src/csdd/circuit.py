@@ -259,19 +259,22 @@ class Circuit:
     Terminals are created fresh on every call (the same literal may appear
     many times, each occurrence its own node).  Decision nodes are unique
     per (vtree node, element list): re-adding an existing one returns the
-    stored id.  Circuits are immutable once built; every read operation is
-    safe to run concurrently.
+    stored id.  A circuit has one root: :meth:`set_root` stores it and
+    derives its cone and false nodes, and every analysis reads that root.
+    Circuits are immutable once built; every read operation is safe to run
+    concurrently.
     """
 
     def __init__(self, vtree: Vtree) -> None:
         self.vtree = vtree
         self.nodes: list[SddNode] = []
-        self.root: int | None = None
         self._decision_cache: dict[tuple, int] = {}
+        # facts of the root: set_root replaces every one of them
+        self._root_id: int | None = None
+        self._cone: list[int] = []
+        self._false_ids: frozenset[int] = frozenset()
         self._connectivity: ConnectivityReport | None = None
-        self._false_ids: frozenset[int] | None = None
-        self._cone_cache: dict[int, list[int]] = {}
-        self._spine_cache: dict[tuple[int, int], list[int]] = {}
+        self._spines: dict[int, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -325,70 +328,64 @@ class Circuit:
         self._decision_cache[key] = nid
         return self._add(SddNode(nid, DECISION, vtree_id, elements=elements))
 
+    @property
+    def root(self) -> int | None:
+        """The root's node id; only :meth:`set_root` changes it."""
+        return self._root_id
+
     def set_root(self, nid: int) -> None:
+        """Make ``nid`` the root and derive its cone and false nodes."""
         self.node(nid)
-        self.root = nid
+        cone = _reach(self.nodes, (nid,))
+        free = [1] * (self.vtree.var_count + 1)  # one row, every variable free
+        sat = _truth_bits(self.nodes, cone, free, free, 1)
+        self._root_id = nid
+        self._cone = cone
+        self._false_ids = frozenset(i for i in cone if not sat[i])
         self._connectivity = None
-        self._false_ids = None
+        self._spines = {}
 
-    def _root(self, root: int | None) -> int:
-        nid = self.root if root is None else root
-        if nid is None:
-            raise CircuitError("circuit has no root")
-        return nid
-
-    def cone(self, root: int | None = None) -> list[int]:
+    def cone(self) -> list[int]:
         """Ids of all nodes reachable from the root, ascending (= topological)."""
-        nid = self._root(root)
-        cached = self._cone_cache.get(nid)
-        if cached is None:
-            cached = self._cone_cache[nid] = _reach(self.nodes, (nid,))
-        return cached
+        if self._root_id is None:
+            raise CircuitError("circuit has no root")
+        return self._cone
 
     def spine(self, var: int) -> list[int]:
         """Ids of the root's cone whose vtree contains ``var``, ascending:
         the only nodes whose value evidence on ``var`` can change."""
-        nid = self._root(None)
-        cached = self._spine_cache.get((nid, var))
+        cached = self._spines.get(var)
         if cached is None:
             contains, nodes = self.vtree.contains_var, self.nodes
-            cached = self._spine_cache[nid, var] = [
-                i for i in self.cone(nid) if contains(nodes[i].vtree, var)
-            ]
+            cached = self._spines[var] = [i for i in self.cone() if contains(nodes[i].vtree, var)]
         return cached
 
-    def false_ids(self, root: int | None = None) -> frozenset[int]:
-        """Nodes whose sentence is unsatisfiable.
+    def false_ids(self) -> frozenset[int]:
+        """Nodes of the root's cone whose sentence is unsatisfiable.
 
         In normalized form the false constant below an internal vtree node
         is a decision chain, not a terminal; those chains carry no
         distribution and their probability is identically zero.
         """
-        if self._false_ids is None or root is not None:
-            cone = self.cone(root)
-            free = [1] * (self.vtree.var_count + 1)  # one row, every variable free
-            sat = _truth_bits(self.nodes, cone, free, free, 1)
-            ids = frozenset(nid for nid in cone if not sat[nid])
-            if root is not None:
-                return ids
-            self._false_ids = ids
+        self.cone()  # raises when there is no root
         return self._false_ids
 
-    def parameterized_ids(self, root: int | None = None) -> list[int]:
+    def parameterized_ids(self) -> list[int]:
         """Nodes carrying a distribution: TRUE terminals and satisfiable
         decision nodes (unsatisfiable ones induce no distribution)."""
-        false = self.false_ids(root)
+        false = self.false_ids()
         return [
             nid
-            for nid in self.cone(root)
+            for nid in self._cone
             if self.nodes[nid].kind in (TRUE, DECISION) and nid not in false
         ]
 
     def extract(self, root: int) -> "Circuit":
         """Copy the root's cone into a fresh, densely numbered circuit."""
+        self.node(root)
         out = Circuit(self.vtree)
         remap: dict[int, int] = {}
-        for nid in self.cone(root):
+        for nid in _reach(self.nodes, (root,)):
             node = self.nodes[nid]
             if node.kind == FALSE:
                 remap[nid] = out.add_false(node.vtree)
@@ -404,6 +401,7 @@ class Circuit:
         return out
 
     def connectivity(self) -> ConnectivityReport:
+        """The root's :func:`multiplicity_report`, computed on first use."""
         if self._connectivity is None:
             self._connectivity = multiplicity_report(self)
         return self._connectivity
@@ -462,20 +460,20 @@ def _truth_bits(
     return truth
 
 
-def evaluate(circuit: Circuit, node_id: int, assignment: Mapping[int, bool]) -> bool:
+def evaluate(circuit: Circuit, nid: int, assignment: Mapping[int, bool]) -> bool:
     """Truth of the node's sentence under a complete assignment of its variables."""
-    node = circuit.node(node_id)
+    node = circuit.node(nid)
     vtree = circuit.vtree
     for var in vtree.vars_under(node.vtree):
         if var not in assignment:
             raise CircuitError(f"assignment is missing variable {var}")
     memo: dict[int, bool] = {}
 
-    def walk(nid: int) -> bool:
-        hit = memo.get(nid)
+    def walk(i: int) -> bool:
+        hit = memo.get(i)
         if hit is not None:
             return hit
-        n = circuit.nodes[nid]
+        n = circuit.nodes[i]
         if n.kind == FALSE:
             value = False
         elif n.kind == TRUE:
@@ -488,34 +486,33 @@ def evaluate(circuit: Circuit, node_id: int, assignment: Mapping[int, bool]) -> 
                 if walk(p):
                     value = walk(s)
                     break
-        memo[nid] = value
+        memo[i] = value
         return value
 
-    return walk(node_id)
+    return walk(nid)
 
 
-def enumerate_models(circuit: Circuit, node_id: int) -> set[tuple[bool, ...]]:
+def enumerate_models(circuit: Circuit, nid: int) -> set[tuple[bool, ...]]:
     """All satisfying complete assignments of the node, by exhaustive evaluation.
 
     Models are value tuples ordered by ascending variable id over
     ``circuit.vtree.vars_under(node.vtree)``.  Guarded against blow-up.
     """
-    node = circuit.node(node_id)
+    node = circuit.node(nid)
     scope = circuit.vtree.vars_under(node.vtree)
     if len(scope) > ENUMERATION_VAR_LIMIT:
         raise CircuitError(f"refusing to enumerate over {len(scope)} > {ENUMERATION_VAR_LIMIT} variables")
     models = set()
     for values in product((False, True), repeat=len(scope)):
-        if evaluate(circuit, node_id, dict(zip(scope, values))):
+        if evaluate(circuit, nid, dict(zip(scope, values))):
             models.add(values)
     return models
 
 
-def model_count(circuit: Circuit, node_id: int | None = None) -> int:
-    """Number of models over the node's variables, via one bottom-up pass."""
-    nid = circuit._root(node_id)
+def model_count(circuit: Circuit) -> int:
+    """Number of models over the root's variables, via one bottom-up pass."""
     counts: dict[int, int] = {}
-    for i in circuit.cone(nid):
+    for i in circuit.cone():
         n = circuit.nodes[i]
         if n.kind == FALSE:
             counts[i] = 0
@@ -525,19 +522,18 @@ def model_count(circuit: Circuit, node_id: int | None = None) -> int:
             counts[i] = 1
         else:
             counts[i] = sum(counts[p] * counts[s] for p, s in n.elements)
-    return counts[nid]
+    return counts[circuit.root]
 
 
-def multiplicity_report(circuit: Circuit, root: int | None = None) -> ConnectivityReport:
+def multiplicity_report(circuit: Circuit) -> ConnectivityReport:
     """Context counts per node and the singly/multiply connected verdict.
 
     A node's multiplicity is the number of distinct root-to-node element
     paths; the root has multiplicity one.
     """
-    nid = circuit._root(root)
-    cone = circuit.cone(nid)
+    cone = circuit.cone()
     mult = {i: 0 for i in cone}
-    mult[nid] = 1
+    mult[circuit.root] = 1
     for i in reversed(cone):
         m = mult[i]
         if m == 0:
@@ -550,15 +546,15 @@ def multiplicity_report(circuit: Circuit, root: int | None = None) -> Connectivi
     return ConnectivityReport(mult, cls, multi)
 
 
-def topological_order(circuit: Circuit, root: int | None = None) -> list[int]:
+def topological_order(circuit: Circuit) -> list[int]:
     """Node ids with every prime and sub preceding its decision node."""
-    return circuit.cone(root)
+    return circuit.cone()
 
 
-def validate_structure(circuit: Circuit, root: int | None = None) -> None:
+def validate_structure(circuit: Circuit) -> None:
     """Check vtree normalization and id precedence over the root's cone."""
     vtree = circuit.vtree
-    for nid in circuit.cone(root):
+    for nid in circuit.cone():
         node = circuit.nodes[nid]
         if node.kind == DECISION:
             if vtree.is_leaf(node.vtree):
@@ -576,7 +572,6 @@ def validate_structure(circuit: Circuit, root: int | None = None) -> None:
 
 def validate_partitions(
     circuit: Circuit,
-    root: int | None = None,
     exhaustive_limit: int = 16,
     samples: int = 64,
     seed: int = 0,
@@ -595,7 +590,7 @@ def validate_partitions(
     """
     vtree = circuit.vtree
     nodes = circuit.nodes
-    decisions = [nid for nid in circuit.cone(root) if nodes[nid].kind == DECISION]
+    decisions = [nid for nid in circuit.cone() if nodes[nid].kind == DECISION]
     primes_at: dict[int, list[int]] = {}  # vtree node -> primes of its decision nodes
     for nid in decisions:
         primes_at.setdefault(nodes[nid].vtree, []).extend(p for p, _ in nodes[nid].elements)
@@ -645,16 +640,15 @@ def _cases_truth(
     return _truth_bits(nodes, _reach(nodes, primes), var_bits, neg_bits, full)
 
 
-def is_consistent(circuit: Circuit, evidence: Mapping[int, bool], root: int | None = None) -> bool:
+def is_consistent(circuit: Circuit, evidence: Mapping[int, bool]) -> bool:
     """Whether some model of the root extends the partial assignment."""
-    nid = circuit._root(root)
     n = circuit.vtree.var_count
     pos = [1] * (n + 1)
     neg = [1] * (n + 1)
     for var, val in evidence.items():
         if val is not None and 1 <= var <= n:  # no literal reads any other variable
             (neg if val else pos)[var] = 0
-    return bool(_truth_bits(circuit.nodes, circuit.cone(nid), pos, neg, 1)[nid])
+    return bool(_truth_bits(circuit.nodes, circuit.cone(), pos, neg, 1)[circuit.root])
 
 
 _TT = {FALSE: 0b00, TRUE: 0b11}  # bit 1: value at var=true, bit 0: at var=false
@@ -907,7 +901,7 @@ def _tree_copy(circuit: Circuit) -> Circuit:
     nodes = circuit.nodes
     out = Circuit(circuit.vtree)
     copies: list[int] = []  # copied children, element by element, awaiting their parent
-    stack = [(circuit._root(None), False)]
+    stack = [(circuit.root, False)]
     while stack:
         nid, expanded = stack.pop()
         node = nodes[nid]

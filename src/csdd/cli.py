@@ -25,7 +25,6 @@ from .circuit import (
     compile_formula,
     is_consistent,
     model_count,
-    multiplicity_report,
 )
 from .experiment import Metrics, Scenario, run_cell
 from .fixtures import squares_fixture
@@ -121,11 +120,11 @@ def cmd_compile(args) -> int:
     formats.write_sdd(circuit, args.output)
     vtree_out = args.vtree_out or str(Path(args.output).with_suffix(".vtree"))
     formats.write_vtree(vtree, vtree_out)
-    report = multiplicity_report(circuit)
+    cone = circuit.cone()
     payload = {
-        "nodes": len(circuit.cone(None)),
-        "decision_nodes": sum(1 for nid in circuit.cone(None) if circuit.nodes[nid].elements),
-        "classification": report.classification,
+        "nodes": len(cone),
+        "decision_nodes": sum(1 for nid in cone if circuit.nodes[nid].elements),
+        "classification": circuit.connectivity().classification,
         "sdd": str(args.output),
         "vtree": vtree_out,
     }
@@ -173,8 +172,7 @@ def cmd_learn(args) -> int:
 # shared model loading
 
 
-def _load_model(path: str, vtree_path: str):
-    vtree = formats.read_vtree(vtree_path)
+def _load_model(path: str, vtree: Vtree):
     # the header is the file's first token: read up to it, and leave the
     # one full read of the file to read_psdd / read_csdd
     with open(path, encoding="utf-8") as f:
@@ -193,7 +191,7 @@ def _load_model(path: str, vtree_path: str):
 
 
 def cmd_query(args) -> int:
-    circuit, params, kind = _load_model(args.model, args.vtree)
+    circuit, params, kind = _load_model(args.model, formats.read_vtree(args.vtree))
     names = _var_names(circuit.vtree.var_count)
     evidence = _parse_assignment(args.evidence or "", names)
     if not is_consistent(circuit, evidence):
@@ -212,10 +210,12 @@ def cmd_query(args) -> int:
         if len(target) != 1:
             raise CliError("--target must assign exactly one variable")
         (var, val), = target.items()
+        if var in evidence:
+            raise CliError(f"queried variable {var} appears in the evidence")
         if kind == "psdd":
             denom = marginal(circuit, params, evidence)
             if denom <= 0.0:
-                raise CliError("evidence violates circuit constraints")
+                raise CliError("evidence has zero probability under the point table")
             payload["value"] = marginal(circuit, params, {**evidence, var: val}) / denom
         else:
             session = EvidenceSession(circuit, params, evidence)
@@ -250,10 +250,11 @@ def cmd_query(args) -> int:
 
 
 def cmd_robust(args) -> int:
-    circuit, csdd, kind = _load_model(args.csdd, args.vtree)
+    vtree = formats.read_vtree(args.vtree)
+    circuit, csdd, kind = _load_model(args.csdd, vtree)
     if kind != "csdd":
         raise CliError("--csdd must point at a csdd file")
-    pcircuit, psdd, pkind = _load_model(args.psdd, args.vtree)
+    pcircuit, psdd, pkind = _load_model(args.psdd, vtree)
     if pkind != "psdd":
         raise CliError("--psdd must point at a psdd file")
     names = _var_names(circuit.vtree.var_count)

@@ -33,7 +33,7 @@ from .circuit import (
 )
 from .credal import IntervalCredalSet
 from .learn import Dataset
-from .params import CsddParams, PsddParams
+from .params import CsddParams, PsddParams, check_local
 
 __all__ = [
     "ParseError",
@@ -43,8 +43,6 @@ __all__ = [
     "read_csdd", "write_csdd", "loads_csdd", "dumps_csdd",
     "read_dataset", "write_dataset", "loads_dataset", "dumps_dataset",
 ]
-
-SUM_TOL = 1e-9
 
 
 class ParseError(ValueError):
@@ -162,7 +160,7 @@ _MODE_SDD, _MODE_PSDD, _MODE_CSDD = "sdd", "psdd", "csdd"
 
 
 def _node_lines(circuit: Circuit, mode: str, psdd=None, csdd=None) -> list[str]:
-    cone = circuit.cone(None)
+    cone = circuit.cone()
     remap = {nid: i for i, nid in enumerate(cone)}
     lines = [f"{mode} {len(cone)}"]
     for nid in cone:
@@ -311,9 +309,7 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str):
                     )
 
     circuit = Circuit(vtree)
-    point_table: dict[int, tuple[float, ...]] = {}
-    credal_table: dict[int, IntervalCredalSet] = {}
-    pending_decision: dict[int, tuple] = {}
+    pending: dict[int, tuple[int, list[float]]] = {}  # node -> (line, per-state numbers)
     remap: dict[int, int] = {}
     for fid in order:
         rec = raw[fid]
@@ -334,16 +330,9 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str):
                 raise ParseError(lineno, f"leaf {vid} holds variable {vtree.var(vid)}, not {var}")
             nid = circuit.add_true(vid)
             remap[fid] = nid
-            if mode == _MODE_PSDD:
-                theta = numbers[0]
-                if not 0.0 <= theta <= 1.0:
-                    raise ParseError(lineno, f"theta {theta} outside [0, 1]")
-                point_table[nid] = (theta, 1.0 - theta)
-            else:
-                l, u = numbers
-                if not 0.0 <= l <= u <= 1.0:
-                    raise ParseError(lineno, f"invalid interval [{l}, {u}]")
-                credal_table[nid] = IntervalCredalSet((l, 1.0 - u), (u, 1.0 - l))
+            # the states (var true, var false) as a D line lists them:
+            # theta, 1 - theta in a psdd file, l, u, 1 - u, 1 - l in a csdd one
+            pending[nid] = (lineno, numbers + [1.0 - x for x in reversed(numbers)])
         elif tag == "L":
             _, _, vid, lit = rec
             var = abs(lit)
@@ -363,7 +352,7 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str):
                 raise ParseError(lineno, "duplicate decision node (same vtree and elements)")
             remap[fid] = nid
             if mode != _MODE_SDD:
-                pending_decision[nid] = (lineno, mapped, numbers)
+                pending[nid] = (lineno, numbers)
     # add_decision has checked id precedence and vtree normalization node by
     # node, so the partition check is the only whole-circuit structure pass
     root_fid = order[-1]
@@ -374,40 +363,26 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str):
         raise ParseError(raw[root_fid][1], str(exc)) from None
     if mode == _MODE_SDD:
         return circuit
-    # every parameter check of PsddParams/CsddParams.validate, node by node:
-    # _float refused non-finite numbers and TRUE lines were range-checked above
+    # the checks of PsddParams/CsddParams.validate, node by node, plus the
+    # file's own rule for the slots of unsatisfiable nodes
     false = circuit.false_ids()
-    for nid, (lineno, mapped, numbers) in pending_decision.items():
+    point_table: dict[int, tuple[float, ...]] = {}
+    credal_table: dict[int, IntervalCredalSet] = {}
+    for nid, (lineno, numbers) in pending.items():
         if nid in false:
             if any(numbers):
                 raise ParseError(lineno, "unsatisfiable node must carry all-zero parameters")
             continue
-        if mode == _MODE_PSDD:
-            theta = tuple(numbers)
-            try:
-                total = math.fsum(theta)
-            except OverflowError:  # finite entries whose partial sums pass 1e308
-                total = math.inf
-            if not abs(total - 1.0) <= SUM_TOL:
-                raise ParseError(lineno, f"element probabilities sum to {total}")
-            for idx, ((_, s), t) in enumerate(zip(mapped, theta)):
-                if s in false and t != 0.0:
-                    raise ParseError(lineno, f"element {idx} has a false sub but theta={t}")
-                if t < 0.0:
-                    raise ParseError(lineno, f"element {idx} has negative theta")
-            point_table[nid] = theta
-        else:
-            lower = tuple(numbers[0::2])
-            upper = tuple(numbers[1::2])
-            for idx, (l, u) in enumerate(zip(lower, upper)):
-                if not 0.0 <= l <= u <= 1.0:
-                    raise ParseError(lineno, f"element {idx}: invalid interval [{l}, {u}]")
-                if mapped[idx][1] in false and (l, u) != (0.0, 0.0):
-                    raise ParseError(lineno, f"element {idx} has a false sub but bounds [{l}, {u}]")
-            try:
+        try:
+            if mode == _MODE_PSDD:
+                check_local(circuit, nid, numbers)
+                point_table[nid] = tuple(numbers)
+            else:
+                lower, upper = tuple(numbers[0::2]), tuple(numbers[1::2])
+                check_local(circuit, nid, lower, upper)
                 credal_table[nid] = IntervalCredalSet(lower, upper)
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
     if mode == _MODE_PSDD:
         return circuit, PsddParams(point_table)
     return circuit, CsddParams(credal_table)

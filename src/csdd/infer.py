@@ -251,8 +251,7 @@ def _point_pass(
 def marginal(circuit: Circuit, params: PsddParams, evidence: Mapping[int, bool]) -> float:
     """Probability of the (partial) evidence under the point table."""
     _check_evidence(circuit, evidence)
-    root = circuit._root(None)
-    return _point_pass(circuit, params, evidence, circuit.cone(root), {})[root]
+    return _point_pass(circuit, params, evidence, circuit.cone(), {})[circuit.root]
 
 
 def _spine_marginal(
@@ -287,11 +286,10 @@ def map_query(
     and toward the true state of a terminal.  Requires consistent evidence.
     """
     _check_evidence(circuit, evidence)
-    root = circuit._root(None)
-    nodes = circuit.nodes
+    nodes, cone, root = circuit.nodes, circuit.cone(), circuit.root
     values: dict[int, float] = {}
     choice: dict[int, int] = {}
-    for nid in circuit.cone(root):
+    for nid in cone:
         node = nodes[nid]
         if node.kind == FALSE:
             values[nid] = 0.0
@@ -322,7 +320,7 @@ def map_query(
         raise InferenceError("evidence has zero probability under the table")
     assignment = dict(evidence)
     chosen = {root}
-    for nid in reversed(circuit.cone(root)):
+    for nid in reversed(cone):
         if nid not in chosen:
             continue
         node = nodes[nid]
@@ -357,7 +355,7 @@ def _credal_sweep(
     vertices = sweep.vertices
     table = params.table
     opt = _min_fast if sense == MIN else _max_fast
-    for nid in circuit.cone(None):
+    for nid in circuit.cone():
         node = circuit.nodes[nid]
         if node.kind == FALSE:
             values[nid] = 0.0
@@ -397,7 +395,7 @@ def _marginal_bound(
     if trace is not None:
         for nid, point in enumerate(sweep.vertices):
             trace.record(nid, point)
-    return sweep.values[circuit._root(None)]
+    return sweep.values[circuit.root]
 
 
 def lower_marginal(
@@ -440,7 +438,7 @@ def _mark_sweeps(
         if not marked:
             continue
         values = sweep.values
-        for nid in reversed(circuit.cone(None)):
+        for nid in reversed(circuit.cone()):
             if nid not in marked:
                 continue
             trace.record(nid, sweep.vertices[nid])  # None on literals and FALSE
@@ -481,7 +479,7 @@ class EvidenceSession:
         self.circuit = circuit
         self.params = params
         self.evidence = dict(evidence)
-        self.root = circuit._root(None)
+        self.root = circuit.root
         self.low = _credal_sweep(circuit, params, self.evidence, MIN)
         self.up = _credal_sweep(circuit, params, self.evidence, MAX)
         # every sign-test message is at most the upper evidence probability
@@ -493,7 +491,7 @@ class EvidenceSession:
         if (
             circuit is not self.circuit
             or params is not self.params
-            or circuit._root(None) != self.root
+            or circuit.root != self.root
             or dict(evidence) != self.evidence
         ):
             raise InferenceError("session was built for another circuit, table or evidence")
@@ -586,6 +584,8 @@ def conditional_sign(
     lower conditional exceeds ``mu``, with no search and no tolerance.
     ``session`` works as for :func:`lower_conditional`.
     """
+    if not math.isfinite(mu):  # its messages would be NaN, which reads as a zero sign
+        raise InferenceError(f"threshold must be finite, got {mu}")
     session = _session(circuit, params, var, val, evidence, session)
     value = session._sign_test(var, bool(val), mu)
     return (value > session.zero) - (value < -session.zero)
@@ -732,7 +732,7 @@ class _CredalMap:
 def _credal_map(circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> _CredalMap:
     cm = _CredalMap(len(circuit.nodes))
     table = params.table
-    for nid in circuit.cone(None):
+    for nid in circuit.cone():
         node = circuit.nodes[nid]
         if node.kind == FALSE:
             continue
@@ -786,7 +786,7 @@ def _credal_map(circuit: Circuit, params: CsddParams, evidence: Mapping[int, boo
 def credal_map_upper(circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> float:
     """``max over completions x of upper P(x, evidence)``."""
     _check_evidence(circuit, evidence)
-    return _credal_map(circuit, params, evidence).values[circuit._root(None)]
+    return _credal_map(circuit, params, evidence).values[circuit.root]
 
 
 def _mark_map(
@@ -800,7 +800,7 @@ def _mark_map(
     """Record the extreme points that realize the completion bounds at
     ``starts``, marking top-down through every tied element."""
     marked = set(starts)
-    for nid in reversed(circuit.cone(None)):
+    for nid in reversed(circuit.cone()):
         if nid not in marked:
             continue
         node = circuit.nodes[nid]
@@ -828,8 +828,7 @@ def _mark_map(
 def _route(circuit: Circuit, assignment: Mapping[int, bool]) -> tuple[dict[int, int], set[int]]:
     """Realized element index per decision node on the assignment's route,
     and the set of nodes on that route."""
-    root = circuit._root(None)
-    cone = circuit.cone(root)
+    cone, root = circuit.cone(), circuit.root
     pos = {var: 1 if val else 0 for var, val in assignment.items()}
     neg = {var: 1 - bit for var, bit in pos.items()}
     truth = _truth_bits(circuit.nodes, cone, pos, neg, 1)
@@ -878,9 +877,7 @@ def robustness(
     low_xe = _credal_sweep(circuit, params, total, MIN)
     realized, on_route = _route(circuit, total)
     table = params.table
-    nodes = circuit.nodes
-    root = circuit._root(None)
-    cone = circuit.cone(root)
+    nodes, cone, root = circuit.nodes, circuit.cone(), circuit.root
 
     values: dict[int, float] = {}
     reps: dict[int, list[Rep]] = {}
@@ -1045,12 +1042,12 @@ def strong_extension_oracle(
     """
     if circuit.vtree.var_count > ORACLE_VAR_LIMIT:
         raise InferenceError(f"oracle guarded at {ORACLE_VAR_LIMIT} variables")
-    node_ids = circuit.parameterized_ids(None)
-    vertex_lists, _ = _conflict_combos(params, node_ids, cap)
+    ids = circuit.parameterized_ids()
+    vertex_lists, _ = _conflict_combos(params, ids, cap)
     best = None
     better = min if sense == "min" else max
     for combo in product(*vertex_lists):
-        table = PsddParams({nid: v.point for nid, v in zip(node_ids, combo)})
+        table = PsddParams({nid: v.point for nid, v in zip(ids, combo)})
         value = _functional(circuit, table, query)
         best = value if best is None else better(best, value)
     return best
@@ -1083,8 +1080,8 @@ def brute_force_exact(
     raise InferenceError("brute force applies to conditional and robustness queries")
 
 
-def _conflict_combos(params: CsddParams, node_ids: Sequence[int], cap: int):
-    vertex_lists = [enumerate_vertices(params.table[nid]) for nid in node_ids]
+def _conflict_combos(params: CsddParams, ids: Sequence[int], cap: int):
+    vertex_lists = [enumerate_vertices(params.table[nid]) for nid in ids]
     combos = 1
     for lst in vertex_lists:
         combos *= len(lst)

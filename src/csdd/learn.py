@@ -82,11 +82,11 @@ class ContextCounts:
     dropped: int = 0
 
 
-def _feasible_reachable(circuit: Circuit, root: int) -> set[int]:
+def _feasible_reachable(circuit: Circuit) -> set[int]:
     # nodes with at least one context free of false subs
     false = circuit.false_ids()
-    reach = {root}
-    for nid in reversed(circuit.cone(root)):
+    reach = {circuit.root}
+    for nid in reversed(circuit.cone()):
         if nid not in reach:
             continue
         for p, s in circuit.nodes[nid].elements:
@@ -114,19 +114,17 @@ def collect_counts(circuit: Circuit, dataset: Dataset, strict: bool = True) -> C
     the sum of its rows' multiplicities, is read off the bit-planes of
     the multiplicities.
     """
-    root = circuit._root(None)
     if len(dataset.variables) != circuit.vtree.var_count:
         raise LearnError(
             f"dataset has {len(dataset.variables)} variables, circuit {circuit.vtree.var_count}"
         )
     counts: dict[int, list[int]] = {}
     totals: dict[int, int] = {}
-    for nid in circuit.parameterized_ids(root):
+    for nid in circuit.parameterized_ids():
         node = circuit.nodes[nid]
         counts[nid] = [0, 0] if node.kind == TRUE else [0] * len(node.elements)
         totals[nid] = 0
-    nodes = circuit.nodes
-    cone = circuit.cone(root)
+    nodes, cone, root = circuit.nodes, circuit.cone(), circuit.root
     rows = dataset.rows
     full = (1 << len(rows)) - 1
     columns = list(zip(*(values for values, _ in rows))) or [()] * circuit.vtree.var_count
@@ -178,7 +176,7 @@ def ml_estimate(circuit: Circuit, counts: ContextCounts) -> PsddParams:
     Nodes whose contexts are all infeasible (under a false sub) get a
     uniform placeholder; no query can reach them.
     """
-    feasible = _feasible_reachable(circuit, circuit._root(None))
+    feasible = _feasible_reachable(circuit)
     table: dict[int, tuple[float, ...]] = {}
     for nid, vector in counts.counts.items():
         forbidden = _forbidden_states(circuit, nid)

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .circuit import Circuit, TRUE
 from .credal import IntervalCredalSet, _greedy_min_point
 
-__all__ = ["ParamError", "PsddParams", "CsddParams"]
+__all__ = ["ParamError", "PsddParams", "CsddParams", "check_local"]
 
 SUM_TOL = 1e-9
 
@@ -38,31 +38,59 @@ def _forbidden_states(circuit: Circuit, nid: int) -> tuple[bool, ...]:
     return tuple(s in false for _, s in node.elements)
 
 
+def check_local(
+    circuit: Circuit, nid: int, lower: Sequence[float], upper: Sequence[float] | None = None
+) -> None:
+    """Raise :class:`ParamError` unless these are valid local parameters of ``nid``.
+
+    ``lower`` alone is a point pmf: finite, non-negative and summing to one.
+    With ``upper`` each state has the interval ``0 <= lower <= upper <= 1``.
+    A state whose sub is unsatisfiable must be exactly 0 (``[0, 0]``).
+    """
+    node = circuit.nodes[nid]
+    k = 2 if node.kind == TRUE else len(node.elements)
+    if len(lower) != k:
+        raise ParamError(f"node {nid}: expected {k} states, got {len(lower)}")
+    if upper is None:
+        if not all(map(math.isfinite, lower)):
+            raise ParamError(f"node {nid}: probabilities {tuple(lower)} are not all finite")
+        if min(lower) < 0.0:
+            raise ParamError(f"node {nid}: negative probability")
+        try:
+            total = math.fsum(lower)
+        except OverflowError:  # finite entries whose partial sums pass 1e308
+            total = math.inf
+        if not abs(total - 1.0) <= SUM_TOL:
+            raise ParamError(f"node {nid}: probabilities sum to {total}")
+        upper = lower
+    else:
+        for i, (l, u) in enumerate(zip(lower, upper)):
+            if not 0.0 <= l <= u <= 1.0:
+                raise ParamError(f"node {nid}: state {i}: invalid interval [{l}, {u}]")
+    false = circuit.false_ids()
+    for i, (_, s) in enumerate(node.elements):  # a TRUE terminal has no sub
+        if upper[i] != 0.0 and s in false:  # every entry is non-negative by now
+            raise ParamError(f"node {nid}: state {i} has a false sub but probability up to {upper[i]}")
+
+
+def _wanted(circuit: Circuit, table: Mapping) -> list[int]:
+    """The nodes a table must parameterize, once it is known to cover them."""
+    wanted = circuit.parameterized_ids()
+    missing = [nid for nid in wanted if nid not in table]
+    if missing:
+        raise ParamError(f"missing parameters for nodes {missing}")
+    return wanted
+
+
 @dataclass
 class PsddParams:
     """Point parameter table: ``table[node id] -> pmf tuple``."""
 
     table: dict[int, tuple[float, ...]]
 
-    def validate(self, circuit: Circuit, root: int | None = None) -> None:
-        wanted = circuit.parameterized_ids(root)
-        missing = [nid for nid in wanted if nid not in self.table]
-        if missing:
-            raise ParamError(f"missing parameters for nodes {missing}")
-        for nid in wanted:
-            pmf = self.table[nid]
-            forbidden = _forbidden_states(circuit, nid)
-            if len(pmf) != len(forbidden):
-                raise ParamError(f"node {nid}: expected {len(forbidden)} states, got {len(pmf)}")
-            if not all(math.isfinite(p) for p in pmf):
-                raise ParamError(f"node {nid}: probabilities {pmf} are not all finite")
-            if any(p < 0 for p in pmf):
-                raise ParamError(f"node {nid}: negative probability")
-            if abs(math.fsum(pmf) - 1.0) > SUM_TOL:
-                raise ParamError(f"node {nid}: probabilities sum to {math.fsum(pmf)}")
-            for i, (p, bad) in enumerate(zip(pmf, forbidden)):
-                if bad and p != 0.0:
-                    raise ParamError(f"node {nid}: state {i} has a false sub but theta={p}")
+    def validate(self, circuit: Circuit) -> None:
+        for nid in _wanted(circuit, self.table):
+            check_local(circuit, nid, self.table[nid])
 
 
 @dataclass
@@ -71,20 +99,9 @@ class CsddParams:
 
     table: dict[int, IntervalCredalSet]
 
-    def validate(self, circuit: Circuit, root: int | None = None) -> None:
-        wanted = circuit.parameterized_ids(root)
-        missing = [nid for nid in wanted if nid not in self.table]
-        if missing:
-            raise ParamError(f"missing credal sets for nodes {missing}")
-        for nid in wanted:
-            cs = self.table[nid]
-            forbidden = _forbidden_states(circuit, nid)
-            if cs.k != len(forbidden):
-                raise ParamError(f"node {nid}: expected {len(forbidden)} states, got {cs.k}")
-            for i, bad in enumerate(forbidden):
-                if bad and (cs.lower[i] != 0.0 or cs.upper[i] != 0.0):
-                    raise ParamError(f"node {nid}: state {i} has a false sub but bounds "
-                                     f"[{cs.lower[i]}, {cs.upper[i]}]")
+    def validate(self, circuit: Circuit) -> None:
+        for nid in _wanted(circuit, self.table):
+            check_local(circuit, nid, self.table[nid].lower, self.table[nid].upper)
 
     @classmethod
     def degenerate(cls, params: PsddParams) -> "CsddParams":

@@ -184,7 +184,7 @@ def brute_joint(circuit: Circuit, params: PsddParams, assignment: dict[int, bool
                 return vp * walk(s) * t
         return total
 
-    return walk(circuit._root(None))
+    return walk(circuit.root)
 
 
 def brute_marginal(circuit: Circuit, params: PsddParams, evidence: dict[int, bool]) -> float:
@@ -218,16 +218,16 @@ def route_counts(circuit: Circuit, dataset, strict: bool = True):
     walk from the root into the first element whose prime holds."""
     from csdd.learn import ContextCounts, LearnError
 
-    root = circuit._root(None)
+    root = circuit.root
     counts: dict[int, list[int]] = {}
     totals: dict[int, int] = {}
-    for nid in circuit.parameterized_ids(root):
+    for nid in circuit.parameterized_ids():
         node = circuit.nodes[nid]
         counts[nid] = [0, 0] if node.kind == TRUE else [0] * len(node.elements)
         totals[nid] = 0
     dropped = 0
     nodes = circuit.nodes
-    cone = circuit.cone(root)
+    cone = circuit.cone()
     truth = [False] * (max(cone) + 1)
     for assignment, count in dataset.assignments():
         for nid in cone:
@@ -331,7 +331,6 @@ def mark_map_walk(trace, circuit: Circuit, params: CsddParams, cm, evidence, sta
 
 def check_partitions(
     circuit: Circuit,
-    root: int | None = None,
     exhaustive_limit: int = 16,
     samples: int = 64,
     seed: int = 0,
@@ -339,7 +338,7 @@ def check_partitions(
     """``validate_partitions`` one case and one prime at a time, by ``evaluate``."""
     vtree = circuit.vtree
     rng = Random(seed)
-    for nid in circuit.cone(root):
+    for nid in circuit.cone():
         node = circuit.nodes[nid]
         if node.kind != DECISION:
             continue

@@ -176,7 +176,64 @@ class TestConnectivity:
         assert multiplicity_report(c).singly_connected
 
 
+def _shared_3cnf() -> Circuit:
+    rng = Random(8)
+    clauses = [
+        disj(Var(v) if rng.random() < 0.5 else Not(Var(v)) for v in rng.sample(range(1, 9), 3))
+        for _ in range(12)
+    ]
+    return compile_formula(conj(clauses), Vtree.balanced(8))
+
+
+def _root_facts(circuit: Circuit, ids=None):
+    """Everything the circuit derives from its root, with node ``i``
+    renamed ``ids[i]``."""
+    name = (lambda i: i) if ids is None else ids.__getitem__
+    return (
+        [name(i) for i in circuit.cone()],
+        {name(i) for i in circuit.false_ids()},
+        [name(i) for i in circuit.parameterized_ids()],
+        {name(i): m for i, m in circuit.connectivity().multiplicity.items()},
+        model_count(circuit),
+        {v: [name(i) for i in circuit.spine(v)] for v in range(1, circuit.vtree.var_count + 1)},
+    )
+
+
 class TestRootCaches:
+    @pytest.mark.parametrize("make", [
+        lambda: squares_fixture().circuit,
+        lambda: shared_node_fixture().circuit,
+        _shared_3cnf,
+    ], ids=["squares", "shared-node", "3cnf"])
+    def test_set_root_never_leaves_a_stale_fact(self, make):
+        circuit = make()
+        top = circuit.root
+        below = max(
+            (nid for nid in circuit.cone() if circuit.nodes[nid].elements and nid != top),
+            key=lambda nid: len(circuit.extract(nid)),
+        )
+        for nid in (top, below, top):
+            circuit.set_root(nid)
+            # extract numbers the node's cone densely in ascending id order
+            seen, stack = {nid}, [nid]
+            while stack:
+                for child in (c for e in circuit.nodes[stack.pop()].elements for c in e):
+                    if child not in seen:
+                        seen.add(child)
+                        stack.append(child)
+            order = sorted(seen)
+            fresh = circuit.extract(nid)
+            assert len(fresh) == len(order)
+            assert _root_facts(circuit) == _root_facts(fresh, order)
+
+    def test_unknown_root_refused(self):
+        c = squares_fixture().circuit
+        for bad in (len(c), -1):
+            with pytest.raises(CircuitError):
+                c.set_root(bad)
+            with pytest.raises(CircuitError):
+                c.extract(bad)
+
     def test_set_root_resets_false_ids(self):
         vt = Vtree((1, 2))
         c = Circuit(vt)
@@ -192,7 +249,8 @@ class TestRootCaches:
         c.set_root(sat)
         assert c.false_ids() == frozenset()
         c.set_root(unsat)
-        assert c.false_ids() == c.false_ids(unsat)
+        # the extracted copy numbers the cone densely, in cone order
+        assert c.false_ids() == {c.cone()[i] for i in c.extract(unsat).false_ids()}
         assert unsat in c.false_ids()
 
     @pytest.mark.parametrize("singly", [True, False])
@@ -213,10 +271,12 @@ class TestRootCaches:
         below = c.nodes[top].elements[0][0]
         whole = c.spine(1)
         c.set_root(below)
-        assert c.spine(1) == [nid for nid in c.cone(below) if nid in whole]
+        assert c.spine(1) == [nid for nid in c.cone() if nid in whole]
         assert top not in c.spine(1)
         c.set_root(top)
-        assert c.spine(1) is whole
+        # set_root clears the spines: rebuilt equal, then cached
+        assert c.spine(1) == whole
+        assert c.spine(1) is c.spine(1)
 
 
 class TestTopologicalOrder:
@@ -246,14 +306,14 @@ class TestApply:
         vt = Vtree(1)
         b = CircuitBuilder(vt)
         nid = b.apply(b.literal(1, True), b.literal(1, False), "and")
-        assert model_count(b.circuit, nid) == 0
+        assert model_count(b.finish(nid)) == 0
 
     def test_excluded_middle_is_true(self):
         vt = Vtree((1, 2))
         b = CircuitBuilder(vt)
         nid = b.apply(b.literal(1, True), b.literal(1, False), "or")
         nid = b.lift(nid, vt.root)
-        assert model_count(b.circuit, nid) == 4
+        assert model_count(b.finish(nid)) == 4
 
     def test_apply_soundness_on_random_formulas(self):
         rng = Random(11)
@@ -562,8 +622,9 @@ class TestFalseIds:
             circuit = random_circuit(rng, rng.randint(3, 6), singly=singly)
             root_false = circuit.false_ids()
             for nid in range(len(circuit)):
-                unsat = model_count(circuit, nid) == 0
-                assert (nid in circuit.false_ids(nid)) == unsat
+                circuit.set_root(nid)
+                unsat = model_count(circuit) == 0
+                assert (nid in circuit.false_ids()) == unsat
                 assert (nid in root_false) == unsat
 
 

@@ -238,6 +238,35 @@ class TestQuery:
         assert code != 0
         assert "violates circuit constraints" in err
 
+    @pytest.mark.parametrize("mode", ["ml", "idm"])
+    def test_conditional_target_in_evidence_fails(self, capsys, workdir, mode):
+        model = _write_squares_model(capsys, workdir, mode)
+        code, out, err = run(
+            capsys,
+            "query", "--model", model, "--vtree", "squares.vtree",
+            "--type", "conditional", "--evidence", "X1=1,X3=0", "--target", "X1=0",
+        )
+        assert code == 1 and out == ""
+        assert "queried variable 1 appears in the evidence" in err
+
+    def test_point_conditional_on_zero_probability_evidence_fails(self, capsys, workdir):
+        # both top pixels white is a model of the circuit, but the root gives it no mass
+        from csdd.fixtures import squares_fixture
+        from csdd.learn import bayes_estimate, collect_counts
+
+        fx = squares_fixture()
+        params = bayes_estimate(fx.circuit, collect_counts(fx.circuit, squares_dataset()), 1.0)
+        params.table[fx.root] = (0.0, 0.5, 0.5)
+        formats.write_vtree(fx.circuit.vtree, workdir / "squares.vtree")
+        formats.write_psdd(fx.circuit, params, workdir / "zero.psdd")
+        code, out, err = run(
+            capsys,
+            "query", "--model", "zero.psdd", "--vtree", "squares.vtree",
+            "--type", "conditional", "--evidence", "X1=0,X2=0", "--target", "X3=1",
+        )
+        assert code == 1 and out == ""
+        assert "evidence has zero probability under the point table" in err
+
     def test_unknown_variable_fails(self, capsys, workdir):
         model = _write_squares_model(capsys, workdir, "idm")
         code, _, err = run(

@@ -159,6 +159,13 @@ class TestConditional:
         evidence = {2: False, 3: False, 4: True}
         assert conditional_sign(squares.circuit, squares_idm, 1.0, 1, True, evidence) <= 0
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_threshold_rejected(self, squares, squares_idm, mu):
+        # the messages would be NaN and read as a zero sign, though every
+        # lower probability exceeds -inf
+        with pytest.raises(InferenceError, match="threshold"):
+            conditional_sign(squares.circuit, squares_idm, mu, 1, True, {3: False, 4: True})
+
     def test_degenerate_equals_point_conditional(self, squares, squares_ml):
         cparams = CsddParams.degenerate(squares_ml)
         evidence = {3: False, 4: True}
@@ -633,7 +640,7 @@ def _oracle_strict_ratio(circuit, params, evidence, xstar):
     """max over completions other than xstar, over extreme tables, of the ratio."""
     from csdd.credal import enumerate_vertices
 
-    node_ids = circuit.parameterized_ids(None)
+    node_ids = circuit.parameterized_ids()
     best = 0.0
     free = [v for v in range(1, circuit.vtree.var_count + 1) if v not in evidence]
     for combo in product(*(enumerate_vertices(params.table[nid]) for nid in node_ids)):

@@ -9,7 +9,8 @@ from csdd import formats
 from csdd.circuit import Vtree, enumerate_models, model_count
 from csdd.fixtures import squares_dataset, squares_vtree
 from csdd.formats import ParseError
-from csdd.learn import Dataset, collect_counts, bayes_estimate
+from csdd.learn import Dataset, bayes_estimate, collect_counts, idm_estimate
+from csdd.params import ParamError, PsddParams
 
 from conftest import random_circuit, random_csdd_params, random_psdd_params, random_vtree
 
@@ -174,6 +175,32 @@ class TestParameterFormats:
         with pytest.raises(ParseError, match="sum to inf") as err:
             formats.loads_psdd(broken, squares.circuit.vtree)
         assert err.value.line == len(lines)
+
+    def test_point_table_too_large_to_sum_refused_before_writing(self, squares, squares_ml):
+        # the writer and the loader refuse it alike, not with an OverflowError
+        table = dict(squares_ml.table)
+        table[squares.root] = (1e308, 1e308, 0.0)
+        with pytest.raises(ParamError, match="sum to inf"):
+            PsddParams(table).validate(squares.circuit)
+        with pytest.raises(ParamError, match="sum to inf"):
+            formats.dumps_psdd(squares.circuit, PsddParams(table))
+
+    @pytest.mark.parametrize("mode, numbers, match", [
+        ("psdd", ["1.5"], "negative probability"),
+        ("csdd", ["0.6", "0.4"], "invalid interval"),
+    ])
+    def test_bad_true_line_names_the_line(self, squares, squares_counts, mode, numbers, match):
+        estimate, dumps, loads = {
+            "psdd": (bayes_estimate, formats.dumps_psdd, formats.loads_psdd),
+            "csdd": (idm_estimate, formats.dumps_csdd, formats.loads_csdd),
+        }[mode]
+        lines = dumps(squares.circuit, estimate(squares.circuit, squares_counts, 1.0)).splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("T "))
+        toks = lines[lineno - 1].split()  # T <id> <vtree> <var> <numbers>
+        lines[lineno - 1] = " ".join(toks[:4] + numbers)
+        with pytest.raises(ParseError, match=match) as err:
+            loads("\n".join(lines) + "\n", squares.circuit.vtree)
+        assert err.value.line == lineno
 
     def test_nonfinite_interval_rejected(self, squares, squares_idm):
         text = formats.dumps_csdd(squares.circuit, squares_idm)
