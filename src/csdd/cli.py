@@ -15,7 +15,9 @@ import functools
 import json
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import formats
@@ -109,9 +111,8 @@ def cmd_compile(args) -> int:
         elif not args.auto:
             raise CliError("need --vtree <file> or --auto")
         formula = parse_formula(Path(args.formula).read_text(encoding="utf-8"))
-        if args.auto:
-            top = max(formula.variables(), default=1)
-            vtree = Vtree.balanced(top)
+        if args.auto:  # the parser refuses --auto together with --vtree
+            vtree = Vtree.balanced(max(formula.variables(), default=1))
         circuit = compile_formula(formula, vtree)
 
     count = model_count(circuit)
@@ -282,9 +283,10 @@ def cmd_robust(args) -> int:
 # experiment
 
 
-def _run_cell_payload(scenario: Scenario) -> list:
-    metrics = run_cell(scenario)
-    return [scenario.train_size, scenario.p_f, scenario.seed] + metrics.as_row()
+def _run_cell_payload(scenario: Scenario) -> tuple[list, float]:
+    start = time.perf_counter()
+    row = [scenario.train_size, scenario.p_f, scenario.seed] + run_cell(scenario).as_row()
+    return row, time.perf_counter() - start
 
 
 def cmd_experiment(args) -> int:
@@ -300,12 +302,12 @@ def cmd_experiment(args) -> int:
     ]
     workers = int(os.environ.get("CSDD_THREADS", "0")) or None
     rows = []
-    if workers == 1 or len(cells) == 1:
-        for cell in cells:
-            rows.append(_run_cell_payload(cell))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_cell_payload, cells))
+    with ExitStack() as stack:
+        serial = workers == 1 or len(cells) == 1
+        run = map if serial else stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for i, (cell, (row, seconds)) in enumerate(zip(cells, run(_run_cell_payload, cells)), 1):
+            rows.append(row)
+            _log(f"cell {i}/{len(cells)} d={cell.train_size} pf={cell.p_f} seed={cell.seed} {seconds:.2f}s")
     header = ["d", "pf", "seed"] + list(Metrics.FIELDS)
     lines = [",".join(header)]
     for row in rows:
@@ -336,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula", help="s-expression formula file")
     group.add_argument("--fixture", choices=["squares", "seven-segment"])
-    p.add_argument("--vtree", help="vtree file to normalize for")
-    p.add_argument("--auto", action="store_true", help="build a balanced vtree")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--vtree", help="vtree file to normalize for")
+    group.add_argument("--auto", action="store_true", help="build a balanced vtree")
     p.add_argument("--vtree-out", help="where to write the vtree (default: alongside the sdd)")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_compile)

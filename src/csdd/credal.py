@@ -4,7 +4,8 @@ A credal set here is the polytope of probability mass functions
 ``{p : lower <= p <= upper, sum(p) = 1}``.  Sets are kept *reachable*
 (every endpoint attainable by some member), which lets every local linear
 program close in O(k log k) with a greedy mass allocation instead of a
-general LP solver.  Vertices of the polytope have at most one coordinate
+general LP solver; one- and two-state sets close in O(1) by the same
+float operations.  Vertices of the polytope have at most one coordinate
 strictly between its bounds; they are enumerated in a deterministic order
 so optimizers can be compared by index.
 """
@@ -110,12 +111,34 @@ def normalize_reachable(lower: Sequence[float], upper: Sequence[float]) -> Inter
 
 
 def _greedy_min_point(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, ...]:
-    # start at the lower bounds, hand the remaining mass to the cheapest states
-    theta = list(cs.lower)
+    # start at the lower bounds, hand the remaining mass to the cheapest states.
+    # Bit-identity contract: the two-state and one-state forms are the loop
+    # unrolled, the same float operations in the same order, so every caller
+    # gets the point the loop would give, to the sign of zero.
+    lower, upper = cs.lower, cs.upper
+    if len(lower) == 2:
+        swap = coeffs[1] < coeffs[0]  # sorted() visits state 0 first on a tie
+        (ta, tb), (ua, ub) = (lower[::-1], upper[::-1]) if swap else (lower, upper)
+        remaining = 1.0 - (ta + tb)
+        room = ua - ta
+        if remaining > 0 and room > 0:
+            add = room if room < remaining else remaining
+            ta += add
+            remaining -= add
+        if remaining > (EQ_TOL if room > 0 else 0.0):  # the loop breaks only after an add
+            room = ub - tb
+            if room > 0:
+                tb += room if room < remaining else remaining
+        return (tb, ta) if swap else (ta, tb)
+    if len(lower) == 1:
+        (l,), (u,) = lower, upper
+        remaining, room = 1.0 - l, u - l
+        return (l + (room if room < remaining else remaining),) if remaining > 0 and room > 0 else lower
+    theta = list(lower)
     remaining = 1.0 - math.fsum(theta)
     if remaining > 0:
         for i in sorted(range(cs.k), key=coeffs.__getitem__):
-            room = cs.upper[i] - theta[i]
+            room = upper[i] - theta[i]
             if room <= 0:
                 continue
             add = room if room < remaining else remaining
@@ -149,12 +172,20 @@ def _solve(cs: IntervalCredalSet, coeffs: Sequence[float], fast) -> tuple[float,
 
 def _min_fast(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, tuple[float, ...]]:
     # hot-path variant: optimizer as a bare point, no enumeration index
-    point = _greedy_min_point(cs, coeffs)
-    return math.fsum(c * t for c, t in zip(coeffs, point)), point
+    return _with_value(coeffs, _greedy_min_point(cs, coeffs))
 
 
 def _max_fast(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, tuple[float, ...]]:
-    point = _greedy_min_point(cs, tuple(-c for c in coeffs))
+    return _with_value(coeffs, _greedy_min_point(cs, [-c for c in coeffs]))
+
+
+def _with_value(coeffs: Sequence[float], point: tuple[float, ...]) -> tuple[float, tuple[float, ...]]:
+    # fsum rounds a finite two-term sum as one addition does, and "+ 0.0" gives
+    # its +0.0 for a zero sum; fsum keeps the rest, raising on overflow or inf - inf
+    if len(point) <= 2:
+        value = coeffs[0] * point[0] + (coeffs[1] * point[1] if len(point) == 2 else 0.0) + 0.0
+        if value - value == 0.0:
+            return value, point
     return math.fsum(c * t for c, t in zip(coeffs, point)), point
 
 

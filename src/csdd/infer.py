@@ -241,6 +241,12 @@ def _point_pass(
             theta = params.table.get(nid)
             if theta is None:  # unsatisfiable decision node, no distribution
                 values[nid] = 0.0
+            elif len(theta) == 2:
+                # two products of probabilities: fsum rounds them as one
+                # addition does, and "+ 0.0" gives its +0.0 for a zero sum
+                (p0, s0), (p1, s1) = node.elements
+                a, b = values[p0] * values[s0] * theta[0], values[p1] * values[s1] * theta[1]
+                values[nid] = a + b + 0.0
             else:
                 values[nid] = math.fsum(
                     values[p] * values[s] * t for (p, s), t in zip(node.elements, theta)

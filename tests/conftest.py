@@ -6,11 +6,14 @@ assignment through the circuit and multiplying local parameters, and
 marginals/completions from exhaustive enumeration over those joints.
 The scalar references route or evaluate one row at a time, for the
 bit-parallel passes to be compared against, and mark top-down one start
-at a time, for the single-scan markers in ``csdd.infer``.
+at a time, for the single-scan markers in ``csdd.infer``.  The generic
+greedy local LP and an all-``fsum`` point pass are kept for the one- and
+two-state closed forms to be compared against bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product
 from random import Random
 
@@ -263,6 +266,51 @@ def route_counts(circuit: Circuit, dataset, strict: bool = True):
                 else:
                     raise LearnError(f"no prime of node {nid} matched a consistent row")
     return ContextCounts(counts, totals, dropped)
+
+
+def greedy_reference(cs: IntervalCredalSet, coeffs, maximize: bool = False):
+    """``credal._min_fast``/``_max_fast`` by the generic greedy for every k:
+    a stable sort of the states by cost, a mass loop, and ``math.fsum`` for
+    the value.  Returns ``(value, point)``."""
+    from csdd.credal import EQ_TOL
+
+    keys = [-c for c in coeffs] if maximize else list(coeffs)
+    theta = list(cs.lower)
+    remaining = 1.0 - math.fsum(theta)
+    if remaining > 0:
+        for i in sorted(range(cs.k), key=keys.__getitem__):
+            room = cs.upper[i] - theta[i]
+            if room <= 0:
+                continue
+            add = room if room < remaining else remaining
+            theta[i] += add
+            remaining -= add
+            if remaining <= EQ_TOL:
+                break
+    return math.fsum(c * t for c, t in zip(coeffs, theta)), tuple(theta)
+
+
+def point_pass_reference(circuit: Circuit, params: PsddParams, evidence) -> float:
+    """``infer.marginal`` with ``math.fsum`` at every decision node."""
+    values: dict[int, float] = {}
+    for nid in circuit.cone():
+        node = circuit.nodes[nid]
+        val = evidence.get(node.var)
+        if node.kind == FALSE:
+            values[nid] = 0.0
+        elif node.kind == LITERAL:
+            values[nid] = 1.0 if val is None or val == node.polarity else 0.0
+        elif node.kind == TRUE:
+            pmf = params.table[nid]
+            values[nid] = 1.0 if val is None else (pmf[0] if val else pmf[1])
+        elif nid not in params.table:
+            values[nid] = 0.0
+        else:
+            values[nid] = math.fsum(
+                values[p] * values[s] * t
+                for (p, s), t in zip(node.elements, params.table[nid])
+            )
+    return values[circuit.root]
 
 
 def mark_sweep_walk(trace, circuit: Circuit, start: int, low, up, sense: int) -> None:

@@ -2,10 +2,12 @@
 
 import json
 import math
+import re
 
 import pytest
 
 from csdd import formats
+from csdd.circuit import Vtree
 from csdd.cli import main
 from csdd.fixtures import squares_dataset
 from csdd.schemas import SCHEMAS, check
@@ -67,6 +69,17 @@ class TestCompile:
         assert code == 0
         assert json.loads(out)["models"] == 0
         assert "unsatisfiable" in err
+
+    def test_vtree_with_auto_is_a_usage_error(self, capsys, workdir):
+        # --auto would replace the given vtree with a balanced one
+        (workdir / "f.sexp").write_text("(and x1 (or x2 x3))\n")
+        formats.write_vtree(Vtree((1, (2, 3))), workdir / "rl.vtree")
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "--formula", "f.sexp", "--vtree", "rl.vtree", "--auto",
+                  "-o", "f.sdd", "--vtree-out", "out.vtree"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not (workdir / "out.vtree").exists()
 
     def test_missing_vtree_fails(self, capsys, workdir):
         (workdir / "f.sexp").write_text("x1\n")
@@ -342,3 +355,20 @@ class TestExperiment:
         run_json(capsys, "experiment", "--d", "10", "--pf", "0.3", "--seeds", "1",
                  "--test-size", "20", "--seed", "9", "-o", "b.csv")
         assert (workdir / "a.csv").read_text() == (workdir / "b.csv").read_text()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_one_progress_line_per_cell(self, capsys, workdir, monkeypatch, threads):
+        monkeypatch.setenv("CSDD_THREADS", threads)
+        argv = ["experiment", "--d", "10", "--pf", "0.2,0.3", "--seeds", "2",
+                "--test-size", "5", "--seed", "4", "-o", f"grid{threads}.csv"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        lines = err.splitlines()
+        cells = [(pf, 4 + i) for pf in ("0.2", "0.3") for i in range(2)]
+        assert len(lines) == len(cells)
+        for index, (line, (pf, seed)) in enumerate(zip(lines, cells), 1):
+            assert re.fullmatch(rf"cell {index}/4 d=10 pf={pf} seed={seed} \d+\.\d\ds", line), line
+        # progress goes to stderr only: the csv and the json match a serial run
+        monkeypatch.setenv("CSDD_THREADS", "1")
+        assert run(capsys, *argv[:-1], "serial.csv")[1] == out.replace(f"grid{threads}.csv", "serial.csv")
+        assert (workdir / f"grid{threads}.csv").read_text() == (workdir / "serial.csv").read_text()

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -11,12 +12,17 @@ from hypothesis import strategies as st
 from csdd.credal import (
     CredalSetError,
     IntervalCredalSet,
+    _max_fast,
+    _min_fast,
     enumerate_vertices,
     max_ratio,
     maximize_linear,
     minimize_linear,
     normalize_reachable,
 )
+from csdd.params import CsddParams
+
+from conftest import greedy_reference
 
 EXAMPLE_ROOT = IntervalCredalSet(
     (31 / 101, 52 / 101, 17 / 101), (32 / 101, 53 / 101, 18 / 101)
@@ -136,6 +142,93 @@ class TestLinearPrograms:
             coeffs = tuple(rng.uniform(-1, 1) for _ in range(3))
             assert minimize_linear(wider, coeffs)[0] <= minimize_linear(cs, coeffs)[0] + 1e-12
             assert maximize_linear(wider, coeffs)[0] >= maximize_linear(cs, coeffs)[0] - 1e-12
+
+
+def _outcome(fn, *args):
+    """``repr`` of a (value, point) result, so the sign of zero counts, or the
+    type of the exception raised."""
+    try:
+        value, point = fn(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+    return repr((value, tuple(point.point if hasattr(point, "point") else point)))
+
+
+def _slack_set(rng: Random, k: int) -> IntervalCredalSet:
+    """A reachable set whose free mass is near ``EQ_TOL``, where the greedy
+    loop's stopping rule decides the point."""
+    weights = [rng.uniform(0.05, 1.0) for _ in range(k)]
+    point = [w / sum(weights) for w in weights]
+    scale = 10.0 ** rng.uniform(-14, -9)
+    lower = [max(0.0, p - rng.choice((0.0, scale * rng.random()))) for p in point]
+    upper = [min(1.0, p + rng.choice((0.0, scale * rng.random()))) for p in point]
+    return normalize_reachable(lower, upper)
+
+
+# coefficients as sign tests and sweeps produce them: zeros of both signs
+# (a sign test at mu = 0 multiplies -0.0), negatives and ties
+EDGE_COEFFS = (0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 3.0)
+
+
+class TestClosedForm:
+    """The one- and two-state local LPs give the generic greedy's value and
+    point bit for bit, in both senses."""
+
+    @staticmethod
+    def _check(cs, coeffs):
+        coeffs = tuple(coeffs)
+        for maximize, fast, public in (
+            (False, _min_fast, minimize_linear),
+            (True, _max_fast, maximize_linear),
+        ):
+            want = _outcome(greedy_reference, cs, coeffs, maximize)
+            assert _outcome(fast, cs, coeffs) == want, (cs, coeffs, maximize)
+            assert _outcome(fast, cs, list(coeffs)) == want, (cs, coeffs, maximize)
+            assert _outcome(public, cs, coeffs) == want, (cs, coeffs, maximize)
+
+    def test_random_sets(self):
+        rng = Random(1101)
+        for _ in range(3000):
+            k = rng.choice((1, 2))
+            cs = random_reachable(rng, k) if rng.random() < 0.5 else _slack_set(rng, k)
+            pick = rng.random()
+            if pick < 0.3:
+                coeffs = [rng.choice(EDGE_COEFFS) for _ in range(k)]
+            elif pick < 0.4:
+                coeffs = [rng.uniform(-2, 2)] * k
+            else:
+                coeffs = [rng.uniform(-2, 2) for _ in range(k)]
+            self._check(cs, coeffs)
+
+    def test_edge_sets(self):
+        sets = [
+            IntervalCredalSet.point((0.25, 0.75)),
+            IntervalCredalSet.point((-0.0, 1.0)),  # a psdd file may hold -0.0
+            IntervalCredalSet.point((1.0,)),
+            IntervalCredalSet((1.0, 0.0), (1.0, 0.0)),  # a [0, 0] forbidden state
+            IntervalCredalSet((0.0, 1.0), (0.0, 1.0)),
+            IntervalCredalSet((0.0, 0.0), (1.0, 1.0)),  # vacuous
+            IntervalCredalSet((0.2, 0.3), (0.7, 0.8)),
+            IntervalCredalSet((0.3, 0.7 - 5e-13), (0.3, 0.7)),  # point state visited first
+            IntervalCredalSet((0.3 - 4e-13, 0.7 - 4e-13), (0.3, 0.7)),
+            IntervalCredalSet((1.0 - 5e-10,), (1.0,)),
+            IntervalCredalSet((1.0 - 5e-10,), (1.0 + 5e-10,)),
+            IntervalCredalSet((1.0,), (1.0 + 5e-10,)),
+        ]
+        special = EDGE_COEFFS + (math.inf, -math.inf, math.nan, 1e308, -1e308)
+        for cs in sets:
+            for coeffs in product(special, repeat=cs.k):
+                self._check(cs, coeffs)
+
+    def test_select_centres(self):
+        rng = Random(1102)
+        sets = [random_reachable(rng, rng.randint(1, 4)) for _ in range(200)]
+        sets += [_slack_set(rng, rng.randint(1, 3)) for _ in range(200)]
+        sets += [IntervalCredalSet((0.0, 0.0), (1.0, 1.0)), IntervalCredalSet.point((-0.0, 1.0))]
+        table = CsddParams(dict(enumerate(sets))).select({}).table
+        for nid, cs in enumerate(sets):
+            _, want = greedy_reference(cs, (0.0,) * cs.k)
+            assert repr(table[nid]) == repr(want)
 
 
 class TestVertices:

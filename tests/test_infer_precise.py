@@ -1,12 +1,14 @@
 """Point-table queries: probability of evidence and most probable completion."""
 
+from itertools import product
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdd.circuit import Vtree, Circuit
+from csdd.circuit import TRUE, Vtree, Circuit
+from csdd.formats import dumps_psdd, loads_psdd
 from csdd.infer import (
     InferenceError,
     _point_pass,
@@ -17,7 +19,14 @@ from csdd.infer import (
 )
 from csdd.params import PsddParams
 
-from conftest import brute_joint, brute_map, brute_marginal, random_circuit, random_psdd_params
+from conftest import (
+    brute_joint,
+    brute_map,
+    brute_marginal,
+    point_pass_reference,
+    random_circuit,
+    random_psdd_params,
+)
 
 
 class TestMarginal:
@@ -67,6 +76,60 @@ class TestMarginal:
     def test_unknown_variable_rejected(self, squares, squares_ml):
         with pytest.raises(InferenceError):
             marginal(squares.circuit, squares_ml, {9: True})
+
+
+def _with_negative_zeros(rng: Random, circuit: Circuit, params: PsddParams) -> PsddParams:
+    """Some TRUE terminals pinned to a state, the other written as -0.0, and
+    the table read back through the psdd loader."""
+    table = dict(params.table)
+    for nid, pmf in table.items():
+        if circuit.nodes[nid].kind == TRUE and rng.random() < 0.5:
+            table[nid] = (-0.0, 1.0) if rng.random() < 0.5 else (1.0, -0.0)
+    _, loaded = loads_psdd(dumps_psdd(circuit, PsddParams(table)), circuit.vtree)
+    return loaded
+
+
+class TestPointPassBitIdentity:
+    """The two-element decision sum gives the ``fsum`` pass's value bit for
+    bit, to the sign of zero."""
+
+    def _check(self, circuit, params):
+        n = circuit.vtree.var_count
+        for row in product((None, True, False), repeat=n):
+            evidence = {v: val for v, val in enumerate(row, 1) if val is not None}
+            want = repr(point_pass_reference(circuit, params, evidence))
+            assert repr(marginal(circuit, params, evidence)) == want, evidence
+            values = _point_pass(circuit, params, evidence, circuit.cone(), {})
+            for var in range(1, n + 1):
+                if var in evidence:
+                    continue
+                for val in (True, False):
+                    got = _spine_marginal(circuit, params, evidence, values, var, val)
+                    want = repr(point_pass_reference(circuit, params, {**evidence, var: val}))
+                    assert repr(got) == want, (evidence, var, val)
+
+    def test_negative_zero_table(self):
+        # both subs read -0.0 under X2 = 1: fsum returns +0.0, a bare sum -0.0
+        vt = Vtree((1, 2))
+        c = Circuit(vt)
+        x1, not_x1 = c.add_literal(1, True), c.add_literal(1, False)
+        t_a, t_b = c.add_true(vt.right(vt.root)), c.add_true(vt.right(vt.root))
+        root = c.add_decision(vt.root, [(x1, t_a), (not_x1, t_b)])
+        c.set_root(root)
+        text = dumps_psdd(c, PsddParams({t_a: (-0.0, 1.0), t_b: (-0.0, 1.0), root: (0.5, 0.5)}))
+        assert "-0.0" in text
+        _, params = loads_psdd(text, vt)
+        assert repr(marginal(c, params, {2: True})) == "0.0"
+        self._check(c, params)
+
+    def test_random_models(self):
+        rng = Random(1103)
+        for _ in range(30):
+            n = rng.randint(3, 5)
+            circuit = random_circuit(rng, n, singly=bool(rng.getrandbits(1)))
+            params = random_psdd_params(rng, circuit)
+            self._check(circuit, params)
+            self._check(circuit, _with_negative_zeros(rng, circuit, params))
 
 
 class TestMapQuery:
