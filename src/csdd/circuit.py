@@ -305,28 +305,32 @@ class Circuit:
             raise CircuitError(f"vtree node {vid} is not a leaf")
 
     def add_decision(self, vtree_id: int, elements: Sequence[tuple[int, int]]) -> int:
-        if self.vtree.is_leaf(vtree_id):
+        vtree = self.vtree
+        if vtree.is_leaf(vtree_id):
             raise CircuitError(f"vtree node {vtree_id} is a leaf; decision nodes need an internal node")
-        elements = tuple((int(p), int(s)) for p, s in elements)
+        elements = tuple(map(tuple, elements))  # a tuple of pairs passes through as is
         if not elements:
             raise CircuitError("decision node needs at least one element")
         key = (vtree_id, elements)
         hit = self._decision_cache.get(key)
         if hit is not None:
             return hit
-        nid = len(self.nodes)
-        vl, vr = self.vtree.left(vtree_id), self.vtree.right(vtree_id)
+        nodes = self.nodes
+        nid = len(nodes)
+        vl, vr = vtree.left(vtree_id), vtree.right(vtree_id)
         for p, s in elements:
-            if p >= nid or s >= nid:
+            if not (0 <= p < nid and 0 <= s < nid):
                 raise CircuitError("element ids must precede their decision node")
-            if self.nodes[p].vtree != vl:
+            prime = nodes[p]
+            if prime.vtree != vl:
                 raise CircuitError(f"prime {p} not normalized for vtree node {vl}")
-            if self.nodes[s].vtree != vr:
+            if nodes[s].vtree != vr:
                 raise CircuitError(f"sub {s} not normalized for vtree node {vr}")
-            if self.nodes[p].kind == FALSE:
+            if prime.kind == FALSE:
                 raise CircuitError("false primes are not allowed")
         self._decision_cache[key] = nid
-        return self._add(SddNode(nid, DECISION, vtree_id, elements=elements))
+        nodes.append(SddNode(nid, DECISION, vtree_id, elements=elements))
+        return nid
 
     @property
     def root(self) -> int | None:

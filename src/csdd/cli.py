@@ -97,6 +97,9 @@ def _certificate_payload(certificate) -> dict:
 
 
 def cmd_compile(args) -> int:
+    if args.fixture and (args.vtree or args.auto):
+        flag = "--vtree" if args.vtree else "--auto"
+        raise CliError(f"{flag} does not apply to --fixture, which brings its own vtree")
     if args.fixture == "squares":
         circuit = squares_fixture().circuit
         vtree = circuit.vtree
@@ -174,10 +177,7 @@ def cmd_learn(args) -> int:
 
 
 def _load_model(path: str, vtree: Vtree):
-    # the header is the file's first token: read up to it, and leave the
-    # one full read of the file to read_psdd / read_csdd
-    with open(path, encoding="utf-8") as f:
-        head = next((line.split(None, 1)[0] for line in f if line.strip()), "")
+    head = formats.read_header(path)
     if head == "psdd":
         circuit, params = formats.read_psdd(path, vtree)
         return circuit, params, "psdd"

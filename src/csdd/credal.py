@@ -59,6 +59,16 @@ class IntervalCredalSet:
 
     def __post_init__(self) -> None:
         lower, upper = self.lower, self.upper
+        if len(lower) == 2 == len(upper):
+            # the checks below, unrolled, accept the set: within the bounds its
+            # entries are finite, so each fsum is the rounded sum of two terms
+            (l0, l1), (u0, u1) = lower, upper
+            sl, su = l0 + l1, u0 + u1
+            if (-BUILD_TOL <= l0 <= u0 <= 1 + BUILD_TOL and -BUILD_TOL <= l1 <= u1 <= 1 + BUILD_TOL
+                    and sl <= 1 + BUILD_TOL and su >= 1 - BUILD_TOL
+                    and l0 + (su - u0) >= 1 - BUILD_TOL and u0 + (sl - l0) <= 1 + BUILD_TOL
+                    and l1 + (su - u1) >= 1 - BUILD_TOL and u1 + (sl - l1) <= 1 + BUILD_TOL):
+                return
         if len(lower) != len(upper) or not lower:
             raise CredalSetError("lower/upper must be equal-length, non-empty vectors")
         for i, (l, u) in enumerate(zip(lower, upper)):

@@ -15,19 +15,28 @@ psdd     like sdd but ``T <id> <vtree> <var> <theta>`` and decision
 csdd     like psdd with interval pairs ``<l> <u>`` instead of ``<theta>``.
 dataset  CSV: header of variable names plus optional ``count`` column,
          0/1 cells.
+
+A circuit file loads in one pass: each line is split once, a decision
+line's columns are converted in bulk (a line that fails is read again
+token by token to word the fault), and each node is checked as its line
+adds it.  A bare ``F``/``T`` takes the leaf of its first use.  After the
+last line come the node count, the partitions (at the root's line) and
+the parameters in file order; the first fault met is the ``ParseError``.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .circuit import (
     Circuit,
     FALSE,
     LITERAL,
     TRUE,
+    SddNode,
     Vtree,
     validate_partitions,
 )
@@ -36,7 +45,7 @@ from .learn import Dataset
 from .params import CsddParams, PsddParams, check_local
 
 __all__ = [
-    "ParseError",
+    "ParseError", "read_header",
     "read_vtree", "write_vtree", "loads_vtree", "dumps_vtree",
     "read_sdd", "write_sdd", "loads_sdd", "dumps_sdd",
     "read_psdd", "write_psdd", "loads_psdd", "dumps_psdd",
@@ -57,8 +66,8 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _lines(text: str) -> Iterable[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line == "c" or line.startswith("c "):
             continue
@@ -100,7 +109,7 @@ def loads_vtree(text: str) -> Vtree:
     count = None
     entries: dict[int, tuple] = {}
     referenced: set[int] = set()
-    for lineno, toks in _lines(text):
+    for lineno, toks in _lines(text.splitlines()):
         if toks[0] == "vtree":
             if count is not None:
                 raise ParseError(lineno, "duplicate vtree header")
@@ -212,44 +221,95 @@ def dumps_csdd(circuit: Circuit, params: CsddParams) -> str:
     return "\n".join(_node_lines(circuit, _MODE_CSDD, csdd=params)) + "\n"
 
 
+def _decision_fault(toks: list[str], lineno: int, step: int, remap: dict[int, int]) -> ParseError:
+    """The first fault of a decision line that failed bulk conversion, read
+    token by token in the order of the grammar (``_int``/``_float`` raise theirs)."""
+    if len(toks) < 4:
+        return ParseError(lineno, "decision line is 'D <id> <vtree> <k> ...'")
+    _int(toks[2], lineno, "vtree id")
+    k = _int(toks[3], lineno, "element count")
+    if k < 1:
+        return ParseError(lineno, "decision nodes need at least one element")
+    if len(toks) - 4 != k * step:
+        return ParseError(lineno, f"expected {k * step} element fields, got {len(toks) - 4}")
+    for e in range(4, len(toks), step):
+        for ref in (_int(toks[e], lineno, "prime id"), _int(toks[e + 1], lineno, "sub id")):
+            if ref not in remap:
+                return ParseError(lineno, f"forward reference to node {ref}")
+        for tok in toks[e + 2:e + step]:
+            _float(tok, lineno, "parameter")
+    return ParseError(lineno, "malformed decision line")  # bulk conversion failed on a token above
+
+
+def _pin_constants(nodes: list[SddNode], vtree: Vtree, vid: int, elements, bare: dict) -> None:
+    """Pin each bare constant among the primes, then the subs, to its side's leaf."""
+    for i, side in enumerate((vtree.left(vid), vtree.right(vid))):
+        if not vtree.is_leaf(side):
+            continue
+        for element in elements:
+            if element[i] in bare:
+                c = nodes[element[i]]
+                if c.vtree < 0:
+                    nodes[c.id] = SddNode(c.id, c.kind, side, vtree.var(side))
+                elif c.vtree != side:
+                    fid, line = bare[c.id]
+                    raise ParseError(line, f"constant node {fid} used under two different leaves")
+
+
 def _loads_circuit(text: str, vtree: Vtree, mode: str):
+    step = {_MODE_SDD: 2, _MODE_PSDD: 3, _MODE_CSDD: 4}[mode]  # fields per decision element
+    columns = range(6, 4 + step)              # per-state number columns of a D line
+    circuit = Circuit(vtree)
+    nodes = circuit.nodes
     count = None
-    order: list[int] = []                     # file ids in appearance order
-    raw: dict[int, tuple] = {}                # file id -> parsed record
-    header = mode
-    for lineno, toks in _lines(text):
-        if toks[0] == header:
+    remap: dict[int, int] = {}                # file id -> node id, one node per line
+    bare: dict[int, tuple[int, int]] = {}     # bare F/T node -> (file id, line)
+    pending: dict[int, tuple[int, list]] = {}  # node -> (line, per-state number columns)
+    ref = remap.__getitem__
+    for lineno, toks in _lines(text.splitlines()):
+        kind = toks[0]
+        if kind == mode:
             if count is not None:
                 raise ParseError(lineno, "duplicate header")
             if len(toks) != 2:
-                raise ParseError(lineno, f"header is '{header} <count>'")
+                raise ParseError(lineno, f"header is '{mode} <count>'")
             count = _int(toks[1], lineno, "node count")
             continue
         if count is None:
-            raise ParseError(lineno, f"missing '{header} <count>' header")
-        kind = toks[0]
+            raise ParseError(lineno, f"missing '{mode} <count>' header")
         if kind not in ("F", "T", "L", "D"):
             raise ParseError(lineno, f"unknown node line {kind!r}")
+        if len(toks) < 2:
+            raise ParseError(lineno, f"node line {kind!r} has no id")
         fid = _int(toks[1], lineno, "node id")
-        if fid in raw:
+        if fid in remap:
             raise ParseError(lineno, f"duplicate node id {fid}")
-        if kind == "F":
-            if len(toks) != 2:
-                raise ParseError(lineno, "false line is 'F <id>'")
-            raw[fid] = ("F", lineno)
-        elif kind == "T":
-            if mode == _MODE_SDD:
-                if len(toks) != 2:
-                    raise ParseError(lineno, "true line is 'T <id>'")
-                raw[fid] = ("T", lineno)
-            else:
-                want = 5 if mode == _MODE_PSDD else 6
-                if len(toks) != want:
-                    raise ParseError(lineno, f"true line has {want} fields in a {mode} file")
-                vid = _int(toks[2], lineno, "vtree id")
-                var = _int(toks[3], lineno, "variable")
-                numbers = [_float(t, lineno, "parameter") for t in toks[4:]]
-                raw[fid] = ("Tp", lineno, vid, var, numbers)
+        nid = len(nodes)
+        if kind == "D":
+            # one C-level conversion per column; _decision_fault words any fault
+            try:
+                vid, k = int(toks[2]), int(toks[3])
+                if k < 1 or len(toks) != 4 + k * step:
+                    raise ValueError
+                elements = tuple(zip(map(ref, map(int, toks[4::step])), map(ref, map(int, toks[5::step]))))
+                numbers = []
+                for c in columns:
+                    numbers.append(tuple(map(float, toks[c::step])))
+                    if not all(map(math.isfinite, numbers[-1])):
+                        raise ValueError
+            except (IndexError, KeyError, ValueError):
+                raise _decision_fault(toks, lineno, step, remap) from None
+            if not 0 <= vid < vtree.node_count or vtree.is_leaf(vid):
+                raise ParseError(lineno, f"vtree node {vid} is not internal")
+            if not bare.keys().isdisjoint(chain.from_iterable(elements)):
+                _pin_constants(nodes, vtree, vid, elements, bare)
+            try:
+                added = circuit.add_decision(vid, elements)
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from None
+            if added != nid:
+                raise ParseError(lineno, "duplicate decision node (same vtree and elements)")
+            pending[nid] = (lineno, numbers)
         elif kind == "L":
             if len(toks) != 4:
                 raise ParseError(lineno, "literal line is 'L <id> <vtree> <literal>'")
@@ -257,135 +317,68 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str):
             lit = _int(toks[3], lineno, "literal")
             if lit == 0:
                 raise ParseError(lineno, "literal 0 is invalid")
-            raw[fid] = ("L", lineno, vid, lit)
-        else:
-            step = {"sdd": 2, "psdd": 3, "csdd": 4}[mode]
-            if len(toks) < 4:
-                raise ParseError(lineno, "decision line is 'D <id> <vtree> <k> ...'")
-            vid = _int(toks[2], lineno, "vtree id")
-            k = _int(toks[3], lineno, "element count")
-            if k < 1:
-                raise ParseError(lineno, "decision nodes need at least one element")
-            rest = toks[4:]
-            if len(rest) != k * step:
-                raise ParseError(lineno, f"expected {k * step} element fields, got {len(rest)}")
-            elements = []
-            numbers = []
-            for e in range(k):
-                chunk = rest[e * step:(e + 1) * step]
-                p = _int(chunk[0], lineno, "prime id")
-                s = _int(chunk[1], lineno, "sub id")
-                for ref in (p, s):
-                    if ref not in raw:
-                        raise ParseError(lineno, f"forward reference to node {ref}")
-                elements.append((p, s))
-                numbers.extend(_float(t, lineno, "parameter") for t in chunk[2:])
-            raw[fid] = ("D", lineno, vid, elements, numbers)
-        order.append(fid)
-    if count is None:
-        raise ParseError(1, f"missing '{header} <count>' header")
-    if len(order) != count:
-        raise ParseError(1, f"header declares {count} nodes, found {len(order)}")
-
-    # resolve the leaf vtree node of bare T/F lines from their use sites
-    leaf_pin: dict[int, int] = {}
-    for fid in order:
-        rec = raw[fid]
-        if rec[0] != "D":
-            continue
-        _, lineno, vid, elements, _ = rec
-        if not 0 <= vid < vtree.node_count or vtree.is_leaf(vid):
-            raise ParseError(lineno, f"vtree node {vid} is not internal")
-        for ref, side in [(p, vtree.left(vid)) for p, _ in elements] + [
-            (s, vtree.right(vid)) for _, s in elements
-        ]:
-            rec_ref = raw[ref]
-            if rec_ref[0] in ("F", "T") and vtree.is_leaf(side):
-                if ref not in leaf_pin:
-                    leaf_pin[ref] = side
-                elif leaf_pin[ref] != side:
-                    raise ParseError(
-                        rec_ref[1], f"constant node {ref} used under two different leaves"
-                    )
-
-    circuit = Circuit(vtree)
-    pending: dict[int, tuple[int, list[float]]] = {}  # node -> (line, per-state numbers)
-    remap: dict[int, int] = {}
-    for fid in order:
-        rec = raw[fid]
-        tag, lineno = rec[0], rec[1]
-        if tag in ("F", "T"):
-            leaf = leaf_pin.get(fid)
-            if leaf is None:
-                if vtree.var_count == 1:
-                    leaf = vtree.root
-                else:
-                    raise ParseError(lineno, f"cannot infer the leaf of constant node {fid}")
-            remap[fid] = circuit.add_false(leaf) if tag == "F" else circuit.add_true(leaf)
-        elif tag == "Tp":
-            _, _, vid, var, numbers = rec
-            if not 0 <= vid < vtree.node_count or not vtree.is_leaf(vid):
-                raise ParseError(lineno, f"vtree node {vid} is not a leaf")
-            if vtree.var(vid) != var:
-                raise ParseError(lineno, f"leaf {vid} holds variable {vtree.var(vid)}, not {var}")
-            nid = circuit.add_true(vid)
-            remap[fid] = nid
-            # the states (var true, var false) as a D line lists them:
-            # theta, 1 - theta in a psdd file, l, u, 1 - u, 1 - l in a csdd one
-            pending[nid] = (lineno, numbers + [1.0 - x for x in reversed(numbers)])
-        elif tag == "L":
-            _, _, vid, lit = rec
             var = abs(lit)
             if var > vtree.var_count:
                 raise ParseError(lineno, f"literal variable {var} outside the vtree")
             if vtree.leaf_of(var) != vid:
                 raise ParseError(lineno, f"variable {var} lives at leaf {vtree.leaf_of(var)}, not {vid}")
-            remap[fid] = circuit.add_literal(var, lit > 0)
+            circuit.add_literal(var, lit > 0)
+        elif kind == "F" or mode == _MODE_SDD:
+            if len(toks) != 2:
+                raise ParseError(lineno, "false line is 'F <id>'" if kind == "F" else "true line is 'T <id>'")
+            if vtree.var_count == 1:
+                (circuit.add_false if kind == "F" else circuit.add_true)(vtree.root)
+            else:  # a placeholder until a decision line pins its leaf
+                nodes.append(SddNode(nid, FALSE if kind == "F" else TRUE, -1))
+                bare[nid] = (fid, lineno)
         else:
-            _, _, vid, elements, numbers = rec
-            mapped = [(remap[p], remap[s]) for p, s in elements]
-            try:
-                nid = circuit.add_decision(vid, mapped)
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
-            if nid != len(circuit.nodes) - 1:
-                raise ParseError(lineno, "duplicate decision node (same vtree and elements)")
-            remap[fid] = nid
-            if mode != _MODE_SDD:
-                pending[nid] = (lineno, numbers)
-    # add_decision has checked id precedence and vtree normalization node by
-    # node, so the partition check is the only whole-circuit structure pass
-    root_fid = order[-1]
-    circuit.set_root(remap[root_fid])
+            want = 5 if mode == _MODE_PSDD else 6
+            if len(toks) != want:
+                raise ParseError(lineno, f"true line has {want} fields in a {mode} file")
+            vid = _int(toks[2], lineno, "vtree id")
+            var = _int(toks[3], lineno, "variable")
+            numbers = [_float(t, lineno, "parameter") for t in toks[4:]]
+            if not 0 <= vid < vtree.node_count or not vtree.is_leaf(vid):
+                raise ParseError(lineno, f"vtree node {vid} is not a leaf")
+            if vtree.var(vid) != var:
+                raise ParseError(lineno, f"leaf {vid} holds variable {vtree.var(vid)}, not {var}")
+            circuit.add_true(vid)
+            # columns over the states (var true, var false): lower, upper, or a psdd's one
+            lo, up = numbers[0], numbers[-1]
+            pending[nid] = (lineno, [(lo, 1.0 - up), (up, 1.0 - lo)][:len(columns)])
+        remap[fid] = nid
+    if count is None:
+        raise ParseError(1, f"missing '{mode} <count>' header")
+    if len(remap) != count:
+        raise ParseError(1, f"header declares {count} nodes, found {len(remap)}")
+    if not nodes:
+        raise ParseError(1, "a circuit needs at least one node")
+    for nid, (fid, line) in bare.items():
+        if nodes[nid].vtree < 0:
+            raise ParseError(line, f"cannot infer the leaf of constant node {fid}")
+    # the last node line is the root's, and the loop leaves lineno at it
+    circuit.set_root(len(nodes) - 1)
     try:
         validate_partitions(circuit)
     except ValueError as exc:
-        raise ParseError(raw[root_fid][1], str(exc)) from None
+        raise ParseError(lineno, str(exc)) from None
     if mode == _MODE_SDD:
         return circuit
     # the checks of PsddParams/CsddParams.validate, node by node, plus the
     # file's own rule for the slots of unsatisfiable nodes
     false = circuit.false_ids()
-    point_table: dict[int, tuple[float, ...]] = {}
-    credal_table: dict[int, IntervalCredalSet] = {}
-    for nid, (lineno, numbers) in pending.items():
+    table = {}
+    for nid, (line, numbers) in pending.items():
         if nid in false:
-            if any(numbers):
-                raise ParseError(lineno, "unsatisfiable node must carry all-zero parameters")
+            if any(map(any, numbers)):
+                raise ParseError(line, "unsatisfiable node must carry all-zero parameters")
             continue
         try:
-            if mode == _MODE_PSDD:
-                check_local(circuit, nid, numbers)
-                point_table[nid] = tuple(numbers)
-            else:
-                lower, upper = tuple(numbers[0::2]), tuple(numbers[1::2])
-                check_local(circuit, nid, lower, upper)
-                credal_table[nid] = IntervalCredalSet(lower, upper)
+            check_local(circuit, nid, *numbers)
+            table[nid] = numbers[0] if mode == _MODE_PSDD else IntervalCredalSet(*numbers)
         except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-    if mode == _MODE_PSDD:
-        return circuit, PsddParams(point_table)
-    return circuit, CsddParams(credal_table)
+            raise ParseError(line, str(exc)) from None
+    return circuit, PsddParams(table) if mode == _MODE_PSDD else CsddParams(table)
 
 
 def loads_sdd(text: str, vtree: Vtree) -> Circuit:
@@ -454,6 +447,13 @@ def _read(path) -> str:
 
 def _write(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def read_header(path) -> str:
+    """The first token of the file's first line that is neither blank nor a
+    comment (``""`` if there is none); it reads no further than that line."""
+    with open(path, encoding="utf-8") as f:
+        return next((toks[0] for _, toks in _lines(f)), "")
 
 
 def read_vtree(path) -> Vtree:

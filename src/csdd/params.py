@@ -51,19 +51,24 @@ def check_local(
     k = 2 if node.kind == TRUE else len(node.elements)
     if len(lower) != k:
         raise ParamError(f"node {nid}: expected {k} states, got {len(lower)}")
+    # two states pass the checks below, unrolled, before any of them runs; the
+    # rounded sum of two finite entries is fsum's, and inf where fsum overflows
     if upper is None:
-        if not all(map(math.isfinite, lower)):
-            raise ParamError(f"node {nid}: probabilities {tuple(lower)} are not all finite")
-        if min(lower) < 0.0:
-            raise ParamError(f"node {nid}: negative probability")
-        try:
-            total = math.fsum(lower)
-        except OverflowError:  # finite entries whose partial sums pass 1e308
-            total = math.inf
-        if not abs(total - 1.0) <= SUM_TOL:
-            raise ParamError(f"node {nid}: probabilities sum to {total}")
+        if not (k == 2 and 0.0 <= lower[0] and 0.0 <= lower[1]
+                and abs(lower[0] + lower[1] - 1.0) <= SUM_TOL):
+            if not all(map(math.isfinite, lower)):
+                raise ParamError(f"node {nid}: probabilities {tuple(lower)} are not all finite")
+            if min(lower) < 0.0:
+                raise ParamError(f"node {nid}: negative probability")
+            try:
+                total = math.fsum(lower)
+            except OverflowError:  # finite entries whose partial sums pass 1e308
+                total = math.inf
+            if not abs(total - 1.0) <= SUM_TOL:
+                raise ParamError(f"node {nid}: probabilities sum to {total}")
         upper = lower
-    else:
+    elif not (k == 2 == len(upper) and 0.0 <= lower[0] <= upper[0] <= 1.0
+              and 0.0 <= lower[1] <= upper[1] <= 1.0):
         for i, (l, u) in enumerate(zip(lower, upper)):
             if not 0.0 <= l <= u <= 1.0:
                 raise ParamError(f"node {nid}: state {i}: invalid interval [{l}, {u}]")

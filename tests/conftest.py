@@ -8,7 +8,10 @@ The scalar references route or evaluate one row at a time, for the
 bit-parallel passes to be compared against, and mark top-down one start
 at a time, for the single-scan markers in ``csdd.infer``.  The generic
 greedy local LP and an all-``fsum`` point pass are kept for the one- and
-two-state closed forms to be compared against bit for bit.
+two-state closed forms to be compared against bit for bit.  The record-
+and-pass model loader and the loop forms of ``check_local`` and the
+credal-set constructor are kept for the one-pass loader and the unrolled
+two-state checks to be compared against.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 from itertools import product
 from random import Random
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -31,10 +35,18 @@ from csdd.circuit import (
     evaluate,
     model_count,
     multiplicity_report,
+    validate_partitions,
 )
-from csdd.credal import IntervalCredalSet, enumerate_vertices, normalize_reachable
+from csdd.credal import (
+    BUILD_TOL,
+    CredalSetError,
+    IntervalCredalSet,
+    enumerate_vertices,
+    normalize_reachable,
+)
+from csdd.formats import _MODE_CSDD, _MODE_PSDD, _MODE_SDD, ParseError, _float, _int
 from csdd.formula import Formula, Var, conj, disj
-from csdd.params import CsddParams, PsddParams
+from csdd.params import SUM_TOL, CsddParams, ParamError, PsddParams, check_local
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +414,246 @@ def check_partitions(
                 raise CircuitError(
                     f"node {nid}: primes cover left assignment {values} {hits} times (want exactly 1)"
                 )
+
+
+# ---------------------------------------------------------------------------
+# the model loader and parameter rules before the one-pass loader, verbatim
+
+
+def _lines(text: str) -> Iterable[tuple[int, list[str]]]:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line == "c" or line.startswith("c "):
+            continue
+        yield lineno, line.split()
+
+
+def loads_reference(text: str, vtree: Vtree, mode: str):
+    count = None
+    order: list[int] = []                     # file ids in appearance order
+    raw: dict[int, tuple] = {}                # file id -> parsed record
+    header = mode
+    for lineno, toks in _lines(text):
+        if toks[0] == header:
+            if count is not None:
+                raise ParseError(lineno, "duplicate header")
+            if len(toks) != 2:
+                raise ParseError(lineno, f"header is '{header} <count>'")
+            count = _int(toks[1], lineno, "node count")
+            continue
+        if count is None:
+            raise ParseError(lineno, f"missing '{header} <count>' header")
+        kind = toks[0]
+        if kind not in ("F", "T", "L", "D"):
+            raise ParseError(lineno, f"unknown node line {kind!r}")
+        fid = _int(toks[1], lineno, "node id")
+        if fid in raw:
+            raise ParseError(lineno, f"duplicate node id {fid}")
+        if kind == "F":
+            if len(toks) != 2:
+                raise ParseError(lineno, "false line is 'F <id>'")
+            raw[fid] = ("F", lineno)
+        elif kind == "T":
+            if mode == _MODE_SDD:
+                if len(toks) != 2:
+                    raise ParseError(lineno, "true line is 'T <id>'")
+                raw[fid] = ("T", lineno)
+            else:
+                want = 5 if mode == _MODE_PSDD else 6
+                if len(toks) != want:
+                    raise ParseError(lineno, f"true line has {want} fields in a {mode} file")
+                vid = _int(toks[2], lineno, "vtree id")
+                var = _int(toks[3], lineno, "variable")
+                numbers = [_float(t, lineno, "parameter") for t in toks[4:]]
+                raw[fid] = ("Tp", lineno, vid, var, numbers)
+        elif kind == "L":
+            if len(toks) != 4:
+                raise ParseError(lineno, "literal line is 'L <id> <vtree> <literal>'")
+            vid = _int(toks[2], lineno, "vtree id")
+            lit = _int(toks[3], lineno, "literal")
+            if lit == 0:
+                raise ParseError(lineno, "literal 0 is invalid")
+            raw[fid] = ("L", lineno, vid, lit)
+        else:
+            step = {"sdd": 2, "psdd": 3, "csdd": 4}[mode]
+            if len(toks) < 4:
+                raise ParseError(lineno, "decision line is 'D <id> <vtree> <k> ...'")
+            vid = _int(toks[2], lineno, "vtree id")
+            k = _int(toks[3], lineno, "element count")
+            if k < 1:
+                raise ParseError(lineno, "decision nodes need at least one element")
+            rest = toks[4:]
+            if len(rest) != k * step:
+                raise ParseError(lineno, f"expected {k * step} element fields, got {len(rest)}")
+            elements = []
+            numbers = []
+            for e in range(k):
+                chunk = rest[e * step:(e + 1) * step]
+                p = _int(chunk[0], lineno, "prime id")
+                s = _int(chunk[1], lineno, "sub id")
+                for ref in (p, s):
+                    if ref not in raw:
+                        raise ParseError(lineno, f"forward reference to node {ref}")
+                elements.append((p, s))
+                numbers.extend(_float(t, lineno, "parameter") for t in chunk[2:])
+            raw[fid] = ("D", lineno, vid, elements, numbers)
+        order.append(fid)
+    if count is None:
+        raise ParseError(1, f"missing '{header} <count>' header")
+    if len(order) != count:
+        raise ParseError(1, f"header declares {count} nodes, found {len(order)}")
+
+    # resolve the leaf vtree node of bare T/F lines from their use sites
+    leaf_pin: dict[int, int] = {}
+    for fid in order:
+        rec = raw[fid]
+        if rec[0] != "D":
+            continue
+        _, lineno, vid, elements, _ = rec
+        if not 0 <= vid < vtree.node_count or vtree.is_leaf(vid):
+            raise ParseError(lineno, f"vtree node {vid} is not internal")
+        for ref, side in [(p, vtree.left(vid)) for p, _ in elements] + [
+            (s, vtree.right(vid)) for _, s in elements
+        ]:
+            rec_ref = raw[ref]
+            if rec_ref[0] in ("F", "T") and vtree.is_leaf(side):
+                if ref not in leaf_pin:
+                    leaf_pin[ref] = side
+                elif leaf_pin[ref] != side:
+                    raise ParseError(
+                        rec_ref[1], f"constant node {ref} used under two different leaves"
+                    )
+
+    circuit = Circuit(vtree)
+    pending: dict[int, tuple[int, list[float]]] = {}  # node -> (line, per-state numbers)
+    remap: dict[int, int] = {}
+    for fid in order:
+        rec = raw[fid]
+        tag, lineno = rec[0], rec[1]
+        if tag in ("F", "T"):
+            leaf = leaf_pin.get(fid)
+            if leaf is None:
+                if vtree.var_count == 1:
+                    leaf = vtree.root
+                else:
+                    raise ParseError(lineno, f"cannot infer the leaf of constant node {fid}")
+            remap[fid] = circuit.add_false(leaf) if tag == "F" else circuit.add_true(leaf)
+        elif tag == "Tp":
+            _, _, vid, var, numbers = rec
+            if not 0 <= vid < vtree.node_count or not vtree.is_leaf(vid):
+                raise ParseError(lineno, f"vtree node {vid} is not a leaf")
+            if vtree.var(vid) != var:
+                raise ParseError(lineno, f"leaf {vid} holds variable {vtree.var(vid)}, not {var}")
+            nid = circuit.add_true(vid)
+            remap[fid] = nid
+            # the states (var true, var false) as a D line lists them:
+            # theta, 1 - theta in a psdd file, l, u, 1 - u, 1 - l in a csdd one
+            pending[nid] = (lineno, numbers + [1.0 - x for x in reversed(numbers)])
+        elif tag == "L":
+            _, _, vid, lit = rec
+            var = abs(lit)
+            if var > vtree.var_count:
+                raise ParseError(lineno, f"literal variable {var} outside the vtree")
+            if vtree.leaf_of(var) != vid:
+                raise ParseError(lineno, f"variable {var} lives at leaf {vtree.leaf_of(var)}, not {vid}")
+            remap[fid] = circuit.add_literal(var, lit > 0)
+        else:
+            _, _, vid, elements, numbers = rec
+            mapped = [(remap[p], remap[s]) for p, s in elements]
+            try:
+                nid = circuit.add_decision(vid, mapped)
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from None
+            if nid != len(circuit.nodes) - 1:
+                raise ParseError(lineno, "duplicate decision node (same vtree and elements)")
+            remap[fid] = nid
+            if mode != _MODE_SDD:
+                pending[nid] = (lineno, numbers)
+    # add_decision has checked id precedence and vtree normalization node by
+    # node, so the partition check is the only whole-circuit structure pass
+    root_fid = order[-1]
+    circuit.set_root(remap[root_fid])
+    try:
+        validate_partitions(circuit)
+    except ValueError as exc:
+        raise ParseError(raw[root_fid][1], str(exc)) from None
+    if mode == _MODE_SDD:
+        return circuit
+    # the checks of PsddParams/CsddParams.validate, node by node, plus the
+    # file's own rule for the slots of unsatisfiable nodes
+    false = circuit.false_ids()
+    point_table: dict[int, tuple[float, ...]] = {}
+    credal_table: dict[int, IntervalCredalSet] = {}
+    for nid, (lineno, numbers) in pending.items():
+        if nid in false:
+            if any(numbers):
+                raise ParseError(lineno, "unsatisfiable node must carry all-zero parameters")
+            continue
+        try:
+            if mode == _MODE_PSDD:
+                check_local(circuit, nid, numbers)
+                point_table[nid] = tuple(numbers)
+            else:
+                lower, upper = tuple(numbers[0::2]), tuple(numbers[1::2])
+                check_local(circuit, nid, lower, upper)
+                credal_table[nid] = IntervalCredalSet(lower, upper)
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+    if mode == _MODE_PSDD:
+        return circuit, PsddParams(point_table)
+    return circuit, CsddParams(credal_table)
+
+
+def check_local_reference(
+    circuit: Circuit, nid: int, lower: Sequence[float], upper: Sequence[float] | None = None
+) -> None:
+    """Raise :class:`ParamError` unless these are valid local parameters of ``nid``.
+
+    ``lower`` alone is a point pmf: finite, non-negative and summing to one.
+    With ``upper`` each state has the interval ``0 <= lower <= upper <= 1``.
+    A state whose sub is unsatisfiable must be exactly 0 (``[0, 0]``).
+    """
+    node = circuit.nodes[nid]
+    k = 2 if node.kind == TRUE else len(node.elements)
+    if len(lower) != k:
+        raise ParamError(f"node {nid}: expected {k} states, got {len(lower)}")
+    if upper is None:
+        if not all(map(math.isfinite, lower)):
+            raise ParamError(f"node {nid}: probabilities {tuple(lower)} are not all finite")
+        if min(lower) < 0.0:
+            raise ParamError(f"node {nid}: negative probability")
+        try:
+            total = math.fsum(lower)
+        except OverflowError:  # finite entries whose partial sums pass 1e308
+            total = math.inf
+        if not abs(total - 1.0) <= SUM_TOL:
+            raise ParamError(f"node {nid}: probabilities sum to {total}")
+        upper = lower
+    else:
+        for i, (l, u) in enumerate(zip(lower, upper)):
+            if not 0.0 <= l <= u <= 1.0:
+                raise ParamError(f"node {nid}: state {i}: invalid interval [{l}, {u}]")
+    false = circuit.false_ids()
+    for i, (_, s) in enumerate(node.elements):  # a TRUE terminal has no sub
+        if upper[i] != 0.0 and s in false:  # every entry is non-negative by now
+            raise ParamError(f"node {nid}: state {i} has a false sub but probability up to {upper[i]}")
+
+
+def credal_set_reference(lower, upper) -> None:
+    """``IntervalCredalSet.__post_init__`` by its generic loops: raises on a set it refuses."""
+    if len(lower) != len(upper) or not lower:
+        raise CredalSetError("lower/upper must be equal-length, non-empty vectors")
+    for i, (l, u) in enumerate(zip(lower, upper)):
+        if not (-BUILD_TOL <= l <= u <= 1 + BUILD_TOL):
+            raise CredalSetError(f"state {i}: invalid interval [{l}, {u}]")
+    sl, su = math.fsum(lower), math.fsum(upper)
+    if sl > 1 + BUILD_TOL or su < 1 - BUILD_TOL:
+        raise CredalSetError(f"empty credal set: sum(lower)={sl}, sum(upper)={su}")
+    for i in range(len(lower)):
+        rest_u = su - upper[i]
+        rest_l = sl - lower[i]
+        if lower[i] + rest_u < 1 - BUILD_TOL or upper[i] + rest_l > 1 + BUILD_TOL:
+            raise CredalSetError(f"state {i}: bounds are not reachable")
 
 
 # ---------------------------------------------------------------------------

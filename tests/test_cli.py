@@ -81,6 +81,16 @@ class TestCompile:
         assert "not allowed with" in capsys.readouterr().err
         assert not (workdir / "out.vtree").exists()
 
+    @pytest.mark.parametrize("fixture", ["squares", "seven-segment"])
+    @pytest.mark.parametrize("flag", [["--vtree", "given.vtree"], ["--auto"]])
+    def test_fixture_refuses_a_vtree_choice(self, capsys, workdir, fixture, flag):
+        # a fixture brings its own vtree, which would silently replace the given one
+        formats.write_vtree(Vtree((1, (2, 3))), workdir / "given.vtree")
+        code, out, err = run(capsys, "compile", "--fixture", fixture, *flag, "-o", "f.sdd")
+        assert code == 1 and out == ""
+        assert "--fixture" in err and flag[0] in err
+        assert not (workdir / "f.sdd").exists() and not (workdir / "f.vtree").exists()
+
     def test_missing_vtree_fails(self, capsys, workdir):
         (workdir / "f.sexp").write_text("x1\n")
         code, _, err = run(capsys, "compile", "--formula", "f.sexp",
@@ -206,6 +216,15 @@ class TestQuery:
             "query", "--model", "odd.csdd", "--vtree", "squares.vtree", "--type", "marginal",
         )
         assert code == 1 and out == "" and "expected a psdd or csdd file" in err
+
+    @pytest.mark.parametrize("mode", ["bayes", "idm"])
+    def test_commented_model_answers_like_the_plain_one(self, capsys, workdir, mode):
+        model = _write_squares_model(capsys, workdir, mode)
+        text = (workdir / model).read_text()
+        (workdir / f"noted.{model}").write_text("c learned from the squares data\nc\n" + text)
+        argv = ["query", "--vtree", "squares.vtree", "--type", "map", "--evidence", "X4=1"]
+        plain = run_json(capsys, *argv, "--model", model)
+        assert run_json(capsys, *argv, "--model", f"noted.{model}") == plain
 
     def test_usage_errors_repeat(self, capsys, workdir):
         # the parser is built once per process; a bad call leaves it usable

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csdd.circuit import Circuit, Vtree
 from csdd.credal import (
+    BUILD_TOL,
     CredalSetError,
     IntervalCredalSet,
     _max_fast,
@@ -20,9 +22,9 @@ from csdd.credal import (
     minimize_linear,
     normalize_reachable,
 )
-from csdd.params import CsddParams
+from csdd.params import SUM_TOL, CsddParams, check_local
 
-from conftest import greedy_reference
+from conftest import check_local_reference, credal_set_reference, greedy_reference
 
 EXAMPLE_ROOT = IntervalCredalSet(
     (31 / 101, 52 / 101, 17 / 101), (32 / 101, 53 / 101, 18 / 101)
@@ -317,3 +319,114 @@ class TestValidation:
         cs = EXAMPLE_ROOT
         assert cs.lower[0] == 31 / 101
         assert Fraction(31, 101) == Fraction(cs.lower[0]).limit_denominator(10**6)
+
+
+def _verdict(check, *args):
+    """None when the check accepts, else the refusal's type and message."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+# values on or next to every bound the two rules test
+EDGE_VALUES = (
+    0.0, -0.0, 1.0, 0.5, BUILD_TOL, -BUILD_TOL, -BUILD_TOL / 2, 1 - BUILD_TOL,
+    1 + BUILD_TOL / 2, 1 + BUILD_TOL, 1 + 2 * BUILD_TOL, SUM_TOL / 2, 1 - SUM_TOL / 2,
+    1e308, math.nan, math.inf, -math.inf,
+)
+NUDGES = (0.0, 5e-17, -5e-17, BUILD_TOL, -BUILD_TOL, SUM_TOL, -SUM_TOL)
+
+
+def _random_sets(rng: Random, k: int) -> tuple[tuple[float, ...], ...]:
+    """(lower, upper, pmf): a reachable set around a random pmf, each number
+    at times replaced by an edge value or by the complement of the state
+    before it, nudged."""
+    weights = [rng.random() for _ in range(k)]
+    pmf = [w / sum(weights) for w in weights]
+    cs = normalize_reachable(
+        [max(0.0, p - rng.uniform(0, 0.3)) for p in pmf],
+        [min(1.0, p + rng.uniform(0, 0.3)) for p in pmf],
+    )
+    out = (list(cs.lower), list(cs.upper), pmf)
+    for numbers in out:
+        for i in range(k):
+            r = rng.random()
+            if r < 0.1:
+                numbers[i] = rng.choice(EDGE_VALUES)
+            elif r < 0.2:
+                numbers[i] = 1.0 - numbers[i - 1] + rng.choice(NUDGES)
+    return tuple(map(tuple, out))
+
+
+def _check_local_nodes() -> list[tuple[Circuit, int]]:
+    """A TRUE terminal, a two-element decision node whose second sub is
+    false, and a one-element decision node, each the root of its circuit."""
+    vt = Vtree((1, 2))
+    builds = [
+        lambda c: c.add_true(vt.leaf_of(2)),
+        lambda c: c.add_decision(vt.root, [
+            (c.add_literal(1, True), c.add_true(vt.leaf_of(2))),
+            (c.add_literal(1, False), c.add_false(vt.leaf_of(2))),
+        ]),
+        lambda c: c.add_decision(vt.root, [(c.add_true(vt.leaf_of(1)), c.add_literal(2, True))]),
+    ]
+    out = []
+    for build in builds:
+        circuit = Circuit(vt)
+        circuit.set_root(build(circuit))
+        out.append((circuit, circuit.root))
+    return out
+
+
+class TestUnrolledTwoStateChecks:
+    """``check_local`` and ``IntervalCredalSet`` accept one- and two-state
+    sets by closed forms; they must accept and refuse, with the same
+    message, exactly what the loops of the reference copies do."""
+
+    EDGE_SETS = [
+        ((0.0,), (0.0,)),                          # a forbidden lone state
+        ((0.0, 1.0), (0.0, 1.0)),                  # a forbidden state beside a certain one
+        ((0.0, 0.0), (0.0, 0.0)),
+        ((0.0, 0.0), (1.0, 1.0)),                  # vacuous
+        ((-BUILD_TOL / 2, 0.5), (0.5, 1 + BUILD_TOL / 2)),
+        ((-2 * BUILD_TOL, 0.5), (0.5, 1.0)),
+        ((0.5, 0.5 + BUILD_TOL / 2), (0.5, 0.5 + BUILD_TOL / 2)),
+        ((0.5, 0.5 + 2 * BUILD_TOL), (0.5, 0.5 + 2 * BUILD_TOL)),
+        ((1 - BUILD_TOL / 2, 0.0), (1.0, BUILD_TOL / 2)),
+        ((-0.0, 1.0), (-0.0, 1.0)),
+        ((-0.0, -0.0), (1.0, 1.0)),
+        ((-0.0, -0.0), (-0.0, -0.0)),
+        ((1e308, 1e308), (1e308, 1e308)),          # sums that overflow
+        ((0.0, 0.0), (1e308, 1e308)),
+        ((1.0,), (1.0,)),
+        ((1 + BUILD_TOL / 2,), (1 + BUILD_TOL / 2,)),
+    ]
+
+    def _assert_same(self, nodes, lower, upper, pmf=None):
+        assert _verdict(IntervalCredalSet, lower, upper) == _verdict(
+            credal_set_reference, lower, upper
+        ), (lower, upper)
+        for circuit, nid in nodes:
+            for args in ((lower, upper), (lower,), (upper,), (pmf or lower,)):
+                assert _verdict(check_local, circuit, nid, *args) == _verdict(
+                    check_local_reference, circuit, nid, *args
+                ), (nid, args)
+
+    def test_edge_sets(self):
+        nodes = _check_local_nodes()
+        for lower, upper in self.EDGE_SETS:
+            self._assert_same(nodes, lower, upper)
+
+    def test_random_sets(self):
+        rng = Random(2024)
+        nodes = _check_local_nodes()
+        accepted = [0, 0]
+        for n in range(3000):
+            lower, upper, pmf = _random_sets(rng, 1 + n % 2)
+            self._assert_same(nodes, lower, upper, pmf)
+            accepted[0] += _verdict(IntervalCredalSet, lower, upper) is None
+            accepted[1] += _verdict(check_local, *nodes[0], pmf) is None
+        # each rule's closed form accepts some sets and passes the rest to its loop
+        assert all(300 < count < 2700 for count in accepted), accepted

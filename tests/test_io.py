@@ -1,5 +1,6 @@
 """File format grammars, validation errors and canonical round trips."""
 
+import re
 import sys
 from random import Random
 
@@ -8,11 +9,17 @@ import pytest
 from csdd import formats
 from csdd.circuit import Vtree, enumerate_models, model_count
 from csdd.fixtures import squares_dataset, squares_vtree
-from csdd.formats import ParseError
+from csdd.formats import ParseError, _loads_circuit
 from csdd.learn import Dataset, bayes_estimate, collect_counts, idm_estimate
 from csdd.params import ParamError, PsddParams
 
-from conftest import random_circuit, random_csdd_params, random_psdd_params, random_vtree
+from conftest import (
+    loads_reference,
+    random_circuit,
+    random_csdd_params,
+    random_psdd_params,
+    random_vtree,
+)
 
 
 class TestVtreeFormat:
@@ -232,6 +239,110 @@ class TestParameterFormats:
             text = formats.dumps_psdd(circuit, pparams)
             back_c, back_p = formats.loads_psdd(text, circuit.vtree)
             assert formats.dumps_psdd(back_c, back_p) == text
+
+
+class TestLoaderFaults:
+    # each of these ended in an untyped error or was accepted before the one-pass loader
+    @pytest.mark.parametrize("line", ["F", "L", "D"])
+    def test_node_line_without_an_id_names_the_line(self, line):
+        with pytest.raises(ParseError, match="has no id") as err:
+            formats.loads_sdd(f"sdd 2\nL 0 0 1\n{line}\n", Vtree((1, 2)))
+        assert err.value.line == 3
+
+    def test_file_without_nodes_rejected(self):
+        with pytest.raises(ParseError, match="at least one node"):
+            formats.loads_sdd("sdd 0\n", Vtree((1, 2)))
+
+    def test_repeated_decision_node_right_after_itself_rejected(self):
+        node = "1 2 0 1 2 3"  # vtree 1, elements x1 -> x2 and -x1 -> -x2
+        text = f"sdd 6\nL 0 0 1\nL 1 2 2\nL 2 0 -1\nL 3 2 -2\nD 4 {node}\nD 5 {node}\n"
+        with pytest.raises(ParseError, match="duplicate decision node") as err:
+            formats.loads_sdd(text, Vtree((1, 2)))
+        assert err.value.line == 7
+
+    @pytest.mark.parametrize("mode", ["sdd", "psdd", "csdd"])
+    def test_leading_comments_ignored(self, squares, squares_counts, mode):
+        dumps, loads = getattr(formats, f"dumps_{mode}"), getattr(formats, f"loads_{mode}")
+        args = {"sdd": (), "psdd": (bayes_estimate(squares.circuit, squares_counts, 1.0),),
+                "csdd": (idm_estimate(squares.circuit, squares_counts, 1.0),)}[mode]
+        text = dumps(squares.circuit, *args)
+        loaded = loads("c written by hand\nc\n\n" + text, squares.circuit.vtree)
+        assert dumps(*(loaded if mode != "sdd" else (loaded,))) == text
+
+
+def _loader_corpus():
+    """(mode, text, vtree): the squares model in each format, then seeded
+    random compiled circuits, singly connected (tree copies) and shared."""
+    from csdd.fixtures import squares_fixture
+
+    squares = squares_fixture().circuit
+    counts = collect_counts(squares, squares_dataset())
+    yield "sdd", formats.dumps_sdd(squares), squares.vtree
+    yield "psdd", formats.dumps_psdd(squares, bayes_estimate(squares, counts, 1.0)), squares.vtree
+    yield "csdd", formats.dumps_csdd(squares, idm_estimate(squares, counts, 1.0)), squares.vtree
+    rng = Random(78)
+    for singly in (True, False, True, False):
+        circuit = random_circuit(rng, rng.randint(3, 5), singly=singly)
+        yield "sdd", formats.dumps_sdd(circuit), circuit.vtree
+        yield "psdd", formats.dumps_psdd(circuit, random_psdd_params(rng, circuit)), circuit.vtree
+        yield "csdd", formats.dumps_csdd(circuit, random_csdd_params(rng, circuit, 0.3)), circuit.vtree
+
+
+def _corruptions(text: str):
+    """Every single-token replacement from a fixed set, then each line deleted
+    and each line duplicated."""
+    lines = text.splitlines()
+    ids = [line.split()[1] for line in lines[1:]]
+    for i, line in enumerate(lines):
+        toks = line.split()
+        later = ids[i] if i < len(ids) else str(len(ids))  # the next line's node id
+        values = ["-1", "0", later, "nan", "inf", "1e308", "x", "-0.0", "1.5"]
+        if toks[0] == "D":
+            values.append(str(int(toks[3]) + 1))  # the element count + 1
+        for j, tok in enumerate(toks):
+            for value in values:
+                if value != tok:
+                    changed = " ".join(toks[:j] + [value] + toks[j + 1:])
+                    yield "\n".join(lines[:i] + [changed] + lines[i + 1:]) + "\n"
+        yield "\n".join(lines[:i] + lines[i + 1:]) + "\n"
+        yield "\n".join(lines[:i + 1] + lines[i:]) + "\n"
+
+
+def _outcome(load, text: str, vtree: Vtree, mode: str):
+    """The canonical dump of what loads, or the line and message of the
+    ParseError; any other exception propagates and fails the test."""
+    try:
+        loaded = load(text, vtree, mode)
+    except ParseError as exc:
+        return "refused", exc.line, str(exc)
+    dumps = getattr(formats, f"dumps_{mode}")
+    return "loaded", dumps(loaded) if mode == "sdd" else dumps(*loaded)
+
+
+# A decision line made invalid by one token can also orphan a bare F/T it
+# used, or pin it to the wrong leaf.  The reference, which pins every
+# constant before building any node, reports the constant at its own earlier
+# line; the one-pass loader reports the decision line's normalization fault.
+_CONSTANT_FAULT = r"cannot infer the leaf of constant node|used under two different leaves"
+_NORMALIZATION_FAULT = r"(prime|sub) \d+ not normalized for vtree node"
+
+
+class TestLoaderParity:
+    def test_corrupted_files_load_or_fail_as_the_reference_does(self):
+        cases = reordered = 0
+        for mode, text, vtree in _loader_corpus():
+            assert _outcome(_loads_circuit, text, vtree, mode) == ("loaded", text)
+            for broken in _corruptions(text):
+                cases += 1
+                got = _outcome(_loads_circuit, broken, vtree, mode)
+                want = _outcome(loads_reference, broken, vtree, mode)
+                if got != want:
+                    assert got[0] == want[0] == "refused", (broken, got, want)
+                    assert want[1] < got[1], (broken, got, want)
+                    assert re.search(_CONSTANT_FAULT, want[2]), (broken, got, want)
+                    assert re.search(_NORMALIZATION_FAULT, got[2]), (broken, got, want)
+                    reordered += 1
+        assert cases > 10_000 and reordered < cases // 100
 
 
 class TestDatasetFormat:
