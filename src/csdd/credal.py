@@ -69,6 +69,10 @@ class IntervalCredalSet:
                     and l0 + (su - u0) >= 1 - BUILD_TOL and u0 + (sl - l0) <= 1 + BUILD_TOL
                     and l1 + (su - u1) >= 1 - BUILD_TOL and u1 + (sl - l1) <= 1 + BUILD_TOL):
                 return
+        elif len(lower) == 1 == len(upper):
+            # the checks below accept a lone state exactly when it can hold all the mass
+            if -BUILD_TOL <= lower[0] <= upper[0] <= 1 + BUILD_TOL and lower[0] >= 1 - BUILD_TOL:
+                return
         if len(lower) != len(upper) or not lower:
             raise CredalSetError("lower/upper must be equal-length, non-empty vectors")
         for i, (l, u) in enumerate(zip(lower, upper)):

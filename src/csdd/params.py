@@ -51,11 +51,12 @@ def check_local(
     k = 2 if node.kind == TRUE else len(node.elements)
     if len(lower) != k:
         raise ParamError(f"node {nid}: expected {k} states, got {len(lower)}")
-    # two states pass the checks below, unrolled, before any of them runs; the
-    # rounded sum of two finite entries is fsum's, and inf where fsum overflows
+    # one or two states pass the checks below, unrolled, before any of them
+    # runs: the rounded sum of two finite entries is fsum's, inf where fsum
+    # overflows, and a lone state is checked twice as lower[0] and lower[-1]
     if upper is None:
-        if not (k == 2 and 0.0 <= lower[0] and 0.0 <= lower[1]
-                and abs(lower[0] + lower[1] - 1.0) <= SUM_TOL):
+        if not (0 < k <= 2 and 0.0 <= lower[0] and 0.0 <= lower[-1]
+                and abs(lower[0] + (lower[1] if k == 2 else 0.0) - 1.0) <= SUM_TOL):
             if not all(map(math.isfinite, lower)):
                 raise ParamError(f"node {nid}: probabilities {tuple(lower)} are not all finite")
             if min(lower) < 0.0:
@@ -67,8 +68,8 @@ def check_local(
             if not abs(total - 1.0) <= SUM_TOL:
                 raise ParamError(f"node {nid}: probabilities sum to {total}")
         upper = lower
-    elif not (k == 2 == len(upper) and 0.0 <= lower[0] <= upper[0] <= 1.0
-              and 0.0 <= lower[1] <= upper[1] <= 1.0):
+    elif not (0 < k <= 2 and len(upper) == k and 0.0 <= lower[0] <= upper[0] <= 1.0
+              and 0.0 <= lower[-1] <= upper[-1] <= 1.0):
         for i, (l, u) in enumerate(zip(lower, upper)):
             if not 0.0 <= l <= u <= 1.0:
                 raise ParamError(f"node {nid}: state {i}: invalid interval [{l}, {u}]")
