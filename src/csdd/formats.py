@@ -238,7 +238,7 @@ def _decision_fault(toks: list[str], lineno: int, step: int, remap: dict[int, in
                 return ParseError(lineno, f"forward reference to node {ref}")
         for tok in toks[e + 2:e + step]:
             _float(tok, lineno, "parameter")
-    return ParseError(lineno, "malformed decision line")  # bulk conversion failed on a token above
+    return ParseError(lineno, "malformed decision line")  # not reached: a token above failed
 
 
 def _pin_constants(nodes: list[SddNode], vtree: Vtree, vid: int, elements, bare: dict) -> None:
