@@ -14,7 +14,9 @@ with a local linear program over the node's credal set:
   evidence and the sign test itself for every target, keeping no
   per-variable state (each target's spine is cached on the circuit);
 * robustness checks whether one most-probable completion stays optimal
-  for every parameter table between the bounds.
+  for every parameter table between the bounds, in one bottom-up pass
+  linear in the cone that keeps per node its value, its tied options and
+  how many completions attain it (at most 2).
 
 On circuits with shared structure the conditional and robustness passes
 may optimize one shared credal set toward different extreme points in
@@ -28,7 +30,8 @@ Bottom-up passes scan the root's cone forward, children first.  The
 top-down passes after them (the MAP backtrack, a completion's route and
 the certificates' marking) scan it in reverse, pushing marks from each
 marked node to its children, so a certificate marks in one top-down pass
-however many nodes it starts from.
+however many nodes it starts from.  A robustness verdict's attaining
+completions are read off the tied options by a depth-first walk.
 """
 
 from __future__ import annotations
@@ -199,6 +202,17 @@ class ConditionalResult:
 
 @dataclass
 class RobustnessVerdict:
+    """V, its label, and ``attaining``: at most two completions attaining V
+    (a :func:`brute_force_exact` refinement joins its leaves', up to four).
+
+    Each completion is a sorted tuple of (var, value) pairs over the
+    unobserved variables, ``xstar`` first when it attains.  On ``xstar``'s
+    route, keeping its element or state comes before switching to another
+    element, by index; below a switch, tied elements go by index and a
+    terminal's true state before its false one; within one element the
+    prime's completion varies slowest.
+    """
+
     value: float
     label: str
     attaining: tuple[tuple[tuple[int, bool], ...], ...]
@@ -708,35 +722,32 @@ def upper_conditional(
 Rep = tuple[tuple[int, bool], ...]
 
 
-def _merge_reps(a: Sequence[Rep], b: Sequence[Rep], cap: int = 2) -> list[Rep]:
-    out: list[Rep] = []
-    for ra in a:
-        for rb in b:
-            merged = tuple(sorted(ra + rb))
-            if merged not in out:
-                out.append(merged)
-            if len(out) >= cap:
-                return out
-    return out
-
-
 def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= TIE_REL * max(1.0, abs(a), abs(b))
+    """Tie test for maxima: equal within ``TIE_REL``; an infinity ties only with itself."""
+    return a == b or abs(a - b) <= TIE_REL * max(1.0, abs(a), abs(b)) < math.inf
 
 
-class _CredalMap:
-    """Upper completion bounds M(n) plus tie structure for backtracking."""
+class _Ties:
+    """Per-node result of a max pass: the value, the options attaining it in
+    tie order, and how many completions attain it, capped at 2.
 
-    __slots__ = ("values", "tied", "reps")
+    A TRUE terminal's options are its states (0 true, 1 false) and a
+    decision node's are element indices.  A literal, or a terminal whose
+    state is fixed, has no options and one completion.
+    """
+
+    __slots__ = ("values", "tied", "counts")
 
     def __init__(self, size: int) -> None:
         self.values = [0.0] * size
         self.tied: list[tuple[int, ...]] = [()] * size
-        self.reps: list[list[Rep]] = [[] for _ in range(size)]
+        self.counts = [0] * size
 
 
-def _credal_map(circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> _CredalMap:
-    cm = _CredalMap(len(circuit.nodes))
+def _credal_map(circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> _Ties:
+    """Upper completion bounds M(n), tied in element order and true state first."""
+    cm = _Ties(len(circuit.nodes))
+    values, tied, counts = cm.values, cm.tied, cm.counts
     table = params.table
     for nid in circuit.cone():
         node = circuit.nodes[nid]
@@ -744,48 +755,30 @@ def _credal_map(circuit: Circuit, params: CsddParams, evidence: Mapping[int, boo
             continue
         if node.kind == LITERAL:
             val = evidence.get(node.var)
-            if val is None:
-                cm.values[nid] = 1.0
-                cm.reps[nid] = [((node.var, node.polarity),)]
-            else:
-                cm.values[nid] = 1.0 if val == node.polarity else 0.0
-                cm.reps[nid] = [()]
+            values[nid] = 1.0 if val is None or val == node.polarity else 0.0
+            counts[nid] = 1
         elif node.kind == TRUE:
             cs = table[nid]
             val = evidence.get(node.var)
             if val is None:
-                up_true, up_false = cs.upper
-                cm.values[nid] = max(up_true, up_false)
-                states = []
-                if _close(up_true, cm.values[nid]):
-                    states.append(0)
-                if _close(up_false, cm.values[nid]):
-                    states.append(1)
-                cm.tied[nid] = tuple(states)
-                cm.reps[nid] = [((node.var, st == 0),) for st in states]
+                best = values[nid] = max(cs.upper)
+                tied[nid] = tuple(st for st in (0, 1) if _close(cs.upper[st], best))
+                counts[nid] = len(tied[nid])
             else:
-                cm.values[nid] = cs.upper[0 if val else 1]
-                cm.reps[nid] = [()]
+                values[nid] = cs.upper[0 if val else 1]
+                counts[nid] = 1
         else:
             cs = table.get(nid)
             if cs is None:
                 continue
-            best, cands = 0.0, []
-            for idx, (p, s) in enumerate(node.elements):
-                value = cs.upper[idx] * cm.values[p] * cm.values[s]
-                cands.append(value)
-                if value > best:
-                    best = value
-            tied = tuple(
+            cands = [cs.upper[idx] * values[p] * values[s] for idx, (p, s) in enumerate(node.elements)]
+            best = values[nid] = max(0.0, *cands)
+            tied[nid] = tuple(
                 idx for idx, value in enumerate(cands) if value > 0.0 and _close(value, best)
             )
-            cm.values[nid] = best
-            cm.tied[nid] = tied
-            cm.reps[nid] = _dedup_reps(
-                rep
-                for p, s in (node.elements[idx] for idx in tied)
-                for rep in _merge_reps(cm.reps[p], cm.reps[s])
-            )
+            counts[nid] = min(2, sum(
+                counts[p] * counts[s] for p, s in (node.elements[idx] for idx in tied[nid])
+            ))
     return cm
 
 
@@ -799,7 +792,7 @@ def _mark_map(
     trace: InferenceTrace,
     circuit: Circuit,
     params: CsddParams,
-    cm: _CredalMap,
+    cm: _Ties,
     evidence: Mapping[int, bool],
     starts: Iterable[int],
 ) -> None:
@@ -861,11 +854,12 @@ def robustness(
     """Is ``xstar`` the most probable completion for every compatible table?
 
     Computes ``V = max over completions x, over tables, of
-    P(x, e) / P(xstar, e)`` bottom-up; V is exact on singly connected
-    circuits and an upper bound otherwise (robust verdicts are certain,
-    non-robust ones may be conservative).  The verdict is robust when only
-    ``xstar`` attains V = 1, weakly robust when the maximum is tied, and
-    not robust otherwise (including inconsistent ``xstar``).
+    P(x, e) / P(xstar, e)`` bottom-up along ``xstar``'s route, in time
+    linear in the cone's size; V is exact on singly connected circuits and
+    an upper bound otherwise (robust verdicts are certain, non-robust ones
+    may be conservative).  The verdict is robust when only ``xstar``
+    attains V = 1, weakly robust when the maximum is tied, and not robust
+    otherwise (including inconsistent ``xstar``).
     """
     _check_evidence(circuit, evidence)
     _check_evidence(circuit, xstar)
@@ -885,77 +879,52 @@ def robustness(
     table = params.table
     nodes, cone, root = circuit.nodes, circuit.cone(), circuit.root
 
-    values: dict[int, float] = {}
-    reps: dict[int, list[Rep]] = {}
-    # candidates kept for the certificate pass:
-    #   ('A', j) stay on the realized branch, ('U', i, j, point) switch to i
-    cands: dict[int, list[tuple[float, tuple]]] = {}
+    # options on the route: a TRUE terminal keeps xstar's state or flips it;
+    # a decision node stays on its realized element or switches to another,
+    # whose completions come from the credal MAP pass
+    rob = _Ties(len(nodes))
+    values, tied, counts = rob.values, rob.tied, rob.counts
+    points: dict[tuple[int, int], tuple[float, ...] | None] = {}  # pinned by a flip or switch
     for nid in cone:
         if nid not in on_route:
             continue
         node = nodes[nid]
-        if node.kind == LITERAL:
-            values[nid] = 1.0
-            reps[nid] = [((node.var, node.polarity),)] if node.var in xstar else [()]
+        if node.kind == LITERAL or node.kind == TRUE and node.var not in xstar:
+            values[nid], counts[nid] = 1.0, 1
             continue
         if node.kind == TRUE:
-            if node.var not in xstar:
-                values[nid] = 1.0
-                reps[nid] = [()]
-                continue
             cs = table[nid]
-            want_true = xstar[node.var]
-            if want_true:
+            if xstar[node.var]:
                 l = cs.lower[0]
                 flip = (1.0 - l) / l if l > 0 else math.inf
-                point = (l, 1.0 - l)
+                points[nid, 1] = (l, 1.0 - l)
+                local = [(1.0, 0, 1), (flip, 1, 1)]
             else:
                 u = cs.upper[0]
                 flip = u / (1.0 - u) if u < 1 else math.inf
-                point = (u, 1.0 - u)
-            value = max(1.0, flip)
-            values[nid] = value
-            rep_list: list[Rep] = []
-            if _close(1.0, value):
-                rep_list.append(((node.var, want_true),))
-            if flip >= value or _close(flip, value):
-                rep_list = _dedup_reps(rep_list + [((node.var, not want_true),)])
-            reps[nid] = rep_list
-            cands[nid] = [(flip, ("T", point))]
-            continue
-        # realized decision node
-        j = realized[nid]
-        pj, sj = node.elements[j]
-        cs = table[nid]
-        local: list[tuple[float, tuple]] = []
-        stay = values[pj] * values[sj]
-        local.append((stay, ("A", j)))
-        denom = low_xe.values[pj] * low_xe.values[sj]
-        for i, (pi, si) in enumerate(node.elements):
-            if i == j or cs.upper[i] <= 0.0:
-                continue
-            num = cm.values[pi] * cm.values[si]
-            if num <= 0.0:
-                continue
-            if denom <= 0.0 or cs.lower[j] <= 0.0:
-                local.append((math.inf, ("U", i, j, None)))
-                continue
-            ratio, point = _max_ratio_vertex(cs, i, j, num / denom)
-            local.append((ratio, ("U", i, j, point)))
-        best = max(value for value, _ in local)
-        values[nid] = best
-        rep_list = []
-        for value, tag in local:
-            if not (value == best or _close(value, best)):
-                continue
-            if tag[0] == "A":
-                rep_list = _dedup_reps(rep_list + _merge_reps(reps[pj], reps[sj]))
-            else:
-                i = tag[1]
-                pi, si = node.elements[i]
-                rep_list = _dedup_reps(rep_list + _merge_reps(cm.reps[pi], cm.reps[si]))
-        reps[nid] = rep_list
-        cands[nid] = local
+                points[nid, 0] = (u, 1.0 - u)
+                local = [(1.0, 1, 1), (flip, 0, 1)]
+        else:
+            j = realized[nid]
+            pj, sj = node.elements[j]
+            cs = table[nid]
+            local = [(values[pj] * values[sj], j, counts[pj] * counts[sj])]
+            denom = low_xe.values[pj] * low_xe.values[sj]
+            for i, (pi, si) in enumerate(node.elements):
+                if i == j or cs.upper[i] <= 0.0:
+                    continue
+                num = cm.values[pi] * cm.values[si]
+                if num <= 0.0:
+                    continue
+                if denom <= 0.0 or cs.lower[j] <= 0.0:
+                    ratio, points[nid, i] = math.inf, None
+                else:
+                    ratio, points[nid, i] = _max_ratio_vertex(cs, i, j, num / denom)
+                local.append((ratio, i, cm.counts[pi] * cm.counts[si]))
+        best = values[nid] = max(value for value, _, _ in local)
+        kept = [(opt, n) for value, opt, n in local if _close(value, best)]
+        tied[nid] = tuple(opt for opt, _ in kept)
+        counts[nid] = min(2, sum(n for _, n in kept))
     value = values[root]
 
     trace = certificate = None
@@ -968,26 +937,64 @@ def robustness(
             if nid not in marked:
                 continue
             node = nodes[nid]
-            best = values.get(nid)
-            for cand_value, tag in cands.get(nid, ()):
-                if not (cand_value >= best or _close(cand_value, best)):
+            for opt in tied[nid]:
+                trace.record(nid, points.get((nid, opt)))  # staying pins no point
+                if node.kind == TRUE:
                     continue
-                if tag[0] == "T":
-                    trace.record(nid, tag[1])
-                elif tag[0] == "A":
-                    marked.update(node.elements[tag[1]])
+                j = realized[nid]
+                if opt == j:
+                    marked.update(node.elements[j])
                 else:
-                    _, i, j, point = tag
-                    trace.record(nid, point)
-                    map_starts += node.elements[i]
+                    map_starts += node.elements[opt]
                     sweep_starts += ((child, MIN) for child in node.elements[j])
         _mark_map(trace, circuit, params, cm, evidence, map_starts)
         up_xe = _credal_sweep(circuit, params, total, MAX)
         _mark_sweeps(trace, circuit, low_xe, up_xe, sweep_starts)
         certificate = exactness_certificate(trace, circuit.connectivity())
 
-    attaining = tuple(reps[root])
+    attaining = tuple(_completion(circuit, evidence, rob, cm, realized, k) for k in range(counts[root]))
     return RobustnessVerdict(value, _label(value, attaining, xstar), attaining, trace, certificate)
+
+
+def _completion(
+    circuit: Circuit,
+    evidence: Mapping[int, bool],
+    rob: _Ties,
+    cm: _Ties,
+    realized: Mapping[int, int],
+    k: int,
+) -> Rep:
+    """The ``k``-th completion attaining the robustness pass's value at the root.
+
+    Completions are ordered by option in tie order, then with the prime's
+    completion varying slowest.  A depth-first walk: at each node it picks
+    the option holding the ``k``-th completion and splits ``k`` between
+    the option's prime and sub.  Staying on the realized element keeps
+    reading the robustness pass; a switch reads the credal MAP pass.
+    """
+    nodes = circuit.nodes
+    out: list[tuple[int, bool]] = []
+    stack = [(True, circuit.root, k)]
+    while stack:
+        on_route, nid, k = stack.pop()
+        node = nodes[nid]
+        options = (rob if on_route else cm).tied[nid]
+        if node.kind == LITERAL:
+            if node.var not in evidence:
+                out.append((node.var, node.polarity))
+        elif node.kind == TRUE:
+            if options:
+                out.append((node.var, options[k] == 0))
+        else:
+            for opt in options:
+                stay = on_route and opt == realized[nid]
+                counts = (rob if stay else cm).counts
+                p, s = node.elements[opt]
+                if k < counts[p] * counts[s]:
+                    stack += ((stay, p, k // counts[s]), (stay, s, k % counts[s]))
+                    break
+                k -= counts[p] * counts[s]
+    return tuple(sorted(out))
 
 
 def _label(value: float, attaining: Sequence[Rep], xstar: Mapping[int, bool]) -> str:
@@ -997,16 +1004,6 @@ def _label(value: float, attaining: Sequence[Rep], xstar: Mapping[int, bool]) ->
     if tuple(sorted((int(v), bool(b)) for v, b in xstar.items())) not in attaining:
         return NOT_ROBUST
     return WEAKLY_ROBUST if len(attaining) >= 2 else ROBUST
-
-
-def _dedup_reps(reps: Iterable[Rep], cap: int = 2) -> list[Rep]:
-    out: list[Rep] = []
-    for rep in reps:
-        if rep not in out:
-            out.append(rep)
-        if len(out) >= cap:
-            break
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1130,6 +1127,6 @@ def _brute_robustness(circuit, params, query, result, cap) -> RobustnessVerdict:
             best_value = leaf.value
             attaining = list(leaf.attaining)
         elif _close(leaf.value, best_value):
-            attaining = _dedup_reps(attaining + list(leaf.attaining), cap=4)
+            attaining = list(dict.fromkeys(attaining + list(leaf.attaining)))[:4]
     label = _label(best_value, attaining, xstar)
     return RobustnessVerdict(best_value, label, tuple(attaining), None, ExactnessCertificate(EXACT))

@@ -11,7 +11,9 @@ greedy local LP and an all-``fsum`` point pass are kept for the one- and
 two-state closed forms to be compared against bit for bit.  The record-
 and-pass model loader and the loop forms of ``check_local`` and the
 credal-set constructor are kept for the one-pass loader and the unrolled
-two-state checks to be compared against.
+two-state checks to be compared against.  The credal MAP and robustness
+passes that carry up to two attaining completions per node as sorted
+tuples are kept for the tie-structure passes to be compared against.
 """
 
 from __future__ import annotations
@@ -387,6 +389,247 @@ def mark_map_walk(trace, circuit: Circuit, params: CsddParams, cm, evidence, sta
                 coeffs = tuple(1.0 if i == idx else 0.0 for i in range(cs.k))
                 trace.record(nid, _max_fast(cs, coeffs)[1])
                 stack.extend(node.elements[idx])
+
+
+def _merge_reps(a, b, cap: int = 2):
+    out = []
+    for ra in a:
+        for rb in b:
+            merged = tuple(sorted(ra + rb))
+            if merged not in out:
+                out.append(merged)
+            if len(out) >= cap:
+                return out
+    return out
+
+
+def _dedup_reps(reps, cap: int = 2):
+    out = []
+    for rep in reps:
+        if rep not in out:
+            out.append(rep)
+        if len(out) >= cap:
+            break
+    return out
+
+
+class CredalMapReference:
+    """Upper completion bounds M(n) plus tie structure for backtracking."""
+
+    __slots__ = ("values", "tied", "reps")
+
+    def __init__(self, size: int) -> None:
+        self.values = [0.0] * size
+        self.tied = [()] * size
+        self.reps = [[] for _ in range(size)]
+
+
+def credal_map_reference(circuit: Circuit, params: CsddParams, evidence) -> CredalMapReference:
+    """``infer._credal_map`` carrying up to two attaining completions per
+    node as sorted tuples, rebuilt at every node."""
+    from csdd.infer import _close
+
+    cm = CredalMapReference(len(circuit.nodes))
+    table = params.table
+    for nid in circuit.cone():
+        node = circuit.nodes[nid]
+        if node.kind == FALSE:
+            continue
+        if node.kind == LITERAL:
+            val = evidence.get(node.var)
+            if val is None:
+                cm.values[nid] = 1.0
+                cm.reps[nid] = [((node.var, node.polarity),)]
+            else:
+                cm.values[nid] = 1.0 if val == node.polarity else 0.0
+                cm.reps[nid] = [()]
+        elif node.kind == TRUE:
+            cs = table[nid]
+            val = evidence.get(node.var)
+            if val is None:
+                up_true, up_false = cs.upper
+                cm.values[nid] = max(up_true, up_false)
+                states = []
+                if _close(up_true, cm.values[nid]):
+                    states.append(0)
+                if _close(up_false, cm.values[nid]):
+                    states.append(1)
+                cm.tied[nid] = tuple(states)
+                cm.reps[nid] = [((node.var, st == 0),) for st in states]
+            else:
+                cm.values[nid] = cs.upper[0 if val else 1]
+                cm.reps[nid] = [()]
+        else:
+            cs = table.get(nid)
+            if cs is None:
+                continue
+            best, cands = 0.0, []
+            for idx, (p, s) in enumerate(node.elements):
+                value = cs.upper[idx] * cm.values[p] * cm.values[s]
+                cands.append(value)
+                if value > best:
+                    best = value
+            tied = tuple(
+                idx for idx, value in enumerate(cands) if value > 0.0 and _close(value, best)
+            )
+            cm.values[nid] = best
+            cm.tied[nid] = tied
+            cm.reps[nid] = _dedup_reps(
+                rep
+                for p, s in (node.elements[idx] for idx in tied)
+                for rep in _merge_reps(cm.reps[p], cm.reps[s])
+            )
+    return cm
+
+
+def attaining_reference(
+    circuit: Circuit, params: CsddParams, evidence, xstar, want_certificate: bool = True
+):
+    """``infer.robustness`` carrying up to two attaining completions per
+    node as sorted tuples, and choosing the certificate's candidates by
+    their own tie test.  Ties use ``infer._close``."""
+    from csdd.credal import _max_ratio_vertex
+    from csdd.infer import (
+        EXACT,
+        MAX,
+        MIN,
+        NOT_ROBUST,
+        ExactnessCertificate,
+        InferenceError,
+        InferenceTrace,
+        RobustnessVerdict,
+        _check_evidence,
+        _close,
+        _credal_sweep,
+        _label,
+        _mark_map,
+        _mark_sweeps,
+        _route,
+        exactness_certificate,
+    )
+    from csdd.circuit import is_consistent
+
+    _check_evidence(circuit, evidence)
+    _check_evidence(circuit, xstar)
+    total = dict(evidence)
+    for var, val in xstar.items():
+        if var in evidence:
+            raise InferenceError(f"variable {var} is both queried and observed")
+        total[var] = bool(val)
+    if len(total) != circuit.vtree.var_count:
+        raise InferenceError("evidence and completion must cover all variables")
+    if not is_consistent(circuit, total):
+        return RobustnessVerdict(1.0, NOT_ROBUST, (), InferenceTrace() if want_certificate else None,
+                                 ExactnessCertificate(EXACT) if want_certificate else None)
+    cm = credal_map_reference(circuit, params, evidence)
+    low_xe = _credal_sweep(circuit, params, total, MIN)
+    realized, on_route = _route(circuit, total)
+    table = params.table
+    nodes, cone, root = circuit.nodes, circuit.cone(), circuit.root
+
+    values = {}
+    reps = {}
+    # candidates kept for the certificate pass:
+    #   ('A', j) stay on the realized branch, ('U', i, j, point) switch to i
+    cands = {}
+    for nid in cone:
+        if nid not in on_route:
+            continue
+        node = nodes[nid]
+        if node.kind == LITERAL:
+            values[nid] = 1.0
+            reps[nid] = [((node.var, node.polarity),)] if node.var in xstar else [()]
+            continue
+        if node.kind == TRUE:
+            if node.var not in xstar:
+                values[nid] = 1.0
+                reps[nid] = [()]
+                continue
+            cs = table[nid]
+            want_true = xstar[node.var]
+            if want_true:
+                l = cs.lower[0]
+                flip = (1.0 - l) / l if l > 0 else math.inf
+                point = (l, 1.0 - l)
+            else:
+                u = cs.upper[0]
+                flip = u / (1.0 - u) if u < 1 else math.inf
+                point = (u, 1.0 - u)
+            value = max(1.0, flip)
+            values[nid] = value
+            rep_list = []
+            if _close(1.0, value):
+                rep_list.append(((node.var, want_true),))
+            if flip >= value or _close(flip, value):
+                rep_list = _dedup_reps(rep_list + [((node.var, not want_true),)])
+            reps[nid] = rep_list
+            cands[nid] = [(flip, ("T", point))]
+            continue
+        # realized decision node
+        j = realized[nid]
+        pj, sj = node.elements[j]
+        cs = table[nid]
+        local = []
+        stay = values[pj] * values[sj]
+        local.append((stay, ("A", j)))
+        denom = low_xe.values[pj] * low_xe.values[sj]
+        for i, (pi, si) in enumerate(node.elements):
+            if i == j or cs.upper[i] <= 0.0:
+                continue
+            num = cm.values[pi] * cm.values[si]
+            if num <= 0.0:
+                continue
+            if denom <= 0.0 or cs.lower[j] <= 0.0:
+                local.append((math.inf, ("U", i, j, None)))
+                continue
+            ratio, point = _max_ratio_vertex(cs, i, j, num / denom)
+            local.append((ratio, ("U", i, j, point)))
+        best = max(value for value, _ in local)
+        values[nid] = best
+        rep_list = []
+        for value, tag in local:
+            if not (value == best or _close(value, best)):
+                continue
+            if tag[0] == "A":
+                rep_list = _dedup_reps(rep_list + _merge_reps(reps[pj], reps[sj]))
+            else:
+                i = tag[1]
+                pi, si = node.elements[i]
+                rep_list = _dedup_reps(rep_list + _merge_reps(cm.reps[pi], cm.reps[si]))
+        reps[nid] = rep_list
+        cands[nid] = local
+    value = values[root]
+
+    trace = certificate = None
+    if want_certificate:
+        trace = InferenceTrace()
+        map_starts = []
+        sweep_starts = []
+        marked = {root}
+        for nid in reversed(cone):
+            if nid not in marked:
+                continue
+            node = nodes[nid]
+            best = values.get(nid)
+            for cand_value, tag in cands.get(nid, ()):
+                if not (cand_value >= best or _close(cand_value, best)):
+                    continue
+                if tag[0] == "T":
+                    trace.record(nid, tag[1])
+                elif tag[0] == "A":
+                    marked.update(node.elements[tag[1]])
+                else:
+                    _, i, j, point = tag
+                    trace.record(nid, point)
+                    map_starts += node.elements[i]
+                    sweep_starts += ((child, MIN) for child in node.elements[j])
+        _mark_map(trace, circuit, params, cm, evidence, map_starts)
+        up_xe = _credal_sweep(circuit, params, total, MAX)
+        _mark_sweeps(trace, circuit, low_xe, up_xe, sweep_starts)
+        certificate = exactness_certificate(trace, circuit.connectivity())
+
+    attaining = tuple(reps[root])
+    return RobustnessVerdict(value, _label(value, attaining, xstar), attaining, trace, certificate)
 
 
 def check_partitions(

@@ -51,7 +51,15 @@ from csdd.formula import TRUE as T_CONST
 from csdd.learn import Dataset, collect_counts, ml_estimate
 from csdd.params import CsddParams, PsddParams
 
-from conftest import mark_map_walk, mark_sweep_walk, random_credal_instance
+from conftest import (
+    attaining_reference,
+    brute_joint,
+    credal_map_reference,
+    mark_map_walk,
+    mark_sweep_walk,
+    random_circuit,
+    random_credal_instance,
+)
 
 EVIDENCE_DARK_CORNER = {1: False, 2: False, 3: False, 4: True}
 
@@ -617,6 +625,65 @@ class TestRobustness:
                 assert oracle > 1.0 - 1e-9
             seen.add(verdict.label)
 
+    def test_infinite_value_lists_only_attaining_completions(self):
+        # X1 may have no mass on its true state, so flipping it gives V = inf;
+        # keeping X1 = 1 and flipping X2 reaches only 0.7 / 0.3
+        circuit, params = _chain([IntervalCredalSet((0.0, 0.4), (0.6, 1.0)),
+                                  IntervalCredalSet((0.3, 0.3), (0.7, 0.7))])
+        verdict = robustness(circuit, params, {}, {1: True, 2: True})
+        assert verdict.value == math.inf
+        assert verdict.label == NOT_ROBUST
+        assert verdict.attaining == (((1, False), (2, False)),)
+
+    def test_infinite_value_marks_only_attaining_options(self):
+        # TRUE node 2 is shared; only the options reaching V = inf pin it,
+        # and they agree
+        vtree = formats.loads_vtree("vtree 5\nL 0 3\nL 2 2\nL 4 1\nI 3 2 4\nI 1 0 3\n")
+        circuit, params = formats.loads_csdd(
+            "csdd 8\nL 0 0 3\nL 1 4 1\nT 2 2 2 1.1102230246251565e-16 0.5232045940313444\n"
+            "T 3 4 1 0.0 0.33239921614774753\nD 4 3 1 2 3 1.0 1.0\nL 5 0 -3\n"
+            "D 6 3 1 2 1 1.0 1.0\nD 7 1 2 0 4 0.5837253766108306 0.6753461658615943 "
+            "5 6 0.32465383413840565 0.41627462338916943\n",
+            vtree,
+        )
+        verdict = robustness(circuit, params, {1: True}, {2: False, 3: True})
+        assert verdict.value == math.inf
+        assert verdict.certificate.status == EXACT
+        assert verdict.attaining == (((2, False), (3, False)),)
+
+    def test_refinement_never_below_one(self):
+        # terminals without mass on their true state make some ratios
+        # infinite; the refinement must not lose them to its 0.0 start
+        rng = Random(3)
+        refined_count = 0
+        for _ in range(200):
+            circuit, params = random_credal_instance(rng, rng.randint(3, 5), False, 0.25)
+            _zero_true_lower_bounds(rng, circuit, params)
+            models = sorted(enumerate_models(circuit, circuit.root))
+            model = models[rng.randrange(len(models))]
+            evidence, xstar = {}, {}
+            for var in range(1, circuit.vtree.var_count + 1):
+                (evidence if rng.random() < 0.3 else xstar)[var] = model[var - 1]
+            if not xstar:
+                continue
+            verdict = robustness(circuit, params, evidence, xstar)
+            if verdict.certificate.is_exact:
+                continue
+            refined = brute_force_exact(circuit, params,
+                                        Query.make("robustness", evidence, xstar=xstar), verdict)
+            refined_count += 1
+            assert 1.0 - 1e-12 <= refined.value <= verdict.value * (1.0 + 1e-12)
+            if refined.label != NOT_ROBUST:
+                assert refined.attaining[0] == tuple(sorted(xstar.items()))
+        assert refined_count >= 10
+
+
+def _zero_true_lower_bounds(rng: Random, circuit: Circuit, params: CsddParams) -> None:
+    """Give about 40% of the TRUE terminals no lower mass on their true state."""
+    for nid, cs in params.table.items():
+        if circuit.nodes[nid].kind == TRUE and rng.random() < 0.4:
+            params.table[nid] = normalize_reachable((0.0, cs.lower[1]), (cs.upper[0], 1.0))
+
 
 def _pick_map_instance(rng: Random, circuit: Circuit, params: CsddParams):
     n = circuit.vtree.var_count
@@ -686,6 +753,105 @@ class TestBruteForce:
         assert flagged >= 1
 
 
+def _uniform_point_params(circuit: Circuit) -> PsddParams:
+    """Point table with forced ties: every TRUE terminal at (0.5, 0.5) and
+    every decision node uniform over its satisfiable elements."""
+    false = circuit.false_ids()
+    table = {}
+    for nid in circuit.parameterized_ids():
+        node = circuit.nodes[nid]
+        if node.kind == TRUE:
+            table[nid] = (0.5, 0.5)
+        else:
+            free = [s not in false for _, s in node.elements]
+            table[nid] = tuple(1.0 / sum(free) if f else 0.0 for f in free)
+    return PsddParams(table)
+
+
+def _enumeration_label(circuit, params, evidence, xstar) -> str:
+    """Robust iff xstar is the unique most probable completion, weakly robust
+    iff it is one of several, by enumerating every completion's joint."""
+    free = sorted(xstar)
+    joints = {}
+    for values in product((False, True), repeat=len(free)):
+        completion = dict(zip(free, values))
+        key = tuple(sorted(completion.items()))
+        joints[key] = brute_joint(circuit, params, {**evidence, **completion})
+    best = max(joints.values())
+    argmax = [key for key, p in joints.items() if p >= best * (1.0 - 1e-9)]
+    if tuple(sorted(xstar.items())) not in argmax:
+        return NOT_ROBUST
+    return ROBUST if len(argmax) == 1 else WEAKLY_ROBUST
+
+
+def _random_query(rng: Random, circuit: Circuit, member: PsddParams):
+    """Evidence from a random model, and as xstar its MAP completion under
+    ``member``, the model's own completion, or random values."""
+    n = circuit.vtree.var_count
+    models = sorted(enumerate_models(circuit, circuit.root))
+    model = models[rng.randrange(len(models))]
+    evidence = {v: model[v - 1] for v in range(1, n + 1) if rng.random() < 0.35}
+    if len(evidence) == n:
+        del evidence[rng.choice(sorted(evidence))]
+    how = rng.randrange(3)
+    if how == 0:
+        _, completion = map_query(circuit, member, evidence)
+        return evidence, {v: b for v, b in completion.items() if v not in evidence}
+    if how == 1:
+        return evidence, {v: model[v - 1] for v in range(1, n + 1) if v not in evidence}
+    return evidence, {v: bool(rng.getrandbits(1)) for v in range(1, n + 1) if v not in evidence}
+
+
+class TestTieStructure:
+    """Robustness from per-node tied options and completion counts."""
+
+    def test_forced_ties_match_enumeration(self):
+        rng = Random(5)
+        seen = set()
+        for _ in range(400):
+            circuit = random_circuit(rng, rng.randint(3, 5), bool(rng.getrandbits(1)))
+            point = _uniform_point_params(circuit)
+            evidence, xstar = _random_query(rng, circuit, point)
+            verdict = robustness(circuit, CsddParams.degenerate(point), evidence, xstar)
+            assert verdict.label == _enumeration_label(circuit, point, evidence, xstar)
+            seen.add(verdict.label)
+        assert seen == {ROBUST, WEAKLY_ROBUST, NOT_ROBUST}
+
+    def test_matches_rep_carrying_reference(self):
+        rng = Random(13)
+        seen = set()
+        for case in range(600):
+            singly = bool(case % 2)
+            kind = ("credal", "zero lower", "tied")[case // 2 % 3]
+            if kind == "tied":
+                circuit = random_circuit(rng, rng.randint(3, 5), singly)
+                params = CsddParams.degenerate(_uniform_point_params(circuit))
+            else:
+                circuit, params = random_credal_instance(rng, rng.randint(3, 5), singly, 0.25)
+                if kind == "zero lower":
+                    _zero_true_lower_bounds(rng, circuit, params)
+            evidence, xstar = _random_query(rng, circuit, params.select({}))
+            cm = credal_map_reference(circuit, params, evidence)
+            assert credal_map_upper(circuit, params, evidence).hex() == cm.values[circuit.root].hex()
+            for want_certificate in (True, False):
+                got = robustness(circuit, params, evidence, xstar, want_certificate)
+                want = attaining_reference(circuit, params, evidence, xstar, want_certificate)
+                assert got.value.hex() == want.value.hex()
+                assert (got.label, got.attaining) == (want.label, want.attaining)
+                if want_certificate:
+                    assert got.certificate == want.certificate
+                    assert got.trace.uses == want.trace.uses
+                else:
+                    assert got.certificate is got.trace is None
+            xs = tuple(sorted(xstar.items()))
+            if xs in got.attaining:
+                # _label relies on xstar coming first; xstar's own ratio is 1
+                assert got.attaining[0] == xs
+                assert got.label in (ROBUST, WEAKLY_ROBUST)
+                seen.add(got.label)
+        assert seen == {ROBUST, WEAKLY_ROBUST}
+
+
 def _point_sets(trace: InferenceTrace) -> dict[int, set[tuple[float, ...]]]:
     return {nid: set(points) for nid, points in trace.uses.items()}
 
@@ -700,9 +866,7 @@ class TestMarkers:
         circuit, params = random_credal_instance(rng, rng.randint(3, 6), singly, 0.3)
         # a zero lower bound on some terminals gives lower values of zero
         # under positive upper values, where the lower sweep's rule differs
-        for nid, cs in params.table.items():
-            if circuit.nodes[nid].kind == TRUE and rng.random() < 0.4:
-                params.table[nid] = normalize_reachable((0.0, cs.lower[1]), (cs.upper[0], 1.0))
+        _zero_true_lower_bounds(rng, circuit, params)
         n = circuit.vtree.var_count
         evidence = {v: bool(rng.getrandbits(1)) for v in range(1, n + 1) if rng.random() < 0.5}
         low = _credal_sweep(circuit, params, evidence, MIN)
@@ -728,18 +892,15 @@ class TestMarkers:
 DEEP_VARS = 3000
 
 
-@pytest.fixture(scope="module")
-def deep_model(tmp_path_factory):
-    """Right-linear chain over ``DEEP_VARS`` variables, written and read back.
+def _chain(sets):
+    """Right-linear chain over ``len(sets)`` variables; ``sets[v - 1]`` is
+    variable v's TRUE terminal set.
 
     Every internal vtree node has one decision node with one element: a
-    TRUE prime with an interval set, then the rest of the chain.  The
-    lower-greedy point table puts all mass on the true states, so every
-    answer is exact in floating point.
+    TRUE prime, then the rest of the chain.
     """
-    vtree = Vtree.right_linear(DEEP_VARS)
+    vtree = Vtree.right_linear(len(sets))
     circuit = Circuit(vtree)
-    interval = IntervalCredalSet((0.6, 0.0), (1.0, 0.4))
     table = {}
     spine = []
     vid = vtree.root
@@ -747,16 +908,26 @@ def deep_model(tmp_path_factory):
         spine.append(vid)
         vid = vtree.right(vid)
     rest = circuit.add_true(vid)
-    table[rest] = interval
+    table[rest] = sets[vtree.var(vid) - 1]
     for vid in reversed(spine):
         prime = circuit.add_true(vtree.left(vid))
-        table[prime] = interval
+        table[prime] = sets[vtree.var(vtree.left(vid)) - 1]
         rest = circuit.add_decision(vid, [(prime, rest)])
         table[rest] = IntervalCredalSet((1.0,), (1.0,))
     circuit.set_root(rest)
-    params = CsddParams(table)
+    return circuit, CsddParams(table)
+
+
+@pytest.fixture(scope="module")
+def deep_model(tmp_path_factory):
+    """Chain over ``DEEP_VARS`` variables, written and read back.
+
+    The lower-greedy point table puts all mass on the true states, so every
+    answer is exact in floating point.
+    """
+    circuit, params = _chain([IntervalCredalSet((0.6, 0.0), (1.0, 0.4))] * DEEP_VARS)
     d = tmp_path_factory.mktemp("deep")
-    formats.write_vtree(vtree, d / "m.vtree")
+    formats.write_vtree(circuit.vtree, d / "m.vtree")
     formats.write_csdd(circuit, params, d / "m.csdd")
     formats.write_psdd(circuit, params.select({}), d / "m.psdd")
     circuit, params = formats.read_csdd(d / "m.csdd", formats.read_vtree(d / "m.vtree"))
@@ -787,3 +958,15 @@ class TestDeepModel:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["label"] == ROBUST
+
+    @pytest.mark.parametrize("n", [50, DEEP_VARS])
+    def test_tied_chain(self, n):
+        # every terminal ties its two states, so every node has two completions
+        circuit, params = _chain([IntervalCredalSet((0.3, 0.5), (0.5, 0.7))] * n)
+        xstar = {var: False for var in range(1, n + 1)}
+        verdict = robustness(circuit, params, {}, xstar)
+        assert (verdict.value, verdict.label) == (1.0, WEAKLY_ROBUST)
+        second = {**xstar, n: True}
+        assert verdict.attaining == (tuple(sorted(xstar.items())), tuple(sorted(second.items())))
+        if n == 50:  # the reference rebuilds completions per node, quadratic in depth
+            assert verdict.attaining == attaining_reference(circuit, params, {}, xstar).attaining
