@@ -42,7 +42,6 @@ __all__ = [
     "multiplicity_report",
     "topological_order",
     "compile_formula",
-    "validate_structure",
     "validate_partitions",
     "is_consistent",
 ]
@@ -553,25 +552,6 @@ def multiplicity_report(circuit: Circuit) -> ConnectivityReport:
 def topological_order(circuit: Circuit) -> list[int]:
     """Node ids with every prime and sub preceding its decision node."""
     return circuit.cone()
-
-
-def validate_structure(circuit: Circuit) -> None:
-    """Check vtree normalization and id precedence over the root's cone."""
-    vtree = circuit.vtree
-    for nid in circuit.cone():
-        node = circuit.nodes[nid]
-        if node.kind == DECISION:
-            if vtree.is_leaf(node.vtree):
-                raise CircuitError(f"decision node {nid} tagged with a leaf vtree node")
-            vl, vr = vtree.left(node.vtree), vtree.right(node.vtree)
-            for p, s in node.elements:
-                if p >= nid or s >= nid:
-                    raise CircuitError(f"node {nid}: element ids do not precede it")
-                if circuit.nodes[p].vtree != vl or circuit.nodes[s].vtree != vr:
-                    raise CircuitError(f"node {nid}: children not normalized for its vtree split")
-        else:
-            if not vtree.is_leaf(node.vtree):
-                raise CircuitError(f"terminal {nid} tagged with internal vtree node")
 
 
 def validate_partitions(

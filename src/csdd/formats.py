@@ -157,9 +157,15 @@ def loads_vtree(text: str) -> Vtree:
     for vid, entry in entries.items():
         shapes[vid] = entry[1] if entry[0] == "L" else (shapes.pop(entry[1]), shapes.pop(entry[2]))
     try:
-        return Vtree(shapes[roots[0]])
+        vtree = Vtree(shapes[roots[0]])
     except ValueError as exc:
         raise ParseError(1, str(exc)) from None
+    # ids are in-order positions; another numbering would come back renamed
+    for vid, entry in entries.items():  # file order, so each child is checked first
+        loaded = vtree.leaf_of(entry[1]) if entry[0] == "L" else vtree.parent(entry[1])
+        if vid != loaded:
+            raise ParseError(entry[-1], f"vtree id {vid} is not its in-order position {loaded}")
+    return vtree
 
 
 # ---------------------------------------------------------------------------

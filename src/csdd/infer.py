@@ -14,9 +14,9 @@ with a local linear program over the node's credal set:
   evidence and the sign test itself for every target, keeping no
   per-variable state (each target's spine is cached on the circuit);
 * robustness checks whether one most-probable completion stays optimal
-  for every parameter table between the bounds, in one bottom-up pass
-  linear in the cone that keeps per node its value, its tied options and
-  how many completions attain it (at most 2).
+  for every parameter table between the bounds: a credal MAP pass and a
+  truth pass over the cone, then the completion's sweeps, tied options and
+  completion counts (at most 2) over the completion's route only.
 
 On circuits with shared structure the conditional and robustness passes
 may optimize one shared credal set toward different extreme points in
@@ -26,7 +26,7 @@ program used, and an exactness certificate inspects shared nodes for
 divergent choices; a brute-force refinement enumerates the flagged nodes'
 extreme points to recover the exact value.
 
-Bottom-up passes scan the root's cone forward, children first.  The
+Bottom-up passes scan the cone, or a route, forward, children first.  The
 top-down passes after them (the MAP backtrack, a completion's route and
 the certificates' marking) scan it in reverse, pushing marks from each
 marked node to its children, so a certificate marks in one top-down pass
@@ -368,14 +368,16 @@ class _Sweep:
 
 
 def _credal_sweep(
-    circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool], sense: int
+    circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool], ids: Sequence[int], sense: int
 ) -> _Sweep:
+    """Evidence pass over ``ids``, children first; nodes outside read 0.0.  Under
+    a complete assignment its route will do: off it, every prime is false."""
     sweep = _Sweep(len(circuit.nodes))
     values = sweep.values
     vertices = sweep.vertices
     table = params.table
     opt = _min_fast if sense == MIN else _max_fast
-    for nid in circuit.cone():
+    for nid in ids:
         node = circuit.nodes[nid]
         if node.kind == FALSE:
             values[nid] = 0.0
@@ -411,7 +413,7 @@ def _marginal_bound(
     sense: int,
 ) -> float:
     _check_evidence(circuit, evidence)
-    sweep = _credal_sweep(circuit, params, evidence, sense)
+    sweep = _credal_sweep(circuit, params, evidence, circuit.cone(), sense)
     if trace is not None:
         for nid, point in enumerate(sweep.vertices):
             trace.record(nid, point)
@@ -441,6 +443,7 @@ def upper_marginal(
 def _mark_sweeps(
     trace: InferenceTrace,
     circuit: Circuit,
+    ids: Sequence[int],
     low: _Sweep,
     up: _Sweep,
     starts: Sequence[tuple[int, int]],
@@ -448,17 +451,17 @@ def _mark_sweeps(
     """Record the extreme points that realize the swept values at ``starts``.
 
     ``starts`` holds (node, sense) pairs; marks run top-down, one reverse
-    scan of the cone per sense.  For a lower value, elements whose
-    contribution vanishes only because a child's lower bound is zero pin
-    that child too (the zero must be attained); contributions that are
-    zero for every member are free.
+    scan of ``ids`` per sense, which must hold every node a mark reaches.
+    For a lower value, elements whose contribution vanishes only because a
+    child's lower bound is zero pin that child too (the zero must be
+    attained); contributions that are zero for every member are free.
     """
     for sense, sweep in ((MIN, low), (MAX, up)):
         marked = {nid for nid, start_sense in starts if start_sense == sense}
         if not marked:
             continue
         values = sweep.values
-        for nid in reversed(circuit.cone()):
+        for nid in reversed(ids):
             if nid not in marked:
                 continue
             trace.record(nid, sweep.vertices[nid])  # None on literals and FALSE
@@ -500,8 +503,8 @@ class EvidenceSession:
         self.params = params
         self.evidence = dict(evidence)
         self.root = circuit.root
-        self.low = _credal_sweep(circuit, params, self.evidence, MIN)
-        self.up = _credal_sweep(circuit, params, self.evidence, MAX)
+        self.low = _credal_sweep(circuit, params, self.evidence, circuit.cone(), MIN)
+        self.up = _credal_sweep(circuit, params, self.evidence, circuit.cone(), MAX)
         # every sign-test message is at most the upper evidence probability
         # in size, so the numerical zero scales with it
         self.zero = ZERO_TOL * self.up.values[self.root]
@@ -567,7 +570,7 @@ class EvidenceSession:
                 if trace is not None:
                     trace.record(nid, point if any(coeffs) else None)
         if trace is not None:
-            _mark_sweeps(trace, self.circuit, self.low, self.up, starts)
+            _mark_sweeps(trace, self.circuit, self.circuit.cone(), self.low, self.up, starts)
         return msg[self.root]
 
 
@@ -824,13 +827,18 @@ def _mark_map(
                 marked.update(node.elements[idx])
 
 
-def _route(circuit: Circuit, assignment: Mapping[int, bool]) -> tuple[dict[int, int], set[int]]:
-    """Realized element index per decision node on the assignment's route,
-    and the set of nodes on that route."""
+def _route(
+    circuit: Circuit, assignment: Mapping[int, bool]
+) -> tuple[dict[int, int], list[int]] | None:
+    """``None`` when the complete assignment violates the circuit; else the
+    realized element index per decision node on its route, and the route's
+    ids, ascending."""
     cone, root = circuit.cone(), circuit.root
     pos = {var: 1 if val else 0 for var, val in assignment.items()}
     neg = {var: 1 - bit for var, bit in pos.items()}
     truth = _truth_bits(circuit.nodes, cone, pos, neg, 1)
+    if not truth[root]:
+        return None
     realized: dict[int, int] = {}
     on_route = {root}
     for nid in reversed(cone):
@@ -841,7 +849,7 @@ def _route(circuit: Circuit, assignment: Mapping[int, bool]) -> tuple[dict[int, 
                 realized[nid] = idx
                 on_route.update((p, s))
                 break
-    return realized, on_route
+    return realized, sorted(on_route)
 
 
 def robustness(
@@ -854,8 +862,9 @@ def robustness(
     """Is ``xstar`` the most probable completion for every compatible table?
 
     Computes ``V = max over completions x, over tables, of
-    P(x, e) / P(xstar, e)`` bottom-up along ``xstar``'s route, in time
-    linear in the cone's size; V is exact on singly connected circuits and
+    P(x, e) / P(xstar, e)`` bottom-up along ``xstar``'s route: one credal
+    MAP pass and one truth pass over the cone, and ``xstar``'s own sweeps
+    over the route only.  V is exact on singly connected circuits and
     an upper bound otherwise (robust verdicts are certain, non-robust ones
     may be conservative).  The verdict is robust when only ``xstar``
     attains V = 1, weakly robust when the maximum is tied, and not robust
@@ -870,14 +879,15 @@ def robustness(
         total[var] = bool(val)
     if len(total) != circuit.vtree.var_count:
         raise InferenceError("evidence and completion must cover all variables")
-    if not is_consistent(circuit, total):
+    found = _route(circuit, total)
+    if found is None:
         return RobustnessVerdict(1.0, NOT_ROBUST, (), InferenceTrace() if want_certificate else None,
                                  ExactnessCertificate(EXACT) if want_certificate else None)
+    realized, route = found
     cm = _credal_map(circuit, params, evidence)
-    low_xe = _credal_sweep(circuit, params, total, MIN)
-    realized, on_route = _route(circuit, total)
+    low_xe = _credal_sweep(circuit, params, total, route, MIN)
     table = params.table
-    nodes, cone, root = circuit.nodes, circuit.cone(), circuit.root
+    nodes, root = circuit.nodes, circuit.root
 
     # options on the route: a TRUE terminal keeps xstar's state or flips it;
     # a decision node stays on its realized element or switches to another,
@@ -885,9 +895,7 @@ def robustness(
     rob = _Ties(len(nodes))
     values, tied, counts = rob.values, rob.tied, rob.counts
     points: dict[tuple[int, int], tuple[float, ...] | None] = {}  # pinned by a flip or switch
-    for nid in cone:
-        if nid not in on_route:
-            continue
+    for nid in route:
         node = nodes[nid]
         if node.kind == LITERAL or node.kind == TRUE and node.var not in xstar:
             values[nid], counts[nid] = 1.0, 1
@@ -933,7 +941,7 @@ def robustness(
         map_starts: list[int] = []
         sweep_starts: list[tuple[int, int]] = []
         marked = {root}
-        for nid in reversed(cone):
+        for nid in reversed(route):
             if nid not in marked:
                 continue
             node = nodes[nid]
@@ -948,8 +956,8 @@ def robustness(
                     map_starts += node.elements[opt]
                     sweep_starts += ((child, MIN) for child in node.elements[j])
         _mark_map(trace, circuit, params, cm, evidence, map_starts)
-        up_xe = _credal_sweep(circuit, params, total, MAX)
-        _mark_sweeps(trace, circuit, low_xe, up_xe, sweep_starts)
+        up_xe = _credal_sweep(circuit, params, total, route, MAX)
+        _mark_sweeps(trace, circuit, route, low_xe, up_xe, sweep_starts)
         certificate = exactness_certificate(trace, circuit.connectivity())
 
     attaining = tuple(_completion(circuit, evidence, rob, cm, realized, k) for k in range(counts[root]))

@@ -487,7 +487,9 @@ def attaining_reference(
 ):
     """``infer.robustness`` carrying up to two attaining completions per
     node as sorted tuples, and choosing the certificate's candidates by
-    their own tie test.  Ties use ``infer._close``."""
+    their own tie test.  Ties use ``infer._close``.  It tests consistency
+    with ``is_consistent`` and sweeps the complete assignment over the
+    whole cone, where ``robustness`` sweeps only its route."""
     from csdd.credal import _max_ratio_vertex
     from csdd.infer import (
         EXACT,
@@ -522,10 +524,11 @@ def attaining_reference(
         return RobustnessVerdict(1.0, NOT_ROBUST, (), InferenceTrace() if want_certificate else None,
                                  ExactnessCertificate(EXACT) if want_certificate else None)
     cm = credal_map_reference(circuit, params, evidence)
-    low_xe = _credal_sweep(circuit, params, total, MIN)
-    realized, on_route = _route(circuit, total)
-    table = params.table
     nodes, cone, root = circuit.nodes, circuit.cone(), circuit.root
+    low_xe = _credal_sweep(circuit, params, total, cone, MIN)
+    realized, route = _route(circuit, total)
+    on_route = set(route)
+    table = params.table
 
     values = {}
     reps = {}
@@ -624,8 +627,8 @@ def attaining_reference(
                     map_starts += node.elements[i]
                     sweep_starts += ((child, MIN) for child in node.elements[j])
         _mark_map(trace, circuit, params, cm, evidence, map_starts)
-        up_xe = _credal_sweep(circuit, params, total, MAX)
-        _mark_sweeps(trace, circuit, low_xe, up_xe, sweep_starts)
+        up_xe = _credal_sweep(circuit, params, total, cone, MAX)
+        _mark_sweeps(trace, circuit, cone, low_xe, up_xe, sweep_starts)
         certificate = exactness_certificate(trace, circuit.connectivity())
 
     attaining = tuple(reps[root])

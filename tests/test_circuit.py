@@ -23,7 +23,6 @@ from csdd.circuit import (
     multiplicity_report,
     topological_order,
     validate_partitions,
-    validate_structure,
 )
 from csdd.fixtures import shared_node_fixture, squares_fixture, squares_formula, squares_vtree
 from csdd.formula import (
@@ -359,7 +358,6 @@ class TestApply:
 class TestCompileFormula:
     def test_squares_formula_matches_fixture(self, squares):
         compiled = compile_formula(squares_formula(), squares_vtree())
-        validate_structure(compiled)
         validate_partitions(compiled)
         assert enumerate_models(compiled, compiled.root) == enumerate_models(
             squares.circuit, squares.root
@@ -406,7 +404,6 @@ class TestCompileFormula:
             assert len(tree) == sum(multiplicity_report(shared).multiplicity.values())
             assert multiplicity_report(tree).singly_connected
             assert enumerate_models(tree, tree.root) == enumerate_models(shared, shared.root)
-            validate_structure(tree)
 
     def test_tree_copy_of_a_deep_circuit(self):
         # x_n lifted to the root of a right-linear vtree: n decision levels
@@ -430,7 +427,6 @@ class TestCompileFormula:
         for _ in range(10):
             n = rng.randint(2, 6)
             circuit = compile_formula(random_formula(rng, n, 3), random_vtree(rng, n))
-            validate_structure(circuit)
             validate_partitions(circuit)
 
 

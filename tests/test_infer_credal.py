@@ -11,8 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdd import formats
-from csdd.circuit import TRUE, Circuit, Vtree, compile_formula, enumerate_models
+from csdd import formats, infer
+from csdd.circuit import (
+    TRUE,
+    Circuit,
+    Vtree,
+    compile_formula,
+    enumerate_models,
+    evaluate,
+    is_consistent,
+)
 from csdd.cli import main
 from csdd.credal import IntervalCredalSet, normalize_reachable
 from csdd.fixtures import shared_node_fixture, squares_fixture
@@ -46,6 +54,7 @@ from csdd.infer import (
     _find_crossing,
     _mark_map,
     _mark_sweeps,
+    _route,
 )
 from csdd.formula import TRUE as T_CONST
 from csdd.learn import Dataset, collect_counts, ml_estimate
@@ -802,6 +811,36 @@ def _random_query(rng: Random, circuit: Circuit, member: PsddParams):
     return evidence, {v: bool(rng.getrandbits(1)) for v in range(1, n + 1) if v not in evidence}
 
 
+def _tie_instance(rng: Random, case: int):
+    """Shared or tree circuits in turn; credal tables, credal tables with zero
+    lower bounds, or forced-tie point tables, each every third pair of cases."""
+    singly = bool(case % 2)
+    kind = ("credal", "zero lower", "tied")[case // 2 % 3]
+    if kind == "tied":
+        circuit = random_circuit(rng, rng.randint(3, 5), singly)
+        return circuit, CsddParams.degenerate(_uniform_point_params(circuit))
+    circuit, params = random_credal_instance(rng, rng.randint(3, 5), singly, 0.25)
+    if kind == "zero lower":
+        _zero_true_lower_bounds(rng, circuit, params)
+    return circuit, params
+
+
+def _assert_matches_reference(circuit, params, evidence, xstar):
+    """``robustness`` against ``attaining_reference`` with and without a
+    certificate, bit for bit; returns the verdict without one."""
+    for want_certificate in (True, False):
+        got = robustness(circuit, params, evidence, xstar, want_certificate)
+        want = attaining_reference(circuit, params, evidence, xstar, want_certificate)
+        assert got.value.hex() == want.value.hex()
+        assert (got.label, got.attaining) == (want.label, want.attaining)
+        if want_certificate:
+            assert got.certificate == want.certificate
+            assert got.trace.uses == want.trace.uses
+        else:
+            assert got.certificate is got.trace is None
+    return got
+
+
 class TestTieStructure:
     """Robustness from per-node tied options and completion counts."""
 
@@ -821,28 +860,11 @@ class TestTieStructure:
         rng = Random(13)
         seen = set()
         for case in range(600):
-            singly = bool(case % 2)
-            kind = ("credal", "zero lower", "tied")[case // 2 % 3]
-            if kind == "tied":
-                circuit = random_circuit(rng, rng.randint(3, 5), singly)
-                params = CsddParams.degenerate(_uniform_point_params(circuit))
-            else:
-                circuit, params = random_credal_instance(rng, rng.randint(3, 5), singly, 0.25)
-                if kind == "zero lower":
-                    _zero_true_lower_bounds(rng, circuit, params)
+            circuit, params = _tie_instance(rng, case)
             evidence, xstar = _random_query(rng, circuit, params.select({}))
             cm = credal_map_reference(circuit, params, evidence)
             assert credal_map_upper(circuit, params, evidence).hex() == cm.values[circuit.root].hex()
-            for want_certificate in (True, False):
-                got = robustness(circuit, params, evidence, xstar, want_certificate)
-                want = attaining_reference(circuit, params, evidence, xstar, want_certificate)
-                assert got.value.hex() == want.value.hex()
-                assert (got.label, got.attaining) == (want.label, want.attaining)
-                if want_certificate:
-                    assert got.certificate == want.certificate
-                    assert got.trace.uses == want.trace.uses
-                else:
-                    assert got.certificate is got.trace is None
+            got = _assert_matches_reference(circuit, params, evidence, xstar)
             xs = tuple(sorted(xstar.items()))
             if xs in got.attaining:
                 # _label relies on xstar coming first; xstar's own ratio is 1
@@ -850,6 +872,69 @@ class TestTieStructure:
                 assert got.label in (ROBUST, WEAKLY_ROBUST)
                 seen.add(got.label)
         assert seen == {ROBUST, WEAKLY_ROBUST}
+
+
+def _route_by_evaluate(circuit: Circuit, total) -> list[int]:
+    """Nodes reached from the root through each element whose prime is true."""
+    route, stack = set(), [circuit.root]
+    while stack:
+        nid = stack.pop()
+        route.add(nid)
+        for p, s in circuit.nodes[nid].elements:
+            if evaluate(circuit, p, total):
+                stack += (p, s)
+                break
+    return sorted(route)
+
+
+class TestRoute:
+    """Robustness computes the facts about ``xstar`` on its route only."""
+
+    def test_random_completions_match_full_cone_reference(self):
+        # the reference sweeps the whole cone and tests consistency itself
+        rng = Random(29)
+        consistent = 0
+        for case in range(400):
+            circuit, params = _tie_instance(rng, case)
+            n = circuit.vtree.var_count
+            evidence = {v: bool(rng.getrandbits(1)) for v in range(1, n) if rng.random() < 0.3}
+            xstar = {v: bool(rng.getrandbits(1)) for v in range(1, n + 1) if v not in evidence}
+            total = {**evidence, **xstar}
+            found = _route(circuit, total)
+            assert (found is not None) == is_consistent(circuit, total)
+            consistent += found is not None
+            _assert_matches_reference(circuit, params, evidence, xstar)
+        assert consistent == 189  # of 400: both branches well covered
+
+    def test_sweeps_visit_the_route_only(self, monkeypatch):
+        def no_consistency_test(*args):
+            raise AssertionError("robustness tested consistency apart from its route")
+
+        visited = []
+
+        def spy(circuit, params, evidence, ids, sense):
+            visited.append(list(ids))
+            return _credal_sweep(circuit, params, evidence, ids, sense)
+
+        monkeypatch.setattr(infer, "is_consistent", no_consistency_test)
+        monkeypatch.setattr(infer, "_credal_sweep", spy)
+        rng = Random(31)
+        shorter = 0
+        for case in range(120):
+            circuit, params = _tie_instance(rng, case)
+            evidence, xstar = _random_query(rng, circuit, params.select({}))
+            found = _route(circuit, {**evidence, **xstar})
+            for want_certificate in (True, False):
+                visited.clear()
+                robustness(circuit, params, evidence, xstar, want_certificate)
+                if found is None:
+                    assert visited == []
+                else:
+                    route = found[1]
+                    assert visited == [route] * (1 + want_certificate)
+                    assert route == _route_by_evaluate(circuit, {**evidence, **xstar})
+                    shorter += len(route) < len(circuit.cone())
+        assert shorter == 186  # calls whose route is shorter than the cone
 
 
 def _point_sets(trace: InferenceTrace) -> dict[int, set[tuple[float, ...]]]:
@@ -869,15 +954,15 @@ class TestMarkers:
         _zero_true_lower_bounds(rng, circuit, params)
         n = circuit.vtree.var_count
         evidence = {v: bool(rng.getrandbits(1)) for v in range(1, n + 1) if rng.random() < 0.5}
-        low = _credal_sweep(circuit, params, evidence, MIN)
-        up = _credal_sweep(circuit, params, evidence, MAX)
-        cm = _credal_map(circuit, params, evidence)
         cone = circuit.cone()
+        low = _credal_sweep(circuit, params, evidence, cone, MIN)
+        up = _credal_sweep(circuit, params, evidence, cone, MAX)
+        cm = _credal_map(circuit, params, evidence)
         sweep_starts = [(rng.choice(cone), rng.choice((MIN, MAX))) for _ in range(rng.randint(1, 6))]
         map_starts = [rng.choice(cone) for _ in range(rng.randint(1, 6))]
 
         got, want = InferenceTrace(), InferenceTrace()
-        _mark_sweeps(got, circuit, low, up, sweep_starts)
+        _mark_sweeps(got, circuit, cone, low, up, sweep_starts)
         for nid, sense in sweep_starts:
             mark_sweep_walk(want, circuit, nid, low, up, sense)
         assert _point_sets(got) == _point_sets(want)

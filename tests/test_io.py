@@ -70,6 +70,19 @@ class TestVtreeFormat:
                 formats.loads_vtree(text)
             assert err.value.line == line
 
+    def test_ids_other_than_in_order_positions_refused(self):
+        # ((1, 2), 3) numbered in file order: loading it would hand back other
+        # ids, and an sdd written against the file's ids would then be refused
+        with pytest.raises(ParseError, match="in-order position 0") as err:
+            formats.loads_vtree("vtree 5\nL 3 1\nL 4 2\nI 0 3 4\nL 1 3\nI 2 0 1\n")
+        assert err.value.line == 2
+        # leaves at their positions, internal ids swapped: the first I line is named
+        with pytest.raises(ParseError, match="in-order position 1") as err:
+            formats.loads_vtree("vtree 5\nL 0 1\nL 2 2\nI 3 0 2\nL 4 3\nI 1 3 4\n")
+        assert err.value.line == 4
+        text = "vtree 5\nL 0 1\nL 2 2\nI 1 0 2\nL 4 3\nI 3 1 4\n"
+        assert formats.dumps_vtree(formats.loads_vtree(text)) == text
+
 
 class TestSddFormat:
     def test_squares_round_trip_preserves_models(self, squares):
