@@ -556,15 +556,16 @@ def topological_order(circuit: Circuit) -> list[int]:
 
 def validate_partitions(
     circuit: Circuit,
-    exhaustive_limit: int = 16,
+    exhaustive_limit: int = 1024,
     samples: int = 64,
     seed: int = 0,
 ) -> None:
     """Check that every decision node's primes partition the left assignments.
 
-    A node whose left vtree has at most ``exhaustive_limit`` states is
-    checked on all of them; otherwise on ``samples`` assignments of its own,
-    drawn from ``Random(seed)`` node by node in topological order.  Cases
+    A node whose left vtree has at most ``exhaustive_limit`` states (by
+    default 1,024: 10 left variables) is checked on all of them; a wider
+    node on ``samples`` assignments of its own, drawn from ``Random(seed)``
+    node by node in topological order.  ``samples`` must be positive.  Cases
     are packed one per bit and primes are evaluated on all of them in one
     bit-parallel pass.  The exhaustive nodes of one vtree node share their
     cases, so one pass over the union of all their primes' cones serves
@@ -572,6 +573,8 @@ def validate_partitions(
     first node in topological order with a case covered zero or several
     times is reported, with its lowest such case.
     """
+    if samples < 1:
+        raise CircuitError(f"samples must be positive, got {samples}")
     vtree = circuit.vtree
     nodes = circuit.nodes
     decisions = [nid for nid in circuit.cone() if nodes[nid].kind == DECISION]
@@ -589,11 +592,7 @@ def validate_partitions(
             left_vars = vtree.vars_under(vtree.left(node.vtree))
             width = len(left_vars)
             if 2 ** width <= exhaustive_limit:
-                # case k is row k of itertools.product: the first variable is its top bit
-                var_bits = {
-                    var: _pack_bits(k >> (width - 1 - i) & 1 for k in range(2 ** width))
-                    for i, var in enumerate(left_vars)
-                }
+                var_bits = dict(zip(left_vars, _product_bits(width)))
                 full = (1 << 2 ** width) - 1
                 truth = _cases_truth(nodes, primes_at[node.vtree], var_bits, full)
                 shared[node.vtree] = left_vars, var_bits, full, truth
@@ -614,6 +613,22 @@ def validate_partitions(
             raise CircuitError(
                 f"node {nid}: primes cover left assignment {values} {hits} times (want exactly 1)"
             )
+
+
+def _product_bits(width: int) -> list[int]:
+    """Per position, the packed values of all ``2 ** width`` cases.
+
+    Case ``k`` is row ``k`` of ``itertools.product``: position 0 is its top
+    bit.  Position ``i`` is set on the upper half of every run of
+    ``2 * half`` cases, ``half = 2 ** (width - 1 - i)``; that run pattern
+    times the repunit of period ``2 * half`` tiles it over all cases.
+    """
+    full = (1 << 2 ** width) - 1
+    bits = []
+    for i in range(width):
+        half = 1 << (width - 1 - i)
+        bits.append((((1 << half) - 1) << half) * (full // ((1 << 2 * half) - 1)))
+    return bits
 
 
 def _cases_truth(
@@ -795,13 +810,35 @@ class CircuitBuilder:
             tb = _TT[nb.kind] if nb.kind in _TT else (0b10 if nb.polarity else 0b01)
             result = self._terminal(na.vtree, (ta & tb) if op == "and" else (ta | tb))
         else:
+            # the exits below mirror this method's head: the calls that would
+            # pass it are made in the same order, so node ids are unchanged
+            is_false, is_true, cached = self._is_false, self._is_true, self._apply_memo.get
             raw: list[tuple[int, int]] = []
             for pa, sa in na.elements:
                 for pb, sb in nb.elements:
-                    prime = self._apply(pa, pb, "and")
-                    if self._is_false[prime]:
+                    if is_false[pa] or is_true[pb]:
+                        prime = pa
+                    elif is_false[pb] or is_true[pa]:
+                        prime = pb
+                    elif pa == pb:
+                        prime = pa
+                    else:
+                        prime = cached(("and", pa, pb) if pa < pb else ("and", pb, pa))
+                        if prime is None:
+                            prime = self._apply(pa, pb, "and")
+                    if is_false[prime]:
                         continue
-                    raw.append((prime, self._apply(sa, sb, op)))
+                    if absorbing[sa] or neutral[sb]:
+                        sub = sa
+                    elif absorbing[sb] or neutral[sa]:
+                        sub = sb
+                    elif sa == sb:
+                        sub = sa
+                    else:
+                        sub = cached((op, sa, sb) if sa < sb else (op, sb, sa))
+                        if sub is None:
+                            sub = self._apply(sa, sb, op)
+                    raw.append((prime, sub))
             # compression: merge elements that share a sub
             by_sub: dict[int, int] = {}
             for prime, sub in raw:

@@ -106,7 +106,7 @@ def dumps_vtree(vtree: Vtree) -> str:
 
 
 def loads_vtree(text: str) -> Vtree:
-    count = None
+    count = header = None
     entries: dict[int, tuple] = {}
     referenced: set[int] = set()
     for lineno, toks in _lines(text.splitlines()):
@@ -116,6 +116,7 @@ def loads_vtree(text: str) -> Vtree:
             if len(toks) != 2:
                 raise ParseError(lineno, "header is 'vtree <count>'")
             count = _int(toks[1], lineno, "node count")
+            header = lineno
         elif toks[0] == "L":
             if count is None:
                 raise ParseError(lineno, "missing 'vtree <count>' header")
@@ -147,10 +148,21 @@ def loads_vtree(text: str) -> Vtree:
     if count is None:
         raise ParseError(1, "missing 'vtree <count>' header")
     if len(entries) != count:
-        raise ParseError(1, f"header declares {count} nodes, found {len(entries)}")
-    roots = [vid for vid in entries if vid not in referenced]
+        raise ParseError(header, f"header declares {count} nodes, found {len(entries)}")
+    roots = [vid for vid in entries if vid not in referenced]  # file order
     if len(roots) != 1:
-        raise ParseError(1, f"expected a single root, found {len(roots)}")
+        line = entries[roots[1]][-1] if roots else header
+        raise ParseError(line, f"expected a single root, found {len(roots)}")
+    n = sum(1 for entry in entries.values() if entry[0] == "L")
+    leaf_vars: set[int] = set()
+    for entry in entries.values():  # file order: a fault names the first leaf that shows it
+        if entry[0] == "L":
+            var = entry[1]
+            if var in leaf_vars:
+                raise ParseError(entry[-1], f"variable {var} appears twice in the vtree")
+            if not 1 <= var <= n:
+                raise ParseError(entry[-1], f"vtree variables must be exactly 1..{n}, got {var}")
+            leaf_vars.add(var)
 
     # children precede parents in the file, so one pass in file order builds every shape
     shapes: dict[int, object] = {}

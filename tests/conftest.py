@@ -14,6 +14,8 @@ credal-set constructor are kept for the one-pass loader and the unrolled
 two-state checks to be compared against.  The credal MAP and robustness
 passes that carry up to two attaining completions per node as sorted
 tuples are kept for the tie-structure passes to be compared against.
+The compiler's apply without the pair loop's inlined exits is kept for
+the builder to be compared against node for node.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from csdd.circuit import (
     FALSE,
     LITERAL,
     TRUE,
+    _TT,
     Circuit,
     CircuitError,
     Vtree,
@@ -637,7 +640,7 @@ def attaining_reference(
 
 def check_partitions(
     circuit: Circuit,
-    exhaustive_limit: int = 16,
+    exhaustive_limit: int = 1024,
     samples: int = 64,
     seed: int = 0,
 ) -> None:
@@ -660,6 +663,51 @@ def check_partitions(
                 raise CircuitError(
                     f"node {nid}: primes cover left assignment {values} {hits} times (want exactly 1)"
                 )
+
+
+# ---------------------------------------------------------------------------
+# the compiler's apply before its pair loop inlined its own exits, verbatim
+
+
+def apply_reference(self, a: int, b: int, op: str) -> int:
+    """``CircuitBuilder._apply`` before its pair loop inlined its own exits, verbatim."""
+    # constants decide the result
+    absorbing, neutral = (self._is_false, self._is_true) if op == "and" else (
+        self._is_true, self._is_false)
+    if absorbing[a] or neutral[b]:
+        return a
+    if absorbing[b] or neutral[a]:
+        return b
+    if a == b:
+        return a
+    key = (op, a, b) if a < b else (op, b, a)
+    if key in self._apply_memo:
+        return self._apply_memo[key]
+    na, nb = self.circuit.node(a), self.circuit.node(b)
+    if na.vtree != nb.vtree:
+        raise CircuitError("apply operands must be normalized for the same vtree node")
+    if na.kind != DECISION:
+        ta = _TT[na.kind] if na.kind in _TT else (0b10 if na.polarity else 0b01)
+        tb = _TT[nb.kind] if nb.kind in _TT else (0b10 if nb.polarity else 0b01)
+        result = self._terminal(na.vtree, (ta & tb) if op == "and" else (ta | tb))
+    else:
+        raw: list[tuple[int, int]] = []
+        for pa, sa in na.elements:
+            for pb, sb in nb.elements:
+                prime = self._apply(pa, pb, "and")
+                if self._is_false[prime]:
+                    continue
+                raw.append((prime, self._apply(sa, sb, op)))
+        # compression: merge elements that share a sub
+        by_sub: dict[int, int] = {}
+        for prime, sub in raw:
+            if sub in by_sub:
+                by_sub[sub] = self._apply(by_sub[sub], prime, "or")
+            else:
+                by_sub[sub] = prime
+        result = self._decision(na.vtree, [(p, s) for s, p in by_sub.items()])
+    self._apply_memo[key] = result
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import time
 from dataclasses import replace
+from functools import partial
 from itertools import product
 from random import Random
 
@@ -15,6 +16,8 @@ from csdd.circuit import (
     CircuitBuilder,
     CircuitError,
     Vtree,
+    _pack_bits,
+    _product_bits,
     compile_formula,
     enumerate_models,
     evaluate,
@@ -37,7 +40,13 @@ from csdd.formula import (
     parse_formula,
 )
 
-from conftest import check_partitions, random_circuit, random_formula, random_vtree
+from conftest import (
+    apply_reference,
+    check_partitions,
+    random_circuit,
+    random_formula,
+    random_vtree,
+)
 
 
 class TestVtree:
@@ -473,6 +482,63 @@ class TestFoldOrder:
         assert model_count(builder.finish(root)) == n + 1
 
 
+class _ReferenceBuilder(CircuitBuilder):
+    _apply = apply_reference
+
+
+class _CountingBuilder(CircuitBuilder):
+    def __init__(self, vtree: Vtree) -> None:
+        super().__init__(vtree)
+        self.apply_calls = 0
+
+    def _apply(self, a: int, b: int, op: str) -> int:
+        self.apply_calls += 1
+        return super()._apply(a, b, op)
+
+
+def _random_3cnf(rng: Random, n: int, m: int):
+    """``m`` clauses of three distinct variables out of ``1..n``, random signs."""
+    return conj(
+        disj(Var(v) if rng.random() < 0.5 else ~Var(v) for v in rng.sample(range(1, n + 1), 3))
+        for _ in range(m)
+    )
+
+
+class TestApplyParity:
+    """The pair loop's inlined exits allocate node for node what plain apply does."""
+
+    @staticmethod
+    def _build(cls, formulas, vtree: Vtree):
+        builder = cls(vtree)
+        roots = [builder.lift(builder.compile(f), vtree.root) for f in formulas]
+        return builder, roots
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 3))
+    def test_random_formulas(self, seed, count):
+        # several formulas in one builder also reuse the memo across compiles
+        rng = Random(seed)
+        n = rng.randint(2, 8)
+        vtree = random_vtree(rng, n)
+        formulas = [random_formula(rng, n, 3) for _ in range(count)]
+        builder, roots = self._build(CircuitBuilder, formulas, vtree)
+        reference, reference_roots = self._build(_ReferenceBuilder, formulas, vtree)
+        assert roots == reference_roots
+        assert builder.circuit.nodes == reference.circuit.nodes
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_3cnf_on_20_variables(self, seed):
+        # the shape of the build benchmark's 3-CNFs: 40 clauses, balanced vtree
+        formula = _random_3cnf(Random(seed), 20, 40)
+        vtree = Vtree.balanced(20)
+        builder, roots = self._build(_CountingBuilder, [formula], vtree)
+        reference, reference_roots = self._build(_ReferenceBuilder, [formula], vtree)
+        assert roots == reference_roots
+        assert builder.circuit.nodes == reference.circuit.nodes
+        # plain apply makes 150,000 to 250,000 calls here, most answered at its head
+        assert builder.apply_calls <= 60_000
+
+
 def _corrupt(circuit: Circuit, nid: int, mode: str, *more: tuple[int, str]) -> Circuit:
     """Copy with decision nodes' partitions broken: ``overlap`` repeats a
     node's first element, ``gap`` drops its last one.  ``more`` holds
@@ -504,17 +570,21 @@ class TestPartitionParity:
         pick=st.integers(0, 2**16),
     )
     def test_corrupted_node_same_message(self, seed, balanced, mode, pick):
-        # 10 balanced variables put 5 under the root's left child: the sampled branch
+        # 10 balanced variables put 5 under the root's left child: with a limit
+        # of 16 cases that is the sampled branch
         rng = Random(seed)
         n = 10 if balanced else rng.randint(2, 5)
         vtree = Vtree.balanced(n) if balanced else random_vtree(rng, n)
         circuit = compile_formula(random_formula(rng, n, 3), vtree)
-        assert _partition_error(validate_partitions, circuit) is None
-        assert _partition_error(check_partitions, circuit) is None
+        fast = partial(validate_partitions, exhaustive_limit=16)
+        slow = partial(check_partitions, exhaustive_limit=16)
+        assert _partition_error(fast, circuit) is None
+        assert _partition_error(slow, circuit) is None
         wide = [nid for nid in circuit.cone() if len(circuit.nodes[nid].elements) >= 2]
         if not wide:
             return
         bad = _corrupt(circuit, wide[pick % len(wide)], mode)
+        assert _partition_error(fast, bad) == _partition_error(slow, bad)
         assert _partition_error(validate_partitions, bad) == _partition_error(check_partitions, bad)
 
     @pytest.mark.parametrize("mode", ["overlap", "gap"])
@@ -550,19 +620,48 @@ class TestPartitionParity:
         assert len(vtree.vars_under(vtree.left(circuit.nodes[root].vtree))) == 5
         assert len(circuit.nodes[root].elements) >= 2
         bad = _corrupt(circuit, root, mode)
-        message = _partition_error(validate_partitions, bad)
-        assert message is not None and message.startswith(f"node {root}: ")
-        assert message == _partition_error(check_partitions, bad)
         for seed in range(5):
-            assert _partition_error(lambda c: validate_partitions(c, seed=seed), bad) == (
-                _partition_error(lambda c: check_partitions(c, seed=seed), bad)
-            )
+            message = _partition_error(
+                lambda c: validate_partitions(c, exhaustive_limit=16, seed=seed), bad)
+            assert message is not None and message.startswith(f"node {root}: ")
+            assert message == _partition_error(
+                lambda c: check_partitions(c, exhaustive_limit=16, seed=seed), bad)
+
+    @pytest.mark.parametrize("mode", ["overlap", "gap"])
+    def test_sampled_at_the_default_limit(self, mode):
+        # 22 balanced variables put 11 under the root's left child: 2,048 cases
+        vtree = Vtree.balanced(22)
+        circuit = compile_formula((Var(1) | Var(2)) & (Var(12) | Var(13)), vtree)
+        root = circuit.root
+        assert len(vtree.vars_under(vtree.left(circuit.nodes[root].vtree))) == 11
+        assert len(circuit.nodes[root].elements) >= 2
+        bad = _corrupt(circuit, root, mode)
+        for seed in range(5):
+            message = _partition_error(lambda c: validate_partitions(c, seed=seed), bad)
+            assert message is not None and message.startswith(f"node {root}: ")
+            assert message == _partition_error(lambda c: check_partitions(c, seed=seed), bad)
+
+    def test_product_bits_in_closed_form(self):
+        for width in range(1, 11):
+            expected = [_pack_bits(k >> (width - 1 - i) & 1 for k in range(2 ** width))
+                        for i in range(width)]
+            assert _product_bits(width) == expected
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_non_positive_sample_count_refused(self, samples):
+        # with no case drawn, nothing could ever be reported bad
+        vtree = Vtree.balanced(10)
+        circuit = compile_formula((Var(1) | Var(2)) & (Var(6) | Var(7)), vtree)
+        bad = _corrupt(circuit, circuit.root, "gap")
+        for c in (circuit, bad):
+            with pytest.raises(CircuitError, match=f"samples must be positive, got {samples}"):
+                validate_partitions(c, exhaustive_limit=16, samples=samples)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_two_corrupted_vtree_nodes_report_the_first_in_cone_order(self, seed):
-        # on 10 balanced variables only the vtree root has a sampled left side
-        # (5 variables); every lower vtree node is checked exhaustively and
-        # shares one truth pass among its decision nodes
+        # on 10 balanced variables with a limit of 16 cases, only the vtree
+        # root has a sampled left side (5 variables); every lower vtree node is
+        # checked exhaustively and shares one truth pass among its decision nodes
         rng = Random(seed)
         vtree = Vtree.balanced(10)
         checked = {"exhaustive": 0, "sampled": 0}
@@ -576,9 +675,11 @@ class TestPartitionParity:
             a, b = rng.choice(pairs)
             bad = _corrupt(circuit, a, rng.choice(["overlap", "gap"]),
                            (b, rng.choice(["overlap", "gap"])))
-            message = _partition_error(lambda c: validate_partitions(c, seed=seed), bad)
+            message = _partition_error(
+                lambda c: validate_partitions(c, exhaustive_limit=16, seed=seed), bad)
             assert message is not None
-            assert message == _partition_error(lambda c: check_partitions(c, seed=seed), bad)
+            assert message == _partition_error(
+                lambda c: check_partitions(c, exhaustive_limit=16, seed=seed), bad)
             sampled = circuit.nodes[b].vtree == vtree.root
             checked["sampled" if sampled else "exhaustive"] += 1
         assert min(checked.values()) >= 3, checked

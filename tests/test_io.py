@@ -70,6 +70,24 @@ class TestVtreeFormat:
                 formats.loads_vtree(text)
             assert err.value.line == line
 
+    @pytest.mark.parametrize("text, line, message", [
+        # a count that does not match names the header, not the first line
+        ("c a\nc b\nvtree 4\nL 0 1\nL 2 2\nI 1 0 2\n", 3, "header declares 4 nodes, found 3"),
+        # a variable given twice names its second leaf
+        ("c a\nvtree 3\nL 0 1\nL 2 1\nI 1 0 2\n", 4, "variable 1 appears twice in the vtree"),
+        # a forest names its second root in file order
+        ("vtree 4\nL 0 1\nL 2 2\nI 1 0 2\nL 3 3\n", 5, "expected a single root, found 2"),
+        ("c a\nvtree 3\nL 0 1\nL 1 2\nL 2 3\n", 4, "expected a single root, found 3"),
+        # a variable outside 1..n names its leaf
+        ("vtree 3\nL 0 1\nL 2 3\nI 1 0 2\n", 3, "vtree variables must be exactly 1..2, got 3"),
+        ("vtree 3\nL 0 0\nL 2 1\nI 1 0 2\n", 2, "vtree variables must be exactly 1..2, got 0"),
+    ])
+    def test_whole_file_checks_name_their_line(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            formats.loads_vtree(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
     def test_ids_other_than_in_order_positions_refused(self):
         # ((1, 2), 3) numbered in file order: loading it would hand back other
         # ids, and an sdd written against the file's ids would then be refused
