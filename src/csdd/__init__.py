@@ -18,7 +18,6 @@ from .circuit import (
     is_consistent,
     model_count,
     multiplicity_report,
-    topological_order,
 )
 from .credal import (
     CredalSetError,
@@ -60,7 +59,6 @@ from .learn import (
     bayes_estimate,
     collect_counts,
     idm_estimate,
-    load_dataset,
     ml_estimate,
 )
 from .params import CsddParams, ParamError, PsddParams

@@ -40,7 +40,6 @@ __all__ = [
     "enumerate_models",
     "model_count",
     "multiplicity_report",
-    "topological_order",
     "compile_formula",
     "validate_partitions",
     "is_consistent",
@@ -547,11 +546,6 @@ def multiplicity_report(circuit: Circuit) -> ConnectivityReport:
     multi = tuple(i for i in cone if mult[i] > 1)
     cls = SINGLY_CONNECTED if not multi else MULTIPLY_CONNECTED
     return ConnectivityReport(mult, cls, multi)
-
-
-def topological_order(circuit: Circuit) -> list[int]:
-    """Node ids with every prime and sub preceding its decision node."""
-    return circuit.cone()
 
 
 def validate_partitions(

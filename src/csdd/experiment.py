@@ -32,6 +32,7 @@ from .formula import Formula, Var, conj, disj
 from .infer import (
     NOT_ROBUST,
     EvidenceSession,
+    _PassMemo,
     _point_pass,
     _spine_marginal,
     conditional_sign,
@@ -175,6 +176,8 @@ def decide_segments(
     csdd: CsddParams,
     observation: dict[int, bool],
     session: EvidenceSession | None = None,
+    *,
+    _memos: tuple[_PassMemo, _PassMemo] | None = None,
 ) -> list[SegmentDecision]:
     """Per-segment point posterior and credal label for one observation.
 
@@ -183,18 +186,22 @@ def decide_segments(
     > 1/2, "indeterminate" otherwise.  One point pass gives P(o) and every
     node's value; each P(x_i = on, o) then recomputes only x_i's spine.
     ``session`` is an :class:`EvidenceSession` for (circuit, csdd,
-    observation); without it one is built.
+    observation); without it one is built.  The private ``_memos``, for
+    (circuit, psdd) and (circuit, csdd), serve the point passes and the
+    session built here.
     """
-    values = _point_pass(circuit, psdd, observation, circuit.cone(), {})
+    point_memo, credal_memo = _memos or (None, None)
+    values = _point_pass(circuit, psdd, observation, circuit.cone(), {}, _memo=point_memo)
     p_obs = values[circuit.root]
     if p_obs <= 0.0:
         raise ValueError("observation has zero probability under the point table")
     if session is None:
-        session = EvidenceSession(circuit, csdd, observation)
+        session = EvidenceSession(circuit, csdd, observation, _memo=credal_memo)
     out = []
     for i in range(1, SEGMENTS + 1):
         var = hidden_var(i)
-        p_on = _spine_marginal(circuit, psdd, observation, values, var, True) / p_obs
+        p_on = _spine_marginal(circuit, psdd, observation, values, var, True, _memo=point_memo)
+        p_on /= p_obs
         if conditional_sign(circuit, csdd, 0.5, var, True, observation, session) > 0:
             credal = "on"
         elif conditional_sign(circuit, csdd, 0.5, var, False, observation, session) > 0:
@@ -333,16 +340,20 @@ def run_cell(scenario: Scenario) -> Metrics:
     joint = []
     # answers per distinct observation: (segment decisions, completion, determinacy)
     cache: dict[tuple[bool, ...], tuple[list[SegmentDecision], dict[int, bool], bool]] = {}
+    # per-node results shared by the cell's distinct observations, dropped with the cell
+    point_memo, credal_memo = _PassMemo(circuit, psdd), _PassMemo(circuit, csdd)
     for _ in range(scenario.test_size):
         pattern = DIGIT_PATTERNS[rng.randrange(10)]
         shown = tuple(on and rng.random() >= scenario.p_f for on in pattern)
         observation = {observed_var(i + 1): shown[i] for i in range(SEGMENTS)}
         cached = cache.get(shown)
         if cached is None:
-            preds = decide_segments(circuit, psdd, csdd, observation)
-            _, completion = map_query(circuit, psdd, observation)
+            preds = decide_segments(circuit, psdd, csdd, observation,
+                                    _memos=(point_memo, credal_memo))
+            _, completion = map_query(circuit, psdd, observation, _memo=point_memo)
             xstar = {hidden_var(i + 1): completion[hidden_var(i + 1)] for i in range(SEGMENTS)}
-            verdict = robustness(circuit, csdd, observation, xstar, want_certificate=False)
+            verdict = robustness(circuit, csdd, observation, xstar, want_certificate=False,
+                                 _memo=credal_memo)
             cached = cache[shown] = (preds, xstar, verdict.label != NOT_ROBUST)
         preds, xstar, det = cached
         per_instance.append((preds, pattern))

@@ -32,6 +32,13 @@ the certificates' marking) scan it in reverse, pushing marks from each
 marked node to its children, so a certificate marks in one top-down pass
 however many nodes it starts from.  A robustness verdict's attaining
 completions are read off the tied options by a depth-first walk.
+
+A node's result in a bottom-up pass depends only on the table and on the
+evidence under its vtree node.  So a batch of queries on one table may
+hand its passes a private ``_PassMemo``, which returns per node and
+evidence under it what a pass computed there before.  The display
+experiment's ``run_cell`` does so across a cell's observations, with
+unchanged answers; one-shot calls pass none and reuse nothing.
 """
 
 from __future__ import annotations
@@ -230,16 +237,71 @@ def _check_evidence(circuit: Circuit, evidence: Mapping[int, bool]) -> None:
             raise InferenceError(f"evidence variable {var} is not in the circuit")
 
 
+class _PassMemo:
+    """What the bottom-up passes computed at each node, for one circuit, root
+    and parameter table.
+
+    In a decomposable circuit a node's result depends only on the table and
+    on the evidence over the variables under its vtree node.  Each pass
+    keeps one dict keyed by the node id and the evidence masked to those
+    variables: evidence packs into ``pos | neg << n`` (bit ``v - 1`` of
+    ``pos``/``neg`` set when variable ``v`` is observed true/false), and a
+    node's mask covers its variables in both halves.  A pass given the memo
+    returns the stored result where it would solve a local problem again:
+    at a decision node with a distribution and, in the credal sweeps, at
+    an observed TRUE terminal.  The stored results are the floats the pass
+    produced, so the answers are bit for bit those without a memo.  It
+    grows with every distinct evidence it sees: build one for a batch of
+    queries on one table and drop it with the batch.
+    """
+
+    __slots__ = ("circuit", "root", "params", "_n", "_masks", "_passes")
+
+    def __init__(self, circuit: Circuit, params: PsddParams | CsddParams) -> None:
+        vtree = circuit.vtree
+        self.circuit, self.root, self.params = circuit, circuit.root, params
+        n = self._n = vtree.var_count
+        self._masks = [m | m << n for m in (vtree.mask(node.vtree) for node in circuit.nodes)]
+        self._passes: dict[tuple, dict] = {}
+
+    def check(self, circuit: Circuit, params: PsddParams | CsddParams) -> None:
+        """Raise unless the memo was built for exactly this circuit, root and table."""
+        if circuit is not self.circuit or params is not self.params or circuit.root != self.root:
+            raise InferenceError("memo was built for another circuit, root or table")
+
+    def entries(
+        self,
+        circuit: Circuit,
+        params: PsddParams | CsddParams,
+        evidence: Mapping[int, bool],
+        kind: tuple,
+    ) -> tuple[dict, int, list[int]]:
+        """After :meth:`check`: the entries of pass ``kind``, the packed
+        evidence and the node masks."""
+        self.check(circuit, params)
+        n, ev = self._n, 0
+        for var, val in evidence.items():
+            if val is not None and 1 <= var <= n:  # no node reads any other variable
+                ev |= 1 << (var - 1 if val else var - 1 + n)
+        return self._passes.setdefault(kind, {}), ev, self._masks
+
+
 def _point_pass(
     circuit: Circuit,
     params: PsddParams,
     evidence: Mapping[int, bool],
     ids: Sequence[int],
     values: dict[int, float],
+    *,
+    _memo: _PassMemo | None = None,
 ) -> dict[int, float]:
     """Point-table value of each node of ``ids`` (children first) under the
-    evidence, written into ``values``, which holds every child outside ``ids``."""
+    evidence, written into ``values``, which holds every child outside ``ids``
+    at its value under the evidence."""
     nodes = circuit.nodes
+    memo = None
+    if _memo is not None:
+        memo, ev, masks = _memo.entries(circuit, params, evidence, ("point",))
     for nid in ids:
         node = nodes[nid]
         if node.kind == FALSE:
@@ -255,16 +317,26 @@ def _point_pass(
             theta = params.table.get(nid)
             if theta is None:  # unsatisfiable decision node, no distribution
                 values[nid] = 0.0
-            elif len(theta) == 2:
+                continue
+            if memo is not None:
+                key = nid, ev & masks[nid]
+                hit = memo.get(key)
+                if hit is not None:
+                    values[nid] = hit
+                    continue
+            if len(theta) == 2:
                 # two products of probabilities: fsum rounds them as one
                 # addition does, and "+ 0.0" gives its +0.0 for a zero sum
                 (p0, s0), (p1, s1) = node.elements
                 a, b = values[p0] * values[s0] * theta[0], values[p1] * values[s1] * theta[1]
-                values[nid] = a + b + 0.0
+                value = a + b + 0.0
             else:
-                values[nid] = math.fsum(
+                value = math.fsum(
                     values[p] * values[s] * t for (p, s), t in zip(node.elements, theta)
                 )
+            values[nid] = value
+            if memo is not None:
+                memo[key] = value
     return values
 
 
@@ -281,13 +353,17 @@ def _spine_marginal(
     values: Mapping[int, float],
     var: int,
     val: bool,
+    *,
+    _memo: _PassMemo | None = None,
 ) -> float:
     """``marginal(circuit, params, {**evidence, var: val})`` from ``values``,
     the node values of the pass on ``evidence``: only the nodes on ``var``'s
     spine are recomputed, by the same per-node code, so the result is
     bit-identical."""
     spine = circuit.spine(var)
-    return _point_pass(circuit, params, {**evidence, var: val}, spine, dict(values))[circuit.root]
+    return _point_pass(
+        circuit, params, {**evidence, var: val}, spine, dict(values), _memo=_memo
+    )[circuit.root]
 
 
 def joint_probability(circuit: Circuit, params: PsddParams, assignment: Mapping[int, bool]) -> float:
@@ -298,7 +374,11 @@ def joint_probability(circuit: Circuit, params: PsddParams, assignment: Mapping[
 
 
 def map_query(
-    circuit: Circuit, params: PsddParams, evidence: Mapping[int, bool]
+    circuit: Circuit,
+    params: PsddParams,
+    evidence: Mapping[int, bool],
+    *,
+    _memo: _PassMemo | None = None,
 ) -> tuple[float, dict[int, bool]]:
     """Most probable completion of the unobserved variables.
 
@@ -309,6 +389,9 @@ def map_query(
     nodes, cone, root = circuit.nodes, circuit.cone(), circuit.root
     values: dict[int, float] = {}
     choice: dict[int, int] = {}
+    memo = None
+    if _memo is not None:
+        memo, ev, masks = _memo.entries(circuit, params, evidence, ("map",))
     for nid in cone:
         node = nodes[nid]
         if node.kind == FALSE:
@@ -329,6 +412,12 @@ def map_query(
             if theta is None:
                 values[nid] = 0.0
                 continue
+            if memo is not None:
+                key = nid, ev & masks[nid]
+                hit = memo.get(key)
+                if hit is not None:
+                    values[nid], choice[nid] = hit
+                    continue
             best, arg = 0.0, None
             for idx, ((p, s), t) in enumerate(zip(node.elements, theta)):
                 cand = values[p] * values[s] * t
@@ -336,6 +425,8 @@ def map_query(
                     best, arg = cand, idx
             values[nid] = best
             choice[nid] = arg
+            if memo is not None:
+                memo[key] = best, arg
     if values[root] <= 0.0:
         raise InferenceError("evidence has zero probability under the table")
     assignment = dict(evidence)
@@ -368,7 +459,13 @@ class _Sweep:
 
 
 def _credal_sweep(
-    circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool], ids: Sequence[int], sense: int
+    circuit: Circuit,
+    params: CsddParams,
+    evidence: Mapping[int, bool],
+    ids: Sequence[int],
+    sense: int,
+    *,
+    _memo: _PassMemo | None = None,
 ) -> _Sweep:
     """Evidence pass over ``ids``, children first; nodes outside read 0.0.  Under
     a complete assignment its route will do: off it, every prime is false."""
@@ -377,6 +474,11 @@ def _credal_sweep(
     vertices = sweep.vertices
     table = params.table
     opt = _min_fast if sense == MIN else _max_fast
+    memo = None
+    if _memo is not None:
+        # a sweep over anything but the cone, such as a route, keeps its own entries
+        kind = ("sweep", sense, ids is circuit.cone())
+        memo, ev, masks = _memo.entries(circuit, params, evidence, kind)
     for nid in ids:
         node = circuit.nodes[nid]
         if node.kind == FALSE:
@@ -384,24 +486,24 @@ def _credal_sweep(
         elif node.kind == LITERAL:
             val = evidence.get(node.var)
             values[nid] = 1.0 if val is None or val == node.polarity else 0.0
-        elif node.kind == TRUE:
-            val = evidence.get(node.var)
-            if val is None:
-                values[nid] = 1.0
-            else:
-                state = 0 if val else 1
-                coeffs = (1.0, 0.0) if state == 0 else (0.0, 1.0)
-                value, point = opt(table[nid], coeffs)
-                values[nid] = value
-                vertices[nid] = point
+        elif node.kind == TRUE and evidence.get(node.var) is None:
+            values[nid] = 1.0
         else:
-            coeffs = [values[p] * values[s] for p, s in node.elements]
-            if any(coeffs):
-                value, point = opt(table[nid], coeffs)
-                values[nid] = value
-                vertices[nid] = point
+            if memo is not None:
+                key = nid, ev & masks[nid]
+                hit = memo.get(key)
+                if hit is not None:
+                    values[nid], vertices[nid] = hit
+                    continue
+            if node.kind == TRUE:
+                coeffs = (1.0, 0.0) if evidence[node.var] else (0.0, 1.0)
             else:
-                values[nid] = 0.0
+                coeffs = [values[p] * values[s] for p, s in node.elements]
+            value, point = opt(table[nid], coeffs) if any(coeffs) else (0.0, None)
+            values[nid] = value
+            vertices[nid] = point
+            if memo is not None:
+                memo[key] = value, point
     return sweep
 
 
@@ -491,10 +593,17 @@ class EvidenceSession:
     :func:`conditional_sign`, :func:`lower_conditional` and
     :func:`upper_conditional`; a call whose circuit, root, params or
     evidence differ from the session's raises :class:`InferenceError`.
+    A private ``_memo`` for (circuit, params) serves its sweeps and its
+    untraced sign tests across sessions.
     """
 
     def __init__(
-        self, circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]
+        self,
+        circuit: Circuit,
+        params: CsddParams,
+        evidence: Mapping[int, bool],
+        *,
+        _memo: _PassMemo | None = None,
     ) -> None:
         _check_evidence(circuit, evidence)
         if not is_consistent(circuit, evidence):
@@ -503,8 +612,9 @@ class EvidenceSession:
         self.params = params
         self.evidence = dict(evidence)
         self.root = circuit.root
-        self.low = _credal_sweep(circuit, params, self.evidence, circuit.cone(), MIN)
-        self.up = _credal_sweep(circuit, params, self.evidence, circuit.cone(), MAX)
+        self._memo = _memo
+        self.low = _credal_sweep(circuit, params, self.evidence, circuit.cone(), MIN, _memo=_memo)
+        self.up = _credal_sweep(circuit, params, self.evidence, circuit.cone(), MAX, _memo=_memo)
         # every sign-test message is at most the upper evidence probability
         # in size, so the numerical zero scales with it
         self.zero = ZERO_TOL * self.up.values[self.root]
@@ -534,6 +644,11 @@ class EvidenceSession:
         low_values, up_values = self.low.values, self.up.values
         msg: dict[int, float] = {}
         starts: list[tuple[int, int]] = []  # sibling values the trace must pin
+        memo = None
+        if trace is None and self._memo is not None:  # a trace needs every node's points
+            memo, ev, masks = self._memo.entries(
+                self.circuit, self.params, self.evidence, ("sign", var, val, mu)
+            )
         for nid in self.circuit.spine(var):
             node = nodes[nid]
             if node.kind == FALSE:
@@ -552,6 +667,12 @@ class EvidenceSession:
             elif nid not in table:
                 msg[nid] = 0.0  # unsatisfiable decision node
             else:
+                if memo is not None:
+                    key = nid, ev & masks[nid]
+                    hit = memo.get(key)
+                    if hit is not None:
+                        msg[nid] = hit
+                        continue
                 prime_side = node.elements[0][0] in msg
                 coeffs = []
                 for idx, (p, s) in enumerate(node.elements):
@@ -567,6 +688,8 @@ class EvidenceSession:
                         starts.append((w_child, MAX if upper else MIN))  # FALSE marks nothing
                 value, point = _min_fast(table[nid], coeffs)
                 msg[nid] = value
+                if memo is not None:
+                    memo[key] = value
                 if trace is not None:
                     trace.record(nid, point if any(coeffs) else None)
         if trace is not None:
@@ -747,11 +870,20 @@ class _Ties:
         self.counts = [0] * size
 
 
-def _credal_map(circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> _Ties:
+def _credal_map(
+    circuit: Circuit,
+    params: CsddParams,
+    evidence: Mapping[int, bool],
+    *,
+    _memo: _PassMemo | None = None,
+) -> _Ties:
     """Upper completion bounds M(n), tied in element order and true state first."""
     cm = _Ties(len(circuit.nodes))
     values, tied, counts = cm.values, cm.tied, cm.counts
     table = params.table
+    memo = None
+    if _memo is not None:
+        memo, ev, masks = _memo.entries(circuit, params, evidence, ("credal_map",))
     for nid in circuit.cone():
         node = circuit.nodes[nid]
         if node.kind == FALSE:
@@ -774,6 +906,12 @@ def _credal_map(circuit: Circuit, params: CsddParams, evidence: Mapping[int, boo
             cs = table.get(nid)
             if cs is None:
                 continue
+            if memo is not None:
+                key = nid, ev & masks[nid]
+                hit = memo.get(key)
+                if hit is not None:
+                    values[nid], tied[nid], counts[nid] = hit
+                    continue
             cands = [cs.upper[idx] * values[p] * values[s] for idx, (p, s) in enumerate(node.elements)]
             best = values[nid] = max(0.0, *cands)
             tied[nid] = tuple(
@@ -782,6 +920,8 @@ def _credal_map(circuit: Circuit, params: CsddParams, evidence: Mapping[int, boo
             counts[nid] = min(2, sum(
                 counts[p] * counts[s] for p, s in (node.elements[idx] for idx in tied[nid])
             ))
+            if memo is not None:
+                memo[key] = best, tied[nid], counts[nid]
     return cm
 
 
@@ -858,6 +998,8 @@ def robustness(
     evidence: Mapping[int, bool],
     xstar: Mapping[int, bool],
     want_certificate: bool = True,
+    *,
+    _memo: _PassMemo | None = None,
 ) -> RobustnessVerdict:
     """Is ``xstar`` the most probable completion for every compatible table?
 
@@ -868,10 +1010,14 @@ def robustness(
     an upper bound otherwise (robust verdicts are certain, non-robust ones
     may be conservative).  The verdict is robust when only ``xstar``
     attains V = 1, weakly robust when the maximum is tied, and not robust
-    otherwise (including inconsistent ``xstar``).
+    otherwise (including inconsistent ``xstar``).  A private ``_memo`` for
+    (circuit, params) serves the credal MAP pass and, with entries of their
+    own, the route's sweeps.
     """
     _check_evidence(circuit, evidence)
     _check_evidence(circuit, xstar)
+    if _memo is not None:
+        _memo.check(circuit, params)
     total = dict(evidence)
     for var, val in xstar.items():
         if var in evidence:
@@ -884,8 +1030,8 @@ def robustness(
         return RobustnessVerdict(1.0, NOT_ROBUST, (), InferenceTrace() if want_certificate else None,
                                  ExactnessCertificate(EXACT) if want_certificate else None)
     realized, route = found
-    cm = _credal_map(circuit, params, evidence)
-    low_xe = _credal_sweep(circuit, params, total, route, MIN)
+    cm = _credal_map(circuit, params, evidence, _memo=_memo)
+    low_xe = _credal_sweep(circuit, params, total, route, MIN, _memo=_memo)
     table = params.table
     nodes, root = circuit.nodes, circuit.root
 
@@ -956,7 +1102,7 @@ def robustness(
                     map_starts += node.elements[opt]
                     sweep_starts += ((child, MIN) for child in node.elements[j])
         _mark_map(trace, circuit, params, cm, evidence, map_starts)
-        up_xe = _credal_sweep(circuit, params, total, route, MAX)
+        up_xe = _credal_sweep(circuit, params, total, route, MAX, _memo=_memo)
         _mark_sweeps(trace, circuit, route, low_xe, up_xe, sweep_starts)
         certificate = exactness_certificate(trace, circuit.connectivity())
 

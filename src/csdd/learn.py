@@ -32,7 +32,6 @@ __all__ = [
     "ml_estimate",
     "bayes_estimate",
     "idm_estimate",
-    "load_dataset",
 ]
 
 
@@ -236,10 +235,3 @@ def idm_estimate(circuit: Circuit, counts: ContextCounts, ess: float) -> CsddPar
     params = CsddParams(table)
     params.validate(circuit)
     return params
-
-
-def load_dataset(source) -> Dataset:
-    """Read a dataset file (see the formats module for the grammar)."""
-    from . import formats
-
-    return formats.read_dataset(source)

@@ -24,7 +24,6 @@ from csdd.circuit import (
     is_consistent,
     model_count,
     multiplicity_report,
-    topological_order,
     validate_partitions,
 )
 from csdd.fixtures import shared_node_fixture, squares_fixture, squares_formula, squares_vtree
@@ -288,8 +287,10 @@ class TestRootCaches:
 
 
 class TestTopologicalOrder:
+    """``Circuit.cone`` lists every prime and sub before its decision node."""
+
     def test_children_precede_parents(self, squares):
-        order = topological_order(squares.circuit)
+        order = squares.circuit.cone()
         position = {nid: i for i, nid in enumerate(order)}
         for nid in order:
             for p, s in squares.circuit.nodes[nid].elements:
@@ -301,7 +302,7 @@ class TestTopologicalOrder:
         rng = Random(7)
         for _ in range(10):
             circuit = random_circuit(rng, rng.randint(3, 6), singly=bool(rng.getrandbits(1)))
-            order = topological_order(circuit)
+            order = circuit.cone()
             assert len(order) == len(set(order))
             position = {nid: i for i, nid in enumerate(order)}
             for nid in order:

@@ -1,7 +1,9 @@
 """Seven-segment scenario: constraint, generation, classification, scores."""
 
+import json
 import math
 from itertools import product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -313,3 +315,22 @@ class TestRunCell:
         tight = run_cell(Scenario(train_size=25, p_f=0.2, seed=8, test_size=40, ess=1.0))
         wide = run_cell(Scenario(train_size=25, p_f=0.2, seed=8, test_size=40, ess=4.0))
         assert wide.determinacy <= tight.determinacy + 1e-12
+
+
+# the display benchmark's recorded metric rows, one per pool cell (d 20)
+DISPLAY_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench/reference/display_grid.json"
+
+
+class TestDisplayReference:
+    """Pool cells of the display benchmark give its recorded rows exactly,
+    credal fields included."""
+
+    @pytest.mark.parametrize("p_f", [0.05, 0.2, 0.3, 0.4])
+    def test_pool_rows(self, p_f):
+        reference = json.loads(DISPLAY_REFERENCE.read_text(encoding="utf-8"))
+        assert reference["fields"] == list(Metrics.FIELDS)
+        for seed in (0, 1):
+            got = run_cell(Scenario(train_size=20, p_f=p_f, seed=seed)).as_row()
+            want = [math.nan if v is None else v for v in reference["rows"][f"{p_f}:{seed}"]]
+            for field, a, b in zip(Metrics.FIELDS, got, want):
+                assert a == b or math.isnan(a) and math.isnan(b), (p_f, seed, field)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from csdd import formats, infer
 from csdd.circuit import (
+    DECISION,
     TRUE,
     Circuit,
     Vtree,
@@ -49,12 +50,15 @@ from csdd.infer import (
     strong_extension_oracle,
     upper_conditional,
     upper_marginal,
+    _PassMemo,
     _credal_map,
     _credal_sweep,
     _find_crossing,
     _mark_map,
     _mark_sweeps,
+    _point_pass,
     _route,
+    _spine_marginal,
 )
 from csdd.formula import TRUE as T_CONST
 from csdd.learn import Dataset, collect_counts, ml_estimate
@@ -68,6 +72,8 @@ from conftest import (
     mark_sweep_walk,
     random_circuit,
     random_credal_instance,
+    random_csdd_params,
+    random_psdd_params,
 )
 
 EVIDENCE_DARK_CORNER = {1: False, 2: False, 3: False, 4: True}
@@ -912,9 +918,9 @@ class TestRoute:
 
         visited = []
 
-        def spy(circuit, params, evidence, ids, sense):
+        def spy(circuit, params, evidence, ids, sense, **memo):
             visited.append(list(ids))
-            return _credal_sweep(circuit, params, evidence, ids, sense)
+            return _credal_sweep(circuit, params, evidence, ids, sense, **memo)
 
         monkeypatch.setattr(infer, "is_consistent", no_consistency_test)
         monkeypatch.setattr(infer, "_credal_sweep", spy)
@@ -1055,3 +1061,122 @@ class TestDeepModel:
         assert verdict.attaining == (tuple(sorted(xstar.items())), tuple(sorted(second.items())))
         if n == 50:  # the reference rebuilds completions per node, quadratic in depth
             assert verdict.attaining == attaining_reference(circuit, params, {}, xstar).attaining
+
+
+def _repeating_evidence(rng: Random, circuit: Circuit, length: int) -> list[dict[int, bool]]:
+    """Consistent evidence leaving a variable free, each value drawn from one
+    of two models, so sub-assignments (and whole evidence) repeat."""
+    n = circuit.vtree.var_count
+    models = sorted(enumerate_models(circuit, circuit.root))
+    pool = [models[rng.randrange(len(models))] for _ in range(2)]
+    out = []
+    while len(out) < length:
+        evidence = {v: rng.choice(pool)[v - 1] for v in range(1, n + 1) if rng.random() < 0.6}
+        if len(evidence) < n and is_consistent(circuit, evidence):
+            out.append(evidence)
+    return out
+
+
+class TestPassMemo:
+    """Passes given a ``_PassMemo`` answer bit for bit as without one, and the
+    memo holds one entry per distinct (node, evidence under the node)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_memo_answers_as_without(self, seed):
+        rng = Random(seed)
+        circuit = random_circuit(rng, rng.randint(3, 6), singly=bool(rng.getrandbits(1)))
+        csdd = random_csdd_params(rng, circuit, 0.3)
+        psdd = random_psdd_params(rng, circuit)
+        point_memo, credal_memo = _PassMemo(circuit, psdd), _PassMemo(circuit, csdd)
+        sweep_memo = _PassMemo(circuit, csdd)  # the lower cone sweeps' entries alone
+        nodes, cone, vtree = circuit.nodes, circuit.cone(), circuit.vtree
+        met = set()  # (node, evidence under it) where the lower sweep consults the memo
+        for evidence in _repeating_evidence(rng, circuit, 12):
+            free = [v for v in range(1, vtree.var_count + 1) if v not in evidence]
+            for sense in (MIN, MAX):
+                want = _credal_sweep(circuit, csdd, evidence, cone, sense)
+                got = _credal_sweep(circuit, csdd, evidence, cone, sense, _memo=credal_memo)
+                assert repr((got.values, got.vertices)) == repr((want.values, want.vertices))
+            _credal_sweep(circuit, csdd, evidence, cone, MIN, _memo=sweep_memo)
+            for nid in cone:
+                node = nodes[nid]
+                if node.kind == DECISION or node.kind == TRUE and node.var in evidence:
+                    under = vtree.vars_under(node.vtree)
+                    met.add((nid, frozenset((v, evidence[v]) for v in under if v in evidence)))
+            want = _credal_map(circuit, csdd, evidence)
+            got = _credal_map(circuit, csdd, evidence, _memo=credal_memo)
+            assert repr((got.values, got.tied, got.counts)) == repr(
+                (want.values, want.tied, want.counts)
+            )
+
+            values = _point_pass(circuit, psdd, evidence, cone, {})
+            got = _point_pass(circuit, psdd, evidence, cone, {}, _memo=point_memo)
+            assert repr(got) == repr(values)
+            for var, val in product(free, (True, False)):
+                want = _spine_marginal(circuit, psdd, evidence, values, var, val)
+                got = _spine_marginal(circuit, psdd, evidence, values, var, val, _memo=point_memo)
+                assert repr(got) == repr(want)
+            completion = map_query(circuit, psdd, evidence)
+            assert repr(map_query(circuit, psdd, evidence, _memo=point_memo)) == repr(completion)
+
+            plain = EvidenceSession(circuit, csdd, evidence)
+            memoized = EvidenceSession(circuit, csdd, evidence, _memo=credal_memo)
+            for var, val, mu in product(free, (True, False), (0.0, 0.25, 0.5, 0.9)):
+                want = plain._sign_test(var, val, mu)
+                assert repr(memoized._sign_test(var, val, mu)) == repr(want)
+                signs = [conditional_sign(circuit, csdd, mu, var, val, evidence, session)
+                         for session in (memoized, plain)]
+                assert signs[0] == signs[1]
+            # a traced sign test skips the memo: the certificate sees every node
+            got = lower_conditional(circuit, csdd, free[0], True, evidence, session=memoized)
+            want = lower_conditional(circuit, csdd, free[0], True, evidence, session=plain)
+            assert (got.value, got.certificate, got.trace.uses, got.trace.sigma) == (
+                want.value, want.certificate, want.trace.uses, want.trace.sigma
+            )
+
+            xstars = ({v: completion[1][v] for v in free},
+                      {v: bool(rng.getrandbits(1)) for v in free})
+            for xstar, certify in product(xstars, (False, True)):
+                want = robustness(circuit, csdd, evidence, xstar, certify)
+                got = robustness(circuit, csdd, evidence, xstar, certify, _memo=credal_memo)
+                if certify:
+                    assert (got.certificate, got.trace.uses) == (want.certificate, want.trace.uses)
+                else:
+                    assert repr(got) == repr(want)
+        assert sum(map(len, sweep_memo._passes.values())) == len(met)
+
+    def test_memo_is_refused_elsewhere(self):
+        rng = Random(3)
+        circuit = random_circuit(rng, 5, singly=False)
+        csdd = random_csdd_params(rng, circuit, 0.3)
+        psdd = random_psdd_params(rng, circuit)
+        point_memo, credal_memo = _PassMemo(circuit, psdd), _PassMemo(circuit, csdd)
+        xstar = map_query(circuit, psdd, {})[1]
+
+        def calls(circuit, psdd, csdd):
+            return [
+                lambda: _credal_sweep(circuit, csdd, {}, circuit.cone(), MIN, _memo=credal_memo),
+                lambda: _credal_map(circuit, csdd, {}, _memo=credal_memo),
+                lambda: EvidenceSession(circuit, csdd, {}, _memo=credal_memo),
+                lambda: robustness(circuit, csdd, {}, xstar, _memo=credal_memo),
+                lambda: _point_pass(circuit, psdd, {}, circuit.cone(), {}, _memo=point_memo),
+                lambda: map_query(circuit, psdd, {}, _memo=point_memo),
+            ]
+
+        def refused(calls):
+            for call in calls:
+                with pytest.raises(InferenceError, match="another circuit, root or table"):
+                    call()
+
+        # equal tables and an equal circuit, but other objects
+        refused(calls(circuit, PsddParams(dict(psdd.table)), CsddParams(dict(csdd.table))))
+        refused(calls(circuit.extract(circuit.root), psdd, csdd))
+        root = circuit.root
+        circuit.set_root(max(nid for nid in circuit.parameterized_ids() if nid != root))
+        try:
+            refused(calls(circuit, psdd, csdd))
+        finally:
+            circuit.set_root(root)
+        for call in calls(circuit, psdd, csdd):
+            call()  # the memos' own circuit, root and tables
