@@ -273,6 +273,7 @@ class Circuit:
         self._false_ids: frozenset[int] = frozenset()
         self._connectivity: ConnectivityReport | None = None
         self._spines: dict[int, list[int]] = {}
+        self._sign_plans: dict[int, list[tuple]] = {}  # filled by infer._sign_plan
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -346,6 +347,7 @@ class Circuit:
         self._false_ids = frozenset(i for i in cone if not sat[i])
         self._connectivity = None
         self._spines = {}
+        self._sign_plans = {}
 
     def cone(self) -> list[int]:
         """Ids of all nodes reachable from the root, ascending (= topological)."""

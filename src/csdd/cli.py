@@ -3,9 +3,8 @@
 Subcommands wire compilation, learning, querying, robustness checking and
 the display experiment together.  Machine-readable JSON goes to stdout,
 human progress notes to stderr; the exit code is zero exactly when the
-command succeeded.  Variables are addressed as ``X<i>`` (vtree variable
-``i``) unless the model was learned from a dataset whose header named
-them differently.
+command succeeded.  Variables are always addressed as ``X<i>`` (vtree
+variable ``i``), whatever header the training dataset had.
 """
 
 from __future__ import annotations
@@ -292,6 +291,8 @@ def _run_cell_payload(scenario: Scenario) -> tuple[list, float]:
 def cmd_experiment(args) -> int:
     if args.scenario != "seven-segment":
         raise CliError(f"unknown scenario {args.scenario!r}")
+    if args.seeds < 1:
+        raise CliError(f"--seeds must be at least 1, got {args.seeds}")
     sizes = [int(tok) for tok in args.d.split(",")]
     probs = [float(tok) for tok in args.pf.split(",")]
     cells = [

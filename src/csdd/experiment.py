@@ -33,9 +33,9 @@ from .infer import (
     NOT_ROBUST,
     EvidenceSession,
     _PassMemo,
+    _check_target,
     _point_pass,
     _spine_marginal,
-    conditional_sign,
     lower_conditional,
     map_query,
     marginal,  # noqa: F401  (a binding perfbench's tracing wraps)
@@ -178,6 +178,7 @@ def decide_segments(
     session: EvidenceSession | None = None,
     *,
     _memos: tuple[_PassMemo, _PassMemo] | None = None,
+    _ev: int | None = None,
 ) -> list[SegmentDecision]:
     """Per-segment point posterior and credal label for one observation.
 
@@ -186,25 +187,32 @@ def decide_segments(
     > 1/2, "indeterminate" otherwise.  One point pass gives P(o) and every
     node's value; each P(x_i = on, o) then recomputes only x_i's spine.
     ``session`` is an :class:`EvidenceSession` for (circuit, csdd,
-    observation); without it one is built.  The private ``_memos``, for
-    (circuit, psdd) and (circuit, csdd), serve the point passes and the
-    session built here.
+    observation), checked once; without it one is built.  The private
+    ``_memos``, for (circuit, psdd) and (circuit, csdd), serve the point
+    passes and the session built here, keyed by ``_ev``, the observation
+    packed; without it the passes pack it themselves.
     """
     point_memo, credal_memo = _memos or (None, None)
-    values = _point_pass(circuit, psdd, observation, circuit.cone(), {}, _memo=point_memo)
+    values = _point_pass(circuit, psdd, observation, circuit.cone(), {},
+                         _memo=point_memo, _ev=_ev)
     p_obs = values[circuit.root]
     if p_obs <= 0.0:
         raise ValueError("observation has zero probability under the point table")
     if session is None:
-        session = EvidenceSession(circuit, csdd, observation, _memo=credal_memo)
+        session = EvidenceSession(circuit, csdd, observation, _memo=credal_memo, _ev=_ev)
+    else:
+        session.check(circuit, csdd, observation)
     out = []
     for i in range(1, SEGMENTS + 1):
         var = hidden_var(i)
-        p_on = _spine_marginal(circuit, psdd, observation, values, var, True, _memo=point_memo)
+        p_on = _spine_marginal(circuit, psdd, observation, values, var, True,
+                               _memo=point_memo, _ev=_ev)
         p_on /= p_obs
-        if conditional_sign(circuit, csdd, 0.5, var, True, observation, session) > 0:
+        _check_target(circuit, var, True, observation)
+        # conditional_sign's test at one half: positive beyond the numerical zero
+        if session._sign_test(var, True, 0.5) > session.zero:
             credal = "on"
-        elif conditional_sign(circuit, csdd, 0.5, var, False, observation, session) > 0:
+        elif session._sign_test(var, False, 0.5) > session.zero:
             credal = "off"
         else:
             credal = "indeterminate"
@@ -326,6 +334,10 @@ class Scenario:
     test_size: int = 140
     ess: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.test_size < 1:
+            raise ValueError(f"need at least one test row, got test size {self.test_size}")
+
 
 def run_cell(scenario: Scenario) -> Metrics:
     """Train point and credal tables on one draw and score a fresh test set."""
@@ -348,12 +360,14 @@ def run_cell(scenario: Scenario) -> Metrics:
         observation = {observed_var(i + 1): shown[i] for i in range(SEGMENTS)}
         cached = cache.get(shown)
         if cached is None:
+            ev = point_memo.pack(observation)  # every pass on the observation keys by it
             preds = decide_segments(circuit, psdd, csdd, observation,
-                                    _memos=(point_memo, credal_memo))
-            _, completion = map_query(circuit, psdd, observation, _memo=point_memo)
+                                    _memos=(point_memo, credal_memo), _ev=ev)
+            _, completion = map_query(circuit, psdd, observation, _memo=point_memo, _ev=ev)
             xstar = {hidden_var(i + 1): completion[hidden_var(i + 1)] for i in range(SEGMENTS)}
+            # the MAP pass's choices are xstar's route: no truth pass needed
             verdict = robustness(circuit, csdd, observation, xstar, want_certificate=False,
-                                 _memo=credal_memo)
+                                 _memo=credal_memo, _ev=ev, _xstar_route=point_memo.map_route(ev))
             cached = cache[shown] = (preds, xstar, verdict.label != NOT_ROBUST)
         preds, xstar, det = cached
         per_instance.append((preds, pattern))

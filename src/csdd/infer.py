@@ -11,12 +11,14 @@ with a local linear program over the node's credal set:
   the bracket's left edge and non-positive at its right edge, and the
   left edge is returned, so the answer never passes the crossing;
   an :class:`EvidenceSession` runs the evidence passes once per
-  evidence and the sign test itself for every target, keeping no
-  per-variable state (each target's spine is cached on the circuit);
+  evidence, takes consistency from its upper pass (a truth pass runs only
+  when that is 0) and runs the sign test itself for every target (each
+  target's spine and sign-test plan are cached on the circuit);
 * robustness checks whether one most-probable completion stays optimal
   for every parameter table between the bounds: a credal MAP pass and a
   truth pass over the cone, then the completion's sweeps, tied options and
-  completion counts (at most 2) over the completion's route only.
+  completion counts (at most 2) over the completion's route only
+  (``run_cell`` hands over the route of its MAP pass instead).
 
 On circuits with shared structure the conditional and robustness passes
 may optimize one shared credal set toward different extreme points in
@@ -38,7 +40,8 @@ evidence under its vtree node.  So a batch of queries on one table may
 hand its passes a private ``_PassMemo``, which returns per node and
 evidence under it what a pass computed there before.  The display
 experiment's ``run_cell`` does so across a cell's observations, with
-unchanged answers; one-shot calls pass none and reuse nothing.
+unchanged answers, and packs each observation into a key once for all
+its passes; one-shot calls pass none and reuse nothing.
 """
 
 from __future__ import annotations
@@ -269,21 +272,41 @@ class _PassMemo:
         if circuit is not self.circuit or params is not self.params or circuit.root != self.root:
             raise InferenceError("memo was built for another circuit, root or table")
 
+    def pack(self, evidence: Mapping[int, bool]) -> int:
+        """The evidence as ``pos | neg << n``: the key a pass handed it as
+        ``_ev`` uses instead of packing the evidence itself."""
+        n, ev = self._n, 0
+        for var, val in evidence.items():
+            if val is not None and 1 <= var <= n:  # no node reads any other variable
+                ev |= 1 << (var - 1 if val else var - 1 + n)
+        return ev
+
     def entries(
         self,
         circuit: Circuit,
         params: PsddParams | CsddParams,
         evidence: Mapping[int, bool],
         kind: tuple,
+        ev: int | None = None,
     ) -> tuple[dict, int, list[int]]:
         """After :meth:`check`: the entries of pass ``kind``, the packed
-        evidence and the node masks."""
+        evidence (``ev`` when given) and the node masks."""
         self.check(circuit, params)
-        n, ev = self._n, 0
-        for var, val in evidence.items():
-            if val is not None and 1 <= var <= n:  # no node reads any other variable
-                ev |= 1 << (var - 1 if val else var - 1 + n)
-        return self._passes.setdefault(kind, {}), ev, self._masks
+        return self._passes.setdefault(kind, {}), self.pack(evidence) if ev is None else ev, self._masks
+
+    def map_route(self, ev: int) -> tuple[dict[int, int], list[int]]:
+        """After :func:`map_query` on the evidence packed as ``ev``: its
+        choices from the root down, i.e. :func:`_route` of the evidence with
+        the completion, since a chosen element's prime is the one prime
+        true under it (the element's value is positive)."""
+        nodes, choices, masks = self.circuit.nodes, self._passes[("map",)], self._masks
+        realized: dict[int, int] = {}
+        on_route = {self.root}
+        for nid in reversed(self.circuit.cone()):
+            if nid in on_route and nodes[nid].kind == DECISION:
+                j = realized[nid] = choices[nid, ev & masks[nid]][1]
+                on_route.update(nodes[nid].elements[j])
+        return realized, sorted(on_route)
 
 
 def _point_pass(
@@ -294,6 +317,7 @@ def _point_pass(
     values: dict[int, float],
     *,
     _memo: _PassMemo | None = None,
+    _ev: int | None = None,
 ) -> dict[int, float]:
     """Point-table value of each node of ``ids`` (children first) under the
     evidence, written into ``values``, which holds every child outside ``ids``
@@ -301,7 +325,7 @@ def _point_pass(
     nodes = circuit.nodes
     memo = None
     if _memo is not None:
-        memo, ev, masks = _memo.entries(circuit, params, evidence, ("point",))
+        memo, ev, masks = _memo.entries(circuit, params, evidence, ("point",), _ev)
     for nid in ids:
         node = nodes[nid]
         if node.kind == FALSE:
@@ -355,15 +379,18 @@ def _spine_marginal(
     val: bool,
     *,
     _memo: _PassMemo | None = None,
+    _ev: int | None = None,
 ) -> float:
     """``marginal(circuit, params, {**evidence, var: val})`` from ``values``,
     the node values of the pass on ``evidence``: only the nodes on ``var``'s
     spine are recomputed, by the same per-node code, so the result is
-    bit-identical."""
-    spine = circuit.spine(var)
-    return _point_pass(
-        circuit, params, {**evidence, var: val}, spine, dict(values), _memo=_memo
-    )[circuit.root]
+    bit-identical.  ``_ev``, the evidence packed, gives the pass's key by
+    setting ``var``'s bit."""
+    if _ev is not None:
+        true_bit, false_bit = 1 << var - 1, 1 << var - 1 + _memo._n
+        _ev = _ev & ~(true_bit | false_bit) | (true_bit if val else false_bit)
+    return _point_pass(circuit, params, {**evidence, var: val}, circuit.spine(var), dict(values),
+                       _memo=_memo, _ev=_ev)[circuit.root]
 
 
 def joint_probability(circuit: Circuit, params: PsddParams, assignment: Mapping[int, bool]) -> float:
@@ -379,6 +406,7 @@ def map_query(
     evidence: Mapping[int, bool],
     *,
     _memo: _PassMemo | None = None,
+    _ev: int | None = None,
 ) -> tuple[float, dict[int, bool]]:
     """Most probable completion of the unobserved variables.
 
@@ -391,7 +419,7 @@ def map_query(
     choice: dict[int, int] = {}
     memo = None
     if _memo is not None:
-        memo, ev, masks = _memo.entries(circuit, params, evidence, ("map",))
+        memo, ev, masks = _memo.entries(circuit, params, evidence, ("map",), _ev)
     for nid in cone:
         node = nodes[nid]
         if node.kind == FALSE:
@@ -466,6 +494,7 @@ def _credal_sweep(
     sense: int,
     *,
     _memo: _PassMemo | None = None,
+    _ev: int | None = None,
 ) -> _Sweep:
     """Evidence pass over ``ids``, children first; nodes outside read 0.0.  Under
     a complete assignment its route will do: off it, every prime is false."""
@@ -478,7 +507,7 @@ def _credal_sweep(
     if _memo is not None:
         # a sweep over anything but the cone, such as a route, keeps its own entries
         kind = ("sweep", sense, ids is circuit.cone())
-        memo, ev, masks = _memo.entries(circuit, params, evidence, kind)
+        memo, ev, masks = _memo.entries(circuit, params, evidence, kind, _ev)
     for nid in ids:
         node = circuit.nodes[nid]
         if node.kind == FALSE:
@@ -582,19 +611,41 @@ def _mark_sweeps(
 # conditional queries
 
 
+def _sign_plan(circuit: Circuit, var: int) -> list[tuple]:
+    """The structure of ``var``'s sign test, kept next to its spine until the
+    root moves: per spine node, children first, its id, its kind and, for a
+    literal, its polarity; for a decision node, per element, its query-side
+    child (on the spine), its sibling and whether the sibling is FALSE."""
+    plan = circuit._sign_plans.get(var)
+    if plan is None:
+        nodes, on_spine = circuit.nodes, set(circuit.spine(var))
+        plan = circuit._sign_plans[var] = []
+        for nid in circuit.spine(var):
+            node = nodes[nid]
+            sides = node.polarity
+            if node.kind == DECISION:
+                pairs = node.elements if node.elements[0][0] in on_spine else (
+                    (s, p) for p, s in node.elements)
+                sides = tuple((u, w, nodes[w].kind == FALSE) for u, w in pairs)
+            plan.append((nid, node.kind, sides))
+    return plan
+
+
 class EvidenceSession:
     """Evidence-side work shared by every conditional query on one evidence.
 
     Built for one (circuit, params, evidence) triple: it checks the
-    evidence and its consistency once and runs the lower and upper
-    evidence sweeps once.  It then runs the sign test for any target
-    itself; it keeps no per-variable state, since the target's spine is
-    cached on the circuit.  Pass it as ``session=`` to
+    evidence once and runs the lower and upper evidence sweeps once.  A
+    positive upper evidence probability proves that some model extends the
+    evidence, so only at 0 does a truth pass decide whether to raise
+    :class:`InferenceError`.  It then runs the sign test for any target
+    from the target's plan, cached on the circuit.  Pass it as ``session=`` to
     :func:`conditional_sign`, :func:`lower_conditional` and
     :func:`upper_conditional`; a call whose circuit, root, params or
     evidence differ from the session's raises :class:`InferenceError`.
     A private ``_memo`` for (circuit, params) serves its sweeps and its
-    untraced sign tests across sessions.
+    untraced sign tests across sessions, keyed by the evidence packed once
+    (or handed in as ``_ev``).
     """
 
     def __init__(
@@ -604,20 +655,23 @@ class EvidenceSession:
         evidence: Mapping[int, bool],
         *,
         _memo: _PassMemo | None = None,
+        _ev: int | None = None,
     ) -> None:
         _check_evidence(circuit, evidence)
-        if not is_consistent(circuit, evidence):
-            raise InferenceError("evidence violates circuit constraints")
         self.circuit = circuit
         self.params = params
         self.evidence = dict(evidence)
         self.root = circuit.root
         self._memo = _memo
-        self.low = _credal_sweep(circuit, params, self.evidence, circuit.cone(), MIN, _memo=_memo)
-        self.up = _credal_sweep(circuit, params, self.evidence, circuit.cone(), MAX, _memo=_memo)
+        self._ev = _memo.pack(self.evidence) if _memo is not None and _ev is None else _ev
+        self.low, self.up = (_credal_sweep(circuit, params, self.evidence, circuit.cone(), sense,
+                                           _memo=_memo, _ev=self._ev) for sense in (MIN, MAX))
+        upper = self.up.values[self.root]
+        if upper <= 0.0 and not is_consistent(circuit, evidence):
+            raise InferenceError("evidence violates circuit constraints")
         # every sign-test message is at most the upper evidence probability
         # in size, so the numerical zero scales with it
-        self.zero = ZERO_TOL * self.up.values[self.root]
+        self.zero = ZERO_TOL * upper
 
     def check(self, circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> None:
         """Raise unless the session was built for exactly these arguments."""
@@ -635,27 +689,48 @@ class EvidenceSession:
         """Root message of the threshold test at ``mu``; positive iff the
         lower conditional of ``var = val`` exceeds ``mu``.
 
-        One bottom-up pass over ``var``'s spine.  ``msg`` holds spine nodes
-        only, so a decision node's query-side child is its prime exactly
-        when its first prime has a message; the sibling's bound comes from
-        the evidence sweeps.
+        One bottom-up pass over ``var``'s spine, read from its sign-test
+        plan; the sibling's bound comes from the evidence sweeps.
         """
-        nodes, table = self.circuit.nodes, self.params.table
+        table = self.params.table
         low_values, up_values = self.low.values, self.up.values
         msg: dict[int, float] = {}
         starts: list[tuple[int, int]] = []  # sibling values the trace must pin
         memo = None
         if trace is None and self._memo is not None:  # a trace needs every node's points
             memo, ev, masks = self._memo.entries(
-                self.circuit, self.params, self.evidence, ("sign", var, val, mu)
+                self.circuit, self.params, self.evidence, ("sign", var, val, mu), self._ev
             )
-        for nid in self.circuit.spine(var):
-            node = nodes[nid]
-            if node.kind == FALSE:
-                msg[nid] = 0.0
-            elif node.kind == LITERAL:
-                msg[nid] = (1.0 - mu) if node.polarity == val else -mu
-            elif node.kind == TRUE:
+        for nid, kind, sides in _sign_plan(self.circuit, var):
+            if kind == DECISION:
+                cs = table.get(nid)
+                if cs is None:
+                    msg[nid] = 0.0  # unsatisfiable decision node
+                    continue
+                if memo is not None:
+                    key = nid, ev & masks[nid]
+                    hit = memo.get(key)
+                    if hit is not None:
+                        msg[nid] = hit
+                        continue
+                # a negative message takes the sibling's upper value (a FALSE
+                # sibling is 0.0 in both sweeps)
+                coeffs = [(m := msg[u]) * (up_values if m < 0.0 else low_values)[w]
+                          for u, w, _ in sides]
+                value, point = _min_fast(cs, coeffs)
+                msg[nid] = value
+                if memo is not None:
+                    memo[key] = value
+                if trace is not None:
+                    for idx, (u, w, w_false) in enumerate(sides):
+                        upper = msg[u] < 0.0 and not w_false  # a FALSE sibling reads as lower
+                        sigma = (up_values if upper else low_values)[w]
+                        trace.sigma[(nid, idx)] = ("upper" if upper else "lower", sigma)
+                        starts.append((w, MAX if upper else MIN))  # FALSE marks nothing
+                    trace.record(nid, point if any(coeffs) else None)
+            elif kind == LITERAL:
+                msg[nid] = (1.0 - mu) if sides == val else -mu
+            elif kind == TRUE:
                 cs = table[nid]
                 state = 0 if val else 1
                 lx, ux = cs.lower[state], cs.upper[state]
@@ -664,37 +739,17 @@ class EvidenceSession:
                 if trace is not None:
                     # the minimum pins the member with the smaller target mass
                     trace.record(nid, (lx, unot) if state == 0 else (unot, lx))
-            elif nid not in table:
-                msg[nid] = 0.0  # unsatisfiable decision node
             else:
-                if memo is not None:
-                    key = nid, ev & masks[nid]
-                    hit = memo.get(key)
-                    if hit is not None:
-                        msg[nid] = hit
-                        continue
-                prime_side = node.elements[0][0] in msg
-                coeffs = []
-                for idx, (p, s) in enumerate(node.elements):
-                    u_child, w_child = (p, s) if prime_side else (s, p)
-                    mu_msg = msg[u_child]
-                    # a negative message takes the sibling's upper value; a
-                    # FALSE sibling is zero in both sweeps and reads as lower
-                    upper = mu_msg < 0.0 and nodes[w_child].kind != FALSE
-                    sigma = (up_values if upper else low_values)[w_child]
-                    coeffs.append(mu_msg * sigma)
-                    if trace is not None:
-                        trace.sigma[(nid, idx)] = ("upper" if upper else "lower", sigma)
-                        starts.append((w_child, MAX if upper else MIN))  # FALSE marks nothing
-                value, point = _min_fast(table[nid], coeffs)
-                msg[nid] = value
-                if memo is not None:
-                    memo[key] = value
-                if trace is not None:
-                    trace.record(nid, point if any(coeffs) else None)
+                msg[nid] = 0.0
         if trace is not None:
             _mark_sweeps(trace, self.circuit, self.circuit.cone(), self.low, self.up, starts)
         return msg[self.root]
+
+
+def _check_target(circuit: Circuit, var: int, val: bool, evidence: Mapping[int, bool]) -> None:
+    if var in evidence:
+        raise InferenceError(f"queried variable {var} appears in the evidence")
+    _check_evidence(circuit, {var: val})
 
 
 def _session(
@@ -706,9 +761,7 @@ def _session(
     session: EvidenceSession | None,
 ) -> EvidenceSession:
     """Check the target; return ``session`` once it matches, else a one-shot session."""
-    if var in evidence:
-        raise InferenceError(f"queried variable {var} appears in the evidence")
-    _check_evidence(circuit, {var: val})
+    _check_target(circuit, var, val, evidence)
     if session is None:
         return EvidenceSession(circuit, params, evidence)
     session.check(circuit, params, evidence)
@@ -876,6 +929,7 @@ def _credal_map(
     evidence: Mapping[int, bool],
     *,
     _memo: _PassMemo | None = None,
+    _ev: int | None = None,
 ) -> _Ties:
     """Upper completion bounds M(n), tied in element order and true state first."""
     cm = _Ties(len(circuit.nodes))
@@ -883,7 +937,7 @@ def _credal_map(
     table = params.table
     memo = None
     if _memo is not None:
-        memo, ev, masks = _memo.entries(circuit, params, evidence, ("credal_map",))
+        memo, ev, masks = _memo.entries(circuit, params, evidence, ("credal_map",), _ev)
     for nid in circuit.cone():
         node = circuit.nodes[nid]
         if node.kind == FALSE:
@@ -1000,6 +1054,8 @@ def robustness(
     want_certificate: bool = True,
     *,
     _memo: _PassMemo | None = None,
+    _ev: int | None = None,
+    _xstar_route: tuple[dict[int, int], list[int]] | None = None,
 ) -> RobustnessVerdict:
     """Is ``xstar`` the most probable completion for every compatible table?
 
@@ -1012,7 +1068,8 @@ def robustness(
     attains V = 1, weakly robust when the maximum is tied, and not robust
     otherwise (including inconsistent ``xstar``).  A private ``_memo`` for
     (circuit, params) serves the credal MAP pass and, with entries of their
-    own, the route's sweeps.
+    own, the route's sweeps; ``_ev`` is the evidence packed for it.  The
+    private ``_xstar_route``, what :func:`_route` would return, saves the truth pass.
     """
     _check_evidence(circuit, evidence)
     _check_evidence(circuit, xstar)
@@ -1025,12 +1082,12 @@ def robustness(
         total[var] = bool(val)
     if len(total) != circuit.vtree.var_count:
         raise InferenceError("evidence and completion must cover all variables")
-    found = _route(circuit, total)
+    found = _route(circuit, total) if _xstar_route is None else _xstar_route
     if found is None:
         return RobustnessVerdict(1.0, NOT_ROBUST, (), InferenceTrace() if want_certificate else None,
                                  ExactnessCertificate(EXACT) if want_certificate else None)
     realized, route = found
-    cm = _credal_map(circuit, params, evidence, _memo=_memo)
+    cm = _credal_map(circuit, params, evidence, _memo=_memo, _ev=_ev)
     low_xe = _credal_sweep(circuit, params, total, route, MIN, _memo=_memo)
     table = params.table
     nodes, root = circuit.nodes, circuit.root

@@ -375,6 +375,21 @@ class TestExperiment:
                  "--test-size", "20", "--seed", "9", "-o", "b.csv")
         assert (workdir / "a.csv").read_text() == (workdir / "b.csv").read_text()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--test-size", "0", "at least one test row"), ("--test-size", "-2", "at least one test row"),
+         ("--seeds", "0", "--seeds must be at least 1"), ("--seeds", "-1", "--seeds must be at least 1")],
+    )
+    def test_empty_grid_refused(self, capsys, workdir, monkeypatch, flag, value, message):
+        # no cell, or a cell with no test row, would write a vacuous csv and exit 0
+        monkeypatch.setenv("CSDD_THREADS", "1")
+        argv = {"--d": "10", "--pf": "0.3", "--seeds": "1", "--test-size": "5", flag: value}
+        code, out, err = run(capsys, "experiment", *(t for kv in argv.items() for t in kv),
+                             "-o", "empty.csv")
+        assert code == 1 and out == ""
+        assert message in err
+        assert not (workdir / "empty.csv").exists()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_one_progress_line_per_cell(self, capsys, workdir, monkeypatch, threads):
         monkeypatch.setenv("CSDD_THREADS", threads)

@@ -334,3 +334,28 @@ class TestDisplayReference:
             want = [math.nan if v is None else v for v in reference["rows"][f"{p_f}:{seed}"]]
             for field, a, b in zip(Metrics.FIELDS, got, want):
                 assert a == b or math.isnan(a) and math.isnan(b), (p_f, seed, field)
+
+    # The two pool cells whose credal fields already differ from the recorded
+    # rows: a change to the sign test flips them first, so their current rows
+    # are pinned here.
+    BORDERLINE = {
+        33: [0.8653061224489796, 0.8306122448979592, 0.9127764127764127, 0.6325301204819277,
+             0.8936734693877527, 0.5928571428571429, 0.5, 0.6714285714285714,
+             0.5142857142857142],
+        36: [0.8663265306122448, 0.7938775510204081, 0.9357326478149101, 0.599009900990099,
+             0.9077551020408132, 0.5, 0.40714285714285714, 0.5964912280701754,
+             0.43373493975903615],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(BORDERLINE))
+    def test_borderline_pool_rows(self, seed):
+        got = run_cell(Scenario(train_size=20, p_f=0.4, seed=seed)).as_row()
+        for field, a, b in zip(Metrics.FIELDS, got, self.BORDERLINE[seed], strict=True):
+            assert a == b or math.isnan(a) and math.isnan(b), (seed, field)
+
+
+class TestScenarioChecks:
+    @pytest.mark.parametrize("test_size", [0, -2])
+    def test_test_size_below_one_refused(self, test_size):
+        with pytest.raises(ValueError, match="at least one test row"):
+            Scenario(train_size=20, p_f=0.2, seed=0, test_size=test_size)

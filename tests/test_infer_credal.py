@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from csdd import formats, infer
 from csdd.circuit import (
     DECISION,
+    FALSE,
+    LITERAL,
     TRUE,
     Circuit,
     Vtree,
@@ -23,7 +25,7 @@ from csdd.circuit import (
     is_consistent,
 )
 from csdd.cli import main
-from csdd.credal import IntervalCredalSet, normalize_reachable
+from csdd.credal import IntervalCredalSet, _min_fast, normalize_reachable
 from csdd.fixtures import shared_node_fixture, squares_fixture
 from csdd.infer import (
     EXACT,
@@ -58,6 +60,7 @@ from csdd.infer import (
     _mark_sweeps,
     _point_pass,
     _route,
+    _sign_plan,
     _spine_marginal,
 )
 from csdd.formula import TRUE as T_CONST
@@ -1090,6 +1093,7 @@ class TestPassMemo:
         psdd = random_psdd_params(rng, circuit)
         point_memo, credal_memo = _PassMemo(circuit, psdd), _PassMemo(circuit, csdd)
         sweep_memo = _PassMemo(circuit, csdd)  # the lower cone sweeps' entries alone
+        keyed_memo = _PassMemo(circuit, psdd)  # spine passes handed the evidence's key
         nodes, cone, vtree = circuit.nodes, circuit.cone(), circuit.vtree
         met = set()  # (node, evidence under it) where the lower sweep consults the memo
         for evidence in _repeating_evidence(rng, circuit, 12):
@@ -1113,9 +1117,14 @@ class TestPassMemo:
             values = _point_pass(circuit, psdd, evidence, cone, {})
             got = _point_pass(circuit, psdd, evidence, cone, {}, _memo=point_memo)
             assert repr(got) == repr(values)
+            ev = keyed_memo.pack(evidence)
             for var, val in product(free, (True, False)):
                 want = _spine_marginal(circuit, psdd, evidence, values, var, val)
                 got = _spine_marginal(circuit, psdd, evidence, values, var, val, _memo=point_memo)
+                assert repr(got) == repr(want)
+                # the spine pass's key derived from the evidence's
+                got = _spine_marginal(circuit, psdd, evidence, values, var, val,
+                                      _memo=keyed_memo, _ev=ev)
                 assert repr(got) == repr(want)
             completion = map_query(circuit, psdd, evidence)
             assert repr(map_query(circuit, psdd, evidence, _memo=point_memo)) == repr(completion)
@@ -1180,3 +1189,169 @@ class TestPassMemo:
             circuit.set_root(root)
         for call in calls(circuit, psdd, csdd):
             call()  # the memos' own circuit, root and tables
+
+
+def _sign_test_reference(session: EvidenceSession, var: int, val: bool, mu: float):
+    """The sign test read off the circuit node by node, without a plan: the
+    root message and the sibling bound each element consumed."""
+    nodes, table = session.circuit.nodes, session.params.table
+    low, up = session.low.values, session.up.values
+    msg, sigma = {}, {}
+    for nid in session.circuit.spine(var):
+        node = nodes[nid]
+        if node.kind == FALSE or node.kind == DECISION and nid not in table:
+            msg[nid] = 0.0
+        elif node.kind == LITERAL:
+            msg[nid] = (1.0 - mu) if node.polarity == val else -mu
+        elif node.kind == TRUE:
+            cs, state = table[nid], 0 if val else 1
+            msg[nid] = min((1.0 - mu) * cs.lower[state] - mu * cs.upper[1 - state],
+                           (1.0 - mu) * cs.upper[state] - mu * cs.lower[1 - state])
+        else:
+            coeffs = []
+            for idx, (p, s) in enumerate(node.elements):
+                u, w = (p, s) if p in msg else (s, p)
+                upper = msg[u] < 0.0 and nodes[w].kind != FALSE
+                sigma[nid, idx] = ("upper" if upper else "lower", (up if upper else low)[w])
+                coeffs.append(msg[u] * sigma[nid, idx][1])
+            msg[nid] = _min_fast(table[nid], coeffs)[0]
+    return msg[session.circuit.root], sigma
+
+
+def _pin_true_states(rng: Random, circuit: Circuit, params: CsddParams) -> None:
+    """Give about a third of the TRUE terminals a [0, 0] set on one state."""
+    for nid in list(params.table):
+        if circuit.nodes[nid].kind == TRUE and rng.random() < 0.35:
+            point = (1.0, 0.0) if rng.getrandbits(1) else (0.0, 1.0)
+            params.table[nid] = IntervalCredalSet(point, point)
+
+
+class TestEvidenceFactsOnce:
+    """A display observation's facts come from the passes it runs anyway:
+    consistency from the session's upper sweep, xstar's route from the MAP
+    pass, one packed key, and one structural sign-test plan per target."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_session_raises_exactly_on_inconsistent_evidence(self, seed):
+        rng = Random(seed)
+        circuit = random_circuit(rng, rng.randint(3, 6), singly=bool(rng.getrandbits(1)))
+        csdd = random_csdd_params(rng, circuit, 0.3)
+        if rng.getrandbits(1):
+            _pin_true_states(rng, circuit, csdd)
+        n = circuit.vtree.var_count
+        truth_passes = []
+
+        def counted(circuit, evidence):
+            truth_passes.append(dict(evidence))
+            return is_consistent(circuit, evidence)
+
+        for _ in range(6):
+            evidence = {v: bool(rng.getrandbits(1)) for v in range(1, n + 1) if rng.random() < 0.5}
+            consistent = is_consistent(circuit, evidence)
+            upper = upper_marginal(circuit, csdd, evidence)
+            for memo in (None, _PassMemo(circuit, csdd)):
+                truth_passes.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(infer, "is_consistent", counted)
+                    if consistent:
+                        session = EvidenceSession(circuit, csdd, evidence, _memo=memo)
+                        assert session.up.values[circuit.root] == upper
+                    else:
+                        with pytest.raises(InferenceError) as raised:
+                            EvidenceSession(circuit, csdd, evidence, _memo=memo)
+                        assert str(raised.value) == "evidence violates circuit constraints"
+                # a positive upper probability already proves consistency
+                assert truth_passes == ([evidence] if upper <= 0.0 else [])
+
+    def test_consistent_evidence_of_upper_probability_zero(self):
+        # X1 = 1 is a model's value, but every member gives it no mass
+        circuit, csdd = _chain([IntervalCredalSet((0.0, 1.0), (0.0, 1.0)),
+                                IntervalCredalSet((0.3, 0.5), (0.5, 0.7))])
+        assert is_consistent(circuit, {1: True})
+        assert upper_marginal(circuit, csdd, {1: True}) == 0.0
+        session = EvidenceSession(circuit, csdd, {1: True})
+        assert session.zero == 0.0
+        assert conditional_sign(circuit, csdd, 0.5, 2, True, {1: True}, session) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_handed_route_is_the_truth_route(self, seed):
+        rng = Random(seed)
+        circuit = random_circuit(rng, rng.randint(3, 6), singly=bool(rng.getrandbits(1)))
+        csdd, psdd = random_csdd_params(rng, circuit, 0.3), random_psdd_params(rng, circuit)
+        point_memo, credal_memo = _PassMemo(circuit, psdd), _PassMemo(circuit, csdd)
+
+        def no_truth_pass(*args):
+            raise AssertionError("robustness ran a truth pass although handed the route")
+
+        for evidence in _repeating_evidence(rng, circuit, 8):
+            ev = point_memo.pack(evidence)
+            _, completion = map_query(circuit, psdd, evidence, _memo=point_memo, _ev=ev)
+            xstar = {v: b for v, b in completion.items() if v not in evidence}
+            handed = point_memo.map_route(ev)
+            assert handed == _route(circuit, completion)
+            for certify, memo in product((False, True), (None, credal_memo)):
+                want = robustness(circuit, csdd, evidence, xstar, certify)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(infer, "_route", no_truth_pass)
+                    got = robustness(circuit, csdd, evidence, xstar, certify,
+                                     _memo=memo, _ev=ev, _xstar_route=handed)
+                if certify:
+                    assert repr((got.value, got.label, got.attaining, got.certificate)) == repr(
+                        (want.value, want.label, want.attaining, want.certificate))
+                    assert repr(got.trace.uses) == repr(want.trace.uses)
+                else:
+                    assert repr(got) == repr(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_plan_sign_tests_match_reference(self, seed):
+        rng = Random(seed)
+        circuit = random_circuit(rng, rng.randint(3, 6), singly=bool(rng.getrandbits(1)))
+        csdd = random_csdd_params(rng, circuit, 0.3)
+        memo = _PassMemo(circuit, csdd)
+        n = circuit.vtree.var_count
+        for evidence in _repeating_evidence(rng, circuit, 6):
+            plain = EvidenceSession(circuit, csdd, evidence)
+            memoized = EvidenceSession(circuit, csdd, evidence, _memo=memo)
+            free = [v for v in range(1, n + 1) if v not in evidence]
+            for var, val, mu in product(free, (True, False), (0.0, 0.3, 0.5, 1.0)):
+                want, sigma = _sign_test_reference(plain, var, val, mu)
+                assert repr(plain._sign_test(var, val, mu)) == repr(want)
+                assert repr(memoized._sign_test(var, val, mu)) == repr(want)
+                trace = InferenceTrace()
+                assert repr(plain._sign_test(var, val, mu, trace)) == repr(want)
+                assert repr(trace.sigma) == repr(sigma)
+
+    def test_two_tables_alternate_without_leaks(self):
+        rng = Random(41)
+        circuit = random_circuit(rng, 5, singly=False)
+        n = circuit.vtree.var_count
+        evidences = _repeating_evidence(rng, circuit, 8)
+        plans = {var: _sign_plan(circuit, var) for var in range(1, n + 1)}
+        for round_ in range(3):
+            # fresh tables and memos each round, so a dropped one's id may come back
+            tables = [random_csdd_params(rng, circuit, 0.3) for _ in range(2)]
+            memos = [_PassMemo(circuit, table) for table in tables]
+            for evidence in evidences:
+                ev = memos[0].pack(evidence)
+                assert memos[1].pack(evidence) == ev  # a key depends on the circuit only
+                free = [v for v in range(1, n + 1) if v not in evidence]
+                for k in (round_ % 2, 1 - round_ % 2):
+                    plain = EvidenceSession(circuit, tables[k], evidence)
+                    shared = EvidenceSession(circuit, tables[k], evidence, _memo=memos[k], _ev=ev)
+                    for var, val in product(free, (True, False)):
+                        assert repr(shared._sign_test(var, val, 0.5)) == repr(
+                            _sign_test_reference(plain, var, val, 0.5)[0])
+            del tables, memos
+        # plans hold structure only: one per variable until the root moves
+        assert all(_sign_plan(circuit, var) is plan for var, plan in plans.items())
+        root = circuit.root
+        circuit.set_root(circuit.nodes[root].elements[0][1])
+        try:
+            for var in range(1, n + 1):
+                assert _sign_plan(circuit, var) is not plans[var]
+                assert [nid for nid, _, _ in _sign_plan(circuit, var)] == circuit.spine(var)
+        finally:
+            circuit.set_root(root)
