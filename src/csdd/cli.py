@@ -293,6 +293,9 @@ def cmd_experiment(args) -> int:
         raise CliError(f"unknown scenario {args.scenario!r}")
     if args.seeds < 1:
         raise CliError(f"--seeds must be at least 1, got {args.seeds}")
+    threads = os.environ.get("CSDD_THREADS", "0")
+    if not (threads.isascii() and threads.isdigit()):
+        raise CliError(f"CSDD_THREADS must be a non-negative integer, got {threads!r}")
     sizes = [int(tok) for tok in args.d.split(",")]
     probs = [float(tok) for tok in args.pf.split(",")]
     cells = [
@@ -301,11 +304,12 @@ def cmd_experiment(args) -> int:
         for pf in probs
         for i in range(args.seeds)
     ]
-    workers = int(os.environ.get("CSDD_THREADS", "0")) or None
+    # 0: one process per CPU; a forked pool starts all its workers at once,
+    # so it gets no more of them than there are cells
+    workers = min(int(threads) or os.cpu_count() or 1, len(cells))
     rows = []
     with ExitStack() as stack:
-        serial = workers == 1 or len(cells) == 1
-        run = map if serial else stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        run = map if workers == 1 else stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         for i, (cell, (row, seconds)) in enumerate(zip(cells, run(_run_cell_payload, cells)), 1):
             rows.append(row)
             _log(f"cell {i}/{len(cells)} d={cell.train_size} pf={cell.p_f} seed={cell.seed} {seconds:.2f}s")

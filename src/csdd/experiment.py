@@ -23,8 +23,9 @@ completion and its robustness check.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from random import Random
 from typing import Sequence
 from .circuit import Circuit, Vtree, compile_formula
@@ -177,8 +178,7 @@ def decide_segments(
     observation: dict[int, bool],
     session: EvidenceSession | None = None,
     *,
-    _memos: tuple[_PassMemo, _PassMemo] | None = None,
-    _ev: int | None = None,
+    _memo: _PassMemo | None = None,
 ) -> list[SegmentDecision]:
     """Per-segment point posterior and credal label for one observation.
 
@@ -187,27 +187,21 @@ def decide_segments(
     > 1/2, "indeterminate" otherwise.  One point pass gives P(o) and every
     node's value; each P(x_i = on, o) then recomputes only x_i's spine.
     ``session`` is an :class:`EvidenceSession` for (circuit, csdd,
-    observation), checked once; without it one is built.  The private
-    ``_memos``, for (circuit, psdd) and (circuit, csdd), serve the point
-    passes and the session built here, keyed by ``_ev``, the observation
-    packed; without it the passes pack it themselves.
+    observation), checked once; without it one is built, served by the
+    private ``_memo`` for (circuit, csdd) when given.
     """
-    point_memo, credal_memo = _memos or (None, None)
-    values = _point_pass(circuit, psdd, observation, circuit.cone(), {},
-                         _memo=point_memo, _ev=_ev)
+    values = _point_pass(circuit, psdd, observation, circuit.cone(), {})
     p_obs = values[circuit.root]
     if p_obs <= 0.0:
         raise ValueError("observation has zero probability under the point table")
     if session is None:
-        session = EvidenceSession(circuit, csdd, observation, _memo=credal_memo, _ev=_ev)
+        session = EvidenceSession(circuit, csdd, observation, _memo=_memo)
     else:
         session.check(circuit, csdd, observation)
     out = []
     for i in range(1, SEGMENTS + 1):
         var = hidden_var(i)
-        p_on = _spine_marginal(circuit, psdd, observation, values, var, True,
-                               _memo=point_memo, _ev=_ev)
-        p_on /= p_obs
+        p_on = _spine_marginal(circuit, psdd, observation, values, var, True) / p_obs
         _check_target(circuit, var, True, observation)
         # conditional_sign's test at one half: positive beyond the numerical zero
         if session._sign_test(var, True, 0.5) > session.zero:
@@ -282,7 +276,9 @@ def u80_score(set_size: int, contains_truth: bool) -> float:
 
 
 def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else math.nan
+    # left to right: sum() of floats is compensated from Python 3.12 on,
+    # which would make the rows depend on the Python version
+    return reduce(operator.add, values, 0.0) / len(values) if values else math.nan
 
 
 def evaluate_predictions(
@@ -352,22 +348,21 @@ def run_cell(scenario: Scenario) -> Metrics:
     joint = []
     # answers per distinct observation: (segment decisions, completion, determinacy)
     cache: dict[tuple[bool, ...], tuple[list[SegmentDecision], dict[int, bool], bool]] = {}
-    # per-node results shared by the cell's distinct observations, dropped with the cell
-    point_memo, credal_memo = _PassMemo(circuit, psdd), _PassMemo(circuit, csdd)
+    # credal per-node results shared by the cell's distinct observations, dropped with the cell
+    memo = _PassMemo(circuit, csdd)
     for _ in range(scenario.test_size):
         pattern = DIGIT_PATTERNS[rng.randrange(10)]
         shown = tuple(on and rng.random() >= scenario.p_f for on in pattern)
         observation = {observed_var(i + 1): shown[i] for i in range(SEGMENTS)}
         cached = cache.get(shown)
         if cached is None:
-            ev = point_memo.pack(observation)  # every pass on the observation keys by it
-            preds = decide_segments(circuit, psdd, csdd, observation,
-                                    _memos=(point_memo, credal_memo), _ev=ev)
-            _, completion = map_query(circuit, psdd, observation, _memo=point_memo, _ev=ev)
+            preds = decide_segments(circuit, psdd, csdd, observation, _memo=memo)
+            route: list = []
+            _, completion = map_query(circuit, psdd, observation, _route=route)
             xstar = {hidden_var(i + 1): completion[hidden_var(i + 1)] for i in range(SEGMENTS)}
-            # the MAP pass's choices are xstar's route: no truth pass needed
+            # the MAP pass's route is xstar's: no truth pass needed
             verdict = robustness(circuit, csdd, observation, xstar, want_certificate=False,
-                                 _memo=credal_memo, _ev=ev, _xstar_route=point_memo.map_route(ev))
+                                 _memo=memo, _xstar_route=route)
             cached = cache[shown] = (preds, xstar, verdict.label != NOT_ROBUST)
         preds, xstar, det = cached
         per_instance.append((preds, pattern))

@@ -18,7 +18,7 @@ with a local linear program over the node's credal set:
   for every parameter table between the bounds: a credal MAP pass and a
   truth pass over the cone, then the completion's sweeps, tied options and
   completion counts (at most 2) over the completion's route only
-  (``run_cell`` hands over the route of its MAP pass instead).
+  (``run_cell`` hands over the route :func:`map_query` walked instead).
 
 On circuits with shared structure the conditional and robustness passes
 may optimize one shared credal set toward different extreme points in
@@ -36,12 +36,13 @@ however many nodes it starts from.  A robustness verdict's attaining
 completions are read off the tied options by a depth-first walk.
 
 A node's result in a bottom-up pass depends only on the table and on the
-evidence under its vtree node.  So a batch of queries on one table may
-hand its passes a private ``_PassMemo``, which returns per node and
-evidence under it what a pass computed there before.  The display
-experiment's ``run_cell`` does so across a cell's observations, with
-unchanged answers, and packs each observation into a key once for all
-its passes; one-shot calls pass none and reuse nothing.
+evidence under its vtree node.  So a batch of credal queries on one
+interval table may hand the passes that solve local LPs (the evidence
+sweeps, the sign tests and the credal MAP pass) a private ``_PassMemo``,
+which returns per node and evidence under it what a pass computed there
+before.  The display experiment's ``run_cell`` does so across a cell's
+observations, with unchanged answers.  The point passes solve no local
+LP and take no memo; one-shot calls pass none and reuse nothing.
 """
 
 from __future__ import annotations
@@ -241,8 +242,8 @@ def _check_evidence(circuit: Circuit, evidence: Mapping[int, bool]) -> None:
 
 
 class _PassMemo:
-    """What the bottom-up passes computed at each node, for one circuit, root
-    and parameter table.
+    """What the credal passes computed at each node, for one circuit, root
+    and interval table.
 
     In a decomposable circuit a node's result depends only on the table and
     on the evidence over the variables under its vtree node.  Each pass
@@ -251,62 +252,40 @@ class _PassMemo:
     ``pos``/``neg`` set when variable ``v`` is observed true/false), and a
     node's mask covers its variables in both halves.  A pass given the memo
     returns the stored result where it would solve a local problem again:
-    at a decision node with a distribution and, in the credal sweeps, at
-    an observed TRUE terminal.  The stored results are the floats the pass
-    produced, so the answers are bit for bit those without a memo.  It
-    grows with every distinct evidence it sees: build one for a batch of
-    queries on one table and drop it with the batch.
+    at a decision node with a credal set and, in the sweeps, at an observed
+    TRUE terminal.  The stored results are the floats the pass produced, so
+    the answers are bit for bit those without a memo.  Point passes solve
+    no local problem and take no memo.  It grows with every distinct
+    evidence it sees: build one for a batch of queries on one table and
+    drop it with the batch.
     """
 
     __slots__ = ("circuit", "root", "params", "_n", "_masks", "_passes")
 
-    def __init__(self, circuit: Circuit, params: PsddParams | CsddParams) -> None:
+    def __init__(self, circuit: Circuit, params: CsddParams) -> None:
         vtree = circuit.vtree
         self.circuit, self.root, self.params = circuit, circuit.root, params
         n = self._n = vtree.var_count
         self._masks = [m | m << n for m in (vtree.mask(node.vtree) for node in circuit.nodes)]
         self._passes: dict[tuple, dict] = {}
 
-    def check(self, circuit: Circuit, params: PsddParams | CsddParams) -> None:
+    def check(self, circuit: Circuit, params: CsddParams) -> None:
         """Raise unless the memo was built for exactly this circuit, root and table."""
         if circuit is not self.circuit or params is not self.params or circuit.root != self.root:
             raise InferenceError("memo was built for another circuit, root or table")
 
     def pack(self, evidence: Mapping[int, bool]) -> int:
-        """The evidence as ``pos | neg << n``: the key a pass handed it as
-        ``_ev`` uses instead of packing the evidence itself."""
-        n, ev = self._n, 0
+        """The evidence as ``pos | neg << n``, the key its entries take masked."""
+        n, key = self._n, 0
         for var, val in evidence.items():
             if val is not None and 1 <= var <= n:  # no node reads any other variable
-                ev |= 1 << (var - 1 if val else var - 1 + n)
-        return ev
+                key |= 1 << (var - 1 if val else var - 1 + n)
+        return key
 
-    def entries(
-        self,
-        circuit: Circuit,
-        params: PsddParams | CsddParams,
-        evidence: Mapping[int, bool],
-        kind: tuple,
-        ev: int | None = None,
-    ) -> tuple[dict, int, list[int]]:
-        """After :meth:`check`: the entries of pass ``kind``, the packed
-        evidence (``ev`` when given) and the node masks."""
+    def entries(self, circuit: Circuit, params: CsddParams, kind: tuple) -> tuple[dict, list[int]]:
+        """After :meth:`check`: the entries of pass ``kind`` and the node masks."""
         self.check(circuit, params)
-        return self._passes.setdefault(kind, {}), self.pack(evidence) if ev is None else ev, self._masks
-
-    def map_route(self, ev: int) -> tuple[dict[int, int], list[int]]:
-        """After :func:`map_query` on the evidence packed as ``ev``: its
-        choices from the root down, i.e. :func:`_route` of the evidence with
-        the completion, since a chosen element's prime is the one prime
-        true under it (the element's value is positive)."""
-        nodes, choices, masks = self.circuit.nodes, self._passes[("map",)], self._masks
-        realized: dict[int, int] = {}
-        on_route = {self.root}
-        for nid in reversed(self.circuit.cone()):
-            if nid in on_route and nodes[nid].kind == DECISION:
-                j = realized[nid] = choices[nid, ev & masks[nid]][1]
-                on_route.update(nodes[nid].elements[j])
-        return realized, sorted(on_route)
+        return self._passes.setdefault(kind, {}), self._masks
 
 
 def _point_pass(
@@ -315,17 +294,11 @@ def _point_pass(
     evidence: Mapping[int, bool],
     ids: Sequence[int],
     values: dict[int, float],
-    *,
-    _memo: _PassMemo | None = None,
-    _ev: int | None = None,
 ) -> dict[int, float]:
     """Point-table value of each node of ``ids`` (children first) under the
     evidence, written into ``values``, which holds every child outside ``ids``
     at its value under the evidence."""
     nodes = circuit.nodes
-    memo = None
-    if _memo is not None:
-        memo, ev, masks = _memo.entries(circuit, params, evidence, ("point",), _ev)
     for nid in ids:
         node = nodes[nid]
         if node.kind == FALSE:
@@ -341,26 +314,16 @@ def _point_pass(
             theta = params.table.get(nid)
             if theta is None:  # unsatisfiable decision node, no distribution
                 values[nid] = 0.0
-                continue
-            if memo is not None:
-                key = nid, ev & masks[nid]
-                hit = memo.get(key)
-                if hit is not None:
-                    values[nid] = hit
-                    continue
-            if len(theta) == 2:
+            elif len(theta) == 2:
                 # two products of probabilities: fsum rounds them as one
                 # addition does, and "+ 0.0" gives its +0.0 for a zero sum
                 (p0, s0), (p1, s1) = node.elements
                 a, b = values[p0] * values[s0] * theta[0], values[p1] * values[s1] * theta[1]
-                value = a + b + 0.0
+                values[nid] = a + b + 0.0
             else:
-                value = math.fsum(
+                values[nid] = math.fsum(
                     values[p] * values[s] * t for (p, s), t in zip(node.elements, theta)
                 )
-            values[nid] = value
-            if memo is not None:
-                memo[key] = value
     return values
 
 
@@ -377,20 +340,13 @@ def _spine_marginal(
     values: Mapping[int, float],
     var: int,
     val: bool,
-    *,
-    _memo: _PassMemo | None = None,
-    _ev: int | None = None,
 ) -> float:
     """``marginal(circuit, params, {**evidence, var: val})`` from ``values``,
     the node values of the pass on ``evidence``: only the nodes on ``var``'s
     spine are recomputed, by the same per-node code, so the result is
-    bit-identical.  ``_ev``, the evidence packed, gives the pass's key by
-    setting ``var``'s bit."""
-    if _ev is not None:
-        true_bit, false_bit = 1 << var - 1, 1 << var - 1 + _memo._n
-        _ev = _ev & ~(true_bit | false_bit) | (true_bit if val else false_bit)
-    return _point_pass(circuit, params, {**evidence, var: val}, circuit.spine(var), dict(values),
-                       _memo=_memo, _ev=_ev)[circuit.root]
+    bit-identical."""
+    spine = circuit.spine(var)
+    return _point_pass(circuit, params, {**evidence, var: val}, spine, dict(values))[circuit.root]
 
 
 def joint_probability(circuit: Circuit, params: PsddParams, assignment: Mapping[int, bool]) -> float:
@@ -405,21 +361,20 @@ def map_query(
     params: PsddParams,
     evidence: Mapping[int, bool],
     *,
-    _memo: _PassMemo | None = None,
-    _ev: int | None = None,
+    _route: list | None = None,
 ) -> tuple[float, dict[int, bool]]:
     """Most probable completion of the unobserved variables.
 
     Returns ``(P(x*, e), x*)``; ties break toward the lowest element index
     and toward the true state of a terminal.  Requires consistent evidence.
+    A private list handed as ``_route`` receives the completion's route as
+    :func:`_route` gives it: every chosen element has a positive value, so
+    its prime is the one prime true under the evidence and the completion.
     """
     _check_evidence(circuit, evidence)
     nodes, cone, root = circuit.nodes, circuit.cone(), circuit.root
     values: dict[int, float] = {}
     choice: dict[int, int] = {}
-    memo = None
-    if _memo is not None:
-        memo, ev, masks = _memo.entries(circuit, params, evidence, ("map",), _ev)
     for nid in cone:
         node = nodes[nid]
         if node.kind == FALSE:
@@ -439,36 +394,31 @@ def map_query(
             theta = params.table.get(nid)
             if theta is None:
                 values[nid] = 0.0
-                continue
-            if memo is not None:
-                key = nid, ev & masks[nid]
-                hit = memo.get(key)
-                if hit is not None:
-                    values[nid], choice[nid] = hit
-                    continue
-            best, arg = 0.0, None
-            for idx, ((p, s), t) in enumerate(zip(node.elements, theta)):
-                cand = values[p] * values[s] * t
-                if arg is None or cand > best:
-                    best, arg = cand, idx
-            values[nid] = best
-            choice[nid] = arg
-            if memo is not None:
-                memo[key] = best, arg
+            elif len(theta) == 2:
+                # the loop below unrolled: the first of two equal products wins
+                (p0, s0), (p1, s1) = node.elements
+                a, b = values[p0] * values[s0] * theta[0], values[p1] * values[s1] * theta[1]
+                values[nid], choice[nid] = (b, 1) if b > a else (a, 0)
+            else:
+                best, arg = 0.0, None
+                for idx, ((p, s), t) in enumerate(zip(node.elements, theta)):
+                    cand = values[p] * values[s] * t
+                    if arg is None or cand > best:
+                        best, arg = cand, idx
+                values[nid] = best
+                choice[nid] = arg
     if values[root] <= 0.0:
         raise InferenceError("evidence has zero probability under the table")
+    found = _walk_route(circuit, choice.__getitem__)
     assignment = dict(evidence)
-    chosen = {root}
-    for nid in reversed(cone):
-        if nid not in chosen:
-            continue
+    for nid in reversed(found[1]):  # top-down, so keys come in reverse cone order
         node = nodes[nid]
-        if node.kind == DECISION:
-            chosen.update(node.elements[choice[nid]])
-        elif node.kind == LITERAL and node.var not in evidence:
+        if node.kind == LITERAL and node.var not in evidence:
             assignment[node.var] = node.polarity
         elif node.kind == TRUE and node.var not in evidence:
             assignment[node.var] = choice[nid] == 0
+    if _route is not None:
+        _route.extend(found)
     return values[root], assignment
 
 
@@ -494,7 +444,6 @@ def _credal_sweep(
     sense: int,
     *,
     _memo: _PassMemo | None = None,
-    _ev: int | None = None,
 ) -> _Sweep:
     """Evidence pass over ``ids``, children first; nodes outside read 0.0.  Under
     a complete assignment its route will do: off it, every prime is false."""
@@ -506,8 +455,8 @@ def _credal_sweep(
     memo = None
     if _memo is not None:
         # a sweep over anything but the cone, such as a route, keeps its own entries
-        kind = ("sweep", sense, ids is circuit.cone())
-        memo, ev, masks = _memo.entries(circuit, params, evidence, kind, _ev)
+        memo, masks = _memo.entries(circuit, params, ("sweep", sense, ids is circuit.cone()))
+        ev = _memo.pack(evidence)
     for nid in ids:
         node = circuit.nodes[nid]
         if node.kind == FALSE:
@@ -644,8 +593,8 @@ class EvidenceSession:
     :func:`upper_conditional`; a call whose circuit, root, params or
     evidence differ from the session's raises :class:`InferenceError`.
     A private ``_memo`` for (circuit, params) serves its sweeps and its
-    untraced sign tests across sessions, keyed by the evidence packed once
-    (or handed in as ``_ev``).
+    untraced sign tests across sessions; the session packs the evidence
+    once for its sign tests.
     """
 
     def __init__(
@@ -655,7 +604,6 @@ class EvidenceSession:
         evidence: Mapping[int, bool],
         *,
         _memo: _PassMemo | None = None,
-        _ev: int | None = None,
     ) -> None:
         _check_evidence(circuit, evidence)
         self.circuit = circuit
@@ -663,9 +611,9 @@ class EvidenceSession:
         self.evidence = dict(evidence)
         self.root = circuit.root
         self._memo = _memo
-        self._ev = _memo.pack(self.evidence) if _memo is not None and _ev is None else _ev
         self.low, self.up = (_credal_sweep(circuit, params, self.evidence, circuit.cone(), sense,
-                                           _memo=_memo, _ev=self._ev) for sense in (MIN, MAX))
+                                           _memo=_memo) for sense in (MIN, MAX))
+        self._key = None if _memo is None else _memo.pack(self.evidence)
         upper = self.up.values[self.root]
         if upper <= 0.0 and not is_consistent(circuit, evidence):
             raise InferenceError("evidence violates circuit constraints")
@@ -698,9 +646,8 @@ class EvidenceSession:
         starts: list[tuple[int, int]] = []  # sibling values the trace must pin
         memo = None
         if trace is None and self._memo is not None:  # a trace needs every node's points
-            memo, ev, masks = self._memo.entries(
-                self.circuit, self.params, self.evidence, ("sign", var, val, mu), self._ev
-            )
+            memo, masks = self._memo.entries(self.circuit, self.params, ("sign", var, val, mu))
+            ev = self._key
         for nid, kind, sides in _sign_plan(self.circuit, var):
             if kind == DECISION:
                 cs = table.get(nid)
@@ -929,7 +876,6 @@ def _credal_map(
     evidence: Mapping[int, bool],
     *,
     _memo: _PassMemo | None = None,
-    _ev: int | None = None,
 ) -> _Ties:
     """Upper completion bounds M(n), tied in element order and true state first."""
     cm = _Ties(len(circuit.nodes))
@@ -937,7 +883,8 @@ def _credal_map(
     table = params.table
     memo = None
     if _memo is not None:
-        memo, ev, masks = _memo.entries(circuit, params, evidence, ("credal_map",), _ev)
+        memo, masks = _memo.entries(circuit, params, ("credal_map",))
+        ev = _memo.pack(evidence)
     for nid in circuit.cone():
         node = circuit.nodes[nid]
         if node.kind == FALSE:
@@ -1021,29 +968,35 @@ def _mark_map(
                 marked.update(node.elements[idx])
 
 
+def _walk_route(circuit: Circuit, pick) -> tuple[dict[int, int], list[int]]:
+    """The route from the root through element ``pick(nid)`` of each decision
+    node on it: that element's index per decision node, and the route's ids,
+    ascending."""
+    nodes = circuit.nodes
+    realized: dict[int, int] = {}
+    on_route = {circuit.root}
+    for nid in reversed(circuit.cone()):
+        if nid in on_route and nodes[nid].kind == DECISION:
+            j = realized[nid] = pick(nid)
+            on_route.update(nodes[nid].elements[j])
+    return realized, sorted(on_route)
+
+
 def _route(
     circuit: Circuit, assignment: Mapping[int, bool]
 ) -> tuple[dict[int, int], list[int]] | None:
     """``None`` when the complete assignment violates the circuit; else the
     realized element index per decision node on its route, and the route's
     ids, ascending."""
-    cone, root = circuit.cone(), circuit.root
+    nodes, cone = circuit.nodes, circuit.cone()
     pos = {var: 1 if val else 0 for var, val in assignment.items()}
     neg = {var: 1 - bit for var, bit in pos.items()}
-    truth = _truth_bits(circuit.nodes, cone, pos, neg, 1)
-    if not truth[root]:
+    truth = _truth_bits(nodes, cone, pos, neg, 1)
+    if not truth[circuit.root]:
         return None
-    realized: dict[int, int] = {}
-    on_route = {root}
-    for nid in reversed(cone):
-        if nid not in on_route:
-            continue
-        for idx, (p, s) in enumerate(circuit.nodes[nid].elements):
-            if truth[p]:
-                realized[nid] = idx
-                on_route.update((p, s))
-                break
-    return realized, sorted(on_route)
+    # a true node has exactly one element whose prime is true
+    return _walk_route(circuit, lambda nid: next(
+        idx for idx, (p, _) in enumerate(nodes[nid].elements) if truth[p]))
 
 
 def robustness(
@@ -1054,8 +1007,7 @@ def robustness(
     want_certificate: bool = True,
     *,
     _memo: _PassMemo | None = None,
-    _ev: int | None = None,
-    _xstar_route: tuple[dict[int, int], list[int]] | None = None,
+    _xstar_route: Sequence | None = None,
 ) -> RobustnessVerdict:
     """Is ``xstar`` the most probable completion for every compatible table?
 
@@ -1068,8 +1020,9 @@ def robustness(
     attains V = 1, weakly robust when the maximum is tied, and not robust
     otherwise (including inconsistent ``xstar``).  A private ``_memo`` for
     (circuit, params) serves the credal MAP pass and, with entries of their
-    own, the route's sweeps; ``_ev`` is the evidence packed for it.  The
-    private ``_xstar_route``, what :func:`_route` would return, saves the truth pass.
+    own, the route's sweeps.  The private ``_xstar_route``, what
+    :func:`_route` would return (as :func:`map_query` hands it out), saves
+    the truth pass.
     """
     _check_evidence(circuit, evidence)
     _check_evidence(circuit, xstar)
@@ -1087,7 +1040,7 @@ def robustness(
         return RobustnessVerdict(1.0, NOT_ROBUST, (), InferenceTrace() if want_certificate else None,
                                  ExactnessCertificate(EXACT) if want_certificate else None)
     realized, route = found
-    cm = _credal_map(circuit, params, evidence, _memo=_memo, _ev=_ev)
+    cm = _credal_map(circuit, params, evidence, _memo=_memo)
     low_xe = _credal_sweep(circuit, params, total, route, MIN, _memo=_memo)
     table = params.table
     nodes, root = circuit.nodes, circuit.root

@@ -8,7 +8,9 @@ The scalar references route or evaluate one row at a time, for the
 bit-parallel passes to be compared against, and mark top-down one start
 at a time, for the single-scan markers in ``csdd.infer``.  The generic
 greedy local LP and an all-``fsum`` point pass are kept for the one- and
-two-state closed forms to be compared against bit for bit.  The record-
+two-state closed forms to be compared against bit for bit, and so is the
+MAP pass with the generic element loop and its own backtrack, for the
+unrolled two-element step and the shared route walk.  The record-
 and-pass model loader and the loop forms of ``check_local`` and the
 credal-set constructor are kept for the one-pass loader and the unrolled
 two-state checks to be compared against.  The credal MAP and robustness
@@ -51,6 +53,7 @@ from csdd.credal import (
 )
 from csdd.formats import _MODE_CSDD, _MODE_PSDD, _MODE_SDD, ParseError, _float, _int
 from csdd.formula import Formula, Var, conj, disj
+from csdd.infer import InferenceError, _check_evidence
 from csdd.params import SUM_TOL, CsddParams, ParamError, PsddParams, check_local
 
 
@@ -328,6 +331,57 @@ def point_pass_reference(circuit: Circuit, params: PsddParams, evidence) -> floa
                 for (p, s), t in zip(node.elements, params.table[nid])
             )
     return values[circuit.root]
+
+
+def map_reference(circuit: Circuit, params: PsddParams, evidence):
+    """``infer.map_query`` with the generic element loop at every decision
+    node and its own backtrack over the cone."""
+    _check_evidence(circuit, evidence)
+    nodes, cone, root = circuit.nodes, circuit.cone(), circuit.root
+    values: dict[int, float] = {}
+    choice: dict[int, int] = {}
+    for nid in cone:
+        node = nodes[nid]
+        if node.kind == FALSE:
+            values[nid] = 0.0
+        elif node.kind == LITERAL:
+            val = evidence.get(node.var)
+            values[nid] = 1.0 if val is None or val == node.polarity else 0.0
+        elif node.kind == TRUE:
+            pmf = params.table[nid]
+            val = evidence.get(node.var)
+            if val is None:
+                values[nid] = max(pmf)
+                choice[nid] = 0 if pmf[0] >= pmf[1] else 1
+            else:
+                values[nid] = pmf[0] if val else pmf[1]
+        else:
+            theta = params.table.get(nid)
+            if theta is None:
+                values[nid] = 0.0
+                continue
+            best, arg = 0.0, None
+            for idx, ((p, s), t) in enumerate(zip(node.elements, theta)):
+                cand = values[p] * values[s] * t
+                if arg is None or cand > best:
+                    best, arg = cand, idx
+            values[nid] = best
+            choice[nid] = arg
+    if values[root] <= 0.0:
+        raise InferenceError("evidence has zero probability under the table")
+    assignment = dict(evidence)
+    chosen = {root}
+    for nid in reversed(cone):
+        if nid not in chosen:
+            continue
+        node = nodes[nid]
+        if node.kind == DECISION:
+            chosen.update(node.elements[choice[nid]])
+        elif node.kind == LITERAL and node.var not in evidence:
+            assignment[node.var] = node.polarity
+        elif node.kind == TRUE and node.var not in evidence:
+            assignment[node.var] = choice[nid] == 0
+    return values[root], assignment
 
 
 def mark_sweep_walk(trace, circuit: Circuit, start: int, low, up, sense: int) -> None:

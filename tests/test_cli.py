@@ -2,11 +2,12 @@
 
 import json
 import math
+import os
 import re
 
 import pytest
 
-from csdd import formats
+from csdd import cli, formats
 from csdd.circuit import Vtree
 from csdd.cli import main
 from csdd.fixtures import squares_dataset
@@ -389,6 +390,41 @@ class TestExperiment:
         assert code == 1 and out == ""
         assert message in err
         assert not (workdir / "empty.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["-1", "two", "1.5", " 2", "", "\u0662"])
+    def test_bad_thread_count_refused(self, capsys, workdir, monkeypatch, threads):
+        # checked before any cell runs, although a one-cell grid starts no pool
+        monkeypatch.setenv("CSDD_THREADS", threads)
+        code, out, err = run(capsys, "experiment", "--d", "10", "--pf", "0.3", "--seeds", "1",
+                             "--test-size", "5", "-o", "threads.csv")
+        assert code == 1 and out == ""
+        assert f"CSDD_THREADS must be a non-negative integer, got {threads!r}" in err
+        assert not (workdir / "threads.csv").exists()
+
+    @pytest.mark.parametrize("threads", ["100000", "0", "1"])
+    def test_pool_no_larger_than_the_grid(self, capsys, workdir, monkeypatch, threads):
+        # a forked pool starts every worker it is given at once
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("CSDD_THREADS", threads)
+        code, _, err = run(capsys, "experiment", "--d", "10", "--pf", "0.2,0.3", "--seeds", "1",
+                           "--test-size", "5", "-o", "pool.csv")
+        assert code == 0, err
+        want = min(int(threads) or os.cpu_count() or 1, 2)  # 0 asks for one per CPU
+        assert sizes == ([want] if want > 1 else [])  # one worker runs the cells in process
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_one_progress_line_per_cell(self, capsys, workdir, monkeypatch, threads):

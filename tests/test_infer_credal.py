@@ -58,10 +58,8 @@ from csdd.infer import (
     _find_crossing,
     _mark_map,
     _mark_sweeps,
-    _point_pass,
     _route,
     _sign_plan,
-    _spine_marginal,
 )
 from csdd.formula import TRUE as T_CONST
 from csdd.learn import Dataset, collect_counts, ml_estimate
@@ -1081,8 +1079,8 @@ def _repeating_evidence(rng: Random, circuit: Circuit, length: int) -> list[dict
 
 
 class TestPassMemo:
-    """Passes given a ``_PassMemo`` answer bit for bit as without one, and the
-    memo holds one entry per distinct (node, evidence under the node)."""
+    """Credal passes given a ``_PassMemo`` answer bit for bit as without one,
+    and the memo holds one entry per distinct (node, evidence under the node)."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -1091,9 +1089,8 @@ class TestPassMemo:
         circuit = random_circuit(rng, rng.randint(3, 6), singly=bool(rng.getrandbits(1)))
         csdd = random_csdd_params(rng, circuit, 0.3)
         psdd = random_psdd_params(rng, circuit)
-        point_memo, credal_memo = _PassMemo(circuit, psdd), _PassMemo(circuit, csdd)
+        credal_memo = _PassMemo(circuit, csdd)
         sweep_memo = _PassMemo(circuit, csdd)  # the lower cone sweeps' entries alone
-        keyed_memo = _PassMemo(circuit, psdd)  # spine passes handed the evidence's key
         nodes, cone, vtree = circuit.nodes, circuit.cone(), circuit.vtree
         met = set()  # (node, evidence under it) where the lower sweep consults the memo
         for evidence in _repeating_evidence(rng, circuit, 12):
@@ -1114,23 +1111,9 @@ class TestPassMemo:
                 (want.values, want.tied, want.counts)
             )
 
-            values = _point_pass(circuit, psdd, evidence, cone, {})
-            got = _point_pass(circuit, psdd, evidence, cone, {}, _memo=point_memo)
-            assert repr(got) == repr(values)
-            ev = keyed_memo.pack(evidence)
-            for var, val in product(free, (True, False)):
-                want = _spine_marginal(circuit, psdd, evidence, values, var, val)
-                got = _spine_marginal(circuit, psdd, evidence, values, var, val, _memo=point_memo)
-                assert repr(got) == repr(want)
-                # the spine pass's key derived from the evidence's
-                got = _spine_marginal(circuit, psdd, evidence, values, var, val,
-                                      _memo=keyed_memo, _ev=ev)
-                assert repr(got) == repr(want)
-            completion = map_query(circuit, psdd, evidence)
-            assert repr(map_query(circuit, psdd, evidence, _memo=point_memo)) == repr(completion)
-
             plain = EvidenceSession(circuit, csdd, evidence)
             memoized = EvidenceSession(circuit, csdd, evidence, _memo=credal_memo)
+            assert memoized._key == credal_memo.pack(evidence)  # packed once, for the sign tests
             for var, val, mu in product(free, (True, False), (0.0, 0.25, 0.5, 0.9)):
                 want = plain._sign_test(var, val, mu)
                 assert repr(memoized._sign_test(var, val, mu)) == repr(want)
@@ -1144,6 +1127,7 @@ class TestPassMemo:
                 want.value, want.certificate, want.trace.uses, want.trace.sigma
             )
 
+            completion = map_query(circuit, psdd, evidence)
             xstars = ({v: completion[1][v] for v in free},
                       {v: bool(rng.getrandbits(1)) for v in free})
             for xstar, certify in product(xstars, (False, True)):
@@ -1159,18 +1143,15 @@ class TestPassMemo:
         rng = Random(3)
         circuit = random_circuit(rng, 5, singly=False)
         csdd = random_csdd_params(rng, circuit, 0.3)
-        psdd = random_psdd_params(rng, circuit)
-        point_memo, credal_memo = _PassMemo(circuit, psdd), _PassMemo(circuit, csdd)
-        xstar = map_query(circuit, psdd, {})[1]
+        memo = _PassMemo(circuit, csdd)
+        xstar = map_query(circuit, random_psdd_params(rng, circuit), {})[1]
 
-        def calls(circuit, psdd, csdd):
+        def calls(circuit, csdd):
             return [
-                lambda: _credal_sweep(circuit, csdd, {}, circuit.cone(), MIN, _memo=credal_memo),
-                lambda: _credal_map(circuit, csdd, {}, _memo=credal_memo),
-                lambda: EvidenceSession(circuit, csdd, {}, _memo=credal_memo),
-                lambda: robustness(circuit, csdd, {}, xstar, _memo=credal_memo),
-                lambda: _point_pass(circuit, psdd, {}, circuit.cone(), {}, _memo=point_memo),
-                lambda: map_query(circuit, psdd, {}, _memo=point_memo),
+                lambda: _credal_sweep(circuit, csdd, {}, circuit.cone(), MIN, _memo=memo),
+                lambda: _credal_map(circuit, csdd, {}, _memo=memo),
+                lambda: EvidenceSession(circuit, csdd, {}, _memo=memo),
+                lambda: robustness(circuit, csdd, {}, xstar, _memo=memo),
             ]
 
         def refused(calls):
@@ -1179,16 +1160,16 @@ class TestPassMemo:
                     call()
 
         # equal tables and an equal circuit, but other objects
-        refused(calls(circuit, PsddParams(dict(psdd.table)), CsddParams(dict(csdd.table))))
-        refused(calls(circuit.extract(circuit.root), psdd, csdd))
+        refused(calls(circuit, CsddParams(dict(csdd.table))))
+        refused(calls(circuit.extract(circuit.root), csdd))
         root = circuit.root
         circuit.set_root(max(nid for nid in circuit.parameterized_ids() if nid != root))
         try:
-            refused(calls(circuit, psdd, csdd))
+            refused(calls(circuit, csdd))
         finally:
             circuit.set_root(root)
-        for call in calls(circuit, psdd, csdd):
-            call()  # the memos' own circuit, root and tables
+        for call in calls(circuit, csdd):
+            call()  # the memo's own circuit, root and table
 
 
 def _sign_test_reference(session: EvidenceSession, var: int, val: bool, mu: float):
@@ -1229,7 +1210,7 @@ def _pin_true_states(rng: Random, circuit: Circuit, params: CsddParams) -> None:
 class TestEvidenceFactsOnce:
     """A display observation's facts come from the passes it runs anyway:
     consistency from the session's upper sweep, xstar's route from the MAP
-    pass, one packed key, and one structural sign-test plan per target."""
+    pass, and one structural sign-test plan per target."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -1280,23 +1261,22 @@ class TestEvidenceFactsOnce:
         rng = Random(seed)
         circuit = random_circuit(rng, rng.randint(3, 6), singly=bool(rng.getrandbits(1)))
         csdd, psdd = random_csdd_params(rng, circuit, 0.3), random_psdd_params(rng, circuit)
-        point_memo, credal_memo = _PassMemo(circuit, psdd), _PassMemo(circuit, csdd)
+        credal_memo = _PassMemo(circuit, csdd)
 
         def no_truth_pass(*args):
             raise AssertionError("robustness ran a truth pass although handed the route")
 
         for evidence in _repeating_evidence(rng, circuit, 8):
-            ev = point_memo.pack(evidence)
-            _, completion = map_query(circuit, psdd, evidence, _memo=point_memo, _ev=ev)
+            handed = []
+            _, completion = map_query(circuit, psdd, evidence, _route=handed)
             xstar = {v: b for v, b in completion.items() if v not in evidence}
-            handed = point_memo.map_route(ev)
-            assert handed == _route(circuit, completion)
+            assert tuple(handed) == _route(circuit, completion)
             for certify, memo in product((False, True), (None, credal_memo)):
                 want = robustness(circuit, csdd, evidence, xstar, certify)
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(infer, "_route", no_truth_pass)
                     got = robustness(circuit, csdd, evidence, xstar, certify,
-                                     _memo=memo, _ev=ev, _xstar_route=handed)
+                                     _memo=memo, _xstar_route=handed)
                 if certify:
                     assert repr((got.value, got.label, got.attaining, got.certificate)) == repr(
                         (want.value, want.label, want.attaining, want.certificate))
@@ -1335,12 +1315,12 @@ class TestEvidenceFactsOnce:
             tables = [random_csdd_params(rng, circuit, 0.3) for _ in range(2)]
             memos = [_PassMemo(circuit, table) for table in tables]
             for evidence in evidences:
-                ev = memos[0].pack(evidence)
-                assert memos[1].pack(evidence) == ev  # a key depends on the circuit only
+                # a key depends on the circuit only
+                assert memos[1].pack(evidence) == memos[0].pack(evidence)
                 free = [v for v in range(1, n + 1) if v not in evidence]
                 for k in (round_ % 2, 1 - round_ % 2):
                     plain = EvidenceSession(circuit, tables[k], evidence)
-                    shared = EvidenceSession(circuit, tables[k], evidence, _memo=memos[k], _ev=ev)
+                    shared = EvidenceSession(circuit, tables[k], evidence, _memo=memos[k])
                     for var, val in product(free, (True, False)):
                         assert repr(shared._sign_test(var, val, 0.5)) == repr(
                             _sign_test_reference(plain, var, val, 0.5)[0])

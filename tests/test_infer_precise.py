@@ -1,5 +1,6 @@
 """Point-table queries: probability of evidence and most probable completion."""
 
+import math
 from itertools import product
 from random import Random
 
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdd.circuit import TRUE, Vtree, Circuit
+from csdd.circuit import DECISION, LITERAL, TRUE, Vtree, Circuit, enumerate_models
 from csdd.formats import dumps_psdd, loads_psdd
 from csdd.infer import (
     InferenceError,
     _point_pass,
+    _route,
     _spine_marginal,
     joint_probability,
     map_query,
@@ -23,6 +25,7 @@ from conftest import (
     brute_joint,
     brute_map,
     brute_marginal,
+    map_reference,
     point_pass_reference,
     random_circuit,
     random_psdd_params,
@@ -185,3 +188,91 @@ class TestMapQuery:
     def test_zero_probability_evidence_rejected(self, squares, squares_ml):
         with pytest.raises(InferenceError):
             map_query(squares.circuit, squares_ml, {1: True, 2: True, 3: True})
+
+
+def _tied_params(rng: Random, circuit: Circuit) -> PsddParams:
+    """A random point table in which about half the TRUE terminals are
+    uniform and about half the two-element decision nodes meet two equal
+    MAP products when nothing is observed."""
+    table = dict(random_psdd_params(rng, circuit).table)
+    best = {}
+    for nid in circuit.cone():
+        node = circuit.nodes[nid]
+        if node.kind == LITERAL:
+            best[nid] = 1.0
+        elif node.kind == TRUE:
+            if rng.random() < 0.5:
+                table[nid] = (0.5, 0.5)
+            best[nid] = max(table[nid])
+        elif nid in table:
+            prods = [best[p] * best[s] for p, s in node.elements]
+            if len(prods) == 2 and min(prods) > 0.0 and rng.random() < 0.5:
+                a, b = prods
+                t0 = b / (a + b)
+                t1 = 1.0 - t0
+                for _ in range(8):  # step t1 to where the rounded products meet
+                    if a * t0 == b * t1:
+                        break
+                    t1 = math.nextafter(t1, math.inf if b * t1 < a * t0 else -math.inf)
+                table[nid] = (t0, t1)
+            best[nid] = max(c * t for c, t in zip(prods, table[nid]))
+        else:
+            best[nid] = 0.0
+    return PsddParams(table)
+
+
+def _two_element_ties(circuit: Circuit, params: PsddParams) -> int:
+    """Two-element decision nodes whose two MAP products are equal, without evidence."""
+    best, ties = {}, 0
+    for nid in circuit.cone():
+        node = circuit.nodes[nid]
+        if node.kind == LITERAL:
+            best[nid] = 1.0
+        elif node.kind == TRUE:
+            best[nid] = max(params.table[nid])
+        elif node.kind == DECISION and nid in params.table:
+            cands = [best[p] * best[s] * t for (p, s), t in zip(node.elements, params.table[nid])]
+            ties += len(cands) == 2 and cands[0] == cands[1]
+            best[nid] = max(cands)
+        else:
+            best[nid] = 0.0
+    return ties
+
+
+class TestMapQueryReference:
+    """``map_query`` answers as the generic-loop MAP pass with its own
+    backtrack: the same value and assignment, keys in the same order, and
+    the route it hands out is ``_route``'s for that assignment."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, seed):
+        rng = Random(seed)
+        n = rng.randint(3, 6)
+        circuit = random_circuit(rng, n, singly=bool(rng.getrandbits(1)))
+        params = _tied_params(rng, circuit)
+        if rng.getrandbits(1):
+            params = _with_negative_zeros(rng, circuit, params)
+        models = sorted(enumerate_models(circuit, circuit.root))
+        for _ in range(6):
+            model = rng.choice(models)
+            # evidence keys in random order: the assignment keeps them first
+            evidence = {v: model[v - 1] for v in rng.sample(range(1, n + 1), rng.randint(0, n - 1))}
+            try:
+                want = map_reference(circuit, params, evidence)
+            except InferenceError:
+                with pytest.raises(InferenceError, match="zero probability"):
+                    map_query(circuit, params, evidence)
+                continue
+            handed = []
+            got = map_query(circuit, params, evidence, _route=handed)
+            assert repr(got) == repr(want)  # a dict's repr lists its keys in order
+            assert tuple(handed) == _route(circuit, want[1])
+
+    def test_tables_force_ties(self):
+        rng = Random(5)
+        ties = 0
+        for _ in range(20):
+            circuit = random_circuit(rng, rng.randint(3, 6), singly=bool(rng.getrandbits(1)))
+            ties += _two_element_ties(circuit, _tied_params(rng, circuit))
+        assert ties > 0
