@@ -235,10 +235,6 @@ class SddNode:
     polarity: bool = True
     elements: tuple[tuple[int, int], ...] = ()
 
-    @property
-    def is_terminal(self) -> bool:
-        return self.kind != DECISION
-
 
 @dataclass(frozen=True)
 class ConnectivityReport:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -288,6 +289,18 @@ def _run_cell_payload(scenario: Scenario) -> tuple[list, float]:
     return row, time.perf_counter() - start
 
 
+def _grid_entries(flag: str, text: str, kind, ok, what: str) -> list:
+    """The comma-separated entries of ``flag``, each read by ``kind``; a
+    :class:`CliError` naming the flag unless every entry reads and is ``ok``."""
+    try:
+        entries = [kind(tok) for tok in text.split(",")]
+    except ValueError:
+        entries = None
+    if entries is None or not all(map(ok, entries)):
+        raise CliError(f"{flag} entries must each be {what}, got {text!r}")
+    return entries
+
+
 def cmd_experiment(args) -> int:
     if args.scenario != "seven-segment":
         raise CliError(f"unknown scenario {args.scenario!r}")
@@ -296,8 +309,11 @@ def cmd_experiment(args) -> int:
     threads = os.environ.get("CSDD_THREADS", "0")
     if not (threads.isascii() and threads.isdigit()):
         raise CliError(f"CSDD_THREADS must be a non-negative integer, got {threads!r}")
-    sizes = [int(tok) for tok in args.d.split(",")]
-    probs = [float(tok) for tok in args.pf.split(",")]
+    # checked before any cell runs: a bad entry would only fail inside a worker
+    sizes = _grid_entries("--d", args.d, int, lambda d: d > 0, "a positive integer")
+    probs = _grid_entries("--pf", args.pf, float, lambda p: 0.0 <= p <= 1.0, "a number in [0, 1]")
+    if not 0.0 < args.ess < math.inf:
+        raise CliError(f"--ess must be positive and finite, got {args.ess}")
     cells = [
         Scenario(d, pf, args.seed + i, test_size=args.test_size, ess=args.ess)
         for d in sizes

@@ -96,10 +96,6 @@ class IntervalCredalSet:
     def k(self) -> int:
         return len(self.lower)
 
-    @property
-    def width(self) -> float:
-        return max(u - l for l, u in zip(self.lower, self.upper))
-
     def contains(self, pmf: Sequence[float], tol: float = BUILD_TOL) -> bool:
         if abs(math.fsum(pmf) - 1.0) > tol:
             return False

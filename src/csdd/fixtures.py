@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Vtree
+from .circuit import TRUE, Circuit, Vtree
 from .credal import IntervalCredalSet
 from .formula import Formula, Var, disj
 from .learn import Dataset
@@ -167,7 +167,7 @@ class SharedNodeFixture:
             node = c.nodes[nid]
             if nid == self.shared_top:
                 table[nid] = IntervalCredalSet((low, 1.0 - high), (high, 1.0 - low))
-            elif node.is_terminal:
+            elif node.kind == TRUE:
                 table[nid] = IntervalCredalSet.point((0.7, 0.3))
             else:
                 pmf = [0.0] * len(node.elements)

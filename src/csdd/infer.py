@@ -23,10 +23,10 @@ with a local linear program over the node's credal set:
 On circuits with shared structure the conditional and robustness passes
 may optimize one shared credal set toward different extreme points in
 different subproblems.  The result is then an outer bound: never tighter
-than the truth.  Every query records which extreme point each local
-program used, and an exactness certificate inspects shared nodes for
-divergent choices; a brute-force refinement enumerates the flagged nodes'
-extreme points to recover the exact value.
+than the truth.  A certificate records which extreme point each local
+program used, solving again the sweep problems it marks (sweeps carry
+values only), and flags shared nodes with divergent choices; a brute-force
+refinement enumerates their extreme points to recover the exact value.
 
 Bottom-up passes scan the cone, or a route, forward, children first.  The
 top-down passes after them (the MAP backtrack, a completion's route and
@@ -157,8 +157,9 @@ class InferenceTrace:
 
     ``uses[node]`` holds the distinct optimizing points seen for that
     node's credal set; a node whose value did not pin any point (e.g. an
-    unobserved terminal) records nothing.  ``sigma[(node, element)]``
-    stores the sibling marginal consumed by a conditional pass.
+    unobserved terminal) records nothing; a sweep's points are re-solved
+    where marked.  ``sigma[(node, element)]`` stores the sibling marginal
+    consumed by a conditional pass.
     """
 
     def __init__(self) -> None:
@@ -253,11 +254,11 @@ class _PassMemo:
     node's mask covers its variables in both halves.  A pass given the memo
     returns the stored result where it would solve a local problem again:
     at a decision node with a credal set and, in the sweeps, at an observed
-    TRUE terminal.  The stored results are the floats the pass produced, so
-    the answers are bit for bit those without a memo.  Point passes solve
-    no local problem and take no memo.  It grows with every distinct
-    evidence it sees: build one for a batch of queries on one table and
-    drop it with the batch.
+    TRUE terminal.  The stored results are the floats the pass produced (a
+    sweep's value alone, under ``("sweep", sense)`` for cone and route), so
+    the answers are bit for bit those without a memo.  Point passes take no
+    memo.  It grows with every distinct evidence it sees: build one for a
+    batch of queries on one table and drop it with the batch.
     """
 
     __slots__ = ("circuit", "root", "params", "_n", "_masks", "_passes")
@@ -426,16 +427,6 @@ def map_query(
 # credal evidence passes
 
 
-class _Sweep:
-    """One lower or upper evidence pass: per-node value and pinned point."""
-
-    __slots__ = ("values", "vertices")
-
-    def __init__(self, size: int) -> None:
-        self.values = [0.0] * size
-        self.vertices: list[tuple[float, ...] | None] = [None] * size
-
-
 def _credal_sweep(
     circuit: Circuit,
     params: CsddParams,
@@ -444,115 +435,98 @@ def _credal_sweep(
     sense: int,
     *,
     _memo: _PassMemo | None = None,
-) -> _Sweep:
-    """Evidence pass over ``ids``, children first; nodes outside read 0.0.  Under
-    a complete assignment its route will do: off it, every prime is false."""
-    sweep = _Sweep(len(circuit.nodes))
-    values = sweep.values
-    vertices = sweep.vertices
+) -> list[float]:
+    """Evidence value of each node of ``ids``, children first; nodes outside
+    read 0.0.  Under a complete assignment its route gives the cone's values:
+    off it, every prime is false and sweeps to 0.0."""
+    values = [0.0] * len(circuit.nodes)
     table = params.table
     opt = _min_fast if sense == MIN else _max_fast
     memo = None
     if _memo is not None:
-        # a sweep over anything but the cone, such as a route, keeps its own entries
-        memo, masks = _memo.entries(circuit, params, ("sweep", sense, ids is circuit.cone()))
+        memo, masks = _memo.entries(circuit, params, ("sweep", sense))
         ev = _memo.pack(evidence)
     for nid in ids:
         node = circuit.nodes[nid]
-        if node.kind == FALSE:
-            values[nid] = 0.0
-        elif node.kind == LITERAL:
+        if node.kind == LITERAL:
             val = evidence.get(node.var)
             values[nid] = 1.0 if val is None or val == node.polarity else 0.0
         elif node.kind == TRUE and evidence.get(node.var) is None:
             values[nid] = 1.0
-        else:
+        elif node.kind != FALSE:  # FALSE reads 0.0
             if memo is not None:
                 key = nid, ev & masks[nid]
                 hit = memo.get(key)
                 if hit is not None:
-                    values[nid], vertices[nid] = hit
+                    values[nid] = hit
                     continue
-            if node.kind == TRUE:
-                coeffs = (1.0, 0.0) if evidence[node.var] else (0.0, 1.0)
-            else:
-                coeffs = [values[p] * values[s] for p, s in node.elements]
-            value, point = opt(table[nid], coeffs) if any(coeffs) else (0.0, None)
-            values[nid] = value
-            vertices[nid] = point
+            value = values[nid] = _sweep_problem(table, nid, node, evidence, values, opt)[0]
             if memo is not None:
-                memo[key] = value, point
-    return sweep
+                memo[key] = value
+    return values
 
 
-def _marginal_bound(
-    circuit: Circuit,
-    params: CsddParams,
-    evidence: Mapping[int, bool],
-    trace: InferenceTrace | None,
-    sense: int,
-) -> float:
-    _check_evidence(circuit, evidence)
-    sweep = _credal_sweep(circuit, params, evidence, circuit.cone(), sense)
-    if trace is not None:
-        for nid, point in enumerate(sweep.vertices):
-            trace.record(nid, point)
-    return sweep.values[circuit.root]
+def _sweep_problem(table, nid: int, node, evidence: Mapping[int, bool], values, opt):
+    """``(value, point)`` of a sweep's problem at an observed TRUE terminal or
+    a decision node, children at ``values``; ``(0.0, None)`` on zero coefficients."""
+    if node.kind == TRUE:
+        coeffs = (1.0, 0.0) if evidence[node.var] else (0.0, 1.0)
+    else:
+        coeffs = [values[p] * values[s] for p, s in node.elements]
+    return opt(table[nid], coeffs) if any(coeffs) else (0.0, None)
 
 
-def lower_marginal(
-    circuit: Circuit,
-    params: CsddParams,
-    evidence: Mapping[int, bool],
-    trace: InferenceTrace | None = None,
-) -> float:
+def lower_marginal(circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> float:
     """Exact lower probability of the evidence, any topology."""
-    return _marginal_bound(circuit, params, evidence, trace, MIN)
+    _check_evidence(circuit, evidence)
+    return _credal_sweep(circuit, params, evidence, circuit.cone(), MIN)[circuit.root]
 
 
-def upper_marginal(
-    circuit: Circuit,
-    params: CsddParams,
-    evidence: Mapping[int, bool],
-    trace: InferenceTrace | None = None,
-) -> float:
+def upper_marginal(circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> float:
     """Exact upper probability of the evidence, any topology."""
-    return _marginal_bound(circuit, params, evidence, trace, MAX)
+    _check_evidence(circuit, evidence)
+    return _credal_sweep(circuit, params, evidence, circuit.cone(), MAX)[circuit.root]
 
 
 def _mark_sweeps(
     trace: InferenceTrace,
     circuit: Circuit,
+    params: CsddParams,
+    evidence: Mapping[int, bool],
     ids: Sequence[int],
-    low: _Sweep,
-    up: _Sweep,
+    low: Sequence[float],
+    up: Sequence[float],
     starts: Sequence[tuple[int, int]],
 ) -> None:
     """Record the extreme points that realize the swept values at ``starts``.
 
-    ``starts`` holds (node, sense) pairs; marks run top-down, one reverse
-    scan of ``ids`` per sense, which must hold every node a mark reaches.
-    For a lower value, elements whose contribution vanishes only because a
-    child's lower bound is zero pin that child too (the zero must be
-    attained); contributions that are zero for every member are free.
+    ``low``/``up`` sweep ``evidence`` over ``ids``, which must hold every
+    node a mark reaches; ``starts`` holds (node, sense) pairs.  Marks run
+    top-down, one reverse scan per sense, solving each marked sweep problem
+    again.  For a lower value, elements whose contribution vanishes only
+    because a child's lower bound is zero pin that child too (the zero must
+    be attained); contributions that are zero for every member are free.
     """
-    for sense, sweep in ((MIN, low), (MAX, up)):
+    table = params.table
+    for sense, values in ((MIN, low), (MAX, up)):
         marked = {nid for nid, start_sense in starts if start_sense == sense}
         if not marked:
             continue
-        values = sweep.values
+        opt = _min_fast if sense == MIN else _max_fast
         for nid in reversed(ids):
             if nid not in marked:
                 continue
-            trace.record(nid, sweep.vertices[nid])  # None on literals and FALSE
-            for p, s in circuit.nodes[nid].elements:
+            node = circuit.nodes[nid]
+            if node.kind == DECISION or node.kind == TRUE and evidence.get(node.var) is not None:
+                trace.record(nid, _sweep_problem(table, nid, node, evidence, values, opt)[1])
+            for p, s in node.elements:
                 vp, vs = values[p], values[s]
                 if vp > 0.0 and vs > 0.0:
                     marked.update((p, s))
                 elif sense == MIN:
-                    if vp == 0.0 and up.values[p] > 0.0:
+                    if vp == 0.0 and up[p] > 0.0:
                         marked.add(p)
-                    elif vp > 0.0 and vs == 0.0 and up.values[s] > 0.0:
+                    elif vp > 0.0 and vs == 0.0 and up[s] > 0.0:
                         marked.add(s)
 
 
@@ -614,7 +588,7 @@ class EvidenceSession:
         self.low, self.up = (_credal_sweep(circuit, params, self.evidence, circuit.cone(), sense,
                                            _memo=_memo) for sense in (MIN, MAX))
         self._key = None if _memo is None else _memo.pack(self.evidence)
-        upper = self.up.values[self.root]
+        upper = self.up[self.root]
         if upper <= 0.0 and not is_consistent(circuit, evidence):
             raise InferenceError("evidence violates circuit constraints")
         # every sign-test message is at most the upper evidence probability
@@ -641,7 +615,7 @@ class EvidenceSession:
         plan; the sibling's bound comes from the evidence sweeps.
         """
         table = self.params.table
-        low_values, up_values = self.low.values, self.up.values
+        low_values, up_values = self.low, self.up
         msg: dict[int, float] = {}
         starts: list[tuple[int, int]] = []  # sibling values the trace must pin
         memo = None
@@ -689,7 +663,8 @@ class EvidenceSession:
             else:
                 msg[nid] = 0.0
         if trace is not None:
-            _mark_sweeps(trace, self.circuit, self.circuit.cone(), self.low, self.up, starts)
+            _mark_sweeps(trace, self.circuit, self.params, self.evidence, self.circuit.cone(),
+                         self.low, self.up, starts)
         return msg[self.root]
 
 
@@ -1019,8 +994,8 @@ def robustness(
     may be conservative).  The verdict is robust when only ``xstar``
     attains V = 1, weakly robust when the maximum is tied, and not robust
     otherwise (including inconsistent ``xstar``).  A private ``_memo`` for
-    (circuit, params) serves the credal MAP pass and, with entries of their
-    own, the route's sweeps.  The private ``_xstar_route``, what
+    (circuit, params) serves the credal MAP pass and the route's sweeps,
+    whose values are the cone's.  The private ``_xstar_route``, what
     :func:`_route` would return (as :func:`map_query` hands it out), saves
     the truth pass.
     """
@@ -1073,7 +1048,7 @@ def robustness(
             pj, sj = node.elements[j]
             cs = table[nid]
             local = [(values[pj] * values[sj], j, counts[pj] * counts[sj])]
-            denom = low_xe.values[pj] * low_xe.values[sj]
+            denom = low_xe[pj] * low_xe[sj]
             for i, (pi, si) in enumerate(node.elements):
                 if i == j or cs.upper[i] <= 0.0:
                     continue
@@ -1113,7 +1088,7 @@ def robustness(
                     sweep_starts += ((child, MIN) for child in node.elements[j])
         _mark_map(trace, circuit, params, cm, evidence, map_starts)
         up_xe = _credal_sweep(circuit, params, total, route, MAX, _memo=_memo)
-        _mark_sweeps(trace, circuit, route, low_xe, up_xe, sweep_starts)
+        _mark_sweeps(trace, circuit, params, total, route, low_xe, up_xe, sweep_starts)
         certificate = exactness_certificate(trace, circuit.connectivity())
 
     attaining = tuple(_completion(circuit, evidence, rob, cm, realized, k) for k in range(counts[root]))

@@ -131,6 +131,3 @@ class CsddParams:
             table[nid] = IntervalCredalSet.point(point)
         return CsddParams(table)
 
-    def max_width(self) -> float:
-        return max((cs.width for cs in self.table.values()), default=0.0)
-

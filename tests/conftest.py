@@ -6,7 +6,9 @@ assignment through the circuit and multiplying local parameters, and
 marginals/completions from exhaustive enumeration over those joints.
 The scalar references route or evaluate one row at a time, for the
 bit-parallel passes to be compared against, and mark top-down one start
-at a time, for the single-scan markers in ``csdd.infer``.  The generic
+at a time, over a sweep that records each node's pinned point beside its
+value, for the single-scan markers in ``csdd.infer``, which solve the
+marked problems again.  The generic
 greedy local LP and an all-``fsum`` point pass are kept for the one- and
 two-state closed forms to be compared against bit for bit, and so is the
 MAP pass with the generic element loop and its own backtrack, for the
@@ -384,8 +386,57 @@ def map_reference(circuit: Circuit, params: PsddParams, evidence):
     return values[root], assignment
 
 
+class SweepReference:
+    """One lower or upper evidence pass: per-node value and pinned point."""
+
+    __slots__ = ("values", "vertices")
+
+    def __init__(self, size: int) -> None:
+        self.values = [0.0] * size
+        self.vertices: list[tuple[float, ...] | None] = [None] * size
+
+
+def credal_sweep_reference(
+    circuit: Circuit,
+    params: CsddParams,
+    evidence,
+    ids: Sequence[int],
+    sense: int,
+) -> SweepReference:
+    """``infer._credal_sweep`` without its memo, recording beside each value
+    the point its local problem pinned.  Nodes outside ``ids`` read 0.0 and
+    pin nothing."""
+    from csdd.credal import _max_fast, _min_fast
+    from csdd.infer import MIN
+
+    sweep = SweepReference(len(circuit.nodes))
+    values = sweep.values
+    vertices = sweep.vertices
+    table = params.table
+    opt = _min_fast if sense == MIN else _max_fast
+    for nid in ids:
+        node = circuit.nodes[nid]
+        if node.kind == FALSE:
+            values[nid] = 0.0
+        elif node.kind == LITERAL:
+            val = evidence.get(node.var)
+            values[nid] = 1.0 if val is None or val == node.polarity else 0.0
+        elif node.kind == TRUE and evidence.get(node.var) is None:
+            values[nid] = 1.0
+        else:
+            if node.kind == TRUE:
+                coeffs = (1.0, 0.0) if evidence[node.var] else (0.0, 1.0)
+            else:
+                coeffs = [values[p] * values[s] for p, s in node.elements]
+            value, point = opt(table[nid], coeffs) if any(coeffs) else (0.0, None)
+            values[nid] = value
+            vertices[nid] = point
+    return sweep
+
+
 def mark_sweep_walk(trace, circuit: Circuit, start: int, low, up, sense: int) -> None:
-    """``infer._mark_sweeps`` for one start, by a depth-first walk from it.
+    """``infer._mark_sweeps`` for one start, by a depth-first walk from it
+    over :func:`credal_sweep_reference` sweeps, recording their points.
 
     The walk visits each node once and pushes the children whose value
     the swept value depends on: both children of an element with a
@@ -415,6 +466,17 @@ def mark_sweep_walk(trace, circuit: Circuit, start: int, low, up, sense: int) ->
                     stack.append(p)
                 elif vp > 0.0 and vs == 0.0 and up.values[s] > 0.0:
                     stack.append(s)
+
+
+def mark_sweeps_reference(trace, circuit: Circuit, low, up, starts) -> None:
+    """``infer._mark_sweeps`` by one :func:`mark_sweep_walk` per start, the
+    lower starts first: per node the same points in the same order."""
+    from csdd.infer import MAX, MIN
+
+    for sense in (MIN, MAX):
+        for nid, start_sense in starts:
+            if start_sense == sense:
+                mark_sweep_walk(trace, circuit, nid, low, up, sense)
 
 
 def mark_map_walk(trace, circuit: Circuit, params: CsddParams, cm, evidence, start: int) -> None:
@@ -546,7 +608,9 @@ def attaining_reference(
     node as sorted tuples, and choosing the certificate's candidates by
     their own tie test.  Ties use ``infer._close``.  It tests consistency
     with ``is_consistent`` and sweeps the complete assignment over the
-    whole cone, where ``robustness`` sweeps only its route."""
+    whole cone, where ``robustness`` sweeps only its route, with
+    :func:`credal_sweep_reference`, whose recorded points the certificate
+    marks by :func:`mark_sweeps_reference`."""
     from csdd.credal import _max_ratio_vertex
     from csdd.infer import (
         EXACT,
@@ -559,10 +623,8 @@ def attaining_reference(
         RobustnessVerdict,
         _check_evidence,
         _close,
-        _credal_sweep,
         _label,
         _mark_map,
-        _mark_sweeps,
         _route,
         exactness_certificate,
     )
@@ -582,7 +644,7 @@ def attaining_reference(
                                  ExactnessCertificate(EXACT) if want_certificate else None)
     cm = credal_map_reference(circuit, params, evidence)
     nodes, cone, root = circuit.nodes, circuit.cone(), circuit.root
-    low_xe = _credal_sweep(circuit, params, total, cone, MIN)
+    low_xe = credal_sweep_reference(circuit, params, total, cone, MIN)
     realized, route = _route(circuit, total)
     on_route = set(route)
     table = params.table
@@ -684,8 +746,8 @@ def attaining_reference(
                     map_starts += node.elements[i]
                     sweep_starts += ((child, MIN) for child in node.elements[j])
         _mark_map(trace, circuit, params, cm, evidence, map_starts)
-        up_xe = _credal_sweep(circuit, params, total, cone, MAX)
-        _mark_sweeps(trace, circuit, cone, low_xe, up_xe, sweep_starts)
+        up_xe = credal_sweep_reference(circuit, params, total, cone, MAX)
+        mark_sweeps_reference(trace, circuit, low_xe, up_xe, sweep_starts)
         certificate = exactness_certificate(trace, circuit.connectivity())
 
     attaining = tuple(reps[root])

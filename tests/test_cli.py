@@ -391,6 +391,37 @@ class TestExperiment:
         assert message in err
         assert not (workdir / "empty.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--d", "x", "--d entries must each be a positive integer"),
+         ("--d", "10,x", "--d entries must each be a positive integer"),
+         ("--d", "0", "--d entries must each be a positive integer"),
+         ("--d", "-3", "--d entries must each be a positive integer"),
+         ("--d", "10,2.5", "--d entries must each be a positive integer"),
+         ("--d", "", "--d entries must each be a positive integer"),
+         ("--pf", "1.5", "--pf entries must each be a number in [0, 1]"),
+         ("--pf", "0.2,-0.1", "--pf entries must each be a number in [0, 1]"),
+         ("--pf", "nan", "--pf entries must each be a number in [0, 1]"),
+         ("--pf", "0.2,x", "--pf entries must each be a number in [0, 1]"),
+         ("--ess", "0", "--ess must be positive and finite"),
+         ("--ess", "-1", "--ess must be positive and finite"),
+         ("--ess", "inf", "--ess must be positive and finite"),
+         ("--ess", "nan", "--ess must be positive and finite")],
+    )
+    def test_bad_grid_option_refused(self, capsys, workdir, monkeypatch, flag, value, message):
+        # refused by name before any cell runs, not by a worker's late ValueError
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "run_cell", no_cell)
+        monkeypatch.setenv("CSDD_THREADS", "2")
+        argv = {"--d": "10,12", "--pf": "0.2,0.3", "--seeds": "1", "--test-size": "5", flag: value}
+        code, out, err = run(capsys, "experiment", *(t for kv in argv.items() for t in kv),
+                             "-o", "bad.csv")
+        assert code == 1 and out == ""
+        assert message in err
+        assert not (workdir / "bad.csv").exists()
+
     @pytest.mark.parametrize("threads", ["-1", "two", "1.5", " 2", "", "\u0662"])
     def test_bad_thread_count_refused(self, capsys, workdir, monkeypatch, threads):
         # checked before any cell runs, although a one-cell grid starts no pool
