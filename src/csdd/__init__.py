@@ -24,9 +24,6 @@ from .credal import (
     IntervalCredalSet,
     Vertex,
     enumerate_vertices,
-    max_ratio,
-    maximize_linear,
-    minimize_linear,
     normalize_reachable,
 )
 from .formula import Formula, Var, conj, disj, parse_formula

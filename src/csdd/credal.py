@@ -22,10 +22,7 @@ __all__ = [
     "IntervalCredalSet",
     "Vertex",
     "normalize_reachable",
-    "minimize_linear",
-    "maximize_linear",
     "enumerate_vertices",
-    "max_ratio",
 ]
 
 EQ_TOL = 1e-12          # comparisons between probabilities / optima
@@ -159,29 +156,8 @@ def _greedy_min_point(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[f
     return tuple(theta)
 
 
-def minimize_linear(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, Vertex]:
-    """Exact minimum of ``sum(coeffs * theta)`` over the credal set.
-
-    Ties between equal coefficients break toward the lower state index, so
-    the returned optimizer is deterministic.
-    """
-    return _solve(cs, coeffs, _min_fast)
-
-
-def maximize_linear(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, Vertex]:
-    """Dual of :func:`minimize_linear`; equals ``-minimize(-coeffs)``."""
-    return _solve(cs, coeffs, _max_fast)
-
-
-def _solve(cs: IntervalCredalSet, coeffs: Sequence[float], fast) -> tuple[float, Vertex]:
-    if len(coeffs) != cs.k:
-        raise CredalSetError(f"expected {cs.k} coefficients, got {len(coeffs)}")
-    value, point = fast(cs, coeffs)
-    return value, Vertex(point, _vertex_index(cs, point))
-
-
 def _min_fast(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, tuple[float, ...]]:
-    # hot-path variant: optimizer as a bare point, no enumeration index
+    # the local LP: its minimum and the greedy optimizer, as a bare point
     return _with_value(coeffs, _greedy_min_point(cs, coeffs))
 
 
@@ -233,26 +209,6 @@ def _vertex_cache(cs: IntervalCredalSet) -> tuple[Vertex, ...]:
             continue
         unique.append(p)
     return tuple(Vertex(p, i) for i, p in enumerate(unique))
-
-
-def _vertex_index(cs: IntervalCredalSet, point: tuple[float, ...]) -> int | None:
-    if cs.k > VERTEX_GUARD_K:
-        return None
-    for vertex in _vertex_cache(cs):
-        if all(abs(a - b) <= 1e-9 for a, b in zip(vertex.point, point)):
-            return vertex.index
-    return None
-
-
-def max_ratio(cs: IntervalCredalSet, i: int, j: int, scale: float = 1.0) -> float:
-    """Maximum of ``scale * theta[i] / theta[j]`` over the credal set.
-
-    The optimum of a linear-fractional objective sits at a vertex; here it
-    is the one with ``theta[j]`` at its lower bound and ``theta[i]`` as
-    large as the remaining mass allows.  Requires ``lower[j] > 0``.
-    """
-    value, _ = _max_ratio_vertex(cs, i, j, scale)
-    return value
 
 
 def _max_ratio_vertex(

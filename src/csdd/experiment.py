@@ -177,8 +177,6 @@ def decide_segments(
     csdd: CsddParams,
     observation: dict[int, bool],
     session: EvidenceSession | None = None,
-    *,
-    _memo: _PassMemo | None = None,
 ) -> list[SegmentDecision]:
     """Per-segment point posterior and credal label for one observation.
 
@@ -187,15 +185,16 @@ def decide_segments(
     > 1/2, "indeterminate" otherwise.  One point pass gives P(o) and every
     node's value; each P(x_i = on, o) then recomputes only x_i's spine.
     ``session`` is an :class:`EvidenceSession` for (circuit, csdd,
-    observation), checked once; without it one is built, served by the
-    private ``_memo`` for (circuit, csdd) when given.
+    observation), checked once; without it one is built, which reuses the
+    credal results of an open memo scope for (circuit, csdd), as
+    :func:`run_cell` opens.
     """
     values = _point_pass(circuit, psdd, observation, circuit.cone(), {})
     p_obs = values[circuit.root]
     if p_obs <= 0.0:
         raise ValueError("observation has zero probability under the point table")
     if session is None:
-        session = EvidenceSession(circuit, csdd, observation, _memo=_memo)
+        session = EvidenceSession(circuit, csdd, observation)
     else:
         session.check(circuit, csdd, observation)
     out = []
@@ -348,24 +347,24 @@ def run_cell(scenario: Scenario) -> Metrics:
     joint = []
     # answers per distinct observation: (segment decisions, completion, determinacy)
     cache: dict[tuple[bool, ...], tuple[list[SegmentDecision], dict[int, bool], bool]] = {}
-    # credal per-node results shared by the cell's distinct observations, dropped with the cell
-    memo = _PassMemo(circuit, csdd)
-    for _ in range(scenario.test_size):
-        pattern = DIGIT_PATTERNS[rng.randrange(10)]
-        shown = tuple(on and rng.random() >= scenario.p_f for on in pattern)
-        observation = {observed_var(i + 1): shown[i] for i in range(SEGMENTS)}
-        cached = cache.get(shown)
-        if cached is None:
-            preds = decide_segments(circuit, psdd, csdd, observation, _memo=memo)
-            route: list = []
-            _, completion = map_query(circuit, psdd, observation, _route=route)
-            xstar = {hidden_var(i + 1): completion[hidden_var(i + 1)] for i in range(SEGMENTS)}
-            # the MAP pass's route is xstar's: no truth pass needed
-            verdict = robustness(circuit, csdd, observation, xstar, want_certificate=False,
-                                 _memo=memo, _xstar_route=route)
-            cached = cache[shown] = (preds, xstar, verdict.label != NOT_ROBUST)
-        preds, xstar, det = cached
-        per_instance.append((preds, pattern))
-        correct = all(xstar[hidden_var(i + 1)] == pattern[i] for i in range(SEGMENTS))
-        joint.append((xstar, det, correct))
+    # credal per-node results and MAP routes shared by the cell's distinct
+    # observations, dropped with the cell; the calls go through this module's
+    # bindings, which perfbench's tracing wraps
+    with _PassMemo(circuit, csdd):
+        for _ in range(scenario.test_size):
+            pattern = DIGIT_PATTERNS[rng.randrange(10)]
+            shown = tuple(on and rng.random() >= scenario.p_f for on in pattern)
+            observation = {observed_var(i + 1): shown[i] for i in range(SEGMENTS)}
+            cached = cache.get(shown)
+            if cached is None:
+                preds = decide_segments(circuit, psdd, csdd, observation)
+                _, completion = map_query(circuit, psdd, observation)
+                xstar = {hidden_var(i + 1): completion[hidden_var(i + 1)] for i in range(SEGMENTS)}
+                # robustness takes xstar's route from the MAP pass: no truth pass
+                verdict = robustness(circuit, csdd, observation, xstar, want_certificate=False)
+                cached = cache[shown] = (preds, xstar, verdict.label != NOT_ROBUST)
+            preds, xstar, det = cached
+            per_instance.append((preds, pattern))
+            correct = all(xstar[hidden_var(i + 1)] == pattern[i] for i in range(SEGMENTS))
+            joint.append((xstar, det, correct))
     return evaluate_predictions(per_instance, joint)

@@ -17,8 +17,9 @@ with a local linear program over the node's credal set:
 * robustness checks whether one most-probable completion stays optimal
   for every parameter table between the bounds: a credal MAP pass and a
   truth pass over the cone, then the completion's sweeps, tied options and
-  completion counts (at most 2) over the completion's route only
-  (``run_cell`` hands over the route :func:`map_query` walked instead).
+  completion counts (at most 2) over the completion's route only (under
+  a memo scope, the route :func:`map_query` walked stands in for the
+  truth pass).
 
 On circuits with shared structure the conditional and robustness passes
 may optimize one shared credal set toward different extreme points in
@@ -37,17 +38,21 @@ completions are read off the tied options by a depth-first walk.
 
 A node's result in a bottom-up pass depends only on the table and on the
 evidence under its vtree node.  So a batch of credal queries on one
-interval table may hand the passes that solve local LPs (the evidence
-sweeps, the sign tests and the credal MAP pass) a private ``_PassMemo``,
-which returns per node and evidence under it what a pass computed there
-before.  The display experiment's ``run_cell`` does so across a cell's
-observations, with unchanged answers.  The point passes solve no local
-LP and take no memo; one-shot calls pass none and reuse nothing.
+interval table may open a private ``_PassMemo`` scope around its calls.
+While it is open, the passes that solve local LPs (the evidence sweeps,
+the sign tests and the credal MAP pass) on its circuit, root and table
+return per node and evidence under it what a pass computed there before,
+and :func:`robustness` takes the route :func:`map_query` walked for the
+same completion instead of running a truth pass.  Calls on any other
+circuit, root or table do not consult it.  The display experiment's
+``run_cell`` opens one per cell, with unchanged answers; outside a scope
+nothing is reused.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -243,37 +248,46 @@ def _check_evidence(circuit: Circuit, evidence: Mapping[int, bool]) -> None:
 
 
 class _PassMemo:
-    """What the credal passes computed at each node, for one circuit, root
-    and interval table.
+    """A scope, ``with _PassMemo(circuit, params):``, in which the credal
+    passes on this circuit, root and interval table reuse their results.
 
     In a decomposable circuit a node's result depends only on the table and
     on the evidence over the variables under its vtree node.  Each pass
     keeps one dict keyed by the node id and the evidence masked to those
     variables: evidence packs into ``pos | neg << n`` (bit ``v - 1`` of
     ``pos``/``neg`` set when variable ``v`` is observed true/false), and a
-    node's mask covers its variables in both halves.  A pass given the memo
-    returns the stored result where it would solve a local problem again:
-    at a decision node with a credal set and, in the sweeps, at an observed
-    TRUE terminal.  The stored results are the floats the pass produced (a
+    node's mask covers its variables in both halves.  Where a pass would
+    solve a local problem again (a decision node with a credal set and, in
+    the sweeps, an observed TRUE terminal) it returns the stored floats (a
     sweep's value alone, under ``("sweep", sense)`` for cone and route), so
-    the answers are bit for bit those without a memo.  Point passes take no
-    memo.  It grows with every distinct evidence it sees: build one for a
-    batch of queries on one table and drop it with the batch.
+    the answers are bit for bit those without a memo.  :func:`map_query`
+    leaves its completion's route in ``routes``, keyed by the packed
+    assignment, for :func:`robustness` to pop: a route depends only on the
+    circuit, its root and the assignment, so any table may use it.
+
+    The open memo is a context variable, so threads do not see each
+    other's; leaving a scope, also through an exception, reopens the one
+    around it.  It grows with every distinct evidence it sees: open one for
+    a batch of queries on one table and drop it with the batch.
     """
 
-    __slots__ = ("circuit", "root", "params", "_n", "_masks", "_passes")
+    __slots__ = ("circuit", "root", "params", "routes", "masks", "passes", "_n", "_tokens")
 
     def __init__(self, circuit: Circuit, params: CsddParams) -> None:
         vtree = circuit.vtree
         self.circuit, self.root, self.params = circuit, circuit.root, params
         n = self._n = vtree.var_count
-        self._masks = [m | m << n for m in (vtree.mask(node.vtree) for node in circuit.nodes)]
-        self._passes: dict[tuple, dict] = {}
+        self.masks = [m | m << n for m in (vtree.mask(node.vtree) for node in circuit.nodes)]
+        self.passes: dict[tuple, dict] = {}
+        self.routes: dict[int, tuple[dict[int, int], list[int]]] = {}
+        self._tokens: list = []
 
-    def check(self, circuit: Circuit, params: CsddParams) -> None:
-        """Raise unless the memo was built for exactly this circuit, root and table."""
-        if circuit is not self.circuit or params is not self.params or circuit.root != self.root:
-            raise InferenceError("memo was built for another circuit, root or table")
+    def __enter__(self) -> "_PassMemo":
+        self._tokens.append(_OPEN_MEMO.set(self))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _OPEN_MEMO.reset(self._tokens.pop())
 
     def pack(self, evidence: Mapping[int, bool]) -> int:
         """The evidence as ``pos | neg << n``, the key its entries take masked."""
@@ -283,10 +297,28 @@ class _PassMemo:
                 key |= 1 << (var - 1 if val else var - 1 + n)
         return key
 
-    def entries(self, circuit: Circuit, params: CsddParams, kind: tuple) -> tuple[dict, list[int]]:
-        """After :meth:`check`: the entries of pass ``kind`` and the node masks."""
-        self.check(circuit, params)
-        return self._passes.setdefault(kind, {}), self._masks
+
+_OPEN_MEMO: ContextVar[_PassMemo | None] = ContextVar("csdd_pass_memo", default=None)
+
+
+def _open_memo(circuit: Circuit, params: CsddParams | None = None) -> _PassMemo | None:
+    """The open memo if it was built for this circuit object, its current root
+    and, when ``params`` is given, this table object; else ``None``."""
+    memo = _OPEN_MEMO.get()
+    if memo is None or memo.circuit is not circuit or memo.root != circuit.root:
+        return None
+    return memo if params is None or memo.params is params else None
+
+
+def _reuse(
+    circuit: Circuit, params: CsddParams, kind: tuple, evidence: Mapping[int, bool]
+) -> tuple[dict | None, Sequence[int], int]:
+    """The open memo's entries of pass ``kind``, its node masks and the packed
+    evidence; ``(None, (), 0)`` when none is open for this circuit, root and table."""
+    memo = _open_memo(circuit, params)
+    if memo is None:
+        return None, (), 0
+    return memo.passes.setdefault(kind, {}), memo.masks, memo.pack(evidence)
 
 
 def _point_pass(
@@ -361,16 +393,16 @@ def map_query(
     circuit: Circuit,
     params: PsddParams,
     evidence: Mapping[int, bool],
-    *,
-    _route: list | None = None,
 ) -> tuple[float, dict[int, bool]]:
     """Most probable completion of the unobserved variables.
 
     Returns ``(P(x*, e), x*)``; ties break toward the lowest element index
     and toward the true state of a terminal.  Requires consistent evidence.
-    A private list handed as ``_route`` receives the completion's route as
-    :func:`_route` gives it: every chosen element has a positive value, so
-    its prime is the one prime true under the evidence and the completion.
+    Under a :class:`_PassMemo` scope for the circuit and its root, the
+    completion's route, as :func:`_route` gives it, is left in the memo's
+    ``routes`` for :func:`robustness`: every chosen element has a positive
+    value, so its prime is the one prime true under the evidence and the
+    completion.
     """
     _check_evidence(circuit, evidence)
     nodes, cone, root = circuit.nodes, circuit.cone(), circuit.root
@@ -418,8 +450,9 @@ def map_query(
             assignment[node.var] = node.polarity
         elif node.kind == TRUE and node.var not in evidence:
             assignment[node.var] = choice[nid] == 0
-    if _route is not None:
-        _route.extend(found)
+    memo = _open_memo(circuit)
+    if memo is not None:
+        memo.routes[memo.pack(assignment)] = found
     return values[root], assignment
 
 
@@ -433,8 +466,6 @@ def _credal_sweep(
     evidence: Mapping[int, bool],
     ids: Sequence[int],
     sense: int,
-    *,
-    _memo: _PassMemo | None = None,
 ) -> list[float]:
     """Evidence value of each node of ``ids``, children first; nodes outside
     read 0.0.  Under a complete assignment its route gives the cone's values:
@@ -442,10 +473,7 @@ def _credal_sweep(
     values = [0.0] * len(circuit.nodes)
     table = params.table
     opt = _min_fast if sense == MIN else _max_fast
-    memo = None
-    if _memo is not None:
-        memo, masks = _memo.entries(circuit, params, ("sweep", sense))
-        ev = _memo.pack(evidence)
+    memo, masks, ev = _reuse(circuit, params, ("sweep", sense), evidence)
     for nid in ids:
         node = circuit.nodes[nid]
         if node.kind == LITERAL:
@@ -566,28 +594,22 @@ class EvidenceSession:
     :func:`conditional_sign`, :func:`lower_conditional` and
     :func:`upper_conditional`; a call whose circuit, root, params or
     evidence differ from the session's raises :class:`InferenceError`.
-    A private ``_memo`` for (circuit, params) serves its sweeps and its
-    untraced sign tests across sessions; the session packs the evidence
-    once for its sign tests.
+    A session built under a :class:`_PassMemo` scope for (circuit, params)
+    keeps that memo for its untraced sign tests, also after the scope
+    closes, and packs the evidence once for them; its sweeps find the
+    scope themselves.
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        params: CsddParams,
-        evidence: Mapping[int, bool],
-        *,
-        _memo: _PassMemo | None = None,
-    ) -> None:
+    def __init__(self, circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> None:
         _check_evidence(circuit, evidence)
         self.circuit = circuit
         self.params = params
         self.evidence = dict(evidence)
         self.root = circuit.root
-        self._memo = _memo
-        self.low, self.up = (_credal_sweep(circuit, params, self.evidence, circuit.cone(), sense,
-                                           _memo=_memo) for sense in (MIN, MAX))
-        self._key = None if _memo is None else _memo.pack(self.evidence)
+        self._memo = _open_memo(circuit, params)
+        self.low, self.up = (_credal_sweep(circuit, params, self.evidence, circuit.cone(), sense)
+                             for sense in (MIN, MAX))
+        self._key = None if self._memo is None else self._memo.pack(self.evidence)
         upper = self.up[self.root]
         if upper <= 0.0 and not is_consistent(circuit, evidence):
             raise InferenceError("evidence violates circuit constraints")
@@ -620,7 +642,7 @@ class EvidenceSession:
         starts: list[tuple[int, int]] = []  # sibling values the trace must pin
         memo = None
         if trace is None and self._memo is not None:  # a trace needs every node's points
-            memo, masks = self._memo.entries(self.circuit, self.params, ("sign", var, val, mu))
+            memo, masks = self._memo.passes.setdefault(("sign", var, val, mu), {}), self._memo.masks
             ev = self._key
         for nid, kind, sides in _sign_plan(self.circuit, var):
             if kind == DECISION:
@@ -849,17 +871,12 @@ def _credal_map(
     circuit: Circuit,
     params: CsddParams,
     evidence: Mapping[int, bool],
-    *,
-    _memo: _PassMemo | None = None,
 ) -> _Ties:
     """Upper completion bounds M(n), tied in element order and true state first."""
     cm = _Ties(len(circuit.nodes))
     values, tied, counts = cm.values, cm.tied, cm.counts
     table = params.table
-    memo = None
-    if _memo is not None:
-        memo, masks = _memo.entries(circuit, params, ("credal_map",))
-        ev = _memo.pack(evidence)
+    memo, masks, ev = _reuse(circuit, params, ("credal_map",), evidence)
     for nid in circuit.cone():
         node = circuit.nodes[nid]
         if node.kind == FALSE:
@@ -980,9 +997,6 @@ def robustness(
     evidence: Mapping[int, bool],
     xstar: Mapping[int, bool],
     want_certificate: bool = True,
-    *,
-    _memo: _PassMemo | None = None,
-    _xstar_route: Sequence | None = None,
 ) -> RobustnessVerdict:
     """Is ``xstar`` the most probable completion for every compatible table?
 
@@ -993,16 +1007,15 @@ def robustness(
     an upper bound otherwise (robust verdicts are certain, non-robust ones
     may be conservative).  The verdict is robust when only ``xstar``
     attains V = 1, weakly robust when the maximum is tied, and not robust
-    otherwise (including inconsistent ``xstar``).  A private ``_memo`` for
-    (circuit, params) serves the credal MAP pass and the route's sweeps,
-    whose values are the cone's.  The private ``_xstar_route``, what
-    :func:`_route` would return (as :func:`map_query` hands it out), saves
-    the truth pass.
+    otherwise (including inconsistent ``xstar``).  Under a
+    :class:`_PassMemo` scope for (circuit, params) the credal MAP pass and
+    the route's sweeps, whose values are the cone's, reuse the memo's
+    entries; under a scope for the circuit and its root, the route
+    :func:`map_query` left for this completion is popped and saves the
+    truth pass.
     """
     _check_evidence(circuit, evidence)
     _check_evidence(circuit, xstar)
-    if _memo is not None:
-        _memo.check(circuit, params)
     total = dict(evidence)
     for var, val in xstar.items():
         if var in evidence:
@@ -1010,13 +1023,14 @@ def robustness(
         total[var] = bool(val)
     if len(total) != circuit.vtree.var_count:
         raise InferenceError("evidence and completion must cover all variables")
-    found = _route(circuit, total) if _xstar_route is None else _xstar_route
+    memo = _open_memo(circuit)  # map_query may have left xstar's route there
+    found = (memo and memo.routes.pop(memo.pack(total), None)) or _route(circuit, total)
     if found is None:
         return RobustnessVerdict(1.0, NOT_ROBUST, (), InferenceTrace() if want_certificate else None,
                                  ExactnessCertificate(EXACT) if want_certificate else None)
     realized, route = found
-    cm = _credal_map(circuit, params, evidence, _memo=_memo)
-    low_xe = _credal_sweep(circuit, params, total, route, MIN, _memo=_memo)
+    cm = _credal_map(circuit, params, evidence)
+    low_xe = _credal_sweep(circuit, params, total, route, MIN)
     table = params.table
     nodes, root = circuit.nodes, circuit.root
 
@@ -1087,7 +1101,7 @@ def robustness(
                     map_starts += node.elements[opt]
                     sweep_starts += ((child, MIN) for child in node.elements[j])
         _mark_map(trace, circuit, params, cm, evidence, map_starts)
-        up_xe = _credal_sweep(circuit, params, total, route, MAX, _memo=_memo)
+        up_xe = _credal_sweep(circuit, params, total, route, MAX)
         _mark_sweeps(trace, circuit, params, total, route, low_xe, up_xe, sweep_starts)
         certificate = exactness_certificate(trace, circuit.connectivity())
 

@@ -16,10 +16,8 @@ from csdd.credal import (
     IntervalCredalSet,
     _max_fast,
     _min_fast,
+    _max_ratio_vertex,
     enumerate_vertices,
-    max_ratio,
-    maximize_linear,
-    minimize_linear,
     normalize_reachable,
 )
 from csdd.params import SUM_TOL, CsddParams, check_local
@@ -91,37 +89,43 @@ class TestNormalizeReachable:
             assert math.fsum(vertex.point) == pytest.approx(1.0, abs=1e-9)
 
 
+def _is_vertex(cs: IntervalCredalSet, point) -> bool:
+    return any(all(abs(a - b) <= 1e-9 for a, b in zip(v.point, point))
+               for v in enumerate_vertices(cs))
+
+
 class TestLinearPrograms:
     def test_example_root_minimum(self):
-        value, vertex = minimize_linear(EXAMPLE_ROOT, (12 / 32, 0.0, 0.0))
+        value, point = _min_fast(EXAMPLE_ROOT, (12 / 32, 0.0, 0.0))
         assert value == pytest.approx(12 / 32 * 31 / 101, abs=1e-15)
-        assert vertex.point[0] == pytest.approx(31 / 101, abs=0)
+        assert point[0] == pytest.approx(31 / 101, abs=0)
 
     def test_example_root_maximum(self):
-        value, _ = maximize_linear(EXAMPLE_ROOT, (1.0, 0.0, 0.0))
+        value, _ = _max_fast(EXAMPLE_ROOT, (1.0, 0.0, 0.0))
         assert value == pytest.approx(32 / 101, abs=1e-15)
 
     def test_point_set(self):
         cs = IntervalCredalSet.point((0.2, 0.5, 0.3))
         coeffs = (3.0, -1.0, 2.0)
         expected = 0.2 * 3 - 0.5 + 0.3 * 2
-        assert minimize_linear(cs, coeffs)[0] == pytest.approx(expected, abs=1e-12)
-        assert maximize_linear(cs, coeffs)[0] == pytest.approx(expected, abs=1e-12)
+        assert _min_fast(cs, coeffs)[0] == pytest.approx(expected, abs=1e-12)
+        assert _max_fast(cs, coeffs)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_greedy_matches_vertex_enumeration(self):
         rng = Random(42)
         for _ in range(1000):
             cs = random_reachable(rng, rng.randint(2, 4))
             coeffs = tuple(rng.uniform(-2, 2) for _ in range(cs.k))
-            lo, lo_vertex = minimize_linear(cs, coeffs)
-            hi, _ = maximize_linear(cs, coeffs)
+            lo, lo_point = _min_fast(cs, coeffs)
+            hi, hi_point = _max_fast(cs, coeffs)
             values = [
                 math.fsum(c * x for c, x in zip(coeffs, v.point))
                 for v in enumerate_vertices(cs)
             ]
             assert lo == pytest.approx(min(values), abs=1e-12)
             assert hi == pytest.approx(max(values), abs=1e-12)
-            assert lo_vertex.index is not None
+            # each optimizer is one of the listed extreme points
+            assert _is_vertex(cs, lo_point) and _is_vertex(cs, hi_point)
 
     def test_duality(self):
         rng = Random(5)
@@ -129,9 +133,7 @@ class TestLinearPrograms:
             cs = random_reachable(rng, rng.randint(2, 5))
             coeffs = tuple(rng.uniform(-1, 1) for _ in range(cs.k))
             neg = tuple(-c for c in coeffs)
-            assert maximize_linear(cs, coeffs)[0] == pytest.approx(
-                -minimize_linear(cs, neg)[0], abs=1e-12
-            )
+            assert _max_fast(cs, coeffs)[0] == pytest.approx(-_min_fast(cs, neg)[0], abs=1e-12)
 
     def test_monotone_in_interval_width(self):
         rng = Random(9)
@@ -142,8 +144,8 @@ class TestLinearPrograms:
                 tuple(min(1.0, u + 0.05) for u in cs.upper),
             )
             coeffs = tuple(rng.uniform(-1, 1) for _ in range(3))
-            assert minimize_linear(wider, coeffs)[0] <= minimize_linear(cs, coeffs)[0] + 1e-12
-            assert maximize_linear(wider, coeffs)[0] >= maximize_linear(cs, coeffs)[0] - 1e-12
+            assert _min_fast(wider, coeffs)[0] <= _min_fast(cs, coeffs)[0] + 1e-12
+            assert _max_fast(wider, coeffs)[0] >= _max_fast(cs, coeffs)[0] - 1e-12
 
 
 def _outcome(fn, *args):
@@ -153,7 +155,7 @@ def _outcome(fn, *args):
         value, point = fn(*args)
     except (OverflowError, ValueError) as exc:
         return type(exc).__name__
-    return repr((value, tuple(point.point if hasattr(point, "point") else point)))
+    return repr((value, tuple(point)))
 
 
 def _slack_set(rng: Random, k: int) -> IntervalCredalSet:
@@ -179,14 +181,10 @@ class TestClosedForm:
     @staticmethod
     def _check(cs, coeffs):
         coeffs = tuple(coeffs)
-        for maximize, fast, public in (
-            (False, _min_fast, minimize_linear),
-            (True, _max_fast, maximize_linear),
-        ):
+        for maximize, fast in ((False, _min_fast), (True, _max_fast)):
             want = _outcome(greedy_reference, cs, coeffs, maximize)
             assert _outcome(fast, cs, coeffs) == want, (cs, coeffs, maximize)
             assert _outcome(fast, cs, list(coeffs)) == want, (cs, coeffs, maximize)
-            assert _outcome(public, cs, coeffs) == want, (cs, coeffs, maximize)
 
     def test_random_sets(self):
         rng = Random(1101)
@@ -267,16 +265,16 @@ class TestVertices:
 class TestMaxRatio:
     def test_point_set(self):
         cs = IntervalCredalSet.point((0.2, 0.5, 0.3))
-        assert max_ratio(cs, 0, 1, 2.0) == pytest.approx(2.0 * 0.2 / 0.5, abs=1e-12)
+        assert _max_ratio_vertex(cs, 0, 1, 2.0)[0] == pytest.approx(2.0 * 0.2 / 0.5, abs=1e-12)
 
     def test_two_state_interval(self):
         cs = IntervalCredalSet((0.3, 0.3), (0.7, 0.7))
-        assert max_ratio(cs, 0, 1) == pytest.approx(0.7 / 0.3, abs=1e-12)
+        assert _max_ratio_vertex(cs, 0, 1)[0] == pytest.approx(0.7 / 0.3, abs=1e-12)
 
     def test_zero_denominator_rejected(self):
         cs = IntervalCredalSet((0.0, 0.0), (1.0, 1.0))
         with pytest.raises(CredalSetError):
-            max_ratio(cs, 0, 1)
+            _max_ratio_vertex(cs, 0, 1)
 
     def test_matches_vertex_scan(self):
         rng = Random(23)
@@ -287,7 +285,10 @@ class TestMaxRatio:
             if cs.lower[j] <= 0:
                 continue
             scan = max(v.point[i] / v.point[j] for v in enumerate_vertices(cs))
-            assert max_ratio(cs, i, j) == pytest.approx(scan, rel=1e-9)
+            value, point = _max_ratio_vertex(cs, i, j)
+            assert value == pytest.approx(scan, rel=1e-9)
+            # the optimizer is a member of the set that attains the ratio
+            assert cs.contains(point) and point[i] / point[j] == pytest.approx(value, rel=1e-9)
 
     def test_matches_grid_search(self):
         # dense grid over the 3-state simplex slice inside the box
@@ -303,7 +304,7 @@ class TestMaxRatio:
             for b in range(steps + 1):
                 t1 = t1_lo + (t1_hi - t1_lo) * b / steps
                 best = max(best, t0 / t1)
-        assert max_ratio(cs, 0, 1) == pytest.approx(best, abs=1e-3)
+        assert _max_ratio_vertex(cs, 0, 1)[0] == pytest.approx(best, abs=1e-3)
 
 
 class TestValidation:

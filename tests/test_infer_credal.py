@@ -1,10 +1,14 @@
 """Interval-valued inference: evidence bounds, conditionals, completions,
 robustness, certificates and the brute-force refinement."""
 
+import ast
 import json
 import math
 import sys
+import threading
+from contextlib import nullcontext
 from itertools import product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -60,6 +64,7 @@ from csdd.infer import (
     _find_crossing,
     _mark_map,
     _mark_sweeps,
+    _open_memo,
     _route,
     _sign_plan,
 )
@@ -1103,8 +1108,9 @@ def _repeating_evidence(rng: Random, circuit: Circuit, length: int) -> list[dict
 
 
 class TestPassMemo:
-    """Credal passes given a ``_PassMemo`` answer bit for bit as without one,
-    and the memo holds one entry per distinct (node, evidence under the node)."""
+    """Credal passes under a ``_PassMemo`` scope answer bit for bit as without
+    one, the memo holds one entry per distinct (node, evidence under the
+    node), and no call on another circuit, root or table consults it."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -1121,23 +1127,29 @@ class TestPassMemo:
             free = [v for v in range(1, vtree.var_count + 1) if v not in evidence]
             for sense in (MIN, MAX):
                 want = _credal_sweep(circuit, csdd, evidence, cone, sense)
-                got = _credal_sweep(circuit, csdd, evidence, cone, sense, _memo=credal_memo)
+                with credal_memo:
+                    got = _credal_sweep(circuit, csdd, evidence, cone, sense)
                 assert repr(got) == repr(want)
-            _credal_sweep(circuit, csdd, evidence, cone, MIN, _memo=sweep_memo)
+            with sweep_memo:
+                _credal_sweep(circuit, csdd, evidence, cone, MIN)
             for nid in cone:
                 node = nodes[nid]
                 if node.kind == DECISION or node.kind == TRUE and node.var in evidence:
                     under = vtree.vars_under(node.vtree)
                     met.add((nid, frozenset((v, evidence[v]) for v in under if v in evidence)))
             want = _credal_map(circuit, csdd, evidence)
-            got = _credal_map(circuit, csdd, evidence, _memo=credal_memo)
+            with credal_memo:
+                got = _credal_map(circuit, csdd, evidence)
             assert repr((got.values, got.tied, got.counts)) == repr(
                 (want.values, want.tied, want.counts)
             )
 
             plain = EvidenceSession(circuit, csdd, evidence)
-            memoized = EvidenceSession(circuit, csdd, evidence, _memo=credal_memo)
-            assert memoized._key == credal_memo.pack(evidence)  # packed once, for the sign tests
+            with credal_memo:
+                memoized = EvidenceSession(circuit, csdd, evidence)
+            # bound when built and packed once, for the sign tests run after the scope
+            assert memoized._memo is credal_memo
+            assert memoized._key == credal_memo.pack(evidence)
             for var, val, mu in product(free, (True, False), (0.0, 0.25, 0.5, 0.9)):
                 want = plain._sign_test(var, val, mu)
                 assert repr(memoized._sign_test(var, val, mu)) == repr(want)
@@ -1156,44 +1168,113 @@ class TestPassMemo:
                       {v: bool(rng.getrandbits(1)) for v in free})
             for xstar, certify in product(xstars, (False, True)):
                 want = robustness(circuit, csdd, evidence, xstar, certify)
-                got = robustness(circuit, csdd, evidence, xstar, certify, _memo=credal_memo)
+                with credal_memo:
+                    got = robustness(circuit, csdd, evidence, xstar, certify)
                 if certify:
                     assert (got.certificate, got.trace.uses) == (want.certificate, want.trace.uses)
                 else:
                     assert repr(got) == repr(want)
-        assert sum(map(len, sweep_memo._passes.values())) == len(met)
+        assert sum(map(len, sweep_memo.passes.values())) == len(met)
 
     def test_memo_is_refused_elsewhere(self):
         rng = Random(3)
         circuit = random_circuit(rng, 5, singly=False)
-        csdd = random_csdd_params(rng, circuit, 0.3)
+        csdd, psdd = random_csdd_params(rng, circuit, 0.3), random_psdd_params(rng, circuit)
         memo = _PassMemo(circuit, csdd)
-        xstar = map_query(circuit, random_psdd_params(rng, circuit), {})[1]
+        xstar = map_query(circuit, psdd, {})[1]
+        evidence = {1: xstar[1]}
+        free = [v for v in xstar if v not in evidence]
 
-        def calls(circuit, csdd):
-            return [
-                lambda: _credal_sweep(circuit, csdd, {}, circuit.cone(), MIN, _memo=memo),
-                lambda: _credal_map(circuit, csdd, {}, _memo=memo),
-                lambda: EvidenceSession(circuit, csdd, {}, _memo=memo),
-                lambda: robustness(circuit, csdd, {}, xstar, _memo=memo),
-            ]
+        def answers(circuit, csdd):
+            session = EvidenceSession(circuit, csdd, evidence)
+            under = circuit.vtree.vars_under(circuit.nodes[circuit.root].vtree)
+            cm = _credal_map(circuit, csdd, evidence)
+            completion = map_query(circuit, psdd, evidence)
+            verdict = robustness(circuit, csdd, evidence, {v: xstar[v] for v in free})
+            return repr((
+                _credal_sweep(circuit, csdd, evidence, circuit.cone(), MIN),
+                (cm.values, cm.tied, cm.counts),
+                [session._sign_test(var, True, 0.5) for var in free if var in under],
+                completion,
+                (verdict.value, verdict.label, verdict.attaining, verdict.certificate,
+                 verdict.trace.uses),
+            ))
 
-        def refused(calls):
-            for call in calls:
-                with pytest.raises(InferenceError, match="another circuit, root or table"):
-                    call()
+        def scoped(circuit, csdd, truth_passes):
+            """Answers under the memo equal the one-shot ones, with this many
+            ``_route`` calls; the memo keeps no route."""
+            want = answers(circuit, csdd)
+            calls = []
+            with memo, pytest.MonkeyPatch.context() as mp:
+                mp.setattr(infer, "_route", lambda *args: calls.append(1) or _route(*args))
+                assert answers(circuit, csdd) == want
+            assert len(calls) == truth_passes and memo.routes == {}
 
-        # equal tables and an equal circuit, but other objects
-        refused(calls(circuit, CsddParams(dict(csdd.table))))
-        refused(calls(circuit.extract(circuit.root), csdd))
+        # equal tables and an equal circuit, but other objects: no entry is
+        # made; a route depends on the circuit and its root alone, so another
+        # table still takes the one map_query left
+        scoped(circuit, CsddParams(dict(csdd.table)), 0)
+        assert memo.passes == {}
+        scoped(circuit.extract(circuit.root), csdd, 1)
+        assert memo.passes == {}
         root = circuit.root
         circuit.set_root(max(nid for nid in circuit.parameterized_ids() if nid != root))
         try:
-            refused(calls(circuit, csdd))
+            scoped(circuit, csdd, 1)
         finally:
             circuit.set_root(root)
-        for call in calls(circuit, csdd):
-            call()  # the memo's own circuit, root and table
+        assert memo.passes == {}
+        # the memo's own circuit, root and table
+        scoped(circuit, csdd, 0)
+        assert memo.passes
+
+    def test_scopes_nest_and_unwind(self):
+        rng = Random(5)
+        circuit = random_circuit(rng, 4, singly=False)
+        csdd = random_csdd_params(rng, circuit, 0.3)
+        outer, inner = _PassMemo(circuit, csdd), _PassMemo(circuit, csdd)
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(_open_memo(circuit, csdd)))
+        assert _open_memo(circuit, csdd) is None
+        with outer as opened:
+            assert opened is outer and _open_memo(circuit, csdd) is outer
+            with inner:
+                assert _open_memo(circuit, csdd) is inner
+                lower_marginal(circuit, csdd, {1: True})
+            assert _open_memo(circuit, csdd) is outer
+            with pytest.raises(RuntimeError, match="inside"):
+                with inner:
+                    raise RuntimeError("inside")
+            assert _open_memo(circuit, csdd) is outer
+            with outer:  # an open memo may open again
+                assert _open_memo(circuit, csdd) is outer
+            assert _open_memo(circuit, csdd) is outer
+            thread.start()
+            thread.join()
+            lower_marginal(circuit, csdd, {2: False})
+        assert _open_memo(circuit, csdd) is None
+        assert seen == [None]  # another thread does not see this thread's memo
+        # each memo holds the entries of the pass run while it was innermost
+        assert all(hit[1] == inner.pack({1: True}) & inner.masks[hit[0]]
+                   for entries in inner.passes.values() for hit in entries)
+        assert all(hit[1] == outer.pack({2: False}) & outer.masks[hit[0]]
+                   for entries in outer.passes.values() for hit in entries)
+        assert inner.passes and outer.passes
+
+
+class TestNoPrivateParameters:
+    def test_no_parameter_name_starts_with_underscore(self):
+        """What a caller may pass is public: batch state travels in a scope."""
+        found = []
+        for path in sorted((Path(infer.__file__).parent).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    args = node.args
+                    params = args.posonlyargs + args.args + args.kwonlyargs
+                    params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                    found += [f"{path.name}:{node.lineno} {a.arg}"
+                              for a in params if a.arg.startswith("_")]
+        assert found == []
 
 
 def _sign_test_reference(session: EvidenceSession, var: int, val: bool, mu: float, trace=None):
@@ -1267,16 +1348,16 @@ class TestEvidenceFactsOnce:
             evidence = {v: bool(rng.getrandbits(1)) for v in range(1, n + 1) if rng.random() < 0.5}
             consistent = is_consistent(circuit, evidence)
             upper = upper_marginal(circuit, csdd, evidence)
-            for memo in (None, _PassMemo(circuit, csdd)):
+            for scope in (nullcontext(), _PassMemo(circuit, csdd)):
                 truth_passes.clear()
-                with pytest.MonkeyPatch.context() as mp:
+                with scope, pytest.MonkeyPatch.context() as mp:
                     mp.setattr(infer, "is_consistent", counted)
                     if consistent:
-                        session = EvidenceSession(circuit, csdd, evidence, _memo=memo)
+                        session = EvidenceSession(circuit, csdd, evidence)
                         assert session.up[circuit.root] == upper
                     else:
                         with pytest.raises(InferenceError) as raised:
-                            EvidenceSession(circuit, csdd, evidence, _memo=memo)
+                            EvidenceSession(circuit, csdd, evidence)
                         assert str(raised.value) == "evidence violates circuit constraints"
                 # a positive upper probability already proves consistency
                 assert truth_passes == ([evidence] if upper <= 0.0 else [])
@@ -1297,22 +1378,34 @@ class TestEvidenceFactsOnce:
         rng = Random(seed)
         circuit = random_circuit(rng, rng.randint(3, 6), singly=bool(rng.getrandbits(1)))
         csdd, psdd = random_csdd_params(rng, circuit, 0.3), random_psdd_params(rng, circuit)
-        credal_memo = _PassMemo(circuit, csdd)
+        # a memo for another table object still carries the routes, not the passes
+        credal_memo, route_memo = _PassMemo(circuit, csdd), _PassMemo(circuit, CsddParams(dict(csdd.table)))
+        truth_passes = []
 
-        def no_truth_pass(*args):
-            raise AssertionError("robustness ran a truth pass although handed the route")
+        def counted(*args):
+            truth_passes.append(1)
+            return _route(*args)
 
         for evidence in _repeating_evidence(rng, circuit, 8):
-            handed = []
-            _, completion = map_query(circuit, psdd, evidence, _route=handed)
+            _, completion = map_query(circuit, psdd, evidence)
             xstar = {v: b for v, b in completion.items() if v not in evidence}
-            assert tuple(handed) == _route(circuit, completion)
-            for certify, memo in product((False, True), (None, credal_memo)):
+            other = {v: bool(rng.getrandbits(1)) for v in xstar}
+            for certify, memo in product((False, True), (credal_memo, route_memo)):
+                key = memo.pack(completion)
+                with memo, pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(infer, "_route", counted)
+                    assert map_query(circuit, psdd, evidence)[1] == completion
+                    assert memo.routes[key] == _route(circuit, completion)
+                    truth_passes.clear()
+                    got = robustness(circuit, csdd, evidence, xstar, certify)
+                    assert truth_passes == [] and key not in memo.routes  # popped, no truth pass
+                    map_query(circuit, psdd, evidence)
+                    # any other completion runs its truth pass and answers as one-shot
+                    other_got = robustness(circuit, csdd, evidence, other, False)
+                    assert truth_passes == ([] if other == xstar else [1])
+                    memo.routes.clear()
+                assert repr(other_got) == repr(robustness(circuit, csdd, evidence, other, False))
                 want = robustness(circuit, csdd, evidence, xstar, certify)
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(infer, "_route", no_truth_pass)
-                    got = robustness(circuit, csdd, evidence, xstar, certify,
-                                     _memo=memo, _xstar_route=handed)
                 if certify:
                     assert repr((got.value, got.label, got.attaining, got.certificate)) == repr(
                         (want.value, want.label, want.attaining, want.certificate))
@@ -1330,7 +1423,8 @@ class TestEvidenceFactsOnce:
         n = circuit.vtree.var_count
         for evidence in _repeating_evidence(rng, circuit, 6):
             plain = EvidenceSession(circuit, csdd, evidence)
-            memoized = EvidenceSession(circuit, csdd, evidence, _memo=memo)
+            with memo:
+                memoized = EvidenceSession(circuit, csdd, evidence)
             free = [v for v in range(1, n + 1) if v not in evidence]
             for var, val, mu in product(free, (True, False), (0.0, 0.3, 0.5, 1.0)):
                 want, sigma = _sign_test_reference(plain, var, val, mu)
@@ -1355,8 +1449,10 @@ class TestEvidenceFactsOnce:
                 assert memos[1].pack(evidence) == memos[0].pack(evidence)
                 free = [v for v in range(1, n + 1) if v not in evidence]
                 for k in (round_ % 2, 1 - round_ % 2):
-                    plain = EvidenceSession(circuit, tables[k], evidence)
-                    shared = EvidenceSession(circuit, tables[k], evidence, _memo=memos[k])
+                    with memos[1 - k]:  # the other table's memo is not consulted
+                        plain = EvidenceSession(circuit, tables[k], evidence)
+                    with memos[k]:
+                        shared = EvidenceSession(circuit, tables[k], evidence)
                     for var, val in product(free, (True, False)):
                         assert repr(shared._sign_test(var, val, 0.5)) == repr(
                             _sign_test_reference(plain, var, val, 0.5)[0])
@@ -1390,10 +1486,10 @@ class TestValueSweeps:
         for evidence in _repeating_evidence(rng, circuit, 4):
             free = [v for v in range(1, n + 1) if v not in evidence]
             var = rng.choice(free)
+            with memo:
+                memoized = EvidenceSession(circuit, csdd, evidence)
             for session, val, upper in product(
-                (EvidenceSession(circuit, csdd, evidence),
-                 EvidenceSession(circuit, csdd, evidence, _memo=memo)),
-                (True, False), (False, True),
+                (EvidenceSession(circuit, csdd, evidence), memoized), (True, False), (False, True)
             ):
                 query = upper_conditional if upper else lower_conditional
                 got = query(circuit, csdd, var, val, evidence, session=session)
@@ -1406,8 +1502,9 @@ class TestValueSweeps:
                 assert got.certificate == exactness_certificate(want, report)
             completion = map_query(circuit, psdd, evidence)[1]
             xstars = ({v: completion[v] for v in free}, {v: bool(rng.getrandbits(1)) for v in free})
-            for xstar, with_memo in product(xstars, (None, memo)):
-                got = robustness(circuit, csdd, evidence, xstar, _memo=with_memo)
+            for xstar, scope in product(xstars, (nullcontext(), memo)):
+                with scope:
+                    got = robustness(circuit, csdd, evidence, xstar)
                 want = attaining_reference(circuit, csdd, evidence, xstar)
                 assert repr((got.value, got.certificate, sorted(got.trace.uses.items()))) == repr(
                     (want.value, want.certificate, sorted(want.trace.uses.items())))
@@ -1427,8 +1524,10 @@ class TestValueSweeps:
             for sense in (MIN, MAX):
                 want = _credal_sweep(circuit, csdd, total, cone, sense)
                 # memo entries of route, cone and partial-evidence sweeps mix
-                for ids, with_memo in product((route, cone), (None, memo)):
-                    got = _credal_sweep(circuit, csdd, total, ids, sense, _memo=with_memo)
+                for ids, scope in product((route, cone), (nullcontext(), memo)):
+                    with scope:
+                        got = _credal_sweep(circuit, csdd, total, ids, sense)
                     assert repr([got[nid] for nid in ids]) == repr([want[nid] for nid in ids])
-                assert repr(_credal_sweep(circuit, csdd, partial, cone, sense, _memo=memo)) == repr(
-                    _credal_sweep(circuit, csdd, partial, cone, sense))
+                with memo:
+                    got = _credal_sweep(circuit, csdd, partial, cone, sense)
+                assert repr(got) == repr(_credal_sweep(circuit, csdd, partial, cone, sense))

@@ -12,6 +12,7 @@ from csdd.circuit import DECISION, LITERAL, TRUE, Vtree, Circuit, enumerate_mode
 from csdd.formats import dumps_psdd, loads_psdd
 from csdd.infer import (
     InferenceError,
+    _PassMemo,
     _point_pass,
     _route,
     _spine_marginal,
@@ -242,7 +243,7 @@ def _two_element_ties(circuit: Circuit, params: PsddParams) -> int:
 class TestMapQueryReference:
     """``map_query`` answers as the generic-loop MAP pass with its own
     backtrack: the same value and assignment, keys in the same order, and
-    the route it hands out is ``_route``'s for that assignment."""
+    the route it leaves in an open memo is ``_route``'s for that assignment."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -264,10 +265,10 @@ class TestMapQueryReference:
                 with pytest.raises(InferenceError, match="zero probability"):
                     map_query(circuit, params, evidence)
                 continue
-            handed = []
-            got = map_query(circuit, params, evidence, _route=handed)
+            with _PassMemo(circuit, params) as memo:
+                got = map_query(circuit, params, evidence)
             assert repr(got) == repr(want)  # a dict's repr lists its keys in order
-            assert tuple(handed) == _route(circuit, want[1])
+            assert memo.routes == {memo.pack(want[1]): _route(circuit, want[1])}
 
     def test_tables_force_ties(self):
         rng = Random(5)
