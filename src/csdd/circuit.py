@@ -690,29 +690,35 @@ class CircuitBuilder:
         return self._terminal(self.vtree.leaf_of(var), 0b10 if polarity else 0b01)
 
     def true_at(self, vid: int) -> int:
-        key = (vid, True)
-        if key in self._constant_memo:
-            return self._constant_memo[key]
-        if self.vtree.is_leaf(vid):
-            nid = self._terminal(vid, 0b11)
-        else:
-            nid = self._decision(
-                vid, [(self.true_at(self.vtree.left(vid)), self.true_at(self.vtree.right(vid)))]
-            )
-        self._constant_memo[key] = nid
-        return nid
+        # vid's subtree is the post-order block of 2 * leaves - 1 nodes ending at its
+        # rank; subtrees made before are skipped whole, the rest made children first
+        vtree, memo, post = self.vtree, self._constant_memo, self.vtree.post_order()
+        if (vid, True) in memo:
+            return memo[vid, True]
+        todo, i = [], self._rank[vid]
+        stop = i - 2 * vtree.mask(vid).bit_count() + 1
+        while i > stop:
+            if (post[i], True) in memo:  # and so has every node below it
+                i -= 2 * vtree.mask(post[i]).bit_count() - 2
+            else:
+                todo.append(post[i])
+            i -= 1
+        for v in reversed(todo):
+            memo[v, True] = self._terminal(v, 0b11) if vtree.is_leaf(v) else self._decision(
+                v, [(memo[vtree.left(v), True], memo[vtree.right(v), True])])
+        return memo[vid, True]
 
     def false_at(self, vid: int) -> int:
-        key = (vid, False)
-        if key in self._constant_memo:
-            return self._constant_memo[key]
-        if self.vtree.is_leaf(vid):
-            nid = self._terminal(vid, 0b00)
-        else:
-            nid = self._decision(
-                vid, [(self.true_at(self.vtree.left(vid)), self.false_at(self.vtree.right(vid)))]
-            )
-        self._constant_memo[key] = nid
+        # down the right spine to a leaf or a node that has its FALSE, making
+        # each left child's TRUE on the way down, then the FALSEs back up; a
+        # leaf's FALSE is its terminal, which _terminal already memoizes
+        vtree, memo, spine, v = self.vtree, self._constant_memo, [], vid
+        while (v, False) not in memo and not vtree.is_leaf(v):
+            spine.append((v, self.true_at(vtree.left(v))))
+            v = vtree.right(v)
+        nid = self._terminal(v, 0b00) if vtree.is_leaf(v) else memo[v, False]
+        for v, prime in reversed(spine):
+            nid = memo[v, False] = self._decision(v, [(prime, nid)])
         return nid
 
     def _decision(self, vid: int, elements: list[tuple[int, int]]) -> int:
@@ -858,24 +864,29 @@ class CircuitBuilder:
         return self._compile(formula)
 
     def _compile(self, formula: Formula) -> int:
-        if isinstance(formula, Const):
-            return self.true_at(self.vtree.root) if formula.value else self.false_at(self.vtree.root)
-        if isinstance(formula, Var):
-            return self.literal(formula.var, True)
-        if isinstance(formula, Not):
-            return self.negate(self._compile(formula.child))
-        if isinstance(formula, (And, Or)):
-            op = "and" if isinstance(formula, And) else "or"
-            if not formula.children:
-                return self._compile(Const(op == "and"))
-            ids = [self._compile(child) for child in formula.children]
-            nodes, rank = self.circuit.nodes, self._rank
-            ids.sort(key=lambda nid: rank[nodes[nid].vtree])
-            acc = ids[0]
-            for nid in ids[1:]:
-                acc = self.apply(acc, nid, op)
-            return acc
-        raise CircuitError(f"unknown formula node {formula!r}")
+        # one fold over the formula's post-order: a node takes its operands off
+        # the stack, so children compile left to right before it, as by recursion
+        root, nodes, rank = self.vtree.root, self.circuit.nodes, self._rank
+        ids: list[int] = []
+        for node in formula.postorder():
+            if isinstance(node, (And, Or)) and node.children:
+                op = "and" if isinstance(node, And) else "or"
+                start = len(ids) - len(node.children)
+                operands = sorted(ids[start:], key=lambda nid: rank[nodes[nid].vtree])
+                nid = operands[0]
+                for other in operands[1:]:
+                    nid = self.apply(nid, other, op)
+                ids[start:] = [nid]
+            elif isinstance(node, Not):
+                ids[-1] = self.negate(ids[-1])
+            elif isinstance(node, Var):
+                ids.append(self.literal(node.var, True))
+            elif isinstance(node, (Const, And, Or)):  # a constant, or an empty And/Or
+                true = node.value if isinstance(node, Const) else isinstance(node, And)
+                ids.append(self.true_at(root) if true else self.false_at(root))
+            else:
+                raise CircuitError(f"unknown formula node {node!r}")
+        return ids[0]
 
     def finish(self, root: int) -> Circuit:
         """Garbage-collect into a fresh circuit holding only the root's cone."""

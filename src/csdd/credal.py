@@ -6,8 +6,7 @@ A credal set here is the polytope of probability mass functions
 program close in O(k log k) with a greedy mass allocation instead of a
 general LP solver; one- and two-state sets close in O(1) by the same
 float operations.  Vertices of the polytope have at most one coordinate
-strictly between its bounds; they are enumerated in a deterministic order
-so optimizers can be compared by index.
+strictly between its bounds; they are enumerated in a deterministic order.
 """
 
 from __future__ import annotations

@@ -31,22 +31,41 @@ class Formula:
     def __invert__(self) -> "Formula":
         return Not(self)
 
+    def postorder(self) -> Iterator["Formula"]:
+        """Every node occurrence, children first and left to right, from an
+        explicit stack that reaches any depth."""
+        stack: list[Formula | None] = [self]  # a None marks the node under it as expanded
+        while stack:
+            node = stack.pop()
+            if node is None:
+                yield stack.pop()
+            elif isinstance(node, Not):
+                stack += (node, None, node.child)
+            elif isinstance(node, (And, Or)):
+                stack += (node, None, *reversed(node.children))
+            else:
+                yield node
+
     def variables(self) -> frozenset[int]:
-        raise NotImplementedError
+        return frozenset(node.var for node in self.postorder() if isinstance(node, Var))
 
     def evaluate(self, assignment: Mapping[int, bool]) -> bool:
-        raise NotImplementedError
+        """Truth under ``assignment``, which must cover every variable."""
+        values: list[bool] = []  # the values of visited nodes awaiting their parent
+        for node in self.postorder():
+            if isinstance(node, (And, Or)):
+                start = len(values) - len(node.children)
+                values[start:] = [(all if isinstance(node, And) else any)(values[start:])]
+            elif isinstance(node, Not):
+                values[-1] = not values[-1]
+            else:
+                values.append(node.value if isinstance(node, Const) else bool(assignment[node.var]))
+        return values[0]
 
 
 @dataclass(frozen=True, slots=True)
 class Const(Formula):
     value: bool
-
-    def variables(self) -> frozenset[int]:
-        return frozenset()
-
-    def evaluate(self, assignment: Mapping[int, bool]) -> bool:
-        return self.value
 
 
 TRUE = Const(True)
@@ -61,44 +80,20 @@ class Var(Formula):
         if self.var < 1:
             raise FormulaError(f"variable ids are positive, got {self.var}")
 
-    def variables(self) -> frozenset[int]:
-        return frozenset((self.var,))
-
-    def evaluate(self, assignment: Mapping[int, bool]) -> bool:
-        return bool(assignment[self.var])
-
 
 @dataclass(frozen=True, slots=True)
 class Not(Formula):
     child: Formula
-
-    def variables(self) -> frozenset[int]:
-        return self.child.variables()
-
-    def evaluate(self, assignment: Mapping[int, bool]) -> bool:
-        return not self.child.evaluate(assignment)
 
 
 @dataclass(frozen=True, slots=True)
 class And(Formula):
     children: tuple[Formula, ...]
 
-    def variables(self) -> frozenset[int]:
-        return frozenset().union(*(c.variables() for c in self.children))
-
-    def evaluate(self, assignment: Mapping[int, bool]) -> bool:
-        return all(c.evaluate(assignment) for c in self.children)
-
 
 @dataclass(frozen=True, slots=True)
 class Or(Formula):
     children: tuple[Formula, ...]
-
-    def variables(self) -> frozenset[int]:
-        return frozenset().union(*(c.variables() for c in self.children))
-
-    def evaluate(self, assignment: Mapping[int, bool]) -> bool:
-        return any(c.evaluate(assignment) for c in self.children)
 
 
 def conj(parts: Iterable[Formula]) -> Formula:
@@ -130,48 +125,40 @@ def parse_formula(text: str) -> Formula:
     """Parse an s-expression formula.
 
     Grammar: ``true`` | ``false`` | ``x<N>`` | ``(not F)`` | ``(and F...)``
-    | ``(or F...)``.  Lines may carry ``;`` comments.
+    | ``(or F...)``, where ``N`` is ASCII digits.  Lines may carry ``;``
+    comments.  Open lists wait on an explicit stack, so any depth parses.
     """
-    tokens = list(_tokenize(text))
-    pos = 0
-
-    def parse() -> Formula:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise FormulaError("unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
+    tokens = _tokenize(text)
+    lists: list[tuple[str, list[Formula]]] = []  # operator and arguments of each open list
+    while True:
+        tok = next(tokens, None)
+        if tok is None:
+            raise FormulaError("missing ')'" if lists else "unexpected end of input")
         if tok == "(":
-            if pos >= len(tokens):
+            op = next(tokens, None)
+            if op is None:
                 raise FormulaError("unexpected end of input after '('")
-            op = tokens[pos]
-            pos += 1
-            args = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                args.append(parse())
-            if pos >= len(tokens):
-                raise FormulaError("missing ')'")
-            pos += 1
-            if op == "not":
-                if len(args) != 1:
-                    raise FormulaError("'not' takes exactly one argument")
-                return Not(args[0])
-            if op == "and":
-                return conj(args)
-            if op == "or":
-                return disj(args)
-            raise FormulaError(f"unknown operator {op!r}")
-        if tok == ")":
+            lists.append((op, []))
+            continue
+        if tok == ")" and lists:
+            op, args = lists.pop()
+            if op == "not" and len(args) != 1:
+                raise FormulaError("'not' takes exactly one argument")
+            if op not in ("not", "and", "or"):
+                raise FormulaError(f"unknown operator {op!r}")
+            node = Not(args[0]) if op == "not" else conj(args) if op == "and" else disj(args)
+        elif tok == ")":
             raise FormulaError("unexpected ')'")
-        if tok == "true":
-            return TRUE
-        if tok == "false":
-            return FALSE
-        if tok.startswith("x") and tok[1:].isdigit():
-            return Var(int(tok[1:]))
-        raise FormulaError(f"unknown token {tok!r}")
-
-    result = parse()
-    if pos != len(tokens):
-        raise FormulaError(f"trailing tokens starting at {tokens[pos]!r}")
-    return result
+        elif tok in ("true", "false"):
+            node = TRUE if tok == "true" else FALSE
+        elif tok.startswith("x") and tok[1:].isascii() and tok[1:].isdigit():
+            node = Var(int(tok[1:]))
+        else:
+            raise FormulaError(f"unknown token {tok!r}")
+        if not lists:
+            break
+        lists[-1][1].append(node)
+    tok = next(tokens, None)
+    if tok is not None:
+        raise FormulaError(f"trailing tokens starting at {tok!r}")
+    return node

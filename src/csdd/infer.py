@@ -830,12 +830,14 @@ def upper_conditional(
     want_certificate: bool = True,
     session: EvidenceSession | None = None,
 ) -> ConditionalResult:
-    """Upper conditional via conjugacy with the complementary lower query."""
+    """Upper conditional via conjugacy with the complementary lower query,
+    whose bracket ``(lo, hi)`` becomes ``(1 - hi, 1 - lo)``."""
     inner = lower_conditional(
         circuit, params, var, not val, evidence, tol, want_certificate, session
     )
+    lo, hi = inner.bracket
     return ConditionalResult(
-        1.0 - inner.value, inner.iterations, inner.bracket, inner.trace, inner.certificate
+        1.0 - inner.value, inner.iterations, (1.0 - hi, 1.0 - lo), inner.trace, inner.certificate
     )
 
 

@@ -19,7 +19,9 @@ two-state checks to be compared against.  The credal MAP and robustness
 passes that carry up to two attaining completions per node as sorted
 tuples are kept for the tie-structure passes to be compared against.
 The compiler's apply without the pair loop's inlined exits is kept for
-the builder to be compared against node for node.
+the builder to be compared against node for node, and so are the
+recursive formula walks, compile loop and constant builders, for the one
+post-order walk and the block-wise constants.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from csdd.credal import (
     normalize_reachable,
 )
 from csdd.formats import _MODE_CSDD, _MODE_PSDD, _MODE_SDD, ParseError, _float, _int
-from csdd.formula import Formula, Var, conj, disj
+from csdd.formula import And, Const, Formula, Not, Or, Var, conj, disj
 from csdd.infer import InferenceError, _check_evidence
 from csdd.params import SUM_TOL, CsddParams, ParamError, PsddParams, check_local
 
@@ -824,6 +826,87 @@ def apply_reference(self, a: int, b: int, op: str) -> int:
         result = self._decision(na.vtree, [(p, s) for s, p in by_sub.items()])
     self._apply_memo[key] = result
     return result
+
+
+# ---------------------------------------------------------------------------
+# the formula walks, compile loop and constant builders before the one
+# post-order walk, verbatim: the per-class overrides as one dispatch each
+
+
+def variables_reference(formula: Formula) -> frozenset[int]:
+    """The per-class ``Formula.variables`` overrides before the walk."""
+    if isinstance(formula, Const):
+        return frozenset()
+    if isinstance(formula, Var):
+        return frozenset((formula.var,))
+    if isinstance(formula, Not):
+        return variables_reference(formula.child)
+    return frozenset().union(*(variables_reference(c) for c in formula.children))
+
+
+def evaluate_reference(formula: Formula, assignment) -> bool:
+    """The per-class ``Formula.evaluate`` overrides before the walk."""
+    if isinstance(formula, Const):
+        return formula.value
+    if isinstance(formula, Var):
+        return bool(assignment[formula.var])
+    if isinstance(formula, Not):
+        return not evaluate_reference(formula.child, assignment)
+    if isinstance(formula, And):
+        return all(evaluate_reference(c, assignment) for c in formula.children)
+    return any(evaluate_reference(c, assignment) for c in formula.children)
+
+
+def compile_reference(self, formula: Formula) -> int:
+    """``CircuitBuilder._compile`` before the post-order fold."""
+    if isinstance(formula, Const):
+        return self.true_at(self.vtree.root) if formula.value else self.false_at(self.vtree.root)
+    if isinstance(formula, Var):
+        return self.literal(formula.var, True)
+    if isinstance(formula, Not):
+        return self.negate(self._compile(formula.child))
+    if isinstance(formula, (And, Or)):
+        op = "and" if isinstance(formula, And) else "or"
+        if not formula.children:
+            return self._compile(Const(op == "and"))
+        ids = [self._compile(child) for child in formula.children]
+        nodes, rank = self.circuit.nodes, self._rank
+        ids.sort(key=lambda nid: rank[nodes[nid].vtree])
+        acc = ids[0]
+        for nid in ids[1:]:
+            acc = self.apply(acc, nid, op)
+        return acc
+    raise CircuitError(f"unknown formula node {formula!r}")
+
+
+def true_at_reference(self, vid: int) -> int:
+    """``CircuitBuilder.true_at`` before the post-order block."""
+    key = (vid, True)
+    if key in self._constant_memo:
+        return self._constant_memo[key]
+    if self.vtree.is_leaf(vid):
+        nid = self._terminal(vid, 0b11)
+    else:
+        nid = self._decision(
+            vid, [(self.true_at(self.vtree.left(vid)), self.true_at(self.vtree.right(vid)))]
+        )
+    self._constant_memo[key] = nid
+    return nid
+
+
+def false_at_reference(self, vid: int) -> int:
+    """``CircuitBuilder.false_at`` before the right-spine walk."""
+    key = (vid, False)
+    if key in self._constant_memo:
+        return self._constant_memo[key]
+    if self.vtree.is_leaf(vid):
+        nid = self._terminal(vid, 0b00)
+    else:
+        nid = self._decision(
+            vid, [(self.true_at(self.vtree.left(vid)), self.false_at(self.vtree.right(vid)))]
+        )
+    self._constant_memo[key] = nid
+    return nid
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Vtree and circuit structure: evaluation, models, connectivity, compile."""
 
+import sys
 import time
 from dataclasses import replace
 from functools import partial
@@ -31,6 +32,7 @@ from csdd.formula import (
     FALSE as F_CONST,
     TRUE as T_CONST,
     And,
+    FormulaError,
     Not,
     Or,
     Var,
@@ -42,9 +44,14 @@ from csdd.formula import (
 from conftest import (
     apply_reference,
     check_partitions,
+    compile_reference,
+    evaluate_reference,
+    false_at_reference,
     random_circuit,
     random_formula,
     random_vtree,
+    true_at_reference,
+    variables_reference,
 )
 
 
@@ -540,6 +547,71 @@ class TestApplyParity:
         assert builder.apply_calls <= 60_000
 
 
+class _RecursiveBuilder(CircuitBuilder):
+    _compile = compile_reference
+    true_at = true_at_reference
+    false_at = false_at_reference
+
+
+@st.composite
+def _formulas(draw, n: int):
+    """Formulas over ``x1..xn`` with constants, negations and And/Or of 0-3 children."""
+    leaves = st.one_of(st.sampled_from([T_CONST, F_CONST]), st.integers(1, n).map(Var))
+    return draw(st.recursive(leaves, lambda kids: st.one_of(
+        kids.map(Not),
+        st.lists(kids, max_size=3).map(lambda c: And(tuple(c))),
+        st.lists(kids, max_size=3).map(lambda c: Or(tuple(c))),
+    ), max_leaves=12))
+
+
+class TestFormulaWalk:
+    """The post-order walk answers what the recursive definitions did."""
+
+    def test_postorder_visits_each_occurrence_children_first(self):
+        a, b = Var(1), Var(2)
+        f = (a & b) | ~a
+        assert list(f.postorder()) == [a, b, And((a, b)), a, Not(a), f]
+        assert list(And(()).postorder()) == [And(())]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_walk_matches_the_recursive_references(self, data):
+        n = data.draw(st.integers(1, 6))
+        formulas = data.draw(st.lists(_formulas(n), min_size=1, max_size=3))
+        for f in formulas:
+            assert f.variables() == variables_reference(f)
+            for values in product((False, True), repeat=n):
+                assignment = dict(enumerate(values, 1))
+                assert f.evaluate(assignment) == evaluate_reference(f, assignment)
+        # the fold and the constants make the same nodes in the same order
+        vtree = random_vtree(Random(data.draw(st.integers(0, 2**32 - 1))), n)
+        builder, roots = TestApplyParity._build(CircuitBuilder, formulas, vtree)
+        reference, reference_roots = TestApplyParity._build(_RecursiveBuilder, formulas, vtree)
+        assert roots == reference_roots
+        assert builder.circuit.nodes == reference.circuit.nodes
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_constants_in_any_order(self, seed):
+        # later calls find some subtrees' constants made, others not
+        rng = Random(seed)
+        vtree = random_vtree(rng, rng.randint(1, 12))
+        calls = [(rng.randrange(vtree.node_count), rng.random() < 0.5) for _ in range(8)]
+        stores = []
+        for cls in (CircuitBuilder, _RecursiveBuilder):
+            builder = cls(vtree)
+            ids = [builder.true_at(v) if true else builder.false_at(v) for v, true in calls]
+            stores.append((ids, builder.circuit.nodes))
+        assert stores[0] == stores[1]
+
+    def test_chain_on_400_variables_matches_the_references(self):
+        vtree = Vtree.right_linear(400)
+        builder, roots = TestApplyParity._build(CircuitBuilder, [_chain(400)], vtree)
+        reference, reference_roots = TestApplyParity._build(_RecursiveBuilder, [_chain(400)], vtree)
+        assert roots == reference_roots
+        assert builder.circuit.nodes == reference.circuit.nodes
+
+
 def _corrupt(circuit: Circuit, nid: int, mode: str, *more: tuple[int, str]) -> Circuit:
     """Copy with decision nodes' partitions broken: ``overlap`` repeats a
     node's first element, ``gap`` drops its last one.  ``more`` holds
@@ -737,9 +809,71 @@ class TestFormulaParser:
         assert parse_formula("true") is T_CONST
         assert parse_formula("false") is F_CONST
 
-    def test_errors(self):
-        from csdd.formula import FormulaError
+    ERRORS = [
+        ("(and x1", "missing ')'"),
+        ("(", "unexpected end of input after '('"),
+        ("", "unexpected end of input"),
+        (")", "unexpected ')'"),
+        ("x1 x2", "trailing tokens starting at 'x2'"),
+        ("(xor x1 x2)", "unknown operator 'xor'"),
+        ("(not x1 x2)", "'not' takes exactly one argument"),
+        ("x0", "variable ids are positive, got 0"),
+        ("y1", "unknown token 'y1'"),
+        ("()", "missing ')'"),
+        ("(())", "unknown operator '('"),
+        ("(x1)", "unknown operator 'x1'"),
+        ("(and x1))", "trailing tokens starting at ')'"),
+        # variable numbers are ASCII digits: no other digit reads as one
+        ("x\u0663", "unknown token 'x\u0663'"),
+        ("x\uff13", "unknown token 'x\uff13'"),
+        ("x\u00b2", "unknown token 'x\u00b2'"),
+    ]
 
-        for bad in ["(and x1", "x0", "(xor x1 x2)", "(not x1 x2)", ")", "x1 x2"]:
-            with pytest.raises(FormulaError):
-                parse_formula(bad)
+    def test_errors(self):
+        for text, message in self.ERRORS:
+            with pytest.raises(FormulaError) as err:
+                parse_formula(text)
+            assert str(err.value) == message, text
+
+
+DEPTH = 5000
+CYCLE = 20  # the deep formulas cycle through x1..x20
+
+
+def _shape(formula) -> list[tuple]:
+    """The walk's node kinds, variables and arities: deep formulas compare
+    this way, since the dataclasses' ``==``, ``hash`` and ``repr`` recurse."""
+    return [(type(node).__name__, getattr(node, "var", None), len(getattr(node, "children", ())))
+            for node in formula.postorder()]
+
+
+def _deep_cases():
+    """(text, the formula built bottom-up, its value with every variable true)."""
+    right, left, negated = Var(1), Var(1), Var(1)
+    for i in range(DEPTH):
+        right = And((Var((DEPTH - 1 - i) % CYCLE + 1), right))
+        left = And((left, Var((i + 1) % CYCLE + 1)))
+        negated = Not(negated)
+    return [
+        ("".join(f"(and x{i % CYCLE + 1} " for i in range(DEPTH)) + "x1" + ")" * DEPTH, right, True),
+        ("(and " * DEPTH + "x1" + "".join(f" x{(i + 1) % CYCLE + 1})" for i in range(DEPTH)),
+         left, True),
+        ("(not " * DEPTH + "x1" + ")" * DEPTH, negated, DEPTH % 2 == 0),
+    ]
+
+
+class TestDeepFormulas:
+    """5,000 levels parse, walk and compile at the default recursion limit."""
+
+    @pytest.mark.parametrize("case", [0, 1, 2], ids=["right-and", "left-and", "not"])
+    def test_parse_walk_and_compile(self, case):
+        assert sys.getrecursionlimit() < DEPTH
+        text, built, value = _deep_cases()[case]
+        formula = parse_formula(text)
+        assert _shape(formula) == _shape(built)
+        assert formula.variables() == (frozenset({1}) if case == 2 else frozenset(range(1, CYCLE + 1)))
+        everything = {var: True for var in range(1, CYCLE + 1)}
+        assert formula.evaluate(everything) is value
+        assert formula.evaluate({**everything, 1: False}) is (not value if case == 2 else False)
+        circuit = compile_formula(formula, Vtree.balanced(CYCLE))
+        assert model_count(circuit) == (2 ** (CYCLE - 1) if case == 2 else 1)

@@ -64,6 +64,12 @@ class TestCompile:
         payload = run_json(capsys, "compile", "--formula", "f.sexp", "--auto", "-o", "f.sdd")
         assert payload["models"] == 3
 
+    def test_formula_nested_5000_deep(self, capsys, workdir):
+        # the parser and the compile loop keep explicit stacks
+        (workdir / "f.sexp").write_text("(not " * 5000 + "x1" + ")" * 5000 + "\n")
+        payload = run_json(capsys, "compile", "--formula", "f.sexp", "--auto", "-o", "f.sdd")
+        assert payload["models"] == 1
+
     def test_unsatisfiable_still_writes(self, capsys, workdir):
         (workdir / "f.sexp").write_text("(and x1 (not x1))\n")
         code, out, err = run(capsys, "compile", "--formula", "f.sexp", "--auto", "-o", "f.sdd")

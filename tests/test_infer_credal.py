@@ -27,6 +27,7 @@ from csdd.circuit import (
     enumerate_models,
     evaluate,
     is_consistent,
+    model_count,
 )
 from csdd.cli import main
 from csdd.credal import IntervalCredalSet, _min_fast, normalize_reachable
@@ -68,8 +69,8 @@ from csdd.infer import (
     _route,
     _sign_plan,
 )
-from csdd.formula import TRUE as T_CONST
-from csdd.learn import Dataset, collect_counts, ml_estimate
+from csdd.formula import TRUE as T_CONST, Var, conj, disj
+from csdd.learn import Dataset, bayes_estimate, collect_counts, idm_estimate, ml_estimate
 from csdd.params import CsddParams, PsddParams
 
 from conftest import (
@@ -269,6 +270,8 @@ class TestConditional:
         evidence = {3: False, 4: True}
         lo = lower_conditional(squares.circuit, squares_idm, 1, True, evidence, tol=1e-7)
         hi = upper_conditional(squares.circuit, squares_idm, 1, True, evidence, tol=1e-7)
+        for res in (lo, hi):  # an upper bracket is the complement's, mirrored
+            assert res.bracket[0] <= res.value <= res.bracket[1]
         for _ in range(50):
             member = _random_member(rng, squares_idm)
             denom = marginal(squares.circuit, member, evidence)
@@ -1077,6 +1080,60 @@ class TestDeepModel:
             assert verdict.attaining == attaining_reference(circuit, params, {}, xstar).attaining
 
 
+CHAIN_VARS = 5000
+
+
+class TestDeepCompiledChain:
+    """The implication chain ``AND(~x_i | x_(i+1))`` compiled on
+    ``Vtree.right_linear(CHAIN_VARS)``: built, learned, written, read and
+    queried at the default recursion limit."""
+
+    def test_build_round_trip_and_query(self, tmp_path):
+        n = CHAIN_VARS
+        assert sys.getrecursionlimit() < n
+        vtree = Vtree.right_linear(n)
+        circuit = compile_formula(conj(disj((~Var(i), Var(i + 1))) for i in range(1, n)), vtree)
+        assert model_count(circuit) == n + 1
+        # rows drawn uniformly over the models 0^j 1^(n-j), as the build
+        # benchmark learns its chains
+        rng = Random(n)
+        tally: dict[int, int] = {}
+        for _ in range(400):
+            j = rng.randint(0, n)
+            tally[j] = tally.get(j, 0) + 1
+        dataset = Dataset(tuple(f"X{v}" for v in range(1, n + 1)),
+                          [(tuple(v > j for v in range(1, n + 1)), k) for j, k in sorted(tally.items())])
+        counts = collect_counts(circuit, dataset)
+        psdd, csdd = bayes_estimate(circuit, counts, 1.0), idm_estimate(circuit, counts, 1.0)
+        # write -> read -> write is byte for byte, in all four formats
+        formats.write_vtree(vtree, tmp_path / "m.vtree")
+        formats.write_sdd(circuit, tmp_path / "m.sdd")
+        formats.write_psdd(circuit, psdd, tmp_path / "m.psdd")
+        formats.write_csdd(circuit, csdd, tmp_path / "m.csdd")
+        vtree = formats.read_vtree(tmp_path / "m.vtree")
+        sdd = formats.read_sdd(tmp_path / "m.sdd", vtree)
+        point = formats.read_psdd(tmp_path / "m.psdd", vtree)
+        circuit, csdd = formats.read_csdd(tmp_path / "m.csdd", vtree)
+        assert formats.dumps_vtree(vtree) == (tmp_path / "m.vtree").read_text(encoding="utf-8")
+        assert formats.dumps_sdd(sdd) == (tmp_path / "m.sdd").read_text(encoding="utf-8")
+        assert formats.dumps_psdd(*point) == (tmp_path / "m.psdd").read_text(encoding="utf-8")
+        assert formats.dumps_csdd(circuit, csdd) == (tmp_path / "m.csdd").read_text(encoding="utf-8")
+        # the Bayes table lies in the IDM set, so its answers sit between the bounds
+        psdd = point[1]
+        for evidence in ({}, {1: False, n: True}, {n // 2: True}):
+            p = marginal(circuit, psdd, evidence)
+            assert p > 0.0
+            low, up = lower_marginal(circuit, csdd, evidence), upper_marginal(circuit, csdd, evidence)
+            assert low * (1 - 1e-9) <= p <= up * (1 + 1e-9)
+        prob, xstar = map_query(circuit, psdd, {})
+        assert prob > 0.0 and len(xstar) == n
+        j = sum(1 for v in range(1, n + 1) if not xstar[v])
+        assert all(xstar[v] == (v > j) for v in range(1, n + 1))  # a model of the chain
+        verdict = robustness(circuit, csdd, {}, xstar)
+        assert verdict.value >= 1.0
+        assert verdict.label in (ROBUST, WEAKLY_ROBUST, NOT_ROBUST)
+
+
 # ROADMAP item 1: the sign test's numerical zero scales with the upper
 # evidence probability while its messages scale with the lower one
 _SCALE_LIMIT = pytest.mark.xfail(
@@ -1275,6 +1332,28 @@ class TestNoPrivateParameters:
                     found += [f"{path.name}:{node.lineno} {a.arg}"
                               for a in params if a.arg.startswith("_")]
         assert found == []
+
+
+class TestNoRecursion:
+    def test_only_apply_and_negate_call_themselves(self):
+        """Formula walks, the parser and the compile loop keep explicit stacks,
+        so depth is bounded only by memory; ``_apply`` and ``negate`` still
+        recurse along the vtree's depth."""
+
+        def self_calls(fn) -> bool:
+            return any(isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == fn.name
+                or isinstance(node.func, ast.Attribute) and node.func.attr == fn.name)
+                for node in ast.walk(fn))
+
+        root = Path(infer.__file__).parent
+        tree = ast.parse((root / "formula.py").read_text(encoding="utf-8"))
+        assert [fn.name for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and self_calls(fn)] == []
+        tree = ast.parse((root / "circuit.py").read_text(encoding="utf-8"))
+        (builder,) = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "CircuitBuilder"]
+        assert [fn.name for fn in builder.body
+                if isinstance(fn, ast.FunctionDef) and self_calls(fn)] == ["negate", "_apply"]
 
 
 def _sign_test_reference(session: EvidenceSession, var: int, val: bool, mu: float, trace=None):
@@ -1493,9 +1572,12 @@ class TestValueSweeps:
             ):
                 query = upper_conditional if upper else lower_conditional
                 got = query(circuit, csdd, var, val, evidence, session=session)
-                # an upper conditional is certified by the complement's lower one
+                # an upper conditional is certified by the complement's lower one,
+                # at that one's own left edge: 1 - (1 - lo) need not round to lo
+                mu = (lower_conditional(circuit, csdd, var, not val, evidence, session=session)
+                      if upper else got).bracket[0]
                 want = InferenceTrace()
-                _, sigma = _sign_test_reference(session, var, val != upper, got.bracket[0], want)
+                _, sigma = _sign_test_reference(session, var, val != upper, mu, want)
                 # per node the same points in the same order; nodes come in walk order
                 assert repr(sorted(got.trace.uses.items())) == repr(sorted(want.uses.items()))
                 assert repr(got.trace.sigma) == repr(sigma)
