@@ -236,6 +236,27 @@ class SddNode:
     elements: tuple[tuple[int, int], ...] = ()
 
 
+# the frozen dataclass's __init__ sets each field by object.__setattr__;
+# the circuit's adders set the slots through their descriptors, at about
+# half the cost, and the node stays as frozen as one SddNode(...) builds
+_SLOT_SETTERS = tuple(
+    getattr(SddNode, name).__set__ for name in ("id", "kind", "vtree", "var", "polarity", "elements")
+)
+
+
+def _new_node(nid, kind, vtree, var=0, polarity=True, elements=()) -> SddNode:
+    """``SddNode(nid, kind, vtree, var, polarity, elements)``, built without its ``__init__``."""
+    set_id, set_kind, set_vtree, set_var, set_polarity, set_elements = _SLOT_SETTERS
+    node = object.__new__(SddNode)
+    set_id(node, nid)
+    set_kind(node, kind)
+    set_vtree(node, vtree)
+    set_var(node, var)
+    set_polarity(node, polarity)
+    set_elements(node, elements)
+    return node
+
+
 @dataclass(frozen=True)
 class ConnectivityReport:
     multiplicity: dict[int, int]
@@ -279,40 +300,47 @@ class Circuit:
             raise CircuitError(f"unknown node id {nid}")
         return self.nodes[nid]
 
-    def _add(self, node: SddNode) -> int:
-        self.nodes.append(node)
-        return node.id
+    def _add(self, kind: int, leaf_vtree: int, var: int, polarity: bool = True) -> int:
+        nodes = self.nodes
+        nid = len(nodes)
+        nodes.append(_new_node(nid, kind, leaf_vtree, var, polarity))
+        return nid
 
     def add_false(self, leaf_vtree: int) -> int:
         self._check_leaf(leaf_vtree)
-        return self._add(SddNode(len(self.nodes), FALSE, leaf_vtree, self.vtree.var(leaf_vtree)))
+        return self._add(FALSE, leaf_vtree, self.vtree.var(leaf_vtree))
 
     def add_true(self, leaf_vtree: int) -> int:
         self._check_leaf(leaf_vtree)
-        return self._add(SddNode(len(self.nodes), TRUE, leaf_vtree, self.vtree.var(leaf_vtree)))
+        return self._add(TRUE, leaf_vtree, self.vtree.var(leaf_vtree))
 
     def add_literal(self, var: int, polarity: bool) -> int:
-        leaf = self.vtree.leaf_of(var)
-        return self._add(SddNode(len(self.nodes), LITERAL, leaf, var, bool(polarity)))
+        return self._add(LITERAL, self.vtree.leaf_of(var), var, bool(polarity))
 
     def _check_leaf(self, vid: int) -> None:
         if not 0 <= vid < self.vtree.node_count or not self.vtree.is_leaf(vid):
             raise CircuitError(f"vtree node {vid} is not a leaf")
 
     def add_decision(self, vtree_id: int, elements: Sequence[tuple[int, int]]) -> int:
-        vtree = self.vtree
-        if vtree.is_leaf(vtree_id):
+        vl = self.vtree._left[vtree_id]  # is_leaf, left and right read the same arrays
+        if vl < 0:
             raise CircuitError(f"vtree node {vtree_id} is a leaf; decision nodes need an internal node")
-        elements = tuple(map(tuple, elements))  # a tuple of pairs passes through as is
+        if type(elements) is not tuple:
+            elements = tuple(map(tuple, elements))
         if not elements:
             raise CircuitError("decision node needs at least one element")
         key = (vtree_id, elements)
-        hit = self._decision_cache.get(key)
+        try:
+            hit = self._decision_cache.get(key)
+        except TypeError:  # a tuple whose pairs are lists
+            elements = tuple(map(tuple, elements))
+            key = (vtree_id, elements)
+            hit = self._decision_cache.get(key)
         if hit is not None:
             return hit
         nodes = self.nodes
         nid = len(nodes)
-        vl, vr = vtree.left(vtree_id), vtree.right(vtree_id)
+        vr = self.vtree._right[vtree_id]
         for p, s in elements:
             if not (0 <= p < nid and 0 <= s < nid):
                 raise CircuitError("element ids must precede their decision node")
@@ -324,7 +352,7 @@ class Circuit:
             if prime.kind == FALSE:
                 raise CircuitError("false primes are not allowed")
         self._decision_cache[key] = nid
-        nodes.append(SddNode(nid, DECISION, vtree_id, elements=elements))
+        nodes.append(_new_node(nid, DECISION, vtree_id, 0, True, elements))
         return nid
 
     @property
@@ -722,7 +750,7 @@ class CircuitBuilder:
         return nid
 
     def _decision(self, vid: int, elements: list[tuple[int, int]]) -> int:
-        elements = sorted(elements)
+        elements = tuple(sorted(elements))
         nid = self.circuit.add_decision(vid, elements)
         if nid not in self._is_false:
             self._is_false[nid] = all(self._is_false[s] for _, s in elements)
@@ -938,7 +966,7 @@ def _tree_copy(circuit: Circuit) -> Circuit:
             width = 2 * len(node.elements)
             ids = copies[-width:]
             del copies[-width:]
-            copies.append(out.add_decision(node.vtree, list(zip(ids[::2], ids[1::2]))))
+            copies.append(out.add_decision(node.vtree, tuple(zip(ids[::2], ids[1::2]))))
         elif node.kind == LITERAL:
             copies.append(out.add_literal(node.var, node.polarity))
         elif node.kind == TRUE:

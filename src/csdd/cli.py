@@ -176,15 +176,18 @@ def cmd_learn(args) -> int:
 # shared model loading
 
 
-def _load_model(path: str, vtree: Vtree):
+def _model_kind(path: str) -> str:
     head = formats.read_header(path)
-    if head == "psdd":
-        circuit, params = formats.read_psdd(path, vtree)
-        return circuit, params, "psdd"
-    if head == "csdd":
-        circuit, params = formats.read_csdd(path, vtree)
-        return circuit, params, "csdd"
-    raise CliError(f"{path}: expected a psdd or csdd file, found {head!r}")
+    if head not in ("psdd", "csdd"):
+        raise CliError(f"{path}: expected a psdd or csdd file, found {head!r}")
+    return head
+
+
+def _load_model(path: str, vtree: Vtree):
+    kind = _model_kind(path)
+    read = formats.read_psdd if kind == "psdd" else formats.read_csdd
+    circuit, params = read(path, vtree)
+    return circuit, params, kind
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +258,11 @@ def cmd_robust(args) -> int:
     circuit, csdd, kind = _load_model(args.csdd, vtree)
     if kind != "csdd":
         raise CliError("--csdd must point at a csdd file")
-    pcircuit, psdd, pkind = _load_model(args.psdd, vtree)
-    if pkind != "psdd":
+    if _model_kind(args.psdd) != "psdd":
         raise CliError("--psdd must point at a psdd file")
+    # the psdd must be written from the csdd's circuit: it is read onto it,
+    # which checks its structure line by line instead of building it again
+    _, psdd = formats.read_psdd(args.psdd, vtree, onto=circuit)
     names = _var_names(circuit.vtree.var_count)
     evidence = _parse_assignment(args.evidence or "", names)
     if not is_consistent(circuit, evidence):
@@ -265,7 +270,7 @@ def cmd_robust(args) -> int:
     if args.map:
         xstar = _parse_assignment(args.map, names)
     else:
-        _, completion = map_query(pcircuit, psdd, evidence)
+        _, completion = map_query(circuit, psdd, evidence)
         xstar = {var: val for var, val in completion.items() if var not in evidence}
     verdict = robustness(circuit, csdd, evidence, xstar)
     _emit(
@@ -416,7 +421,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    # RecursionError: compiling a formula nested deeper than the stack allows
+    except (CliError, ValueError, OSError, RecursionError) as exc:
         _log(f"error: {exc}")
         return 1
 

@@ -84,6 +84,15 @@ class IntervalCredalSet:
                 raise CredalSetError(f"state {i}: bounds are not reachable")
 
     @classmethod
+    def _accepted(cls, lower: tuple[float, ...], upper: tuple[float, ...]) -> "IntervalCredalSet":
+        """``cls(lower, upper)`` for bounds the caller has already found to
+        pass :meth:`__post_init__`, which does not run again."""
+        cs = object.__new__(cls)
+        object.__setattr__(cs, "lower", lower)  # as the frozen dataclass's __init__ does
+        object.__setattr__(cs, "upper", upper)
+        return cs
+
+    @classmethod
     def point(cls, pmf: Sequence[float]) -> "IntervalCredalSet":
         p = tuple(float(x) for x in pmf)
         return cls(p, p)

@@ -22,6 +22,12 @@ token by token to word the fault), and each node is checked as its line
 adds it.  A bare ``F``/``T`` takes the leaf of its first use.  After the
 last line come the node count, the partitions (at the root's line) and
 the parameters in file order; the first fault met is the ``ParseError``.
+
+A psdd can also be read onto a circuit already loaded over the same
+vtree (``read_psdd(path, vtree, onto=circuit)``): each line is read by the
+same grammar and must then describe the circuit's node at its position,
+so the file's structure is that circuit's and is neither built nor
+partition-checked again; only its parameters are.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .circuit import (
 )
 from .credal import IntervalCredalSet
 from .learn import Dataset
-from .params import CsddParams, PsddParams, check_local
+from .params import CsddParams, PsddParams, _fused_credal_set, check_local
 
 __all__ = [
     "ParseError", "read_header",
@@ -274,10 +280,20 @@ def _pin_constants(nodes: list[SddNode], vtree: Vtree, vid: int, elements, bare:
                     raise ParseError(line, f"constant node {fid} used under two different leaves")
 
 
-def _loads_circuit(text: str, vtree: Vtree, mode: str):
+def _differs(lineno: int, nid: int, nodes: list[SddNode]) -> ParseError:
+    if nid >= len(nodes):
+        return ParseError(lineno, f"the circuit read onto has only {len(nodes)} nodes")
+    return ParseError(lineno, f"node line does not match node {nid} of the circuit read onto")
+
+
+def _loads_circuit(text: str, vtree: Vtree, mode: str, onto: Circuit | None = None):
+    """Load a circuit file, or with ``onto`` read it against that circuit:
+    line ``i``'s node must be ``onto.nodes[i]`` and the last one its root."""
     step = {_MODE_SDD: 2, _MODE_PSDD: 3, _MODE_CSDD: 4}[mode]  # fields per decision element
     columns = range(6, 4 + step)              # per-state number columns of a D line
-    circuit = Circuit(vtree)
+    if onto is not None and onto.vtree != vtree:
+        raise ValueError("the circuit read onto is over another vtree")
+    circuit = Circuit(vtree) if onto is None else onto
     nodes = circuit.nodes
     count = None
     remap: dict[int, int] = {}                # file id -> node id, one node per line
@@ -302,7 +318,8 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str):
         fid = _int(toks[1], lineno, "node id")
         if fid in remap:
             raise ParseError(lineno, f"duplicate node id {fid}")
-        nid = len(nodes)
+        nid = len(remap)
+        node = nodes[nid] if onto is not None and nid < len(nodes) else None  # the node to match
         if kind == "D":
             # one C-level conversion per column; _decision_fault words any fault
             try:
@@ -319,14 +336,19 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str):
                 raise _decision_fault(toks, lineno, step, remap) from None
             if not 0 <= vid < vtree.node_count or vtree.is_leaf(vid):
                 raise ParseError(lineno, f"vtree node {vid} is not internal")
-            if not bare.keys().isdisjoint(chain.from_iterable(elements)):
-                _pin_constants(nodes, vtree, vid, elements, bare)
-            try:
-                added = circuit.add_decision(vid, elements)
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
-            if added != nid:
-                raise ParseError(lineno, "duplicate decision node (same vtree and elements)")
+            if onto is not None:
+                # a match passes every check add_decision and the partitions make
+                if node is None or node.vtree != vid or node.elements != elements:
+                    raise _differs(lineno, nid, nodes)
+            else:
+                if not bare.keys().isdisjoint(chain.from_iterable(elements)):
+                    _pin_constants(nodes, vtree, vid, elements, bare)
+                try:
+                    added = circuit.add_decision(vid, elements)
+                except ValueError as exc:
+                    raise ParseError(lineno, str(exc)) from None
+                if added != nid:
+                    raise ParseError(lineno, "duplicate decision node (same vtree and elements)")
             pending[nid] = (lineno, numbers)
         elif kind == "L":
             if len(toks) != 4:
@@ -340,11 +362,18 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str):
                 raise ParseError(lineno, f"literal variable {var} outside the vtree")
             if vtree.leaf_of(var) != vid:
                 raise ParseError(lineno, f"variable {var} lives at leaf {vtree.leaf_of(var)}, not {vid}")
-            circuit.add_literal(var, lit > 0)
+            if onto is None:
+                circuit.add_literal(var, lit > 0)
+            elif node is None or node.kind != LITERAL or node.var != var or node.polarity != (lit > 0):
+                raise _differs(lineno, nid, nodes)
         elif kind == "F" or mode == _MODE_SDD:
             if len(toks) != 2:
                 raise ParseError(lineno, "false line is 'F <id>'" if kind == "F" else "true line is 'T <id>'")
-            if vtree.var_count == 1:
+            if onto is not None:
+                # a bare constant's leaf is its use's, which the decision lines match
+                if node is None or node.kind != (FALSE if kind == "F" else TRUE):
+                    raise _differs(lineno, nid, nodes)
+            elif vtree.var_count == 1:
                 (circuit.add_false if kind == "F" else circuit.add_true)(vtree.root)
             else:  # a placeholder until a decision line pins its leaf
                 nodes.append(SddNode(nid, FALSE if kind == "F" else TRUE, -1))
@@ -360,7 +389,10 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str):
                 raise ParseError(lineno, f"vtree node {vid} is not a leaf")
             if vtree.var(vid) != var:
                 raise ParseError(lineno, f"leaf {vid} holds variable {vtree.var(vid)}, not {var}")
-            circuit.add_true(vid)
+            if onto is None:
+                circuit.add_true(vid)
+            elif node is None or node.kind != TRUE or node.vtree != vid:
+                raise _differs(lineno, nid, nodes)
             # columns over the states (var true, var false): lower, upper, or a psdd's one
             lo, up = numbers[0], numbers[-1]
             pending[nid] = (lineno, [(lo, 1.0 - up), (up, 1.0 - lo)][:len(columns)])
@@ -369,17 +401,21 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str):
         raise ParseError(1, f"missing '{mode} <count>' header")
     if len(remap) != count:
         raise ParseError(1, f"header declares {count} nodes, found {len(remap)}")
-    if not nodes:
+    if not remap:
         raise ParseError(1, "a circuit needs at least one node")
-    for nid, (fid, line) in bare.items():
-        if nodes[nid].vtree < 0:
-            raise ParseError(line, f"cannot infer the leaf of constant node {fid}")
     # the last node line is the root's, and the loop leaves lineno at it
-    circuit.set_root(len(nodes) - 1)
-    try:
-        validate_partitions(circuit)
-    except ValueError as exc:
-        raise ParseError(lineno, str(exc)) from None
+    if onto is not None:
+        if onto.root != len(remap) - 1:
+            raise ParseError(lineno, f"the circuit read onto has its root at node {onto.root}")
+    else:
+        for nid, (fid, line) in bare.items():
+            if nodes[nid].vtree < 0:
+                raise ParseError(line, f"cannot infer the leaf of constant node {fid}")
+        circuit.set_root(len(nodes) - 1)
+        try:
+            validate_partitions(circuit)
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
     if mode == _MODE_SDD:
         return circuit
     # the checks of PsddParams/CsddParams.validate, node by node, plus the
@@ -391,6 +427,11 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str):
             if any(map(any, numbers)):
                 raise ParseError(line, "unsatisfiable node must carry all-zero parameters")
             continue
+        if mode == _MODE_CSDD:
+            cs = _fused_credal_set(nodes[nid], false, *numbers)
+            if cs is not None:
+                table[nid] = cs
+                continue
         try:
             check_local(circuit, nid, *numbers)
             table[nid] = numbers[0] if mode == _MODE_PSDD else IntervalCredalSet(*numbers)
@@ -403,8 +444,10 @@ def loads_sdd(text: str, vtree: Vtree) -> Circuit:
     return _loads_circuit(text, vtree, _MODE_SDD)
 
 
-def loads_psdd(text: str, vtree: Vtree) -> tuple[Circuit, PsddParams]:
-    return _loads_circuit(text, vtree, _MODE_PSDD)
+def loads_psdd(text: str, vtree: Vtree, *, onto: Circuit | None = None) -> tuple[Circuit, PsddParams]:
+    """The circuit and point table of a psdd file; with ``onto``, the table
+    of a file that describes that circuit, node for node, and the circuit."""
+    return _loads_circuit(text, vtree, _MODE_PSDD, onto)
 
 
 def loads_csdd(text: str, vtree: Vtree) -> tuple[Circuit, CsddParams]:
@@ -490,8 +533,8 @@ def write_sdd(circuit: Circuit, path) -> None:
     _write(path, dumps_sdd(circuit))
 
 
-def read_psdd(path, vtree: Vtree) -> tuple[Circuit, PsddParams]:
-    return loads_psdd(_read(path), vtree)
+def read_psdd(path, vtree: Vtree, *, onto: Circuit | None = None) -> tuple[Circuit, PsddParams]:
+    return loads_psdd(_read(path), vtree, onto=onto)
 
 
 def write_psdd(circuit: Circuit, params: PsddParams, path) -> None:

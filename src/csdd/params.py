@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .circuit import Circuit, TRUE
-from .credal import IntervalCredalSet, _greedy_min_point
+from .circuit import Circuit, SddNode, TRUE
+from .credal import BUILD_TOL, IntervalCredalSet, _greedy_min_point
 
 __all__ = ["ParamError", "PsddParams", "CsddParams", "check_local"]
 
@@ -77,6 +77,41 @@ def check_local(
     for i, (_, s) in enumerate(node.elements):  # a TRUE terminal has no sub
         if upper[i] != 0.0 and s in false:  # every entry is non-negative by now
             raise ParamError(f"node {nid}: state {i} has a false sub but probability up to {upper[i]}")
+
+
+def _fused_credal_set(
+    node: SddNode, false: frozenset[int], lower: Sequence[float], upper: Sequence[float]
+) -> IntervalCredalSet | None:
+    """``IntervalCredalSet(lower, upper)`` when the node's set has one or two
+    states and both :func:`check_local` and the constructor accept it,
+    found by one test and built without running the constructor's checks;
+    ``None`` otherwise, and the caller runs the two to word the fault.
+
+    Within check_local's ``0 <= lower <= upper <= 1`` the constructor's own
+    interval test holds, and two states leave its sums and reachability
+    tests, unrolled as in :meth:`IntervalCredalSet.__post_init__`; one state
+    must be able to hold all the mass.
+    """
+    if len(lower) == 2 == len(upper):
+        (l0, l1), (u0, u1) = lower, upper
+        sl, su = l0 + l1, u0 + u1
+        if not (0.0 <= l0 <= u0 <= 1.0 and 0.0 <= l1 <= u1 <= 1.0
+                and sl <= 1 + BUILD_TOL and su >= 1 - BUILD_TOL
+                and l0 + (su - u0) >= 1 - BUILD_TOL and u0 + (sl - l0) <= 1 + BUILD_TOL
+                and l1 + (su - u1) >= 1 - BUILD_TOL and u1 + (sl - l1) <= 1 + BUILD_TOL):
+            return None
+    elif len(lower) == 1 == len(upper):
+        if not 1 - BUILD_TOL <= lower[0] <= upper[0] <= 1.0:
+            return None
+    else:
+        return None
+    elements = node.elements
+    if len(lower) != (2 if node.kind == TRUE else len(elements)):
+        return None
+    for (_, s), u in zip(elements, upper):
+        if u != 0.0 and s in false:
+            return None
+    return IntervalCredalSet._accepted(lower, upper)
 
 
 def _wanted(circuit: Circuit, table: Mapping) -> list[int]:

@@ -70,6 +70,16 @@ class TestCompile:
         payload = run_json(capsys, "compile", "--formula", "f.sexp", "--auto", "-o", "f.sdd")
         assert payload["models"] == 1
 
+    def test_formula_too_deep_for_the_compiler_is_an_error_line(self, capsys, workdir):
+        # apply recurses once per vtree level (until it keeps an explicit stack):
+        # 1,000 levels pass the default recursion limit whatever the caller's depth
+        n = 1000
+        formats.write_vtree(Vtree.right_linear(n), workdir / "rl.vtree")
+        (workdir / "f.sexp").write_text("(and " + " ".join(f"x{i}" for i in range(1, n + 1)) + ")\n")
+        code, out, err = run(capsys, "compile", "--formula", "f.sexp", "--vtree", "rl.vtree", "-o", "f.sdd")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_unsatisfiable_still_writes(self, capsys, workdir):
         (workdir / "f.sexp").write_text("(and x1 (not x1))\n")
         code, out, err = run(capsys, "compile", "--formula", "f.sexp", "--auto", "-o", "f.sdd")
@@ -327,6 +337,41 @@ class TestRobust:
         )
         assert payload["label"] in ("robust", "weakly_robust", "not_robust")
         assert payload["V"] >= 1.0 - 1e-12
+
+    def test_psdd_of_another_circuit_refused_at_its_first_differing_line(self, capsys, workdir):
+        _write_squares_model(capsys, workdir, "idm")
+        _write_squares_model(capsys, workdir, "bayes")
+        (workdir / "other.sexp").write_text("(or x1 (and x2 x4))\n")
+        run_json(capsys, "compile", "--formula", "other.sexp", "--vtree", "squares.vtree",
+                 "-o", "other.sdd")
+        run_json(capsys, "learn", "--sdd", "other.sdd", "--vtree", "squares.vtree",
+                 "--data", "data.csv", "--mode", "bayes", "--lenient", "-o", "other.psdd")
+
+        def structure(line):  # a node line without its parameters
+            toks = line.split()
+            if toks[0] == "D":
+                return toks[:4] + [t for i, t in enumerate(toks[4:]) if i % 3 != 2]
+            return toks[:4]
+
+        own = (workdir / "squares.psdd").read_text().splitlines()[1:]
+        other = (workdir / "other.psdd").read_text().splitlines()[1:]
+        first = next(i for i, (a, b) in enumerate(zip(own, other), 2) if structure(a) != structure(b))
+        code, out, err = run(
+            capsys,
+            "robust", "--csdd", "squares.csdd", "--psdd", "other.psdd",
+            "--vtree", "squares.vtree", "--evidence", "X3=0",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: line {first}: ") and "Traceback" not in err
+
+    def test_commented_psdd_answers_like_the_plain_one(self, capsys, workdir):
+        _write_squares_model(capsys, workdir, "idm")
+        _write_squares_model(capsys, workdir, "bayes")
+        text = (workdir / "squares.psdd").read_text()
+        (workdir / "noted.psdd").write_text("c learned from the squares data\nc\n" + text)
+        argv = ["robust", "--csdd", "squares.csdd", "--vtree", "squares.vtree", "--evidence", "X3=0"]
+        plain = run_json(capsys, *argv, "--psdd", "squares.psdd")
+        assert run_json(capsys, *argv, "--psdd", "noted.psdd") == plain
 
     def test_shared_structure_flags_conflict(self, capsys, workdir):
         from csdd.fixtures import shared_node_fixture

@@ -20,7 +20,7 @@ from csdd.credal import (
     enumerate_vertices,
     normalize_reachable,
 )
-from csdd.params import SUM_TOL, CsddParams, check_local
+from csdd.params import SUM_TOL, CsddParams, _fused_credal_set, check_local
 
 from conftest import check_local_reference, credal_set_reference, greedy_reference
 
@@ -431,3 +431,74 @@ class TestUnrolledTwoStateChecks:
             accepted[1] += _verdict(check_local, *nodes[0], pmf) is None
         # each rule's closed form accepts some sets and passes the rest to its loop
         assert all(300 < count < 2700 for count in accepted), accepted
+
+
+def _built(circuit: Circuit, nid: int, lower, upper):
+    """``IntervalCredalSet(lower, upper)`` if ``check_local`` and then the
+    constructor accept, else None."""
+    try:
+        check_local(circuit, nid, lower, upper)
+        return IntervalCredalSet(lower, upper)
+    except ValueError:
+        return None
+
+
+# on and next to every bound the fused test has: a lone state at 1, sums at
+# 1 +- BUILD_TOL, a signed zero, and the least upper a false sub may not have
+FUSED_VALUES = (
+    0.0, -0.0, 5e-324, 0.25, 0.5, 0.75, 1.0, math.nextafter(1.0, 2.0), 1 + 1e-10,
+    0.5 - BUILD_TOL, 0.5 + BUILD_TOL, 1 - BUILD_TOL, math.nextafter(1 - BUILD_TOL, 0.0),
+    1 + BUILD_TOL,
+    math.nextafter(0.5 + BUILD_TOL / 2, 1.0), math.nextafter(0.5 - BUILD_TOL / 2, 0.0),
+)
+
+
+class TestFusedCredalSet:
+    """The loader's fused accept test builds a set exactly when
+    ``check_local`` and then ``IntervalCredalSet`` accept it, and the set it
+    builds equals the constructed one."""
+
+    def _assert_same(self, nodes, lower, upper):
+        for circuit, nid in nodes:
+            fused = _fused_credal_set(circuit.nodes[nid], circuit.false_ids(), lower, upper)
+            built = _built(circuit, nid, lower, upper)
+            assert (fused is None) == (built is None), (nid, lower, upper)
+            if fused is not None:
+                assert fused == built and hash(fused) == hash(built)
+                assert (fused.lower, fused.upper) == (lower, upper)
+
+    def test_boundary_pairs(self):
+        nodes = _check_local_nodes()
+        accepted = [0, 0]
+        for lo0, up0 in product(FUSED_VALUES, repeat=2):
+            self._assert_same(nodes, (lo0,), (up0,))
+            accepted[0] += _built(*nodes[2], (lo0,), (up0,)) is not None
+        for lower in product(FUSED_VALUES, repeat=2):
+            for upper in product(FUSED_VALUES, repeat=2):
+                self._assert_same(nodes, lower, upper)
+                accepted[1] += _built(*nodes[0], lower, upper) is not None
+        for lower, upper in TestUnrolledTwoStateChecks.EDGE_SETS:
+            self._assert_same(nodes, lower, upper)
+        assert accepted[0] > 0 and accepted[1] > 100, accepted
+        # a false second sub may carry 0.0 but not 5e-324
+        false_sub = nodes[1]
+        assert _fused_credal_set(false_sub[0].nodes[false_sub[1]], false_sub[0].false_ids(),
+                                 (1.0, 0.0), (1.0, 0.0)) is not None
+        assert _fused_credal_set(false_sub[0].nodes[false_sub[1]], false_sub[0].false_ids(),
+                                 (1.0, 0.0), (1.0, 5e-324)) is None
+
+    def test_random_pairs(self):
+        rng = Random(23)
+        nodes = _check_local_nodes()
+        for n in range(3000):
+            lower, upper, _ = _random_sets(rng, 1 + n % 2)
+            self._assert_same(nodes, lower, upper)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 2).flatmap(lambda k: st.tuples(*[
+            st.tuples(*[st.one_of(st.sampled_from(FUSED_VALUES), st.floats(-0.1, 1.1))] * k)
+        ] * 2))
+    )
+    def test_property(self, bounds):
+        self._assert_same(_check_local_nodes(), *bounds)

@@ -375,6 +375,94 @@ class TestLoaderParity:
                     reordered += 1
         assert cases > 10_000 and reordered < cases // 100
 
+    def test_psdd_read_onto_its_twin_gives_the_full_loaders_table_or_refuses(self):
+        # read onto the circuit of the uncorrupted file, a corruption yields the
+        # full loader's table or a ParseError; it yields the table whenever the
+        # full loader builds that same circuit, and refuses whenever it refuses
+        cases = matched = 0
+        for mode, text, vtree in _loader_corpus():
+            if mode != "psdd":
+                continue
+            twin, params = _loads_circuit(text, vtree, mode)
+            assert _loads_circuit(text, vtree, mode, twin) == (twin, params)
+            for broken in _corruptions(text):
+                cases += 1
+                try:
+                    circuit, full = _loads_circuit(broken, vtree, mode)
+                except ParseError:
+                    circuit = full = None
+                try:
+                    onto = _loads_circuit(broken, vtree, mode, twin)
+                except ParseError:
+                    onto = None
+                if circuit is not None and circuit.nodes == twin.nodes:
+                    assert onto == (twin, full), broken
+                    matched += 1
+                else:
+                    assert onto is None, broken
+        assert cases > 1_000 and 0 < matched < cases
+
+
+class TestReadOnto:
+    """A psdd read onto a loaded circuit must describe it node for node."""
+
+    @pytest.fixture()
+    def loaded(self, squares, squares_ml):
+        text = formats.dumps_psdd(squares.circuit, squares_ml)
+        circuit, params = formats.loads_psdd(text, squares.circuit.vtree)
+        return text, circuit, params
+
+    @staticmethod
+    def _refusal(lines, circuit):
+        with pytest.raises(ParseError) as err:
+            formats.loads_psdd("\n".join(lines) + "\n", circuit.vtree, onto=circuit)
+        return str(err.value)
+
+    def test_its_own_file_reads_onto_it(self, loaded):
+        text, circuit, params = loaded
+        assert formats.loads_psdd(text, circuit.vtree, onto=circuit) == (circuit, params)
+
+    def test_terminal_at_another_leaf_or_of_another_sign_refused_at_its_line(self, loaded):
+        # each edit keeps the line's own grammar: leaf and variable agree
+        text, circuit, _ = loaded
+        vtree, lines = circuit.vtree, text.splitlines()
+        t = next(i for i, line in enumerate(lines) if line.startswith("T "))
+        _, fid, _, var, theta = lines[t].split()
+        other = 1 + int(var) % vtree.var_count
+        moved = f"T {fid} {vtree.leaf_of(other)} {other} {theta}"
+        lit = next(i for i, line in enumerate(lines) if line.startswith("L "))
+        toks = lines[lit].split()
+        flipped = " ".join(toks[:3] + [str(-int(toks[3]))])
+        for i, line in ((t, moved), (lit, flipped)):
+            broken = lines[:i] + [line] + lines[i + 1:]
+            assert self._refusal(broken, circuit) == (
+                f"line {i + 1}: node line does not match node {i - 1} of the circuit read onto"
+            )
+
+    def test_file_ending_below_the_root_refused(self, loaded):
+        text, circuit, _ = loaded
+        lines = text.splitlines()
+        prefix = [f"psdd {len(lines) - 2}"] + lines[1:-1]
+        assert self._refusal(prefix, circuit) == (
+            f"line {len(lines) - 1}: the circuit read onto has its root at node {circuit.root}"
+        )
+
+    def test_lines_past_the_circuit_refused(self, loaded):
+        text, circuit, _ = loaded
+        lines = text.splitlines()
+        n = len(circuit.nodes)
+        longer = [f"psdd {n + 1}"] + lines[1:] + [f"L {n} {circuit.vtree.leaf_of(1)} 1"]
+        assert self._refusal(longer, circuit) == (
+            f"line {n + 2}: the circuit read onto has only {n} nodes"
+        )
+
+    def test_circuit_over_another_vtree_refused(self, loaded):
+        text, circuit, _ = loaded
+        other = Vtree.right_linear(circuit.vtree.var_count)
+        assert other != circuit.vtree
+        with pytest.raises(ValueError, match="another vtree"):
+            formats.loads_psdd(text, other, onto=circuit)
+
 
 class TestDatasetFormat:
     def test_squares_dataset_totals(self):
