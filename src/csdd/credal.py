@@ -55,32 +55,11 @@ class IntervalCredalSet:
 
     def __post_init__(self) -> None:
         lower, upper = self.lower, self.upper
-        if len(lower) == 2 == len(upper):
-            # the checks below, unrolled, accept the set: within the bounds its
-            # entries are finite, so each fsum is the rounded sum of two terms
-            (l0, l1), (u0, u1) = lower, upper
-            sl, su = l0 + l1, u0 + u1
-            if (-BUILD_TOL <= l0 <= u0 <= 1 + BUILD_TOL and -BUILD_TOL <= l1 <= u1 <= 1 + BUILD_TOL
-                    and sl <= 1 + BUILD_TOL and su >= 1 - BUILD_TOL
-                    and l0 + (su - u0) >= 1 - BUILD_TOL and u0 + (sl - l0) <= 1 + BUILD_TOL
-                    and l1 + (su - u1) >= 1 - BUILD_TOL and u1 + (sl - l1) <= 1 + BUILD_TOL):
-                return
-        elif len(lower) == 1 == len(upper):
-            # the checks below accept a lone state exactly when it can hold all the mass
-            if -BUILD_TOL <= lower[0] <= upper[0] <= 1 + BUILD_TOL and lower[0] >= 1 - BUILD_TOL:
-                return
-        if len(lower) != len(upper) or not lower:
-            raise CredalSetError("lower/upper must be equal-length, non-empty vectors")
+        if _small_reachable(lower, upper):
+            return
+        sl, su = _bound_sums(lower, upper)
         for i, (l, u) in enumerate(zip(lower, upper)):
-            if not (-BUILD_TOL <= l <= u <= 1 + BUILD_TOL):
-                raise CredalSetError(f"state {i}: invalid interval [{l}, {u}]")
-        sl, su = math.fsum(lower), math.fsum(upper)
-        if sl > 1 + BUILD_TOL or su < 1 - BUILD_TOL:
-            raise CredalSetError(f"empty credal set: sum(lower)={sl}, sum(upper)={su}")
-        for i in range(len(lower)):
-            rest_u = su - upper[i]
-            rest_l = sl - lower[i]
-            if lower[i] + rest_u < 1 - BUILD_TOL or upper[i] + rest_l > 1 + BUILD_TOL:
+            if l + (su - u) < 1 - BUILD_TOL or u + (sl - l) > 1 + BUILD_TOL:
                 raise CredalSetError(f"state {i}: bounds are not reachable")
 
     @classmethod
@@ -109,13 +88,8 @@ class IntervalCredalSet:
 
 def normalize_reachable(lower: Sequence[float], upper: Sequence[float]) -> IntervalCredalSet:
     """Tighten raw interval bounds to reachable form (same feasible set)."""
-    lower = tuple(float(x) for x in lower)
-    upper = tuple(float(x) for x in upper)
-    if len(lower) != len(upper) or not lower:
-        raise CredalSetError("lower/upper must be equal-length, non-empty vectors")
-    sl, su = math.fsum(lower), math.fsum(upper)
-    if sl > 1 + BUILD_TOL or su < 1 - BUILD_TOL:
-        raise CredalSetError(f"empty credal set: sum(lower)={sl}, sum(upper)={su}")
+    lower, upper = tuple(map(float, lower)), tuple(map(float, upper))
+    sl, su = _bound_sums(lower, upper)
     new_lower = [min(max(l, 1.0 - (su - u)), u) for l, u in zip(lower, upper)]
     new_upper = [max(min(u, 1.0 - (sl - l)), l) for l, u in zip(lower, upper)]
     # the tightened bounds can cross by a rounding ulp; repair pairwise
@@ -123,6 +97,35 @@ def normalize_reachable(lower: Sequence[float], upper: Sequence[float]) -> Inter
         if l > u:
             new_lower[i] = u
     return IntervalCredalSet(tuple(new_lower), tuple(new_upper))
+
+
+def _small_reachable(lower: Sequence[float], upper: Sequence[float]) -> bool:
+    """Whether a one- or two-state set within ``0 <= lower <= upper <= 1``
+    passes the checks of :class:`IntervalCredalSet`, in closed form: two such
+    entries sum as ``fsum`` does, and a lone state must hold all the mass.
+    The loops of those checks word the refusal of any other set."""
+    if len(lower) == 2 == len(upper):
+        (l0, l1), (u0, u1) = lower, upper
+        sl, su = l0 + l1, u0 + u1
+        return (0.0 <= l0 <= u0 <= 1.0 and 0.0 <= l1 <= u1 <= 1.0
+                and sl <= 1 + BUILD_TOL and su >= 1 - BUILD_TOL
+                and l0 + (su - u0) >= 1 - BUILD_TOL and u0 + (sl - l0) <= 1 + BUILD_TOL
+                and l1 + (su - u1) >= 1 - BUILD_TOL and u1 + (sl - l1) <= 1 + BUILD_TOL)
+    return len(lower) == 1 == len(upper) and 1 - BUILD_TOL <= lower[0] <= upper[0] <= 1.0
+
+
+def _bound_sums(lower: Sequence[float], upper: Sequence[float]) -> tuple[float, float]:
+    """``(fsum(lower), fsum(upper))``; raises :class:`CredalSetError` unless the
+    bounds have one shape, intervals within [0, 1] and room for all the mass."""
+    if len(lower) != len(upper) or not lower:
+        raise CredalSetError("lower/upper must be equal-length, non-empty vectors")
+    for i, (l, u) in enumerate(zip(lower, upper)):
+        if not (-BUILD_TOL <= l <= u <= 1 + BUILD_TOL):
+            raise CredalSetError(f"state {i}: invalid interval [{l}, {u}]")
+    sl, su = math.fsum(lower), math.fsum(upper)
+    if sl > 1 + BUILD_TOL or su < 1 - BUILD_TOL:
+        raise CredalSetError(f"empty credal set: sum(lower)={sl}, sum(upper)={su}")
+    return sl, su
 
 
 def _greedy_min_point(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, ...]:

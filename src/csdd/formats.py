@@ -46,9 +46,8 @@ from .circuit import (
     Vtree,
     validate_partitions,
 )
-from .credal import IntervalCredalSet
 from .learn import Dataset
-from .params import CsddParams, PsddParams, _fused_credal_set, check_local
+from .params import CsddParams, PsddParams, check_local
 
 __all__ = [
     "ParseError", "read_header",
@@ -418,8 +417,8 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str, onto: Circuit | None = No
             raise ParseError(lineno, str(exc)) from None
     if mode == _MODE_SDD:
         return circuit
-    # the checks of PsddParams/CsddParams.validate, node by node, plus the
-    # file's own rule for the slots of unsatisfiable nodes
+    # each node's table entry by check_local, plus the file's own rule for
+    # the slots of unsatisfiable nodes
     false = circuit.false_ids()
     table = {}
     for nid, (line, numbers) in pending.items():
@@ -427,14 +426,8 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str, onto: Circuit | None = No
             if any(map(any, numbers)):
                 raise ParseError(line, "unsatisfiable node must carry all-zero parameters")
             continue
-        if mode == _MODE_CSDD:
-            cs = _fused_credal_set(nodes[nid], false, *numbers)
-            if cs is not None:
-                table[nid] = cs
-                continue
         try:
-            check_local(circuit, nid, *numbers)
-            table[nid] = numbers[0] if mode == _MODE_PSDD else IntervalCredalSet(*numbers)
+            table[nid] = check_local(circuit, nid, *numbers)
         except ValueError as exc:
             raise ParseError(line, str(exc)) from None
     return circuit, PsddParams(table) if mode == _MODE_PSDD else CsddParams(table)

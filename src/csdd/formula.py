@@ -81,19 +81,99 @@ class Var(Formula):
             raise FormulaError(f"variable ids are positive, got {self.var}")
 
 
+# Not, And and Or compare, hash and print as their dataclasses would, but
+# from explicit stacks, so a formula of any depth can do all three
+
+
+def _eq(self: Formula, other: object) -> bool:
+    # the dataclass __eq__, (self.field,) == (other.field,), with the
+    # pairs still to compare on an explicit stack, left to right
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if a.__class__ is not b.__class__ or not isinstance(a, (Not, And, Or)):
+            if not a == b:  # a leaf, or classes that differ: one shallow comparison
+                return False
+        elif isinstance(a, Not):
+            stack.append((a.child, b.child))
+        elif len(a.children) != len(b.children):
+            return False
+        else:
+            stack += zip(reversed(a.children), reversed(b.children))
+    return True
+
+
+class _Hashed:
+    """Stands in a tuple for an item whose hash is known."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+def _hash(self: Formula) -> int:
+    # the dataclass __hash__, hash((self.field,)), bottom-up: a tuple's hash
+    # reads only its items' hashes, so each node leaves a stand-in of its hash
+    items: list = []
+    for node in self.postorder():
+        if isinstance(node, (And, Or)):
+            start = len(items) - len(node.children)
+            items[start:] = [_Hashed(hash((tuple(items[start:]),)))]
+        elif isinstance(node, Not):
+            items[-1] = _Hashed(hash((items[-1],)))
+        else:
+            items.append(node)
+    return hash(items[0])
+
+
+def _repr(self: Formula) -> str:
+    # the dataclass __repr__, Name(field=...), from pieces on an explicit stack
+    parts: list[str] = []
+    stack: list[tuple[bool, object]] = [(False, self)]  # (is a finished piece, item)
+    while stack:
+        piece, item = stack.pop()
+        if piece:
+            parts.append(item)
+        elif isinstance(item, Not):
+            parts.append(f"{item.__class__.__qualname__}(child=")
+            stack += ((True, ")"), (False, item.child))
+        elif isinstance(item, (And, Or)):
+            children = item.children
+            parts.append(f"{item.__class__.__qualname__}(children=(")
+            stack.append((True, ",))" if len(children) == 1 else "))"))
+            for i in reversed(range(len(children))):
+                stack.append((False, children[i]))
+                if i:
+                    stack.append((True, ", "))
+        else:
+            parts.append(repr(item))
+    return "".join(parts)
+
+
 @dataclass(frozen=True, slots=True)
 class Not(Formula):
     child: Formula
+    __eq__, __hash__, __repr__ = _eq, _hash, _repr
 
 
 @dataclass(frozen=True, slots=True)
 class And(Formula):
     children: tuple[Formula, ...]
+    __eq__, __hash__, __repr__ = _eq, _hash, _repr
 
 
 @dataclass(frozen=True, slots=True)
 class Or(Formula):
     children: tuple[Formula, ...]
+    __eq__, __hash__, __repr__ = _eq, _hash, _repr
 
 
 def conj(parts: Iterable[Formula]) -> Formula:

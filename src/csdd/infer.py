@@ -55,7 +55,7 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Mapping, Sequence
 
 from .circuit import (
@@ -141,6 +141,9 @@ class Query:
 
     @classmethod
     def make(cls, kind, evidence: Mapping[int, bool], target=None, xstar=None) -> "Query":
+        for var, val in chain(evidence.items(), [] if target is None else [target], (xstar or {}).items()):
+            if val is None:
+                raise InferenceError(_NO_VALUE.format(var))
         return cls(
             kind,
             tuple(sorted((int(v), bool(b)) for v, b in evidence.items())),
@@ -241,10 +244,16 @@ class RobustnessVerdict:
 # precise queries
 
 
+# the passes read a missing variable as unobserved and bool() reads None as false
+_NO_VALUE = "variable {} has value None; leave an unobserved variable out"
+
+
 def _check_evidence(circuit: Circuit, evidence: Mapping[int, bool]) -> None:
-    for var in evidence:
+    for var, val in evidence.items():
         if not 1 <= var <= circuit.vtree.var_count:
             raise InferenceError(f"evidence variable {var} is not in the circuit")
+        if val is None:
+            raise InferenceError(_NO_VALUE.format(var))
 
 
 class _PassMemo:
@@ -293,7 +302,7 @@ class _PassMemo:
         """The evidence as ``pos | neg << n``, the key its entries take masked."""
         n, key = self._n, 0
         for var, val in evidence.items():
-            if val is not None and 1 <= var <= n:  # no node reads any other variable
+            if 1 <= var <= n:  # no node reads any other variable
                 key |= 1 << (var - 1 if val else var - 1 + n)
         return key
 

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .circuit import Circuit, SddNode, TRUE
-from .credal import BUILD_TOL, IntervalCredalSet, _greedy_min_point
+from .circuit import Circuit, TRUE
+from .credal import IntervalCredalSet, _greedy_min_point, _small_reachable
 
 __all__ = ["ParamError", "PsddParams", "CsddParams", "check_local"]
 
@@ -40,13 +40,27 @@ def _forbidden_states(circuit: Circuit, nid: int) -> tuple[bool, ...]:
 
 def check_local(
     circuit: Circuit, nid: int, lower: Sequence[float], upper: Sequence[float] | None = None
-) -> None:
-    """Raise :class:`ParamError` unless these are valid local parameters of ``nid``.
+) -> tuple[float, ...] | IntervalCredalSet:
+    """The table entry of these local parameters of ``nid``: ``lower`` for
+    a point pmf, else ``IntervalCredalSet(lower, upper)``.
 
     ``lower`` alone is a point pmf: finite, non-negative and summing to one.
     With ``upper`` each state has the interval ``0 <= lower <= upper <= 1``.
     A state whose sub is unsatisfiable must be exactly 0 (``[0, 0]``).
+    Raises :class:`ParamError` at the first of these rules that fails, then
+    :class:`CredalSetError` if the set is empty or not reachable.
     """
+    _node_rule(circuit, nid, lower, upper)
+    if upper is None:
+        return lower
+    if _small_reachable(lower, upper):  # the set rule holds: skip the constructor's checks
+        return IntervalCredalSet._accepted(lower, upper)
+    return IntervalCredalSet(lower, upper)
+
+
+def _node_rule(circuit: Circuit, nid: int, lower: Sequence[float], upper: Sequence[float] | None) -> None:
+    """Raise :class:`ParamError` unless the parameters pass the rules of
+    :func:`check_local` that come before the set rule."""
     node = circuit.nodes[nid]
     k = 2 if node.kind == TRUE else len(node.elements)
     if len(lower) != k:
@@ -79,41 +93,6 @@ def check_local(
             raise ParamError(f"node {nid}: state {i} has a false sub but probability up to {upper[i]}")
 
 
-def _fused_credal_set(
-    node: SddNode, false: frozenset[int], lower: Sequence[float], upper: Sequence[float]
-) -> IntervalCredalSet | None:
-    """``IntervalCredalSet(lower, upper)`` when the node's set has one or two
-    states and both :func:`check_local` and the constructor accept it,
-    found by one test and built without running the constructor's checks;
-    ``None`` otherwise, and the caller runs the two to word the fault.
-
-    Within check_local's ``0 <= lower <= upper <= 1`` the constructor's own
-    interval test holds, and two states leave its sums and reachability
-    tests, unrolled as in :meth:`IntervalCredalSet.__post_init__`; one state
-    must be able to hold all the mass.
-    """
-    if len(lower) == 2 == len(upper):
-        (l0, l1), (u0, u1) = lower, upper
-        sl, su = l0 + l1, u0 + u1
-        if not (0.0 <= l0 <= u0 <= 1.0 and 0.0 <= l1 <= u1 <= 1.0
-                and sl <= 1 + BUILD_TOL and su >= 1 - BUILD_TOL
-                and l0 + (su - u0) >= 1 - BUILD_TOL and u0 + (sl - l0) <= 1 + BUILD_TOL
-                and l1 + (su - u1) >= 1 - BUILD_TOL and u1 + (sl - l1) <= 1 + BUILD_TOL):
-            return None
-    elif len(lower) == 1 == len(upper):
-        if not 1 - BUILD_TOL <= lower[0] <= upper[0] <= 1.0:
-            return None
-    else:
-        return None
-    elements = node.elements
-    if len(lower) != (2 if node.kind == TRUE else len(elements)):
-        return None
-    for (_, s), u in zip(elements, upper):
-        if u != 0.0 and s in false:
-            return None
-    return IntervalCredalSet._accepted(lower, upper)
-
-
 def _wanted(circuit: Circuit, table: Mapping) -> list[int]:
     """The nodes a table must parameterize, once it is known to cover them."""
     wanted = circuit.parameterized_ids()
@@ -141,8 +120,9 @@ class CsddParams:
     table: dict[int, IntervalCredalSet]
 
     def validate(self, circuit: Circuit) -> None:
+        # every IntervalCredalSet passed the set rule when it was built
         for nid in _wanted(circuit, self.table):
-            check_local(circuit, nid, self.table[nid].lower, self.table[nid].upper)
+            _node_rule(circuit, nid, self.table[nid].lower, self.table[nid].upper)
 
     @classmethod
     def degenerate(cls, params: PsddParams) -> "CsddParams":

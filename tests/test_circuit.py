@@ -2,7 +2,7 @@
 
 import sys
 import time
-from dataclasses import replace
+from dataclasses import make_dataclass, replace
 from functools import partial
 from itertools import product
 from random import Random
@@ -841,10 +841,22 @@ CYCLE = 20  # the deep formulas cycle through x1..x20
 
 
 def _shape(formula) -> list[tuple]:
-    """The walk's node kinds, variables and arities: deep formulas compare
-    this way, since the dataclasses' ``==``, ``hash`` and ``repr`` recurse."""
+    """The walk's node kinds, variables and arities: a comparison that does
+    not rest on the formulas' own ``==``."""
     return [(type(node).__name__, getattr(node, "var", None), len(getattr(node, "children", ())))
             for node in formula.postorder()]
+
+
+def _deep_reprs() -> list[str]:
+    """The dataclass ``repr`` of each of :func:`_deep_cases`' formulas."""
+    leaf = "Var(var=1)"
+    return [
+        "".join(f"And(children=(Var(var={(DEPTH - 1 - i) % CYCLE + 1}), " for i in reversed(range(DEPTH)))
+        + leaf + "))" * DEPTH,
+        "And(children=(" * DEPTH + leaf
+        + "".join(f", Var(var={(i + 1) % CYCLE + 1})))" for i in range(DEPTH)),
+        "Not(child=" * DEPTH + leaf + ")" * DEPTH,
+    ]
 
 
 def _deep_cases():
@@ -877,3 +889,62 @@ class TestDeepFormulas:
         assert formula.evaluate({**everything, 1: False}) is (not value if case == 2 else False)
         circuit = compile_formula(formula, Vtree.balanced(CYCLE))
         assert model_count(circuit) == (2 ** (CYCLE - 1) if case == 2 else 1)
+
+    @pytest.mark.parametrize("case", [0, 1, 2], ids=["right-and", "left-and", "not"])
+    def test_compare_hash_and_print(self, case):
+        assert sys.getrecursionlimit() < DEPTH
+        text, built, _ = _deep_cases()[case]
+        formula = parse_formula(text)
+        assert formula is not built and formula == built and not formula != built
+        assert hash(formula) == hash(built)
+        assert {formula: 1}[built] == 1
+        assert repr(formula) == _deep_reprs()[case]
+        # the innermost leaf changed: the comparison walks to the bottom
+        at = text.rindex("x1)") if case == 0 else text.index("x1")
+        other = parse_formula(text[:at] + "x2" + text[at + 2:])
+        assert formula != other and not formula == other
+
+
+# reference twins of Not, And and Or: plain dataclasses, whose __eq__,
+# __hash__ and __repr__ are the generated, recursive ones
+_GENERATED = {cls: make_dataclass(cls.__name__, [(field, object)], frozen=True)
+              for cls, field in ((Not, "child"), (And, "children"), (Or, "children"))}
+
+
+def _generated(formula):
+    """The formula rebuilt from :data:`_GENERATED` (recursive: shallow formulas only)."""
+    if isinstance(formula, Not):
+        return _GENERATED[Not](_generated(formula.child))
+    if isinstance(formula, (And, Or)):
+        return _GENERATED[type(formula)](tuple(map(_generated, formula.children)))
+    return formula
+
+
+def _rebuilt(formula):
+    """An equal formula of new node objects (recursive: shallow formulas only)."""
+    if isinstance(formula, Not):
+        return Not(_rebuilt(formula.child))
+    if isinstance(formula, (And, Or)):
+        return type(formula)(tuple(map(_rebuilt, formula.children)))
+    return Var(formula.var) if isinstance(formula, Var) else formula
+
+
+class TestFormulaDunders:
+    """On shallow formulas ``==``, ``hash`` and ``repr`` answer what the
+    generated dataclass methods did."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_match_the_generated_methods(self, data):
+        f, g = data.draw(_formulas(3)), data.draw(_formulas(3))
+        for a, b in ((f, g), (g, f), (f, f), (f, _rebuilt(f))):
+            assert (a == b) == (_generated(a) == _generated(b)), (a, b)
+            assert (a != b) == (_generated(a) != _generated(b)), (a, b)
+        for h in (f, g):
+            assert hash(h) == hash(_generated(h)) and repr(h) == repr(_generated(h))
+
+    def test_other_classes_differ(self):
+        a = Var(1)
+        assert Not(a) != a and a != Not(a) and And((a,)) != Or((a,)) and And(()) != Or(())
+        assert And((a, a)) != And((a,)) and Not(a) != "Not(child=Var(var=1))"
+        assert repr(And((a,))) == "And(children=(Var(var=1),))" and repr(Or(())) == "Or(children=())"

@@ -20,7 +20,7 @@ from csdd.credal import (
     enumerate_vertices,
     normalize_reachable,
 )
-from csdd.params import SUM_TOL, CsddParams, _fused_credal_set, check_local
+from csdd.params import SUM_TOL, CsddParams, ParamError, check_local
 
 from conftest import check_local_reference, credal_set_reference, greedy_reference
 
@@ -381,10 +381,31 @@ def _check_local_nodes() -> list[tuple[Circuit, int]]:
     return out
 
 
+def _assert_entry(circuit: Circuit, nid: int, *args) -> None:
+    """``check_local`` refuses as ``check_local_reference`` and then, for a
+    set, ``credal_set_reference`` do, or returns the entry: the pmf itself,
+    or a set equal to the constructed one and with its hash."""
+    try:
+        check_local_reference(circuit, nid, *args)
+        if len(args) == 2:
+            credal_set_reference(*args)
+    except ValueError as exc:
+        assert _verdict(check_local, circuit, nid, *args) == (type(exc).__name__, str(exc)), (nid, args)
+        return
+    got = check_local(circuit, nid, *args)
+    if len(args) == 1:
+        assert got is args[0], (nid, args)
+    else:
+        built = IntervalCredalSet(*args)
+        assert got == built and hash(got) == hash(built), (nid, args)
+        assert (got.lower, got.upper) == args, (nid, args)
+
+
 class TestUnrolledTwoStateChecks:
     """``check_local`` and ``IntervalCredalSet`` accept one- and two-state
-    sets by closed forms; they must accept and refuse, with the same
-    message, exactly what the loops of the reference copies do."""
+    sets by one closed form; they must accept and refuse, with the same
+    message, exactly what the loops of the reference copies do, and
+    ``check_local`` must return the entry the reference builds."""
 
     EDGE_SETS = [
         ((0.0,), (0.0,)),                          # a forbidden lone state
@@ -411,9 +432,7 @@ class TestUnrolledTwoStateChecks:
         ), (lower, upper)
         for circuit, nid in nodes:
             for args in ((lower, upper), (lower,), (upper,), (pmf or lower,)):
-                assert _verdict(check_local, circuit, nid, *args) == _verdict(
-                    check_local_reference, circuit, nid, *args
-                ), (nid, args)
+                _assert_entry(circuit, nid, *args)
 
     def test_edge_sets(self):
         nodes = _check_local_nodes()
@@ -434,16 +453,17 @@ class TestUnrolledTwoStateChecks:
 
 
 def _built(circuit: Circuit, nid: int, lower, upper):
-    """``IntervalCredalSet(lower, upper)`` if ``check_local`` and then the
-    constructor accept, else None."""
+    """``IntervalCredalSet(lower, upper)`` if the reference rules accept the
+    bounds, else None."""
     try:
-        check_local(circuit, nid, lower, upper)
-        return IntervalCredalSet(lower, upper)
+        check_local_reference(circuit, nid, lower, upper)
+        credal_set_reference(lower, upper)
     except ValueError:
         return None
+    return IntervalCredalSet(lower, upper)
 
 
-# on and next to every bound the fused test has: a lone state at 1, sums at
+# on and next to every bound the closed form has: a lone state at 1, sums at
 # 1 +- BUILD_TOL, a signed zero, and the least upper a false sub may not have
 FUSED_VALUES = (
     0.0, -0.0, 5e-324, 0.25, 0.5, 0.75, 1.0, math.nextafter(1.0, 2.0), 1 + 1e-10,
@@ -454,18 +474,13 @@ FUSED_VALUES = (
 
 
 class TestFusedCredalSet:
-    """The loader's fused accept test builds a set exactly when
-    ``check_local`` and then ``IntervalCredalSet`` accept it, and the set it
-    builds equals the constructed one."""
+    """``check_local`` is the one accept step for a set: it returns a set
+    exactly when ``check_local_reference`` and then ``credal_set_reference``
+    accept the bounds, equal to the constructed one and with its hash."""
 
     def _assert_same(self, nodes, lower, upper):
         for circuit, nid in nodes:
-            fused = _fused_credal_set(circuit.nodes[nid], circuit.false_ids(), lower, upper)
-            built = _built(circuit, nid, lower, upper)
-            assert (fused is None) == (built is None), (nid, lower, upper)
-            if fused is not None:
-                assert fused == built and hash(fused) == hash(built)
-                assert (fused.lower, fused.upper) == (lower, upper)
+            _assert_entry(circuit, nid, lower, upper)
 
     def test_boundary_pairs(self):
         nodes = _check_local_nodes()
@@ -481,11 +496,10 @@ class TestFusedCredalSet:
             self._assert_same(nodes, lower, upper)
         assert accepted[0] > 0 and accepted[1] > 100, accepted
         # a false second sub may carry 0.0 but not 5e-324
-        false_sub = nodes[1]
-        assert _fused_credal_set(false_sub[0].nodes[false_sub[1]], false_sub[0].false_ids(),
-                                 (1.0, 0.0), (1.0, 0.0)) is not None
-        assert _fused_credal_set(false_sub[0].nodes[false_sub[1]], false_sub[0].false_ids(),
-                                 (1.0, 0.0), (1.0, 5e-324)) is None
+        circuit, nid = nodes[1]
+        assert check_local(circuit, nid, (1.0, 0.0), (1.0, 0.0)) == IntervalCredalSet((1.0, 0.0), (1.0, 0.0))
+        with pytest.raises(ParamError, match="false sub"):
+            check_local(circuit, nid, (1.0, 0.0), (1.0, 5e-324))
 
     def test_random_pairs(self):
         rng = Random(23)

@@ -1319,6 +1319,33 @@ class TestPassMemo:
         assert inner.passes and outer.passes
 
 
+class TestNoneValues:
+    """A ``None`` value in evidence or a completion is refused by name: the
+    passes would read it as unobserved, ``bool`` as false."""
+
+    def test_map_query(self, squares, squares_idm):
+        with pytest.raises(InferenceError, match="variable 1 has value None"):
+            map_query(squares.circuit, squares_idm.select({}), {1: None})
+
+    def test_robustness(self, squares, squares_idm):
+        circuit = squares.circuit
+        _, xstar = map_query(circuit, squares_idm.select({}), {3: False})
+        del xstar[3]
+        with pytest.raises(InferenceError, match="variable 3 has value None"):
+            robustness(circuit, squares_idm, {3: None}, xstar)
+        with pytest.raises(InferenceError, match="variable 1 has value None"):
+            robustness(circuit, squares_idm, {3: False}, {**xstar, 1: None})
+
+    def test_query_make(self):
+        for args in (({1: None},), ({}, (1, None)), ({}, None, {1: None})):
+            with pytest.raises(InferenceError, match="variable 1 has value None"):
+                Query.make("robustness", *args)
+
+    def test_lower_marginal(self, squares, squares_idm):
+        with pytest.raises(InferenceError, match="variable 1 has value None"):
+            lower_marginal(squares.circuit, squares_idm, {1: None})
+
+
 class TestNoPrivateParameters:
     def test_no_parameter_name_starts_with_underscore(self):
         """What a caller may pass is public: batch state travels in a scope."""

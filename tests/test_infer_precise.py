@@ -66,12 +66,14 @@ class TestMarginal:
         params = random_psdd_params(rng, circuit)
         evidence = data.draw(st.dictionaries(st.integers(1, n), st.booleans()))
         values = _point_pass(circuit, params, evidence, circuit.cone(), {})
+        before = repr(values)
         for var in range(1, n + 1):
             if var in evidence:
                 continue
             for val in (True, False):
                 got = _spine_marginal(circuit, params, evidence, values, var, val)
                 assert got == marginal(circuit, params, {**evidence, var: val})
+                assert repr(values) == before  # the spine's entries are put back
 
     def test_joint_requires_complete_assignment(self, squares, squares_ml):
         with pytest.raises(InferenceError):
