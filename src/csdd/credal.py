@@ -176,6 +176,27 @@ def _max_fast(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, tu
     return _with_value(coeffs, _greedy_min_point(cs, [-c for c in coeffs]))
 
 
+def _greedy_points(cs: IntervalCredalSet) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # the only points the greedy gives a one- or two-state set: for
+    # coeffs[1] < coeffs[0] false, then true (one state: one point twice)
+    return _greedy_min_point(cs, (0.0, 0.0)), _greedy_min_point(cs, (1.0, 0.0))
+
+
+def _closed_lp(points, cols: Sequence[Sequence[float]], maximize: bool = False) -> list[float]:
+    """``_min_fast(cs, row)[0]`` (``_max_fast``'s if ``maximize``) per row of
+    ``cols``, a column per state of ``cs``, whose :func:`_greedy_points` are
+    ``points``, bit for bit: ``_with_value``'s sum of the point that
+    ``c1 < c0`` (``-c1 < -c0``) picks; only non-finite sums need its ``fsum``."""
+    keep, swap = points
+    if len(cols) == 1:
+        x = keep[0]
+        return [c * x + 0.0 for c in cols[0]]
+    (a0, a1), (b0, b1) = keep, swap
+    if maximize:
+        return [c0 * b0 + c1 * b1 + 0.0 if c1 > c0 else c0 * a0 + c1 * a1 + 0.0 for c0, c1 in zip(*cols)]
+    return [c0 * b0 + c1 * b1 + 0.0 if c1 < c0 else c0 * a0 + c1 * a1 + 0.0 for c0, c1 in zip(*cols)]
+
+
 def _with_value(coeffs: Sequence[float], point: tuple[float, ...]) -> tuple[float, tuple[float, ...]]:
     # fsum rounds a finite two-term sum as one addition does, and "+ 0.0" gives
     # its +0.0 for a zero sum; fsum keeps the rest, raising on overflow or inf - inf

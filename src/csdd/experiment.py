@@ -31,12 +31,15 @@ from typing import Sequence
 from .circuit import Circuit, Vtree, compile_formula
 from .formula import Formula, Var, conj, disj
 from .infer import (
+    MAX,
+    MIN,
     NOT_ROBUST,
+    ZERO_TOL,
     EvidenceSession,
-    _PassMemo,
+    _check_evidence,
     _check_target,
-    _point_pass,
-    _spine_marginal,
+    _Columns,
+    _PassMemo,
     lower_conditional,
     map_query,
     marginal,  # noqa: F401  (a binding perfbench's tracing wraps)
@@ -182,34 +185,42 @@ def decide_segments(
 
     The label is the conditional algorithm's sign test at one half: "on"
     when lower P(x_i = on | o) > 1/2, "off" when lower P(x_i = off | o)
-    > 1/2, "indeterminate" otherwise.  One point pass gives P(o) and every
-    node's value; each P(x_i = on, o) then recomputes only x_i's spine.
-    ``session`` is an :class:`EvidenceSession` for (circuit, csdd,
-    observation), checked once; without it one is built, which reuses the
-    credal results of an open memo scope for (circuit, csdd), as
-    :func:`run_cell` opens.
+    > 1/2, "indeterminate" otherwise.  ``session``, an
+    :class:`EvidenceSession` for (circuit, csdd, observation), is checked;
+    the answers come from :func:`_decide_batch` on this one observation.
     """
-    values = _point_pass(circuit, psdd, observation, circuit.cone(), {})
-    p_obs = values[circuit.root]
-    if p_obs <= 0.0:
-        raise ValueError("observation has zero probability under the point table")
-    if session is None:
-        session = EvidenceSession(circuit, csdd, observation)
-    else:
+    if session is not None:
         session.check(circuit, csdd, observation)
-    out = []
+    return _decide_batch(circuit, psdd, csdd, [observation])[0]
+
+
+def _decide_batch(circuit: Circuit, psdd: PsddParams, csdd: CsddParams,
+                  observations: Sequence[dict[int, bool]]) -> list[list[SegmentDecision]]:
+    """:func:`decide_segments` of each observation by column passes: P(x_i = on, o)
+    reruns x_i's spine over the point pass.  Raises as the first failing
+    observation alone does."""
+    batch = _Columns(circuit, observations)
+    point = batch.point(psdd)
+    low, up = batch.sweep(csdd, MIN), batch.sweep(csdd, MAX)
+    p_obs, root = point[circuit.root], circuit.root
+    for observation, p in zip(observations, p_obs):
+        if p <= 0.0:
+            raise ValueError("observation has zero probability under the point table")
+        # P(o) > 0 proves a model extends o: a session's consistency check passes
+        _check_evidence(circuit, observation)
+        for i in range(1, SEGMENTS + 1):
+            _check_target(circuit, hidden_var(i), True, observation)
+    zero = [ZERO_TOL * u for u in up[root]]  # a sign test is positive beyond it
+    out: list[list[SegmentDecision]] = [[] for _ in observations]
     for i in range(1, SEGMENTS + 1):
         var = hidden_var(i)
-        p_on = _spine_marginal(circuit, psdd, observation, values, var, True) / p_obs
-        _check_target(circuit, var, True, observation)
-        # conditional_sign's test at one half: positive beyond the numerical zero
-        if session._sign_test(var, True, 0.5) > session.zero:
-            credal = "on"
-        elif session._sign_test(var, False, 0.5) > session.zero:
-            credal = "off"
-        else:
-            credal = "indeterminate"
-        out.append(SegmentDecision(i, p_on, p_on > 0.5, credal))
+        p_on = [v / p for v, p in zip(batch.spine(psdd, point, var, True), p_obs)]
+        on = [s > z for s, z in zip(batch.sign(csdd, var, True, 0.5, low, up), zero)]
+        rest = [j for j, yes in enumerate(on) if not yes]
+        off = dict(zip(rest, batch.sign(csdd, var, False, 0.5, low, up, rest)))
+        for j, decisions in enumerate(out):
+            credal = "on" if on[j] else "off" if off[j] > zero[j] else "indeterminate"
+            decisions.append(SegmentDecision(i, p_on[j], p_on[j] > 0.5, credal))
     return out
 
 
@@ -343,28 +354,28 @@ def run_cell(scenario: Scenario) -> Metrics:
     psdd = bayes_estimate(circuit, counts, scenario.ess)
     csdd = idm_estimate(circuit, counts, scenario.ess)
 
-    per_instance = []
-    joint = []
+    tests = []
+    for _ in range(scenario.test_size):
+        pattern = DIGIT_PATTERNS[rng.randrange(10)]
+        tests.append((pattern, tuple(on and rng.random() >= scenario.p_f for on in pattern)))
+    distinct = list(dict.fromkeys(shown for _, shown in tests))
+    observations = [{observed_var(i + 1): shown[i] for i in range(SEGMENTS)} for shown in distinct]
     # answers per distinct observation: (segment decisions, completion, determinacy)
-    cache: dict[tuple[bool, ...], tuple[list[SegmentDecision], dict[int, bool], bool]] = {}
-    # credal per-node results and MAP routes shared by the cell's distinct
+    answers: dict[tuple[bool, ...], tuple[list[SegmentDecision], dict[int, bool], bool]] = {}
+    # credal MAP results and MAP routes shared by the cell's distinct
     # observations, dropped with the cell; the calls go through this module's
     # bindings, which perfbench's tracing wraps
     with _PassMemo(circuit, csdd):
-        for _ in range(scenario.test_size):
-            pattern = DIGIT_PATTERNS[rng.randrange(10)]
-            shown = tuple(on and rng.random() >= scenario.p_f for on in pattern)
-            observation = {observed_var(i + 1): shown[i] for i in range(SEGMENTS)}
-            cached = cache.get(shown)
-            if cached is None:
-                preds = decide_segments(circuit, psdd, csdd, observation)
-                _, completion = map_query(circuit, psdd, observation)
-                xstar = {hidden_var(i + 1): completion[hidden_var(i + 1)] for i in range(SEGMENTS)}
-                # robustness takes xstar's route from the MAP pass: no truth pass
-                verdict = robustness(circuit, csdd, observation, xstar, want_certificate=False)
-                cached = cache[shown] = (preds, xstar, verdict.label != NOT_ROBUST)
-            preds, xstar, det = cached
-            per_instance.append((preds, pattern))
-            correct = all(xstar[hidden_var(i + 1)] == pattern[i] for i in range(SEGMENTS))
-            joint.append((xstar, det, correct))
+        decided = _decide_batch(circuit, psdd, csdd, observations)
+        for shown, observation, preds in zip(distinct, observations, decided):
+            _, completion = map_query(circuit, psdd, observation)
+            xstar = {hidden_var(i + 1): completion[hidden_var(i + 1)] for i in range(SEGMENTS)}
+            # robustness takes xstar's route from the MAP pass: no truth pass
+            verdict = robustness(circuit, csdd, observation, xstar, want_certificate=False)
+            answers[shown] = (preds, xstar, verdict.label != NOT_ROBUST)
+    per_instance, joint = [], []
+    for pattern, shown in tests:
+        preds, xstar, det = answers[shown]
+        per_instance.append((preds, pattern))
+        joint.append((xstar, det, all(xstar[hidden_var(i + 1)] == pattern[i] for i in range(SEGMENTS))))
     return evaluate_predictions(per_instance, joint)

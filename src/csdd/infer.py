@@ -39,19 +39,26 @@ completions are read off the tied options by a depth-first walk.
 A node's result in a bottom-up pass depends only on the table and on the
 evidence under its vtree node.  So a batch of credal queries on one
 interval table may open a private ``_PassMemo`` scope around its calls.
-While it is open, the passes that solve local LPs (the evidence sweeps,
-the sign tests and the credal MAP pass) on its circuit, root and table
-return per node and evidence under it what a pass computed there before,
-and :func:`robustness` takes the route :func:`map_query` walked for the
-same completion instead of running a truth pass.  Calls on any other
-circuit, root or table do not consult it.  The display experiment's
+While it is open, the passes that solve local LPs one evidence at a time
+(the evidence sweeps and the credal MAP pass) on its circuit, root and
+table return per node and evidence under it what a pass computed there
+before, and :func:`robustness` takes the route :func:`map_query` walked
+for the same completion instead of running a truth pass.  Calls on any
+other circuit, root or table do not consult it.  The display experiment's
 ``run_cell`` opens one per cell, with unchanged answers; outside a scope
 nothing is reused.
+
+A batch of evidences known up front runs node-major instead: the private
+``_Columns`` passes fill a column per node, one float per evidence, each the
+scalar pass's float, bit for bit.  The display experiment decides a cell's
+distinct observations with them; single queries run the scalar passes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import ChainMap
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
@@ -69,6 +76,9 @@ from .circuit import (
     is_consistent,
 )
 from .credal import (
+    IntervalCredalSet,
+    _closed_lp,
+    _greedy_points,
     _max_fast,
     _max_ratio_vertex,
     _min_fast,
@@ -263,13 +273,14 @@ class _PassMemo:
     In a decomposable circuit a node's result depends only on the table and
     on the evidence over the variables under its vtree node.  Each pass
     keeps one dict keyed by the node id and the evidence masked to those
-    variables: evidence packs into ``pos | neg << n`` (bit ``v - 1`` of
-    ``pos``/``neg`` set when variable ``v`` is observed true/false), and a
+    variables: evidence packs into ``pos | neg << n`` (:func:`_pack`), and a
     node's mask covers its variables in both halves.  Where a pass would
     solve a local problem again (a decision node with a credal set and, in
     the sweeps, an observed TRUE terminal) it returns the stored floats (a
-    sweep's value alone, under ``("sweep", sense)`` for cone and route), so
-    the answers are bit for bit those without a memo.  :func:`map_query`
+    sweep's value alone, under ``("sweep", sense)`` for cone and route; the
+    credal MAP pass's under ``("credal_map",)``), so the answers are bit for
+    bit those without a memo.  Sign tests and :class:`EvidenceSession`
+    objects do not consult it.  :func:`map_query`
     leaves its completion's route in ``routes``, keyed by the packed
     assignment, for :func:`robustness` to pop: a route depends only on the
     circuit, its root and the assignment, so any table may use it.
@@ -300,11 +311,17 @@ class _PassMemo:
 
     def pack(self, evidence: Mapping[int, bool]) -> int:
         """The evidence as ``pos | neg << n``, the key its entries take masked."""
-        n, key = self._n, 0
-        for var, val in evidence.items():
-            if 1 <= var <= n:  # no node reads any other variable
-                key |= 1 << (var - 1 if val else var - 1 + n)
-        return key
+        return _pack(evidence, self._n)
+
+
+def _pack(evidence: Mapping[int, bool], n: int) -> int:
+    """Bit ``v - 1`` of ``pos``/``neg`` of ``pos | neg << n`` is set when
+    variable ``v`` is observed true/false (``None`` is unobserved)."""
+    key = 0
+    for var, val in evidence.items():
+        if val is not None and 1 <= var <= n:  # no node reads any other variable
+            key |= 1 << (var - 1 if val else var - 1 + n)
+    return key
 
 
 _OPEN_MEMO: ContextVar[_PassMemo | None] = ContextVar("csdd_pass_memo", default=None)
@@ -373,22 +390,6 @@ def marginal(circuit: Circuit, params: PsddParams, evidence: Mapping[int, bool])
     """Probability of the (partial) evidence under the point table."""
     _check_evidence(circuit, evidence)
     return _point_pass(circuit, params, evidence, circuit.cone(), {})[circuit.root]
-
-
-def _spine_marginal(
-    circuit: Circuit,
-    params: PsddParams,
-    evidence: Mapping[int, bool],
-    values: Mapping[int, float],
-    var: int,
-    val: bool,
-) -> float:
-    """``marginal(circuit, params, {**evidence, var: val})`` from ``values``,
-    the node values of the pass on ``evidence``: only the nodes on ``var``'s
-    spine are recomputed, by the same per-node code, so the result is
-    bit-identical."""
-    spine = circuit.spine(var)
-    return _point_pass(circuit, params, {**evidence, var: val}, spine, dict(values))[circuit.root]
 
 
 def joint_probability(circuit: Circuit, params: PsddParams, assignment: Mapping[int, bool]) -> float:
@@ -603,10 +604,8 @@ class EvidenceSession:
     :func:`conditional_sign`, :func:`lower_conditional` and
     :func:`upper_conditional`; a call whose circuit, root, params or
     evidence differ from the session's raises :class:`InferenceError`.
-    A session built under a :class:`_PassMemo` scope for (circuit, params)
-    keeps that memo for its untraced sign tests, also after the scope
-    closes, and packs the evidence once for them; its sweeps find the
-    scope themselves.
+    A session holds no memo; its sweeps reuse the entries of an open
+    :class:`_PassMemo` scope for (circuit, params).
     """
 
     def __init__(self, circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> None:
@@ -615,10 +614,8 @@ class EvidenceSession:
         self.params = params
         self.evidence = dict(evidence)
         self.root = circuit.root
-        self._memo = _open_memo(circuit, params)
         self.low, self.up = (_credal_sweep(circuit, params, self.evidence, circuit.cone(), sense)
                              for sense in (MIN, MAX))
-        self._key = None if self._memo is None else self._memo.pack(self.evidence)
         upper = self.up[self.root]
         if upper <= 0.0 and not is_consistent(circuit, evidence):
             raise InferenceError("evidence violates circuit constraints")
@@ -649,30 +646,18 @@ class EvidenceSession:
         low_values, up_values = self.low, self.up
         msg: dict[int, float] = {}
         starts: list[tuple[int, int]] = []  # sibling values the trace must pin
-        memo = None
-        if trace is None and self._memo is not None:  # a trace needs every node's points
-            memo, masks = self._memo.passes.setdefault(("sign", var, val, mu), {}), self._memo.masks
-            ev = self._key
         for nid, kind, sides in _sign_plan(self.circuit, var):
             if kind == DECISION:
                 cs = table.get(nid)
                 if cs is None:
                     msg[nid] = 0.0  # unsatisfiable decision node
                     continue
-                if memo is not None:
-                    key = nid, ev & masks[nid]
-                    hit = memo.get(key)
-                    if hit is not None:
-                        msg[nid] = hit
-                        continue
                 # a negative message takes the sibling's upper value (a FALSE
                 # sibling is 0.0 in both sweeps)
                 coeffs = [(m := msg[u]) * (up_values if m < 0.0 else low_values)[w]
                           for u, w, _ in sides]
                 value, point = _min_fast(cs, coeffs)
                 msg[nid] = value
-                if memo is not None:
-                    memo[key] = value
                 if trace is not None:
                     for idx, (u, w, w_false) in enumerate(sides):
                         upper = msg[u] < 0.0 and not w_false  # a FALSE sibling reads as lower
@@ -848,6 +833,137 @@ def upper_conditional(
     return ConditionalResult(
         1.0 - inner.value, inner.iterations, (1.0 - hi, 1.0 - lo), inner.trace, inner.certificate
     )
+
+
+# ---------------------------------------------------------------------------
+# batched passes
+
+
+class _Columns:
+    """Node-major passes over a batch of evidences on one circuit.
+
+    A pass visits each node of its cone (or spine) once and fills a column,
+    one float per evidence: the scalar pass's value (:func:`_point_pass`,
+    :func:`_credal_sweep`, :meth:`EvidenceSession._sign_test`), bit for bit,
+    by the same float operations.  An LP over one or two states is
+    :func:`_closed_lp` on the whole column; any other LP or ``fsum`` runs
+    once per distinct evidence under the node (a :class:`_PassMemo` key).
+    The evidences are not checked.
+    """
+
+    def __init__(self, circuit: Circuit, evidences: Sequence[Mapping[int, bool]]) -> None:
+        n = self.n = circuit.vtree.var_count
+        self.circuit, self.size = circuit, len(evidences)
+        self.obs = [None] + [[e.get(var) for e in evidences] for var in range(1, n + 1)]
+        self.keys = [_pack(e, n) for e in evidences]
+        self._points: dict[IntervalCredalSet, tuple] = {}  # greedy points per small set
+
+    def point(self, params: PsddParams) -> list:
+        """Point-pass columns by node id; ``None`` off the cone."""
+        cols = [None] * len(self.circuit.nodes)
+        return self._point(params, self.circuit.cone(), cols, self.obs, self.keys)
+
+    def spine(self, params: PsddParams, base: list, var: int, val: bool) -> list[float]:
+        """Root column of the point pass with ``var = val`` added to every
+        evidence: ``var``'s spine runs again over ``base``, the point columns."""
+        obs = self.obs[:var] + [[val] * self.size] + self.obs[var + 1:]
+        cols = ChainMap({}, base)  # the spine's columns in front of base, a list read by node id
+        # the keys need no bit for var: this pass sets it alike in every evidence
+        return self._point(params, self.circuit.spine(var), cols, obs, self.keys)[self.circuit.root]
+
+    def _point(self, params, ids, cols, obs, keys):
+        nodes, table, zeros = self.circuit.nodes, params.table, [0.0] * self.size
+        for nid in ids:
+            node = nodes[nid]
+            if node.kind == DECISION:
+                theta = table.get(nid)
+                if theta is None:  # unsatisfiable decision node, no distribution
+                    cols[nid] = zeros
+                elif len(theta) == 2:
+                    (p0, s0), (p1, s1) = node.elements
+                    t0, t1 = theta
+                    cols[nid] = [a * b * t0 + c * d * t1 + 0.0
+                                 for a, b, c, d in zip(cols[p0], cols[s0], cols[p1], cols[s1])]
+                else:
+                    kids = [(cols[p], cols[s], t) for (p, s), t in zip(node.elements, theta)]
+                    cols[nid] = self._per_key(nid, keys, lambda j: math.fsum(
+                        a[j] * b[j] * t for a, b, t in kids))
+            elif node.kind == LITERAL:
+                pol = node.polarity
+                cols[nid] = [1.0 if v is None or v == pol else 0.0 for v in obs[node.var]]
+            elif node.kind == TRUE:
+                p0, p1 = table[nid]
+                cols[nid] = [1.0 if v is None else (p0 if v else p1) for v in obs[node.var]]
+            else:
+                cols[nid] = zeros
+        return cols
+
+    def sweep(self, params: CsddParams, sense: int) -> list:
+        """Evidence-sweep columns by node id; ``None`` off the cone."""
+        nodes, table, obs = self.circuit.nodes, params.table, self.obs
+        opt = _min_fast if sense == MIN else _max_fast
+        cols: list = [None] * len(nodes)
+        for nid in self.circuit.cone():
+            node = nodes[nid]
+            if node.kind == LITERAL:
+                pol = node.polarity
+                cols[nid] = [1.0 if v is None or v == pol else 0.0 for v in obs[node.var]]
+            elif node.kind == TRUE:
+                on, off = opt(table[nid], (1.0, 0.0))[0], opt(table[nid], (0.0, 1.0))[0]
+                cols[nid] = [1.0 if v is None else (on if v else off) for v in obs[node.var]]
+            elif node.kind == DECISION and nid in table:
+                coeffs = [list(map(operator.mul, cols[p], cols[s])) for p, s in node.elements]
+                cols[nid] = self._lp(nid, table[nid], coeffs, self.keys, sense)
+            else:  # FALSE, or an unsatisfiable decision node, whose children sweep to 0.0
+                cols[nid] = [0.0] * self.size
+        return cols
+
+    def sign(self, params: CsddParams, var: int, val: bool, mu: float,
+             low: list, up: list, rows: Sequence[int] | None = None) -> list[float]:
+        """Root column of the sign test of ``var = val`` at ``mu`` for the
+        evidences at ``rows`` (all by default), given the sweeps' columns."""
+        table = params.table
+        if rows is None:
+            keys, pick = self.keys, lambda col: col
+        else:
+            keys, pick = [self.keys[j] for j in rows], lambda col: [col[j] for j in rows]
+        size = len(keys)
+        msg: dict[int, list[float]] = {}
+        for nid, kind, sides in _sign_plan(self.circuit, var):
+            if kind == DECISION and nid in table:
+                # a negative message takes the sibling's upper value
+                coeffs = [[m * (h if m < 0.0 else l)
+                           for m, l, h in zip(msg[u], pick(low[w]), pick(up[w]))] for u, w, _ in sides]
+                msg[nid] = self._lp(nid, table[nid], coeffs, keys, MIN)
+            elif kind == LITERAL:
+                msg[nid] = [(1.0 - mu) if sides == val else -mu] * size
+            elif kind == TRUE:
+                cs, state = table[nid], 0 if val else 1
+                lx, ux = cs.lower[state], cs.upper[state]
+                lnot, unot = cs.lower[1 - state], cs.upper[1 - state]
+                msg[nid] = [min((1.0 - mu) * lx - mu * unot, (1.0 - mu) * ux - mu * lnot)] * size
+            else:
+                msg[nid] = [0.0] * size
+        return msg[self.circuit.root]
+
+    def _lp(self, nid: int, cs, coeffs: list[list[float]], keys: Sequence[int], sense: int) -> list[float]:
+        """``opt(cs, row)[0]`` per row of the coefficient columns: 0.0 on a zero
+        row, as a sweep's guard gives, since ``fsum`` of zeros is 0.0."""
+        if cs.k <= 2:
+            points = self._points.get(cs) or self._points.setdefault(cs, _greedy_points(cs))
+            return _closed_lp(points, coeffs, sense == MAX)
+        opt = _min_fast if sense == MIN else _max_fast
+        return self._per_key(nid, keys, lambda j: opt(cs, [col[j] for col in coeffs])[0])
+
+    def _per_key(self, nid: int, keys: Sequence[int], solve) -> list[float]:
+        """``solve(j)`` for each row ``j``, called once per distinct key under node ``nid``."""
+        mask = self.circuit.vtree.mask(self.circuit.nodes[nid].vtree)
+        mask |= mask << self.n
+        seen: dict[int, float] = {}
+        for j, key in enumerate(keys):
+            if key & mask not in seen:
+                seen[key & mask] = solve(j)
+        return [seen[key & mask] for key in keys]
 
 
 # ---------------------------------------------------------------------------

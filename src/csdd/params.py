@@ -87,6 +87,8 @@ def _node_rule(circuit: Circuit, nid: int, lower: Sequence[float], upper: Sequen
         for i, (l, u) in enumerate(zip(lower, upper)):
             if not 0.0 <= l <= u <= 1.0:
                 raise ParamError(f"node {nid}: state {i}: invalid interval [{l}, {u}]")
+        if len(upper) != k:  # the false-sub loop reads upper[i] for every state
+            raise ParamError(f"node {nid}: expected {k} upper bounds, got {len(upper)}")
     false = circuit.false_ids()
     for i, (_, s) in enumerate(node.elements):  # a TRUE terminal has no sub
         if upper[i] != 0.0 and s in false:  # every entry is non-negative by now

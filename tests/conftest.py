@@ -21,7 +21,10 @@ tuples are kept for the tie-structure passes to be compared against.
 The compiler's apply without the pair loop's inlined exits is kept for
 the builder to be compared against node for node, and so are the
 recursive formula walks, compile loop and constant builders, for the one
-post-order walk and the block-wise constants.
+post-order walk and the block-wise constants.  The display experiment's
+per-observation ``decide_segments`` (a point pass, one spine pass per
+segment on a copy of its values, and a session's sign tests) is kept for
+the batched column passes to be compared against.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ from csdd.credal import (
 )
 from csdd.formats import _MODE_CSDD, _MODE_PSDD, _MODE_SDD, ParseError, _float, _int
 from csdd.formula import And, Const, Formula, Not, Or, Var, conj, disj
-from csdd.infer import InferenceError, _check_evidence
+from csdd.experiment import SEGMENTS, SegmentDecision, hidden_var
+from csdd.infer import EvidenceSession, InferenceError, _check_evidence, _check_target, _point_pass
 from csdd.params import SUM_TOL, CsddParams, ParamError, PsddParams, check_local
 
 
@@ -335,6 +339,54 @@ def point_pass_reference(circuit: Circuit, params: PsddParams, evidence) -> floa
                 for (p, s), t in zip(node.elements, params.table[nid])
             )
     return values[circuit.root]
+
+
+def spine_marginal_reference(
+    circuit: Circuit,
+    params: PsddParams,
+    evidence,
+    values,
+    var: int,
+    val: bool,
+) -> float:
+    """``marginal(circuit, params, {**evidence, var: val})`` from ``values``,
+    the node values of the pass on ``evidence``: only the nodes on ``var``'s
+    spine are recomputed, by the same per-node code, so the result is
+    bit-identical."""
+    spine = circuit.spine(var)
+    return _point_pass(circuit, params, {**evidence, var: val}, spine, dict(values))[circuit.root]
+
+
+def decide_segments_reference(
+    circuit: Circuit,
+    psdd: PsddParams,
+    csdd: CsddParams,
+    observation: dict[int, bool],
+    session: EvidenceSession | None = None,
+) -> list[SegmentDecision]:
+    """``experiment.decide_segments`` one observation at a time."""
+    values = _point_pass(circuit, psdd, observation, circuit.cone(), {})
+    p_obs = values[circuit.root]
+    if p_obs <= 0.0:
+        raise ValueError("observation has zero probability under the point table")
+    if session is None:
+        session = EvidenceSession(circuit, csdd, observation)
+    else:
+        session.check(circuit, csdd, observation)
+    out = []
+    for i in range(1, SEGMENTS + 1):
+        var = hidden_var(i)
+        p_on = spine_marginal_reference(circuit, psdd, observation, values, var, True) / p_obs
+        _check_target(circuit, var, True, observation)
+        # conditional_sign's test at one half: positive beyond the numerical zero
+        if session._sign_test(var, True, 0.5) > session.zero:
+            credal = "on"
+        elif session._sign_test(var, False, 0.5) > session.zero:
+            credal = "off"
+        else:
+            credal = "indeterminate"
+        out.append(SegmentDecision(i, p_on, p_on > 0.5, credal))
+    return out
 
 
 def map_reference(circuit: Circuit, params: PsddParams, evidence):
@@ -1126,6 +1178,8 @@ def check_local_reference(
         for i, (l, u) in enumerate(zip(lower, upper)):
             if not 0.0 <= l <= u <= 1.0:
                 raise ParamError(f"node {nid}: state {i}: invalid interval [{l}, {u}]")
+        if len(upper) != k:
+            raise ParamError(f"node {nid}: expected {k} upper bounds, got {len(upper)}")
     false = circuit.false_ids()
     for i, (_, s) in enumerate(node.elements):  # a TRUE terminal has no sub
         if upper[i] != 0.0 and s in false:  # every entry is non-negative by now

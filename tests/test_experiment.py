@@ -8,9 +8,10 @@ from random import Random
 
 import pytest
 
-from csdd.circuit import model_count
+from csdd.circuit import enumerate_models, model_count
 from csdd.experiment import (
     DIGIT_PATTERNS,
+    SEGMENTS,
     Metrics,
     Scenario,
     SegmentPrediction,
@@ -25,9 +26,18 @@ from csdd.experiment import (
     scenario_circuit,
     scenario_vtree,
     u80_score,
+    _decide_batch,
 )
+from csdd.infer import EvidenceSession
 from csdd.learn import bayes_estimate, collect_counts, idm_estimate
-from csdd.params import CsddParams
+from csdd.params import CsddParams, PsddParams
+
+from conftest import (
+    decide_segments_reference,
+    random_circuit,
+    random_csdd_params,
+    random_psdd_params,
+)
 
 
 class TestScenarioFormula:
@@ -233,6 +243,114 @@ class TestLabels:
                 for tol in (1e-2, 1e-4, 1e-6)
             }
             assert labels[1e-2] == labels[1e-4] == labels[1e-6]
+
+
+def _outcome(decide, *args):
+    """The answer's repr, or the refusal's type and words."""
+    try:
+        return repr(decide(*args))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _one_by_one(circuit, psdd, csdd, observations):
+    return [decide_segments_reference(circuit, psdd, csdd, o) for o in observations]
+
+
+def _cell_tables(p_f, seed):
+    """A display cell's tables and its distinct observations, in order of
+    first appearance, as ``run_cell`` draws them."""
+    scenario = Scenario(train_size=20, p_f=p_f, seed=seed)
+    circuit = scenario_circuit()
+    rng = Random(f"sevenseg:{scenario.train_size}:{scenario.p_f}:{scenario.seed}")
+    counts = collect_counts(circuit, generate_data(scenario.train_size, p_f, rng))
+    shown = [tuple(on and rng.random() >= p_f for on in DIGIT_PATTERNS[rng.randrange(10)])
+             for _ in range(scenario.test_size)]
+    observations = [{observed_var(i + 1): s[i] for i in range(SEGMENTS)} for s in dict.fromkeys(shown)]
+    return circuit, bayes_estimate(circuit, counts, 1.0), idm_estimate(circuit, counts, 1.0), observations
+
+
+class TestBatchedDecisions:
+    """``_decide_batch`` gives, by ``repr``, what the per-observation
+    ``decide_segments_reference`` gives each observation, and refuses a
+    batch as the first failing observation is refused alone."""
+
+    @pytest.mark.parametrize("p_f", [0.05, 0.2, 0.3, 0.4])
+    def test_display_cells(self, p_f):
+        for seed in (0, 1, 2):
+            circuit, psdd, csdd, observations = _cell_tables(p_f, seed)
+            assert repr(_decide_batch(circuit, psdd, csdd, observations)) == repr(
+                _one_by_one(circuit, psdd, csdd, observations))
+
+    def test_every_observation(self, trained):
+        circuit, psdd, csdd = trained
+        assert repr(_decide_batch(circuit, psdd, csdd, ALL_OBSERVATIONS)) == repr(
+            _one_by_one(circuit, psdd, csdd, ALL_OBSERVATIONS))
+
+    def test_repeated_observations_and_a_batch_of_one(self, trained):
+        circuit, psdd, csdd = trained
+        rng = Random(5)
+        batch = [rng.choice(ALL_OBSERVATIONS[:6]) for _ in range(20)]
+        assert repr(_decide_batch(circuit, psdd, csdd, batch)) == repr(
+            _one_by_one(circuit, psdd, csdd, batch))
+        for observation in ALL_OBSERVATIONS[::9]:
+            want = repr(decide_segments_reference(circuit, psdd, csdd, observation))
+            assert repr(_decide_batch(circuit, psdd, csdd, [observation])[0]) == want
+            assert repr(decide_segments(circuit, psdd, csdd, observation)) == want
+            session = EvidenceSession(circuit, csdd, observation)
+            assert repr(decide_segments(circuit, psdd, csdd, observation, session)) == want
+        assert _decide_batch(circuit, psdd, csdd, []) == []
+
+    def test_random_circuits_with_wide_nodes(self):
+        rng = Random(2025)
+        wide = 0
+        while wide < 10:
+            # hidden variables 1..7 are the targets; the rest are observed
+            n = rng.randint(8, 10)
+            circuit = random_circuit(rng, n, singly=bool(rng.getrandbits(1)))
+            csdd = random_csdd_params(rng, circuit, 0.3)
+            if all(cs.k <= 2 for cs in csdd.table.values()):
+                continue  # no decision node of 3-6 elements
+            wide += 1
+            psdd = random_psdd_params(rng, circuit)
+            models = sorted(enumerate_models(circuit, circuit.root))
+            pool = []
+            for _ in range(6):
+                model = rng.choice(models)
+                pool.append({v: model[v - 1] for v in range(SEGMENTS + 1, n + 1) if rng.random() < 0.7})
+            batch = [rng.choice(pool) for _ in range(10)]
+            assert repr(_decide_batch(circuit, psdd, csdd, batch)) == repr(
+                _one_by_one(circuit, psdd, csdd, batch))
+
+    def test_refusals(self, trained):
+        circuit, psdd, csdd = trained
+        good = ALL_OBSERVATIONS[37]
+        # segment 1 never shows under this table, so an observation showing it has probability 0
+        dark = PsddParams({nid: (0.0, 1.0) if circuit.nodes[nid].var == observed_var(1) else pmf
+                           for nid, pmf in psdd.table.items()})
+        unseen = {observed_var(i + 1): i < 1 for i in range(SEGMENTS)}
+        bad = [
+            {**good, hidden_var(3): True},                          # an observed target
+            {**good, observed_var(1): True, hidden_var(1): False},  # inconsistent evidence
+            {**good, observed_var(2): None},
+            {**good, 99: True},
+        ]
+        cases = [(psdd, [b]) for b in bad] + [
+            (psdd, [good, bad[0], bad[1]]),
+            (psdd, [good, bad[1], bad[0]]),
+            (psdd, [good, bad[3], bad[2]]),
+            (dark, [unseen]),
+            (dark, [{observed_var(i + 1): False for i in range(SEGMENTS)}, unseen, bad[0]]),
+        ]
+        kinds = set()
+        for table, batch in cases:
+            want = _outcome(_one_by_one, circuit, table, csdd, batch)
+            assert isinstance(want, tuple), batch
+            assert _outcome(_decide_batch, circuit, table, csdd, batch) == want, batch
+            kinds.add(want)
+        assert ("ValueError", "observation has zero probability under the point table") in kinds
+        assert ("InferenceError", f"queried variable {hidden_var(3)} appears in the evidence") in kinds
+        assert ("InferenceError", "evidence variable 99 is not in the circuit") in kinds
 
 
 def _vacuify(cs):

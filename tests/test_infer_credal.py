@@ -1203,17 +1203,13 @@ class TestPassMemo:
 
             plain = EvidenceSession(circuit, csdd, evidence)
             with credal_memo:
-                memoized = EvidenceSession(circuit, csdd, evidence)
-            # bound when built and packed once, for the sign tests run after the scope
-            assert memoized._memo is credal_memo
-            assert memoized._key == credal_memo.pack(evidence)
+                memoized = EvidenceSession(circuit, csdd, evidence)  # its sweeps read the memo
             for var, val, mu in product(free, (True, False), (0.0, 0.25, 0.5, 0.9)):
                 want = plain._sign_test(var, val, mu)
                 assert repr(memoized._sign_test(var, val, mu)) == repr(want)
                 signs = [conditional_sign(circuit, csdd, mu, var, val, evidence, session)
                          for session in (memoized, plain)]
                 assert signs[0] == signs[1]
-            # a traced sign test skips the memo: the certificate sees every node
             got = lower_conditional(circuit, csdd, free[0], True, evidence, session=memoized)
             want = lower_conditional(circuit, csdd, free[0], True, evidence, session=plain)
             assert (got.value, got.certificate, got.trace.uses, got.trace.sigma) == (

@@ -12,10 +12,9 @@ from csdd.circuit import DECISION, LITERAL, TRUE, Vtree, Circuit, enumerate_mode
 from csdd.formats import dumps_psdd, loads_psdd
 from csdd.infer import (
     InferenceError,
+    _Columns,
     _PassMemo,
-    _point_pass,
     _route,
-    _spine_marginal,
     joint_probability,
     map_query,
     marginal,
@@ -64,16 +63,17 @@ class TestMarginal:
         n = rng.randint(3, 6)
         circuit = random_circuit(rng, n, singly=singly)
         params = random_psdd_params(rng, circuit)
-        evidence = data.draw(st.dictionaries(st.integers(1, n), st.booleans()))
-        values = _point_pass(circuit, params, evidence, circuit.cone(), {})
-        before = repr(values)
+        evidences = data.draw(st.lists(st.dictionaries(st.integers(1, n), st.booleans()),
+                                       min_size=1, max_size=4))
+        batch = _Columns(circuit, evidences)
+        cols = batch.point(params)
+        before = repr(cols)
         for var in range(1, n + 1):
-            if var in evidence:
-                continue
             for val in (True, False):
-                got = _spine_marginal(circuit, params, evidence, values, var, val)
-                assert got == marginal(circuit, params, {**evidence, var: val})
-                assert repr(values) == before  # the spine's entries are put back
+                got = batch.spine(params, cols, var, val)
+                want = [marginal(circuit, params, {**evidence, var: val}) for evidence in evidences]
+                assert repr(got) == repr(want)
+                assert repr(cols) == before  # the spine's columns overlay the point columns
 
     def test_joint_requires_complete_assignment(self, squares, squares_ml):
         with pytest.raises(InferenceError):
@@ -101,18 +101,21 @@ class TestPointPassBitIdentity:
 
     def _check(self, circuit, params):
         n = circuit.vtree.var_count
-        for row in product((None, True, False), repeat=n):
-            evidence = {v: val for v, val in enumerate(row, 1) if val is not None}
+        evidences = [{v: val for v, val in enumerate(row, 1) if val is not None}
+                     for row in product((None, True, False), repeat=n)]
+        # every evidence at once: the column passes give each one's floats
+        batch = _Columns(circuit, evidences)
+        cols = batch.point(params)
+        for j, evidence in enumerate(evidences):
             want = repr(point_pass_reference(circuit, params, evidence))
             assert repr(marginal(circuit, params, evidence)) == want, evidence
-            values = _point_pass(circuit, params, evidence, circuit.cone(), {})
-            for var in range(1, n + 1):
-                if var in evidence:
-                    continue
-                for val in (True, False):
-                    got = _spine_marginal(circuit, params, evidence, values, var, val)
+            assert repr(cols[circuit.root][j]) == want, evidence
+        for var in range(1, n + 1):
+            for val in (True, False):
+                got = batch.spine(params, cols, var, val)
+                for j, evidence in enumerate(evidences):
                     want = repr(point_pass_reference(circuit, params, {**evidence, var: val}))
-                    assert repr(got) == want, (evidence, var, val)
+                    assert repr(got[j]) == want, (evidence, var, val)
 
     def test_negative_zero_table(self):
         # both subs read -0.0 under X2 = 1: fsum returns +0.0, a bare sum -0.0
