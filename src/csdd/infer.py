@@ -5,53 +5,43 @@ single bottom-up passes.  Credal queries replace each decision-node sum
 with a local linear program over the node's credal set:
 
 * lower/upper probability of evidence is exact for every topology;
-* lower/upper conditional probability of a single variable runs the
-  evidence pass inside a sign test whose crossing in [0, 1] is found by a
-  safeguarded Illinois (regula falsi) search: the sign stays positive at
-  the bracket's left edge and non-positive at its right edge, and the
-  left edge is returned, so the answer never passes the crossing;
-  an :class:`EvidenceSession` runs the evidence passes once per
+* a lower/upper conditional of one variable is the crossing of a sign
+  test, the evidence pass with the threshold inside, concave in it:
+  Newton steps on the test's own slope find it, and a pass confirms the
+  sign positive at the returned left edge, so it never passes the
+  crossing.  An :class:`EvidenceSession` runs the evidence passes once per
   evidence, takes consistency from its upper pass (a truth pass runs only
-  when that is 0) and runs the sign test itself for every target (each
-  target's spine and sign-test plan are cached on the circuit);
+  when that is 0) and runs the sign test for every target from a plan of
+  its spine cached on the circuit;
 * robustness checks whether one most-probable completion stays optimal
-  for every parameter table between the bounds: a credal MAP pass and a
-  truth pass over the cone, then the completion's sweeps, tied options and
-  completion counts (at most 2) over the completion's route only (under
-  a memo scope, the route :func:`map_query` walked stands in for the
-  truth pass).
+  for every table between the bounds: a credal MAP pass and a truth pass
+  over the cone, then the completion's sweeps, tied options and
+  completion counts (at most 2) over its route only.
 
-On circuits with shared structure the conditional and robustness passes
-may optimize one shared credal set toward different extreme points in
-different subproblems.  The result is then an outer bound: never tighter
-than the truth.  A certificate records which extreme point each local
-program used, solving again the sweep problems it marks (sweeps carry
-values only), and flags shared nodes with divergent choices; a brute-force
-refinement enumerates their extreme points to recover the exact value.
+On circuits with shared structure these passes may optimize one shared
+credal set toward different extreme points in different subproblems: the
+result is an outer bound.  A certificate records which extreme point each
+local program used (re-solving the sweep problems it marks, as sweeps
+keep values only) and flags shared nodes with divergent choices; a
+brute-force refinement enumerates their extreme points for the exact value.
 
-Bottom-up passes scan the cone, or a route, forward, children first.  The
-top-down passes after them (the MAP backtrack, a completion's route and
-the certificates' marking) scan it in reverse, pushing marks from each
-marked node to its children, so a certificate marks in one top-down pass
-however many nodes it starts from.  A robustness verdict's attaining
-completions are read off the tied options by a depth-first walk.
+Bottom-up passes scan the cone, or a route, children first; top-down
+passes (the MAP backtrack, a completion's route, a certificate's marking)
+scan it in reverse, pushing marks to children, so a certificate marks in
+one pass.  Attaining completions are read off the tied options by a
+depth-first walk.
 
-A node's result in a bottom-up pass depends only on the table and on the
-evidence under its vtree node.  So a batch of credal queries on one
-interval table may open a private ``_PassMemo`` scope around its calls.
-While it is open, the passes that solve local LPs one evidence at a time
-(the evidence sweeps and the credal MAP pass) on its circuit, root and
-table return per node and evidence under it what a pass computed there
-before, and :func:`robustness` takes the route :func:`map_query` walked
-for the same completion instead of running a truth pass.  Calls on any
-other circuit, root or table do not consult it.  The display experiment's
-``run_cell`` opens one per cell, with unchanged answers; outside a scope
-nothing is reused.
-
-A batch of evidences known up front runs node-major instead: the private
-``_Columns`` passes fill a column per node, one float per evidence, each the
-scalar pass's float, bit for bit.  The display experiment decides a cell's
-distinct observations with them; single queries run the scalar passes.
+A node's result in a bottom-up pass depends only on the table and the
+evidence under its vtree node.  So a batch of credal queries on one table
+may open a private ``_PassMemo`` scope: there the evidence sweeps and the
+credal MAP pass on its circuit, root and table reuse what a pass computed
+per node and evidence under it, and :func:`robustness` takes the route
+:func:`map_query` walked for the same completion instead of a truth pass.
+The display experiment's ``run_cell`` opens one per cell, with unchanged
+answers.  A batch of evidences known up front runs node-major instead:
+the private ``_Columns`` passes fill a column per node, one float per
+evidence, the scalar pass's float bit for bit; the display experiment
+decides a cell's distinct observations with them.
 """
 
 from __future__ import annotations
@@ -622,6 +612,7 @@ class EvidenceSession:
         # every sign-test message is at most the upper evidence probability
         # in size, so the numerical zero scales with it
         self.zero = ZERO_TOL * upper
+        self._points: dict[int, tuple] = {}  # greedy points per two-state set, by node
 
     def check(self, circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> None:
         """Raise unless the session was built for exactly these arguments."""
@@ -633,30 +624,43 @@ class EvidenceSession:
         ):
             raise InferenceError("session was built for another circuit, table or evidence")
 
-    def _sign_test(
-        self, var: int, val: bool, mu: float, trace: InferenceTrace | None = None
-    ) -> float:
-        """Root message of the threshold test at ``mu``; positive iff the
-        lower conditional of ``var = val`` exceeds ``mu``.
+    def _sign_test(self, var: int, val: bool, mu: float, trace: InferenceTrace | None = None,
+                   starts: list[tuple[int, int]] | None = None) -> tuple[float, float]:
+        """Root message of the threshold test at ``mu``, positive iff the lower
+        conditional of ``var = val`` exceeds ``mu``, and its slope in ``mu``:
+        one pass over ``var``'s spine plan, siblings read from the sweeps.
 
-        One bottom-up pass over ``var``'s spine, read from its sign-test
-        plan; the sibling's bound comes from the evidence sweeps.
+        Each message is a minimum of pieces linear in ``mu`` and takes the
+        slope of the piece chosen: the root's is a supergradient of a concave
+        function.  A ``trace`` receives the spine's points and sibling values,
+        ``starts`` the (sibling, sense) pairs for :func:`_mark_sweeps`.
         """
         table = self.params.table
         low_values, up_values = self.low, self.up
         msg: dict[int, float] = {}
-        starts: list[tuple[int, int]] = []  # sibling values the trace must pin
+        rate: dict[int, float] = {}  # each message's slope in mu
         for nid, kind, sides in _sign_plan(self.circuit, var):
             if kind == DECISION:
                 cs = table.get(nid)
                 if cs is None:
-                    msg[nid] = 0.0  # unsatisfiable decision node
+                    msg[nid] = rate[nid] = 0.0  # unsatisfiable decision node
                     continue
                 # a negative message takes the sibling's upper value (a FALSE
                 # sibling is 0.0 in both sweeps)
-                coeffs = [(m := msg[u]) * (up_values if m < 0.0 else low_values)[w]
-                          for u, w, _ in sides]
-                value, point = _min_fast(cs, coeffs)
+                if len(sides) == 2:  # _min_fast unrolled: its point depends only on c1 < c0
+                    points = self._points.get(nid) or self._points.setdefault(nid, _greedy_points(cs))
+                    (u0, w0, _), (u1, w1, _) = sides
+                    s0 = (up_values if msg[u0] < 0.0 else low_values)[w0]
+                    s1 = (up_values if msg[u1] < 0.0 else low_values)[w1]
+                    coeffs = c0, c1 = msg[u0] * s0, msg[u1] * s1
+                    point = x0, x1 = points[c1 < c0]
+                    value = c0 * x0 + c1 * x1 + 0.0  # _with_value's, finite while |mu| < 1e300
+                    rate[nid] = x0 * rate[u0] * s0 + x1 * rate[u1] * s1
+                else:
+                    sibs = [(up_values if msg[u] < 0.0 else low_values)[w] for u, w, _ in sides]
+                    coeffs = [msg[u] * s for (u, _, _), s in zip(sides, sibs)]
+                    value, point = _min_fast(cs, coeffs)
+                    rate[nid] = sum(t * rate[u] * s for t, (u, _, _), s in zip(point, sides, sibs))
                 msg[nid] = value
                 if trace is not None:
                     for idx, (u, w, w_false) in enumerate(sides):
@@ -667,21 +671,21 @@ class EvidenceSession:
                     trace.record(nid, point if any(coeffs) else None)
             elif kind == LITERAL:
                 msg[nid] = (1.0 - mu) if sides == val else -mu
+                rate[nid] = -1.0
             elif kind == TRUE:
                 cs = table[nid]
                 state = 0 if val else 1
                 lx, ux = cs.lower[state], cs.upper[state]
                 lnot, unot = cs.lower[1 - state], cs.upper[1 - state]
-                msg[nid] = min((1.0 - mu) * lx - mu * unot, (1.0 - mu) * ux - mu * lnot)
+                low_line, up_line = (1.0 - mu) * lx - mu * unot, (1.0 - mu) * ux - mu * lnot
+                msg[nid], rate[nid] = ((up_line, -ux - lnot) if up_line < low_line  # min()'s pick
+                                       else (low_line, -lx - unot))
                 if trace is not None:
                     # the minimum pins the member with the smaller target mass
                     trace.record(nid, (lx, unot) if state == 0 else (unot, lx))
             else:
-                msg[nid] = 0.0
-        if trace is not None:
-            _mark_sweeps(trace, self.circuit, self.params, self.evidence, self.circuit.cone(),
-                         self.low, self.up, starts)
-        return msg[self.root]
+                msg[nid] = rate[nid] = 0.0
+        return msg[self.root], rate[self.root]
 
 
 def _check_target(circuit: Circuit, var: int, val: bool, evidence: Mapping[int, bool]) -> None:
@@ -724,60 +728,54 @@ def conditional_sign(
     if not math.isfinite(mu):  # its messages would be NaN, which reads as a zero sign
         raise InferenceError(f"threshold must be finite, got {mu}")
     session = _session(circuit, params, var, val, evidence, session)
-    value = session._sign_test(var, bool(val), mu)
+    value = session._sign_test(var, bool(val), mu)[0]
     return (value > session.zero) - (value < -session.zero)
 
 
-def _find_crossing(value_at, tol: float, zero: float = ZERO_TOL) -> tuple[float, float, int]:
+def _find_crossing(value_at, tol: float, zero: float = ZERO_TOL, confirm=None) -> tuple[float, float, int]:
     """Bracket the sign change of ``value_at`` in [0, 1] to width ``tol``.
 
-    The sign is positive where ``value_at(mu) > zero``.  Returns
-    ``(lo, hi, passes)`` with a positive sign at ``lo`` and a non-positive
-    one at ``hi``, ``hi - lo <= tol``, and the number of ``value_at``
-    calls; ``(0, 0, 1)`` when the sign at 0 is already non-positive.
-    ``value_at(1)`` must be non-positive, as every sign-test message is
-    at ``mu = 1``.  A ``tol`` below ``MIN_CROSSING_TOL`` is raised to it:
-    a narrower bracket could not be split and the search would not end.
+    ``value_at(mu)`` gives a value, of positive sign above ``zero``, and its
+    piece's slope; it runs the pass at 1, which must be non-positive as every
+    sign test is, and ``confirm`` (default ``value_at``) every later one.
+    Returns ``(lo, hi, passes)``: passes found the sign positive at ``lo`` and
+    non-positive at ``hi`` (both 0 if it is at 0), ``hi - lo <= tol``, which
+    is raised to ``MIN_CROSSING_TOL`` at least, and ``passes`` counts them.
 
-    Illinois steps (regula falsi that halves the value kept at an edge
-    retained twice in a row) land on the crossing in a few passes on the
-    piecewise-linear sign test.  Each trial is clamped at least
-    ``tol / 2`` inside the bracket, so a trial next to a found crossing
-    closes the bracket, and a secant step that fails to halve the
-    bracket is followed by a bisection step, so no search takes more
-    than about twice the passes of plain bisection.
+    Newton steps run down from 1 (Dinkelbach's method, on the sign test).
+    A concave function lies below its tangents, so the one at ``hi`` proves
+    the sign non-positive from its root up (on [0, 1] if its slope is not
+    negative).  ``hi`` goes a quarter ``tol`` past the root, a cushion for
+    rounding, and a confirming pass a ``tol`` below ends the search if
+    positive, else Newton goes on from there: k pieces take k + 1 passes.
+    Bisection takes over after ``ceil(log2(1 / tol)) + 1`` passes, or if a
+    slope steeper at ``lo`` than at ``hi`` makes a pass check ``hi`` and it
+    is positive, so no search takes over ``2 * ceil(log2(1 / tol)) + 3``.
     """
-    g_lo = value_at(0.0) - zero
-    if g_lo <= 0.0:
-        return 0.0, 0.0, 1
-    lo, hi = 0.0, 1.0
-    g_hi = value_at(1.0) - zero
-    passes = 2
     tol = max(tol, MIN_CROSSING_TOL)
-    margin = 0.5 * tol
-    bisect = False
-    last = None  # edge moved by the previous step
-    while hi - lo > tol:
-        width = hi - lo
-        if bisect:
-            mu = lo + 0.5 * width
-        else:
-            mu = lo + width * g_lo / (g_lo - g_hi)
-            mu = min(max(mu, lo + margin), hi - margin)
-        g = value_at(mu) - zero
+    confirm, newton_passes = confirm or value_at, math.ceil(math.log2(1.0 / tol)) + 1
+    lo, hi, (value, slope), passes = None, 1.0, value_at(1.0), 1
+    while lo is None and hi > 0.0 and passes <= newton_passes:
+        root = hi - (value - zero) / slope if slope < 0.0 else -math.inf
+        top = min(hi, max(root + 0.25 * tol, tol))
+        mu = max(top - tol, 0.0)
+        while top - mu > tol:  # top - tol rounded down
+            mu = math.nextafter(mu, top)
+        found, found_slope = confirm(mu)
         passes += 1
-        if g > 0.0:
-            lo, g_lo = mu, g
-            if last == "lo":
-                g_hi *= 0.5
-            last = "lo"
-        else:
-            hi, g_hi = mu, g
-            if last == "hi":
-                g_lo *= 0.5
-            last = "hi"
-        bisect = not bisect and hi - lo > 0.5 * width
-    return lo, hi, passes
+        if found <= zero:
+            hi, value, slope = mu, found, found_slope
+        elif top == hi or found_slope >= slope:
+            lo, hi = mu, top
+        else:  # steeper at mu than at hi, so not concave: a pass checks top
+            passes += 1
+            lo, hi = (top, hi) if confirm(top)[0] > zero else (mu, top)
+    while hi > 0.0 and (lo is None or hi - lo > tol):  # bisection, down to 0 until lo is found
+        floor = 0.0 if lo is None else lo
+        mu = 0.0 if hi <= floor + tol else floor + 0.5 * (hi - floor)
+        passes += 1
+        lo, hi = (mu, hi) if confirm(mu)[0] > zero else (lo, mu)
+    return (0.0, 0.0, passes) if hi == 0.0 else (lo, hi, passes)
 
 
 def lower_conditional(
@@ -792,26 +790,29 @@ def lower_conditional(
 ) -> ConditionalResult:
     """Lower conditional probability of a single variable given evidence.
 
-    Narrows a bracket on the sign test's crossing with a safeguarded
-    Illinois search until it is at most ``tol`` wide, and returns the
-    bracket's left edge, where the sign is still positive, so the answer
-    never passes the crossing.  Exact on singly connected circuits up to
-    ``tol``; an outer bound otherwise, flagged through the certificate.
-    ``iterations`` counts sign-test passes.  ``session``, built for the
-    same circuit, params and evidence, shares the evidence passes across
-    queries; without it a one-shot session is built.
+    Newton steps on the sign test (:func:`_find_crossing`) bracket its
+    crossing to ``tol``; the left edge, where a pass confirmed the sign still
+    positive, is returned, so the answer never passes the crossing.  Exact on
+    singly connected circuits up to ``tol``; an outer bound otherwise, flagged
+    by the certificate, traced on that confirming pass.  ``iterations`` counts
+    every sign-test pass.  ``session``, for the same circuit, params and
+    evidence, shares the evidence passes; else a one-shot one is built.
     """
     if not 0 < tol < 1:  # [0, 1] is already 1 wide: a tol of 1 or more asks for nothing
         raise InferenceError("tolerance must be positive and below 1")
     session = _session(circuit, params, var, val, evidence, session)
     sign_test = partial(session._sign_test, var, bool(val))
-    lo, hi, iterations = _find_crossing(sign_test, tol, session.zero)
+    traced: dict[float, tuple] = {}  # trace and sweep starts of every pass but the first
+    def confirm(mu: float) -> tuple[float, float]:
+        traced[mu] = trace, starts = InferenceTrace(), []
+        return sign_test(mu, trace, starts)
+    lo, hi, passes = _find_crossing(sign_test, tol, session.zero, confirm if want_certificate else None)
     trace = certificate = None
     if want_certificate:
-        trace = InferenceTrace()
-        sign_test(lo, trace)
+        trace, starts = traced[lo]  # only lo's pass marks the sweep problems it read
+        _mark_sweeps(trace, circuit, params, evidence, circuit.cone(), session.low, session.up, starts)
         certificate = exactness_certificate(trace, circuit.connectivity())
-    return ConditionalResult(lo, iterations, (lo, hi), trace, certificate)
+    return ConditionalResult(lo, passes, (lo, hi), trace, certificate)
 
 
 def upper_conditional(
@@ -826,13 +827,9 @@ def upper_conditional(
 ) -> ConditionalResult:
     """Upper conditional via conjugacy with the complementary lower query,
     whose bracket ``(lo, hi)`` becomes ``(1 - hi, 1 - lo)``."""
-    inner = lower_conditional(
-        circuit, params, var, not val, evidence, tol, want_certificate, session
-    )
-    lo, hi = inner.bracket
-    return ConditionalResult(
-        1.0 - inner.value, inner.iterations, (1.0 - hi, 1.0 - lo), inner.trace, inner.certificate
-    )
+    inner = lower_conditional(circuit, params, var, not val, evidence, tol, want_certificate, session)
+    (lo, hi), up = inner.bracket, 1.0 - inner.value
+    return ConditionalResult(up, inner.iterations, (1.0 - hi, 1.0 - lo), inner.trace, inner.certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -884,6 +881,9 @@ class _Columns:
                     t0, t1 = theta
                     cols[nid] = [a * b * t0 + c * d * t1 + 0.0
                                  for a, b, c, d in zip(cols[p0], cols[s0], cols[p1], cols[s1])]
+                elif len(theta) == 1:  # fsum of one finite product is the product plus 0.0
+                    ((p, s),), (t,) = node.elements, theta
+                    cols[nid] = [a * b * t + 0.0 for a, b in zip(cols[p], cols[s])]
                 else:
                     kids = [(cols[p], cols[s], t) for (p, s), t in zip(node.elements, theta)]
                     cols[nid] = self._per_key(nid, keys, lambda j: math.fsum(

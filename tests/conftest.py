@@ -379,9 +379,9 @@ def decide_segments_reference(
         p_on = spine_marginal_reference(circuit, psdd, observation, values, var, True) / p_obs
         _check_target(circuit, var, True, observation)
         # conditional_sign's test at one half: positive beyond the numerical zero
-        if session._sign_test(var, True, 0.5) > session.zero:
+        if session._sign_test(var, True, 0.5)[0] > session.zero:
             credal = "on"
-        elif session._sign_test(var, False, 0.5) > session.zero:
+        elif session._sign_test(var, False, 0.5)[0] > session.zero:
             credal = "off"
         else:
             credal = "indeterminate"

@@ -69,6 +69,7 @@ from csdd.infer import (
     _route,
     _sign_plan,
 )
+from csdd.experiment import SEGMENTS, generate_data, hidden_var, observed_var, scenario_circuit
 from csdd.formula import TRUE as T_CONST, Var, conj, disj
 from csdd.learn import Dataset, bayes_estimate, collect_counts, idm_estimate, ml_estimate
 from csdd.params import CsddParams, PsddParams
@@ -243,7 +244,9 @@ class TestConditional:
             sign = lambda mu: conditional_sign(
                 circuit, params, mu, var, True, evidence, session=session
             )
-            assert abs(res.value - _bisection(sign, 1e-7)) <= 1e-7
+            # within tol below the reference bisection's left edge, never above it
+            reference = _bisection(sign, 1e-7)
+            assert reference - 1e-7 <= res.value <= reference
             if res.certificate.status == EXACT:
                 assert res.value == pytest.approx(oracle, abs=1e-6)
 
@@ -411,20 +414,24 @@ class TestEvidenceSession:
 
 
 def _piecewise(root: float, left_slope: float, right_slope: float):
-    """Decreasing two-piece linear function crossing zero at ``root``."""
+    """Decreasing two-piece linear function crossing zero at ``root``, with
+    the slope of the piece it takes; concave when ``left_slope <= right_slope``."""
 
-    def value_at(mu: float) -> float:
+    def value_at(mu: float) -> tuple[float, float]:
         gap = root - mu
-        return gap * (left_slope if gap > 0 else right_slope)
+        slope = left_slope if gap > 0 else right_slope
+        return gap * slope, -slope
 
     return value_at
 
 
 def _concave(root: float, slopes):
-    """Minimum of lines through (root, 0), like the sign test's message."""
+    """Minimum of decreasing lines, one per slope, like the sign test's
+    message, with the slope of the line it takes."""
 
-    def value_at(mu: float) -> float:
-        return min(slope * (root - mu) + 0.01 * k * (1.0 - mu) for k, slope in enumerate(slopes))
+    def value_at(mu: float) -> tuple[float, float]:
+        return min((slope * (root - mu) + 0.01 * k * (1.0 - mu), -slope - 0.01 * k)
+                   for k, slope in enumerate(slopes))
 
     return value_at
 
@@ -434,10 +441,10 @@ class TestFindCrossing:
     SLOPE_RATIOS = tuple(10.0 ** e for e in range(-9, 10))
 
     @staticmethod
-    def _check(value_at, tol: float) -> None:
+    def _check(value_at, tol: float) -> int:
         calls = []
 
-        def counted(mu: float) -> float:
+        def counted(mu: float) -> tuple[float, float]:
             calls.append(mu)
             return value_at(mu)
 
@@ -446,14 +453,17 @@ class TestFindCrossing:
         assert passes <= 2 * math.ceil(math.log2(1 / tol)) + 3
         assert 0.0 <= lo <= hi <= 1.0
         assert hi - lo <= tol
-        assert value_at(hi) <= ZERO_TOL
+        assert value_at(hi)[0] <= ZERO_TOL
         if (lo, hi) == (0.0, 0.0):
-            assert value_at(0.0) <= ZERO_TOL
+            assert value_at(0.0)[0] <= ZERO_TOL
         else:
-            assert value_at(lo) > ZERO_TOL
+            assert value_at(lo)[0] > ZERO_TOL
+        return passes
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-9])
     def test_two_piece_functions(self, tol):
+        # convex ones too (left_slope > right_slope): tangents then mislead,
+        # and the invariants and the pass bound must still hold
         for root in self.ROOTS:
             for scale in (1e-3, 1.0, 1e3):
                 for ratio in self.SLOPE_RATIOS:
@@ -465,11 +475,14 @@ class TestFindCrossing:
         for root in self.ROOTS:
             for _ in range(10):
                 slopes = [10.0 ** rng.uniform(-9, 9) for _ in range(rng.randint(1, 6))]
-                self._check(_concave(root, slopes), tol)
+                # Newton visits each linear piece at most once
+                assert self._check(_concave(root, slopes), tol) <= len(slopes) + 2
 
     def test_nonpositive_at_zero_exits_at_once(self):
-        assert _find_crossing(_piecewise(0.0, 1.0, 1.0), 1e-6) == (0.0, 0.0, 1)
-        assert _find_crossing(lambda mu: -1.0, 1e-6) == (0.0, 0.0, 1)
+        # the pass at 1, then the confirming pass at 0: the tangent at 1, or
+        # a slope that is not negative, puts the crossing at or below 0
+        assert _find_crossing(_piecewise(0.0, 1.0, 1.0), 1e-6) == (0.0, 0.0, 2)
+        assert _find_crossing(lambda mu: (-1.0, 0.0), 1e-6) == (0.0, 0.0, 2)
 
     def test_tolerance_below_float_resolution_terminates(self, squares, squares_idm):
         for root in self.ROOTS:
@@ -498,8 +511,71 @@ class TestFindCrossing:
     def test_lands_within_tol_of_linear_root(self):
         lo, hi, passes = _find_crossing(_piecewise(0.3, 2.0, 2.0), 1e-6)
         assert 0.3 - 1e-6 <= lo < 0.3 <= hi + 1e-12
-        # f(0), f(1), the secant step onto the root, one step to close
-        assert passes <= 4
+        # the pass at 1, whose tangent is the line itself, and the confirming
+        # pass a tol below its root
+        assert passes <= 3
+
+
+def _display_instances():
+    """The display circuit with a display cell's tables, and random
+    observations of its shown segments."""
+    circuit = scenario_circuit()
+    rng = Random(2024)
+    counts = collect_counts(circuit, generate_data(20, 0.2, rng))
+    observations = [{observed_var(i): bool(rng.getrandbits(1)) for i in range(1, SEGMENTS + 1)}
+                    for _ in range(6)]
+    return circuit, idm_estimate(circuit, counts, 1.0), observations
+
+
+class TestSignTestSlope:
+    """The sign test's slope is a supergradient of its concave value, and
+    the Newton search on it stays within ``tol`` below the plain bisection."""
+
+    H = 1e-3
+    MUS = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+
+    def _check_slopes(self, session: EvidenceSession, var: int, val: bool) -> None:
+        g = lambda mu: session._sign_test(var, val, mu)[0]
+        for mu in self.MUS:
+            value, slope = session._sign_test(var, val, mu)
+            assert repr(value) == repr(_sign_test_reference(session, var, val, mu)[0])
+            slack = 1e-9 * max(1.0, abs(slope))
+            if mu + self.H <= 1.0:
+                assert (g(mu + self.H) - value) / self.H <= slope + slack
+            if mu - self.H >= 0.0:
+                assert slope <= (value - g(mu - self.H)) / self.H + slack
+
+    def _check_search(self, circuit, params, evidence, var, val, tol=1e-7) -> None:
+        session = EvidenceSession(circuit, params, evidence)
+        res = lower_conditional(circuit, params, var, val, evidence, tol=tol, session=session)
+        sign = lambda mu: conditional_sign(circuit, params, mu, var, val, evidence, session=session)
+        lo, hi = res.bracket
+        assert (lo, hi) == (0.0, 0.0) or sign(lo) > 0
+        assert sign(hi) <= 0 and hi - lo <= tol
+        reference = _bisection(sign, tol)
+        assert reference - tol <= res.value <= reference
+
+    def test_display_circuit(self):
+        circuit, csdd, observations = _display_instances()
+        for observation in observations:
+            session = EvidenceSession(circuit, csdd, observation)
+            for i in range(1, SEGMENTS + 1):
+                for val in (True, False):
+                    self._check_slopes(session, hidden_var(i), val)
+                    self._check_search(circuit, csdd, observation, hidden_var(i), val)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_circuits(self, seed):
+        rng = Random(seed)
+        circuit = random_circuit(rng, rng.randint(3, 6), singly=bool(rng.getrandbits(1)))
+        csdd = random_csdd_params(rng, circuit, 0.3)
+        n = circuit.vtree.var_count
+        for evidence in _repeating_evidence(rng, circuit, 3):
+            session = EvidenceSession(circuit, csdd, evidence)
+            for var, val in product([v for v in range(1, n + 1) if v not in evidence], (True, False)):
+                self._check_slopes(session, var, val)
+                self._check_search(circuit, csdd, evidence, var, val)
 
 
 class TestSharedNodeExample:
@@ -1247,7 +1323,7 @@ class TestPassMemo:
             return repr((
                 _credal_sweep(circuit, csdd, evidence, circuit.cone(), MIN),
                 (cm.values, cm.tied, cm.counts),
-                [session._sign_test(var, True, 0.5) for var in free if var in under],
+                [session._sign_test(var, True, 0.5)[0] for var in free if var in under],
                 completion,
                 (verdict.value, verdict.label, verdict.attaining, verdict.certificate,
                  verdict.trace.uses),
@@ -1530,10 +1606,10 @@ class TestEvidenceFactsOnce:
             free = [v for v in range(1, n + 1) if v not in evidence]
             for var, val, mu in product(free, (True, False), (0.0, 0.3, 0.5, 1.0)):
                 want, sigma = _sign_test_reference(plain, var, val, mu)
-                assert repr(plain._sign_test(var, val, mu)) == repr(want)
-                assert repr(memoized._sign_test(var, val, mu)) == repr(want)
+                assert repr(plain._sign_test(var, val, mu)[0]) == repr(want)
+                assert repr(memoized._sign_test(var, val, mu)[0]) == repr(want)
                 trace = InferenceTrace()
-                assert repr(plain._sign_test(var, val, mu, trace)) == repr(want)
+                assert repr(plain._sign_test(var, val, mu, trace, [])[0]) == repr(want)
                 assert repr(trace.sigma) == repr(sigma)
 
     def test_two_tables_alternate_without_leaks(self):
@@ -1556,7 +1632,7 @@ class TestEvidenceFactsOnce:
                     with memos[k]:
                         shared = EvidenceSession(circuit, tables[k], evidence)
                     for var, val in product(free, (True, False)):
-                        assert repr(shared._sign_test(var, val, 0.5)) == repr(
+                        assert repr(shared._sign_test(var, val, 0.5)[0]) == repr(
                             _sign_test_reference(plain, var, val, 0.5)[0])
             del tables, memos
         # plans hold structure only: one per variable until the root moves
