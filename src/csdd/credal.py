@@ -4,16 +4,18 @@ A credal set here is the polytope of probability mass functions
 ``{p : lower <= p <= upper, sum(p) = 1}``.  Sets are kept *reachable*
 (every endpoint attainable by some member), which lets every local linear
 program close in O(k log k) with a greedy mass allocation instead of a
-general LP solver; one- and two-state sets close in O(1) by the same
-float operations.  Vertices of the polytope have at most one coordinate
-strictly between its bounds; they are enumerated in a deterministic order.
+general LP solver.  A set of one or two states has only two greedy
+optimizers, found once and cached on the set, so its programs close in
+O(1) with the same floats.  Vertices of the polytope have at most one
+coordinate strictly between its bounds; they are enumerated in a
+deterministic order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 __all__ = [
@@ -80,6 +82,13 @@ class IntervalCredalSet:
     def k(self) -> int:
         return len(self.lower)
 
+    @cached_property
+    def _optima(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        # the only points the greedy gives a one- or two-state set: for
+        # coeffs[1] < coeffs[0] false, then true (one state: one point twice);
+        # kept in the instance dict, outside the fields, ==, hash and repr
+        return _greedy_min_point(self, (0.0, 0.0)), _greedy_min_point(self, (1.0, 0.0))
+
     def contains(self, pmf: Sequence[float], tol: float = BUILD_TOL) -> bool:
         if abs(math.fsum(pmf) - 1.0) > tol:
             return False
@@ -129,29 +138,8 @@ def _bound_sums(lower: Sequence[float], upper: Sequence[float]) -> tuple[float, 
 
 
 def _greedy_min_point(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, ...]:
-    # start at the lower bounds, hand the remaining mass to the cheapest states.
-    # Bit-identity contract: the two-state and one-state forms are the loop
-    # unrolled, the same float operations in the same order, so every caller
-    # gets the point the loop would give, to the sign of zero.
+    # start at the lower bounds, hand the remaining mass to the cheapest states
     lower, upper = cs.lower, cs.upper
-    if len(lower) == 2:
-        swap = coeffs[1] < coeffs[0]  # sorted() visits state 0 first on a tie
-        (ta, tb), (ua, ub) = (lower[::-1], upper[::-1]) if swap else (lower, upper)
-        remaining = 1.0 - (ta + tb)
-        room = ua - ta
-        if remaining > 0 and room > 0:
-            add = room if room < remaining else remaining
-            ta += add
-            remaining -= add
-        if remaining > (EQ_TOL if room > 0 else 0.0):  # the loop breaks only after an add
-            room = ub - tb
-            if room > 0:
-                tb += room if room < remaining else remaining
-        return (tb, ta) if swap else (ta, tb)
-    if len(lower) == 1:
-        (l,), (u,) = lower, upper
-        remaining, room = 1.0 - l, u - l
-        return (l + (room if room < remaining else remaining),) if remaining > 0 and room > 0 else lower
     theta = list(lower)
     remaining = 1.0 - math.fsum(theta)
     if remaining > 0:
@@ -168,26 +156,26 @@ def _greedy_min_point(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[f
 
 
 def _min_fast(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, tuple[float, ...]]:
-    # the local LP: its minimum and the greedy optimizer, as a bare point
+    # the local LP: its minimum and the greedy optimizer, as a bare point; a
+    # one- or two-state set picks its optimum as the greedy's sort would (one
+    # state: coeffs[-1] is coeffs[0], and both optima are its one point)
+    if cs.k <= 2:
+        return _with_value(coeffs, cs._optima[coeffs[-1] < coeffs[0]])
     return _with_value(coeffs, _greedy_min_point(cs, coeffs))
 
 
 def _max_fast(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, tuple[float, ...]]:
+    if cs.k <= 2:
+        return _with_value(coeffs, cs._optima[-coeffs[-1] < -coeffs[0]])
     return _with_value(coeffs, _greedy_min_point(cs, [-c for c in coeffs]))
 
 
-def _greedy_points(cs: IntervalCredalSet) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # the only points the greedy gives a one- or two-state set: for
-    # coeffs[1] < coeffs[0] false, then true (one state: one point twice)
-    return _greedy_min_point(cs, (0.0, 0.0)), _greedy_min_point(cs, (1.0, 0.0))
-
-
-def _closed_lp(points, cols: Sequence[Sequence[float]], maximize: bool = False) -> list[float]:
+def _closed_lp(cs: IntervalCredalSet, cols: Sequence[Sequence[float]], maximize: bool = False) -> list[float]:
     """``_min_fast(cs, row)[0]`` (``_max_fast``'s if ``maximize``) per row of
-    ``cols``, a column per state of ``cs``, whose :func:`_greedy_points` are
-    ``points``, bit for bit: ``_with_value``'s sum of the point that
-    ``c1 < c0`` (``-c1 < -c0``) picks; only non-finite sums need its ``fsum``."""
-    keep, swap = points
+    ``cols``, a column per state of the one- or two-state set ``cs``, bit for
+    bit: ``_with_value``'s sum of the optimum that ``c1 < c0`` (``-c1 < -c0``)
+    picks; only non-finite sums need its ``fsum``."""
+    keep, swap = cs._optima
     if len(cols) == 1:
         x = keep[0]
         return [c * x + 0.0 for c in cols[0]]

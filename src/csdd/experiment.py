@@ -179,18 +179,14 @@ def decide_segments(
     psdd: PsddParams,
     csdd: CsddParams,
     observation: dict[int, bool],
-    session: EvidenceSession | None = None,
 ) -> list[SegmentDecision]:
     """Per-segment point posterior and credal label for one observation.
 
     The label is the conditional algorithm's sign test at one half: "on"
     when lower P(x_i = on | o) > 1/2, "off" when lower P(x_i = off | o)
-    > 1/2, "indeterminate" otherwise.  ``session``, an
-    :class:`EvidenceSession` for (circuit, csdd, observation), is checked;
-    the answers come from :func:`_decide_batch` on this one observation.
+    > 1/2, "indeterminate" otherwise.  The answers come from
+    :func:`_decide_batch` on this one observation.
     """
-    if session is not None:
-        session.check(circuit, csdd, observation)
     return _decide_batch(circuit, psdd, csdd, [observation])[0]
 
 
@@ -235,7 +231,7 @@ def classify_segments(
     ``tol``; the labels do not depend on ``tol``."""
     session = EvidenceSession(circuit, csdd, observation)
     out = []
-    for d in decide_segments(circuit, psdd, csdd, observation, session):
+    for d in decide_segments(circuit, psdd, csdd, observation):
         var = hidden_var(d.segment)
         lo = lower_conditional(circuit, csdd, var, True, observation, tol=tol,
                                want_certificate=False, session=session).value

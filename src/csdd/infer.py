@@ -24,6 +24,8 @@ result is an outer bound.  A certificate records which extreme point each
 local program used (re-solving the sweep problems it marks, as sweeps
 keep values only) and flags shared nodes with divergent choices; a
 brute-force refinement enumerates their extreme points for the exact value.
+A set of one or two states carries its two possible optimizers, so every
+such program, in a pass or a certificate, is a lookup.
 
 Bottom-up passes scan the cone, or a route, children first; top-down
 passes (the MAP backtrack, a completion's route, a certificate's marking)
@@ -33,10 +35,10 @@ depth-first walk.
 
 A node's result in a bottom-up pass depends only on the table and the
 evidence under its vtree node.  So a batch of credal queries on one table
-may open a private ``_PassMemo`` scope: there the evidence sweeps and the
-credal MAP pass on its circuit, root and table reuse what a pass computed
-per node and evidence under it, and :func:`robustness` takes the route
-:func:`map_query` walked for the same completion instead of a truth pass.
+may open a private ``_PassMemo`` scope: there the credal MAP pass on its
+circuit, root and table reuses what it computed per node and evidence
+under it, and :func:`robustness` takes the route :func:`map_query` walked
+for the same completion instead of a truth pass.
 The display experiment's ``run_cell`` opens one per cell, with unchanged
 answers.  A batch of evidences known up front runs node-major instead:
 the private ``_Columns`` passes fill a column per node, one float per
@@ -66,9 +68,7 @@ from .circuit import (
     is_consistent,
 )
 from .credal import (
-    IntervalCredalSet,
     _closed_lp,
-    _greedy_points,
     _max_fast,
     _max_ratio_vertex,
     _min_fast,
@@ -257,23 +257,21 @@ def _check_evidence(circuit: Circuit, evidence: Mapping[int, bool]) -> None:
 
 
 class _PassMemo:
-    """A scope, ``with _PassMemo(circuit, params):``, in which the credal
-    passes on this circuit, root and interval table reuse their results.
+    """A scope, ``with _PassMemo(circuit, params):``, in which the credal MAP
+    pass on this circuit, root and interval table reuses its results.
 
     In a decomposable circuit a node's result depends only on the table and
-    on the evidence over the variables under its vtree node.  Each pass
-    keeps one dict keyed by the node id and the evidence masked to those
-    variables: evidence packs into ``pos | neg << n`` (:func:`_pack`), and a
-    node's mask covers its variables in both halves.  Where a pass would
-    solve a local problem again (a decision node with a credal set and, in
-    the sweeps, an observed TRUE terminal) it returns the stored floats (a
-    sweep's value alone, under ``("sweep", sense)`` for cone and route; the
-    credal MAP pass's under ``("credal_map",)``), so the answers are bit for
-    bit those without a memo.  Sign tests and :class:`EvidenceSession`
-    objects do not consult it.  :func:`map_query`
-    leaves its completion's route in ``routes``, keyed by the packed
-    assignment, for :func:`robustness` to pop: a route depends only on the
-    circuit, its root and the assignment, so any table may use it.
+    on the evidence over the variables under its vtree node.  ``passes``
+    keeps the credal MAP pass's result at each decision node with a credal
+    set, keyed by the node id and the evidence masked to those variables:
+    evidence packs into ``pos | neg << n`` (:func:`_pack`), and a node's
+    mask covers its variables in both halves.  The pass returns the stored
+    value, ties and count, so the answers are bit for bit those without a
+    memo.  Evidence sweeps, sign tests and :class:`EvidenceSession` objects
+    do not consult it.  :func:`map_query` leaves its completion's route in
+    ``routes``, keyed by the packed assignment, for :func:`robustness` to
+    pop: a route depends only on the circuit, its root and the assignment,
+    so any table may use it.
 
     The open memo is a context variable, so threads do not see each
     other's; leaving a scope, also through an exception, reopens the one
@@ -288,7 +286,7 @@ class _PassMemo:
         self.circuit, self.root, self.params = circuit, circuit.root, params
         n = self._n = vtree.var_count
         self.masks = [m | m << n for m in (vtree.mask(node.vtree) for node in circuit.nodes)]
-        self.passes: dict[tuple, dict] = {}
+        self.passes: dict[tuple[int, int], tuple] = {}
         self.routes: dict[int, tuple[dict[int, int], list[int]]] = {}
         self._tokens: list = []
 
@@ -326,29 +324,11 @@ def _open_memo(circuit: Circuit, params: CsddParams | None = None) -> _PassMemo 
     return memo if params is None or memo.params is params else None
 
 
-def _reuse(
-    circuit: Circuit, params: CsddParams, kind: tuple, evidence: Mapping[int, bool]
-) -> tuple[dict | None, Sequence[int], int]:
-    """The open memo's entries of pass ``kind``, its node masks and the packed
-    evidence; ``(None, (), 0)`` when none is open for this circuit, root and table."""
-    memo = _open_memo(circuit, params)
-    if memo is None:
-        return None, (), 0
-    return memo.passes.setdefault(kind, {}), memo.masks, memo.pack(evidence)
-
-
-def _point_pass(
-    circuit: Circuit,
-    params: PsddParams,
-    evidence: Mapping[int, bool],
-    ids: Sequence[int],
-    values: dict[int, float],
-) -> dict[int, float]:
-    """Point-table value of each node of ``ids`` (children first) under the
-    evidence, written into ``values``, which holds every child outside ``ids``
-    at its value under the evidence."""
-    nodes = circuit.nodes
-    for nid in ids:
+def marginal(circuit: Circuit, params: PsddParams, evidence: Mapping[int, bool]) -> float:
+    """Probability of the (partial) evidence under the point table."""
+    _check_evidence(circuit, evidence)
+    nodes, values = circuit.nodes, {}
+    for nid in circuit.cone():
         node = nodes[nid]
         if node.kind == FALSE:
             values[nid] = 0.0
@@ -373,13 +353,7 @@ def _point_pass(
                 values[nid] = math.fsum(
                     values[p] * values[s] * t for (p, s), t in zip(node.elements, theta)
                 )
-    return values
-
-
-def marginal(circuit: Circuit, params: PsddParams, evidence: Mapping[int, bool]) -> float:
-    """Probability of the (partial) evidence under the point table."""
-    _check_evidence(circuit, evidence)
-    return _point_pass(circuit, params, evidence, circuit.cone(), {})[circuit.root]
+    return values[circuit.root]
 
 
 def joint_probability(circuit: Circuit, params: PsddParams, assignment: Mapping[int, bool]) -> float:
@@ -473,7 +447,6 @@ def _credal_sweep(
     values = [0.0] * len(circuit.nodes)
     table = params.table
     opt = _min_fast if sense == MIN else _max_fast
-    memo, masks, ev = _reuse(circuit, params, ("sweep", sense), evidence)
     for nid in ids:
         node = circuit.nodes[nid]
         if node.kind == LITERAL:
@@ -482,15 +455,7 @@ def _credal_sweep(
         elif node.kind == TRUE and evidence.get(node.var) is None:
             values[nid] = 1.0
         elif node.kind != FALSE:  # FALSE reads 0.0
-            if memo is not None:
-                key = nid, ev & masks[nid]
-                hit = memo.get(key)
-                if hit is not None:
-                    values[nid] = hit
-                    continue
-            value = values[nid] = _sweep_problem(table, nid, node, evidence, values, opt)[0]
-            if memo is not None:
-                memo[key] = value
+            values[nid] = _sweep_problem(table, nid, node, evidence, values, opt)[0]
     return values
 
 
@@ -594,8 +559,8 @@ class EvidenceSession:
     :func:`conditional_sign`, :func:`lower_conditional` and
     :func:`upper_conditional`; a call whose circuit, root, params or
     evidence differ from the session's raises :class:`InferenceError`.
-    A session holds no memo; its sweeps reuse the entries of an open
-    :class:`_PassMemo` scope for (circuit, params).
+    A session holds no cache: a one- or two-state set keeps its own
+    greedy points.
     """
 
     def __init__(self, circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> None:
@@ -612,7 +577,6 @@ class EvidenceSession:
         # every sign-test message is at most the upper evidence probability
         # in size, so the numerical zero scales with it
         self.zero = ZERO_TOL * upper
-        self._points: dict[int, tuple] = {}  # greedy points per two-state set, by node
 
     def check(self, circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> None:
         """Raise unless the session was built for exactly these arguments."""
@@ -648,12 +612,11 @@ class EvidenceSession:
                 # a negative message takes the sibling's upper value (a FALSE
                 # sibling is 0.0 in both sweeps)
                 if len(sides) == 2:  # _min_fast unrolled: its point depends only on c1 < c0
-                    points = self._points.get(nid) or self._points.setdefault(nid, _greedy_points(cs))
                     (u0, w0, _), (u1, w1, _) = sides
                     s0 = (up_values if msg[u0] < 0.0 else low_values)[w0]
                     s1 = (up_values if msg[u1] < 0.0 else low_values)[w1]
                     coeffs = c0, c1 = msg[u0] * s0, msg[u1] * s1
-                    point = x0, x1 = points[c1 < c0]
+                    point = x0, x1 = cs._optima[c1 < c0]
                     value = c0 * x0 + c1 * x1 + 0.0  # _with_value's, finite while |mu| < 1e300
                     rate[nid] = x0 * rate[u0] * s0 + x1 * rate[u1] * s1
                 else:
@@ -840,7 +803,7 @@ class _Columns:
     """Node-major passes over a batch of evidences on one circuit.
 
     A pass visits each node of its cone (or spine) once and fills a column,
-    one float per evidence: the scalar pass's value (:func:`_point_pass`,
+    one float per evidence: the scalar pass's value (:func:`marginal`,
     :func:`_credal_sweep`, :meth:`EvidenceSession._sign_test`), bit for bit,
     by the same float operations.  An LP over one or two states is
     :func:`_closed_lp` on the whole column; any other LP or ``fsum`` runs
@@ -853,7 +816,6 @@ class _Columns:
         self.circuit, self.size = circuit, len(evidences)
         self.obs = [None] + [[e.get(var) for e in evidences] for var in range(1, n + 1)]
         self.keys = [_pack(e, n) for e in evidences]
-        self._points: dict[IntervalCredalSet, tuple] = {}  # greedy points per small set
 
     def point(self, params: PsddParams) -> list:
         """Point-pass columns by node id; ``None`` off the cone."""
@@ -950,8 +912,7 @@ class _Columns:
         """``opt(cs, row)[0]`` per row of the coefficient columns: 0.0 on a zero
         row, as a sweep's guard gives, since ``fsum`` of zeros is 0.0."""
         if cs.k <= 2:
-            points = self._points.get(cs) or self._points.setdefault(cs, _greedy_points(cs))
-            return _closed_lp(points, coeffs, sense == MAX)
+            return _closed_lp(cs, coeffs, sense == MAX)
         opt = _min_fast if sense == MIN else _max_fast
         return self._per_key(nid, keys, lambda j: opt(cs, [col[j] for col in coeffs])[0])
 
@@ -1003,7 +964,8 @@ def _credal_map(
     cm = _Ties(len(circuit.nodes))
     values, tied, counts = cm.values, cm.tied, cm.counts
     table = params.table
-    memo, masks, ev = _reuse(circuit, params, ("credal_map",), evidence)
+    memo = _open_memo(circuit, params)
+    ev = 0 if memo is None else memo.pack(evidence)
     for nid in circuit.cone():
         node = circuit.nodes[nid]
         if node.kind == FALSE:
@@ -1027,8 +989,8 @@ def _credal_map(
             if cs is None:
                 continue
             if memo is not None:
-                key = nid, ev & masks[nid]
-                hit = memo.get(key)
+                key = nid, ev & memo.masks[nid]
+                hit = memo.passes.get(key)
                 if hit is not None:
                     values[nid], tied[nid], counts[nid] = hit
                     continue
@@ -1041,7 +1003,7 @@ def _credal_map(
                 counts[p] * counts[s] for p, s in (node.elements[idx] for idx in tied[nid])
             ))
             if memo is not None:
-                memo[key] = best, tied[nid], counts[nid]
+                memo.passes[key] = best, tied[nid], counts[nid]
     return cm
 
 
@@ -1135,11 +1097,10 @@ def robustness(
     may be conservative).  The verdict is robust when only ``xstar``
     attains V = 1, weakly robust when the maximum is tied, and not robust
     otherwise (including inconsistent ``xstar``).  Under a
-    :class:`_PassMemo` scope for (circuit, params) the credal MAP pass and
-    the route's sweeps, whose values are the cone's, reuse the memo's
-    entries; under a scope for the circuit and its root, the route
-    :func:`map_query` left for this completion is popped and saves the
-    truth pass.
+    :class:`_PassMemo` scope for (circuit, params) the credal MAP pass
+    reuses the memo's entries; under a scope for the circuit and its root,
+    the route :func:`map_query` left for this completion is popped and
+    saves the truth pass.
     """
     _check_evidence(circuit, evidence)
     _check_evidence(circuit, xstar)

@@ -22,9 +22,9 @@ The compiler's apply without the pair loop's inlined exits is kept for
 the builder to be compared against node for node, and so are the
 recursive formula walks, compile loop and constant builders, for the one
 post-order walk and the block-wise constants.  The display experiment's
-per-observation ``decide_segments`` (a point pass, one spine pass per
-segment on a copy of its values, and a session's sign tests) is kept for
-the batched column passes to be compared against.
+per-observation ``decide_segments`` (a point pass, one more per segment
+with its target added, and a session's sign tests) is kept for the
+batched column passes to be compared against.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from csdd.credal import (
 from csdd.formats import _MODE_CSDD, _MODE_PSDD, _MODE_SDD, ParseError, _float, _int
 from csdd.formula import And, Const, Formula, Not, Or, Var, conj, disj
 from csdd.experiment import SEGMENTS, SegmentDecision, hidden_var
-from csdd.infer import EvidenceSession, InferenceError, _check_evidence, _check_target, _point_pass
+from csdd.infer import EvidenceSession, InferenceError, _check_evidence, _check_target
 from csdd.params import SUM_TOL, CsddParams, ParamError, PsddParams, check_local
 
 
@@ -341,22 +341,6 @@ def point_pass_reference(circuit: Circuit, params: PsddParams, evidence) -> floa
     return values[circuit.root]
 
 
-def spine_marginal_reference(
-    circuit: Circuit,
-    params: PsddParams,
-    evidence,
-    values,
-    var: int,
-    val: bool,
-) -> float:
-    """``marginal(circuit, params, {**evidence, var: val})`` from ``values``,
-    the node values of the pass on ``evidence``: only the nodes on ``var``'s
-    spine are recomputed, by the same per-node code, so the result is
-    bit-identical."""
-    spine = circuit.spine(var)
-    return _point_pass(circuit, params, {**evidence, var: val}, spine, dict(values))[circuit.root]
-
-
 def decide_segments_reference(
     circuit: Circuit,
     psdd: PsddParams,
@@ -365,8 +349,7 @@ def decide_segments_reference(
     session: EvidenceSession | None = None,
 ) -> list[SegmentDecision]:
     """``experiment.decide_segments`` one observation at a time."""
-    values = _point_pass(circuit, psdd, observation, circuit.cone(), {})
-    p_obs = values[circuit.root]
+    p_obs = point_pass_reference(circuit, psdd, observation)
     if p_obs <= 0.0:
         raise ValueError("observation has zero probability under the point table")
     if session is None:
@@ -376,7 +359,7 @@ def decide_segments_reference(
     out = []
     for i in range(1, SEGMENTS + 1):
         var = hidden_var(i)
-        p_on = spine_marginal_reference(circuit, psdd, observation, values, var, True) / p_obs
+        p_on = point_pass_reference(circuit, psdd, {**observation, var: True}) / p_obs
         _check_target(circuit, var, True, observation)
         # conditional_sign's test at one half: positive beyond the numerical zero
         if session._sign_test(var, True, 0.5)[0] > session.zero:

@@ -1,5 +1,6 @@
 """Interval credal sets: reachability, greedy programs, vertices, ratios."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
@@ -15,7 +16,6 @@ from csdd.credal import (
     CredalSetError,
     IntervalCredalSet,
     _closed_lp,
-    _greedy_points,
     _max_fast,
     _min_fast,
     _max_ratio_vertex,
@@ -180,6 +180,26 @@ class TestClosedForm:
     """The one- and two-state local LPs give the generic greedy's value and
     point bit for bit, in both senses."""
 
+    EDGE_SETS = (
+        IntervalCredalSet.point((0.25, 0.75)),
+        IntervalCredalSet.point((-0.0, 1.0)),  # a psdd file may hold -0.0
+        IntervalCredalSet.point((1.0,)),
+        IntervalCredalSet((1.0, 0.0), (1.0, 0.0)),  # a [0, 0] forbidden state
+        IntervalCredalSet((0.0, 1.0), (0.0, 1.0)),
+        IntervalCredalSet((0.0, 0.0), (1.0, 1.0)),  # vacuous
+        IntervalCredalSet((0.2, 0.3), (0.7, 0.8)),
+        IntervalCredalSet((0.3, 0.7 - 5e-13), (0.3, 0.7)),  # point state visited first
+        IntervalCredalSet((0.3 - 4e-13, 0.7 - 4e-13), (0.3, 0.7)),
+        IntervalCredalSet((1.0 - 5e-10,), (1.0,)),
+        IntervalCredalSet((1.0 - 5e-10,), (1.0 + 5e-10,)),
+        IntervalCredalSet((1.0,), (1.0 + 5e-10,)),
+    )
+
+    @staticmethod
+    def _random_set(rng: Random) -> IntervalCredalSet:
+        k = rng.choice((1, 2))
+        return random_reachable(rng, k) if rng.random() < 0.5 else _slack_set(rng, k)
+
     @staticmethod
     def _check(cs, coeffs):
         coeffs = tuple(coeffs)
@@ -191,8 +211,8 @@ class TestClosedForm:
     def test_random_sets(self):
         rng = Random(1101)
         for _ in range(3000):
-            k = rng.choice((1, 2))
-            cs = random_reachable(rng, k) if rng.random() < 0.5 else _slack_set(rng, k)
+            cs = self._random_set(rng)
+            k = cs.k
             pick = rng.random()
             if pick < 0.3:
                 coeffs = [rng.choice(EDGE_COEFFS) for _ in range(k)]
@@ -203,24 +223,24 @@ class TestClosedForm:
             self._check(cs, coeffs)
 
     def test_edge_sets(self):
-        sets = [
-            IntervalCredalSet.point((0.25, 0.75)),
-            IntervalCredalSet.point((-0.0, 1.0)),  # a psdd file may hold -0.0
-            IntervalCredalSet.point((1.0,)),
-            IntervalCredalSet((1.0, 0.0), (1.0, 0.0)),  # a [0, 0] forbidden state
-            IntervalCredalSet((0.0, 1.0), (0.0, 1.0)),
-            IntervalCredalSet((0.0, 0.0), (1.0, 1.0)),  # vacuous
-            IntervalCredalSet((0.2, 0.3), (0.7, 0.8)),
-            IntervalCredalSet((0.3, 0.7 - 5e-13), (0.3, 0.7)),  # point state visited first
-            IntervalCredalSet((0.3 - 4e-13, 0.7 - 4e-13), (0.3, 0.7)),
-            IntervalCredalSet((1.0 - 5e-10,), (1.0,)),
-            IntervalCredalSet((1.0 - 5e-10,), (1.0 + 5e-10,)),
-            IntervalCredalSet((1.0,), (1.0 + 5e-10,)),
-        ]
         special = EDGE_COEFFS + (math.inf, -math.inf, math.nan, 1e308, -1e308)
-        for cs in sets:
+        for cs in self.EDGE_SETS:
             for coeffs in product(special, repeat=cs.k):
                 self._check(cs, coeffs)
+
+    def test_optima_are_cached_on_the_set(self):
+        rng = Random(1104)
+        sets = list(self.EDGE_SETS) + [self._random_set(rng) for _ in range(500)]
+        for seen in sets:
+            cs = IntervalCredalSet(seen.lower, seen.upper)  # not read before
+            identity = (hash(cs), repr(cs), dataclasses.fields(cs))
+            optima = cs._optima
+            want = tuple(greedy_reference(cs, coeffs)[1] for coeffs in ((0.0, 0.0), (1.0, 0.0)))
+            assert repr(optima) == repr(want), cs
+            assert cs._optima is optima
+            # the cache sits outside the fields: the set compares, hashes and prints as before
+            assert cs == seen and (hash(cs), repr(cs), dataclasses.fields(cs)) == identity
+            assert dataclasses.astuple(cs) == (cs.lower, cs.upper)
 
     def test_select_centres(self):
         rng = Random(1102)
@@ -572,7 +592,6 @@ class TestClosedLp:
             rows = [(c0, c0) for c0, _ in rows] + [(0.0, -0.0), (-0.0, 0.0)]
         rows = [row[:k] for row in rows]
         cols = [list(col) for col in zip(*rows)]
-        points = _greedy_points(cs)
         for maximize, opt in ((False, _min_fast), (True, _max_fast)):
             want = [opt(cs, row)[0] for row in rows]
-            assert repr(_closed_lp(points, cols, maximize)) == repr(want), (cs, rows, maximize)
+            assert repr(_closed_lp(cs, cols, maximize)) == repr(want), (cs, rows, maximize)

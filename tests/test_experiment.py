@@ -28,7 +28,6 @@ from csdd.experiment import (
     u80_score,
     _decide_batch,
 )
-from csdd.infer import EvidenceSession
 from csdd.learn import bayes_estimate, collect_counts, idm_estimate
 from csdd.params import CsddParams, PsddParams
 
@@ -297,8 +296,6 @@ class TestBatchedDecisions:
             want = repr(decide_segments_reference(circuit, psdd, csdd, observation))
             assert repr(_decide_batch(circuit, psdd, csdd, [observation])[0]) == want
             assert repr(decide_segments(circuit, psdd, csdd, observation)) == want
-            session = EvidenceSession(circuit, csdd, observation)
-            assert repr(decide_segments(circuit, psdd, csdd, observation, session)) == want
         assert _decide_batch(circuit, psdd, csdd, []) == []
 
     def test_random_circuits_with_wide_nodes(self):

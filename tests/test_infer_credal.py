@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import threading
+from collections import Counter
 from contextlib import nullcontext
 from itertools import product
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdd import formats, infer
+from csdd import credal, formats, infer
 from csdd.circuit import (
     DECISION,
     FALSE,
@@ -31,7 +32,7 @@ from csdd.circuit import (
 )
 from csdd.cli import main
 from csdd.credal import IntervalCredalSet, _min_fast, normalize_reachable
-from csdd.fixtures import shared_node_fixture, squares_fixture
+from csdd.fixtures import shared_node_fixture, squares_dataset, squares_fixture
 from csdd.infer import (
     EXACT,
     NOT_ROBUST,
@@ -1242,8 +1243,9 @@ def _repeating_evidence(rng: Random, circuit: Circuit, length: int) -> list[dict
 
 class TestPassMemo:
     """Credal passes under a ``_PassMemo`` scope answer bit for bit as without
-    one, the memo holds one entry per distinct (node, evidence under the
-    node), and no call on another circuit, root or table consults it."""
+    one, the memo holds one credal MAP entry per distinct (decision node,
+    evidence under the node), and no call on another circuit, root or table
+    consults it."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -1253,9 +1255,9 @@ class TestPassMemo:
         csdd = random_csdd_params(rng, circuit, 0.3)
         psdd = random_psdd_params(rng, circuit)
         credal_memo = _PassMemo(circuit, csdd)
-        sweep_memo = _PassMemo(circuit, csdd)  # the lower cone sweeps' entries alone
+        map_memo = _PassMemo(circuit, csdd)  # the credal MAP passes' entries alone
         nodes, cone, vtree = circuit.nodes, circuit.cone(), circuit.vtree
-        met = set()  # (node, evidence under it) where the lower sweep consults the memo
+        met = set()  # (node, evidence under it) where the credal MAP pass consults the memo
         for evidence in _repeating_evidence(rng, circuit, 12):
             free = [v for v in range(1, vtree.var_count + 1) if v not in evidence]
             for sense in (MIN, MAX):
@@ -1263,11 +1265,11 @@ class TestPassMemo:
                 with credal_memo:
                     got = _credal_sweep(circuit, csdd, evidence, cone, sense)
                 assert repr(got) == repr(want)
-            with sweep_memo:
-                _credal_sweep(circuit, csdd, evidence, cone, MIN)
+            with map_memo:
+                _credal_map(circuit, csdd, evidence)
             for nid in cone:
                 node = nodes[nid]
-                if node.kind == DECISION or node.kind == TRUE and node.var in evidence:
+                if node.kind == DECISION and nid in csdd.table:
                     under = vtree.vars_under(node.vtree)
                     met.add((nid, frozenset((v, evidence[v]) for v in under if v in evidence)))
             want = _credal_map(circuit, csdd, evidence)
@@ -1303,7 +1305,8 @@ class TestPassMemo:
                     assert (got.certificate, got.trace.uses) == (want.certificate, want.trace.uses)
                 else:
                     assert repr(got) == repr(want)
-        assert sum(map(len, sweep_memo.passes.values())) == len(met)
+        assert len(map_memo.passes) == len(met)
+        assert {nid for nid, _ in map_memo.passes} == {nid for nid, _ in met}
 
     def test_memo_is_refused_elsewhere(self):
         rng = Random(3)
@@ -1369,7 +1372,7 @@ class TestPassMemo:
             assert opened is outer and _open_memo(circuit, csdd) is outer
             with inner:
                 assert _open_memo(circuit, csdd) is inner
-                lower_marginal(circuit, csdd, {1: True})
+                credal_map_upper(circuit, csdd, {1: True})
             assert _open_memo(circuit, csdd) is outer
             with pytest.raises(RuntimeError, match="inside"):
                 with inner:
@@ -1380,14 +1383,12 @@ class TestPassMemo:
             assert _open_memo(circuit, csdd) is outer
             thread.start()
             thread.join()
-            lower_marginal(circuit, csdd, {2: False})
+            credal_map_upper(circuit, csdd, {2: False})
         assert _open_memo(circuit, csdd) is None
         assert seen == [None]  # another thread does not see this thread's memo
         # each memo holds the entries of the pass run while it was innermost
-        assert all(hit[1] == inner.pack({1: True}) & inner.masks[hit[0]]
-                   for entries in inner.passes.values() for hit in entries)
-        assert all(hit[1] == outer.pack({2: False}) & outer.masks[hit[0]]
-                   for entries in outer.passes.values() for hit in entries)
+        assert all(ev == inner.pack({1: True}) & inner.masks[nid] for nid, ev in inner.passes)
+        assert all(ev == outer.pack({2: False}) & outer.masks[nid] for nid, ev in outer.passes)
         assert inner.passes and outer.passes
 
 
@@ -1712,3 +1713,33 @@ class TestValueSweeps:
                 with memo:
                     got = _credal_sweep(circuit, csdd, partial, cone, sense)
                 assert repr(got) == repr(_credal_sweep(circuit, csdd, partial, cone, sense))
+
+
+class TestGreedyOncePerSet:
+    """A one- or two-state set runs the greedy for its two optimizers once,
+    so sweeps, sign tests and certificates re-solving the same problems
+    only look them up."""
+
+    def test_certified_queries_on_squares(self, monkeypatch):
+        squares = squares_fixture()
+        circuit = squares.circuit
+        counts = collect_counts(circuit, squares_dataset())
+        csdd = idm_estimate(circuit, counts, 1.0)  # fresh sets, none read yet
+        psdd = bayes_estimate(circuit, counts, 1.0)
+        small = {id(cs) for cs in csdd.table.values() if cs.k <= 2}
+        calls = Counter()
+        greedy = credal._greedy_min_point
+
+        def counted(cs, coeffs):
+            calls[id(cs)] += id(cs) in small
+            return greedy(cs, coeffs)
+
+        monkeypatch.setattr(credal, "_greedy_min_point", counted)
+        evidence = {3: False, 4: True}
+        results = [query(circuit, csdd, 1, True, evidence)
+                   for query in (lower_conditional, upper_conditional)]
+        _, completion = map_query(circuit, psdd, {3: False})
+        xstar = {v: b for v, b in completion.items() if v != 3}
+        results.append(robustness(circuit, csdd, {3: False}, xstar))
+        assert all(r.certificate is not None for r in results)
+        assert calls and max(calls.values()) <= 2, calls
