@@ -586,52 +586,79 @@ def validate_partitions(
     default 1,024: 10 left variables) is checked on all of them; a wider
     node on ``samples`` assignments of its own, drawn from ``Random(seed)``
     node by node in topological order.  ``samples`` must be positive.  Cases
-    are packed one per bit and primes are evaluated on all of them in one
-    bit-parallel pass.  The exhaustive nodes of one vtree node share their
-    cases, so one pass over the union of all their primes' cones serves
-    them all; a sampled node gets a pass over its own primes' cones.  The
-    first node in topological order with a case covered zero or several
-    times is reported, with its lowest such case.
+    are packed one per bit and primes are evaluated on all of them in
+    bit-parallel passes.
+
+    Left variable sets are laminar (any two are nested or disjoint), so all
+    exhaustive nodes share one pass over the root's cone: the variables of
+    each maximal exhaustive left set take bit positions ``0..w-1`` of the
+    ``2 ** W`` cases of ``itertools.product``, ``W`` the widest set's width.
+    A node with ``w`` left variables then sees each of its left assignments
+    ``2 ** (W - w)`` times, so every case covered exactly once is every
+    assignment covered exactly once.  A sampled node gets a pass over its
+    own primes' cones.  The first node in topological order with a case
+    covered zero or several times is reported, with its lowest such case;
+    for an exhaustive node that is its own product order, from a pass over
+    its own cases that only this error path runs.
     """
     if samples < 1:
         raise CircuitError(f"samples must be positive, got {samples}")
     vtree = circuit.vtree
+    left, masks = vtree._left, vtree._mask
     nodes = circuit.nodes
-    decisions = [nid for nid in circuit.cone() if nodes[nid].kind == DECISION]
-    primes_at: dict[int, list[int]] = {}  # vtree node -> primes of its decision nodes
-    for nid in decisions:
-        primes_at.setdefault(nodes[nid].vtree, []).extend(p for p, _ in nodes[nid].elements)
-    shared: dict[int, tuple] = {}  # exhaustive vtree node -> (left_vars, var_bits, full, truth)
+    cone = circuit.cone()
+    decisions = [nid for nid in cone if nodes[nid].kind == DECISION]
+    widths: dict[int, int] = {}  # exhaustive left vtree node -> its width
+    sampled: set[int] = set()    # vtree nodes whose decision nodes are sampled
+    for vid in {nodes[nid].vtree for nid in decisions}:
+        width = masks[left[vid]].bit_count()
+        if 2 ** width <= exhaustive_limit:
+            widths[left[vid]] = width
+        else:
+            sampled.add(vid)
+    truth: dict[int, int] = {}
+    full = 0
+    if widths:
+        width = max(widths.values())
+        full = (1 << 2 ** width) - 1
+        bits = _product_bits(width)
+        pos = [full] * (vtree.var_count + 1)  # a variable no exhaustive node reads stays free
+        neg = pos[:]
+        placed = 0
+        # widest first: a set that meets one already placed is nested in it
+        for lid in sorted(widths, key=widths.__getitem__, reverse=True):
+            if not masks[lid] & placed:
+                placed |= masks[lid]
+                for var, value in zip(vtree.vars_under(lid), bits):
+                    pos[var], neg[var] = value, full ^ value
+        truth = _truth_bits(nodes, cone, pos, neg, full)
     rng = Random(seed)
     for nid in decisions:
         node = nodes[nid]
-        primes = [p for p, _ in node.elements]
-        if node.vtree in shared:
-            left_vars, var_bits, full, truth = shared[node.vtree]
-        else:
-            left_vars = vtree.vars_under(vtree.left(node.vtree))
+        own, cases = truth, full
+        if node.vtree in sampled:
+            left_vars = vtree.vars_under(left[node.vtree])
             width = len(left_vars)
-            if 2 ** width <= exhaustive_limit:
-                var_bits = dict(zip(left_vars, _product_bits(width)))
-                full = (1 << 2 ** width) - 1
-                truth = _cases_truth(nodes, primes_at[node.vtree], var_bits, full)
-                shared[node.vtree] = left_vars, var_bits, full, truth
-            else:
-                draws = [rng.random() < 0.5 for _ in range(samples * width)]
-                var_bits = {var: _pack_bits(draws[i::width]) for i, var in enumerate(left_vars)}
-                full = (1 << samples) - 1
-                truth = _cases_truth(nodes, primes, var_bits, full)
+            draws = [rng.random() < 0.5 for _ in range(samples * width)]
+            var_bits = {var: _pack_bits(draws[i::width]) for i, var in enumerate(left_vars)}
+            cases = (1 << samples) - 1
+            own = _cases_truth(nodes, [p for p, _ in node.elements], var_bits, cases)
         once = twice = 0
-        for p in primes:
-            twice |= once & truth[p]
-            once |= truth[p]
-        bad = twice | (full ^ once)
-        if bad:
-            k = (bad & -bad).bit_length() - 1
+        for p, _ in node.elements:
+            t = own[p]
+            twice |= once & t
+            once |= t
+        if twice or once != cases:
+            if node.vtree not in sampled:  # the node's own cases, in product order
+                left_vars = vtree.vars_under(left[node.vtree])
+                var_bits = dict(zip(left_vars, _product_bits(len(left_vars))))
+                cases = (1 << 2 ** len(left_vars)) - 1
+                own = _cases_truth(nodes, [p for p, _ in node.elements], var_bits, cases)
+            hits = [sum(own[p] >> k & 1 for p, _ in node.elements) for k in range(cases.bit_length())]
+            k = next(k for k, count in enumerate(hits) if count != 1)
             values = tuple(bool(var_bits[var] >> k & 1) for var in left_vars)
-            hits = sum(truth[p] >> k & 1 for p in primes)
             raise CircuitError(
-                f"node {nid}: primes cover left assignment {values} {hits} times (want exactly 1)"
+                f"node {nid}: primes cover left assignment {values} {hits[k]} times (want exactly 1)"
             )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 __all__ = [
@@ -41,6 +41,25 @@ class Vertex:
 
     point: tuple[float, ...]
     index: int | None = None
+
+
+class _Optima:
+    """The only points the greedy gives a one- or two-state set: for
+    ``coeffs[1] < coeffs[0]`` false, then true (one state: one point twice).
+    The first read stores them in the instance dict, outside the fields,
+    ``==``, ``hash`` and ``repr``, where later reads find them; unlike
+    ``functools.cached_property`` on Python 3.11, it takes no lock."""
+
+    def __get__(self, cs: "IntervalCredalSet | None", owner=None):
+        if cs is None:  # read on the class
+            return self
+        lower, upper = cs.lower, cs.upper
+        if len(lower) == 1:
+            optima = (_greedy_fill(lower, upper, (0,)),) * 2
+        else:
+            optima = _greedy_fill(lower, upper, (0, 1)), _greedy_fill(lower, upper, (1, 0))
+        object.__setattr__(cs, "_optima", optima)
+        return optima
 
 
 @dataclass(frozen=True)
@@ -82,12 +101,7 @@ class IntervalCredalSet:
     def k(self) -> int:
         return len(self.lower)
 
-    @cached_property
-    def _optima(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        # the only points the greedy gives a one- or two-state set: for
-        # coeffs[1] < coeffs[0] false, then true (one state: one point twice);
-        # kept in the instance dict, outside the fields, ==, hash and repr
-        return _greedy_min_point(self, (0.0, 0.0)), _greedy_min_point(self, (1.0, 0.0))
+    _optima = _Optima()
 
     def contains(self, pmf: Sequence[float], tol: float = BUILD_TOL) -> bool:
         if abs(math.fsum(pmf) - 1.0) > tol:
@@ -138,12 +152,16 @@ def _bound_sums(lower: Sequence[float], upper: Sequence[float]) -> tuple[float, 
 
 
 def _greedy_min_point(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, ...]:
-    # start at the lower bounds, hand the remaining mass to the cheapest states
-    lower, upper = cs.lower, cs.upper
+    # the cheapest states first; a stable sort keeps ties in state order
+    return _greedy_fill(cs.lower, cs.upper, sorted(range(cs.k), key=coeffs.__getitem__))
+
+
+def _greedy_fill(lower: tuple[float, ...], upper: tuple[float, ...], order: Sequence[int]) -> tuple[float, ...]:
+    # start at the lower bounds, hand the remaining mass to the states in order
     theta = list(lower)
     remaining = 1.0 - math.fsum(theta)
     if remaining > 0:
-        for i in sorted(range(cs.k), key=coeffs.__getitem__):
+        for i in order:
             room = upper[i] - theta[i]
             if room <= 0:
                 continue

@@ -4,6 +4,8 @@ All formats are plain UTF-8 text with LF newlines and are written in a
 canonical form (nodes in topological order, single spaces, no trailing
 whitespace) so that write -> read -> write is byte-identical.  Floats are
 rendered with ``repr``: the shortest decimal that round-trips exactly.
+Readers end a line at ``\n`` only, so a CR before it is trailing
+whitespace and the other breaks of ``str.splitlines`` stay inside a line.
 
 vtree    ``c`` comments, ``vtree <count>``, then ``L <id> <var>`` and
          ``I <id> <left> <right>`` with children before parents.
@@ -20,8 +22,9 @@ A circuit file loads in one pass: each line is split once, a decision
 line's columns are converted in bulk (a line that fails is read again
 token by token to word the fault), and each node is checked as its line
 adds it.  A bare ``F``/``T`` takes the leaf of its first use.  After the
-last line come the node count, the partitions (at the root's line) and
-the parameters in file order; the first fault met is the ``ParseError``.
+last line come the node count, the partitions (one shared pass, at the
+root's line) and the parameters in file order; the first fault met is
+the ``ParseError``.
 
 A psdd can also be read onto a circuit already loaded over the same
 vtree (``read_psdd(path, vtree, onto=circuit)``): each line is read by the
@@ -114,7 +117,7 @@ def loads_vtree(text: str) -> Vtree:
     count = header = None
     entries: dict[int, tuple] = {}
     referenced: set[int] = set()
-    for lineno, toks in _lines(text.splitlines()):
+    for lineno, toks in _lines(text.split("\n")):
         if toks[0] == "vtree":
             if count is not None:
                 raise ParseError(lineno, "duplicate vtree header")
@@ -264,8 +267,9 @@ def _decision_fault(toks: list[str], lineno: int, step: int, remap: dict[int, in
     return ParseError(lineno, "malformed decision line")  # not reached: a token above failed
 
 
-def _pin_constants(nodes: list[SddNode], vtree: Vtree, vid: int, elements, bare: dict) -> None:
-    """Pin each bare constant among the primes, then the subs, to its side's leaf."""
+def _pin_constants(nodes: list[SddNode], vtree: Vtree, vid: int, elements, bare: dict, unpinned: set) -> None:
+    """Pin each unpinned bare constant among the primes, then the subs, to
+    its side's leaf; a pinned one under another leaf is a fault."""
     for i, side in enumerate((vtree.left(vid), vtree.right(vid))):
         if not vtree.is_leaf(side):
             continue
@@ -274,6 +278,7 @@ def _pin_constants(nodes: list[SddNode], vtree: Vtree, vid: int, elements, bare:
                 c = nodes[element[i]]
                 if c.vtree < 0:
                     nodes[c.id] = SddNode(c.id, c.kind, side, vtree.var(side))
+                    unpinned.discard(c.id)
                 elif c.vtree != side:
                     fid, line = bare[c.id]
                     raise ParseError(line, f"constant node {fid} used under two different leaves")
@@ -294,12 +299,17 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str, onto: Circuit | None = No
         raise ValueError("the circuit read onto is over another vtree")
     circuit = Circuit(vtree) if onto is None else onto
     nodes = circuit.nodes
+    vleft, vtree_count = vtree._left, vtree.node_count
     count = None
     remap: dict[int, int] = {}                # file id -> node id, one node per line
     bare: dict[int, tuple[int, int]] = {}     # bare F/T node -> (file id, line)
+    unpinned: set[int] = set()                # bare nodes no decision line has pinned yet
     pending: dict[int, tuple[int, list]] = {}  # node -> (line, per-state number columns)
     ref = remap.__getitem__
-    for lineno, toks in _lines(text.splitlines()):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        toks = raw.split()
+        if not toks or toks[0] == "c" and (len(toks) == 1 or raw.strip().startswith("c ")):
+            continue  # a blank line or a comment
         kind = toks[0]
         if kind == mode:
             if count is not None:
@@ -333,18 +343,20 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str, onto: Circuit | None = No
                         raise ValueError
             except (IndexError, KeyError, ValueError):
                 raise _decision_fault(toks, lineno, step, remap) from None
-            if not 0 <= vid < vtree.node_count or vtree.is_leaf(vid):
+            if not 0 <= vid < vtree_count or vleft[vid] < 0:
                 raise ParseError(lineno, f"vtree node {vid} is not internal")
             if onto is not None:
                 # a match passes every check add_decision and the partitions make
                 if node is None or node.vtree != vid or node.elements != elements:
                     raise _differs(lineno, nid, nodes)
             else:
-                if not bare.keys().isdisjoint(chain.from_iterable(elements)):
-                    _pin_constants(nodes, vtree, vid, elements, bare)
+                if unpinned and not unpinned.isdisjoint(chain.from_iterable(elements)):
+                    _pin_constants(nodes, vtree, vid, elements, bare, unpinned)
                 try:
                     added = circuit.add_decision(vid, elements)
                 except ValueError as exc:
+                    if bare:  # a pinned constant under another leaf is worded as such
+                        _pin_constants(nodes, vtree, vid, elements, bare, unpinned)
                     raise ParseError(lineno, str(exc)) from None
                 if added != nid:
                     raise ParseError(lineno, "duplicate decision node (same vtree and elements)")
@@ -377,6 +389,7 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str, onto: Circuit | None = No
             else:  # a placeholder until a decision line pins its leaf
                 nodes.append(SddNode(nid, FALSE if kind == "F" else TRUE, -1))
                 bare[nid] = (fid, lineno)
+                unpinned.add(nid)
         else:
             want = 5 if mode == _MODE_PSDD else 6
             if len(toks) != want:
@@ -384,7 +397,7 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str, onto: Circuit | None = No
             vid = _int(toks[2], lineno, "vtree id")
             var = _int(toks[3], lineno, "variable")
             numbers = [_float(t, lineno, "parameter") for t in toks[4:]]
-            if not 0 <= vid < vtree.node_count or not vtree.is_leaf(vid):
+            if not 0 <= vid < vtree_count or vleft[vid] >= 0:
                 raise ParseError(lineno, f"vtree node {vid} is not a leaf")
             if vtree.var(vid) != var:
                 raise ParseError(lineno, f"leaf {vid} holds variable {vtree.var(vid)}, not {var}")
@@ -396,25 +409,26 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str, onto: Circuit | None = No
             lo, up = numbers[0], numbers[-1]
             pending[nid] = (lineno, [(lo, 1.0 - up), (up, 1.0 - lo)][:len(columns)])
         remap[fid] = nid
+        last = lineno
     if count is None:
         raise ParseError(1, f"missing '{mode} <count>' header")
     if len(remap) != count:
         raise ParseError(1, f"header declares {count} nodes, found {len(remap)}")
     if not remap:
         raise ParseError(1, "a circuit needs at least one node")
-    # the last node line is the root's, and the loop leaves lineno at it
+    # the last node line is the root's
     if onto is not None:
         if onto.root != len(remap) - 1:
-            raise ParseError(lineno, f"the circuit read onto has its root at node {onto.root}")
+            raise ParseError(last, f"the circuit read onto has its root at node {onto.root}")
     else:
-        for nid, (fid, line) in bare.items():
-            if nodes[nid].vtree < 0:
-                raise ParseError(line, f"cannot infer the leaf of constant node {fid}")
+        if unpinned:  # the first in file order
+            fid, line = bare[min(unpinned)]
+            raise ParseError(line, f"cannot infer the leaf of constant node {fid}")
         circuit.set_root(len(nodes) - 1)
         try:
             validate_partitions(circuit)
         except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
+            raise ParseError(last, str(exc)) from None
     if mode == _MODE_SDD:
         return circuit
     # each node's table entry by check_local, plus the file's own rule for
@@ -459,7 +473,7 @@ def dumps_dataset(dataset: Dataset) -> str:
 
 
 def loads_dataset(text: str) -> Dataset:
-    lines = text.splitlines()
+    lines = text.split("\n")
     if not lines or not lines[0].strip():
         raise ParseError(1, "missing header row")
     header = [h.strip() for h in lines[0].split(",")]

@@ -195,7 +195,7 @@ def disj(parts: Iterable[Formula]) -> Formula:
 
 
 def _tokenize(text: str) -> Iterator[str]:
-    for line in text.splitlines():
+    for line in text.split("\n"):  # only "\n" ends a line, and with it a ";" comment
         body = line.split(";", 1)[0]
         for tok in body.replace("(", " ( ").replace(")", " ) ").split():
             yield tok

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csdd import circuit as circuit_module
 from csdd.circuit import (
     TREE_COPY_CAP,
     Circuit,
@@ -635,30 +636,60 @@ def _partition_error(check, circuit: Circuit) -> str | None:
 class TestPartitionParity:
     """The bit-parallel partition check against the scalar reference."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         balanced=st.booleans(),
+        limit=st.sampled_from([16, 64]),
         mode=st.sampled_from(["overlap", "gap"]),
         pick=st.integers(0, 2**16),
+        second=st.booleans(),
     )
-    def test_corrupted_node_same_message(self, seed, balanced, mode, pick):
+    def test_corrupted_node_same_message(self, seed, balanced, limit, mode, pick, second):
         # 10 balanced variables put 5 under the root's left child: with a limit
-        # of 16 cases that is the sampled branch
+        # of 16 cases that is the sampled branch.  A random vtree on up to 12
+        # variables has maximal exhaustive left sets of several widths, next
+        # to sampled nodes at either limit
         rng = Random(seed)
-        n = 10 if balanced else rng.randint(2, 5)
+        n = 10 if balanced else rng.randint(2, 12)
         vtree = Vtree.balanced(n) if balanced else random_vtree(rng, n)
         circuit = compile_formula(random_formula(rng, n, 3), vtree)
-        fast = partial(validate_partitions, exhaustive_limit=16)
-        slow = partial(check_partitions, exhaustive_limit=16)
+        fast = partial(validate_partitions, exhaustive_limit=limit)
+        slow = partial(check_partitions, exhaustive_limit=limit)
         assert _partition_error(fast, circuit) is None
         assert _partition_error(slow, circuit) is None
         wide = [nid for nid in circuit.cone() if len(circuit.nodes[nid].elements) >= 2]
         if not wide:
             return
-        bad = _corrupt(circuit, wide[pick % len(wide)], mode)
+        more = [(wide[(pick >> 8) % len(wide)], rng.choice(["overlap", "gap"]))] if second else []
+        bad = _corrupt(circuit, wide[pick % len(wide)], mode, *more)
         assert _partition_error(fast, bad) == _partition_error(slow, bad)
         assert _partition_error(validate_partitions, bad) == _partition_error(check_partitions, bad)
+
+    @pytest.mark.parametrize("limit", [16, 64, 1024])
+    def test_one_shared_pass_for_every_exhaustive_node(self, monkeypatch, limit):
+        # on 12 balanced variables the root's left side has 6 variables and
+        # its children's 3: at a limit of 16 the root's nodes are sampled, at
+        # 64 and 1,024 every node is exhaustive
+        rng = Random(limit)
+        vtree = Vtree.balanced(12)
+        passes = []
+        real = circuit_module._truth_bits
+        monkeypatch.setattr(circuit_module, "_truth_bits", lambda *args: passes.append(1) or real(*args))
+        seen = {"sampled": 0, "exhaustive vtree nodes": 0}
+        for _ in range(20):
+            circuit = compile_formula(random_formula(rng, 12, 4), vtree)
+            vids = [circuit.nodes[nid].vtree for nid in circuit.cone() if circuit.nodes[nid].elements]
+            wide = [2 ** len(vtree.vars_under(vtree.left(vid))) > limit for vid in vids]
+            passes.clear()
+            validate_partitions(circuit, exhaustive_limit=limit)
+            assert len(passes) == (not all(wide)) + sum(wide)
+            seen["sampled"] += sum(wide)
+            shared = {vid for vid, sampled in zip(vids, wide) if not sampled}
+            seen["exhaustive vtree nodes"] = max(seen["exhaustive vtree nodes"], len(shared))
+        # one pass per exhaustive vtree node would count more than one
+        assert seen["exhaustive vtree nodes"] >= 3, seen
+        assert (seen["sampled"] > 0) == (limit == 16), seen
 
     @pytest.mark.parametrize("mode", ["overlap", "gap"])
     def test_exhaustive_branch(self, squares, mode):
@@ -734,7 +765,7 @@ class TestPartitionParity:
     def test_two_corrupted_vtree_nodes_report_the_first_in_cone_order(self, seed):
         # on 10 balanced variables with a limit of 16 cases, only the vtree
         # root has a sampled left side (5 variables); every lower vtree node is
-        # checked exhaustively and shares one truth pass among its decision nodes
+        # checked exhaustively, in the one truth pass they all share
         rng = Random(seed)
         vtree = Vtree.balanced(10)
         checked = {"exhaustive": 0, "sampled": 0}
@@ -828,6 +859,11 @@ class TestFormulaParser:
         ("x\uff13", "unknown token 'x\uff13'"),
         ("x\u00b2", "unknown token 'x\u00b2'"),
     ]
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"])
+    def test_comment_runs_to_the_newline(self, sep):
+        # str.splitlines also breaks at these, which ended the comment early
+        assert parse_formula(f"(and x1 ; x3 {sep} x4)\r\n x2)") == parse_formula("(and x1 x2)")
 
     def test_errors(self):
         for text, message in self.ERRORS:

@@ -231,16 +231,28 @@ class TestClosedForm:
     def test_optima_are_cached_on_the_set(self):
         rng = Random(1104)
         sets = list(self.EDGE_SETS) + [self._random_set(rng) for _ in range(500)]
+        builders = (
+            lambda seen: IntervalCredalSet(seen.lower, seen.upper),
+            lambda seen: IntervalCredalSet._accepted(seen.lower, seen.upper),
+            lambda seen: IntervalCredalSet.point(seen.lower) if seen.lower == seen.upper else None,
+        )
+        built = 0
         for seen in sets:
-            cs = IntervalCredalSet(seen.lower, seen.upper)  # not read before
-            identity = (hash(cs), repr(cs), dataclasses.fields(cs))
-            optima = cs._optima
-            want = tuple(greedy_reference(cs, coeffs)[1] for coeffs in ((0.0, 0.0), (1.0, 0.0)))
-            assert repr(optima) == repr(want), cs
-            assert cs._optima is optima
-            # the cache sits outside the fields: the set compares, hashes and prints as before
-            assert cs == seen and (hash(cs), repr(cs), dataclasses.fields(cs)) == identity
-            assert dataclasses.astuple(cs) == (cs.lower, cs.upper)
+            for build in builders:
+                cs = build(seen)  # not read before
+                if cs is None:
+                    continue
+                built += 1
+                identity = (hash(cs), repr(cs), dataclasses.fields(cs))
+                optima = cs._optima
+                want = tuple(greedy_reference(cs, coeffs)[1] for coeffs in ((0.0, 0.0), (1.0, 0.0)))
+                assert repr(optima) == repr(want), cs
+                assert cs._optima is optima
+                # the cache sits outside the fields: the set compares, hashes and prints as before
+                assert cs == seen and (hash(cs), repr(cs), dataclasses.fields(cs)) == identity
+                assert dataclasses.astuple(cs) == (cs.lower, cs.upper)
+                assert vars(cs) == {"lower": cs.lower, "upper": cs.upper, "_optima": optima}
+        assert built > 2 * len(sets)
 
     def test_select_centres(self):
         rng = Random(1102)

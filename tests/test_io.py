@@ -81,6 +81,8 @@ class TestVtreeFormat:
         # a variable outside 1..n names its leaf
         ("vtree 3\nL 0 1\nL 2 3\nI 1 0 2\n", 3, "vtree variables must be exactly 1..2, got 3"),
         ("vtree 3\nL 0 0\nL 2 1\nI 1 0 2\n", 2, "vtree variables must be exactly 1..2, got 0"),
+        # only "\n" ends a line: a form feed stays inside its comment
+        ("c made by hand\x0cv2\nvtree 4\nL 0 1\nL 2 2\nI 1 0 2\n", 2, "header declares 4 nodes, found 3"),
     ])
     def test_whole_file_checks_name_their_line(self, text, line, message):
         with pytest.raises(ParseError) as err:
@@ -279,6 +281,14 @@ class TestLoaderFaults:
         with pytest.raises(ParseError, match="has no id") as err:
             formats.loads_sdd(f"sdd 2\nL 0 0 1\n{line}\n", Vtree((1, 2)))
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_newlines_end_lines(self, sep):
+        # str.splitlines also breaks at these; a comment keeps them, and CRLF still reads
+        text = f"c made by hand{sep}v2\r\nsdd 2\r\nL 0 0 1\r\nD\r\n"
+        with pytest.raises(ParseError, match="has no id") as err:
+            formats.loads_sdd(text, Vtree((1, 2)))
+        assert err.value.line == 4
 
     def test_file_without_nodes_rejected(self):
         with pytest.raises(ParseError, match="at least one node"):
@@ -479,6 +489,12 @@ class TestDatasetFormat:
         with pytest.raises(ParseError) as err:
             formats.loads_dataset("X1,X2\n0,2\n")
         assert err.value.line == 2
+
+    def test_only_newlines_end_rows(self):
+        # a form feed ends no row, so the bad cell is on line 3, not 4
+        with pytest.raises(ParseError) as err:
+            formats.loads_dataset("X1,X2\r\n0,1\x0c\r\n1,2\r\n")
+        assert err.value.line == 3
 
     def test_bad_count_rejected(self):
         with pytest.raises(ParseError):
