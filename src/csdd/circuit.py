@@ -149,6 +149,8 @@ class Vtree:
 
     @classmethod
     def right_linear(cls, n: int) -> "Vtree":
+        if n < 1:
+            raise CircuitError("vtree needs at least one variable")
         shape: object = n
         for var in range(n - 1, 0, -1):
             shape = (var, shape)
@@ -489,35 +491,43 @@ def _truth_bits(
 
 
 def evaluate(circuit: Circuit, nid: int, assignment: Mapping[int, bool]) -> bool:
-    """Truth of the node's sentence under a complete assignment of its variables."""
+    """Truth of the node's sentence under a complete assignment of its variables.
+
+    A decision node takes its first element with a true prime and is that
+    element's sub.  The walk keeps an explicit stack, so depth is not
+    bounded by the recursion limit.
+    """
     node = circuit.node(nid)
     vtree = circuit.vtree
     for var in vtree.vars_under(node.vtree):
         if var not in assignment:
             raise CircuitError(f"assignment is missing variable {var}")
-    memo: dict[int, bool] = {}
-
-    def walk(i: int) -> bool:
-        hit = memo.get(i)
-        if hit is not None:
-            return hit
-        n = circuit.nodes[i]
-        if n.kind == FALSE:
-            value = False
-        elif n.kind == TRUE:
-            value = True
-        elif n.kind == LITERAL:
-            value = bool(assignment[n.var]) == n.polarity
-        else:
-            value = False
+    nodes, memo = circuit.nodes, {}
+    stack = [nid]  # nodes whose children are being evaluated, the top one next
+    while stack:
+        i = stack[-1]
+        n = nodes[i]
+        if n.kind == DECISION:
+            # the first element with a true prime decides, by its sub
+            value, pending = False, None
             for p, s in n.elements:
-                if walk(p):
-                    value = walk(s)
-                    break
-        memo[i] = value
-        return value
-
-    return walk(nid)
+                if p not in memo:
+                    pending = p
+                elif not memo[p]:
+                    continue
+                elif s not in memo:
+                    pending = s
+                else:
+                    value = memo[s]
+                break
+            if pending is not None:
+                stack.append(pending)
+                continue
+            memo[i] = value
+        else:
+            memo[i] = n.kind == TRUE or n.kind == LITERAL and bool(assignment[n.var]) == n.polarity
+        stack.pop()
+    return memo[nid]
 
 
 def enumerate_models(circuit: Circuit, nid: int) -> set[tuple[bool, ...]]:
@@ -597,9 +607,10 @@ def validate_partitions(
     ``2 ** (W - w)`` times, so every case covered exactly once is every
     assignment covered exactly once.  A sampled node gets a pass over its
     own primes' cones.  The first node in topological order with a case
-    covered zero or several times is reported, with its lowest such case;
-    for an exhaustive node that is its own product order, from a pass over
-    its own cases that only this error path runs.
+    covered zero or several times is reported, with its lowest such case.
+    For an exhaustive node that is its lowest in its own product order, which
+    the shared pass gives: its left variables keep their order among the bit
+    positions, so its lowest bad shared case has every other position false.
     """
     if samples < 1:
         raise CircuitError(f"samples must be positive, got {samples}")
@@ -617,7 +628,7 @@ def validate_partitions(
         else:
             sampled.add(vid)
     truth: dict[int, int] = {}
-    full = 0
+    full, pos = 0, []
     if widths:
         width = max(widths.values())
         full = (1 << 2 ** width) - 1
@@ -642,23 +653,23 @@ def validate_partitions(
             draws = [rng.random() < 0.5 for _ in range(samples * width)]
             var_bits = {var: _pack_bits(draws[i::width]) for i, var in enumerate(left_vars)}
             cases = (1 << samples) - 1
-            own = _cases_truth(nodes, [p for p, _ in node.elements], var_bits, cases)
+            neg_bits = {var: cases ^ value for var, value in var_bits.items()}
+            primes = _reach(nodes, [p for p, _ in node.elements])
+            own = _truth_bits(nodes, primes, var_bits, neg_bits, cases)
         once = twice = 0
         for p, _ in node.elements:
             t = own[p]
             twice |= once & t
             once |= t
-        if twice or once != cases:
-            if node.vtree not in sampled:  # the node's own cases, in product order
-                left_vars = vtree.vars_under(left[node.vtree])
-                var_bits = dict(zip(left_vars, _product_bits(len(left_vars))))
-                cases = (1 << 2 ** len(left_vars)) - 1
-                own = _cases_truth(nodes, [p for p, _ in node.elements], var_bits, cases)
-            hits = [sum(own[p] >> k & 1 for p, _ in node.elements) for k in range(cases.bit_length())]
-            k = next(k for k, count in enumerate(hits) if count != 1)
+        bad = twice | cases ^ once  # the cases covered several times or not at all
+        if bad:
+            if node.vtree not in sampled:
+                left_vars, var_bits = vtree.vars_under(left[node.vtree]), pos
+            k = (bad & -bad).bit_length() - 1
             values = tuple(bool(var_bits[var] >> k & 1) for var in left_vars)
+            hits = sum(own[p] >> k & 1 for p, _ in node.elements)
             raise CircuitError(
-                f"node {nid}: primes cover left assignment {values} {hits[k]} times (want exactly 1)"
+                f"node {nid}: primes cover left assignment {values} {hits} times (want exactly 1)"
             )
 
 
@@ -676,14 +687,6 @@ def _product_bits(width: int) -> list[int]:
         half = 1 << (width - 1 - i)
         bits.append((((1 << half) - 1) << half) * (full // ((1 << 2 * half) - 1)))
     return bits
-
-
-def _cases_truth(
-    nodes: Sequence[SddNode], primes: list[int], var_bits: dict, full: int
-) -> dict[int, int]:
-    """One truth pass over the primes' cones on the cases packed in ``var_bits``."""
-    neg_bits = {var: full ^ bits for var, bits in var_bits.items()}
-    return _truth_bits(nodes, _reach(nodes, primes), var_bits, neg_bits, full)
 
 
 def is_consistent(circuit: Circuit, evidence: Mapping[int, bool]) -> bool:

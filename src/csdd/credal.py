@@ -4,9 +4,10 @@ A credal set here is the polytope of probability mass functions
 ``{p : lower <= p <= upper, sum(p) = 1}``.  Sets are kept *reachable*
 (every endpoint attainable by some member), which lets every local linear
 program close in O(k log k) with a greedy mass allocation instead of a
-general LP solver.  A set of one or two states has only two greedy
-optimizers, found once and cached on the set, so its programs close in
-O(1) with the same floats.  Vertices of the polytope have at most one
+general LP solver: ``_lp`` solves one, in either sense, and ``_closed_lp``
+a column of them on a small set.  A set of one or two states has only two
+greedy optimizers, found once and cached on the set, so its programs close
+in O(1) with the same floats.  Vertices of the polytope have at most one
 coordinate strictly between its bounds; they are enumerated in a
 deterministic order.
 """
@@ -151,11 +152,6 @@ def _bound_sums(lower: Sequence[float], upper: Sequence[float]) -> tuple[float, 
     return sl, su
 
 
-def _greedy_min_point(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, ...]:
-    # the cheapest states first; a stable sort keeps ties in state order
-    return _greedy_fill(cs.lower, cs.upper, sorted(range(cs.k), key=coeffs.__getitem__))
-
-
 def _greedy_fill(lower: tuple[float, ...], upper: tuple[float, ...], order: Sequence[int]) -> tuple[float, ...]:
     # start at the lower bounds, hand the remaining mass to the states in order
     theta = list(lower)
@@ -173,26 +169,35 @@ def _greedy_fill(lower: tuple[float, ...], upper: tuple[float, ...], order: Sequ
     return tuple(theta)
 
 
-def _min_fast(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, tuple[float, ...]]:
-    # the local LP: its minimum and the greedy optimizer, as a bare point; a
-    # one- or two-state set picks its optimum as the greedy's sort would (one
-    # state: coeffs[-1] is coeffs[0], and both optima are its one point)
-    if cs.k <= 2:
-        return _with_value(coeffs, cs._optima[coeffs[-1] < coeffs[0]])
-    return _with_value(coeffs, _greedy_min_point(cs, coeffs))
+def _lp(
+    cs: IntervalCredalSet, coeffs: Sequence[float], maximize: bool = False
+) -> tuple[float, tuple[float, ...]]:
+    """The local LP: the minimum (maximum if ``maximize``) of ``coeffs . p``
+    over ``cs`` and the greedy optimizer, as a bare point.
 
-
-def _max_fast(cs: IntervalCredalSet, coeffs: Sequence[float]) -> tuple[float, tuple[float, ...]]:
-    if cs.k <= 2:
-        return _with_value(coeffs, cs._optima[-coeffs[-1] < -coeffs[0]])
-    return _with_value(coeffs, _greedy_min_point(cs, [-c for c in coeffs]))
+    The greedy fills the cheapest (dearest) states first, ties in state
+    order.  A one- or two-state set picks its optimum as that order would
+    (one state: ``coeffs[-1]`` is ``coeffs[0]``, and both optima are its one
+    point).  A finite sum of at most two terms is rounded as one addition
+    (``fsum`` rounds it alike, and ``+ 0.0`` gives its +0.0 for a zero sum);
+    ``fsum`` takes any other, raising on overflow or ``inf - inf``.
+    """
+    k = len(cs.lower)
+    if k <= 2:
+        point = cs._optima[coeffs[0] < coeffs[-1] if maximize else coeffs[-1] < coeffs[0]]
+        value = coeffs[0] * point[0] + (coeffs[1] * point[1] if k == 2 else 0.0) + 0.0
+        if value - value == 0.0:
+            return value, point
+    else:
+        keys = [-c for c in coeffs] if maximize else coeffs
+        point = _greedy_fill(cs.lower, cs.upper, sorted(range(k), key=keys.__getitem__))
+    return math.fsum(c * t for c, t in zip(coeffs, point)), point
 
 
 def _closed_lp(cs: IntervalCredalSet, cols: Sequence[Sequence[float]], maximize: bool = False) -> list[float]:
-    """``_min_fast(cs, row)[0]`` (``_max_fast``'s if ``maximize``) per row of
-    ``cols``, a column per state of the one- or two-state set ``cs``, bit for
-    bit: ``_with_value``'s sum of the optimum that ``c1 < c0`` (``-c1 < -c0``)
-    picks; only non-finite sums need its ``fsum``."""
+    """``_lp(cs, row, maximize)[0]`` per row of ``cols``, a column per state
+    of the one- or two-state set ``cs``, bit for bit: the sum of the optimum
+    that ``c1 < c0`` (``c0 < c1``) picks; only non-finite sums need ``fsum``."""
     keep, swap = cs._optima
     if len(cols) == 1:
         x = keep[0]
@@ -201,16 +206,6 @@ def _closed_lp(cs: IntervalCredalSet, cols: Sequence[Sequence[float]], maximize:
     if maximize:
         return [c0 * b0 + c1 * b1 + 0.0 if c1 > c0 else c0 * a0 + c1 * a1 + 0.0 for c0, c1 in zip(*cols)]
     return [c0 * b0 + c1 * b1 + 0.0 if c1 < c0 else c0 * a0 + c1 * a1 + 0.0 for c0, c1 in zip(*cols)]
-
-
-def _with_value(coeffs: Sequence[float], point: tuple[float, ...]) -> tuple[float, tuple[float, ...]]:
-    # fsum rounds a finite two-term sum as one addition does, and "+ 0.0" gives
-    # its +0.0 for a zero sum; fsum keeps the rest, raising on overflow or inf - inf
-    if len(point) <= 2:
-        value = coeffs[0] * point[0] + (coeffs[1] * point[1] if len(point) == 2 else 0.0) + 0.0
-        if value - value == 0.0:
-            return value, point
-    return math.fsum(c * t for c, t in zip(coeffs, point)), point
 
 
 def enumerate_vertices(cs: IntervalCredalSet) -> list[Vertex]:

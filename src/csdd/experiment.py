@@ -34,7 +34,6 @@ from .infer import (
     MAX,
     MIN,
     NOT_ROBUST,
-    ZERO_TOL,
     EvidenceSession,
     _check_evidence,
     _check_target,
@@ -198,7 +197,7 @@ def _decide_batch(circuit: Circuit, psdd: PsddParams, csdd: CsddParams,
     batch = _Columns(circuit, observations)
     point = batch.point(psdd)
     low, up = batch.sweep(csdd, MIN), batch.sweep(csdd, MAX)
-    p_obs, root = point[circuit.root], circuit.root
+    p_obs = point[circuit.root]
     for observation, p in zip(observations, p_obs):
         if p <= 0.0:
             raise ValueError("observation has zero probability under the point table")
@@ -206,16 +205,15 @@ def _decide_batch(circuit: Circuit, psdd: PsddParams, csdd: CsddParams,
         _check_evidence(circuit, observation)
         for i in range(1, SEGMENTS + 1):
             _check_target(circuit, hidden_var(i), True, observation)
-    zero = [ZERO_TOL * u for u in up[root]]  # a sign test is positive beyond it
     out: list[list[SegmentDecision]] = [[] for _ in observations]
     for i in range(1, SEGMENTS + 1):
         var = hidden_var(i)
         p_on = [v / p for v, p in zip(batch.spine(psdd, point, var, True), p_obs)]
-        on = [s > z for s, z in zip(batch.sign(csdd, var, True, 0.5, low, up), zero)]
+        on = [sign > 0 for sign in batch.sign(csdd, var, True, 0.5, low, up)]
         rest = [j for j, yes in enumerate(on) if not yes]
         off = dict(zip(rest, batch.sign(csdd, var, False, 0.5, low, up, rest)))
         for j, decisions in enumerate(out):
-            credal = "on" if on[j] else "off" if off[j] > zero[j] else "indeterminate"
+            credal = "on" if on[j] else "off" if off[j] > 0 else "indeterminate"
             decisions.append(SegmentDecision(i, p_on[j], p_on[j] > 0.5, credal))
     return out
 

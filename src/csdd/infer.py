@@ -2,7 +2,8 @@
 
 Precise queries (probability of evidence, most probable completion) are
 single bottom-up passes.  Credal queries replace each decision-node sum
-with a local linear program over the node's credal set:
+with a local linear program over the node's credal set, solved by
+``credal._lp`` in either sense:
 
 * lower/upper probability of evidence is exact for every topology;
 * a lower/upper conditional of one variable is the crossing of a sign
@@ -43,7 +44,8 @@ The display experiment's ``run_cell`` opens one per cell, with unchanged
 answers.  A batch of evidences known up front runs node-major instead:
 the private ``_Columns`` passes fill a column per node, one float per
 evidence, the scalar pass's float bit for bit; the display experiment
-decides a cell's distinct observations with them.
+decides a cell's distinct observations with them.  The point pass has
+only that form: :func:`marginal` runs it on a batch of one.
 """
 
 from __future__ import annotations
@@ -67,13 +69,7 @@ from .circuit import (
     _truth_bits,
     is_consistent,
 )
-from .credal import (
-    _closed_lp,
-    _max_fast,
-    _max_ratio_vertex,
-    _min_fast,
-    enumerate_vertices,
-)
+from .credal import _closed_lp, _lp, _max_ratio_vertex, enumerate_vertices
 from .params import CsddParams, PsddParams
 
 __all__ = [
@@ -327,33 +323,7 @@ def _open_memo(circuit: Circuit, params: CsddParams | None = None) -> _PassMemo 
 def marginal(circuit: Circuit, params: PsddParams, evidence: Mapping[int, bool]) -> float:
     """Probability of the (partial) evidence under the point table."""
     _check_evidence(circuit, evidence)
-    nodes, values = circuit.nodes, {}
-    for nid in circuit.cone():
-        node = nodes[nid]
-        if node.kind == FALSE:
-            values[nid] = 0.0
-        elif node.kind == LITERAL:
-            val = evidence.get(node.var)
-            values[nid] = 1.0 if val is None or val == node.polarity else 0.0
-        elif node.kind == TRUE:
-            val = evidence.get(node.var)
-            pmf = params.table[nid]
-            values[nid] = 1.0 if val is None else (pmf[0] if val else pmf[1])
-        else:
-            theta = params.table.get(nid)
-            if theta is None:  # unsatisfiable decision node, no distribution
-                values[nid] = 0.0
-            elif len(theta) == 2:
-                # two products of probabilities: fsum rounds them as one
-                # addition does, and "+ 0.0" gives its +0.0 for a zero sum
-                (p0, s0), (p1, s1) = node.elements
-                a, b = values[p0] * values[s0] * theta[0], values[p1] * values[s1] * theta[1]
-                values[nid] = a + b + 0.0
-            else:
-                values[nid] = math.fsum(
-                    values[p] * values[s] * t for (p, s), t in zip(node.elements, theta)
-                )
-    return values[circuit.root]
+    return _Columns(circuit, [evidence]).point(params)[circuit.root][0]
 
 
 def joint_probability(circuit: Circuit, params: PsddParams, assignment: Mapping[int, bool]) -> float:
@@ -445,8 +415,7 @@ def _credal_sweep(
     read 0.0.  Under a complete assignment its route gives the cone's values:
     off it, every prime is false and sweeps to 0.0."""
     values = [0.0] * len(circuit.nodes)
-    table = params.table
-    opt = _min_fast if sense == MIN else _max_fast
+    table, maximize = params.table, sense == MAX
     for nid in ids:
         node = circuit.nodes[nid]
         if node.kind == LITERAL:
@@ -455,18 +424,18 @@ def _credal_sweep(
         elif node.kind == TRUE and evidence.get(node.var) is None:
             values[nid] = 1.0
         elif node.kind != FALSE:  # FALSE reads 0.0
-            values[nid] = _sweep_problem(table, nid, node, evidence, values, opt)[0]
+            values[nid] = _sweep_problem(table, nid, node, evidence, values, maximize)[0]
     return values
 
 
-def _sweep_problem(table, nid: int, node, evidence: Mapping[int, bool], values, opt):
+def _sweep_problem(table, nid: int, node, evidence: Mapping[int, bool], values, maximize: bool):
     """``(value, point)`` of a sweep's problem at an observed TRUE terminal or
     a decision node, children at ``values``; ``(0.0, None)`` on zero coefficients."""
     if node.kind == TRUE:
         coeffs = (1.0, 0.0) if evidence[node.var] else (0.0, 1.0)
     else:
         coeffs = [values[p] * values[s] for p, s in node.elements]
-    return opt(table[nid], coeffs) if any(coeffs) else (0.0, None)
+    return _lp(table[nid], coeffs, maximize) if any(coeffs) else (0.0, None)
 
 
 def lower_marginal(circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> float:
@@ -505,13 +474,12 @@ def _mark_sweeps(
         marked = {nid for nid, start_sense in starts if start_sense == sense}
         if not marked:
             continue
-        opt = _min_fast if sense == MIN else _max_fast
         for nid in reversed(ids):
             if nid not in marked:
                 continue
             node = circuit.nodes[nid]
             if node.kind == DECISION or node.kind == TRUE and evidence.get(node.var) is not None:
-                trace.record(nid, _sweep_problem(table, nid, node, evidence, values, opt)[1])
+                trace.record(nid, _sweep_problem(table, nid, node, evidence, values, sense == MAX)[1])
             for p, s in node.elements:
                 vp, vs = values[p], values[s]
                 if vp > 0.0 and vs > 0.0:
@@ -574,9 +542,7 @@ class EvidenceSession:
         upper = self.up[self.root]
         if upper <= 0.0 and not is_consistent(circuit, evidence):
             raise InferenceError("evidence violates circuit constraints")
-        # every sign-test message is at most the upper evidence probability
-        # in size, so the numerical zero scales with it
-        self.zero = ZERO_TOL * upper
+        self.zero = _zero(upper)
 
     def check(self, circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> None:
         """Raise unless the session was built for exactly these arguments."""
@@ -611,18 +577,18 @@ class EvidenceSession:
                     continue
                 # a negative message takes the sibling's upper value (a FALSE
                 # sibling is 0.0 in both sweeps)
-                if len(sides) == 2:  # _min_fast unrolled: its point depends only on c1 < c0
+                if len(sides) == 2:  # _lp unrolled: its point depends only on c1 < c0
                     (u0, w0, _), (u1, w1, _) = sides
                     s0 = (up_values if msg[u0] < 0.0 else low_values)[w0]
                     s1 = (up_values if msg[u1] < 0.0 else low_values)[w1]
                     coeffs = c0, c1 = msg[u0] * s0, msg[u1] * s1
                     point = x0, x1 = cs._optima[c1 < c0]
-                    value = c0 * x0 + c1 * x1 + 0.0  # _with_value's, finite while |mu| < 1e300
+                    value = c0 * x0 + c1 * x1 + 0.0  # _lp's sum, finite while |mu| < 1e300
                     rate[nid] = x0 * rate[u0] * s0 + x1 * rate[u1] * s1
                 else:
                     sibs = [(up_values if msg[u] < 0.0 else low_values)[w] for u, w, _ in sides]
                     coeffs = [msg[u] * s for (u, _, _), s in zip(sides, sibs)]
-                    value, point = _min_fast(cs, coeffs)
+                    value, point = _lp(cs, coeffs)
                     rate[nid] = sum(t * rate[u] * s for t, (u, _, _), s in zip(point, sides, sibs))
                 msg[nid] = value
                 if trace is not None:
@@ -691,8 +657,20 @@ def conditional_sign(
     if not math.isfinite(mu):  # its messages would be NaN, which reads as a zero sign
         raise InferenceError(f"threshold must be finite, got {mu}")
     session = _session(circuit, params, var, val, evidence, session)
-    value = session._sign_test(var, bool(val), mu)[0]
-    return (value > session.zero) - (value < -session.zero)
+    return _sign(session._sign_test(var, bool(val), mu)[0], session.up[session.root])
+
+
+def _zero(upper: float) -> float:
+    """The numerical zero of a sign test on evidence of upper probability
+    ``upper``: every message is at most that in size, so the zero scales with it."""
+    return ZERO_TOL * upper
+
+
+def _sign(value: float, upper: float) -> int:
+    """A sign test's verdict, -1, 0 or +1, on its root message ``value`` for
+    evidence of upper probability ``upper``: 0 within :func:`_zero`."""
+    zero = _zero(upper)
+    return (value > zero) - (value < -zero)
 
 
 def _find_crossing(value_at, tol: float, zero: float = ZERO_TOL, confirm=None) -> tuple[float, float, int]:
@@ -803,12 +781,13 @@ class _Columns:
     """Node-major passes over a batch of evidences on one circuit.
 
     A pass visits each node of its cone (or spine) once and fills a column,
-    one float per evidence: the scalar pass's value (:func:`marginal`,
-    :func:`_credal_sweep`, :meth:`EvidenceSession._sign_test`), bit for bit,
-    by the same float operations.  An LP over one or two states is
-    :func:`_closed_lp` on the whole column; any other LP or ``fsum`` runs
-    once per distinct evidence under the node (a :class:`_PassMemo` key).
-    The evidences are not checked.
+    one float per evidence.  The point pass is :func:`marginal`'s; the
+    others give the scalar pass's value (:func:`_credal_sweep`,
+    :meth:`EvidenceSession._sign_test`), bit for bit, by the same float
+    operations.  An LP over one or two states is :func:`_closed_lp` on the
+    whole column; any other LP (``_lp``) or ``fsum`` runs once per
+    distinct evidence under the node (a :class:`_PassMemo` key).  The
+    evidences are not checked.
     """
 
     def __init__(self, circuit: Circuit, evidences: Sequence[Mapping[int, bool]]) -> None:
@@ -839,6 +818,8 @@ class _Columns:
                 if theta is None:  # unsatisfiable decision node, no distribution
                     cols[nid] = zeros
                 elif len(theta) == 2:
+                    # two products of probabilities: fsum rounds them as one
+                    # addition does, and "+ 0.0" gives its +0.0 for a zero sum
                     (p0, s0), (p1, s1) = node.elements
                     t0, t1 = theta
                     cols[nid] = [a * b * t0 + c * d * t1 + 0.0
@@ -863,7 +844,7 @@ class _Columns:
     def sweep(self, params: CsddParams, sense: int) -> list:
         """Evidence-sweep columns by node id; ``None`` off the cone."""
         nodes, table, obs = self.circuit.nodes, params.table, self.obs
-        opt = _min_fast if sense == MIN else _max_fast
+        maximize = sense == MAX
         cols: list = [None] * len(nodes)
         for nid in self.circuit.cone():
             node = nodes[nid]
@@ -871,18 +852,18 @@ class _Columns:
                 pol = node.polarity
                 cols[nid] = [1.0 if v is None or v == pol else 0.0 for v in obs[node.var]]
             elif node.kind == TRUE:
-                on, off = opt(table[nid], (1.0, 0.0))[0], opt(table[nid], (0.0, 1.0))[0]
+                on, off = (_lp(table[nid], coeffs, maximize)[0] for coeffs in ((1.0, 0.0), (0.0, 1.0)))
                 cols[nid] = [1.0 if v is None else (on if v else off) for v in obs[node.var]]
             elif node.kind == DECISION and nid in table:
                 coeffs = [list(map(operator.mul, cols[p], cols[s])) for p, s in node.elements]
-                cols[nid] = self._lp(nid, table[nid], coeffs, self.keys, sense)
+                cols[nid] = self._lp(nid, table[nid], coeffs, self.keys, maximize)
             else:  # FALSE, or an unsatisfiable decision node, whose children sweep to 0.0
                 cols[nid] = [0.0] * self.size
         return cols
 
     def sign(self, params: CsddParams, var: int, val: bool, mu: float,
-             low: list, up: list, rows: Sequence[int] | None = None) -> list[float]:
-        """Root column of the sign test of ``var = val`` at ``mu`` for the
+             low: list, up: list, rows: Sequence[int] | None = None) -> list[int]:
+        """:func:`_sign` of the sign test of ``var = val`` at ``mu`` for the
         evidences at ``rows`` (all by default), given the sweeps' columns."""
         table = params.table
         if rows is None:
@@ -896,7 +877,7 @@ class _Columns:
                 # a negative message takes the sibling's upper value
                 coeffs = [[m * (h if m < 0.0 else l)
                            for m, l, h in zip(msg[u], pick(low[w]), pick(up[w]))] for u, w, _ in sides]
-                msg[nid] = self._lp(nid, table[nid], coeffs, keys, MIN)
+                msg[nid] = self._lp(nid, table[nid], coeffs, keys)
             elif kind == LITERAL:
                 msg[nid] = [(1.0 - mu) if sides == val else -mu] * size
             elif kind == TRUE:
@@ -906,15 +887,16 @@ class _Columns:
                 msg[nid] = [min((1.0 - mu) * lx - mu * unot, (1.0 - mu) * ux - mu * lnot)] * size
             else:
                 msg[nid] = [0.0] * size
-        return msg[self.circuit.root]
+        root = self.circuit.root
+        return list(map(_sign, msg[root], pick(up[root])))
 
-    def _lp(self, nid: int, cs, coeffs: list[list[float]], keys: Sequence[int], sense: int) -> list[float]:
-        """``opt(cs, row)[0]`` per row of the coefficient columns: 0.0 on a zero
-        row, as a sweep's guard gives, since ``fsum`` of zeros is 0.0."""
+    def _lp(self, nid: int, cs, coeffs: list[list[float]], keys: Sequence[int],
+            maximize: bool = False) -> list[float]:
+        """``_lp(cs, row, maximize)[0]`` per row of the coefficient columns: 0.0
+        on a zero row, as a sweep's guard gives, since ``fsum`` of zeros is 0.0."""
         if cs.k <= 2:
-            return _closed_lp(cs, coeffs, sense == MAX)
-        opt = _min_fast if sense == MIN else _max_fast
-        return self._per_key(nid, keys, lambda j: opt(cs, [col[j] for col in coeffs])[0])
+            return _closed_lp(cs, coeffs, maximize)
+        return self._per_key(nid, keys, lambda j: _lp(cs, [col[j] for col in coeffs], maximize)[0])
 
     def _per_key(self, nid: int, keys: Sequence[int], solve) -> list[float]:
         """``solve(j)`` for each row ``j``, called once per distinct key under node ``nid``."""
@@ -1035,17 +1017,17 @@ def _mark_map(
                 states = cm.tied[nid]
                 if len(states) == 1:
                     coeffs = (1.0, 0.0) if states[0] == 0 else (0.0, 1.0)
-                    trace.record(nid, _max_fast(cs, coeffs)[1])
+                    trace.record(nid, _lp(cs, coeffs, True)[1])
             elif cm.values[nid] > 0.0:
                 coeffs = (1.0, 0.0) if val else (0.0, 1.0)
-                trace.record(nid, _max_fast(cs, coeffs)[1])
+                trace.record(nid, _lp(cs, coeffs, True)[1])
         elif node.kind == DECISION:
             cs = params.table.get(nid)
             if cs is None:
                 continue
             for idx in cm.tied[nid]:
                 coeffs = tuple(1.0 if i == idx else 0.0 for i in range(cs.k))
-                trace.record(nid, _max_fast(cs, coeffs)[1])
+                trace.record(nid, _lp(cs, coeffs, True)[1])
                 marked.update(node.elements[idx])
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .circuit import Circuit, TRUE
-from .credal import IntervalCredalSet, _greedy_min_point, _small_reachable
+from .credal import IntervalCredalSet, _lp, _small_reachable
 
 __all__ = ["ParamError", "PsddParams", "CsddParams", "check_local"]
 
@@ -138,7 +138,7 @@ class CsddParams:
             if nid in points:
                 table[nid] = tuple(points[nid])
             else:
-                table[nid] = _greedy_min_point(cs, (0.0,) * cs.k)
+                table[nid] = _lp(cs, (0.0,) * cs.k)[1]
         return PsddParams(table)
 
     def pinned(self, points: Mapping[int, tuple[float, ...]]) -> "CsddParams":

@@ -297,7 +297,7 @@ def route_counts(circuit: Circuit, dataset, strict: bool = True):
 
 
 def greedy_reference(cs: IntervalCredalSet, coeffs, maximize: bool = False):
-    """``credal._min_fast``/``_max_fast`` by the generic greedy for every k:
+    """``credal._lp`` by the generic greedy for every k:
     a stable sort of the states by cost, a mass loop, and ``math.fsum`` for
     the value.  Returns ``(value, point)``."""
     from csdd.credal import EQ_TOL
@@ -443,14 +443,13 @@ def credal_sweep_reference(
     """``infer._credal_sweep`` without its memo, recording beside each value
     the point its local problem pinned.  Nodes outside ``ids`` read 0.0 and
     pin nothing."""
-    from csdd.credal import _max_fast, _min_fast
-    from csdd.infer import MIN
+    from csdd.credal import _lp
+    from csdd.infer import MAX
 
     sweep = SweepReference(len(circuit.nodes))
     values = sweep.values
     vertices = sweep.vertices
     table = params.table
-    opt = _min_fast if sense == MIN else _max_fast
     for nid in ids:
         node = circuit.nodes[nid]
         if node.kind == FALSE:
@@ -465,7 +464,7 @@ def credal_sweep_reference(
                 coeffs = (1.0, 0.0) if evidence[node.var] else (0.0, 1.0)
             else:
                 coeffs = [values[p] * values[s] for p, s in node.elements]
-            value, point = opt(table[nid], coeffs) if any(coeffs) else (0.0, None)
+            value, point = _lp(table[nid], coeffs, sense == MAX) if any(coeffs) else (0.0, None)
             values[nid] = value
             vertices[nid] = point
     return sweep
@@ -519,7 +518,7 @@ def mark_sweeps_reference(trace, circuit: Circuit, low, up, starts) -> None:
 def mark_map_walk(trace, circuit: Circuit, params: CsddParams, cm, evidence, start: int) -> None:
     """``infer._mark_map`` for one start, by a depth-first walk through
     every tied element."""
-    from csdd.credal import _max_fast
+    from csdd.credal import _lp
 
     stack = [start]
     seen = set()
@@ -535,15 +534,15 @@ def mark_map_walk(trace, circuit: Circuit, params: CsddParams, cm, evidence, sta
             if val is None:
                 if len(cm.tied[nid]) == 1:
                     coeffs = (1.0, 0.0) if cm.tied[nid][0] == 0 else (0.0, 1.0)
-                    trace.record(nid, _max_fast(cs, coeffs)[1])
+                    trace.record(nid, _lp(cs, coeffs, True)[1])
             elif cm.values[nid] > 0.0:
                 coeffs = (1.0, 0.0) if val else (0.0, 1.0)
-                trace.record(nid, _max_fast(cs, coeffs)[1])
+                trace.record(nid, _lp(cs, coeffs, True)[1])
         elif node.kind == DECISION and nid in params.table:
             cs = params.table[nid]
             for idx in cm.tied[nid]:
                 coeffs = tuple(1.0 if i == idx else 0.0 for i in range(cs.k))
-                trace.record(nid, _max_fast(cs, coeffs)[1])
+                trace.record(nid, _lp(cs, coeffs, True)[1])
                 stack.extend(node.elements[idx])
 
 

@@ -80,6 +80,10 @@ class TestVtree:
     def test_balanced_and_right_linear(self):
         assert Vtree.balanced(5).var_count == 5
         assert Vtree.right_linear(4).structure() == (1, (2, (3, 4)))
+        for n in (0, -1):
+            for build in (Vtree.balanced, Vtree.right_linear):
+                with pytest.raises(CircuitError, match="^vtree needs at least one variable$"):
+                    build(n)
 
     def test_post_order_left_first(self):
         assert squares_vtree().post_order() == (0, 2, 1, 4, 6, 5, 3)
@@ -133,6 +137,17 @@ class TestEvaluate:
     def test_unknown_node_rejected(self, squares):
         with pytest.raises(CircuitError):
             evaluate(squares.circuit, 10_000, {1: True, 2: True, 3: True, 4: True})
+
+    def test_deep_implication_chain(self):
+        # 2,000 variables on a right-linear vtree nest deeper than the recursion limit
+        n = 2000
+        formula = _chain(n)
+        circuit = compile_formula(formula, Vtree.right_linear(n))
+        satisfied = {v: v > n // 2 for v in range(1, n + 1)}
+        violated = {**satisfied, n // 2: True, n // 2 + 1: False}  # x1000 holds, x1001 does not
+        for assignment, value in ((satisfied, True), (violated, False)):
+            assert formula.evaluate(assignment) is value
+            assert evaluate(circuit, circuit.root, assignment) is value
 
 
 class TestEnumerateModels:
@@ -677,19 +692,39 @@ class TestPartitionParity:
         real = circuit_module._truth_bits
         monkeypatch.setattr(circuit_module, "_truth_bits", lambda *args: passes.append(1) or real(*args))
         seen = {"sampled": 0, "exhaustive vtree nodes": 0}
+        failed = 0
         for _ in range(20):
             circuit = compile_formula(random_formula(rng, 12, 4), vtree)
-            vids = [circuit.nodes[nid].vtree for nid in circuit.cone() if circuit.nodes[nid].elements]
+            decisions = [nid for nid in circuit.cone() if circuit.nodes[nid].elements]
+            vids = [circuit.nodes[nid].vtree for nid in decisions]
             wide = [2 ** len(vtree.vars_under(vtree.left(vid))) > limit for vid in vids]
             passes.clear()
             validate_partitions(circuit, exhaustive_limit=limit)
             assert len(passes) == (not all(wide)) + sum(wide)
+            # a failing exhaustive node is named from the shared pass: the
+            # failing call adds no pass beyond the sampled nodes checked before it
+            exhaustive = [nid for nid, sampled in zip(decisions, wide)
+                          if not sampled and len(circuit.nodes[nid].elements) >= 2]
+            if exhaustive:
+                nid = rng.choice(exhaustive)
+                bad = _corrupt(circuit, nid, rng.choice(["overlap", "gap"]))
+                order = [d for d in bad.cone() if bad.nodes[d].elements]
+                before = sum(2 ** len(vtree.vars_under(vtree.left(bad.nodes[d].vtree))) > limit
+                             for d in order[:order.index(nid)])
+                passes.clear()
+                message = _partition_error(partial(validate_partitions, exhaustive_limit=limit), bad)
+                assert message is not None and message.startswith(f"node {nid}: ")
+                assert len(passes) == 1 + before
+                slow = partial(check_partitions, exhaustive_limit=limit)
+                assert message == _partition_error(slow, bad)
+                failed += 1
             seen["sampled"] += sum(wide)
             shared = {vid for vid, sampled in zip(vids, wide) if not sampled}
             seen["exhaustive vtree nodes"] = max(seen["exhaustive vtree nodes"], len(shared))
         # one pass per exhaustive vtree node would count more than one
         assert seen["exhaustive vtree nodes"] >= 3, seen
         assert (seen["sampled"] > 0) == (limit == 16), seen
+        assert failed >= 10
 
     @pytest.mark.parametrize("mode", ["overlap", "gap"])
     def test_exhaustive_branch(self, squares, mode):

@@ -16,8 +16,7 @@ from csdd.credal import (
     CredalSetError,
     IntervalCredalSet,
     _closed_lp,
-    _max_fast,
-    _min_fast,
+    _lp,
     _max_ratio_vertex,
     enumerate_vertices,
     normalize_reachable,
@@ -98,28 +97,28 @@ def _is_vertex(cs: IntervalCredalSet, point) -> bool:
 
 class TestLinearPrograms:
     def test_example_root_minimum(self):
-        value, point = _min_fast(EXAMPLE_ROOT, (12 / 32, 0.0, 0.0))
+        value, point = _lp(EXAMPLE_ROOT, (12 / 32, 0.0, 0.0))
         assert value == pytest.approx(12 / 32 * 31 / 101, abs=1e-15)
         assert point[0] == pytest.approx(31 / 101, abs=0)
 
     def test_example_root_maximum(self):
-        value, _ = _max_fast(EXAMPLE_ROOT, (1.0, 0.0, 0.0))
+        value, _ = _lp(EXAMPLE_ROOT, (1.0, 0.0, 0.0), True)
         assert value == pytest.approx(32 / 101, abs=1e-15)
 
     def test_point_set(self):
         cs = IntervalCredalSet.point((0.2, 0.5, 0.3))
         coeffs = (3.0, -1.0, 2.0)
         expected = 0.2 * 3 - 0.5 + 0.3 * 2
-        assert _min_fast(cs, coeffs)[0] == pytest.approx(expected, abs=1e-12)
-        assert _max_fast(cs, coeffs)[0] == pytest.approx(expected, abs=1e-12)
+        assert _lp(cs, coeffs)[0] == pytest.approx(expected, abs=1e-12)
+        assert _lp(cs, coeffs, True)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_greedy_matches_vertex_enumeration(self):
         rng = Random(42)
         for _ in range(1000):
             cs = random_reachable(rng, rng.randint(2, 4))
             coeffs = tuple(rng.uniform(-2, 2) for _ in range(cs.k))
-            lo, lo_point = _min_fast(cs, coeffs)
-            hi, hi_point = _max_fast(cs, coeffs)
+            lo, lo_point = _lp(cs, coeffs)
+            hi, hi_point = _lp(cs, coeffs, True)
             values = [
                 math.fsum(c * x for c, x in zip(coeffs, v.point))
                 for v in enumerate_vertices(cs)
@@ -135,7 +134,7 @@ class TestLinearPrograms:
             cs = random_reachable(rng, rng.randint(2, 5))
             coeffs = tuple(rng.uniform(-1, 1) for _ in range(cs.k))
             neg = tuple(-c for c in coeffs)
-            assert _max_fast(cs, coeffs)[0] == pytest.approx(-_min_fast(cs, neg)[0], abs=1e-12)
+            assert _lp(cs, coeffs, True)[0] == pytest.approx(-_lp(cs, neg)[0], abs=1e-12)
 
     def test_monotone_in_interval_width(self):
         rng = Random(9)
@@ -146,8 +145,8 @@ class TestLinearPrograms:
                 tuple(min(1.0, u + 0.05) for u in cs.upper),
             )
             coeffs = tuple(rng.uniform(-1, 1) for _ in range(3))
-            assert _min_fast(wider, coeffs)[0] <= _min_fast(cs, coeffs)[0] + 1e-12
-            assert _max_fast(wider, coeffs)[0] >= _max_fast(cs, coeffs)[0] - 1e-12
+            assert _lp(wider, coeffs)[0] <= _lp(cs, coeffs)[0] + 1e-12
+            assert _lp(wider, coeffs, True)[0] >= _lp(cs, coeffs, True)[0] - 1e-12
 
 
 def _outcome(fn, *args):
@@ -177,8 +176,9 @@ EDGE_COEFFS = (0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 3.0)
 
 
 class TestClosedForm:
-    """The one- and two-state local LPs give the generic greedy's value and
-    point bit for bit, in both senses."""
+    """The one LP entry gives the generic greedy's value and point bit for
+    bit, in both senses: in closed form on one or two states, by its own
+    greedy fill on more."""
 
     EDGE_SETS = (
         IntervalCredalSet.point((0.25, 0.75)),
@@ -196,37 +196,45 @@ class TestClosedForm:
     )
 
     @staticmethod
-    def _random_set(rng: Random) -> IntervalCredalSet:
-        k = rng.choice((1, 2))
+    def _random_set(rng: Random, ks=(1, 2)) -> IntervalCredalSet:
+        k = rng.choice(ks)
         return random_reachable(rng, k) if rng.random() < 0.5 else _slack_set(rng, k)
+
+    @staticmethod
+    def _random_coeffs(rng: Random, k: int) -> list[float]:
+        pick = rng.random()
+        if pick < 0.3:
+            return [rng.choice(EDGE_COEFFS) for _ in range(k)]
+        if pick < 0.4:
+            return [rng.uniform(-2, 2)] * k
+        return [rng.uniform(-2, 2) for _ in range(k)]
 
     @staticmethod
     def _check(cs, coeffs):
         coeffs = tuple(coeffs)
-        for maximize, fast in ((False, _min_fast), (True, _max_fast)):
+        for maximize in (False, True):
             want = _outcome(greedy_reference, cs, coeffs, maximize)
-            assert _outcome(fast, cs, coeffs) == want, (cs, coeffs, maximize)
-            assert _outcome(fast, cs, list(coeffs)) == want, (cs, coeffs, maximize)
+            assert _outcome(_lp, cs, coeffs, maximize) == want, (cs, coeffs, maximize)
+            assert _outcome(_lp, cs, list(coeffs), maximize) == want, (cs, coeffs, maximize)
 
     def test_random_sets(self):
         rng = Random(1101)
         for _ in range(3000):
             cs = self._random_set(rng)
-            k = cs.k
-            pick = rng.random()
-            if pick < 0.3:
-                coeffs = [rng.choice(EDGE_COEFFS) for _ in range(k)]
-            elif pick < 0.4:
-                coeffs = [rng.uniform(-2, 2)] * k
-            else:
-                coeffs = [rng.uniform(-2, 2) for _ in range(k)]
-            self._check(cs, coeffs)
+            self._check(cs, self._random_coeffs(rng, cs.k))
 
     def test_edge_sets(self):
         special = EDGE_COEFFS + (math.inf, -math.inf, math.nan, 1e308, -1e308)
         for cs in self.EDGE_SETS:
             for coeffs in product(special, repeat=cs.k):
                 self._check(cs, coeffs)
+
+    def test_larger_sets(self):
+        # three to five states, by the greedy fill: ties keep state order in both senses
+        rng = Random(1105)
+        for _ in range(2000):
+            cs = self._random_set(rng, (3, 4, 5))
+            self._check(cs, self._random_coeffs(rng, cs.k))
 
     def test_optima_are_cached_on_the_set(self):
         rng = Random(1104)
@@ -583,8 +591,8 @@ def _coefficient():
 
 
 class TestClosedLp:
-    """``_closed_lp`` gives ``_min_fast``'s and ``_max_fast``'s values bit for
-    bit, to the sign of zero, for sets of one and two states."""
+    """``_closed_lp`` gives ``_lp``'s values in both senses bit for bit, to
+    the sign of zero, for sets of one and two states."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -604,6 +612,6 @@ class TestClosedLp:
             rows = [(c0, c0) for c0, _ in rows] + [(0.0, -0.0), (-0.0, 0.0)]
         rows = [row[:k] for row in rows]
         cols = [list(col) for col in zip(*rows)]
-        for maximize, opt in ((False, _min_fast), (True, _max_fast)):
-            want = [opt(cs, row)[0] for row in rows]
+        for maximize in (False, True):
+            want = [_lp(cs, row, maximize)[0] for row in rows]
             assert repr(_closed_lp(cs, cols, maximize)) == repr(want), (cs, rows, maximize)

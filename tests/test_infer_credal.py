@@ -31,7 +31,7 @@ from csdd.circuit import (
     model_count,
 )
 from csdd.cli import main
-from csdd.credal import IntervalCredalSet, _min_fast, normalize_reachable
+from csdd.credal import IntervalCredalSet, _lp, normalize_reachable
 from csdd.fixtures import shared_node_fixture, squares_dataset, squares_fixture
 from csdd.infer import (
     EXACT,
@@ -60,6 +60,7 @@ from csdd.infer import (
     strong_extension_oracle,
     upper_conditional,
     upper_marginal,
+    _Columns,
     _PassMemo,
     _credal_map,
     _credal_sweep,
@@ -1487,7 +1488,7 @@ def _sign_test_reference(session: EvidenceSession, var: int, val: bool, mu: floa
                 sigma[nid, idx] = ("upper" if upper else "lower", (up if upper else low).values[w])
                 starts.append((w, MAX if upper else MIN))
                 coeffs.append(msg[u] * sigma[nid, idx][1])
-            msg[nid], point = _min_fast(table[nid], coeffs)
+            msg[nid], point = _lp(table[nid], coeffs)
             if trace is not None:
                 trace.record(nid, point if any(coeffs) else None)
     if trace is not None:
@@ -1550,6 +1551,29 @@ class TestEvidenceFactsOnce:
         session = EvidenceSession(circuit, csdd, {1: True})
         assert session.zero == 0.0
         assert conditional_sign(circuit, csdd, 0.5, 2, True, {1: True}, session) == 0
+        batch = _Columns(circuit, [{1: True}])
+        assert batch.sign(csdd, 2, True, 0.5, batch.sweep(csdd, MIN), batch.sweep(csdd, MAX)) == [0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), singly=st.booleans())
+    def test_column_signs_are_conditional_signs(self, seed, singly):
+        rng = Random(seed)
+        circuit = random_circuit(rng, rng.randint(3, 6), singly=singly)
+        csdd = random_csdd_params(rng, circuit, 0.3)
+        if rng.getrandbits(1):
+            _pin_true_states(rng, circuit, csdd)
+        n = circuit.vtree.var_count
+        var = rng.randint(1, n)
+        evidences = [{v: bool(rng.getrandbits(1)) for v in range(1, n + 1)
+                      if v != var and rng.random() < 0.5} for _ in range(8)]
+        evidences = [e for e in evidences if is_consistent(circuit, e)]
+        batch = _Columns(circuit, evidences)
+        low, up = batch.sweep(csdd, MIN), batch.sweep(csdd, MAX)
+        rows = [j for j in range(len(evidences)) if rng.getrandbits(1)]
+        for val, mu in product((True, False), (0.0, 0.25, 0.5, 1.0)):
+            want = [conditional_sign(circuit, csdd, mu, var, val, e) for e in evidences]
+            assert batch.sign(csdd, var, val, mu, low, up) == want
+            assert batch.sign(csdd, var, val, mu, low, up, rows) == [want[j] for j in rows]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -1726,15 +1750,15 @@ class TestGreedyOncePerSet:
         counts = collect_counts(circuit, squares_dataset())
         csdd = idm_estimate(circuit, counts, 1.0)  # fresh sets, none read yet
         psdd = bayes_estimate(circuit, counts, 1.0)
-        small = {id(cs) for cs in csdd.table.values() if cs.k <= 2}
+        small = {(id(cs.lower), id(cs.upper)) for cs in csdd.table.values() if cs.k <= 2}
         calls = Counter()
-        greedy = credal._greedy_min_point
+        greedy = credal._greedy_fill
 
-        def counted(cs, coeffs):
-            calls[id(cs)] += id(cs) in small
-            return greedy(cs, coeffs)
+        def counted(lower, upper, order):
+            calls[id(lower), id(upper)] += (id(lower), id(upper)) in small
+            return greedy(lower, upper, order)
 
-        monkeypatch.setattr(credal, "_greedy_min_point", counted)
+        monkeypatch.setattr(credal, "_greedy_fill", counted)
         evidence = {3: False, 4: True}
         results = [query(circuit, csdd, 1, True, evidence)
                    for query in (lower_conditional, upper_conditional)]
@@ -1742,4 +1766,4 @@ class TestGreedyOncePerSet:
         xstar = {v: b for v, b in completion.items() if v != 3}
         results.append(robustness(circuit, csdd, {3: False}, xstar))
         assert all(r.certificate is not None for r in results)
-        assert calls and max(calls.values()) <= 2, calls
+        assert calls and 1 <= max(calls.values()) <= 2, calls
