@@ -38,11 +38,11 @@ from .infer import (
     _check_evidence,
     _check_target,
     _Columns,
-    _PassMemo,
+    _map_robustness,
     lower_conditional,
-    map_query,
+    map_query,  # noqa: F401  (a binding perfbench's tracing wraps)
     marginal,  # noqa: F401  (a binding perfbench's tracing wraps)
-    robustness,
+    robustness,  # noqa: F401  (a binding perfbench's tracing wraps)
     upper_conditional,
 )
 from .learn import Dataset, bayes_estimate, collect_counts, idm_estimate
@@ -186,15 +186,14 @@ def decide_segments(
     > 1/2, "indeterminate" otherwise.  The answers come from
     :func:`_decide_batch` on this one observation.
     """
-    return _decide_batch(circuit, psdd, csdd, [observation])[0]
+    return _decide_batch(_Columns(circuit, [observation]), psdd, csdd)[0]
 
 
-def _decide_batch(circuit: Circuit, psdd: PsddParams, csdd: CsddParams,
-                  observations: Sequence[dict[int, bool]]) -> list[list[SegmentDecision]]:
-    """:func:`decide_segments` of each observation by column passes: P(x_i = on, o)
-    reruns x_i's spine over the point pass.  Raises as the first failing
-    observation alone does."""
-    batch = _Columns(circuit, observations)
+def _decide_batch(batch: _Columns, psdd: PsddParams, csdd: CsddParams) -> list[list[SegmentDecision]]:
+    """:func:`decide_segments` of each observation of ``batch`` by column passes:
+    P(x_i = on, o) reruns x_i's spine over the point pass.  Raises as the
+    first failing observation alone does."""
+    circuit, observations = batch.circuit, batch.evidences
     point = batch.point(psdd)
     low, up = batch.sweep(csdd, MIN), batch.sweep(csdd, MAX)
     p_obs = point[circuit.root]
@@ -354,19 +353,16 @@ def run_cell(scenario: Scenario) -> Metrics:
         tests.append((pattern, tuple(on and rng.random() >= scenario.p_f for on in pattern)))
     distinct = list(dict.fromkeys(shown for _, shown in tests))
     observations = [{observed_var(i + 1): shown[i] for i in range(SEGMENTS)} for shown in distinct]
+    # one batch of the distinct observations for the decisions, the MAP
+    # completions and their robustness
+    batch = _Columns(circuit, observations)
+    decided = _decide_batch(batch, psdd, csdd)
+    mapped = _map_robustness(batch, psdd, csdd)
     # answers per distinct observation: (segment decisions, completion, determinacy)
     answers: dict[tuple[bool, ...], tuple[list[SegmentDecision], dict[int, bool], bool]] = {}
-    # credal MAP results and MAP routes shared by the cell's distinct
-    # observations, dropped with the cell; the calls go through this module's
-    # bindings, which perfbench's tracing wraps
-    with _PassMemo(circuit, csdd):
-        decided = _decide_batch(circuit, psdd, csdd, observations)
-        for shown, observation, preds in zip(distinct, observations, decided):
-            _, completion = map_query(circuit, psdd, observation)
-            xstar = {hidden_var(i + 1): completion[hidden_var(i + 1)] for i in range(SEGMENTS)}
-            # robustness takes xstar's route from the MAP pass: no truth pass
-            verdict = robustness(circuit, csdd, observation, xstar, want_certificate=False)
-            answers[shown] = (preds, xstar, verdict.label != NOT_ROBUST)
+    for shown, preds, (_, completion, verdict) in zip(distinct, decided, mapped):
+        xstar = {hidden_var(i + 1): completion[hidden_var(i + 1)] for i in range(SEGMENTS)}
+        answers[shown] = (preds, xstar, verdict.label != NOT_ROBUST)
     per_instance, joint = [], []
     for pattern, shown in tests:
         preds, xstar, det = answers[shown]

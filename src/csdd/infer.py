@@ -28,24 +28,25 @@ brute-force refinement enumerates their extreme points for the exact value.
 A set of one or two states carries its two possible optimizers, so every
 such program, in a pass or a certificate, is a lookup.
 
-Bottom-up passes scan the cone, or a route, children first; top-down
-passes (the MAP backtrack, a completion's route, a certificate's marking)
-scan it in reverse, pushing marks to children, so a certificate marks in
-one pass.  Attaining completions are read off the tied options by a
-depth-first walk.
+Bottom-up passes scan the cone, or a route, children first; a
+certificate's marking scans it in reverse, pushing marks to children, so
+it marks in one pass.  A completion's route (the MAP backtrack, or the
+truth route of a complete assignment) is walked from the root along the
+chosen elements only.  Attaining completions are read off the tied
+options by a depth-first walk.
 
 A node's result in a bottom-up pass depends only on the table and the
-evidence under its vtree node.  So a batch of credal queries on one table
-may open a private ``_PassMemo`` scope: there the credal MAP pass on its
-circuit, root and table reuses what it computed per node and evidence
-under it, and :func:`robustness` takes the route :func:`map_query` walked
-for the same completion instead of a truth pass.
-The display experiment's ``run_cell`` opens one per cell, with unchanged
-answers.  A batch of evidences known up front runs node-major instead:
-the private ``_Columns`` passes fill a column per node, one float per
-evidence, the scalar pass's float bit for bit; the display experiment
-decides a cell's distinct observations with them.  The point pass has
-only that form: :func:`marginal` runs it on a batch of one.
+evidence under its vtree node.  A batch of evidences known up front runs
+node-major: the private ``_Columns`` passes fill a column per node, one
+entry per evidence, the scalar pass's result bit for bit, and solve a
+wide node once per distinct evidence under it.  The display experiment
+decides a cell's distinct observations with them, and finds their MAP
+completions and the completions' robustness by :func:`_map_robustness`:
+the MAP and credal MAP passes as columns, then per completion only the
+route-local steps, on the route its MAP choices walk, so no truth pass
+runs.  The point, MAP and credal MAP passes have only the column form:
+:func:`marginal`, :func:`map_query` and :func:`_credal_map` run them on a
+batch of one.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import ChainMap
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
@@ -242,6 +242,8 @@ class RobustnessVerdict:
 
 # the passes read a missing variable as unobserved and bool() reads None as false
 _NO_VALUE = "variable {} has value None; leave an unobserved variable out"
+_ZERO_MAP = "evidence has zero probability under the table"
+_UNCOVERED = "evidence and completion must cover all variables"
 
 
 def _check_evidence(circuit: Circuit, evidence: Mapping[int, bool]) -> None:
@@ -252,52 +254,6 @@ def _check_evidence(circuit: Circuit, evidence: Mapping[int, bool]) -> None:
             raise InferenceError(_NO_VALUE.format(var))
 
 
-class _PassMemo:
-    """A scope, ``with _PassMemo(circuit, params):``, in which the credal MAP
-    pass on this circuit, root and interval table reuses its results.
-
-    In a decomposable circuit a node's result depends only on the table and
-    on the evidence over the variables under its vtree node.  ``passes``
-    keeps the credal MAP pass's result at each decision node with a credal
-    set, keyed by the node id and the evidence masked to those variables:
-    evidence packs into ``pos | neg << n`` (:func:`_pack`), and a node's
-    mask covers its variables in both halves.  The pass returns the stored
-    value, ties and count, so the answers are bit for bit those without a
-    memo.  Evidence sweeps, sign tests and :class:`EvidenceSession` objects
-    do not consult it.  :func:`map_query` leaves its completion's route in
-    ``routes``, keyed by the packed assignment, for :func:`robustness` to
-    pop: a route depends only on the circuit, its root and the assignment,
-    so any table may use it.
-
-    The open memo is a context variable, so threads do not see each
-    other's; leaving a scope, also through an exception, reopens the one
-    around it.  It grows with every distinct evidence it sees: open one for
-    a batch of queries on one table and drop it with the batch.
-    """
-
-    __slots__ = ("circuit", "root", "params", "routes", "masks", "passes", "_n", "_tokens")
-
-    def __init__(self, circuit: Circuit, params: CsddParams) -> None:
-        vtree = circuit.vtree
-        self.circuit, self.root, self.params = circuit, circuit.root, params
-        n = self._n = vtree.var_count
-        self.masks = [m | m << n for m in (vtree.mask(node.vtree) for node in circuit.nodes)]
-        self.passes: dict[tuple[int, int], tuple] = {}
-        self.routes: dict[int, tuple[dict[int, int], list[int]]] = {}
-        self._tokens: list = []
-
-    def __enter__(self) -> "_PassMemo":
-        self._tokens.append(_OPEN_MEMO.set(self))
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _OPEN_MEMO.reset(self._tokens.pop())
-
-    def pack(self, evidence: Mapping[int, bool]) -> int:
-        """The evidence as ``pos | neg << n``, the key its entries take masked."""
-        return _pack(evidence, self._n)
-
-
 def _pack(evidence: Mapping[int, bool], n: int) -> int:
     """Bit ``v - 1`` of ``pos``/``neg`` of ``pos | neg << n`` is set when
     variable ``v`` is observed true/false (``None`` is unobserved)."""
@@ -306,18 +262,6 @@ def _pack(evidence: Mapping[int, bool], n: int) -> int:
         if val is not None and 1 <= var <= n:  # no node reads any other variable
             key |= 1 << (var - 1 if val else var - 1 + n)
     return key
-
-
-_OPEN_MEMO: ContextVar[_PassMemo | None] = ContextVar("csdd_pass_memo", default=None)
-
-
-def _open_memo(circuit: Circuit, params: CsddParams | None = None) -> _PassMemo | None:
-    """The open memo if it was built for this circuit object, its current root
-    and, when ``params`` is given, this table object; else ``None``."""
-    memo = _OPEN_MEMO.get()
-    if memo is None or memo.circuit is not circuit or memo.root != circuit.root:
-        return None
-    return memo if params is None or memo.params is params else None
 
 
 def marginal(circuit: Circuit, params: PsddParams, evidence: Mapping[int, bool]) -> float:
@@ -342,62 +286,44 @@ def map_query(
 
     Returns ``(P(x*, e), x*)``; ties break toward the lowest element index
     and toward the true state of a terminal.  Requires consistent evidence.
-    Under a :class:`_PassMemo` scope for the circuit and its root, the
-    completion's route, as :func:`_route` gives it, is left in the memo's
-    ``routes`` for :func:`robustness`: every chosen element has a positive
-    value, so its prime is the one prime true under the evidence and the
-    completion.
+    The pass is :meth:`_Columns.map` on a batch of one; a batch of evidences
+    shares it (as :func:`_map_robustness` does).
     """
     _check_evidence(circuit, evidence)
-    nodes, cone, root = circuit.nodes, circuit.cone(), circuit.root
-    values: dict[int, float] = {}
-    choice: dict[int, int] = {}
-    for nid in cone:
-        node = nodes[nid]
-        if node.kind == FALSE:
-            values[nid] = 0.0
-        elif node.kind == LITERAL:
-            val = evidence.get(node.var)
-            values[nid] = 1.0 if val is None or val == node.polarity else 0.0
-        elif node.kind == TRUE:
-            pmf = params.table[nid]
-            val = evidence.get(node.var)
-            if val is None:
-                values[nid] = max(pmf)
-                choice[nid] = 0 if pmf[0] >= pmf[1] else 1
-            else:
-                values[nid] = pmf[0] if val else pmf[1]
-        else:
-            theta = params.table.get(nid)
-            if theta is None:
-                values[nid] = 0.0
-            elif len(theta) == 2:
-                # the loop below unrolled: the first of two equal products wins
-                (p0, s0), (p1, s1) = node.elements
-                a, b = values[p0] * values[s0] * theta[0], values[p1] * values[s1] * theta[1]
-                values[nid], choice[nid] = (b, 1) if b > a else (a, 0)
-            else:
-                best, arg = 0.0, None
-                for idx, ((p, s), t) in enumerate(zip(node.elements, theta)):
-                    cand = values[p] * values[s] * t
-                    if arg is None or cand > best:
-                        best, arg = cand, idx
-                values[nid] = best
-                choice[nid] = arg
-    if values[root] <= 0.0:
-        raise InferenceError("evidence has zero probability under the table")
-    found = _walk_route(circuit, choice.__getitem__)
+    values = _Columns(circuit, [evidence]).map(params)
+    if values[circuit.root][0] <= 0.0:
+        raise InferenceError(_ZERO_MAP)
+    return values[circuit.root][0], _map_completion(circuit, params, values, 0, evidence)[0]
+
+
+def _map_completion(circuit: Circuit, params: PsddParams, values: list, j: int,
+                    evidence: Mapping[int, bool]):
+    """``(completion, route)`` of row ``j`` of the MAP pass's columns
+    ``values``, ``evidence`` that row's: each decision node on the route
+    chooses its first element of largest product, by the pass's own float
+    operations, and a free TRUE terminal its true state unless the false
+    one is strictly likelier.  The route is :func:`_route`'s, as every
+    chosen element has a positive value, so its prime is the one true prime."""
+    nodes, table = circuit.nodes, params.table
+
+    def pick(nid: int) -> int:
+        elements, theta = nodes[nid].elements, table[nid]
+        if len(theta) == 2:  # the common case, without building a list
+            (p0, s0), (p1, s1) = elements
+            a, b = values[p0][j] * values[s0][j] * theta[0], values[p1][j] * values[s1][j] * theta[1]
+            return 1 if b > a else 0  # as the pass's max(a, b), which is b only if b > a
+        cands = [values[p][j] * values[s][j] * t for (p, s), t in zip(elements, theta)]
+        return cands.index(max(cands))
+
+    found = _walk_route(circuit, pick)
     assignment = dict(evidence)
     for nid in reversed(found[1]):  # top-down, so keys come in reverse cone order
         node = nodes[nid]
         if node.kind == LITERAL and node.var not in evidence:
             assignment[node.var] = node.polarity
         elif node.kind == TRUE and node.var not in evidence:
-            assignment[node.var] = choice[nid] == 0
-    memo = _open_memo(circuit)
-    if memo is not None:
-        memo.routes[memo.pack(assignment)] = found
-    return values[root], assignment
+            assignment[node.var] = table[nid][0] >= table[nid][1]
+    return assignment, found
 
 
 # ---------------------------------------------------------------------------
@@ -781,18 +707,20 @@ class _Columns:
     """Node-major passes over a batch of evidences on one circuit.
 
     A pass visits each node of its cone (or spine) once and fills a column,
-    one float per evidence.  The point pass is :func:`marginal`'s; the
-    others give the scalar pass's value (:func:`_credal_sweep`,
+    one entry per evidence.  The point, MAP and credal MAP passes are
+    :func:`marginal`'s, :func:`map_query`'s and :func:`_credal_map`'s; the
+    sweep and sign test give the scalar pass's result (:func:`_credal_sweep`,
     :meth:`EvidenceSession._sign_test`), bit for bit, by the same float
     operations.  An LP over one or two states is :func:`_closed_lp` on the
-    whole column; any other LP (``_lp``) or ``fsum`` runs once per
-    distinct evidence under the node (a :class:`_PassMemo` key).  The
-    evidences are not checked.
+    whole column; any other LP (``_lp``), ``fsum`` or wide max runs once
+    per distinct evidence under the node: its key, the packed evidence
+    (:func:`_pack`) masked to the node's variables.  The evidences are not
+    checked.
     """
 
     def __init__(self, circuit: Circuit, evidences: Sequence[Mapping[int, bool]]) -> None:
         n = self.n = circuit.vtree.var_count
-        self.circuit, self.size = circuit, len(evidences)
+        self.circuit, self.evidences, self.size = circuit, evidences, len(evidences)
         self.obs = [None] + [[e.get(var) for e in evidences] for var in range(1, n + 1)]
         self.keys = [_pack(e, n) for e in evidences]
 
@@ -839,6 +767,71 @@ class _Columns:
                 cols[nid] = [1.0 if v is None else (p0 if v else p1) for v in obs[node.var]]
             else:
                 cols[nid] = zeros
+        return cols
+
+    def map(self, params: PsddParams) -> list:
+        """:func:`map_query`'s MAP pass as value columns by node id, ``None``
+        off the cone: a decision node's value is its largest element
+        product; :func:`_map_completion` reads the choices off a row."""
+        nodes, table, obs = self.circuit.nodes, params.table, self.obs
+        values: list = [None] * len(nodes)
+        zeros = [0.0] * self.size
+        for nid in self.circuit.cone():
+            node = nodes[nid]
+            if node.kind == DECISION:
+                theta = table.get(nid)
+                if theta is None:  # unsatisfiable decision node, never chosen
+                    values[nid] = zeros
+                elif len(theta) == 2:
+                    (p0, s0), (p1, s1) = node.elements
+                    t0, t1 = theta
+                    values[nid] = [max(a * b * t0, c * d * t1)
+                                   for a, b, c, d in zip(values[p0], values[s0], values[p1], values[s1])]
+                elif len(theta) == 1:
+                    ((p, s),), (t,) = node.elements, theta
+                    values[nid] = [a * b * t for a, b in zip(values[p], values[s])]
+                else:
+                    kids = [(values[p], values[s], t) for (p, s), t in zip(node.elements, theta)]
+                    values[nid] = self._per_key(nid, self.keys, lambda j, kids=kids: max(
+                        a[j] * b[j] * t for a, b, t in kids))
+            elif node.kind == LITERAL:
+                pol = node.polarity
+                values[nid] = [1.0 if v is None or v == pol else 0.0 for v in obs[node.var]]
+            elif node.kind == TRUE:
+                (p0, p1), top = table[nid], max(table[nid])
+                values[nid] = [top if v is None else (p0 if v else p1) for v in obs[node.var]]
+            else:
+                values[nid] = zeros
+        return values
+
+    def credal_map(self, params: CsddParams) -> list:
+        """Upper completion bounds M(n) as columns by node id, ``None`` off
+        the cone: per evidence, the node's ``(value, tied, count)``, tied in
+        element order and true state first.  Rows whose evidence under a
+        node agrees share one entry; read a row by :meth:`_Ties.row`."""
+        nodes, table, obs = self.circuit.nodes, params.table, self.obs
+        cols: list = [None] * len(nodes)
+        for nid in self.circuit.cone():
+            node = nodes[nid]
+            if node.kind == LITERAL:
+                pol, hit, miss = node.polarity, (1.0, (), 1), (0.0, (), 1)
+                cols[nid] = [hit if v is None or v == pol else miss for v in obs[node.var]]
+            elif node.kind == TRUE:
+                upper = table[nid].upper
+                best = max(upper)
+                tied = tuple(st for st in (0, 1) if _close(upper[st], best))
+                free, on, off = (best, tied, len(tied)), (upper[0], (), 1), (upper[1], (), 1)
+                cols[nid] = [free if v is None else on if v else off for v in obs[node.var]]
+            elif node.kind == DECISION and nid in table:
+                kids = [(u, cols[p], cols[s]) for u, (p, s) in zip(table[nid].upper, node.elements)]
+                def solve(j, kids=kids):
+                    cands = [u * a[j][0] * b[j][0] for u, a, b in kids]
+                    best = max(0.0, *cands)
+                    tied = tuple(i for i, c in enumerate(cands) if c > 0.0 and _close(c, best))
+                    return best, tied, min(2, sum(kids[i][1][j][2] * kids[i][2][j][2] for i in tied))
+                cols[nid] = self._per_key(nid, self.keys, solve)
+            else:  # FALSE, or an unsatisfiable decision node
+                cols[nid] = [(0.0, (), 0)] * self.size
         return cols
 
     def sweep(self, params: CsddParams, sense: int) -> list:
@@ -898,8 +891,10 @@ class _Columns:
             return _closed_lp(cs, coeffs, maximize)
         return self._per_key(nid, keys, lambda j: _lp(cs, [col[j] for col in coeffs], maximize)[0])
 
-    def _per_key(self, nid: int, keys: Sequence[int], solve) -> list[float]:
+    def _per_key(self, nid: int, keys: Sequence[int], solve) -> list:
         """``solve(j)`` for each row ``j``, called once per distinct key under node ``nid``."""
+        if len(keys) == 1:  # nothing to share
+            return [solve(0)]
         mask = self.circuit.vtree.mask(self.circuit.nodes[nid].vtree)
         mask |= mask << self.n
         seen: dict[int, float] = {}
@@ -931,10 +926,25 @@ class _Ties:
 
     __slots__ = ("values", "tied", "counts")
 
-    def __init__(self, size: int) -> None:
-        self.values = [0.0] * size
-        self.tied: list[tuple[int, ...]] = [()] * size
-        self.counts = [0] * size
+    def __init__(self, values, tied, counts) -> None:
+        self.values, self.tied, self.counts = values, tied, counts
+
+    @classmethod
+    def row(cls, cols: list, j: int) -> "_Ties":
+        """Row ``j`` of :meth:`_Columns.credal_map`'s columns, read in place."""
+        return cls(*(_Field(cols, j, k) for k in range(3)))
+
+
+class _Field:
+    """Field ``k`` of row ``j`` of columns of tuples, read by node id."""
+
+    __slots__ = ("cols", "j", "k")
+
+    def __init__(self, cols: list, j: int, k: int) -> None:
+        self.cols, self.j, self.k = cols, j, k
+
+    def __getitem__(self, nid: int):
+        return self.cols[nid][self.j][self.k]
 
 
 def _credal_map(
@@ -942,51 +952,9 @@ def _credal_map(
     params: CsddParams,
     evidence: Mapping[int, bool],
 ) -> _Ties:
-    """Upper completion bounds M(n), tied in element order and true state first."""
-    cm = _Ties(len(circuit.nodes))
-    values, tied, counts = cm.values, cm.tied, cm.counts
-    table = params.table
-    memo = _open_memo(circuit, params)
-    ev = 0 if memo is None else memo.pack(evidence)
-    for nid in circuit.cone():
-        node = circuit.nodes[nid]
-        if node.kind == FALSE:
-            continue
-        if node.kind == LITERAL:
-            val = evidence.get(node.var)
-            values[nid] = 1.0 if val is None or val == node.polarity else 0.0
-            counts[nid] = 1
-        elif node.kind == TRUE:
-            cs = table[nid]
-            val = evidence.get(node.var)
-            if val is None:
-                best = values[nid] = max(cs.upper)
-                tied[nid] = tuple(st for st in (0, 1) if _close(cs.upper[st], best))
-                counts[nid] = len(tied[nid])
-            else:
-                values[nid] = cs.upper[0 if val else 1]
-                counts[nid] = 1
-        else:
-            cs = table.get(nid)
-            if cs is None:
-                continue
-            if memo is not None:
-                key = nid, ev & memo.masks[nid]
-                hit = memo.passes.get(key)
-                if hit is not None:
-                    values[nid], tied[nid], counts[nid] = hit
-                    continue
-            cands = [cs.upper[idx] * values[p] * values[s] for idx, (p, s) in enumerate(node.elements)]
-            best = values[nid] = max(0.0, *cands)
-            tied[nid] = tuple(
-                idx for idx, value in enumerate(cands) if value > 0.0 and _close(value, best)
-            )
-            counts[nid] = min(2, sum(
-                counts[p] * counts[s] for p, s in (node.elements[idx] for idx in tied[nid])
-            ))
-            if memo is not None:
-                memo.passes[key] = best, tied[nid], counts[nid]
-    return cm
+    """Upper completion bounds M(n): :meth:`_Columns.credal_map` on a batch
+    of one, read by node id over the cone."""
+    return _Ties.row(_Columns(circuit, [evidence]).credal_map(params), 0)
 
 
 def credal_map_upper(circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> float:
@@ -1037,11 +1005,14 @@ def _walk_route(circuit: Circuit, pick) -> tuple[dict[int, int], list[int]]:
     ascending."""
     nodes = circuit.nodes
     realized: dict[int, int] = {}
-    on_route = {circuit.root}
-    for nid in reversed(circuit.cone()):
-        if nid in on_route and nodes[nid].kind == DECISION:
-            j = realized[nid] = pick(nid)
-            on_route.update(nodes[nid].elements[j])
+    on_route, stack = set(), [circuit.root]
+    while stack:  # top-down from the root, along the picked elements only
+        nid = stack.pop()
+        if nid not in on_route:
+            on_route.add(nid)
+            if nodes[nid].kind == DECISION:
+                j = realized[nid] = pick(nid)
+                stack += nodes[nid].elements[j]
     return realized, sorted(on_route)
 
 
@@ -1073,16 +1044,14 @@ def robustness(
 
     Computes ``V = max over completions x, over tables, of
     P(x, e) / P(xstar, e)`` bottom-up along ``xstar``'s route: one credal
-    MAP pass and one truth pass over the cone, and ``xstar``'s own sweeps
-    over the route only.  V is exact on singly connected circuits and
-    an upper bound otherwise (robust verdicts are certain, non-robust ones
-    may be conservative).  The verdict is robust when only ``xstar``
-    attains V = 1, weakly robust when the maximum is tied, and not robust
-    otherwise (including inconsistent ``xstar``).  Under a
-    :class:`_PassMemo` scope for (circuit, params) the credal MAP pass
-    reuses the memo's entries; under a scope for the circuit and its root,
-    the route :func:`map_query` left for this completion is popped and
-    saves the truth pass.
+    MAP pass and one truth pass over the cone, then :func:`_robust_on_route`,
+    ``xstar``'s own sweeps and options over the route only.  V is exact on
+    singly connected circuits and an upper bound otherwise (robust verdicts
+    are certain, non-robust ones may be conservative).  The verdict is
+    robust when only ``xstar`` attains V = 1, weakly robust when the maximum
+    is tied, and not robust otherwise (including inconsistent ``xstar``).
+    A batch of MAP completions runs the two cone passes as columns instead
+    (:func:`_map_robustness`).
     """
     _check_evidence(circuit, evidence)
     _check_evidence(circuit, xstar)
@@ -1092,14 +1061,24 @@ def robustness(
             raise InferenceError(f"variable {var} is both queried and observed")
         total[var] = bool(val)
     if len(total) != circuit.vtree.var_count:
-        raise InferenceError("evidence and completion must cover all variables")
-    memo = _open_memo(circuit)  # map_query may have left xstar's route there
-    found = (memo and memo.routes.pop(memo.pack(total), None)) or _route(circuit, total)
+        raise InferenceError(_UNCOVERED)
+    found = _route(circuit, total)
     if found is None:
         return RobustnessVerdict(1.0, NOT_ROBUST, (), InferenceTrace() if want_certificate else None,
                                  ExactnessCertificate(EXACT) if want_certificate else None)
-    realized, route = found
     cm = _credal_map(circuit, params, evidence)
+    return _robust_on_route(circuit, params, evidence, xstar, total, found, cm, want_certificate)
+
+
+def _robust_on_route(circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool],
+                     xstar: Mapping[int, bool], total: Mapping[int, bool], found, cm: _Ties,
+                     want_certificate: bool) -> RobustnessVerdict:
+    """:func:`robustness` of ``xstar`` given ``total``, the evidence and
+    ``xstar``, its route ``found`` (as :func:`_route` gives it) and ``cm``, the
+    evidence's credal MAP pass, read by node id (a row of
+    :meth:`_Columns.credal_map` serves): the route's lower sweep, each route
+    node's options, the attaining completions and the verdict."""
+    realized, route = found
     low_xe = _credal_sweep(circuit, params, total, route, MIN)
     table = params.table
     nodes, root = circuit.nodes, circuit.root
@@ -1107,7 +1086,7 @@ def robustness(
     # options on the route: a TRUE terminal keeps xstar's state or flips it;
     # a decision node stays on its realized element or switches to another,
     # whose completions come from the credal MAP pass
-    rob = _Ties(len(nodes))
+    rob = _Ties([0.0] * len(nodes), [()] * len(nodes), [0] * len(nodes))
     values, tied, counts = rob.values, rob.tied, rob.counts
     points: dict[tuple[int, int], tuple[float, ...] | None] = {}  # pinned by a flip or switch
     for nid in route:
@@ -1177,6 +1156,31 @@ def robustness(
 
     attaining = tuple(_completion(circuit, evidence, rob, cm, realized, k) for k in range(counts[root]))
     return RobustnessVerdict(value, _label(value, attaining, xstar), attaining, trace, certificate)
+
+
+def _map_robustness(batch: _Columns, psdd: PsddParams, csdd: CsddParams
+                    ) -> list[tuple[float, dict[int, bool], RobustnessVerdict]]:
+    """``(value, completion, verdict)`` for each evidence ``e`` of ``batch``,
+    by ``repr`` what ``map_query(circuit, psdd, e)`` and ``robustness(circuit,
+    csdd, e, xstar, want_certificate=False)`` answer, ``xstar`` the
+    completion's free variables.  The MAP and credal MAP passes run as
+    columns; each completion and its route come from its MAP choices, so no
+    truth pass runs, and :func:`_robust_on_route` reads the evidence's row
+    of the credal MAP columns.  Raises as the first failing evidence alone
+    does."""
+    circuit, root = batch.circuit, batch.circuit.root
+    values, cm, out = batch.map(psdd), batch.credal_map(csdd), []
+    for j, evidence in enumerate(batch.evidences):
+        _check_evidence(circuit, evidence)
+        if values[root][j] <= 0.0:
+            raise InferenceError(_ZERO_MAP)
+        completion, found = _map_completion(circuit, psdd, values, j, evidence)
+        if len(completion) != circuit.vtree.var_count:  # a root below the vtree's
+            raise InferenceError(_UNCOVERED)
+        xstar = {var: val for var, val in completion.items() if var not in evidence}
+        out.append((values[root][j], completion, _robust_on_route(
+            circuit, csdd, evidence, xstar, completion, found, _Ties.row(cm, j), False)))
+    return out
 
 
 def _completion(

@@ -24,7 +24,10 @@ recursive formula walks, compile loop and constant builders, for the one
 post-order walk and the block-wise constants.  The display experiment's
 per-observation ``decide_segments`` (a point pass, one more per segment
 with its target added, and a session's sign tests) is kept for the
-batched column passes to be compared against.
+batched column passes to be compared against, and the route walk that
+scans the whole reversed cone for the route-only walk.
+:func:`check_map_batch` holds the batched MAP and robustness answers to
+these references and to the scalar ``map_query`` and ``robustness``.
 """
 
 from __future__ import annotations
@@ -788,6 +791,61 @@ def attaining_reference(
 
     attaining = tuple(reps[root])
     return RobustnessVerdict(value, _label(value, attaining, xstar), attaining, trace, certificate)
+
+
+def walk_route_reference(circuit: Circuit, pick):
+    """``infer._walk_route`` as a scan of the whole reversed cone, marking
+    the picked element's children of each decision node on the route."""
+    nodes = circuit.nodes
+    realized: dict[int, int] = {}
+    on_route = {circuit.root}
+    for nid in reversed(circuit.cone()):
+        if nid in on_route and nodes[nid].kind == DECISION:
+            j = realized[nid] = pick(nid)
+            on_route.update(nodes[nid].elements[j])
+    return realized, sorted(on_route)
+
+
+def check_map_batch(
+    circuit: Circuit,
+    psdd: PsddParams,
+    csdd: CsddParams,
+    evidences: Sequence[dict[int, bool]],
+    want_certificate: bool = False,
+):
+    """Assert that ``infer._map_robustness`` answers each evidence by
+    ``repr`` as :func:`map_reference` (value and completion),
+    :func:`credal_map_reference` (credal MAP value, ties and count at every
+    node of the cone), :func:`attaining_reference` (V, label and attaining
+    set) and the scalar ``robustness`` of the completion's free variables
+    without a certificate (the whole verdict).  With ``want_certificate``,
+    the route step on the MAP choices' route and the batch's row of the
+    credal MAP columns also certifies as the scalar call does (status and
+    points).  Returns the batch's answers."""
+    from csdd.infer import _Columns, _map_completion, _map_robustness, _robust_on_route, _Ties, robustness
+
+    batch = _Columns(circuit, evidences)
+    got = _map_robustness(batch, psdd, csdd)
+    cols, values, cone = batch.credal_map(csdd), batch.map(psdd), circuit.cone()
+    assert len(got) == len(evidences)
+    for j, (evidence, (value, completion, verdict)) in enumerate(zip(evidences, got)):
+        assert repr((value, completion)) == repr(map_reference(circuit, psdd, evidence))
+        row, ref = _Ties.row(cols, j), credal_map_reference(circuit, csdd, evidence)
+        assert repr([(row.values[n], row.tied[n], row.counts[n]) for n in cone]) == repr(
+            [(ref.values[n], ref.tied[n], len(ref.reps[n])) for n in cone])
+        xstar = {v: b for v, b in completion.items() if v not in evidence}
+        want = attaining_reference(circuit, csdd, evidence, xstar)
+        assert repr((verdict.value, verdict.label, verdict.attaining)) == repr(
+            (want.value, want.label, want.attaining))
+        assert repr(verdict) == repr(robustness(circuit, csdd, evidence, xstar, False))
+        if want_certificate:
+            found = _map_completion(circuit, psdd, values, j, evidence)[1]
+            certified = _robust_on_route(circuit, csdd, evidence, xstar, completion, found, row, True)
+            scalar = robustness(circuit, csdd, evidence, xstar, True)
+            assert repr((certified.value, certified.label, certified.attaining, certified.certificate,
+                         certified.trace.uses)) == repr((scalar.value, scalar.label, scalar.attaining,
+                                                         scalar.certificate, scalar.trace.uses))
+    return got
 
 
 def check_partitions(

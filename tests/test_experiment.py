@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 
+from csdd import experiment, infer
 from csdd.circuit import enumerate_models, model_count
 from csdd.experiment import (
     DIGIT_PATTERNS,
@@ -28,10 +29,12 @@ from csdd.experiment import (
     u80_score,
     _decide_batch,
 )
+from csdd.infer import _Columns
 from csdd.learn import bayes_estimate, collect_counts, idm_estimate
 from csdd.params import CsddParams, PsddParams
 
 from conftest import (
+    check_map_batch,
     decide_segments_reference,
     random_circuit,
     random_csdd_params,
@@ -278,25 +281,25 @@ class TestBatchedDecisions:
     def test_display_cells(self, p_f):
         for seed in (0, 1, 2):
             circuit, psdd, csdd, observations = _cell_tables(p_f, seed)
-            assert repr(_decide_batch(circuit, psdd, csdd, observations)) == repr(
+            assert repr(_decide_batch(_Columns(circuit, observations), psdd, csdd)) == repr(
                 _one_by_one(circuit, psdd, csdd, observations))
 
     def test_every_observation(self, trained):
         circuit, psdd, csdd = trained
-        assert repr(_decide_batch(circuit, psdd, csdd, ALL_OBSERVATIONS)) == repr(
+        assert repr(_decide_batch(_Columns(circuit, ALL_OBSERVATIONS), psdd, csdd)) == repr(
             _one_by_one(circuit, psdd, csdd, ALL_OBSERVATIONS))
 
     def test_repeated_observations_and_a_batch_of_one(self, trained):
         circuit, psdd, csdd = trained
         rng = Random(5)
         batch = [rng.choice(ALL_OBSERVATIONS[:6]) for _ in range(20)]
-        assert repr(_decide_batch(circuit, psdd, csdd, batch)) == repr(
+        assert repr(_decide_batch(_Columns(circuit, batch), psdd, csdd)) == repr(
             _one_by_one(circuit, psdd, csdd, batch))
         for observation in ALL_OBSERVATIONS[::9]:
             want = repr(decide_segments_reference(circuit, psdd, csdd, observation))
-            assert repr(_decide_batch(circuit, psdd, csdd, [observation])[0]) == want
+            assert repr(_decide_batch(_Columns(circuit, [observation]), psdd, csdd)[0]) == want
             assert repr(decide_segments(circuit, psdd, csdd, observation)) == want
-        assert _decide_batch(circuit, psdd, csdd, []) == []
+        assert _decide_batch(_Columns(circuit, []), psdd, csdd) == []
 
     def test_random_circuits_with_wide_nodes(self):
         rng = Random(2025)
@@ -316,7 +319,7 @@ class TestBatchedDecisions:
                 model = rng.choice(models)
                 pool.append({v: model[v - 1] for v in range(SEGMENTS + 1, n + 1) if rng.random() < 0.7})
             batch = [rng.choice(pool) for _ in range(10)]
-            assert repr(_decide_batch(circuit, psdd, csdd, batch)) == repr(
+            assert repr(_decide_batch(_Columns(circuit, batch), psdd, csdd)) == repr(
                 _one_by_one(circuit, psdd, csdd, batch))
 
     def test_refusals(self, trained):
@@ -343,11 +346,38 @@ class TestBatchedDecisions:
         for table, batch in cases:
             want = _outcome(_one_by_one, circuit, table, csdd, batch)
             assert isinstance(want, tuple), batch
-            assert _outcome(_decide_batch, circuit, table, csdd, batch) == want, batch
+            assert _outcome(_decide_batch, _Columns(circuit, batch), table, csdd) == want, batch
             kinds.add(want)
         assert ("ValueError", "observation has zero probability under the point table") in kinds
         assert ("InferenceError", f"queried variable {hidden_var(3)} appears in the evidence") in kinds
         assert ("InferenceError", "evidence variable 99 is not in the circuit") in kinds
+
+
+class TestBatchedMapRobustness:
+    """A cell's MAP completions and their robustness come from one column
+    batch: every distinct observation of the display cells gets, by ``repr``,
+    the references' and the scalar calls' answers, and ``run_cell`` makes no
+    per-observation MAP, credal MAP or truth pass."""
+
+    @pytest.mark.parametrize("p_f", [0.05, 0.2, 0.3, 0.4])
+    def test_display_cells(self, p_f):
+        for seed in range(6):
+            circuit, psdd, csdd, observations = _cell_tables(p_f, seed)
+            check_map_batch(circuit, psdd, csdd, observations)
+
+    def test_run_cell_runs_no_scalar_map_pass(self, monkeypatch):
+        scenario = Scenario(train_size=20, p_f=0.4, seed=3)
+        want = repr(run_cell(scenario))
+
+        def refused(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"run_cell called {name}")
+            return call
+
+        for module, name in ((infer, "map_query"), (infer, "robustness"), (infer, "_credal_map"),
+                             (infer, "_route"), (experiment, "map_query"), (experiment, "robustness")):
+            monkeypatch.setattr(module, name, refused(name))
+        assert repr(run_cell(scenario)) == want
 
 
 def _vacuify(cs):

@@ -5,9 +5,7 @@ import ast
 import json
 import math
 import sys
-import threading
 from collections import Counter
-from contextlib import nullcontext
 from itertools import product
 from pathlib import Path
 from random import Random
@@ -61,15 +59,18 @@ from csdd.infer import (
     upper_conditional,
     upper_marginal,
     _Columns,
-    _PassMemo,
+    _Ties,
     _credal_map,
     _credal_sweep,
     _find_crossing,
+    _map_completion,
+    _map_robustness,
     _mark_map,
     _mark_sweeps,
-    _open_memo,
+    _robust_on_route,
     _route,
     _sign_plan,
+    _walk_route,
 )
 from csdd.experiment import SEGMENTS, generate_data, hidden_var, observed_var, scenario_circuit
 from csdd.formula import TRUE as T_CONST, Var, conj, disj
@@ -79,6 +80,7 @@ from csdd.params import CsddParams, PsddParams
 from conftest import (
     attaining_reference,
     brute_joint,
+    check_map_batch,
     credal_map_reference,
     credal_sweep_reference,
     mark_map_walk,
@@ -88,6 +90,7 @@ from conftest import (
     random_credal_instance,
     random_csdd_params,
     random_psdd_params,
+    walk_route_reference,
 )
 
 EVIDENCE_DARK_CORNER = {1: False, 2: False, 3: False, 4: True}
@@ -1009,9 +1012,9 @@ class TestRoute:
 
         visited = []
 
-        def spy(circuit, params, evidence, ids, sense, **memo):
+        def spy(circuit, params, evidence, ids, sense):
             visited.append(list(ids))
-            return _credal_sweep(circuit, params, evidence, ids, sense, **memo)
+            return _credal_sweep(circuit, params, evidence, ids, sense)
 
         monkeypatch.setattr(infer, "is_consistent", no_consistency_test)
         monkeypatch.setattr(infer, "_credal_sweep", spy)
@@ -1242,155 +1245,152 @@ def _repeating_evidence(rng: Random, circuit: Circuit, length: int) -> list[dict
     return out
 
 
-class TestPassMemo:
-    """Credal passes under a ``_PassMemo`` scope answer bit for bit as without
-    one, the memo holds one credal MAP entry per distinct (decision node,
-    evidence under the node), and no call on another circuit, root or table
-    consults it."""
+def _verdict(verdict) -> str:
+    """A verdict's repr, its trace as the points it holds."""
+    uses = None if verdict.trace is None else verdict.trace.uses
+    return repr((verdict.value, verdict.label, verdict.attaining, verdict.certificate, uses))
+
+
+def _wide_instances(rng: Random, count: int):
+    """Random circuits of 3-6 variables whose credal tables hold a set of
+    more than two states, a decision node of 3 to 6 elements."""
+    out = []
+    while len(out) < count:
+        circuit = random_circuit(rng, rng.randint(3, 6), singly=bool(rng.getrandbits(1)))
+        csdd = random_csdd_params(rng, circuit, 0.3)
+        if any(cs.k > 2 for cs in csdd.table.values()):
+            out.append((circuit, csdd, random_psdd_params(rng, circuit)))
+    return out
+
+
+class TestMapBatch:
+    """``_map_robustness`` answers each evidence of a batch as the scalar
+    ``map_query`` and ``robustness`` and their references do, with no truth
+    pass; the credal MAP columns hold one entry per distinct (decision node,
+    evidence under the node); given a row of them, the route-local step
+    answers any completion as ``robustness`` does; and a batch follows the
+    circuit object and root it is built on."""
+
+    def test_wide_nodes_and_sets(self):
+        rng = Random(2031)
+        widths = set()
+        for circuit, csdd, psdd in _wide_instances(rng, 12):
+            widths.update(cs.k for cs in csdd.table.values())
+            for certify in (False, True):
+                check_map_batch(circuit, psdd, csdd, _repeating_evidence(rng, circuit, 10), certify)
+        assert max(widths) >= 4
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_memo_answers_as_without(self, seed):
+    def test_batch_answers_as_scalar(self, seed):
         rng = Random(seed)
         circuit = random_circuit(rng, rng.randint(3, 6), singly=bool(rng.getrandbits(1)))
         csdd = random_csdd_params(rng, circuit, 0.3)
         psdd = random_psdd_params(rng, circuit)
-        credal_memo = _PassMemo(circuit, csdd)
-        map_memo = _PassMemo(circuit, csdd)  # the credal MAP passes' entries alone
-        nodes, cone, vtree = circuit.nodes, circuit.cone(), circuit.vtree
-        met = set()  # (node, evidence under it) where the credal MAP pass consults the memo
-        for evidence in _repeating_evidence(rng, circuit, 12):
-            free = [v for v in range(1, vtree.var_count + 1) if v not in evidence]
-            for sense in (MIN, MAX):
-                want = _credal_sweep(circuit, csdd, evidence, cone, sense)
-                with credal_memo:
-                    got = _credal_sweep(circuit, csdd, evidence, cone, sense)
-                assert repr(got) == repr(want)
-            with map_memo:
-                _credal_map(circuit, csdd, evidence)
-            for nid in cone:
-                node = nodes[nid]
-                if node.kind == DECISION and nid in csdd.table:
-                    under = vtree.vars_under(node.vtree)
-                    met.add((nid, frozenset((v, evidence[v]) for v in under if v in evidence)))
-            want = _credal_map(circuit, csdd, evidence)
-            with credal_memo:
-                got = _credal_map(circuit, csdd, evidence)
-            assert repr((got.values, got.tied, got.counts)) == repr(
-                (want.values, want.tied, want.counts)
-            )
+        evidences = _repeating_evidence(rng, circuit, 12)
+        check_map_batch(circuit, psdd, csdd, evidences, bool(rng.getrandbits(1)))
+        cols = _Columns(circuit, evidences).credal_map(csdd)
+        nodes, vtree = circuit.nodes, circuit.vtree
+        for nid in circuit.cone():
+            node = nodes[nid]
+            if node.kind == DECISION and nid in csdd.table:
+                under = vtree.vars_under(node.vtree)
+                distinct = {frozenset((v, e[v]) for v in under if v in e) for e in evidences}
+                assert len({id(entry) for entry in cols[nid]}) == len(distinct)
+        # any completion with its truth route and the evidence's row of the columns
+        for j, evidence in enumerate(evidences):
+            xstar = {v: bool(rng.getrandbits(1)) for v in range(1, vtree.var_count + 1) if v not in evidence}
+            total = {**evidence, **xstar}
+            found = _route(circuit, total)
+            if found is None:
+                continue
+            for certify in (False, True):
+                got = _robust_on_route(circuit, csdd, evidence, xstar, total, found,
+                                       _Ties.row(cols, j), certify)
+                assert _verdict(got) == _verdict(robustness(circuit, csdd, evidence, xstar, certify))
 
-            plain = EvidenceSession(circuit, csdd, evidence)
-            with credal_memo:
-                memoized = EvidenceSession(circuit, csdd, evidence)  # its sweeps read the memo
-            for var, val, mu in product(free, (True, False), (0.0, 0.25, 0.5, 0.9)):
-                want = plain._sign_test(var, val, mu)
-                assert repr(memoized._sign_test(var, val, mu)) == repr(want)
-                signs = [conditional_sign(circuit, csdd, mu, var, val, evidence, session)
-                         for session in (memoized, plain)]
-                assert signs[0] == signs[1]
-            got = lower_conditional(circuit, csdd, free[0], True, evidence, session=memoized)
-            want = lower_conditional(circuit, csdd, free[0], True, evidence, session=plain)
-            assert (got.value, got.certificate, got.trace.uses, got.trace.sigma) == (
-                want.value, want.certificate, want.trace.uses, want.trace.sigma
-            )
+    def test_refusals(self):
+        rng = Random(7)
+        circuit = random_circuit(rng, 5, singly=False)
+        csdd, psdd = random_csdd_params(rng, circuit, 0.3), random_psdd_params(rng, circuit)
+        n = circuit.vtree.var_count
+        models = set(enumerate_models(circuit, circuit.root))
+        good = _repeating_evidence(rng, circuit, 1)[0]
+        zero = dict(enumerate(next(bits for bits in product((False, True), repeat=n)
+                                   if bits not in models), 1))
+        bad = [zero, {**good, 99: True}, {1: None}]
+        cases = [[b] for b in bad] + [[good, zero], [good, bad[1], zero], [good, zero, bad[2]], [bad[2], zero]]
+        kinds = set()
+        for batch in cases:
+            first = next(e for e in batch if e is not good)
+            with pytest.raises(InferenceError) as alone:
+                map_query(circuit, psdd, first)
+            with pytest.raises(InferenceError) as batched:
+                _map_robustness(_Columns(circuit, batch), psdd, csdd)
+            assert str(batched.value) == str(alone.value)
+            kinds.add(str(alone.value))
+        assert kinds == {"evidence has zero probability under the table",
+                         "evidence variable 99 is not in the circuit",
+                         "variable 1 has value None; leave an unobserved variable out"}
 
-            completion = map_query(circuit, psdd, evidence)
-            xstars = ({v: completion[1][v] for v in free},
-                      {v: bool(rng.getrandbits(1)) for v in free})
-            for xstar, certify in product(xstars, (False, True)):
-                want = robustness(circuit, csdd, evidence, xstar, certify)
-                with credal_memo:
-                    got = robustness(circuit, csdd, evidence, xstar, certify)
-                if certify:
-                    assert (got.certificate, got.trace.uses) == (want.certificate, want.trace.uses)
-                else:
-                    assert repr(got) == repr(want)
-        assert len(map_memo.passes) == len(met)
-        assert {nid for nid, _ in map_memo.passes} == {nid for nid, _ in met}
-
-    def test_memo_is_refused_elsewhere(self):
+    def test_batch_follows_circuit_and_root(self, monkeypatch):
         rng = Random(3)
         circuit = random_circuit(rng, 5, singly=False)
         csdd, psdd = random_csdd_params(rng, circuit, 0.3), random_psdd_params(rng, circuit)
-        memo = _PassMemo(circuit, csdd)
-        xstar = map_query(circuit, psdd, {})[1]
-        evidence = {1: xstar[1]}
-        free = [v for v in xstar if v not in evidence]
+        evidences = _repeating_evidence(rng, circuit, 6)
+        truth_passes = []
+        monkeypatch.setattr(infer, "_route", lambda *args: truth_passes.append(1) or _route(*args))
 
-        def answers(circuit, csdd):
-            session = EvidenceSession(circuit, csdd, evidence)
-            under = circuit.vtree.vars_under(circuit.nodes[circuit.root].vtree)
-            cm = _credal_map(circuit, csdd, evidence)
-            completion = map_query(circuit, psdd, evidence)
-            verdict = robustness(circuit, csdd, evidence, {v: xstar[v] for v in free})
-            return repr((
-                _credal_sweep(circuit, csdd, evidence, circuit.cone(), MIN),
-                (cm.values, cm.tied, cm.counts),
-                [session._sign_test(var, True, 0.5)[0] for var in free if var in under],
-                completion,
-                (verdict.value, verdict.label, verdict.attaining, verdict.certificate,
-                 verdict.trace.uses),
-            ))
+        def outcome(call):
+            try:
+                return repr(call())
+            except InferenceError as exc:
+                return str(exc)
 
-        def scoped(circuit, csdd, truth_passes):
-            """Answers under the memo equal the one-shot ones, with this many
-            ``_route`` calls; the memo keeps no route."""
-            want = answers(circuit, csdd)
-            calls = []
-            with memo, pytest.MonkeyPatch.context() as mp:
-                mp.setattr(infer, "_route", lambda *args: calls.append(1) or _route(*args))
-                assert answers(circuit, csdd) == want
-            assert len(calls) == truth_passes and memo.routes == {}
+        def scalar(circuit, csdd):
+            out = []
+            for evidence in evidences:
+                value, completion = map_query(circuit, psdd, evidence)
+                xstar = {v: b for v, b in completion.items() if v not in evidence}
+                out.append((value, completion, robustness(circuit, csdd, evidence, xstar, False)))
+            return out
 
-        # equal tables and an equal circuit, but other objects: no entry is
-        # made; a route depends on the circuit and its root alone, so another
-        # table still takes the one map_query left
-        scoped(circuit, CsddParams(dict(csdd.table)), 0)
-        assert memo.passes == {}
-        scoped(circuit.extract(circuit.root), csdd, 1)
-        assert memo.passes == {}
+        def agree(circuit, csdd) -> bool:
+            """The batch answers or refuses as the scalar calls, with no truth pass."""
+            truth_passes.clear()
+            got = outcome(lambda: _map_robustness(_Columns(circuit, evidences), psdd, csdd))
+            assert truth_passes == []
+            assert got == outcome(lambda: scalar(circuit, csdd))
+            return got.startswith("[")
+
+        # an equal table and an equal circuit, but other objects
+        assert agree(circuit, CsddParams(dict(csdd.table)))
+        assert agree(circuit.extract(circuit.root), csdd)
         root = circuit.root
         circuit.set_root(max(nid for nid in circuit.parameterized_ids() if nid != root))
         try:
-            scoped(circuit, csdd, 1)
+            agree(circuit, csdd)
         finally:
             circuit.set_root(root)
-        assert memo.passes == {}
-        # the memo's own circuit, root and table
-        scoped(circuit, csdd, 0)
-        assert memo.passes
+        assert agree(circuit, csdd)
+        assert len(truth_passes) == len(evidences)  # the scalar robustness calls' own
 
-    def test_scopes_nest_and_unwind(self):
-        rng = Random(5)
-        circuit = random_circuit(rng, 4, singly=False)
-        csdd = random_csdd_params(rng, circuit, 0.3)
-        outer, inner = _PassMemo(circuit, csdd), _PassMemo(circuit, csdd)
-        seen = []
-        thread = threading.Thread(target=lambda: seen.append(_open_memo(circuit, csdd)))
-        assert _open_memo(circuit, csdd) is None
-        with outer as opened:
-            assert opened is outer and _open_memo(circuit, csdd) is outer
-            with inner:
-                assert _open_memo(circuit, csdd) is inner
-                credal_map_upper(circuit, csdd, {1: True})
-            assert _open_memo(circuit, csdd) is outer
-            with pytest.raises(RuntimeError, match="inside"):
-                with inner:
-                    raise RuntimeError("inside")
-            assert _open_memo(circuit, csdd) is outer
-            with outer:  # an open memo may open again
-                assert _open_memo(circuit, csdd) is outer
-            assert _open_memo(circuit, csdd) is outer
-            thread.start()
-            thread.join()
-            credal_map_upper(circuit, csdd, {2: False})
-        assert _open_memo(circuit, csdd) is None
-        assert seen == [None]  # another thread does not see this thread's memo
-        # each memo holds the entries of the pass run while it was innermost
-        assert all(ev == inner.pack({1: True}) & inner.masks[nid] for nid, ev in inner.passes)
-        assert all(ev == outer.pack({2: False}) & outer.masks[nid] for nid, ev in outer.passes)
-        assert inner.passes and outer.passes
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_route_walk_matches_the_cone_scan(self, seed):
+        rng = Random(seed)
+        circuit = random_circuit(rng, rng.randint(3, 6), singly=bool(rng.getrandbits(1)))
+        picks = {nid: rng.randrange(len(node.elements))
+                 for nid, node in enumerate(circuit.nodes) if node.kind == DECISION}
+        calls = []
+
+        def pick(nid):
+            calls.append(nid)
+            return picks[nid]
+
+        want = walk_route_reference(circuit, picks.__getitem__)
+        got = _walk_route(circuit, pick)
+        assert got == want and sorted(calls) == sorted(want[0])
 
 
 class TestNoneValues:
@@ -1528,19 +1528,18 @@ class TestEvidenceFactsOnce:
             evidence = {v: bool(rng.getrandbits(1)) for v in range(1, n + 1) if rng.random() < 0.5}
             consistent = is_consistent(circuit, evidence)
             upper = upper_marginal(circuit, csdd, evidence)
-            for scope in (nullcontext(), _PassMemo(circuit, csdd)):
-                truth_passes.clear()
-                with scope, pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(infer, "is_consistent", counted)
-                    if consistent:
-                        session = EvidenceSession(circuit, csdd, evidence)
-                        assert session.up[circuit.root] == upper
-                    else:
-                        with pytest.raises(InferenceError) as raised:
-                            EvidenceSession(circuit, csdd, evidence)
-                        assert str(raised.value) == "evidence violates circuit constraints"
-                # a positive upper probability already proves consistency
-                assert truth_passes == ([evidence] if upper <= 0.0 else [])
+            truth_passes.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(infer, "is_consistent", counted)
+                if consistent:
+                    session = EvidenceSession(circuit, csdd, evidence)
+                    assert session.up[circuit.root] == upper
+                else:
+                    with pytest.raises(InferenceError) as raised:
+                        EvidenceSession(circuit, csdd, evidence)
+                    assert str(raised.value) == "evidence violates circuit constraints"
+            # a positive upper probability already proves consistency
+            assert truth_passes == ([evidence] if upper <= 0.0 else [])
 
     def test_consistent_evidence_of_upper_probability_zero(self):
         # X1 = 1 is a model's value, but every member gives it no mass
@@ -1581,40 +1580,36 @@ class TestEvidenceFactsOnce:
         rng = Random(seed)
         circuit = random_circuit(rng, rng.randint(3, 6), singly=bool(rng.getrandbits(1)))
         csdd, psdd = random_csdd_params(rng, circuit, 0.3), random_psdd_params(rng, circuit)
-        # a memo for another table object still carries the routes, not the passes
-        credal_memo, route_memo = _PassMemo(circuit, csdd), _PassMemo(circuit, CsddParams(dict(csdd.table)))
+        evidences = _repeating_evidence(rng, circuit, 8)
+        batch = _Columns(circuit, evidences)
         truth_passes = []
 
         def counted(*args):
             truth_passes.append(1)
             return _route(*args)
 
-        for evidence in _repeating_evidence(rng, circuit, 8):
-            _, completion = map_query(circuit, psdd, evidence)
+        values, cm = batch.map(psdd), batch.credal_map(csdd)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(infer, "_route", counted)
+            got = _map_robustness(batch, psdd, csdd)
+        assert truth_passes == []  # each route came from the MAP choices
+        for j, (evidence, (_, completion, verdict)) in enumerate(zip(evidences, got)):
+            assert completion == map_query(circuit, psdd, evidence)[1]
+            found = _map_completion(circuit, psdd, values, j, evidence)[1]
+            assert found == _route(circuit, completion)
             xstar = {v: b for v, b in completion.items() if v not in evidence}
+            assert _verdict(verdict) == _verdict(robustness(circuit, csdd, evidence, xstar, False))
+            # the route step on the MAP choices' route certifies as the scalar call
+            certified = _robust_on_route(circuit, csdd, evidence, xstar, completion, found,
+                                         _Ties.row(cm, j), True)
+            assert _verdict(certified) == _verdict(robustness(circuit, csdd, evidence, xstar, True))
+            # any other completion runs its truth pass and answers as one-shot
             other = {v: bool(rng.getrandbits(1)) for v in xstar}
-            for certify, memo in product((False, True), (credal_memo, route_memo)):
-                key = memo.pack(completion)
-                with memo, pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(infer, "_route", counted)
-                    assert map_query(circuit, psdd, evidence)[1] == completion
-                    assert memo.routes[key] == _route(circuit, completion)
-                    truth_passes.clear()
-                    got = robustness(circuit, csdd, evidence, xstar, certify)
-                    assert truth_passes == [] and key not in memo.routes  # popped, no truth pass
-                    map_query(circuit, psdd, evidence)
-                    # any other completion runs its truth pass and answers as one-shot
-                    other_got = robustness(circuit, csdd, evidence, other, False)
-                    assert truth_passes == ([] if other == xstar else [1])
-                    memo.routes.clear()
-                assert repr(other_got) == repr(robustness(circuit, csdd, evidence, other, False))
-                want = robustness(circuit, csdd, evidence, xstar, certify)
-                if certify:
-                    assert repr((got.value, got.label, got.attaining, got.certificate)) == repr(
-                        (want.value, want.label, want.attaining, want.certificate))
-                    assert repr(got.trace.uses) == repr(want.trace.uses)
-                else:
-                    assert repr(got) == repr(want)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(infer, "_route", counted)
+                robustness(circuit, csdd, evidence, other, False)
+            assert truth_passes == [1]
+            truth_passes.clear()
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -1622,17 +1617,13 @@ class TestEvidenceFactsOnce:
         rng = Random(seed)
         circuit = random_circuit(rng, rng.randint(3, 6), singly=bool(rng.getrandbits(1)))
         csdd = random_csdd_params(rng, circuit, 0.3)
-        memo = _PassMemo(circuit, csdd)
         n = circuit.vtree.var_count
         for evidence in _repeating_evidence(rng, circuit, 6):
             plain = EvidenceSession(circuit, csdd, evidence)
-            with memo:
-                memoized = EvidenceSession(circuit, csdd, evidence)
             free = [v for v in range(1, n + 1) if v not in evidence]
             for var, val, mu in product(free, (True, False), (0.0, 0.3, 0.5, 1.0)):
                 want, sigma = _sign_test_reference(plain, var, val, mu)
                 assert repr(plain._sign_test(var, val, mu)[0]) == repr(want)
-                assert repr(memoized._sign_test(var, val, mu)[0]) == repr(want)
                 trace = InferenceTrace()
                 assert repr(plain._sign_test(var, val, mu, trace, [])[0]) == repr(want)
                 assert repr(trace.sigma) == repr(sigma)
@@ -1644,22 +1635,16 @@ class TestEvidenceFactsOnce:
         evidences = _repeating_evidence(rng, circuit, 8)
         plans = {var: _sign_plan(circuit, var) for var in range(1, n + 1)}
         for round_ in range(3):
-            # fresh tables and memos each round, so a dropped one's id may come back
+            # fresh tables each round, so a dropped one's id may come back
             tables = [random_csdd_params(rng, circuit, 0.3) for _ in range(2)]
-            memos = [_PassMemo(circuit, table) for table in tables]
             for evidence in evidences:
-                # a key depends on the circuit only
-                assert memos[1].pack(evidence) == memos[0].pack(evidence)
                 free = [v for v in range(1, n + 1) if v not in evidence]
                 for k in (round_ % 2, 1 - round_ % 2):
-                    with memos[1 - k]:  # the other table's memo is not consulted
-                        plain = EvidenceSession(circuit, tables[k], evidence)
-                    with memos[k]:
-                        shared = EvidenceSession(circuit, tables[k], evidence)
+                    session = EvidenceSession(circuit, tables[k], evidence)
                     for var, val in product(free, (True, False)):
-                        assert repr(shared._sign_test(var, val, 0.5)[0]) == repr(
-                            _sign_test_reference(plain, var, val, 0.5)[0])
-            del tables, memos
+                        assert repr(session._sign_test(var, val, 0.5)[0]) == repr(
+                            _sign_test_reference(session, var, val, 0.5)[0])
+            del tables
         # plans hold structure only: one per variable until the root moves
         assert all(_sign_plan(circuit, var) is plan for var, plan in plans.items())
         root = circuit.root
@@ -1684,16 +1669,13 @@ class TestValueSweeps:
         csdd, psdd = random_csdd_params(rng, circuit, 0.3), random_psdd_params(rng, circuit)
         if rng.getrandbits(1):
             _zero_true_lower_bounds(rng, circuit, csdd)
-        report, memo = circuit.connectivity(), _PassMemo(circuit, csdd)
+        report = circuit.connectivity()
         n = circuit.vtree.var_count
         for evidence in _repeating_evidence(rng, circuit, 4):
             free = [v for v in range(1, n + 1) if v not in evidence]
             var = rng.choice(free)
-            with memo:
-                memoized = EvidenceSession(circuit, csdd, evidence)
-            for session, val, upper in product(
-                (EvidenceSession(circuit, csdd, evidence), memoized), (True, False), (False, True)
-            ):
+            session = EvidenceSession(circuit, csdd, evidence)
+            for val, upper in product((True, False), (False, True)):
                 query = upper_conditional if upper else lower_conditional
                 got = query(circuit, csdd, var, val, evidence, session=session)
                 # an upper conditional is certified by the complement's lower one,
@@ -1708,9 +1690,8 @@ class TestValueSweeps:
                 assert got.certificate == exactness_certificate(want, report)
             completion = map_query(circuit, psdd, evidence)[1]
             xstars = ({v: completion[v] for v in free}, {v: bool(rng.getrandbits(1)) for v in free})
-            for xstar, scope in product(xstars, (nullcontext(), memo)):
-                with scope:
-                    got = robustness(circuit, csdd, evidence, xstar)
+            for xstar in xstars:
+                got = robustness(circuit, csdd, evidence, xstar)
                 want = attaining_reference(circuit, csdd, evidence, xstar)
                 assert repr((got.value, got.certificate, sorted(got.trace.uses.items()))) == repr(
                     (want.value, want.certificate, sorted(want.trace.uses.items())))
@@ -1721,22 +1702,16 @@ class TestValueSweeps:
         rng = Random(seed)
         circuit = random_circuit(rng, rng.randint(3, 6), singly=singly)
         csdd = random_csdd_params(rng, circuit, 0.3)
-        memo, cone = _PassMemo(circuit, csdd), circuit.cone()
+        cone = circuit.cone()
         models = sorted(enumerate_models(circuit, circuit.root))
         for _ in range(6):
             total = dict(enumerate(rng.choice(models), 1))
             route = _route(circuit, total)[1]
-            partial = {v: b for v, b in total.items() if rng.random() < 0.5}
             for sense in (MIN, MAX):
                 want = _credal_sweep(circuit, csdd, total, cone, sense)
-                # memo entries of route, cone and partial-evidence sweeps mix
-                for ids, scope in product((route, cone), (nullcontext(), memo)):
-                    with scope:
-                        got = _credal_sweep(circuit, csdd, total, ids, sense)
+                for ids in (route, cone):
+                    got = _credal_sweep(circuit, csdd, total, ids, sense)
                     assert repr([got[nid] for nid in ids]) == repr([want[nid] for nid in ids])
-                with memo:
-                    got = _credal_sweep(circuit, csdd, partial, cone, sense)
-                assert repr(got) == repr(_credal_sweep(circuit, csdd, partial, cone, sense))
 
 
 class TestGreedyOncePerSet:

@@ -1,6 +1,7 @@
 """Point-table queries: probability of evidence and most probable completion."""
 
 import math
+from collections import Counter
 from itertools import product
 from random import Random
 
@@ -13,7 +14,7 @@ from csdd.formats import dumps_psdd, loads_psdd
 from csdd.infer import (
     InferenceError,
     _Columns,
-    _PassMemo,
+    _map_completion,
     _route,
     joint_probability,
     map_query,
@@ -198,8 +199,9 @@ class TestMapQuery:
 
 def _tied_params(rng: Random, circuit: Circuit) -> PsddParams:
     """A random point table in which about half the TRUE terminals are
-    uniform and about half the two-element decision nodes meet two equal
-    MAP products when nothing is observed."""
+    uniform and about half the decision nodes with two positive MAP
+    products meet two equal ones when nothing is observed: two random
+    elements, the others weighted 0, so a wide node ties too."""
     table = dict(random_psdd_params(rng, circuit).table)
     best = {}
     for nid in circuit.cone():
@@ -212,24 +214,28 @@ def _tied_params(rng: Random, circuit: Circuit) -> PsddParams:
             best[nid] = max(table[nid])
         elif nid in table:
             prods = [best[p] * best[s] for p, s in node.elements]
-            if len(prods) == 2 and min(prods) > 0.0 and rng.random() < 0.5:
-                a, b = prods
+            live = [i for i, c in enumerate(prods) if c > 0.0]
+            if len(live) >= 2 and rng.random() < 0.5:
+                i, m = sorted(rng.sample(live, 2))
+                a, b = prods[i], prods[m]
                 t0 = b / (a + b)
                 t1 = 1.0 - t0
                 for _ in range(8):  # step t1 to where the rounded products meet
                     if a * t0 == b * t1:
                         break
                     t1 = math.nextafter(t1, math.inf if b * t1 < a * t0 else -math.inf)
-                table[nid] = (t0, t1)
+                theta = [0.0] * len(prods)
+                theta[i], theta[m] = t0, t1
+                table[nid] = tuple(theta)
             best[nid] = max(c * t for c, t in zip(prods, table[nid]))
         else:
             best[nid] = 0.0
     return PsddParams(table)
 
 
-def _two_element_ties(circuit: Circuit, params: PsddParams) -> int:
-    """Two-element decision nodes whose two MAP products are equal, without evidence."""
-    best, ties = {}, 0
+def _map_ties(circuit: Circuit, params: PsddParams) -> Counter:
+    """Widths of the decision nodes whose largest MAP product is met twice, without evidence."""
+    best, ties = {}, Counter()
     for nid in circuit.cone():
         node = circuit.nodes[nid]
         if node.kind == LITERAL:
@@ -238,7 +244,7 @@ def _two_element_ties(circuit: Circuit, params: PsddParams) -> int:
             best[nid] = max(params.table[nid])
         elif node.kind == DECISION and nid in params.table:
             cands = [best[p] * best[s] * t for (p, s), t in zip(node.elements, params.table[nid])]
-            ties += len(cands) == 2 and cands[0] == cands[1]
+            ties[len(cands)] += max(cands) > 0.0 and cands.count(max(cands)) > 1
             best[nid] = max(cands)
         else:
             best[nid] = 0.0
@@ -246,9 +252,10 @@ def _two_element_ties(circuit: Circuit, params: PsddParams) -> int:
 
 
 class TestMapQueryReference:
-    """``map_query`` answers as the generic-loop MAP pass with its own
-    backtrack: the same value and assignment, keys in the same order, and
-    the route it leaves in an open memo is ``_route``'s for that assignment."""
+    """``map_query`` and the column MAP pass answer as the generic-loop MAP
+    pass with its own backtrack: the same value and assignment, keys in the
+    same order, and the route of the column pass's choices is ``_route``'s
+    for that assignment."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -270,15 +277,17 @@ class TestMapQueryReference:
                 with pytest.raises(InferenceError, match="zero probability"):
                     map_query(circuit, params, evidence)
                 continue
-            with _PassMemo(circuit, params) as memo:
-                got = map_query(circuit, params, evidence)
+            got = map_query(circuit, params, evidence)
             assert repr(got) == repr(want)  # a dict's repr lists its keys in order
-            assert memo.routes == {memo.pack(want[1]): _route(circuit, want[1])}
+            values = _Columns(circuit, [evidence]).map(params)
+            completion, found = _map_completion(circuit, params, values, 0, evidence)
+            assert repr((values[circuit.root][0], completion)) == repr(want)
+            assert found == _route(circuit, want[1])
 
     def test_tables_force_ties(self):
         rng = Random(5)
-        ties = 0
+        ties = Counter()
         for _ in range(20):
             circuit = random_circuit(rng, rng.randint(3, 6), singly=bool(rng.getrandbits(1)))
-            ties += _two_element_ties(circuit, _tied_params(rng, circuit))
-        assert ties > 0
+            ties += _map_ties(circuit, _tied_params(rng, circuit))
+        assert ties[2] > 0 and sum(n for width, n in ties.items() if width > 2) > 0
