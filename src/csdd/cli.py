@@ -32,6 +32,7 @@ from .experiment import Metrics, Scenario, run_cell
 from .fixtures import squares_fixture
 from .formula import parse_formula
 from .infer import (
+    DEFAULT_TOL,
     EvidenceSession,
     credal_map_upper,
     lower_conditional,
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", choices=["marginal", "conditional", "map"], required=True)
     p.add_argument("--evidence", default="", help='e.g. "X1=0,X4=1"')
     p.add_argument("--target", help='single assignment, e.g. "X1=1"')
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("robust", help="robustness of a most probable completion")

@@ -45,19 +45,19 @@ completions and the completions' robustness by :func:`_map_robustness`:
 the MAP and credal MAP passes as columns, then per completion only the
 route-local steps, on the route its MAP choices walk, so no truth pass
 runs.  The point, MAP and credal MAP passes have only the column form:
-:func:`marginal`, :func:`map_query` and :func:`_credal_map` run them on a
-batch of one.
+:func:`marginal`, :func:`map_query`, :func:`credal_map_upper` and
+:func:`robustness` run them on a batch of one.  A max pass's result at a
+node is one record, a :class:`_Tie`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import ChainMap
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .circuit import (
     Circuit,
@@ -101,9 +101,10 @@ __all__ = [
 ]
 
 ZERO_TOL = 1e-12        # numerical zero; sign tests scale it by the upper evidence probability
+POINT_TOL = 1e-12       # certificate points this close in every coordinate count as one
 TIE_REL = 1e-12         # relative tolerance for max ties
 V_TOL = 1e-9            # robustness verdict threshold on V - 1
-DEFAULT_BISECTION_TOL = 1e-6  # bracket width at which the conditional search stops
+DEFAULT_TOL = 1e-6      # bracket width at which the conditional search stops
 MIN_CROSSING_TOL = 2.0 ** -50  # finest bracket whose edges floats can still split
 ORACLE_CAP = 10 ** 6
 ORACLE_VAR_LIMIT = 16
@@ -175,7 +176,7 @@ class InferenceTrace:
             return
         seen = self.uses.setdefault(nid, [])
         for other in seen:
-            if all(abs(a - b) <= ZERO_TOL for a, b in zip(other, point)):
+            if all(abs(a - b) <= POINT_TOL for a, b in zip(other, point)):
                 return
         seen.append(tuple(point))
 
@@ -247,11 +248,17 @@ _UNCOVERED = "evidence and completion must cover all variables"
 
 
 def _check_evidence(circuit: Circuit, evidence: Mapping[int, bool]) -> None:
+    """Refuse a variable that is not an id of the circuit's vtree and a value
+    other than ``True`` or ``False`` (the ints 0 and 1 equal them): the passes
+    compare values with a state, so any other reads as neither state."""
+    n = circuit.vtree.var_count
     for var, val in evidence.items():
-        if not 1 <= var <= circuit.vtree.var_count:
-            raise InferenceError(f"evidence variable {var} is not in the circuit")
+        if not (isinstance(var, int) and 1 <= var <= n):
+            raise InferenceError(f"evidence variable {var!r} is not in the circuit")
         if val is None:
             raise InferenceError(_NO_VALUE.format(var))
+        if not (isinstance(val, int) and val in (0, 1)):
+            raise InferenceError(f"variable {var} has value {val!r}; a value is True or False")
 
 
 def _pack(evidence: Mapping[int, bool], n: int) -> int:
@@ -580,8 +587,8 @@ def conditional_sign(
     lower conditional exceeds ``mu``, with no search and no tolerance.
     ``session`` works as for :func:`lower_conditional`.
     """
-    if not math.isfinite(mu):  # its messages would be NaN, which reads as a zero sign
-        raise InferenceError(f"threshold must be finite, got {mu}")
+    if not (isinstance(mu, (int, float)) and math.isfinite(mu)):  # NaN would read as a zero sign
+        raise InferenceError(f"threshold must be a finite number, got {mu!r}")
     session = _session(circuit, params, var, val, evidence, session)
     return _sign(session._sign_test(var, bool(val), mu)[0], session.up[session.root])
 
@@ -651,7 +658,7 @@ def lower_conditional(
     var: int,
     val: bool,
     evidence: Mapping[int, bool],
-    tol: float = DEFAULT_BISECTION_TOL,
+    tol: float = DEFAULT_TOL,
     want_certificate: bool = True,
     session: EvidenceSession | None = None,
 ) -> ConditionalResult:
@@ -688,7 +695,7 @@ def upper_conditional(
     var: int,
     val: bool,
     evidence: Mapping[int, bool],
-    tol: float = DEFAULT_BISECTION_TOL,
+    tol: float = DEFAULT_TOL,
     want_certificate: bool = True,
     session: EvidenceSession | None = None,
 ) -> ConditionalResult:
@@ -703,15 +710,32 @@ def upper_conditional(
 # batched passes
 
 
+class _Tie(NamedTuple):
+    """A node's result in a max pass: its value, the options attaining it in
+    tie order, and how many completions attain it, capped at 2.
+
+    A TRUE terminal's options are its states (0 true, 1 false) and a
+    decision node's are element indices.  A literal, or a terminal whose
+    state is fixed, has no options and one completion.
+    """
+
+    value: float
+    tied: tuple[int, ...]
+    count: int
+
+
+_FIXED = _Tie(1.0, (), 1)  # a literal, or an observed terminal, on a robustness route
+
+
 class _Columns:
     """Node-major passes over a batch of evidences on one circuit.
 
     A pass visits each node of its cone (or spine) once and fills a column,
     one entry per evidence.  The point, MAP and credal MAP passes are
-    :func:`marginal`'s, :func:`map_query`'s and :func:`_credal_map`'s; the
-    sweep and sign test give the scalar pass's result (:func:`_credal_sweep`,
-    :meth:`EvidenceSession._sign_test`), bit for bit, by the same float
-    operations.  An LP over one or two states is :func:`_closed_lp` on the
+    :func:`marginal`'s, :func:`map_query`'s and :func:`credal_map_upper`'s
+    (and :func:`robustness`'s); the sweep and sign test give the scalar
+    pass's result (:func:`_credal_sweep`, :meth:`EvidenceSession._sign_test`),
+    bit for bit, by the same float operations.  An LP over one or two states is :func:`_closed_lp` on the
     whole column; any other LP (``_lp``), ``fsum`` or wide max runs once
     per distinct evidence under the node: its key, the packed evidence
     (:func:`_pack`) masked to the node's variables.  The evidences are not
@@ -733,7 +757,7 @@ class _Columns:
         """Root column of the point pass with ``var = val`` added to every
         evidence: ``var``'s spine runs again over ``base``, the point columns."""
         obs = self.obs[:var] + [[val] * self.size] + self.obs[var + 1:]
-        cols = ChainMap({}, base)  # the spine's columns in front of base, a list read by node id
+        cols = base[:]  # the spine's columns replace base's in a copy
         # the keys need no bit for var: this pass sets it alike in every evidence
         return self._point(params, self.circuit.spine(var), cols, obs, self.keys)[self.circuit.root]
 
@@ -804,35 +828,36 @@ class _Columns:
                 values[nid] = zeros
         return values
 
-    def credal_map(self, params: CsddParams) -> list:
-        """Upper completion bounds M(n) as columns by node id, ``None`` off
-        the cone: per evidence, the node's ``(value, tied, count)``, tied in
-        element order and true state first.  Rows whose evidence under a
-        node agrees share one entry; read a row by :meth:`_Ties.row`."""
+    def credal_map(self, params: CsddParams) -> list[tuple[_Tie, ...]]:
+        """Upper completion bounds M(n), per evidence a row of :class:`_Tie`
+        records by node id, ``None`` off the cone; tied in element order and
+        true state first.  The pass fills a column per node and rows whose
+        evidence under the node agrees share one entry."""
         nodes, table, obs = self.circuit.nodes, params.table, self.obs
-        cols: list = [None] * len(nodes)
+        cols: list = [[None] * self.size] * len(nodes)
         for nid in self.circuit.cone():
             node = nodes[nid]
             if node.kind == LITERAL:
-                pol, hit, miss = node.polarity, (1.0, (), 1), (0.0, (), 1)
+                pol, hit, miss = node.polarity, _Tie(1.0, (), 1), _Tie(0.0, (), 1)
                 cols[nid] = [hit if v is None or v == pol else miss for v in obs[node.var]]
             elif node.kind == TRUE:
                 upper = table[nid].upper
                 best = max(upper)
                 tied = tuple(st for st in (0, 1) if _close(upper[st], best))
-                free, on, off = (best, tied, len(tied)), (upper[0], (), 1), (upper[1], (), 1)
+                free, on, off = _Tie(best, tied, len(tied)), _Tie(upper[0], (), 1), _Tie(upper[1], (), 1)
                 cols[nid] = [free if v is None else on if v else off for v in obs[node.var]]
             elif node.kind == DECISION and nid in table:
                 kids = [(u, cols[p], cols[s]) for u, (p, s) in zip(table[nid].upper, node.elements)]
                 def solve(j, kids=kids):
-                    cands = [u * a[j][0] * b[j][0] for u, a, b in kids]
+                    cands = [u * a[j].value * b[j].value for u, a, b in kids]
                     best = max(0.0, *cands)
                     tied = tuple(i for i, c in enumerate(cands) if c > 0.0 and _close(c, best))
-                    return best, tied, min(2, sum(kids[i][1][j][2] * kids[i][2][j][2] for i in tied))
+                    return _Tie(best, tied, min(2, sum(kids[i][1][j].count * kids[i][2][j].count
+                                                       for i in tied)))
                 cols[nid] = self._per_key(nid, self.keys, solve)
             else:  # FALSE, or an unsatisfiable decision node
-                cols[nid] = [(0.0, (), 0)] * self.size
-        return cols
+                cols[nid] = [_Tie(0.0, (), 0)] * self.size
+        return list(zip(*cols))
 
     def sweep(self, params: CsddParams, sense: int) -> list:
         """Evidence-sweep columns by node id; ``None`` off the cone."""
@@ -915,64 +940,23 @@ def _close(a: float, b: float) -> bool:
     return a == b or abs(a - b) <= TIE_REL * max(1.0, abs(a), abs(b)) < math.inf
 
 
-class _Ties:
-    """Per-node result of a max pass: the value, the options attaining it in
-    tie order, and how many completions attain it, capped at 2.
-
-    A TRUE terminal's options are its states (0 true, 1 false) and a
-    decision node's are element indices.  A literal, or a terminal whose
-    state is fixed, has no options and one completion.
-    """
-
-    __slots__ = ("values", "tied", "counts")
-
-    def __init__(self, values, tied, counts) -> None:
-        self.values, self.tied, self.counts = values, tied, counts
-
-    @classmethod
-    def row(cls, cols: list, j: int) -> "_Ties":
-        """Row ``j`` of :meth:`_Columns.credal_map`'s columns, read in place."""
-        return cls(*(_Field(cols, j, k) for k in range(3)))
-
-
-class _Field:
-    """Field ``k`` of row ``j`` of columns of tuples, read by node id."""
-
-    __slots__ = ("cols", "j", "k")
-
-    def __init__(self, cols: list, j: int, k: int) -> None:
-        self.cols, self.j, self.k = cols, j, k
-
-    def __getitem__(self, nid: int):
-        return self.cols[nid][self.j][self.k]
-
-
-def _credal_map(
-    circuit: Circuit,
-    params: CsddParams,
-    evidence: Mapping[int, bool],
-) -> _Ties:
-    """Upper completion bounds M(n): :meth:`_Columns.credal_map` on a batch
-    of one, read by node id over the cone."""
-    return _Ties.row(_Columns(circuit, [evidence]).credal_map(params), 0)
-
-
 def credal_map_upper(circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> float:
-    """``max over completions x of upper P(x, evidence)``."""
+    """``max over completions x of upper P(x, evidence)``: the credal MAP
+    pass, :meth:`_Columns.credal_map`, on a batch of one."""
     _check_evidence(circuit, evidence)
-    return _credal_map(circuit, params, evidence).values[circuit.root]
+    return _Columns(circuit, [evidence]).credal_map(params)[0][circuit.root].value
 
 
 def _mark_map(
     trace: InferenceTrace,
     circuit: Circuit,
     params: CsddParams,
-    cm: _Ties,
+    cm: Sequence[_Tie],
     evidence: Mapping[int, bool],
     starts: Iterable[int],
 ) -> None:
-    """Record the extreme points that realize the completion bounds at
-    ``starts``, marking top-down through every tied element."""
+    """Record the extreme points that realize the completion bounds ``cm``,
+    read by node id, at ``starts``, marking top-down through every tied element."""
     marked = set(starts)
     for nid in reversed(circuit.cone()):
         if nid not in marked:
@@ -982,18 +966,18 @@ def _mark_map(
             cs = params.table[nid]
             val = evidence.get(node.var)
             if val is None:
-                states = cm.tied[nid]
+                states = cm[nid].tied
                 if len(states) == 1:
                     coeffs = (1.0, 0.0) if states[0] == 0 else (0.0, 1.0)
                     trace.record(nid, _lp(cs, coeffs, True)[1])
-            elif cm.values[nid] > 0.0:
+            elif cm[nid].value > 0.0:
                 coeffs = (1.0, 0.0) if val else (0.0, 1.0)
                 trace.record(nid, _lp(cs, coeffs, True)[1])
         elif node.kind == DECISION:
             cs = params.table.get(nid)
             if cs is None:
                 continue
-            for idx in cm.tied[nid]:
+            for idx in cm[nid].tied:
                 coeffs = tuple(1.0 if i == idx else 0.0 for i in range(cs.k))
                 trace.record(nid, _lp(cs, coeffs, True)[1])
                 marked.update(node.elements[idx])
@@ -1066,18 +1050,17 @@ def robustness(
     if found is None:
         return RobustnessVerdict(1.0, NOT_ROBUST, (), InferenceTrace() if want_certificate else None,
                                  ExactnessCertificate(EXACT) if want_certificate else None)
-    cm = _credal_map(circuit, params, evidence)
+    cm = _Columns(circuit, [evidence]).credal_map(params)[0]
     return _robust_on_route(circuit, params, evidence, xstar, total, found, cm, want_certificate)
 
 
 def _robust_on_route(circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool],
-                     xstar: Mapping[int, bool], total: Mapping[int, bool], found, cm: _Ties,
-                     want_certificate: bool) -> RobustnessVerdict:
+                     xstar: Mapping[int, bool], total: Mapping[int, bool], found,
+                     cm: Sequence[_Tie], want_certificate: bool) -> RobustnessVerdict:
     """:func:`robustness` of ``xstar`` given ``total``, the evidence and
     ``xstar``, its route ``found`` (as :func:`_route` gives it) and ``cm``, the
-    evidence's credal MAP pass, read by node id (a row of
-    :meth:`_Columns.credal_map` serves): the route's lower sweep, each route
-    node's options, the attaining completions and the verdict."""
+    evidence's row of :meth:`_Columns.credal_map`: the route's lower sweep,
+    each route node's options, the attaining completions and the verdict."""
     realized, route = found
     low_xe = _credal_sweep(circuit, params, total, route, MIN)
     table = params.table
@@ -1086,13 +1069,12 @@ def _robust_on_route(circuit: Circuit, params: CsddParams, evidence: Mapping[int
     # options on the route: a TRUE terminal keeps xstar's state or flips it;
     # a decision node stays on its realized element or switches to another,
     # whose completions come from the credal MAP pass
-    rob = _Ties([0.0] * len(nodes), [()] * len(nodes), [0] * len(nodes))
-    values, tied, counts = rob.values, rob.tied, rob.counts
+    rob: list = [None] * len(nodes)  # a _Tie per route node
     points: dict[tuple[int, int], tuple[float, ...] | None] = {}  # pinned by a flip or switch
     for nid in route:
         node = nodes[nid]
         if node.kind == LITERAL or node.kind == TRUE and node.var not in xstar:
-            values[nid], counts[nid] = 1.0, 1
+            rob[nid] = _FIXED
             continue
         if node.kind == TRUE:
             cs = table[nid]
@@ -1110,24 +1092,23 @@ def _robust_on_route(circuit: Circuit, params: CsddParams, evidence: Mapping[int
             j = realized[nid]
             pj, sj = node.elements[j]
             cs = table[nid]
-            local = [(values[pj] * values[sj], j, counts[pj] * counts[sj])]
+            local = [(rob[pj].value * rob[sj].value, j, rob[pj].count * rob[sj].count)]
             denom = low_xe[pj] * low_xe[sj]
             for i, (pi, si) in enumerate(node.elements):
                 if i == j or cs.upper[i] <= 0.0:
                     continue
-                num = cm.values[pi] * cm.values[si]
+                num = cm[pi].value * cm[si].value
                 if num <= 0.0:
                     continue
                 if denom <= 0.0 or cs.lower[j] <= 0.0:
                     ratio, points[nid, i] = math.inf, None
                 else:
                     ratio, points[nid, i] = _max_ratio_vertex(cs, i, j, num / denom)
-                local.append((ratio, i, cm.counts[pi] * cm.counts[si]))
-        best = values[nid] = max(value for value, _, _ in local)
+                local.append((ratio, i, cm[pi].count * cm[si].count))
+        best = max(value for value, _, _ in local)
         kept = [(opt, n) for value, opt, n in local if _close(value, best)]
-        tied[nid] = tuple(opt for opt, _ in kept)
-        counts[nid] = min(2, sum(n for _, n in kept))
-    value = values[root]
+        rob[nid] = _Tie(best, tuple(opt for opt, _ in kept), min(2, sum(n for _, n in kept)))
+    value = rob[root].value
 
     trace = certificate = None
     if want_certificate:
@@ -1139,7 +1120,7 @@ def _robust_on_route(circuit: Circuit, params: CsddParams, evidence: Mapping[int
             if nid not in marked:
                 continue
             node = nodes[nid]
-            for opt in tied[nid]:
+            for opt in rob[nid].tied:
                 trace.record(nid, points.get((nid, opt)))  # staying pins no point
                 if node.kind == TRUE:
                     continue
@@ -1154,7 +1135,7 @@ def _robust_on_route(circuit: Circuit, params: CsddParams, evidence: Mapping[int
         _mark_sweeps(trace, circuit, params, total, route, low_xe, up_xe, sweep_starts)
         certificate = exactness_certificate(trace, circuit.connectivity())
 
-    attaining = tuple(_completion(circuit, evidence, rob, cm, realized, k) for k in range(counts[root]))
+    attaining = tuple(_completion(circuit, evidence, rob, cm, realized, k) for k in range(rob[root].count))
     return RobustnessVerdict(value, _label(value, attaining, xstar), attaining, trace, certificate)
 
 
@@ -1166,10 +1147,10 @@ def _map_robustness(batch: _Columns, psdd: PsddParams, csdd: CsddParams
     completion's free variables.  The MAP and credal MAP passes run as
     columns; each completion and its route come from its MAP choices, so no
     truth pass runs, and :func:`_robust_on_route` reads the evidence's row
-    of the credal MAP columns.  Raises as the first failing evidence alone
+    of the credal MAP pass.  Raises as the first failing evidence alone
     does."""
     circuit, root = batch.circuit, batch.circuit.root
-    values, cm, out = batch.map(psdd), batch.credal_map(csdd), []
+    values, cms, out = batch.map(psdd), batch.credal_map(csdd), []
     for j, evidence in enumerate(batch.evidences):
         _check_evidence(circuit, evidence)
         if values[root][j] <= 0.0:
@@ -1179,15 +1160,15 @@ def _map_robustness(batch: _Columns, psdd: PsddParams, csdd: CsddParams
             raise InferenceError(_UNCOVERED)
         xstar = {var: val for var, val in completion.items() if var not in evidence}
         out.append((values[root][j], completion, _robust_on_route(
-            circuit, csdd, evidence, xstar, completion, found, _Ties.row(cm, j), False)))
+            circuit, csdd, evidence, xstar, completion, found, cms[j], False)))
     return out
 
 
 def _completion(
     circuit: Circuit,
     evidence: Mapping[int, bool],
-    rob: _Ties,
-    cm: _Ties,
+    rob: Sequence[_Tie],
+    cm: Sequence[_Tie],
     realized: Mapping[int, int],
     k: int,
 ) -> Rep:
@@ -1205,7 +1186,7 @@ def _completion(
     while stack:
         on_route, nid, k = stack.pop()
         node = nodes[nid]
-        options = (rob if on_route else cm).tied[nid]
+        options = (rob if on_route else cm)[nid].tied
         if node.kind == LITERAL:
             if node.var not in evidence:
                 out.append((node.var, node.polarity))
@@ -1215,12 +1196,13 @@ def _completion(
         else:
             for opt in options:
                 stay = on_route and opt == realized[nid]
-                counts = (rob if stay else cm).counts
+                ties = rob if stay else cm
                 p, s = node.elements[opt]
-                if k < counts[p] * counts[s]:
-                    stack += ((stay, p, k // counts[s]), (stay, s, k % counts[s]))
+                n_p, n_s = ties[p].count, ties[s].count
+                if k < n_p * n_s:
+                    stack += ((stay, p, k // n_s), (stay, s, k % n_s))
                     break
-                k -= counts[p] * counts[s]
+                k -= n_p * n_s
     return tuple(sorted(out))
 
 
@@ -1268,8 +1250,11 @@ def strong_extension_oracle(
     """Exhaustive extremum over every combination of local extreme points.
 
     Exponential reference implementation used to validate the polynomial
-    passes; guarded by a combination cap and a variable limit.
+    passes; guarded by a combination cap and a variable limit.  ``sense``
+    is ``"min"`` or ``"max"``.
     """
+    if sense not in ("min", "max"):
+        raise InferenceError(f"sense must be 'min' or 'max', got {sense!r}")
     if circuit.vtree.var_count > ORACLE_VAR_LIMIT:
         raise InferenceError(f"oracle guarded at {ORACLE_VAR_LIMIT} variables")
     ids = circuit.parameterized_ids()

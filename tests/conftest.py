@@ -520,7 +520,7 @@ def mark_sweeps_reference(trace, circuit: Circuit, low, up, starts) -> None:
 
 def mark_map_walk(trace, circuit: Circuit, params: CsddParams, cm, evidence, start: int) -> None:
     """``infer._mark_map`` for one start, by a depth-first walk through
-    every tied element."""
+    every tied element; ``cm`` holds a ``_Tie`` per node id."""
     from csdd.credal import _lp
 
     stack = [start]
@@ -535,15 +535,15 @@ def mark_map_walk(trace, circuit: Circuit, params: CsddParams, cm, evidence, sta
             cs = params.table[nid]
             val = evidence.get(node.var)
             if val is None:
-                if len(cm.tied[nid]) == 1:
-                    coeffs = (1.0, 0.0) if cm.tied[nid][0] == 0 else (0.0, 1.0)
+                if len(cm[nid].tied) == 1:
+                    coeffs = (1.0, 0.0) if cm[nid].tied[0] == 0 else (0.0, 1.0)
                     trace.record(nid, _lp(cs, coeffs, True)[1])
-            elif cm.values[nid] > 0.0:
+            elif cm[nid].value > 0.0:
                 coeffs = (1.0, 0.0) if val else (0.0, 1.0)
                 trace.record(nid, _lp(cs, coeffs, True)[1])
         elif node.kind == DECISION and nid in params.table:
             cs = params.table[nid]
-            for idx in cm.tied[nid]:
+            for idx in cm[nid].tied:
                 coeffs = tuple(1.0 if i == idx else 0.0 for i in range(cs.k))
                 trace.record(nid, _lp(cs, coeffs, True)[1])
                 stack.extend(node.elements[idx])
@@ -581,10 +581,18 @@ class CredalMapReference:
         self.tied = [()] * size
         self.reps = [[] for _ in range(size)]
 
+    def ties(self) -> list:
+        """The bounds as ``infer._Tie`` records by node id, the count being
+        how many completions were carried (at most two)."""
+        from csdd.infer import _Tie
+
+        return [_Tie(*fields) for fields in zip(self.values, self.tied, map(len, self.reps))]
+
 
 def credal_map_reference(circuit: Circuit, params: CsddParams, evidence) -> CredalMapReference:
-    """``infer._credal_map`` carrying up to two attaining completions per
-    node as sorted tuples, rebuilt at every node."""
+    """The credal MAP pass (``infer._Columns.credal_map`` on one evidence)
+    carrying up to two attaining completions per node as sorted tuples,
+    rebuilt at every node."""
     from csdd.infer import _close
 
     cm = CredalMapReference(len(circuit.nodes))
@@ -784,7 +792,7 @@ def attaining_reference(
                     trace.record(nid, point)
                     map_starts += node.elements[i]
                     sweep_starts += ((child, MIN) for child in node.elements[j])
-        _mark_map(trace, circuit, params, cm, evidence, map_starts)
+        _mark_map(trace, circuit, params, cm.ties(), evidence, map_starts)
         up_xe = credal_sweep_reference(circuit, params, total, cone, MAX)
         mark_sweeps_reference(trace, circuit, low_xe, up_xe, sweep_starts)
         certificate = exactness_certificate(trace, circuit.connectivity())
@@ -815,24 +823,23 @@ def check_map_batch(
 ):
     """Assert that ``infer._map_robustness`` answers each evidence by
     ``repr`` as :func:`map_reference` (value and completion),
-    :func:`credal_map_reference` (credal MAP value, ties and count at every
-    node of the cone), :func:`attaining_reference` (V, label and attaining
-    set) and the scalar ``robustness`` of the completion's free variables
-    without a certificate (the whole verdict).  With ``want_certificate``,
-    the route step on the MAP choices' route and the batch's row of the
-    credal MAP columns also certifies as the scalar call does (status and
-    points).  Returns the batch's answers."""
-    from csdd.infer import _Columns, _map_completion, _map_robustness, _robust_on_route, _Ties, robustness
+    :func:`credal_map_reference` (the ``_Tie`` record, value, ties and
+    count, at every node of the cone), :func:`attaining_reference` (V, label
+    and attaining set) and the scalar ``robustness`` of the completion's free
+    variables without a certificate (the whole verdict).  With
+    ``want_certificate``, the route step on the MAP choices' route and the
+    evidence's row of the batch's credal MAP pass also certifies as the
+    scalar call does (status and points).  Returns the batch's answers."""
+    from csdd.infer import _Columns, _map_completion, _map_robustness, _robust_on_route, robustness
 
     batch = _Columns(circuit, evidences)
     got = _map_robustness(batch, psdd, csdd)
-    cols, values, cone = batch.credal_map(csdd), batch.map(psdd), circuit.cone()
-    assert len(got) == len(evidences)
+    rows, values, cone = batch.credal_map(csdd), batch.map(psdd), circuit.cone()
+    assert len(got) == len(evidences) == len(rows)
     for j, (evidence, (value, completion, verdict)) in enumerate(zip(evidences, got)):
         assert repr((value, completion)) == repr(map_reference(circuit, psdd, evidence))
-        row, ref = _Ties.row(cols, j), credal_map_reference(circuit, csdd, evidence)
-        assert repr([(row.values[n], row.tied[n], row.counts[n]) for n in cone]) == repr(
-            [(ref.values[n], ref.tied[n], len(ref.reps[n])) for n in cone])
+        row, ref = rows[j], credal_map_reference(circuit, csdd, evidence).ties()
+        assert repr([row[n] for n in cone]) == repr([ref[n] for n in cone])
         xstar = {v: b for v, b in completion.items() if v not in evidence}
         want = attaining_reference(circuit, csdd, evidence, xstar)
         assert repr((verdict.value, verdict.label, verdict.attaining)) == repr(

@@ -374,7 +374,7 @@ class TestBatchedMapRobustness:
                 raise AssertionError(f"run_cell called {name}")
             return call
 
-        for module, name in ((infer, "map_query"), (infer, "robustness"), (infer, "_credal_map"),
+        for module, name in ((infer, "map_query"), (infer, "robustness"), (infer, "credal_map_upper"),
                              (infer, "_route"), (experiment, "map_query"), (experiment, "robustness")):
             monkeypatch.setattr(module, name, refused(name))
         assert repr(run_cell(scenario)) == want

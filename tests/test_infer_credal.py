@@ -4,6 +4,7 @@ robustness, certificates and the brute-force refinement."""
 import ast
 import json
 import math
+import re
 import sys
 from collections import Counter
 from itertools import product
@@ -38,7 +39,7 @@ from csdd.infer import (
     ROBUST,
     WEAKLY_ROBUST,
     ZERO_TOL,
-    DEFAULT_BISECTION_TOL,
+    DEFAULT_TOL,
     MAX,
     MIN,
     EvidenceSession,
@@ -59,8 +60,7 @@ from csdd.infer import (
     upper_conditional,
     upper_marginal,
     _Columns,
-    _Ties,
-    _credal_map,
+    _Tie,
     _credal_sweep,
     _find_crossing,
     _map_completion,
@@ -199,10 +199,10 @@ class TestConditional:
         evidence = {2: False, 3: False, 4: True}
         assert conditional_sign(squares.circuit, squares_idm, 1.0, 1, True, evidence) <= 0
 
-    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, "0.5", None])
     def test_nonfinite_threshold_rejected(self, squares, squares_idm, mu):
         # the messages would be NaN and read as a zero sign, though every
-        # lower probability exceeds -inf
+        # lower probability exceeds -inf; a string or None would raise TypeError
         with pytest.raises(InferenceError, match="threshold"):
             conditional_sign(squares.circuit, squares_idm, mu, 1, True, {3: False, 4: True})
 
@@ -1061,7 +1061,8 @@ class TestMarkers:
         low_ref = credal_sweep_reference(circuit, params, evidence, cone, MIN)
         up_ref = credal_sweep_reference(circuit, params, evidence, cone, MAX)
         assert repr((low, up)) == repr((low_ref.values, up_ref.values))
-        cm = _credal_map(circuit, params, evidence)
+        cm = _Columns(circuit, [evidence]).credal_map(params)[0]
+        assert all(type(cm[nid]) is _Tie for nid in cone)
         sweep_starts = [(rng.choice(cone), rng.choice((MIN, MAX))) for _ in range(rng.randint(1, 6))]
         map_starts = [rng.choice(cone) for _ in range(rng.randint(1, 6))]
 
@@ -1228,7 +1229,7 @@ def test_chain_conditional_is_exact_at_scale(n):
     circuit, params = _chain([IntervalCredalSet((0.3, 0.5), (0.5, 0.7))] * n)
     got = lower_conditional(circuit, params, n, True, {v: True for v in range(1, n)})
     assert got.certificate.is_exact  # singly connected
-    assert 0.3 - DEFAULT_BISECTION_TOL <= got.value <= 0.3
+    assert 0.3 - DEFAULT_TOL <= got.value <= 0.3
 
 
 def _repeating_evidence(rng: Random, circuit: Circuit, length: int) -> list[dict[int, bool]]:
@@ -1266,10 +1267,10 @@ def _wide_instances(rng: Random, count: int):
 class TestMapBatch:
     """``_map_robustness`` answers each evidence of a batch as the scalar
     ``map_query`` and ``robustness`` and their references do, with no truth
-    pass; the credal MAP columns hold one entry per distinct (decision node,
-    evidence under the node); given a row of them, the route-local step
-    answers any completion as ``robustness`` does; and a batch follows the
-    circuit object and root it is built on."""
+    pass; the credal MAP pass's rows share one ``_Tie`` per distinct
+    (decision node, evidence under the node); given an evidence's row, the
+    route-local step answers any completion as ``robustness`` does; and a
+    batch follows the circuit object and root it is built on."""
 
     def test_wide_nodes_and_sets(self):
         rng = Random(2031)
@@ -1289,15 +1290,15 @@ class TestMapBatch:
         psdd = random_psdd_params(rng, circuit)
         evidences = _repeating_evidence(rng, circuit, 12)
         check_map_batch(circuit, psdd, csdd, evidences, bool(rng.getrandbits(1)))
-        cols = _Columns(circuit, evidences).credal_map(csdd)
+        rows = _Columns(circuit, evidences).credal_map(csdd)
         nodes, vtree = circuit.nodes, circuit.vtree
         for nid in circuit.cone():
             node = nodes[nid]
             if node.kind == DECISION and nid in csdd.table:
                 under = vtree.vars_under(node.vtree)
                 distinct = {frozenset((v, e[v]) for v in under if v in e) for e in evidences}
-                assert len({id(entry) for entry in cols[nid]}) == len(distinct)
-        # any completion with its truth route and the evidence's row of the columns
+                assert len({id(row[nid]) for row in rows}) == len(distinct)
+        # any completion with its truth route and the evidence's row of the pass
         for j, evidence in enumerate(evidences):
             xstar = {v: bool(rng.getrandbits(1)) for v in range(1, vtree.var_count + 1) if v not in evidence}
             total = {**evidence, **xstar}
@@ -1306,7 +1307,7 @@ class TestMapBatch:
                 continue
             for certify in (False, True):
                 got = _robust_on_route(circuit, csdd, evidence, xstar, total, found,
-                                       _Ties.row(cols, j), certify)
+                                       rows[j], certify)
                 assert _verdict(got) == _verdict(robustness(circuit, csdd, evidence, xstar, certify))
 
     def test_refusals(self):
@@ -1418,6 +1419,61 @@ class TestNoneValues:
     def test_lower_marginal(self, squares, squares_idm):
         with pytest.raises(InferenceError, match="variable 1 has value None"):
             lower_marginal(squares.circuit, squares_idm, {1: None})
+
+
+class TestMalformedQueries:
+    """Evidence keys that are not variable ids, values that are not a state
+    (``True``, ``False`` or the ints 0 and 1 that equal them) and an oracle
+    sense other than ``min``/``max`` are refused with
+    :class:`InferenceError`: the passes would read such a value as neither
+    state, or fail with an untyped error."""
+
+    QUERIES = {
+        "marginal": lambda c, cs, e: marginal(c, cs.select({}), e),
+        "lower_marginal": lower_marginal,
+        "upper_marginal": upper_marginal,
+        "map_query": lambda c, cs, e: map_query(c, cs.select({}), e),
+        "credal_map_upper": credal_map_upper,
+        "lower_conditional": lambda c, cs, e: lower_conditional(c, cs, 1, True, e),
+        "session": EvidenceSession,
+    }
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    @pytest.mark.parametrize("value", [2, -1, 0.5, 1.0, "1"])
+    def test_value_is_a_state(self, squares, squares_idm, query, value):
+        # literals read 2 as neither state and TRUE terminals read it as true,
+        # so lower_marginal answered 0.359 for {4: 2}, below both states' answers
+        with pytest.raises(InferenceError, match=re.escape(f"variable 4 has value {value!r}")):
+            self.QUERIES[query](squares.circuit, squares_idm, {3: False, 4: value})
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_variable_is_an_id(self, squares, squares_idm, query):
+        with pytest.raises(InferenceError, match="evidence variable '1' is not in the circuit"):
+            self.QUERIES[query](squares.circuit, squares_idm, {"1": True})
+
+    def test_ints_zero_and_one_are_the_states(self, squares, squares_idm):
+        circuit = squares.circuit
+        for value, state in ((1, True), (0, False)):
+            assert lower_marginal(circuit, squares_idm, {4: value}) == lower_marginal(
+                circuit, squares_idm, {4: state})
+
+    def test_target_and_completion_values(self, squares, squares_idm):
+        circuit = squares.circuit
+        with pytest.raises(InferenceError, match="variable 1 has value 2"):
+            lower_conditional(circuit, squares_idm, 1, 2, {3: False})
+        _, xstar = map_query(circuit, squares_idm.select({}), {3: False})
+        del xstar[3]
+        with pytest.raises(InferenceError, match="variable 1 has value 2"):
+            robustness(circuit, squares_idm, {3: False}, {**xstar, 1: 2})
+
+    def test_oracle_sense(self, squares, squares_idm):
+        q = Query.make("marginal", {3: False})
+        low, up = (strong_extension_oracle(squares.circuit, squares_idm, q, sense)
+                   for sense in ("min", "max"))
+        assert low < up
+        for sense in ("middle", "MAX", None):
+            with pytest.raises(InferenceError, match="sense must be 'min' or 'max'"):
+                strong_extension_oracle(squares.circuit, squares_idm, q, sense)
 
 
 class TestNoPrivateParameters:
@@ -1601,7 +1657,7 @@ class TestEvidenceFactsOnce:
             assert _verdict(verdict) == _verdict(robustness(circuit, csdd, evidence, xstar, False))
             # the route step on the MAP choices' route certifies as the scalar call
             certified = _robust_on_route(circuit, csdd, evidence, xstar, completion, found,
-                                         _Ties.row(cm, j), True)
+                                         cm[j], True)
             assert _verdict(certified) == _verdict(robustness(circuit, csdd, evidence, xstar, True))
             # any other completion runs its truth pass and answers as one-shot
             other = {v: bool(rng.getrandbits(1)) for v in xstar}
