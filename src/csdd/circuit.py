@@ -5,8 +5,9 @@ fixes how every circuit node decomposes its variable set.  A circuit is an
 append-only store of terminal and decision nodes, each tagged with the
 vtree node it is normalized for.  Decision nodes are lists of
 (prime, sub) element pairs whose primes partition the assignments of the
-left vtree variables.  Node ids grow from the inputs toward the root, so
-the id order is always a topological order.
+left vtree variables.  A node's id is its index in the store; ids grow
+from the inputs toward the root, so the id order is always a topological
+order.
 
 The module also provides the structural analyses used by the inference
 algorithms (context multiplicity, connectivity classification) and a small
@@ -228,9 +229,9 @@ class Vtree:
 
 @dataclass(frozen=True, slots=True)
 class SddNode:
-    """One circuit node; ``elements`` is empty unless ``kind == DECISION``."""
+    """One circuit node, stored at its id in :attr:`Circuit.nodes`;
+    ``elements`` is empty unless ``kind == DECISION``."""
 
-    id: int
     kind: int
     vtree: int
     var: int = 0
@@ -242,15 +243,14 @@ class SddNode:
 # the circuit's adders set the slots through their descriptors, at about
 # half the cost, and the node stays as frozen as one SddNode(...) builds
 _SLOT_SETTERS = tuple(
-    getattr(SddNode, name).__set__ for name in ("id", "kind", "vtree", "var", "polarity", "elements")
+    getattr(SddNode, name).__set__ for name in ("kind", "vtree", "var", "polarity", "elements")
 )
 
 
-def _new_node(nid, kind, vtree, var=0, polarity=True, elements=()) -> SddNode:
-    """``SddNode(nid, kind, vtree, var, polarity, elements)``, built without its ``__init__``."""
-    set_id, set_kind, set_vtree, set_var, set_polarity, set_elements = _SLOT_SETTERS
+def _new_node(kind, vtree, var=0, polarity=True, elements=()) -> SddNode:
+    """``SddNode(kind, vtree, var, polarity, elements)``, built without its ``__init__``."""
+    set_kind, set_vtree, set_var, set_polarity, set_elements = _SLOT_SETTERS
     node = object.__new__(SddNode)
-    set_id(node, nid)
     set_kind(node, kind)
     set_vtree(node, vtree)
     set_var(node, var)
@@ -271,7 +271,7 @@ class ConnectivityReport:
 
 
 class Circuit:
-    """Append-only node store over a fixed vtree.
+    """Append-only node store over a fixed vtree: ``nodes[i]`` is node ``i``.
 
     Terminals are created fresh on every call (the same literal may appear
     many times, each occurrence its own node).  Decision nodes are unique
@@ -304,9 +304,8 @@ class Circuit:
 
     def _add(self, kind: int, leaf_vtree: int, var: int, polarity: bool = True) -> int:
         nodes = self.nodes
-        nid = len(nodes)
-        nodes.append(_new_node(nid, kind, leaf_vtree, var, polarity))
-        return nid
+        nodes.append(_new_node(kind, leaf_vtree, var, polarity))
+        return len(nodes) - 1
 
     def add_false(self, leaf_vtree: int) -> int:
         self._check_leaf(leaf_vtree)
@@ -354,8 +353,17 @@ class Circuit:
             if prime.kind == FALSE:
                 raise CircuitError("false primes are not allowed")
         self._decision_cache[key] = nid
-        nodes.append(_new_node(nid, DECISION, vtree_id, 0, True, elements))
+        nodes.append(_new_node(DECISION, vtree_id, 0, True, elements))
         return nid
+
+    def _add_like(self, node: SddNode, elements: tuple[tuple[int, int], ...] = ()) -> int:
+        """Add a node of ``node``'s kind, vtree node and literal; a decision
+        node gets ``elements``, its (prime, sub) ids in this circuit."""
+        if node.kind == DECISION:
+            return self.add_decision(node.vtree, elements)
+        if node.kind == LITERAL:
+            return self.add_literal(node.var, node.polarity)
+        return (self.add_true if node.kind == TRUE else self.add_false)(node.vtree)
 
     @property
     def root(self) -> int | None:
@@ -417,16 +425,7 @@ class Circuit:
         remap: dict[int, int] = {}
         for nid in _reach(self.nodes, (root,)):
             node = self.nodes[nid]
-            if node.kind == FALSE:
-                remap[nid] = out.add_false(node.vtree)
-            elif node.kind == TRUE:
-                remap[nid] = out.add_true(node.vtree)
-            elif node.kind == LITERAL:
-                remap[nid] = out.add_literal(node.var, node.polarity)
-            else:
-                remap[nid] = out.add_decision(
-                    node.vtree, tuple((remap[p], remap[s]) for p, s in node.elements)
-                )
+            remap[nid] = out._add_like(node, tuple((remap[p], remap[s]) for p, s in node.elements))
         out.set_root(remap[root])
         return out
 
@@ -572,10 +571,8 @@ def multiplicity_report(circuit: Circuit) -> ConnectivityReport:
     cone = circuit.cone()
     mult = {i: 0 for i in cone}
     mult[circuit.root] = 1
-    for i in reversed(cone):
+    for i in reversed(cone):  # a node's parents come after it, so m >= 1
         m = mult[i]
-        if m == 0:
-            continue
         for p, s in circuit.nodes[i].elements:
             mult[p] += m
             mult[s] += m
@@ -700,9 +697,6 @@ def is_consistent(circuit: Circuit, evidence: Mapping[int, bool]) -> bool:
     return bool(_truth_bits(circuit.nodes, circuit.cone(), pos, neg, 1)[circuit.root])
 
 
-_TT = {FALSE: 0b00, TRUE: 0b11}  # bit 1: value at var=true, bit 0: at var=false
-
-
 class CircuitBuilder:
     """Bottom-up compiler: literals combined through apply/negate.
 
@@ -721,6 +715,8 @@ class CircuitBuilder:
         self._constant_memo: dict[tuple, int] = {}
         self._is_false: dict[int, bool] = {}
         self._is_true: dict[int, bool] = {}
+        # a terminal's truth table: bit 1 its value at var=true, bit 0 at var=false
+        self._tt: dict[int, int] = {}
         # n-ary And/Or fold their operands in this order: descendants first
         self._rank = [0] * vtree.node_count
         for rank, vid in enumerate(vtree.post_order()):
@@ -741,6 +737,7 @@ class CircuitBuilder:
             nid = circuit.add_literal(circuit.vtree.var(leaf), tt == 0b10)
         self._is_false[nid] = tt == 0b00
         self._is_true[nid] = tt == 0b11
+        self._tt[nid] = tt
         self._terminal_memo[key] = nid
         return nid
 
@@ -796,8 +793,7 @@ class CircuitBuilder:
         if node.kind == DECISION:
             result = self._decision(node.vtree, [(p, self.negate(s)) for p, s in node.elements])
         else:
-            tt = _TT[node.kind] if node.kind in _TT else (0b10 if node.polarity else 0b01)
-            result = self._terminal(node.vtree, tt ^ 0b11)
+            result = self._terminal(node.vtree, self._tt[a] ^ 0b11)
         self._negate_memo[a] = result
         self._negate_memo[result] = a
         return result
@@ -862,8 +858,7 @@ class CircuitBuilder:
         if na.vtree != nb.vtree:
             raise CircuitError("apply operands must be normalized for the same vtree node")
         if na.kind != DECISION:
-            ta = _TT[na.kind] if na.kind in _TT else (0b10 if na.polarity else 0b01)
-            tb = _TT[nb.kind] if nb.kind in _TT else (0b10 if nb.polarity else 0b01)
+            ta, tb = self._tt[a], self._tt[b]
             result = self._terminal(na.vtree, (ta & tb) if op == "and" else (ta | tb))
         else:
             # the exits below mirror this method's head: the calls that would
@@ -987,6 +982,7 @@ def _tree_copy(circuit: Circuit) -> Circuit:
     while stack:
         nid, expanded = stack.pop()
         node = nodes[nid]
+        elements = ()
         if node.kind == DECISION:
             if not expanded:
                 stack.append((nid, True))
@@ -996,12 +992,7 @@ def _tree_copy(circuit: Circuit) -> Circuit:
             width = 2 * len(node.elements)
             ids = copies[-width:]
             del copies[-width:]
-            copies.append(out.add_decision(node.vtree, tuple(zip(ids[::2], ids[1::2]))))
-        elif node.kind == LITERAL:
-            copies.append(out.add_literal(node.var, node.polarity))
-        elif node.kind == TRUE:
-            copies.append(out.add_true(node.vtree))
-        else:
-            copies.append(out.add_false(node.vtree))
+            elements = tuple(zip(ids[::2], ids[1::2]))
+        copies.append(out._add_like(node, elements))
     out.set_root(copies[0])
     return out

@@ -21,7 +21,8 @@ dataset  CSV: header of variable names plus optional ``count`` column,
 A circuit file loads in one pass: each line is split once, a decision
 line's columns are converted in bulk (a line that fails is read again
 token by token to word the fault), and each node is checked as its line
-adds it.  A bare ``F``/``T`` takes the leaf of its first use.  After the
+adds it; line ``i``'s node is node ``i``.  A bare ``F``/``T`` is held as a
+node of vtree ``-1`` until it takes the leaf of its first use.  After the
 last line come the node count, the partitions (one shared pass, at the
 root's line) and the parameters in file order; the first fault met is
 the ``ParseError``.
@@ -31,6 +32,9 @@ vtree (``read_psdd(path, vtree, onto=circuit)``): each line is read by the
 same grammar and must then describe the circuit's node at its position,
 so the file's structure is that circuit's and is neither built nor
 partition-checked again; only its parameters are.
+
+The three circuit files are written by one line writer, which reads the
+parameter table of a psdd or csdd; an sdd has none.
 """
 
 from __future__ import annotations
@@ -176,10 +180,7 @@ def loads_vtree(text: str) -> Vtree:
     shapes: dict[int, object] = {}
     for vid, entry in entries.items():
         shapes[vid] = entry[1] if entry[0] == "L" else (shapes.pop(entry[1]), shapes.pop(entry[2]))
-    try:
-        vtree = Vtree(shapes[roots[0]])
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
+    vtree = Vtree(shapes[roots[0]])  # the checks above leave it no fault to raise
     # ids are in-order positions; another numbering would come back renamed
     for vid, entry in entries.items():  # file order, so each child is checked first
         loaded = vtree.leaf_of(entry[1]) if entry[0] == "L" else vtree.parent(entry[1])
@@ -194,7 +195,8 @@ def loads_vtree(text: str) -> Vtree:
 _MODE_SDD, _MODE_PSDD, _MODE_CSDD = "sdd", "psdd", "csdd"
 
 
-def _node_lines(circuit: Circuit, mode: str, psdd=None, csdd=None) -> list[str]:
+def _node_lines(circuit: Circuit, mode: str, table=None) -> list[str]:
+    """The lines of a ``mode`` file; ``table`` is the psdd or csdd parameter table."""
     cone = circuit.cone()
     remap = {nid: i for i, nid in enumerate(cone)}
     lines = [f"{mode} {len(cone)}"]
@@ -210,23 +212,21 @@ def _node_lines(circuit: Circuit, mode: str, psdd=None, csdd=None) -> list[str]:
             if mode == _MODE_SDD:
                 lines.append(f"T {i}")
             elif mode == _MODE_PSDD:
-                theta = psdd.table[nid][0]
-                lines.append(f"T {i} {node.vtree} {node.var} {_fmt(theta)}")
+                lines.append(f"T {i} {node.vtree} {node.var} {_fmt(table[nid][0])}")
             else:
-                cs = csdd.table[nid]
+                cs = table[nid]
                 lines.append(f"T {i} {node.vtree} {node.var} {_fmt(cs.lower[0])} {_fmt(cs.upper[0])}")
         else:
             parts = [f"D {i} {node.vtree} {len(node.elements)}"]
             # unsatisfiable decision nodes carry no distribution: all-zero slots
-            pmf = psdd.table.get(nid) if mode == _MODE_PSDD else None
-            cs = csdd.table.get(nid) if mode == _MODE_CSDD else None
+            entry = None if table is None else table.get(nid)
             for idx, (p, s) in enumerate(node.elements):
                 parts.append(f"{remap[p]} {remap[s]}")
                 if mode == _MODE_PSDD:
-                    parts.append(_fmt(pmf[idx] if pmf is not None else 0.0))
+                    parts.append(_fmt(entry[idx] if entry is not None else 0.0))
                 elif mode == _MODE_CSDD:
-                    if cs is not None:
-                        parts.append(f"{_fmt(cs.lower[idx])} {_fmt(cs.upper[idx])}")
+                    if entry is not None:
+                        parts.append(f"{_fmt(entry.lower[idx])} {_fmt(entry.upper[idx])}")
                     else:
                         parts.append("0.0 0.0")
             lines.append(" ".join(parts))
@@ -239,12 +239,12 @@ def dumps_sdd(circuit: Circuit) -> str:
 
 def dumps_psdd(circuit: Circuit, params: PsddParams) -> str:
     params.validate(circuit)
-    return "\n".join(_node_lines(circuit, _MODE_PSDD, psdd=params)) + "\n"
+    return "\n".join(_node_lines(circuit, _MODE_PSDD, params.table)) + "\n"
 
 
 def dumps_csdd(circuit: Circuit, params: CsddParams) -> str:
     params.validate(circuit)
-    return "\n".join(_node_lines(circuit, _MODE_CSDD, csdd=params)) + "\n"
+    return "\n".join(_node_lines(circuit, _MODE_CSDD, params.table)) + "\n"
 
 
 def _decision_fault(toks: list[str], lineno: int, step: int, remap: dict[int, int]) -> ParseError:
@@ -274,13 +274,14 @@ def _pin_constants(nodes: list[SddNode], vtree: Vtree, vid: int, elements, bare:
         if not vtree.is_leaf(side):
             continue
         for element in elements:
-            if element[i] in bare:
-                c = nodes[element[i]]
+            cid = element[i]
+            if cid in bare:
+                c = nodes[cid]
                 if c.vtree < 0:
-                    nodes[c.id] = SddNode(c.id, c.kind, side, vtree.var(side))
-                    unpinned.discard(c.id)
+                    nodes[cid] = SddNode(c.kind, side, vtree.var(side))
+                    unpinned.discard(cid)
                 elif c.vtree != side:
-                    fid, line = bare[c.id]
+                    fid, line = bare[cid]
                     raise ParseError(line, f"constant node {fid} used under two different leaves")
 
 
@@ -387,7 +388,7 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str, onto: Circuit | None = No
             elif vtree.var_count == 1:
                 (circuit.add_false if kind == "F" else circuit.add_true)(vtree.root)
             else:  # a placeholder until a decision line pins its leaf
-                nodes.append(SddNode(nid, FALSE if kind == "F" else TRUE, -1))
+                nodes.append(SddNode(FALSE if kind == "F" else TRUE, -1))
                 bare[nid] = (fid, lineno)
                 unpinned.add(nid)
         else:

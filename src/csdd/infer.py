@@ -138,9 +138,9 @@ class Query:
 
     @classmethod
     def make(cls, kind, evidence: Mapping[int, bool], target=None, xstar=None) -> "Query":
-        for var, val in chain(evidence.items(), [] if target is None else [target], (xstar or {}).items()):
-            if val is None:
-                raise InferenceError(_NO_VALUE.format(var))
+        """The query, its assignments refused as :func:`_check_evidence` refuses
+        evidence, but for the circuit's variable range, which it does not know."""
+        _check_pairs(chain(evidence.items(), [] if target is None else [target], (xstar or {}).items()))
         return cls(
             kind,
             tuple(sorted((int(v), bool(b)) for v, b in evidence.items())),
@@ -251,10 +251,16 @@ def _check_evidence(circuit: Circuit, evidence: Mapping[int, bool]) -> None:
     """Refuse a variable that is not an id of the circuit's vtree and a value
     other than ``True`` or ``False`` (the ints 0 and 1 equal them): the passes
     compare values with a state, so any other reads as neither state."""
-    n = circuit.vtree.var_count
-    for var, val in evidence.items():
-        if not (isinstance(var, int) and 1 <= var <= n):
-            raise InferenceError(f"evidence variable {var!r} is not in the circuit")
+    _check_pairs(evidence.items(), circuit.vtree.var_count)
+
+
+def _check_pairs(pairs: Iterable[tuple[int, bool]], n: int | None = None) -> None:
+    """:func:`_check_evidence`'s rule on (variable, value) pairs; without
+    ``n``, any int is a variable."""
+    for var, val in pairs:
+        if not (isinstance(var, int) and (n is None or 1 <= var <= n)):
+            where = "in the circuit" if n is not None else "a variable id"
+            raise InferenceError(f"evidence variable {var!r} is not {where}")
         if val is None:
             raise InferenceError(_NO_VALUE.format(var))
         if not (isinstance(val, int) and val in (0, 1)):
@@ -672,8 +678,9 @@ def lower_conditional(
     every sign-test pass.  ``session``, for the same circuit, params and
     evidence, shares the evidence passes; else a one-shot one is built.
     """
-    if not 0 < tol < 1:  # [0, 1] is already 1 wide: a tol of 1 or more asks for nothing
-        raise InferenceError("tolerance must be positive and below 1")
+    # [0, 1] is already 1 wide: a tol of 1 or more asks for nothing
+    if not (isinstance(tol, (int, float)) and 0 < tol < 1):
+        raise InferenceError(f"tolerance must be a number, positive and below 1, got {tol!r}")
     session = _session(circuit, params, var, val, evidence, session)
     sign_test = partial(session._sign_test, var, bool(val))
     traced: dict[float, tuple] = {}  # trace and sweep starts of every pass but the first
@@ -724,7 +731,9 @@ class _Tie(NamedTuple):
     count: int
 
 
-_FIXED = _Tie(1.0, (), 1)  # a literal, or an observed terminal, on a robustness route
+_FIXED = _Tie(1.0, (), 1)  # a literal its evidence allows, or an observed terminal on a route
+_BLOCKED = _Tie(0.0, (), 1)  # a literal its evidence contradicts
+_NO_COMPLETION = _Tie(0.0, (), 0)  # a FALSE node, or an unsatisfiable decision node
 
 
 class _Columns:
@@ -838,8 +847,8 @@ class _Columns:
         for nid in self.circuit.cone():
             node = nodes[nid]
             if node.kind == LITERAL:
-                pol, hit, miss = node.polarity, _Tie(1.0, (), 1), _Tie(0.0, (), 1)
-                cols[nid] = [hit if v is None or v == pol else miss for v in obs[node.var]]
+                pol = node.polarity
+                cols[nid] = [_FIXED if v is None or v == pol else _BLOCKED for v in obs[node.var]]
             elif node.kind == TRUE:
                 upper = table[nid].upper
                 best = max(upper)
@@ -856,7 +865,7 @@ class _Columns:
                                                        for i in tied)))
                 cols[nid] = self._per_key(nid, self.keys, solve)
             else:  # FALSE, or an unsatisfiable decision node
-                cols[nid] = [_Tie(0.0, (), 0)] * self.size
+                cols[nid] = [_NO_COMPLETION] * self.size
         return list(zip(*cols))
 
     def sweep(self, params: CsddParams, sense: int) -> list:
@@ -963,16 +972,14 @@ def _mark_map(
             continue
         node = circuit.nodes[nid]
         if node.kind == TRUE:
-            cs = params.table[nid]
             val = evidence.get(node.var)
-            if val is None:
+            if val is None:  # free: a point is pinned when one state attains
                 states = cm[nid].tied
-                if len(states) == 1:
-                    coeffs = (1.0, 0.0) if states[0] == 0 else (0.0, 1.0)
-                    trace.record(nid, _lp(cs, coeffs, True)[1])
-            elif cm[nid].value > 0.0:
-                coeffs = (1.0, 0.0) if val else (0.0, 1.0)
-                trace.record(nid, _lp(cs, coeffs, True)[1])
+            else:  # observed: when its state's bound is positive
+                states = (0 if val else 1,) if cm[nid].value > 0.0 else ()
+            if len(states) == 1:
+                coeffs = (1.0, 0.0) if states[0] == 0 else (0.0, 1.0)
+                trace.record(nid, _lp(params.table[nid], coeffs, True)[1])
         elif node.kind == DECISION:
             cs = params.table.get(nid)
             if cs is None:

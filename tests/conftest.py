@@ -44,7 +44,6 @@ from csdd.circuit import (
     FALSE,
     LITERAL,
     TRUE,
-    _TT,
     Circuit,
     CircuitError,
     Vtree,
@@ -886,8 +885,13 @@ def check_partitions(
 # the compiler's apply before its pair loop inlined its own exits, verbatim
 
 
+_TT = {FALSE: 0b00, TRUE: 0b11}  # bit 1: value at var=true, bit 0: at var=false
+
+
 def apply_reference(self, a: int, b: int, op: str) -> int:
-    """``CircuitBuilder._apply`` before its pair loop inlined its own exits, verbatim."""
+    """``CircuitBuilder._apply`` before its pair loop inlined its own exits,
+    verbatim, but for a terminal's truth table, which it derives from the
+    terminal's kind and polarity by its own ``_TT`` (the builder keeps the table)."""
     # constants decide the result
     absorbing, neutral = (self._is_false, self._is_true) if op == "and" else (
         self._is_true, self._is_false)

@@ -316,6 +316,48 @@ class TestQuery:
         assert code == 1 and out == ""
         assert "evidence has zero probability under the point table" in err
 
+    def test_point_marginal_and_conditional(self, capsys, workdir):
+        from csdd.infer import marginal
+
+        model = _write_squares_model(capsys, workdir, "bayes")
+        vtree = formats.read_vtree(workdir / "squares.vtree")
+        circuit, params = formats.read_psdd(workdir / model, vtree)
+        argv = ["query", "--model", model, "--vtree", "squares.vtree"]
+        given = run_json(capsys, *argv, "--type", "marginal", "--evidence", "X3=0,X4=1")
+        assert given["model"] == "psdd"
+        assert given["value"] == marginal(circuit, params, {3: False, 4: True})
+        # a psdd conditional is the ratio of two marginals
+        payload = run_json(capsys, *argv, "--type", "conditional", "--evidence", "X3=0,X4=1",
+                           "--target", "X1=1")
+        joint = marginal(circuit, params, {1: True, 3: False, 4: True})
+        assert payload["model"] == "psdd"
+        assert payload["value"] == joint / given["value"]
+
+    @pytest.mark.parametrize("target, message", [
+        (None, "--type conditional needs --target"),
+        ("X1=1,X2=0", "--target must assign exactly one variable"),
+    ])
+    def test_conditional_needs_one_target(self, capsys, workdir, target, message):
+        model = _write_squares_model(capsys, workdir, "idm")
+        argv = ["query", "--model", model, "--vtree", "squares.vtree", "--type", "conditional",
+                "--evidence", "X3=0"]
+        code, out, err = run(capsys, *argv, *(() if target is None else ("--target", target)))
+        assert code == 1 and out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("evidence, message", [
+        ("X1", "assignment 'X1' is not of the form name=0|1"),
+        ("X1=2", "variable X1: expected 0 or 1, got '2'"),
+        ("X1=1,X3=0,X1=1", "variable X1 assigned twice"),
+    ])
+    def test_malformed_assignment_fails(self, capsys, workdir, evidence, message):
+        model = _write_squares_model(capsys, workdir, "idm")
+        code, out, err = run(
+            capsys,
+            "query", "--model", model, "--vtree", "squares.vtree",
+            "--type", "marginal", "--evidence", evidence,
+        )
+        assert code == 1 and out == "" and err == f"error: {message}\n"
+
     def test_unknown_variable_fails(self, capsys, workdir):
         model = _write_squares_model(capsys, workdir, "idm")
         code, _, err = run(
@@ -337,6 +379,30 @@ class TestRobust:
         )
         assert payload["label"] in ("robust", "weakly_robust", "not_robust")
         assert payload["V"] >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("csdd, psdd, message", [
+        ("squares.psdd", "squares.psdd", "--csdd must point at a csdd file"),
+        ("squares.csdd", "squares.csdd", "--psdd must point at a psdd file"),
+    ])
+    def test_model_of_the_wrong_kind_fails(self, capsys, workdir, csdd, psdd, message):
+        _write_squares_model(capsys, workdir, "idm")
+        _write_squares_model(capsys, workdir, "bayes")
+        code, out, err = run(
+            capsys,
+            "robust", "--csdd", csdd, "--psdd", psdd, "--vtree", "squares.vtree",
+            "--evidence", "X3=0",
+        )
+        assert code == 1 and out == "" and err == f"error: {message}\n"
+
+    def test_inconsistent_evidence_fails(self, capsys, workdir):
+        _write_squares_model(capsys, workdir, "idm")
+        _write_squares_model(capsys, workdir, "bayes")
+        code, out, err = run(
+            capsys,
+            "robust", "--csdd", "squares.csdd", "--psdd", "squares.psdd",
+            "--vtree", "squares.vtree", "--evidence", "X1=1,X2=1,X3=1",
+        )
+        assert code == 1 and out == "" and err == "error: evidence violates circuit constraints\n"
 
     def test_psdd_of_another_circuit_refused_at_its_first_differing_line(self, capsys, workdir):
         _write_squares_model(capsys, workdir, "idm")

@@ -1466,6 +1466,33 @@ class TestMalformedQueries:
         with pytest.raises(InferenceError, match="variable 1 has value 2"):
             robustness(circuit, squares_idm, {3: False}, {**xstar, 1: 2})
 
+    @pytest.mark.parametrize("query", [lower_conditional, upper_conditional])
+    @pytest.mark.parametrize("tol", ["0.1", None])
+    def test_tolerance_is_a_number(self, squares, squares_idm, query, tol):
+        # both failed at "0 < tol" with an untyped TypeError
+        with pytest.raises(InferenceError, match=re.escape(f"tolerance must be a number, "
+                                                           f"positive and below 1, got {tol!r}")):
+            query(squares.circuit, squares_idm, 1, True, {3: False}, tol=tol)
+
+    @pytest.mark.parametrize("args, message", [
+        (({4: 2},), "variable 4 has value 2"),
+        (({4: 0.5},), "variable 4 has value 0.5"),
+        (({"1": True},), "evidence variable '1' is not a variable id"),
+        (({}, (1, 2)), "variable 1 has value 2"),
+        (({}, ("1", True)), "evidence variable '1' is not a variable id"),
+        (({}, None, {1: "1"}), "variable 1 has value '1'"),
+        (({}, None, {1.0: True}), "evidence variable 1.0 is not a variable id"),
+    ])
+    def test_query_make_refuses_what_the_queries_refuse(self, args, message):
+        # Query.make passed values through bool and keys through int, so
+        # {4: 2} became ((4, True),) and the oracles answered it
+        with pytest.raises(InferenceError, match=re.escape(message)):
+            Query.make("robustness", *args)
+
+    def test_query_make_takes_the_ints_zero_and_one(self):
+        q = Query.make("robustness", {4: 1, 2: 0}, (1, 1), {3: 0})
+        assert (q.evidence, q.target, q.xstar) == (((2, False), (4, True)), (1, True), ((3, False),))
+
     def test_oracle_sense(self, squares, squares_idm):
         q = Query.make("marginal", {3: False})
         low, up = (strong_extension_oracle(squares.circuit, squares_idm, q, sense)

@@ -143,6 +143,15 @@ class TestSddFormat:
         with pytest.raises(ParseError):
             formats.loads_sdd(text, Vtree((1, 2)))
 
+    @pytest.mark.parametrize("line", ["T 0", "F 0"])
+    def test_one_variable_bare_constant_round_trips(self, line):
+        # with one variable the constant's leaf is the vtree's root, known at its line
+        text = f"sdd 1\n{line}\n"
+        circuit = formats.loads_sdd(text, Vtree(1))
+        assert (circuit.nodes[0].vtree, circuit.nodes[0].var) == (0, 1)
+        assert model_count(circuit) == (2 if line == "T 0" else 0)
+        assert formats.dumps_sdd(circuit) == text
+
     def test_random_round_trips(self):
         rng = Random(34)
         for _ in range(20):

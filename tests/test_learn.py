@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csdd.circuit import compile_formula, enumerate_models
+from csdd.circuit import Circuit, Vtree, compile_formula, enumerate_models
 from csdd.fixtures import shared_node_fixture, squares_dataset, squares_fixture
 from csdd.learn import (
     Dataset,
@@ -195,6 +195,35 @@ class TestMlEstimate:
         counts = collect_counts(squares.circuit, Dataset(("X1", "X2", "X3", "X4"), rows))
         with pytest.raises(LearnError):
             ml_estimate(squares.circuit, counts)
+
+    @staticmethod
+    def _false_chain_circuit():
+        """x1 ? (x2 ? T3 : x3) : FALSE over vtree (1, (2, 3)), its FALSE the
+        chain (T2, F3), so the TRUE terminal T2 is reached only inside it."""
+        circuit = Circuit(Vtree((1, (2, 3))))
+        x1, not_x1 = circuit.add_literal(1, True), circuit.add_literal(1, False)
+        x2, not_x2 = circuit.add_literal(2, True), circuit.add_literal(2, False)
+        t2, t3, x3 = circuit.add_true(2), circuit.add_true(4), circuit.add_literal(3, True)
+        false_chain = circuit.add_decision(3, [(t2, circuit.add_false(4))])
+        right = circuit.add_decision(3, [(x2, t3), (not_x2, x3)])
+        circuit.set_root(circuit.add_decision(1, [(x1, right), (not_x1, false_chain)]))
+        return circuit, t2, t3
+
+    def test_prime_inside_a_false_chain_gets_a_uniform_placeholder(self):
+        circuit, t2, t3 = self._false_chain_circuit()
+        rows = [((True, True, True), 2), ((True, True, False), 1), ((True, False, True), 1)]
+        counts = collect_counts(circuit, Dataset(("X1", "X2", "X3"), rows))
+        assert counts.totals[t2] == 0
+        ml = ml_estimate(circuit, counts)
+        assert ml.table[t2] == (0.5, 0.5)
+        assert ml.table[t3] == (2 / 3, 1 / 3)
+
+    def test_empty_feasible_context_beside_a_false_chain_raises(self):
+        circuit, _, t3 = self._false_chain_circuit()
+        rows = [((True, False, True), 3)]  # nothing takes x2 true, so nothing reaches T3
+        counts = collect_counts(circuit, Dataset(("X1", "X2", "X3"), rows))
+        with pytest.raises(LearnError, match=f"node {t3} has an empty context"):
+            ml_estimate(circuit, counts)
 
     def test_matches_zero_width_interval_limit(self, squares, squares_counts, squares_ml):
         # the interval construction at s -> 0 collapses onto the frequencies
