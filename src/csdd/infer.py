@@ -39,7 +39,10 @@ A node's result in a bottom-up pass depends only on the table and the
 evidence under its vtree node.  A batch of evidences known up front runs
 node-major: the private ``_Columns`` passes fill a column per node, one
 entry per evidence, the scalar pass's result bit for bit, and solve a
-wide node once per distinct evidence under it.  The display experiment
+wide node once per distinct evidence under it.  Their inputs follow one
+terminal rule: a terminal reads its pass's ``free`` entry where its
+variable is unobserved, else ``on`` or ``off`` by its value, and a FALSE
+or table-less decision node its pass's empty one.  The display experiment
 decides a cell's distinct observations with them, and finds their MAP
 completions and the completions' robustness by :func:`_map_robustness`:
 the MAP and credal MAP passes as columns, then per completion only the
@@ -136,10 +139,21 @@ class Query:
     target: tuple[int, bool] | None = None
     xstar: tuple[tuple[int, bool], ...] | None = None
 
+    def __post_init__(self) -> None:
+        """Refuse an unknown kind, and a conditional without a target or a
+        robustness query without ``xstar``, which the oracles could not read."""
+        if self.kind not in ("marginal", "conditional", "map", "robustness"):
+            raise InferenceError(f"unknown query kind {self.kind!r}")
+        if self.kind == "conditional" and self.target is None:
+            raise InferenceError("a conditional query needs a target")
+        if self.kind == "robustness" and self.xstar is None:
+            raise InferenceError("a robustness query needs xstar")
+
     @classmethod
     def make(cls, kind, evidence: Mapping[int, bool], target=None, xstar=None) -> "Query":
         """The query, its assignments refused as :func:`_check_evidence` refuses
-        evidence, but for the circuit's variable range, which it does not know."""
+        evidence, but for the circuit's variable range, which it does not know,
+        then as the class refuses it."""
         _check_pairs(chain(evidence.items(), [] if target is None else [target], (xstar or {}).items()))
         return cls(
             kind,
@@ -324,12 +338,12 @@ def _map_completion(circuit: Circuit, params: PsddParams, values: list, j: int,
         if len(theta) == 2:  # the common case, without building a list
             (p0, s0), (p1, s1) = elements
             a, b = values[p0][j] * values[s0][j] * theta[0], values[p1][j] * values[s1][j] * theta[1]
-            return 1 if b > a else 0  # as the pass's max(a, b), which is b only if b > a
+            return 1 if b > a else 0  # as the pass picks: b only if b > a
         cands = [values[p][j] * values[s][j] * t for (p, s), t in zip(elements, theta)]
         return cands.index(max(cands))
 
     found = _walk_route(circuit, pick)
-    assignment = dict(evidence)
+    assignment = {var: bool(val) for var, val in evidence.items()}  # the ints 0 and 1 as states
     for nid in reversed(found[1]):  # top-down, so keys come in reverse cone order
         node = nodes[nid]
         if node.kind == LITERAL and node.var not in evidence:
@@ -537,23 +551,30 @@ class EvidenceSession:
                         trace.sigma[(nid, idx)] = ("upper" if upper else "lower", sigma)
                         starts.append((w, MAX if upper else MIN))  # FALSE marks nothing
                     trace.record(nid, point if any(coeffs) else None)
-            elif kind == LITERAL:
-                msg[nid] = (1.0 - mu) if sides == val else -mu
-                rate[nid] = -1.0
-            elif kind == TRUE:
-                cs = table[nid]
-                state = 0 if val else 1
-                lx, ux = cs.lower[state], cs.upper[state]
-                lnot, unot = cs.lower[1 - state], cs.upper[1 - state]
-                low_line, up_line = (1.0 - mu) * lx - mu * unot, (1.0 - mu) * ux - mu * lnot
-                msg[nid], rate[nid] = ((up_line, -ux - lnot) if up_line < low_line  # min()'s pick
-                                       else (low_line, -lx - unot))
+            elif kind == LITERAL or kind == TRUE:
+                msg[nid], rate[nid], point = _threshold_message(table, nid, kind, sides, val, mu)
                 if trace is not None:
-                    # the minimum pins the member with the smaller target mass
-                    trace.record(nid, (lx, unot) if state == 0 else (unot, lx))
+                    trace.record(nid, point)
             else:
                 msg[nid] = rate[nid] = 0.0
         return msg[self.root], rate[self.root]
+
+
+def _threshold_message(table, nid: int, kind: int, sides, val: bool, mu: float):
+    """``(message, slope, point)`` of the sign test of ``var = val`` at ``mu``
+    at a literal of ``var`` of polarity ``sides`` or at ``var``'s TRUE
+    terminal ``nid``, for both sign tests.  The literal's message is
+    ``1 - mu`` or ``-mu``; the terminal's is the smaller of its two lines,
+    and ``point`` the member that minimum pins (``None`` for a literal)."""
+    if kind == LITERAL:
+        return (1.0 - mu) if sides == val else -mu, -1.0, None
+    cs, state = table[nid], 0 if val else 1
+    lx, ux = cs.lower[state], cs.upper[state]
+    lnot, unot = cs.lower[1 - state], cs.upper[1 - state]
+    low_line, up_line = (1.0 - mu) * lx - mu * unot, (1.0 - mu) * ux - mu * lnot
+    value, slope = (up_line, -ux - lnot) if up_line < low_line else (low_line, -lx - unot)  # min()'s pick
+    # the minimum pins the member with the smaller target mass
+    return value, slope, (lx, unot) if state == 0 else (unot, lx)
 
 
 def _check_target(circuit: Circuit, var: int, val: bool, evidence: Mapping[int, bool]) -> None:
@@ -740,15 +761,17 @@ class _Columns:
     """Node-major passes over a batch of evidences on one circuit.
 
     A pass visits each node of its cone (or spine) once and fills a column,
-    one entry per evidence.  The point, MAP and credal MAP passes are
-    :func:`marginal`'s, :func:`map_query`'s and :func:`credal_map_upper`'s
-    (and :func:`robustness`'s); the sweep and sign test give the scalar
-    pass's result (:func:`_credal_sweep`, :meth:`EvidenceSession._sign_test`),
-    bit for bit, by the same float operations.  An LP over one or two states is :func:`_closed_lp` on the
-    whole column; any other LP (``_lp``), ``fsum`` or wide max runs once
-    per distinct evidence under the node: its key, the packed evidence
-    (:func:`_pack`) masked to the node's variables.  The evidences are not
-    checked.
+    one entry per evidence.  Every pass fills its inputs by one terminal
+    rule, :meth:`_inputs`, so its own loop holds only its decision rule.
+    The point, MAP and credal MAP passes are :func:`marginal`'s,
+    :func:`map_query`'s and :func:`credal_map_upper`'s (and
+    :func:`robustness`'s); the sweep and sign test give the scalar pass's
+    result (:func:`_credal_sweep`, :meth:`EvidenceSession._sign_test`), bit
+    for bit, by the same float operations.  An LP over one or two states is
+    :func:`_closed_lp` on the whole column; any other LP (``_lp``), ``fsum``
+    or wide max runs once per distinct evidence under the node: its key,
+    the packed evidence (:func:`_pack`) masked to the node's variables.  The
+    evidences are not checked.
     """
 
     def __init__(self, circuit: Circuit, evidences: Sequence[Mapping[int, bool]]) -> None:
@@ -770,71 +793,70 @@ class _Columns:
         # the keys need no bit for var: this pass sets it alike in every evidence
         return self._point(params, self.circuit.spine(var), cols, obs, self.keys)[self.circuit.root]
 
-    def _point(self, params, ids, cols, obs, keys):
-        nodes, table, zeros = self.circuit.nodes, params.table, [0.0] * self.size
+    def _inputs(self, ids, cols: list, obs, table, true_terms, unit=1.0, zero=0.0, empty=0.0) -> list:
+        """Fill ``cols`` at the inputs of ``ids`` by the one terminal rule and
+        return the other ids, decision nodes with a table entry, in order.  A
+        terminal's entry is ``free`` where its variable is unobserved in
+        ``obs``, else ``on`` or ``off`` by its value; a literal's triple is
+        ``unit`` and ``zero`` by its polarity, a TRUE terminal's
+        ``true_terms(entry)``.  A FALSE or table-less decision node, which no
+        evidence satisfies, takes ``empty``."""
+        nodes, blank, decisions = self.circuit.nodes, [empty] * self.size, []
+        literal = (unit, zero, unit), (unit, unit, zero)  # by polarity
+        append = decisions.append
         for nid in ids:
             node = nodes[nid]
-            if node.kind == DECISION:
-                theta = table.get(nid)
-                if theta is None:  # unsatisfiable decision node, no distribution
-                    cols[nid] = zeros
-                elif len(theta) == 2:
-                    # two products of probabilities: fsum rounds them as one
-                    # addition does, and "+ 0.0" gives its +0.0 for a zero sum
-                    (p0, s0), (p1, s1) = node.elements
-                    t0, t1 = theta
-                    cols[nid] = [a * b * t0 + c * d * t1 + 0.0
-                                 for a, b, c, d in zip(cols[p0], cols[s0], cols[p1], cols[s1])]
-                elif len(theta) == 1:  # fsum of one finite product is the product plus 0.0
-                    ((p, s),), (t,) = node.elements, theta
-                    cols[nid] = [a * b * t + 0.0 for a, b in zip(cols[p], cols[s])]
-                else:
-                    kids = [(cols[p], cols[s], t) for (p, s), t in zip(node.elements, theta)]
-                    cols[nid] = self._per_key(nid, keys, lambda j: math.fsum(
-                        a[j] * b[j] * t for a, b, t in kids))
-            elif node.kind == LITERAL:
-                pol = node.polarity
-                cols[nid] = [1.0 if v is None or v == pol else 0.0 for v in obs[node.var]]
-            elif node.kind == TRUE:
-                p0, p1 = table[nid]
-                cols[nid] = [1.0 if v is None else (p0 if v else p1) for v in obs[node.var]]
+            if node.kind == DECISION and nid in table:
+                append(nid)
+            elif node.kind == LITERAL or node.kind == TRUE:
+                free, on, off = true_terms(table[nid]) if node.kind == TRUE else literal[node.polarity]
+                cols[nid] = [free if v is None else on if v else off for v in obs[node.var]]
             else:
-                cols[nid] = zeros
+                cols[nid] = blank
+        return decisions
+
+    def _point(self, params, ids, cols, obs, keys):
+        nodes, table = self.circuit.nodes, params.table
+        for nid in self._inputs(ids, cols, obs, table, lambda t: (1.0, t[0], t[1])):
+            elements, theta = nodes[nid].elements, table[nid]
+            if len(theta) == 2:
+                # two products of probabilities: fsum rounds them as one
+                # addition does, and "+ 0.0" gives its +0.0 for a zero sum
+                (p0, s0), (p1, s1) = elements
+                t0, t1 = theta
+                cols[nid] = [a * b * t0 + c * d * t1 + 0.0
+                             for a, b, c, d in zip(cols[p0], cols[s0], cols[p1], cols[s1])]
+            elif len(theta) == 1:  # fsum of one finite product is the product plus 0.0
+                ((p, s),), (t,) = elements, theta
+                cols[nid] = [a * b * t + 0.0 for a, b in zip(cols[p], cols[s])]
+            else:
+                kids = [(cols[p], cols[s], t) for (p, s), t in zip(elements, theta)]
+                cols[nid] = self._per_key(nid, keys, lambda j: math.fsum(
+                    [a[j] * b[j] * t for a, b, t in kids]))
         return cols
 
     def map(self, params: PsddParams) -> list:
         """:func:`map_query`'s MAP pass as value columns by node id, ``None``
         off the cone: a decision node's value is its largest element
         product; :func:`_map_completion` reads the choices off a row."""
-        nodes, table, obs = self.circuit.nodes, params.table, self.obs
+        nodes, table = self.circuit.nodes, params.table
         values: list = [None] * len(nodes)
-        zeros = [0.0] * self.size
-        for nid in self.circuit.cone():
-            node = nodes[nid]
-            if node.kind == DECISION:
-                theta = table.get(nid)
-                if theta is None:  # unsatisfiable decision node, never chosen
-                    values[nid] = zeros
-                elif len(theta) == 2:
-                    (p0, s0), (p1, s1) = node.elements
-                    t0, t1 = theta
-                    values[nid] = [max(a * b * t0, c * d * t1)
-                                   for a, b, c, d in zip(values[p0], values[s0], values[p1], values[s1])]
-                elif len(theta) == 1:
-                    ((p, s),), (t,) = node.elements, theta
-                    values[nid] = [a * b * t for a, b in zip(values[p], values[s])]
-                else:
-                    kids = [(values[p], values[s], t) for (p, s), t in zip(node.elements, theta)]
-                    values[nid] = self._per_key(nid, self.keys, lambda j, kids=kids: max(
-                        a[j] * b[j] * t for a, b, t in kids))
-            elif node.kind == LITERAL:
-                pol = node.polarity
-                values[nid] = [1.0 if v is None or v == pol else 0.0 for v in obs[node.var]]
-            elif node.kind == TRUE:
-                (p0, p1), top = table[nid], max(table[nid])
-                values[nid] = [top if v is None else (p0 if v else p1) for v in obs[node.var]]
+        for nid in self._inputs(self.circuit.cone(), values, self.obs, table,
+                                lambda t: (max(t), t[0], t[1])):  # free: the larger entry
+            elements, theta = nodes[nid].elements, table[nid]
+            if len(theta) == 2:
+                (p0, s0), (p1, s1) = elements
+                t0, t1 = theta
+                # max(x, y) without the call: y only if y > x
+                values[nid] = [y if (y := c * d * t1) > (x := a * b * t0) else x
+                               for a, b, c, d in zip(values[p0], values[s0], values[p1], values[s1])]
+            elif len(theta) == 1:
+                ((p, s),), (t,) = elements, theta
+                values[nid] = [a * b * t for a, b in zip(values[p], values[s])]
             else:
-                values[nid] = zeros
+                kids = [(values[p], values[s], t) for (p, s), t in zip(elements, theta)]
+                values[nid] = self._per_key(nid, self.keys, lambda j, kids=kids: max(
+                    [a[j] * b[j] * t for a, b, t in kids]))
         return values
 
     def credal_map(self, params: CsddParams) -> list[tuple[_Tie, ...]]:
@@ -842,50 +864,34 @@ class _Columns:
         records by node id, ``None`` off the cone; tied in element order and
         true state first.  The pass fills a column per node and rows whose
         evidence under the node agrees share one entry."""
-        nodes, table, obs = self.circuit.nodes, params.table, self.obs
+        def true_terms(cs):
+            upper = cs.upper
+            best = max(upper)
+            tied = tuple(st for st in (0, 1) if _close(upper[st], best))
+            return _Tie(best, tied, len(tied)), _Tie(upper[0], (), 1), _Tie(upper[1], (), 1)
+
+        nodes, table = self.circuit.nodes, params.table
         cols: list = [[None] * self.size] * len(nodes)
-        for nid in self.circuit.cone():
-            node = nodes[nid]
-            if node.kind == LITERAL:
-                pol = node.polarity
-                cols[nid] = [_FIXED if v is None or v == pol else _BLOCKED for v in obs[node.var]]
-            elif node.kind == TRUE:
-                upper = table[nid].upper
-                best = max(upper)
-                tied = tuple(st for st in (0, 1) if _close(upper[st], best))
-                free, on, off = _Tie(best, tied, len(tied)), _Tie(upper[0], (), 1), _Tie(upper[1], (), 1)
-                cols[nid] = [free if v is None else on if v else off for v in obs[node.var]]
-            elif node.kind == DECISION and nid in table:
-                kids = [(u, cols[p], cols[s]) for u, (p, s) in zip(table[nid].upper, node.elements)]
-                def solve(j, kids=kids):
-                    cands = [u * a[j].value * b[j].value for u, a, b in kids]
-                    best = max(0.0, *cands)
-                    tied = tuple(i for i, c in enumerate(cands) if c > 0.0 and _close(c, best))
-                    return _Tie(best, tied, min(2, sum(kids[i][1][j].count * kids[i][2][j].count
-                                                       for i in tied)))
-                cols[nid] = self._per_key(nid, self.keys, solve)
-            else:  # FALSE, or an unsatisfiable decision node
-                cols[nid] = [_NO_COMPLETION] * self.size
+        for nid in self._inputs(self.circuit.cone(), cols, self.obs, table,
+                                true_terms, _FIXED, _BLOCKED, _NO_COMPLETION):
+            kids = [(u, cols[p], cols[s]) for u, (p, s) in zip(table[nid].upper, nodes[nid].elements)]
+            def solve(j, kids=kids):
+                cands = [u * a[j].value * b[j].value for u, a, b in kids]
+                best = max(0.0, *cands)
+                tied = tuple(i for i, c in enumerate(cands) if c > 0.0 and _close(c, best))
+                return _Tie(best, tied, min(2, sum(kids[i][1][j].count * kids[i][2][j].count
+                                                   for i in tied)))
+            cols[nid] = self._per_key(nid, self.keys, solve)
         return list(zip(*cols))
 
     def sweep(self, params: CsddParams, sense: int) -> list:
         """Evidence-sweep columns by node id; ``None`` off the cone."""
-        nodes, table, obs = self.circuit.nodes, params.table, self.obs
-        maximize = sense == MAX
+        nodes, table, maximize = self.circuit.nodes, params.table, sense == MAX
         cols: list = [None] * len(nodes)
-        for nid in self.circuit.cone():
-            node = nodes[nid]
-            if node.kind == LITERAL:
-                pol = node.polarity
-                cols[nid] = [1.0 if v is None or v == pol else 0.0 for v in obs[node.var]]
-            elif node.kind == TRUE:
-                on, off = (_lp(table[nid], coeffs, maximize)[0] for coeffs in ((1.0, 0.0), (0.0, 1.0)))
-                cols[nid] = [1.0 if v is None else (on if v else off) for v in obs[node.var]]
-            elif node.kind == DECISION and nid in table:
-                coeffs = [list(map(operator.mul, cols[p], cols[s])) for p, s in node.elements]
-                cols[nid] = self._lp(nid, table[nid], coeffs, self.keys, maximize)
-            else:  # FALSE, or an unsatisfiable decision node, whose children sweep to 0.0
-                cols[nid] = [0.0] * self.size
+        for nid in self._inputs(self.circuit.cone(), cols, self.obs, table, lambda cs: (
+                1.0, _lp(cs, (1.0, 0.0), maximize)[0], _lp(cs, (0.0, 1.0), maximize)[0])):
+            coeffs = [list(map(operator.mul, cols[p], cols[s])) for p, s in nodes[nid].elements]
+            cols[nid] = self._lp(nid, table[nid], coeffs, self.keys, maximize)
         return cols
 
     def sign(self, params: CsddParams, var: int, val: bool, mu: float,
@@ -905,13 +911,8 @@ class _Columns:
                 coeffs = [[m * (h if m < 0.0 else l)
                            for m, l, h in zip(msg[u], pick(low[w]), pick(up[w]))] for u, w, _ in sides]
                 msg[nid] = self._lp(nid, table[nid], coeffs, keys)
-            elif kind == LITERAL:
-                msg[nid] = [(1.0 - mu) if sides == val else -mu] * size
-            elif kind == TRUE:
-                cs, state = table[nid], 0 if val else 1
-                lx, ux = cs.lower[state], cs.upper[state]
-                lnot, unot = cs.lower[1 - state], cs.upper[1 - state]
-                msg[nid] = [min((1.0 - mu) * lx - mu * unot, (1.0 - mu) * ux - mu * lnot)] * size
+            elif kind == LITERAL or kind == TRUE:
+                msg[nid] = [_threshold_message(table, nid, kind, sides, val, mu)[0]] * size
             else:
                 msg[nid] = [0.0] * size
         root = self.circuit.root
@@ -1239,12 +1240,10 @@ def _functional(circuit: Circuit, params: PsddParams, query: Query) -> float:
         return num / denom
     if query.kind == "map":
         return map_query(circuit, params, evidence)[0]
-    if query.kind == "robustness":
-        denom = joint_probability(circuit, params, {**evidence, **query.xstar_dict})
-        if denom <= 0.0:
-            raise InferenceError("robustness oracle hit zero completion probability")
-        return map_query(circuit, params, evidence)[0] / denom
-    raise InferenceError(f"unknown query kind {query.kind!r}")
+    denom = joint_probability(circuit, params, {**evidence, **query.xstar_dict})  # robustness
+    if denom <= 0.0:
+        raise InferenceError("robustness oracle hit zero completion probability")
+    return map_query(circuit, params, evidence)[0] / denom
 
 
 def strong_extension_oracle(

@@ -1019,3 +1019,36 @@ class TestFormulaDunders:
         assert Not(a) != a and a != Not(a) and And((a,)) != Or((a,)) and And(()) != Or(())
         assert And((a, a)) != And((a,)) and Not(a) != "Not(child=Var(var=1))"
         assert repr(And((a,))) == "And(children=(Var(var=1),))" and repr(Or(())) == "Or(children=())"
+
+
+def _two_literals() -> Circuit:
+    circuit = Circuit(Vtree((1, 2)))  # vtree ids: 0 leaf x1, 1 the root, 2 leaf x2
+    circuit.add_literal(1, True)
+    circuit.add_literal(2, True)
+    return circuit
+
+
+class TestAdderRefusals:
+    """The node adders and the builder's operations refuse a malformed
+    request with a :class:`CircuitError` naming the fault."""
+
+    @pytest.mark.parametrize("request_, message", [
+        (lambda c, b: c.add_true(1), "vtree node 1 is not a leaf"),
+        (lambda c, b: c.add_decision(0, ((0, 1),)),
+         "vtree node 0 is a leaf; decision nodes need an internal node"),
+        (lambda c, b: c.add_decision(1, ()), "decision node needs at least one element"),
+        (lambda c, b: c.add_decision(1, ((0, 5),)), "element ids must precede their decision node"),
+        (lambda c, b: c.add_decision(1, ((c.add_false(0), 1),)), "false primes are not allowed"),
+        (lambda c, b: c.cone(), "circuit has no root"),
+        (lambda c, b: b.apply(b.literal(1), b.literal(2), "xor"), "unknown operation 'xor'"),
+        (lambda c, b: b.lift(b.literal(1), 2), "lift target is not an ancestor"),
+    ])
+    def test_refused_by_name(self, request_, message):
+        with pytest.raises(CircuitError) as err:
+            request_(_two_literals(), CircuitBuilder(Vtree((1, 2))))
+        assert str(err.value) == message
+
+    def test_element_pairs_as_lists_are_the_tuple_node(self):
+        circuit = _two_literals()
+        nid = circuit.add_decision(1, ([0, 1],))
+        assert circuit.add_decision(1, ((0, 1),)) == nid and circuit.nodes[nid].elements == ((0, 1),)

@@ -590,3 +590,21 @@ class TestExperiment:
         monkeypatch.setenv("CSDD_THREADS", "1")
         assert run(capsys, *argv[:-1], "serial.csv")[1] == out.replace(f"grid{threads}.csv", "serial.csv")
         assert (workdir / f"grid{threads}.csv").read_text() == (workdir / "serial.csv").read_text()
+
+
+class TestSchemaCheck:
+    """``schemas.check`` refuses each kind of drift by name, nested objects too."""
+
+    @pytest.mark.parametrize("payload, message", [
+        ([], "expected an object, got list"),
+        ({"V": 1.0, "label": "robust", "map": {}, "certificate": {"status": "exact", "conflicted": []},
+          "extra": 1}, "unexpected key 'extra'"),
+        ({"V": "1", "label": "robust", "map": {}, "certificate": {"status": "exact", "conflicted": []}},
+         "key 'V': expected (<class 'int'>, <class 'float'>), got str"),
+        ({"V": 1.0, "label": "robust", "map": {}, "certificate": {"status": "exact"}},
+         "missing required key 'conflicted'"),
+    ])
+    def test_drift_is_refused_by_name(self, payload, message):
+        with pytest.raises(ValueError) as err:
+            check(payload, SCHEMAS["robust"])
+        assert str(err.value) == message

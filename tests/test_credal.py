@@ -615,3 +615,24 @@ class TestClosedLp:
         for maximize in (False, True):
             want = [_lp(cs, row, maximize)[0] for row in rows]
             assert repr(_closed_lp(cs, cols, maximize)) == repr(want), (cs, rows, maximize)
+
+
+class TestShapeRefusals:
+    """Bounds of two shapes or of no state, and state indices that a ratio
+    cannot take, are refused by name."""
+
+    SHAPE = "lower/upper must be equal-length, non-empty vectors"
+    POINT = IntervalCredalSet.point((0.2, 0.5, 0.3))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: IntervalCredalSet((0.5,), (0.5, 0.5)), SHAPE),
+        (lambda: IntervalCredalSet((), ()), SHAPE),
+        (lambda: normalize_reachable((0.2, 0.3), (0.9,)), SHAPE),
+        (lambda: _max_ratio_vertex(TestShapeRefusals.POINT, 1, 1), "numerator and denominator states must differ"),
+        (lambda: _max_ratio_vertex(TestShapeRefusals.POINT, 0, 3), "state index out of range"),
+        (lambda: _max_ratio_vertex(TestShapeRefusals.POINT, -1, 0), "state index out of range"),
+    ])
+    def test_refused_by_name(self, make, message):
+        with pytest.raises(CredalSetError) as err:
+            make()
+        assert str(err.value) == message

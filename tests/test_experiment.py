@@ -119,6 +119,18 @@ class TestGeneration:
         assert abs(rate - p_f) <= 3 * sigma
 
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: generate_data(0, 0.1, Random(1)), "need at least one row"),
+        (lambda: generate_data(5, -0.1, Random(1)), "failure probability -0.1 outside [0, 1]"),
+        (lambda: generate_data(5, 1.5, Random(1)), "failure probability 1.5 outside [0, 1]"),
+        (lambda: evaluate_predictions([((), (True,))]), "prediction/truth length mismatch"),
+    ])
+    def test_refused_by_name(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
 @pytest.fixture(scope="module")
 def trained():
     circuit = scenario_circuit()

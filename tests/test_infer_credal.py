@@ -72,7 +72,14 @@ from csdd.infer import (
     _sign_plan,
     _walk_route,
 )
-from csdd.experiment import SEGMENTS, generate_data, hidden_var, observed_var, scenario_circuit
+from csdd.experiment import (
+    SEGMENTS,
+    decide_segments,
+    generate_data,
+    hidden_var,
+    observed_var,
+    scenario_circuit,
+)
 from csdd.formula import TRUE as T_CONST, Var, conj, disj
 from csdd.learn import Dataset, bayes_estimate, collect_counts, idm_estimate, ml_estimate
 from csdd.params import CsddParams, PsddParams
@@ -1452,10 +1459,37 @@ class TestMalformedQueries:
             self.QUERIES[query](squares.circuit, squares_idm, {"1": True})
 
     def test_ints_zero_and_one_are_the_states(self, squares, squares_idm):
-        circuit = squares.circuit
-        for value, state in ((1, True), (0, False)):
-            assert lower_marginal(circuit, squares_idm, {4: value}) == lower_marginal(
-                circuit, squares_idm, {4: state})
+        # every pass that reads a terminal's value, the column sweeps and sign
+        # tests through decide_segments, answers 1 and 0 as True and False
+        circuit, psdd = squares.circuit, squares_idm.select({})
+
+        def verdict(e):
+            xstar = {var: val for var, val in map_query(circuit, psdd, e)[1].items() if var not in e}
+            got = robustness(circuit, squares_idm, e, xstar)
+            return got.value, got.label, got.attaining, got.certificate, sorted(got.trace.uses.items())
+
+        queries = [
+            lambda e: lower_marginal(circuit, squares_idm, e),
+            lambda e: marginal(circuit, psdd, e),
+            lambda e: map_query(circuit, psdd, e),
+            lambda e: credal_map_upper(circuit, squares_idm, e),
+            verdict,
+            lambda e: [conditional_sign(circuit, squares_idm, mu, 1, val, e)
+                       for mu in (0.2, 0.5, 0.8) for val in (True, False)],
+        ]
+        for ints, states in (({3: 0, 4: 1}, {3: False, 4: True}), ({4: 0}, {4: False}), ({3: 1}, {3: True})):
+            for query in queries:
+                assert repr(query(ints)) == repr(query(states))
+        display = scenario_circuit()
+        counts = collect_counts(display, generate_data(60, 0.2, Random(3)))
+        display_psdd, display_csdd = bayes_estimate(display, counts, 1.0), idm_estimate(display, counts, 1.0)
+        for seed in range(4):
+            rng = Random(seed)
+            states = {observed_var(i): bool(rng.getrandbits(1))
+                      for i in range(1, SEGMENTS + 1) if rng.random() < 0.8}
+            ints = {var: int(val) for var, val in states.items()}
+            assert repr(decide_segments(display, display_psdd, display_csdd, ints)) == repr(
+                decide_segments(display, display_psdd, display_csdd, states))
 
     def test_target_and_completion_values(self, squares, squares_idm):
         circuit = squares.circuit
@@ -1501,6 +1535,57 @@ class TestMalformedQueries:
         for sense in ("middle", "MAX", None):
             with pytest.raises(InferenceError, match="sense must be 'min' or 'max'"):
                 strong_extension_oracle(squares.circuit, squares_idm, q, sense)
+
+
+class TestQueryMakeRefusals:
+    """``Query`` refuses a query the oracles could not read, by ``make`` and
+    by the class alike: an unknown kind, a conditional without a target and
+    a robustness query without ``xstar``."""
+
+    @pytest.mark.parametrize("kind, target, message", [
+        ("joint", None, "unknown query kind 'joint'"),
+        ("conditional", None, "a conditional query needs a target"),
+        ("robustness", (1, True), "a robustness query needs xstar"),
+    ])
+    def test_refused_by_name(self, kind, target, message):
+        with pytest.raises(InferenceError, match=message):
+            Query.make(kind, {3: True}, target=target)
+        with pytest.raises(InferenceError, match=message):
+            Query(kind, ((3, True),), target)
+
+
+class TestRefusals:
+    """The guards of robustness, the oracle and the brute-force refinement
+    refuse by name; the shared-node example's conditional is possibly outer."""
+
+    @pytest.fixture
+    def shared(self):
+        fx = shared_node_fixture()
+        params = fx.params(0.3, 0.8)
+        result = lower_conditional(fx.circuit, params, 1, True, {3: True}, tol=1e-9)
+        assert result.certificate.status == POSSIBLY_OUTER
+        return fx.circuit, params, result
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda c, cs, res: robustness(c, cs, {3: True}, {3: True, 1: True, 2: True}),
+         "variable 3 is both queried and observed"),
+        (lambda c, cs, res: strong_extension_oracle(Circuit(Vtree.right_linear(17)), cs,
+                                                    Query.make("marginal", {})),
+         "oracle guarded at 16 variables"),
+        (lambda c, cs, res: brute_force_exact(
+            c, cs, Query.make("conditional", {3: True}, target=(1, True)),
+            lower_conditional(c, cs, 1, True, {3: True}, want_certificate=False)),
+         "brute force needs a result carrying a certificate"),
+        (lambda c, cs, res: brute_force_exact(c, cs, Query.make("marginal", {3: True}), res),
+         "brute force applies to conditional and robustness queries"),
+        (lambda c, cs, res: brute_force_exact(c, cs, Query.make("conditional", {3: True}, target=(1, True)),
+                                              res, cap=1),
+         "would enumerate more than 1 tables"),
+    ])
+    def test_refused_by_name(self, shared, call, message):
+        with pytest.raises(InferenceError) as err:
+            call(*shared)
+        assert str(err.value) == message
 
 
 class TestNoPrivateParameters:

@@ -525,3 +525,41 @@ class TestDatasetFormat:
     def test_rows_without_count_column(self):
         ds = formats.loads_dataset("A,B\n0,1\n1,1\n")
         assert ds.total == 2
+
+
+class TestRefusals:
+    """Every grammar fault of the vtree, circuit and dataset readers is
+    refused at its line with its own message."""
+
+    @pytest.mark.parametrize("reader, text, line, message", [
+        ("vtree", "vtree 1\nvtree 1\nL 0 1\n", 2, "duplicate vtree header"),
+        ("vtree", "vtree\n", 1, "header is 'vtree <count>'"),
+        ("vtree", "vtree 1 2\n", 1, "header is 'vtree <count>'"),
+        ("vtree", "vtree 1\nL 0\n", 2, "leaf line is 'L <id> <var>'"),
+        ("vtree", "vtree 3\nL 0 1\nL 2 2\nI 1 0\n", 4, "internal line is 'I <id> <left> <right>'"),
+        ("vtree", "I 1 0 2\nvtree 3\n", 1, "missing 'vtree <count>' header"),
+        ("vtree", "vtree 3\nL 0 1\nL 2 2\nI 0 0 2\n", 4, "duplicate vtree node id 0"),
+        ("vtree", "vtree 5\nL 0 1\nL 2 2\nI 1 0 2\nI 3 0 2\n", 5, "node 0 already has a parent"),
+        ("vtree", "vtree 1\nX 0 1\n", 2, "unknown vtree line 'X'"),
+        ("vtree", "", 1, "missing 'vtree <count>' header"),
+        ("vtree", "c only a comment\n", 1, "missing 'vtree <count>' header"),
+        ("sdd", "sdd\n", 1, "header is 'sdd <count>'"),
+        ("sdd", "sdd 1\nL 0 0\n", 2, "literal line is 'L <id> <vtree> <literal>'"),
+        ("sdd", "sdd 1\nF 0 1\n", 2, "false line is 'F <id>'"),
+        ("sdd", "sdd 1\nT 0 1\n", 2, "true line is 'T <id>'"),
+        ("psdd", "psdd 1\nT 0 0 1\n", 2, "true line has 5 fields in a psdd file"),
+        ("csdd", "csdd 1\nT 0 0 1 0.5\n", 2, "true line has 6 fields in a csdd file"),
+        ("sdd", "sdd 2\nL 0 0 1\nD 1 1\n", 3, "decision line is 'D <id> <vtree> <k> ...'"),
+        ("sdd", "", 1, "missing 'sdd <count>' header"),
+        ("csdd", "c only a comment\n", 1, "missing 'csdd <count>' header"),
+        ("dataset", "", 1, "missing header row"),
+        ("dataset", "count\n", 1, "no variable columns"),
+        ("dataset", "X1,X1\n", 1, "duplicate variable names"),
+    ])
+    def test_fault_is_refused_at_its_line(self, reader, text, line, message):
+        loads = getattr(formats, f"loads_{reader}")
+        args = (text,) if reader in ("vtree", "dataset") else (text, Vtree((1, 2)))
+        with pytest.raises(ParseError) as err:
+            loads(*args)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"

@@ -338,3 +338,29 @@ class TestIdmEstimate:
         # a single feasible element tightens to probability one
         cs = squares_idm.table[squares.left_white]
         assert cs.lower == (1.0, 0.0) and cs.upper == (1.0, 0.0)
+
+
+class TestRefusals:
+    """A dataset row of the wrong width or count, and a dataset of the wrong
+    width for its circuit, are refused by name."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda circuit: Dataset(("A", "B"), [((True,), 1)]), "row width 1 != 2 variables"),
+        (lambda circuit: Dataset(("A",), [((True,), 0)]), "row counts must be >= 1, got 0"),
+        (lambda circuit: collect_counts(circuit, Dataset(("A",), [((True,), 1)])),
+         "dataset has 1 variables, circuit 4"),
+    ])
+    def test_refused_by_name(self, squares, make, message):
+        with pytest.raises(LearnError) as err:
+            make(squares.circuit)
+        assert str(err.value) == message
+
+
+class TestParamsRefusals:
+    @pytest.mark.parametrize("dropped", [(30,), (4, 30), (4, 5, 9, 14, 15, 19, 24, 29, 30)])
+    def test_missing_nodes_are_named(self, squares, squares_counts, dropped):
+        table = bayes_estimate(squares.circuit, squares_counts, 1.0).table
+        params = PsddParams({nid: pmf for nid, pmf in table.items() if nid not in dropped})
+        with pytest.raises(ParamError) as err:
+            params.validate(squares.circuit)
+        assert str(err.value) == f"missing parameters for nodes {list(dropped)}"
