@@ -4,12 +4,11 @@ A credal set here is the polytope of probability mass functions
 ``{p : lower <= p <= upper, sum(p) = 1}``.  Sets are kept *reachable*
 (every endpoint attainable by some member), which lets every local linear
 program close in O(k log k) with a greedy mass allocation instead of a
-general LP solver: ``_lp`` solves one, in either sense, and ``_closed_lp``
-a column of them on a small set.  A set of one or two states has only two
-greedy optimizers, found once and cached on the set, so its programs close
-in O(1) with the same floats.  Vertices of the polytope have at most one
-coordinate strictly between its bounds; they are enumerated in a
-deterministic order.
+general LP solver: ``_lp`` solves one, in either sense.  A set of one or
+two states has only two greedy optimizers, found once and cached on the
+set, so its programs close in O(1) with the same floats.  Vertices of the
+polytope have at most one coordinate strictly between its bounds; they
+are enumerated in a deterministic order.
 """
 
 from __future__ import annotations
@@ -192,20 +191,6 @@ def _lp(
         keys = [-c for c in coeffs] if maximize else coeffs
         point = _greedy_fill(cs.lower, cs.upper, sorted(range(k), key=keys.__getitem__))
     return math.fsum(c * t for c, t in zip(coeffs, point)), point
-
-
-def _closed_lp(cs: IntervalCredalSet, cols: Sequence[Sequence[float]], maximize: bool = False) -> list[float]:
-    """``_lp(cs, row, maximize)[0]`` per row of ``cols``, a column per state
-    of the one- or two-state set ``cs``, bit for bit: the sum of the optimum
-    that ``c1 < c0`` (``c0 < c1``) picks; only non-finite sums need ``fsum``."""
-    keep, swap = cs._optima
-    if len(cols) == 1:
-        x = keep[0]
-        return [c * x + 0.0 for c in cols[0]]
-    (a0, a1), (b0, b1) = keep, swap
-    if maximize:
-        return [c0 * b0 + c1 * b1 + 0.0 if c1 > c0 else c0 * a0 + c1 * a1 + 0.0 for c0, c1 in zip(*cols)]
-    return [c0 * b0 + c1 * b1 + 0.0 if c1 < c0 else c0 * a0 + c1 * a1 + 0.0 for c0, c1 in zip(*cols)]
 
 
 def enumerate_vertices(cs: IntervalCredalSet) -> list[Vertex]:

@@ -72,7 +72,7 @@ from .circuit import (
     _truth_bits,
     is_consistent,
 )
-from .credal import _closed_lp, _lp, _max_ratio_vertex, enumerate_vertices
+from .credal import _greedy_fill, _lp, _max_ratio_vertex, enumerate_vertices
 from .params import CsddParams, PsddParams
 
 __all__ = [
@@ -140,14 +140,24 @@ class Query:
     xstar: tuple[tuple[int, bool], ...] | None = None
 
     def __post_init__(self) -> None:
-        """Refuse an unknown kind, and a conditional without a target or a
-        robustness query without ``xstar``, which the oracles could not read."""
+        """Refuse an unknown kind, a conditional without a target or a
+        robustness query without ``xstar``, which the oracles could not read,
+        and, in the algorithms' words, an observed target or ``xstar``
+        variable, which the oracles would read as observed."""
         if self.kind not in ("marginal", "conditional", "map", "robustness"):
             raise InferenceError(f"unknown query kind {self.kind!r}")
-        if self.kind == "conditional" and self.target is None:
-            raise InferenceError("a conditional query needs a target")
-        if self.kind == "robustness" and self.xstar is None:
-            raise InferenceError("a robustness query needs xstar")
+        observed = dict(self.evidence)
+        if self.kind == "conditional":
+            if self.target is None:
+                raise InferenceError("a conditional query needs a target")
+            if self.target[0] in observed:
+                raise InferenceError(f"queried variable {self.target[0]} appears in the evidence")
+        if self.kind == "robustness":
+            if self.xstar is None:
+                raise InferenceError("a robustness query needs xstar")
+            for var, _ in self.xstar:
+                if var in observed:
+                    raise InferenceError(f"variable {var} is both queried and observed")
 
     @classmethod
     def make(cls, kind, evidence: Mapping[int, bool], target=None, xstar=None) -> "Query":
@@ -366,7 +376,8 @@ def _credal_sweep(
 ) -> list[float]:
     """Evidence value of each node of ``ids``, children first; nodes outside
     read 0.0.  Under a complete assignment its route gives the cone's values:
-    off it, every prime is false and sweeps to 0.0."""
+    off it, every prime is false and sweeps to 0.0.  A two-element decision
+    node is ``_lp`` unrolled, as in :meth:`EvidenceSession._sign_test`."""
     values = [0.0] * len(circuit.nodes)
     table, maximize = params.table, sense == MAX
     for nid in ids:
@@ -376,6 +387,13 @@ def _credal_sweep(
             values[nid] = 1.0 if val is None or val == node.polarity else 0.0
         elif node.kind == TRUE and evidence.get(node.var) is None:
             values[nid] = 1.0
+        elif len(node.elements) == 2:
+            (p0, s0), (p1, s1) = node.elements
+            c0, c1 = values[p0] * values[s0], values[p1] * values[s1]
+            if c0 or c1:  # else 0.0, as the guard of _sweep_problem gives
+                x0, x1 = table[nid]._optima[c0 < c1 if maximize else c1 < c0]
+                value = c0 * x0 + c1 * x1 + 0.0
+                values[nid] = value if value - value == 0.0 else _lp(table[nid], (c0, c1), maximize)[0]
         elif node.kind != FALSE:  # FALSE reads 0.0
             values[nid] = _sweep_problem(table, nid, node, evidence, values, maximize)[0]
     return values
@@ -768,10 +786,13 @@ class _Columns:
     :func:`robustness`'s); the sweep and sign test give the scalar pass's
     result (:func:`_credal_sweep`, :meth:`EvidenceSession._sign_test`), bit
     for bit, by the same float operations.  An LP over one or two states is
-    :func:`_closed_lp` on the whole column; any other LP (``_lp``), ``fsum``
-    or wide max runs once per distinct evidence under the node: its key,
-    the packed evidence (:func:`_pack`) masked to the node's variables.  The
-    evidences are not checked.
+    ``_lp`` unrolled into one comprehension over the child columns: the
+    set's cached optimum that ``c1 < c0`` (``c0 < c1`` when maximizing)
+    picks, and its sum, with no ``fsum`` for a non-finite one, which no
+    sweep of a table gives.  Any other LP (:meth:`_lp`), ``fsum`` or wide max
+    runs once per distinct evidence under the node: its key, the packed
+    evidence (:func:`_pack`) masked to the node's variables.  The evidences
+    are not checked.
     """
 
     def __init__(self, circuit: Circuit, evidences: Sequence[Mapping[int, bool]]) -> None:
@@ -890,8 +911,23 @@ class _Columns:
         cols: list = [None] * len(nodes)
         for nid in self._inputs(self.circuit.cone(), cols, self.obs, table, lambda cs: (
                 1.0, _lp(cs, (1.0, 0.0), maximize)[0], _lp(cs, (0.0, 1.0), maximize)[0])):
-            coeffs = [list(map(operator.mul, cols[p], cols[s])) for p, s in nodes[nid].elements]
-            cols[nid] = self._lp(nid, table[nid], coeffs, self.keys, maximize)
+            elements, cs = nodes[nid].elements, table[nid]
+            if len(elements) == 2:  # _lp unrolled: its point depends only on c1 < c0
+                (p0, s0), (p1, s1) = elements
+                (a0, a1), (b0, b1) = cs._optima
+                terms = zip(cols[p0], cols[s0], cols[p1], cols[s1])
+                if maximize:
+                    cols[nid] = [c0 * b0 + c1 * b1 + 0.0 if (c0 := a * b) < (c1 := c * d)
+                                 else c0 * a0 + c1 * a1 + 0.0 for a, b, c, d in terms]
+                else:
+                    cols[nid] = [c0 * b0 + c1 * b1 + 0.0 if (c1 := c * d) < (c0 := a * b)
+                                 else c0 * a0 + c1 * a1 + 0.0 for a, b, c, d in terms]
+            elif len(elements) == 1:  # both optima are the one point
+                ((p, s),), x = elements, cs._optima[0][0]
+                cols[nid] = [a * b * x + 0.0 for a, b in zip(cols[p], cols[s])]
+            else:
+                coeffs = [list(map(operator.mul, cols[p], cols[s])) for p, s in elements]
+                cols[nid] = self._lp(nid, cs, coeffs, self.keys, maximize)
         return cols
 
     def sign(self, params: CsddParams, var: int, val: bool, mu: float,
@@ -908,9 +944,23 @@ class _Columns:
         for nid, kind, sides in _sign_plan(self.circuit, var):
             if kind == DECISION and nid in table:
                 # a negative message takes the sibling's upper value
-                coeffs = [[m * (h if m < 0.0 else l)
-                           for m, l, h in zip(msg[u], pick(low[w]), pick(up[w]))] for u, w, _ in sides]
-                msg[nid] = self._lp(nid, table[nid], coeffs, keys)
+                cs = table[nid]
+                if len(sides) == 2:  # _lp unrolled, as in the sweep
+                    (u0, w0, _), (u1, w1, _) = sides
+                    (a0, a1), (b0, b1) = cs._optima
+                    terms = zip(msg[u0], pick(low[w0]), pick(up[w0]), msg[u1], pick(low[w1]), pick(up[w1]))
+                    msg[nid] = [
+                        c0 * b0 + c1 * b1 + 0.0
+                        if (c1 := m1 * (h1 if m1 < 0.0 else l1)) < (c0 := m0 * (h0 if m0 < 0.0 else l0))
+                        else c0 * a0 + c1 * a1 + 0.0 for m0, l0, h0, m1, l1, h1 in terms]
+                elif len(sides) == 1:
+                    ((u, w, _),), x = sides, cs._optima[0][0]
+                    msg[nid] = [m * (h if m < 0.0 else l) * x + 0.0
+                                for m, l, h in zip(msg[u], pick(low[w]), pick(up[w]))]
+                else:
+                    coeffs = [[m * (h if m < 0.0 else l)
+                               for m, l, h in zip(msg[u], pick(low[w]), pick(up[w]))] for u, w, _ in sides]
+                    msg[nid] = self._lp(nid, cs, coeffs, keys)
             elif kind == LITERAL or kind == TRUE:
                 msg[nid] = [_threshold_message(table, nid, kind, sides, val, mu)[0]] * size
             else:
@@ -920,11 +970,22 @@ class _Columns:
 
     def _lp(self, nid: int, cs, coeffs: list[list[float]], keys: Sequence[int],
             maximize: bool = False) -> list[float]:
-        """``_lp(cs, row, maximize)[0]`` per row of the coefficient columns: 0.0
-        on a zero row, as a sweep's guard gives, since ``fsum`` of zeros is 0.0."""
-        if cs.k <= 2:
-            return _closed_lp(cs, coeffs, maximize)
-        return self._per_key(nid, keys, lambda j: _lp(cs, [col[j] for col in coeffs], maximize)[0])
+        """``_lp(cs, row, maximize)[0]`` per row of the coefficient columns of
+        a set of three or more states: 0.0 on a zero row, as a sweep's guard
+        gives, since ``fsum`` of zeros is 0.0.  The columns are transposed
+        once; a row's greedy order is ``_lp``'s (a stable sort, ties in state
+        order), and each order's greedy point is found once per call."""
+        rows, points = list(zip(*coeffs)), {}
+        lower, upper, states = cs.lower, cs.upper, range(len(coeffs))
+
+        def solve(j):
+            row = rows[j]
+            order = tuple(sorted(states, key=row.__getitem__, reverse=maximize))
+            point = points.get(order)
+            if point is None:
+                point = points[order] = _greedy_fill(lower, upper, order)
+            return math.fsum(map(operator.mul, row, point))
+        return self._per_key(nid, keys, solve)
 
     def _per_key(self, nid: int, keys: Sequence[int], solve) -> list:
         """``solve(j)`` for each row ``j``, called once per distinct key under node ``nid``."""

@@ -15,7 +15,6 @@ from csdd.credal import (
     BUILD_TOL,
     CredalSetError,
     IntervalCredalSet,
-    _closed_lp,
     _lp,
     _max_ratio_vertex,
     enumerate_vertices,
@@ -582,39 +581,6 @@ class TestUpperLength:
         circuit, nid = _check_local_nodes()[1]
         with pytest.raises(ParamError, match="state 0: invalid interval"):
             check_local(circuit, nid, (0.7, 0.3), (0.6,))
-
-
-def _coefficient():
-    # sign-test messages are negative or zero at times; sweep products lie in [0, 1]
-    return st.one_of(st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 5e-324, -5e-324)),
-                     st.floats(-1.0, 1.0))
-
-
-class TestClosedLp:
-    """``_closed_lp`` gives ``_lp``'s values in both senses bit for bit, to
-    the sign of zero, for sets of one and two states."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(
-        sets=st.integers(1, 2).flatmap(lambda k: st.tuples(
-            *[st.one_of(st.sampled_from(FUSED_VALUES), st.floats(0.0, 1.0))] * (2 * k))),
-        rows=st.lists(st.tuples(_coefficient(), _coefficient()), min_size=1, max_size=6),
-        tie=st.booleans(),
-    )
-    def test_matches_the_greedy(self, sets, rows, tie):
-        k = len(sets) // 2
-        lower, upper = sets[:k], sets[k:]
-        try:  # a set of these bounds, tightened to reachable form
-            cs = normalize_reachable(tuple(map(min, lower, upper)), tuple(map(max, lower, upper)))
-        except CredalSetError:  # no pmf within them
-            cs = normalize_reachable((0.0,) * k, (1.0,) * k)
-        if tie:
-            rows = [(c0, c0) for c0, _ in rows] + [(0.0, -0.0), (-0.0, 0.0)]
-        rows = [row[:k] for row in rows]
-        cols = [list(col) for col in zip(*rows)]
-        for maximize in (False, True):
-            want = [_lp(cs, row, maximize)[0] for row in rows]
-            assert repr(_closed_lp(cs, cols, maximize)) == repr(want), (cs, rows, maximize)
 
 
 class TestShapeRefusals:

@@ -12,7 +12,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csdd import credal, formats, infer
@@ -30,7 +30,7 @@ from csdd.circuit import (
     model_count,
 )
 from csdd.cli import main
-from csdd.credal import IntervalCredalSet, _lp, normalize_reachable
+from csdd.credal import CredalSetError, IntervalCredalSet, _lp, normalize_reachable
 from csdd.fixtures import shared_node_fixture, squares_dataset, squares_fixture
 from csdd.infer import (
     EXACT,
@@ -99,6 +99,7 @@ from conftest import (
     random_psdd_params,
     walk_route_reference,
 )
+from test_credal import FUSED_VALUES
 
 EVIDENCE_DARK_CORNER = {1: False, 2: False, 3: False, 4: True}
 
@@ -1538,9 +1539,10 @@ class TestMalformedQueries:
 
 
 class TestQueryMakeRefusals:
-    """``Query`` refuses a query the oracles could not read, by ``make`` and
-    by the class alike: an unknown kind, a conditional without a target and
-    a robustness query without ``xstar``."""
+    """``Query`` refuses a query the oracles could not read or would answer
+    wrongly, by ``make`` and by the class alike: an unknown kind, a
+    conditional without a target or with an observed one, and a robustness
+    query without ``xstar`` or with an observed ``xstar`` variable."""
 
     @pytest.mark.parametrize("kind, target, message", [
         ("joint", None, "unknown query kind 'joint'"),
@@ -1552,6 +1554,30 @@ class TestQueryMakeRefusals:
             Query.make(kind, {3: True}, target=target)
         with pytest.raises(InferenceError, match=message):
             Query(kind, ((3, True),), target)
+
+    @pytest.mark.parametrize("kind, evidence, target, xstar, message", [
+        ("conditional", {3: True, 1: False}, (1, True), None,
+         "queried variable 1 appears in the evidence"),
+        ("robustness", {3: True}, None, {3: False, 1: True, 2: True},
+         "variable 3 is both queried and observed"),
+    ])
+    def test_observed_query_variable_refused(self, kind, evidence, target, xstar, message):
+        # the algorithms refuse these; the oracles would read the target or
+        # xstar over the observation and answer (a conditional of 1.0 here)
+        with pytest.raises(InferenceError) as made:
+            Query.make(kind, evidence, target=target, xstar=xstar)
+        with pytest.raises(InferenceError) as built:
+            Query(kind, tuple(sorted(evidence.items())), target,
+                  None if xstar is None else tuple(sorted(xstar.items())))
+        assert str(made.value) == str(built.value) == message
+        fx = shared_node_fixture()
+        params = fx.params(0.3, 0.8)
+        with pytest.raises(InferenceError) as answered:
+            if kind == "conditional":
+                lower_conditional(fx.circuit, params, *target, evidence)
+            else:
+                robustness(fx.circuit, params, evidence, xstar)
+        assert str(answered.value) == message
 
 
 class TestRefusals:
@@ -1910,3 +1936,226 @@ class TestGreedyOncePerSet:
         results.append(robustness(circuit, csdd, {3: False}, xstar))
         assert all(r.certificate is not None for r in results)
         assert calls and 1 <= max(calls.values()) <= 2, calls
+
+
+def _coefficient():
+    # sign-test messages are negative or zero at times; sweep products lie in [0, 1]
+    return st.one_of(st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 5e-324, -5e-324)),
+                     st.floats(-1.0, 1.0))
+
+
+def _reachable_set(k: int):
+    """A set of ``k`` states: bounds from ``FUSED_VALUES`` or [0, 1],
+    tightened to reachable form, or the vacuous set if no pmf fits them."""
+    def tighten(bounds):
+        lower, upper = bounds[:k], bounds[k:]
+        try:
+            return normalize_reachable(tuple(map(min, lower, upper)), tuple(map(max, lower, upper)))
+        except CredalSetError:
+            return normalize_reachable((0.0,) * k, (1.0,) * k)
+    return st.tuples(*[st.one_of(st.sampled_from(FUSED_VALUES), st.floats(0.0, 1.0))] * (2 * k)).map(tighten)
+
+
+def _probe(k: int):
+    """A root of ``k`` elements on ``Vtree.right_linear(2)``: element i's
+    prime is a TRUE terminal of X1 and its sub one of X2.  Not a partition,
+    which no pass reads: the root's LP sees the terminals' columns."""
+    vtree = Vtree.right_linear(2)
+    circuit = Circuit(vtree)
+    primes = [circuit.add_true(vtree.leaf_of(1)) for _ in range(k)]
+    subs = [circuit.add_true(vtree.leaf_of(2)) for _ in range(k)]
+    circuit.set_root(circuit.add_decision(vtree.root, list(zip(primes, subs))))
+    return circuit, primes, subs
+
+
+def _reads(value: float) -> IntervalCredalSet:
+    """A TRUE terminal's table entry that a sweep reads as ``value + 0.0``
+    where its variable is true, and a sign test at mu = 0 for val = True as
+    ``value``: the point (value, 0.0), unchecked, for any float."""
+    return IntervalCredalSet._accepted((value, 0.0), (value, 0.0))
+
+
+# every evidence over the probe's two variables, all distinct keys
+_PROBE_EVIDENCE = [{v: b for v, b in zip((1, 2), pair) if b is not None}
+                   for pair in product((None, True, False), repeat=2)]
+
+
+def _swept(sweep, *args):
+    """What ``sweep(*args)`` returns, or the type and words of its refusal."""
+    try:
+        return sweep(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestTwoStateKernels:
+    """The local LP of a one- or two-element node, unrolled in the column
+    sweep and sign test and in the scalar sweep, gives ``_lp``'s values bit
+    for bit, to the sign of zero."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        cs=st.integers(1, 2).flatmap(_reachable_set),
+        terms=st.tuples(*[_coefficient()] * 4),
+        rows=st.lists(st.tuples(_coefficient(), _coefficient()), min_size=1, max_size=6),
+        negative=st.tuples(st.booleans(), st.booleans()),
+        tie=st.booleans(),
+    )
+    # a sum of two -0.0 products: both picks must still add +0.0
+    @example(cs=IntervalCredalSet((1.0, 0.0), (1.0, 0.0)), terms=(0.5, 0.25, 1.0, 1.0),
+             rows=[(-0.0, -0.5), (-0.0, -0.0), (-0.5, -0.0)], negative=(False, True), tie=False)
+    @example(cs=IntervalCredalSet((0.0, 1.0), (0.0, 1.0)), terms=(0.5, 0.25, 1.0, 1.0),
+             rows=[(-0.5, -0.0), (-0.0, -0.0), (0.5, -0.0)], negative=(True, False), tie=False)
+    def test_matches_the_greedy(self, cs, terms, rows, negative, tie):
+        k = cs.k
+        circuit, primes, subs = _probe(k)
+        root, cone = circuit.root, circuit.cone()
+        a, b = terms[:2], terms[2:]
+        if tie:
+            a, b = (a[0],) * 2, (b[0],) * 2
+            rows = [(c0, c0) for c0, _ in rows] + [(0.0, -0.0), (-0.0, 0.0)]
+        # sweeps: the root's coefficients are products of the terminals'
+        # values, over every evidence of the probe's variables
+        table = {root: cs, **dict(zip(primes + subs, map(_reads, a[:k] + b[:k])))}
+        params = CsddParams(table)
+        batch = _Columns(circuit, _PROBE_EVIDENCE)
+        for sense in (MIN, MAX):
+            cols = batch.sweep(params, sense)
+            for j, evidence in enumerate(_PROBE_EVIDENCE):
+                want = credal_sweep_reference(circuit, params, evidence, cone, sense).values
+                got = _credal_sweep(circuit, params, evidence, cone, sense)
+                assert repr(got) == repr(want), (evidence, sense)
+                assert repr([cols[nid][j] for nid in cone]) == repr([want[nid] for nid in cone])
+        # sign test at mu = 0 for X1 = 1: each prime's message is +-1.0, and
+        # the coefficient its message times the sibling's column that the
+        # message's sign reads, the other column holding NaN
+        rows = [row[:k] for row in rows]
+        messages = [-1.0 if neg else 1.0 for neg in negative[:k]]
+        params = CsddParams({root: cs, **dict(zip(primes, map(_reads, messages)))})
+        low, up = [None] * len(circuit.nodes), [None] * len(circuit.nodes)
+        for m, sub, col in zip(messages, subs, zip(*rows)):
+            read, other = (up, low) if m < 0.0 else (low, up)
+            read[sub], other[sub] = [-c if m < 0.0 else c for c in col], [math.nan] * len(rows)
+        up[root] = [0.0] * len(rows)
+        want = [_lp(cs, row)[0] for row in rows]
+        batch = _Columns(circuit, [{}] * len(rows))
+        picked = list(range(len(rows)))[::2]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(infer, "_sign", lambda value, upper: value)  # the root message itself
+            assert repr(batch.sign(params, 1, True, 0.0, low, up)) == repr(want), (cs, rows)
+            assert repr(batch.sign(params, 1, True, 0.0, low, up, picked)) == repr(
+                [want[j] for j in picked])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cs=_reachable_set(2),
+        terms=st.tuples(*[st.one_of(_coefficient(), st.sampled_from(
+            (math.inf, -math.inf, math.nan, 1e200, -1e200, 1e-200, 1e308)))] * 4),
+        tie=st.booleans(),
+    )
+    def test_scalar_unroll_with_non_finite_coefficients(self, cs, terms, tie):
+        # products of the terminals' values overflow, or meet inf - inf, where
+        # _lp's fsum raises; the unroll must raise there too, and the column
+        # sweep give the same value wherever the reference gives one
+        circuit, primes, subs = _probe(2)
+        a, b = terms[:2], terms[2:]
+        if tie:
+            a, b = (a[0],) * 2, (b[0],) * 2
+        params = CsddParams({circuit.root: cs, **dict(zip(primes + subs, map(_reads, a + b)))})
+        batch = _Columns(circuit, _PROBE_EVIDENCE)
+        root, cone = circuit.root, circuit.cone()
+        for sense in (MIN, MAX):
+            cols = batch.sweep(params, sense)
+            for j, evidence in enumerate(_PROBE_EVIDENCE):
+                want = _swept(lambda *args: credal_sweep_reference(*args).values,
+                              circuit, params, evidence, cone, sense)
+                got = _swept(_credal_sweep, circuit, params, evidence, cone, sense)
+                assert repr(got) == repr(want), (evidence, sense)
+                if isinstance(want, list):
+                    assert repr(cols[root][j]) == repr(want[root]), (evidence, sense)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        problem=st.integers(3, 4).flatmap(lambda k: st.tuples(_reachable_set(k), st.lists(
+            st.tuples(*[_coefficient()] * k), min_size=1, max_size=len(_PROBE_EVIDENCE)))),
+        tie=st.sampled_from((None, "all", "pairs")),
+    )
+    def test_wide_kernel_matches_the_greedy(self, problem, tie):
+        # a row's greedy order is _lp's stable one, ties in state order, and
+        # rows of one order share its greedy point
+        cs, rows = problem
+        k = cs.k
+        if tie == "all":
+            rows = [(row[0],) * k for row in rows]
+        elif tie == "pairs":
+            rows = [tuple(row[i - i % 2] for i in range(k)) for row in rows]
+        circuit, _, _ = _probe(k)
+        batch = _Columns(circuit, _PROBE_EVIDENCE[:len(rows)])
+        cols = [list(col) for col in zip(*rows)]
+        for maximize in (False, True):
+            want = [_lp(cs, row, maximize)[0] for row in rows]
+            got = batch._lp(circuit.root, cs, cols, batch.keys, maximize)
+            assert repr(got) == repr(want), (cs, rows, maximize)
+
+
+def _wide_circuit(rng: Random, singly: bool) -> Circuit:
+    """A random circuit with a decision node of three or more elements in its cone."""
+    while True:
+        circuit = random_circuit(rng, rng.randint(3, 6), singly)
+        if any(len(circuit.nodes[nid].elements) > 2 for nid in circuit.cone()):
+            return circuit
+
+
+class TestColumnParity:
+    """The column sweep and sign test give the scalar passes' values on
+    random circuits with wide nodes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), singly=st.booleans())
+    def test_column_sweeps_are_the_scalar_sweeps(self, seed, singly):
+        rng = Random(seed)
+        circuit = _wide_circuit(rng, singly)
+        csdd = random_csdd_params(rng, circuit, 0.3)
+        if rng.getrandbits(1):
+            _zero_true_lower_bounds(rng, circuit, csdd)
+        n, cone = circuit.vtree.var_count, circuit.cone()
+        models = sorted(enumerate_models(circuit, circuit.root))
+        evidences = _repeating_evidence(rng, circuit, 6)  # partial, repeating under nodes
+        evidences += [dict(enumerate(rng.choice(models), 1)) for _ in range(3)]  # complete
+        evidences += [{v: bool(rng.getrandbits(1)) for v in range(1, n + 1) if rng.random() < 0.5}
+                      for _ in range(3)]  # any, consistent or not
+        batch = _Columns(circuit, evidences)
+        for sense in (MIN, MAX):
+            cols = batch.sweep(csdd, sense)
+            for j, evidence in enumerate(evidences):
+                want = _credal_sweep(circuit, csdd, evidence, cone, sense)
+                assert repr([cols[nid][j] for nid in cone]) == repr([want[nid] for nid in cone]), (
+                    evidence, sense)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), singly=st.booleans())
+    def test_column_signs_at_the_bracket_edges(self, seed, singly):
+        # a search ends where the root message is near zero: a changed
+        # rounding there would flip a verdict
+        rng = Random(seed)
+        circuit = _wide_circuit(rng, singly)
+        csdd = random_csdd_params(rng, circuit, 0.3)
+        if rng.getrandbits(1):
+            _zero_true_lower_bounds(rng, circuit, csdd)
+        n = circuit.vtree.var_count
+        var = rng.randint(1, n)
+        evidences = [{v: bool(rng.getrandbits(1)) for v in range(1, n + 1)
+                      if v != var and rng.random() < 0.5} for _ in range(6)]
+        evidences = [e for e in evidences if is_consistent(circuit, e)]
+        sessions = [EvidenceSession(circuit, csdd, e) for e in evidences]
+        batch = _Columns(circuit, evidences)
+        low, up = batch.sweep(csdd, MIN), batch.sweep(csdd, MAX)
+        rows = [j for j in range(len(evidences)) if rng.getrandbits(1)]
+        for val, tol, session in product((True, False), (DEFAULT_TOL, 1e-12), sessions):
+            found = lower_conditional(circuit, csdd, var, val, session.evidence, tol=tol,
+                                      want_certificate=False, session=session)
+            for mu in found.bracket:
+                want = [conditional_sign(circuit, csdd, mu, var, val, e, s)
+                        for e, s in zip(evidences, sessions)]
+                assert batch.sign(csdd, var, val, mu, low, up) == want
+                assert batch.sign(csdd, var, val, mu, low, up, rows) == [want[j] for j in rows]
