@@ -88,8 +88,8 @@ class IntervalCredalSet:
         """``cls(lower, upper)`` for bounds the caller has already found to
         pass :meth:`__post_init__`, which does not run again."""
         cs = object.__new__(cls)
-        object.__setattr__(cs, "lower", lower)  # as the frozen dataclass's __init__ does
-        object.__setattr__(cs, "upper", upper)
+        fields = cs.__dict__  # where the frozen dataclass's __init__ puts them, at less cost
+        fields["lower"], fields["upper"] = lower, upper
         return cs
 
     @classmethod

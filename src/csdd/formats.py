@@ -18,14 +18,15 @@ csdd     like psdd with interval pairs ``<l> <u>`` instead of ``<theta>``.
 dataset  CSV: header of variable names plus optional ``count`` column,
          0/1 cells.
 
-A circuit file loads in one pass: each line is split once, a decision
-line's columns are converted in bulk (a line that fails is read again
-token by token to word the fault), and each node is checked as its line
-adds it; line ``i``'s node is node ``i``.  A bare ``F``/``T`` is held as a
-node of vtree ``-1`` until it takes the leaf of its first use.  After the
-last line come the node count, the partitions (one shared pass, at the
-root's line) and the parameters in file order; the first fault met is
-the ``ParseError``.
+A circuit file loads in one pass, each line split once.  A decision line
+of one or two elements is read by fixed indices, a wider one a column at a
+time, and a reference by its node's id token; a line that fails is read
+again token by token to word the fault.  ``Circuit.add_decision``, with
+all its checks, builds each decision node; line ``i``'s node is node ``i``.
+A bare ``F``/``T`` is a node of vtree ``-1`` until its first use pins it.
+After the last line come the node count, the partitions (one shared pass,
+at the root's line) and the parameters in file order, each node's by
+``check_local``; the first fault met is the ``ParseError``.
 
 A psdd can also be read onto a circuit already loaded over the same
 vtree (``read_psdd(path, vtree, onto=circuit)``): each line is read by the
@@ -291,6 +292,17 @@ def _differs(lineno: int, nid: int, nodes: list[SddNode]) -> ParseError:
     return ParseError(lineno, f"node line does not match node {nid} of the circuit read onto")
 
 
+class _Names(dict):
+    """A line's id token -> its node id; any other token (``05`` for ``5``)
+    reads ``remap[int(token)]``, so each resolves as that does, faults included."""
+
+    def __init__(self, remap: dict[int, int]) -> None:
+        self.remap = remap
+
+    def __missing__(self, token: str) -> int:
+        return self.remap[int(token)]
+
+
 def _loads_circuit(text: str, vtree: Vtree, mode: str, onto: Circuit | None = None):
     """Load a circuit file, or with ``onto`` read it against that circuit:
     line ``i``'s node must be ``onto.nodes[i]`` and the last one its root."""
@@ -298,6 +310,8 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str, onto: Circuit | None = No
     columns = range(6, 4 + step)              # per-state number columns of a D line
     if onto is not None and onto.vtree != vtree:
         raise ValueError("the circuit read onto is over another vtree")
+    if onto is not None and onto.root is None:
+        raise ValueError("the circuit read onto has no root")
     circuit = Circuit(vtree) if onto is None else onto
     nodes = circuit.nodes
     vleft, vtree_count = vtree._left, vtree.node_count
@@ -306,7 +320,8 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str, onto: Circuit | None = No
     bare: dict[int, tuple[int, int]] = {}     # bare F/T node -> (file id, line)
     unpinned: set[int] = set()                # bare nodes no decision line has pinned yet
     pending: dict[int, tuple[int, list]] = {}  # node -> (line, per-state number columns)
-    ref = remap.__getitem__
+    named = _Names(remap)
+    ref = named.__getitem__
     for lineno, raw in enumerate(text.split("\n"), start=1):
         toks = raw.split()
         if not toks or toks[0] == "c" and (len(toks) == 1 or raw.strip().startswith("c ")):
@@ -331,17 +346,27 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str, onto: Circuit | None = No
         nid = len(remap)
         node = nodes[nid] if onto is not None and nid < len(nodes) else None  # the node to match
         if kind == "D":
-            # one C-level conversion per column; _decision_fault words any fault
+            # one- and two-element lines, most of a file, by fixed indices;
+            # wider ones by one conversion per column; _decision_fault words any fault
             try:
                 vid, k = int(toks[2]), int(toks[3])
                 if k < 1 or len(toks) != 4 + k * step:
                     raise ValueError
-                elements = tuple(zip(map(ref, map(int, toks[4::step])), map(ref, map(int, toks[5::step]))))
                 numbers = []
-                for c in columns:
-                    numbers.append(tuple(map(float, toks[c::step])))
-                    if not all(map(math.isfinite, numbers[-1])):
-                        raise ValueError
+                if k <= 2:  # [:k] keeps the first of two fields read from one element
+                    e = 4 + step * (k - 1)  # the last element's prime column
+                    elements = ((named[toks[4]], named[toks[5]]), (named[toks[e]], named[toks[e + 1]]))[:k]
+                    for c in columns:
+                        x, y = float(toks[c]), float(toks[c + e - 4])
+                        if x - x or y - y:  # nan unless both are finite
+                            raise ValueError
+                        numbers.append((x, y)[:k])
+                else:
+                    elements = tuple(zip(map(ref, toks[4::step]), map(ref, toks[5::step])))
+                    for c in columns:
+                        numbers.append(tuple(map(float, toks[c::step])))
+                        if not all(map(math.isfinite, numbers[-1])):
+                            raise ValueError
             except (IndexError, KeyError, ValueError):
                 raise _decision_fault(toks, lineno, step, remap) from None
             if not 0 <= vid < vtree_count or vleft[vid] < 0:
@@ -409,7 +434,7 @@ def _loads_circuit(text: str, vtree: Vtree, mode: str, onto: Circuit | None = No
             # columns over the states (var true, var false): lower, upper, or a psdd's one
             lo, up = numbers[0], numbers[-1]
             pending[nid] = (lineno, [(lo, 1.0 - up), (up, 1.0 - lo)][:len(columns)])
-        remap[fid] = nid
+        remap[fid] = named[toks[1]] = nid
         last = lineno
     if count is None:
         raise ParseError(1, f"missing '{mode} <count>' header")

@@ -376,8 +376,8 @@ def _credal_sweep(
 ) -> list[float]:
     """Evidence value of each node of ``ids``, children first; nodes outside
     read 0.0.  Under a complete assignment its route gives the cone's values:
-    off it, every prime is false and sweeps to 0.0.  A two-element decision
-    node is ``_lp`` unrolled, as in :meth:`EvidenceSession._sign_test`."""
+    off it, every prime is false and sweeps to 0.0.  An observed TRUE terminal
+    and a one- or two-element decision node are ``_lp`` unrolled to its float."""
     values = [0.0] * len(circuit.nodes)
     table, maximize = params.table, sense == MAX
     for nid in ids:
@@ -387,13 +387,20 @@ def _credal_sweep(
             values[nid] = 1.0 if val is None or val == node.polarity else 0.0
         elif node.kind == TRUE and evidence.get(node.var) is None:
             values[nid] = 1.0
-        elif len(node.elements) == 2:
-            (p0, s0), (p1, s1) = node.elements
-            c0, c1 = values[p0] * values[s0], values[p1] * values[s1]
+        elif node.kind == TRUE or len(node.elements) == 2:
+            if node.kind == TRUE:  # observed
+                c0, c1 = (1.0, 0.0) if evidence[node.var] else (0.0, 1.0)
+            else:
+                (p0, s0), (p1, s1) = node.elements
+                c0, c1 = values[p0] * values[s0], values[p1] * values[s1]
             if c0 or c1:  # else 0.0, as the guard of _sweep_problem gives
                 x0, x1 = table[nid]._optima[c0 < c1 if maximize else c1 < c0]
                 value = c0 * x0 + c1 * x1 + 0.0
                 values[nid] = value if value - value == 0.0 else _lp(table[nid], (c0, c1), maximize)[0]
+        elif len(node.elements) == 1:  # both optima are the one point; fsum of one term is it
+            ((p, s),) = node.elements
+            if c0 := values[p] * values[s]:
+                values[nid] = c0 * table[nid]._optima[0][0] + 0.0
         elif node.kind != FALSE:  # FALSE reads 0.0
             values[nid] = _sweep_problem(table, nid, node, evidence, values, maximize)[0]
     return values
@@ -401,7 +408,8 @@ def _credal_sweep(
 
 def _sweep_problem(table, nid: int, node, evidence: Mapping[int, bool], values, maximize: bool):
     """``(value, point)`` of a sweep's problem at an observed TRUE terminal or
-    a decision node, children at ``values``; ``(0.0, None)`` on zero coefficients."""
+    a decision node, children at ``values``; ``(0.0, None)`` on zero coefficients:
+    any marked by :func:`_mark_sweeps`, and :func:`_credal_sweep`'s wide nodes."""
     if node.kind == TRUE:
         coeffs = (1.0, 0.0) if evidence[node.var] else (0.0, 1.0)
     else:

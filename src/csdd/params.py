@@ -50,12 +50,25 @@ def check_local(
     Raises :class:`ParamError` at the first of these rules that fails, then
     :class:`CredalSetError` if the set is empty or not reachable.
     """
+    node = circuit.nodes[nid]
+    elements = node.elements
+    # one or two states passing every rule, the usual entry, meet the rules
+    # unrolled: the point's or the set's closed form, then no mass on a false
+    # sub (elements[0] and [-1] are all); others meet them one by one, worded
+    if len(lower) == (2 if node.kind == TRUE else len(elements)) and (
+            _small_pmf(lower) if upper is None else _small_reachable(lower, upper)):
+        mass, false = upper or lower, circuit.false_ids()
+        if not elements or not (mass[0] and elements[0][1] in false or mass[-1] and elements[-1][1] in false):
+            return lower if upper is None else IntervalCredalSet._accepted(lower, upper)
     _node_rule(circuit, nid, lower, upper)
-    if upper is None:
-        return lower
-    if _small_reachable(lower, upper):  # the set rule holds: skip the constructor's checks
-        return IntervalCredalSet._accepted(lower, upper)
-    return IntervalCredalSet(lower, upper)
+    return lower if upper is None else IntervalCredalSet(lower, upper)
+
+
+def _small_pmf(lower: Sequence[float]) -> bool:
+    """Whether one or two states pass the point rule of :func:`_node_rule`: two
+    finite entries sum as ``fsum`` does, inf where it overflows."""
+    return (0 < len(lower) <= 2 and 0.0 <= lower[0] and 0.0 <= lower[-1]
+            and abs(lower[0] + (lower[1] if len(lower) == 2 else 0.0) - 1.0) <= SUM_TOL)
 
 
 def _node_rule(circuit: Circuit, nid: int, lower: Sequence[float], upper: Sequence[float] | None) -> None:
@@ -65,12 +78,9 @@ def _node_rule(circuit: Circuit, nid: int, lower: Sequence[float], upper: Sequen
     k = 2 if node.kind == TRUE else len(node.elements)
     if len(lower) != k:
         raise ParamError(f"node {nid}: expected {k} states, got {len(lower)}")
-    # one or two states pass the checks below, unrolled, before any of them
-    # runs: the rounded sum of two finite entries is fsum's, inf where fsum
-    # overflows, and a lone state is checked twice as lower[0] and lower[-1]
+    # one or two states pass the checks below, unrolled, before any of them runs
     if upper is None:
-        if not (0 < k <= 2 and 0.0 <= lower[0] and 0.0 <= lower[-1]
-                and abs(lower[0] + (lower[1] if k == 2 else 0.0) - 1.0) <= SUM_TOL):
+        if not _small_pmf(lower):
             if not all(map(math.isfinite, lower)):
                 raise ParamError(f"node {nid}: probabilities {tuple(lower)} are not all finite")
             if min(lower) < 0.0:

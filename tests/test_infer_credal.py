@@ -2048,20 +2048,24 @@ class TestTwoStateKernels:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        cs=_reachable_set(2),
+        cs=st.integers(1, 2).flatmap(_reachable_set),
         terms=st.tuples(*[st.one_of(_coefficient(), st.sampled_from(
             (math.inf, -math.inf, math.nan, 1e200, -1e200, 1e-200, 1e308)))] * 4),
         tie=st.booleans(),
     )
+    @example(cs=IntervalCredalSet((1.0,), (1.0,)), terms=(math.inf, 0.0, -0.5, 0.0), tie=False)
     def test_scalar_unroll_with_non_finite_coefficients(self, cs, terms, tie):
         # products of the terminals' values overflow, or meet inf - inf, where
         # _lp's fsum raises; the unroll must raise there too, and the column
-        # sweep give the same value wherever the reference gives one
-        circuit, primes, subs = _probe(2)
+        # sweep give the same value wherever the reference gives one.  The
+        # root has one or two elements, and every evidence observes some of
+        # its TRUE terminals, whose points hold those non-finite values
+        k = cs.k
+        circuit, primes, subs = _probe(k)
         a, b = terms[:2], terms[2:]
         if tie:
             a, b = (a[0],) * 2, (b[0],) * 2
-        params = CsddParams({circuit.root: cs, **dict(zip(primes + subs, map(_reads, a + b)))})
+        params = CsddParams({circuit.root: cs, **dict(zip(primes + subs, map(_reads, a[:k] + b[:k])))})
         batch = _Columns(circuit, _PROBE_EVIDENCE)
         root, cone = circuit.root, circuit.cone()
         for sense in (MIN, MAX):

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from csdd import formats
-from csdd.circuit import Vtree, enumerate_models, model_count
+from csdd.circuit import Circuit, Vtree, compile_formula, enumerate_models, model_count
 from csdd.fixtures import squares_dataset, squares_vtree
 from csdd.formats import ParseError, _loads_circuit
 from csdd.learn import Dataset, bayes_estimate, collect_counts, idm_estimate
@@ -322,8 +322,11 @@ class TestLoaderFaults:
 
 def _loader_corpus():
     """(mode, text, vtree): the squares model in each format, then seeded
-    random compiled circuits, singly connected (tree copies) and shared."""
+    random compiled circuits, singly connected (tree copies) and shared,
+    then a compiled random 3-CNF on a balanced vtree, whose decision lines
+    have one to four elements."""
     from csdd.fixtures import squares_fixture
+    from test_circuit import _random_3cnf
 
     squares = squares_fixture().circuit
     counts = collect_counts(squares, squares_dataset())
@@ -336,6 +339,10 @@ def _loader_corpus():
         yield "sdd", formats.dumps_sdd(circuit), circuit.vtree
         yield "psdd", formats.dumps_psdd(circuit, random_psdd_params(rng, circuit)), circuit.vtree
         yield "csdd", formats.dumps_csdd(circuit, random_csdd_params(rng, circuit, 0.3)), circuit.vtree
+    cnf = compile_formula(_random_3cnf(Random(0), 5, 6), Vtree.balanced(5))
+    yield "sdd", formats.dumps_sdd(cnf), cnf.vtree
+    yield "psdd", formats.dumps_psdd(cnf, random_psdd_params(rng, cnf)), cnf.vtree
+    yield "csdd", formats.dumps_csdd(cnf, random_csdd_params(rng, cnf, 0.3)), cnf.vtree
 
 
 def _corruptions(text: str):
@@ -378,6 +385,14 @@ _NORMALIZATION_FAULT = r"(prime|sub) \d+ not normalized for vtree node"
 
 
 class TestLoaderParity:
+    def test_corpus_has_decision_lines_of_every_width(self):
+        # the loader reads one- and two-element lines by fixed indices and
+        # wider ones by columns: the corpus reaches each way in every mode
+        widths = {mode: set() for mode in ("sdd", "psdd", "csdd")}
+        for mode, text, _ in _loader_corpus():
+            widths[mode].update(min(int(line.split()[3]), 4) for line in text.splitlines() if line[0] == "D")
+        assert widths == {mode: {1, 2, 3, 4} for mode in widths}, widths
+
     def test_corrupted_files_load_or_fail_as_the_reference_does(self):
         cases = reordered = 0
         for mode, text, vtree in _loader_corpus():
@@ -393,6 +408,25 @@ class TestLoaderParity:
                     assert re.search(_NORMALIZATION_FAULT, got[2]), (broken, got, want)
                     reordered += 1
         assert cases > 10_000 and reordered < cases // 100
+
+    def test_ids_spelled_another_way_name_the_same_nodes(self):
+        # references are looked up by the id token of their node's line; a
+        # token spelled otherwise ("+7", "07") must still name node 7 on a
+        # line of any width, and so must an id line's own token
+        step = {"sdd": 2, "psdd": 3, "csdd": 4}
+        for mode, text, vtree in _loader_corpus():
+            lines = text.splitlines()
+            for i, line in enumerate(lines[1:], start=1):
+                toks = line.split()
+                if i % 3 == 0:
+                    toks[1] = "+" + toks[1]
+                if toks[0] == "D":
+                    for e in range(4, len(toks), step[mode]):
+                        toks[e], toks[e + 1] = "0" + toks[e], "+0" + toks[e + 1]
+                lines[i] = " ".join(toks)
+            respelled = "\n".join(lines) + "\n"
+            assert _outcome(_loads_circuit, respelled, vtree, mode) == ("loaded", text)
+            assert _outcome(loads_reference, respelled, vtree, mode) == ("loaded", text)
 
     def test_psdd_read_onto_its_twin_gives_the_full_loaders_table_or_refuses(self):
         # read onto the circuit of the uncorrupted file, a corruption yields the
@@ -481,6 +515,17 @@ class TestReadOnto:
         assert other != circuit.vtree
         with pytest.raises(ValueError, match="another vtree"):
             formats.loads_psdd(text, other, onto=circuit)
+
+    def test_circuit_without_a_root_refused_before_any_line(self, loaded):
+        text, circuit, _ = loaded
+        rootless = Circuit(circuit.vtree)
+        for node in circuit.nodes:
+            rootless._add_like(node, node.elements)
+        assert rootless.nodes == circuit.nodes and rootless.root is None
+        for lines in (text, "not a psdd file\n"):
+            with pytest.raises(ValueError) as err:
+                formats.loads_psdd(lines, circuit.vtree, onto=rootless)
+            assert type(err.value) is ValueError and str(err.value) == "the circuit read onto has no root"
 
 
 class TestDatasetFormat:
