@@ -4,16 +4,18 @@ A credal set here is the polytope of probability mass functions
 ``{p : lower <= p <= upper, sum(p) = 1}``.  Sets are kept *reachable*
 (every endpoint attainable by some member), which lets every local linear
 program close in O(k log k) with a greedy mass allocation instead of a
-general LP solver: ``_lp`` solves one, in either sense.  A set of one or
-two states has only two greedy optimizers, found once and cached on the
-set, so its programs close in O(1) with the same floats.  Vertices of the
-polytope have at most one coordinate strictly between its bounds; they
-are enumerated in a deterministic order.
+general LP solver: ``_lp``, the only code that orders and fills one,
+solves it in either sense.  A set caches its greedy optimizers: a set of
+one or two states has only two, so its programs close in O(1) with the
+same floats, and a wider one keeps the point of each order it meets, up
+to a bound.  Vertices of the polytope have at most one coordinate
+strictly between its bounds; they are enumerated in a deterministic order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -29,6 +31,9 @@ __all__ = [
 EQ_TOL = 1e-12          # comparisons between probabilities / optima
 BUILD_TOL = 1e-9        # constructor rejects violations beyond this
 VERTEX_GUARD_K = 12
+# greedy points a wider set keeps: a display cell meets at most 102 orders of one
+# set, a cli-queries call 8; each costs about 30 bytes per state (210 KB at k = 55)
+_WIDE_OPTIMA = 128
 
 
 class CredalSetError(ValueError):
@@ -44,11 +49,13 @@ class Vertex:
 
 
 class _Optima:
-    """The only points the greedy gives a one- or two-state set: for
-    ``coeffs[1] < coeffs[0]`` false, then true (one state: one point twice).
+    """A set's greedy points: a one- or two-state set's only two, for
+    ``coeffs[1] < coeffs[0]`` false, then true (one state: one point twice),
+    else a dict by order that :func:`_lp` fills, emptied at ``_WIDE_OPTIMA``.
     The first read stores them in the instance dict, outside the fields,
-    ``==``, ``hash`` and ``repr``, where later reads find them; unlike
-    ``functools.cached_property`` on Python 3.11, it takes no lock."""
+    ``==``, ``hash`` and ``repr``, where later reads find them.  Unlike
+    ``functools.cached_property`` on Python 3.11, it takes no lock: threads
+    that race find the same points, and may pass the bound by one each."""
 
     def __get__(self, cs: "IntervalCredalSet | None", owner=None):
         if cs is None:  # read on the class
@@ -56,8 +63,10 @@ class _Optima:
         lower, upper = cs.lower, cs.upper
         if len(lower) == 1:
             optima = (_greedy_fill(lower, upper, (0,)),) * 2
-        else:
+        elif len(lower) == 2:
             optima = _greedy_fill(lower, upper, (0, 1)), _greedy_fill(lower, upper, (1, 0))
+        else:
+            optima = {}
         object.__setattr__(cs, "_optima", optima)
         return optima
 
@@ -151,8 +160,8 @@ def _bound_sums(lower: Sequence[float], upper: Sequence[float]) -> tuple[float, 
     return sl, su
 
 
-def _greedy_fill(lower: tuple[float, ...], upper: tuple[float, ...], order: Sequence[int]) -> tuple[float, ...]:
-    # start at the lower bounds, hand the remaining mass to the states in order
+def _greedy_fill(lower: Sequence[float], upper: Sequence[float], order: Sequence[int]) -> tuple[float, ...]:
+    # start at ``lower``, hand the remaining mass to the states in order
     theta = list(lower)
     remaining = 1.0 - math.fsum(theta)
     if remaining > 0:
@@ -177,9 +186,10 @@ def _lp(
     The greedy fills the cheapest (dearest) states first, ties in state
     order.  A one- or two-state set picks its optimum as that order would
     (one state: ``coeffs[-1]`` is ``coeffs[0]``, and both optima are its one
-    point).  A finite sum of at most two terms is rounded as one addition
-    (``fsum`` rounds it alike, and ``+ 0.0`` gives its +0.0 for a zero sum);
-    ``fsum`` takes any other, raising on overflow or ``inf - inf``.
+    point); a wider set returns its cached point of the order.  A finite sum
+    of at most two terms is rounded as one addition (``fsum`` rounds it
+    alike, and ``+ 0.0`` gives its +0.0 for a zero sum); ``fsum`` takes any
+    other, raising on overflow or ``inf - inf``.
     """
     k = len(cs.lower)
     if k <= 2:
@@ -189,8 +199,14 @@ def _lp(
             return value, point
     else:
         keys = [-c for c in coeffs] if maximize else coeffs
-        point = _greedy_fill(cs.lower, cs.upper, sorted(range(k), key=keys.__getitem__))
-    return math.fsum(c * t for c, t in zip(coeffs, point)), point
+        order = tuple(sorted(range(k), key=keys.__getitem__))
+        optima = cs._optima
+        point = optima.get(order)
+        if point is None:
+            if len(optima) >= _WIDE_OPTIMA:
+                optima.clear()
+            point = optima[order] = _greedy_fill(cs.lower, cs.upper, order)
+    return math.fsum(map(operator.mul, coeffs, point)), point
 
 
 def enumerate_vertices(cs: IntervalCredalSet) -> list[Vertex]:
@@ -244,15 +260,6 @@ def _max_ratio_vertex(
     theta_i = min(cs.upper[i], 1.0 - cs.lower[j] - rest_lower)
     theta = list(cs.lower)
     theta[i] = theta_i
-    remaining = 1.0 - math.fsum(theta)
-    if remaining > EQ_TOL:
-        for m in range(cs.k):
-            if m in (i, j):
-                continue
-            room = cs.upper[m] - theta[m]
-            add = room if room < remaining else remaining
-            theta[m] += add
-            remaining -= add
-            if remaining <= EQ_TOL:
-                break
+    if 1.0 - math.fsum(theta) > EQ_TOL:  # the rest of the mass to the other states, in order
+        theta = _greedy_fill(theta, cs.upper, [m for m in range(cs.k) if m != i and m != j])
     return scale * theta_i / cs.lower[j], tuple(theta)

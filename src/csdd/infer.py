@@ -26,7 +26,8 @@ local program used (re-solving the sweep problems it marks, as sweeps
 keep values only) and flags shared nodes with divergent choices; a
 brute-force refinement enumerates their extreme points for the exact value.
 A set of one or two states carries its two possible optimizers, so every
-such program, in a pass or a certificate, is a lookup.
+such program, in a pass or a certificate, is a lookup, as is a wider
+set's program in a greedy order it has met.
 
 Bottom-up passes scan the cone, or a route, children first; a
 certificate's marking scans it in reverse, pushing marks to children, so
@@ -39,10 +40,10 @@ A node's result in a bottom-up pass depends only on the table and the
 evidence under its vtree node.  A batch of evidences known up front runs
 node-major: the private ``_Columns`` passes fill a column per node, one
 entry per evidence, the scalar pass's result bit for bit, and solve a
-wide node once per distinct evidence under it.  Their inputs follow one
-terminal rule: a terminal reads its pass's ``free`` entry where its
-variable is unobserved, else ``on`` or ``off`` by its value, and a FALSE
-or table-less decision node its pass's empty one.  The display experiment
+wide node once per distinct evidence under it, by ``_lp`` itself.  Their
+inputs follow one terminal rule: a terminal reads its pass's ``free``
+entry where its variable is unobserved, else ``on`` or ``off`` by its
+value, and a FALSE or table-less decision node its pass's empty one.  The display experiment
 decides a cell's distinct observations with them, and finds their MAP
 completions and the completions' robustness by :func:`_map_robustness`:
 the MAP and credal MAP passes as columns, then per completion only the
@@ -56,7 +57,6 @@ node is one record, a :class:`_Tie`.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
@@ -72,7 +72,7 @@ from .circuit import (
     _truth_bits,
     is_consistent,
 )
-from .credal import _greedy_fill, _lp, _max_ratio_vertex, enumerate_vertices
+from .credal import _lp, _max_ratio_vertex, enumerate_vertices
 from .params import CsddParams, PsddParams
 
 __all__ = [
@@ -797,10 +797,10 @@ class _Columns:
     ``_lp`` unrolled into one comprehension over the child columns: the
     set's cached optimum that ``c1 < c0`` (``c0 < c1`` when maximizing)
     picks, and its sum, with no ``fsum`` for a non-finite one, which no
-    sweep of a table gives.  Any other LP (:meth:`_lp`), ``fsum`` or wide max
-    runs once per distinct evidence under the node: its key, the packed
-    evidence (:func:`_pack`) masked to the node's variables.  The evidences
-    are not checked.
+    sweep of a table gives.  Any other LP (``_lp`` on a row built from the
+    child columns), ``fsum`` or wide max runs once per distinct evidence
+    under the node: its key, the packed evidence (:func:`_pack`) masked to
+    the node's variables.  The evidences are not checked.
     """
 
     def __init__(self, circuit: Circuit, evidences: Sequence[Mapping[int, bool]]) -> None:
@@ -934,8 +934,9 @@ class _Columns:
                 ((p, s),), x = elements, cs._optima[0][0]
                 cols[nid] = [a * b * x + 0.0 for a, b in zip(cols[p], cols[s])]
             else:
-                coeffs = [list(map(operator.mul, cols[p], cols[s])) for p, s in elements]
-                cols[nid] = self._lp(nid, cs, coeffs, self.keys, maximize)
+                kids = [(cols[p], cols[s]) for p, s in elements]
+                cols[nid] = self._per_key(nid, self.keys, lambda j: _lp(
+                    cs, [a[j] * b[j] for a, b in kids], maximize)[0])
         return cols
 
     def sign(self, params: CsddParams, var: int, val: bool, mu: float,
@@ -966,34 +967,15 @@ class _Columns:
                     msg[nid] = [m * (h if m < 0.0 else l) * x + 0.0
                                 for m, l, h in zip(msg[u], pick(low[w]), pick(up[w]))]
                 else:
-                    coeffs = [[m * (h if m < 0.0 else l)
-                               for m, l, h in zip(msg[u], pick(low[w]), pick(up[w]))] for u, w, _ in sides]
-                    msg[nid] = self._lp(nid, cs, coeffs, keys)
+                    kids = [(msg[u], pick(low[w]), pick(up[w])) for u, w, _ in sides]
+                    msg[nid] = self._per_key(nid, keys, lambda j: _lp(
+                        cs, [(m := ms[j]) * (h[j] if m < 0.0 else l[j]) for ms, l, h in kids])[0])
             elif kind == LITERAL or kind == TRUE:
                 msg[nid] = [_threshold_message(table, nid, kind, sides, val, mu)[0]] * size
             else:
                 msg[nid] = [0.0] * size
         root = self.circuit.root
         return list(map(_sign, msg[root], pick(up[root])))
-
-    def _lp(self, nid: int, cs, coeffs: list[list[float]], keys: Sequence[int],
-            maximize: bool = False) -> list[float]:
-        """``_lp(cs, row, maximize)[0]`` per row of the coefficient columns of
-        a set of three or more states: 0.0 on a zero row, as a sweep's guard
-        gives, since ``fsum`` of zeros is 0.0.  The columns are transposed
-        once; a row's greedy order is ``_lp``'s (a stable sort, ties in state
-        order), and each order's greedy point is found once per call."""
-        rows, points = list(zip(*coeffs)), {}
-        lower, upper, states = cs.lower, cs.upper, range(len(coeffs))
-
-        def solve(j):
-            row = rows[j]
-            order = tuple(sorted(states, key=row.__getitem__, reverse=maximize))
-            point = points.get(order)
-            if point is None:
-                point = points[order] = _greedy_fill(lower, upper, order)
-            return math.fsum(map(operator.mul, row, point))
-        return self._per_key(nid, keys, solve)
 
     def _per_key(self, nid: int, keys: Sequence[int], solve) -> list:
         """``solve(j)`` for each row ``j``, called once per distinct key under node ``nid``."""

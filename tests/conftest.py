@@ -10,7 +10,9 @@ at a time, over a sweep that records each node's pinned point beside its
 value, for the single-scan markers in ``csdd.infer``, which solve the
 marked problems again.  The generic
 greedy local LP and an all-``fsum`` point pass are kept for the one- and
-two-state closed forms to be compared against bit for bit, and so is the
+two-state closed forms to be compared against bit for bit, the ratio
+vertex with its own fill loop for the one that fills through the
+greedy's, and so is the
 MAP pass with the generic element loop and its own backtrack, for the
 unrolled two-element step and the shared route walk.  The record-
 and-pass model loader and the loop forms of ``check_local`` and the
@@ -318,6 +320,36 @@ def greedy_reference(cs: IntervalCredalSet, coeffs, maximize: bool = False):
             if remaining <= EQ_TOL:
                 break
     return math.fsum(c * t for c, t in zip(coeffs, theta)), tuple(theta)
+
+
+def max_ratio_vertex_reference(cs: IntervalCredalSet, i: int, j: int, scale: float = 1.0):
+    """``credal._max_ratio_vertex`` with its own fill loop: state ``i`` takes
+    all it can, ``j`` and the rest stay at their lower bounds, and the mass
+    left goes to the other states in order.  Returns ``(ratio, point)``."""
+    from csdd.credal import EQ_TOL
+
+    if i == j:
+        raise CredalSetError("numerator and denominator states must differ")
+    if not (0 <= i < cs.k and 0 <= j < cs.k):
+        raise CredalSetError("state index out of range")
+    if cs.lower[j] <= 0:
+        raise CredalSetError(f"state {j} has zero lower probability; the ratio is unbounded")
+    rest_lower = math.fsum(cs.lower[m] for m in range(cs.k) if m not in (i, j))
+    theta_i = min(cs.upper[i], 1.0 - cs.lower[j] - rest_lower)
+    theta = list(cs.lower)
+    theta[i] = theta_i
+    remaining = 1.0 - math.fsum(theta)
+    if remaining > EQ_TOL:
+        for m in range(cs.k):
+            if m in (i, j):
+                continue
+            room = cs.upper[m] - theta[m]
+            add = room if room < remaining else remaining
+            theta[m] += add
+            remaining -= add
+            if remaining <= EQ_TOL:
+                break
+    return scale * theta_i / cs.lower[j], tuple(theta)
 
 
 def point_pass_reference(circuit: Circuit, params: PsddParams, evidence) -> float:
@@ -657,7 +689,6 @@ def attaining_reference(
     whole cone, where ``robustness`` sweeps only its route, with
     :func:`credal_sweep_reference`, whose recorded points the certificate
     marks by :func:`mark_sweeps_reference`."""
-    from csdd.credal import _max_ratio_vertex
     from csdd.infer import (
         EXACT,
         MAX,
@@ -750,7 +781,7 @@ def attaining_reference(
             if denom <= 0.0 or cs.lower[j] <= 0.0:
                 local.append((math.inf, ("U", i, j, None)))
                 continue
-            ratio, point = _max_ratio_vertex(cs, i, j, num / denom)
+            ratio, point = max_ratio_vertex_reference(cs, i, j, num / denom)
             local.append((ratio, ("U", i, j, point)))
         best = max(value for value, _ in local)
         values[nid] = best

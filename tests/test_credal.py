@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import sys
+import threading
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from csdd.circuit import Circuit, Vtree
@@ -15,6 +17,7 @@ from csdd.credal import (
     BUILD_TOL,
     CredalSetError,
     IntervalCredalSet,
+    _WIDE_OPTIMA,
     _lp,
     _max_ratio_vertex,
     enumerate_vertices,
@@ -22,7 +25,7 @@ from csdd.credal import (
 )
 from csdd.params import SUM_TOL, CsddParams, ParamError, check_local
 
-from conftest import check_local_reference, credal_set_reference, greedy_reference
+from conftest import check_local_reference, credal_set_reference, greedy_reference, max_ratio_vertex_reference
 
 EXAMPLE_ROOT = IntervalCredalSet(
     (31 / 101, 52 / 101, 17 / 101), (32 / 101, 53 / 101, 18 / 101)
@@ -71,6 +74,22 @@ class TestNormalizeReachable:
     def test_single_feasible_state_collapses(self):
         cs = normalize_reachable((0.7, 0.0), (1.0, 0.0))
         assert cs.lower == (1.0, 0.0) and cs.upper == (1.0, 0.0)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: max(l, 1 - (su - u)) in floats rounds some zero-count "
+        "IDM lower bounds up to 1.1102230246251565e-16"))
+    def test_zero_count_idm_lower_bound_stays_zero(self):
+        # two-state counts [n, 0] and [0, n] at three ess values, bounded as
+        # idm_estimate bounds them: the zero count's lower bound is 0
+        spurious = []
+        for ess in (0.5, 1.0, 2.0):
+            for n in range(1, 400):
+                for counts in ((n, 0), (0, n)):
+                    cs = normalize_reachable([c / (n + ess) for c in counts],
+                                             [(c + ess) / (n + ess) for c in counts])
+                    if cs.lower[counts.index(0)] != 0.0:
+                        spurious.append((ess, counts, cs.lower))
+        assert not spurious, f"{len(spurious)} of 2394, first {spurious[0]}"
 
     def test_empty_rejected(self):
         with pytest.raises(CredalSetError):
@@ -261,6 +280,79 @@ class TestClosedForm:
                 assert vars(cs) == {"lower": cs.lower, "upper": cs.upper, "_optima": optima}
         assert built > 2 * len(sets)
 
+    def test_wide_optima_are_cached_on_the_set(self):
+        # three to six states: _lp keeps each greedy order's point on the set,
+        # in both senses and with ties, outside the fields
+        rng = Random(1106)
+        sets = [self._random_set(rng, (3, 4, 5, 6)) for _ in range(300)]
+        builders = (
+            lambda seen: IntervalCredalSet(seen.lower, seen.upper),
+            lambda seen: IntervalCredalSet._accepted(seen.lower, seen.upper),
+        )
+        for seen in sets:
+            for build in builders:
+                cs = build(seen)  # not read before
+                identity = (hash(cs), repr(cs), dataclasses.fields(cs))
+                for _ in range(10):
+                    coeffs = self._random_coeffs(rng, cs.k)
+                    for maximize in (False, True):
+                        value, point = _lp(cs, coeffs, maximize)
+                        assert repr((value, point)) == _outcome(greedy_reference, cs, coeffs, maximize)
+                        assert _lp(cs, tuple(coeffs), maximize)[1] is point  # the same order again
+                optima = cs._optima
+                assert 0 < len(optima) <= _WIDE_OPTIMA
+                for order, point in optima.items():
+                    assert point is _lp(cs, [order.index(i) for i in range(cs.k)])[1]
+                assert cs == seen and (hash(cs), repr(cs), dataclasses.fields(cs)) == identity
+                assert dataclasses.astuple(cs) == (cs.lower, cs.upper)
+                assert vars(cs) == {"lower": cs.lower, "upper": cs.upper, "_optima": optima}
+
+    def test_wide_optima_are_bounded(self):
+        # every order of six states, twice over: far more distinct orders than
+        # the bound, each answer still the greedy's and the cache never past it
+        cs = normalize_reachable((0.05, 0.1, 0.0, 0.15, 0.1, 0.05), (0.4, 0.3, 0.25, 0.5, 0.35, 0.3))
+        orders = list(permutations(range(6)))
+        assert len(orders) > 2 * _WIDE_OPTIMA
+        sizes = set()
+        for maximize in (False, True):
+            for order in orders:
+                coeffs = [float(order.index(i)) for i in range(6)]
+                want = _outcome(greedy_reference, cs, coeffs, maximize)
+                value, point = _lp(cs, coeffs, maximize)
+                assert repr((value, point)) == want
+                assert _lp(cs, coeffs, maximize)[1] is point
+                sizes.add(len(cs._optima))
+        assert max(sizes) == _WIDE_OPTIMA and min(sizes) == 1  # filled up, emptied, filled again
+
+    def test_wide_optima_shared_by_threads(self):
+        # threads that share a set race on its cache: every answer is still
+        # the greedy's, and the cache passes the bound by at most one per thread
+        cs = normalize_reachable((0.05, 0.1, 0.0, 0.15, 0.1, 0.05), (0.4, 0.3, 0.25, 0.5, 0.35, 0.3))
+        rows = [[float(order.index(i)) for i in range(6)] for order in permutations(range(6))]
+        want = [_outcome(greedy_reference, cs, row, True) for row in rows]
+        sizes, wrong = [], []
+
+        def work(shift):
+            for n in range(len(rows)):
+                j = (n + shift) % len(rows)
+                if repr(_lp(cs, rows[j], True)) != want[j]:
+                    wrong.append(rows[j])
+                sizes.append(len(cs._optima))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(shift,)) for shift in (0, 180, 360, 540)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(sizes) == 4 * len(rows) and not wrong
+        assert max(sizes) <= _WIDE_OPTIMA + len(threads)
+
     def test_select_centres(self):
         rng = Random(1102)
         sets = [random_reachable(rng, rng.randint(1, 4)) for _ in range(200)]
@@ -303,6 +395,24 @@ class TestVertices:
             enumerate_vertices(cs)
 
 
+@st.composite
+def _ratio_problems(draw):
+    """A reachable set of 2-6 states from bounds in [0, 1] or ``FUSED_VALUES``
+    (the vacuous set if no pmf fits them), and two distinct states, the
+    second with a positive lower bound."""
+    k = draw(st.integers(2, 6))
+    bounds = draw(st.lists(st.one_of(st.sampled_from(FUSED_VALUES), st.floats(0.0, 1.0)),
+                           min_size=2 * k, max_size=2 * k))
+    try:
+        cs = normalize_reachable(tuple(map(min, bounds[:k], bounds[k:])),
+                                 tuple(map(max, bounds[:k], bounds[k:])))
+    except CredalSetError:
+        cs = normalize_reachable((0.0,) * k, (1.0,) * k)
+    i, j = draw(st.permutations(range(k)))[:2]
+    assume(cs.lower[j] > 0.0)
+    return cs, i, j
+
+
 class TestMaxRatio:
     def test_point_set(self):
         cs = IntervalCredalSet.point((0.2, 0.5, 0.3))
@@ -330,6 +440,22 @@ class TestMaxRatio:
             assert value == pytest.approx(scan, rel=1e-9)
             # the optimizer is a member of the set that attains the ratio
             assert cs.contains(point) and point[i] / point[j] == pytest.approx(value, rel=1e-9)
+
+    @settings(max_examples=500, deadline=None)
+    @given(problem=_ratio_problems(), scale=st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
+    # the fill meets a -0.0 lower bound with no room before the mass runs out
+    @example(problem=(IntervalCredalSet((0.5, -0.0, 0.2, 0.1), (0.6, 0.0, 0.4, 0.3)), 0, 2), scale=1.0)
+    def test_fill_matches_the_loop(self, problem, scale):
+        # the mass left after state i goes through the greedy's fill, which
+        # gives the loop's ratio and point bit for bit, except that the loop
+        # adds a zero room to a -0.0 bound (giving +0.0) where the fill skips it
+        cs, i, j = problem
+        got = _outcome(_max_ratio_vertex, cs, i, j, scale)
+        want = _outcome(max_ratio_vertex_reference, cs, i, j, scale)
+        if any(math.copysign(1.0, l) < 0.0 for l in cs.lower):
+            assert _max_ratio_vertex(cs, i, j, scale) == max_ratio_vertex_reference(cs, i, j, scale)
+        else:
+            assert got == want, (cs, i, j, scale)
 
     def test_matches_grid_search(self):
         # dense grid over the 3-state simplex slice inside the box

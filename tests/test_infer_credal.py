@@ -2085,21 +2085,51 @@ class TestTwoStateKernels:
         tie=st.sampled_from((None, "all", "pairs")),
     )
     def test_wide_kernel_matches_the_greedy(self, problem, tie):
-        # a row's greedy order is _lp's stable one, ties in state order, and
-        # rows of one order share its greedy point
+        # a wide root in the column sweep and sign test gives _lp's value
+        # on each evidence's row: its greedy order is _lp's stable one, ties
+        # in state order, and rows of one order share the set's greedy point
         cs, rows = problem
         k = cs.k
         if tie == "all":
             rows = [(row[0],) * k for row in rows]
         elif tie == "pairs":
             rows = [tuple(row[i - i % 2] for i in range(k)) for row in rows]
-        circuit, _, _ = _probe(k)
+        circuit, primes, subs = _probe(k)
+        root = circuit.root
+        # sweeps: X1's terminals read the row (as row + 0.0) where X1 is
+        # true, X2's read 1.0 where X2 is free, so the root's coefficients
+        # are the row's; every other evidence gives its own coefficients
+        batch = _Columns(circuit, _PROBE_EVIDENCE)
+        j = _PROBE_EVIDENCE.index({1: True})
+        for row in rows:
+            params = CsddParams({root: cs, **dict(zip(primes, map(_reads, row))),
+                                 **dict.fromkeys(subs, _reads(1.0))})
+            for sense in (MIN, MAX):
+                want = _lp(cs, [c + 0.0 for c in row], sense == MAX)[0]
+                got = batch.sweep(params, sense)[root]
+                assert repr(got[j]) == repr(want), (cs, row, sense)
+                scalar = [_credal_sweep(circuit, params, evidence, circuit.cone(), sense)[root]
+                          for evidence in _PROBE_EVIDENCE]
+                assert repr(got) == repr(scalar), (cs, row, sense)
+        # sign test at mu = 0 for X1 = 1, as in the two-state test: each
+        # prime's message is +-1.0 and the sibling's column it reads holds
+        # the row's coefficient with the message's sign, so the root's
+        # coefficients are the rows bit for bit, one row per evidence
+        messages = [-1.0 if i % 2 else 1.0 for i in range(k)]
+        params = CsddParams({root: cs, **dict(zip(primes, map(_reads, messages)))})
+        low, up = [None] * len(circuit.nodes), [None] * len(circuit.nodes)
+        for m, sub, col in zip(messages, subs, zip(*rows)):
+            read, other = (up, low) if m < 0.0 else (low, up)
+            read[sub], other[sub] = [-c if m < 0.0 else c for c in col], [math.nan] * len(rows)
+        up[root] = [0.0] * len(rows)
+        want = [_lp(cs, row)[0] for row in rows]
         batch = _Columns(circuit, _PROBE_EVIDENCE[:len(rows)])
-        cols = [list(col) for col in zip(*rows)]
-        for maximize in (False, True):
-            want = [_lp(cs, row, maximize)[0] for row in rows]
-            got = batch._lp(circuit.root, cs, cols, batch.keys, maximize)
-            assert repr(got) == repr(want), (cs, rows, maximize)
+        picked = list(range(len(rows)))[::2]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(infer, "_sign", lambda value, upper: value)  # the root message itself
+            assert repr(batch.sign(params, 1, True, 0.0, low, up)) == repr(want), (cs, rows)
+            assert repr(batch.sign(params, 1, True, 0.0, low, up, picked)) == repr(
+                [want[j] for j in picked])
 
 
 def _wide_circuit(rng: Random, singly: bool) -> Circuit:
