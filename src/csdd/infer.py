@@ -37,21 +37,24 @@ chosen elements only.  Attaining completions are read off the tied
 options by a depth-first walk.
 
 A node's result in a bottom-up pass depends only on the table and the
-evidence under its vtree node.  A batch of evidences known up front runs
-node-major: the private ``_Columns`` passes fill a column per node, one
-entry per evidence, the scalar pass's result bit for bit, and solve a
-wide node once per distinct evidence under it, by ``_lp`` itself.  Their
-inputs follow one terminal rule: a terminal reads its pass's ``free``
-entry where its variable is unobserved, else ``on`` or ``off`` by its
-value, and a FALSE or table-less decision node its pass's empty one.  The display experiment
-decides a cell's distinct observations with them, and finds their MAP
-completions and the completions' robustness by :func:`_map_robustness`:
-the MAP and credal MAP passes as columns, then per completion only the
-route-local steps, on the route its MAP choices walk, so no truth pass
-runs.  The point, MAP and credal MAP passes have only the column form:
-:func:`marginal`, :func:`map_query`, :func:`credal_map_upper` and
-:func:`robustness` run them on a batch of one.  A max pass's result at a
-node is one record, a :class:`_Tie`.
+evidence under its vtree node.  Every pass but the traced sign test runs
+node-major over a batch of evidences: the private ``_Columns`` passes fill
+a column per node, one entry per evidence, and solve a wide node once per
+distinct evidence under it, by ``_lp`` itself.  Their inputs follow one
+terminal rule: a terminal reads its pass's ``free`` entry where its
+variable is unobserved, else ``on`` or ``off`` by its value, and a FALSE
+or table-less decision node its pass's empty one.  The evidence sweep is
+only :meth:`_Columns.sweep`, over the cone or over routes; the sweep,
+point, MAP and credal MAP passes of :func:`lower_marginal`,
+:func:`upper_marginal`, :class:`EvidenceSession`, :func:`marginal`,
+:func:`map_query`, :func:`credal_map_upper` and :func:`robustness` run on
+a batch of one.  The display experiment decides a cell's distinct
+observations with them, and finds their MAP completions and the
+completions' robustness by :func:`_map_robustness`: the MAP and credal MAP
+passes as columns, one lower sweep of the completions over the union of
+their routes, then per completion only the route-local steps, on the
+route its MAP choices walk, so no truth pass runs.  A max pass's result at
+a node is one record, a :class:`_Tie`.
 """
 
 from __future__ import annotations
@@ -367,66 +370,16 @@ def _map_completion(circuit: Circuit, params: PsddParams, values: list, j: int,
 # credal evidence passes
 
 
-def _credal_sweep(
-    circuit: Circuit,
-    params: CsddParams,
-    evidence: Mapping[int, bool],
-    ids: Sequence[int],
-    sense: int,
-) -> list[float]:
-    """Evidence value of each node of ``ids``, children first; nodes outside
-    read 0.0.  Under a complete assignment its route gives the cone's values:
-    off it, every prime is false and sweeps to 0.0.  An observed TRUE terminal
-    and a one- or two-element decision node are ``_lp`` unrolled to its float."""
-    values = [0.0] * len(circuit.nodes)
-    table, maximize = params.table, sense == MAX
-    for nid in ids:
-        node = circuit.nodes[nid]
-        if node.kind == LITERAL:
-            val = evidence.get(node.var)
-            values[nid] = 1.0 if val is None or val == node.polarity else 0.0
-        elif node.kind == TRUE and evidence.get(node.var) is None:
-            values[nid] = 1.0
-        elif node.kind == TRUE or len(node.elements) == 2:
-            if node.kind == TRUE:  # observed
-                c0, c1 = (1.0, 0.0) if evidence[node.var] else (0.0, 1.0)
-            else:
-                (p0, s0), (p1, s1) = node.elements
-                c0, c1 = values[p0] * values[s0], values[p1] * values[s1]
-            if c0 or c1:  # else 0.0, as the guard of _sweep_problem gives
-                x0, x1 = table[nid]._optima[c0 < c1 if maximize else c1 < c0]
-                value = c0 * x0 + c1 * x1 + 0.0
-                values[nid] = value if value - value == 0.0 else _lp(table[nid], (c0, c1), maximize)[0]
-        elif len(node.elements) == 1:  # both optima are the one point; fsum of one term is it
-            ((p, s),) = node.elements
-            if c0 := values[p] * values[s]:
-                values[nid] = c0 * table[nid]._optima[0][0] + 0.0
-        elif node.kind != FALSE:  # FALSE reads 0.0
-            values[nid] = _sweep_problem(table, nid, node, evidence, values, maximize)[0]
-    return values
-
-
-def _sweep_problem(table, nid: int, node, evidence: Mapping[int, bool], values, maximize: bool):
-    """``(value, point)`` of a sweep's problem at an observed TRUE terminal or
-    a decision node, children at ``values``; ``(0.0, None)`` on zero coefficients:
-    any marked by :func:`_mark_sweeps`, and :func:`_credal_sweep`'s wide nodes."""
-    if node.kind == TRUE:
-        coeffs = (1.0, 0.0) if evidence[node.var] else (0.0, 1.0)
-    else:
-        coeffs = [values[p] * values[s] for p, s in node.elements]
-    return _lp(table[nid], coeffs, maximize) if any(coeffs) else (0.0, None)
-
-
 def lower_marginal(circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> float:
     """Exact lower probability of the evidence, any topology."""
     _check_evidence(circuit, evidence)
-    return _credal_sweep(circuit, params, evidence, circuit.cone(), MIN)[circuit.root]
+    return _Columns(circuit, [evidence]).sweep(params, MIN)[circuit.root][0]
 
 
 def upper_marginal(circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> float:
     """Exact upper probability of the evidence, any topology."""
     _check_evidence(circuit, evidence)
-    return _credal_sweep(circuit, params, evidence, circuit.cone(), MAX)[circuit.root]
+    return _Columns(circuit, [evidence]).sweep(params, MAX)[circuit.root][0]
 
 
 def _mark_sweeps(
@@ -444,7 +397,8 @@ def _mark_sweeps(
     ``low``/``up`` sweep ``evidence`` over ``ids``, which must hold every
     node a mark reaches; ``starts`` holds (node, sense) pairs.  Marks run
     top-down, one reverse scan per sense, solving each marked sweep problem
-    again.  For a lower value, elements whose contribution vanishes only
+    again, by ``_lp`` on the coefficients the sweep read: zero ones pin no
+    point.  For a lower value, elements whose contribution vanishes only
     because a child's lower bound is zero pin that child too (the zero must
     be attained); contributions that are zero for every member are free.
     """
@@ -457,8 +411,12 @@ def _mark_sweeps(
             if nid not in marked:
                 continue
             node = circuit.nodes[nid]
-            if node.kind == DECISION or node.kind == TRUE and evidence.get(node.var) is not None:
-                trace.record(nid, _sweep_problem(table, nid, node, evidence, values, sense == MAX)[1])
+            if node.kind == TRUE and evidence.get(node.var) is not None:
+                coeffs = (1.0, 0.0) if evidence[node.var] else (0.0, 1.0)
+            else:
+                coeffs = [values[p] * values[s] for p, s in node.elements]
+            if any(coeffs):  # a literal or free terminal has none
+                trace.record(nid, _lp(table[nid], coeffs, sense == MAX)[1])
             for p, s in node.elements:
                 vp, vs = values[p], values[s]
                 if vp > 0.0 and vs > 0.0:
@@ -506,8 +464,9 @@ class EvidenceSession:
     :func:`conditional_sign`, :func:`lower_conditional` and
     :func:`upper_conditional`; a call whose circuit, root, params or
     evidence differ from the session's raises :class:`InferenceError`.
-    A session holds no cache: a one- or two-state set keeps its own
-    greedy points.
+    The sweeps are :meth:`_Columns.sweep` on a batch of one, kept as rows
+    by node id for the scalar sign test.  A session holds no other cache:
+    a credal set keeps its own greedy points.
     """
 
     def __init__(self, circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool]) -> None:
@@ -516,8 +475,8 @@ class EvidenceSession:
         self.params = params
         self.evidence = dict(evidence)
         self.root = circuit.root
-        self.low, self.up = (_credal_sweep(circuit, params, self.evidence, circuit.cone(), sense)
-                             for sense in (MIN, MAX))
+        batch = _Columns(circuit, [self.evidence])  # the sweeps' rows, by node id
+        (self.low,), (self.up,) = (zip(*batch.sweep(params, sense)) for sense in (MIN, MAX))
         upper = self.up[self.root]
         if upper <= 0.0 and not is_consistent(circuit, evidence):
             raise InferenceError("evidence violates circuit constraints")
@@ -786,14 +745,14 @@ _NO_COMPLETION = _Tie(0.0, (), 0)  # a FALSE node, or an unsatisfiable decision 
 class _Columns:
     """Node-major passes over a batch of evidences on one circuit.
 
-    A pass visits each node of its cone (or spine) once and fills a column,
-    one entry per evidence.  Every pass fills its inputs by one terminal
-    rule, :meth:`_inputs`, so its own loop holds only its decision rule.
-    The point, MAP and credal MAP passes are :func:`marginal`'s,
-    :func:`map_query`'s and :func:`credal_map_upper`'s (and
-    :func:`robustness`'s); the sweep and sign test give the scalar pass's
-    result (:func:`_credal_sweep`, :meth:`EvidenceSession._sign_test`), bit
-    for bit, by the same float operations.  An LP over one or two states is
+    A pass visits each node of its cone (or spine, or routes) once and
+    fills a column, one entry per evidence.  Every pass fills its inputs by
+    one terminal rule, :meth:`_inputs`, so its own loop holds only its
+    decision rule.  The point, MAP, credal MAP and sweep passes are the
+    only ones (a query on one evidence runs them on a batch of one); the
+    sign test gives the traced one's result
+    (:meth:`EvidenceSession._sign_test`), bit for bit, by the same float
+    operations.  An LP over one or two states is
     ``_lp`` unrolled into one comprehension over the child columns: the
     set's cached optimum that ``c1 < c0`` (``c0 < c1`` when maximizing)
     picks, and its sum, with no ``fsum`` for a non-finite one, which no
@@ -913,11 +872,16 @@ class _Columns:
             cols[nid] = self._per_key(nid, self.keys, solve)
         return list(zip(*cols))
 
-    def sweep(self, params: CsddParams, sense: int) -> list:
-        """Evidence-sweep columns by node id; ``None`` off the cone."""
+    def sweep(self, params: CsddParams, sense: int, ids: Sequence[int] | None = None) -> list:
+        """Evidence-sweep columns by node id over ``ids``, children first: the
+        cone by default, else a route or a union of routes, whose rows of
+        complete evidences give the cone's values on their own routes (off
+        a route every prime is false and sweeps to 0.0).  A node outside
+        ``ids`` reads a zero column."""
         nodes, table, maximize = self.circuit.nodes, params.table, sense == MAX
-        cols: list = [None] * len(nodes)
-        for nid in self._inputs(self.circuit.cone(), cols, self.obs, table, lambda cs: (
+        cols: list = [[0.0] * self.size] * len(nodes)
+        ids = self.circuit.cone() if ids is None else ids
+        for nid in self._inputs(ids, cols, self.obs, table, lambda cs: (
                 1.0, _lp(cs, (1.0, 0.0), maximize)[0], _lp(cs, (0.0, 1.0), maximize)[0])):
             elements, cs = nodes[nid].elements, table[nid]
             if len(elements) == 2:  # _lp unrolled: its point depends only on c1 < c0
@@ -1087,14 +1051,15 @@ def robustness(
 
     Computes ``V = max over completions x, over tables, of
     P(x, e) / P(xstar, e)`` bottom-up along ``xstar``'s route: one credal
-    MAP pass and one truth pass over the cone, then :func:`_robust_on_route`,
-    ``xstar``'s own sweeps and options over the route only.  V is exact on
+    MAP pass and one truth pass over the cone, then ``xstar``'s own lower
+    sweep (and a certificate's upper one) and :func:`_robust_on_route`'s
+    options over the route only.  V is exact on
     singly connected circuits and an upper bound otherwise (robust verdicts
     are certain, non-robust ones may be conservative).  The verdict is
     robust when only ``xstar`` attains V = 1, weakly robust when the maximum
     is tied, and not robust otherwise (including inconsistent ``xstar``).
-    A batch of MAP completions runs the two cone passes as columns instead
-    (:func:`_map_robustness`).
+    A batch of MAP completions runs the cone passes as columns instead, and
+    one lower sweep over the union of its routes (:func:`_map_robustness`).
     """
     _check_evidence(circuit, evidence)
     _check_evidence(circuit, xstar)
@@ -1110,18 +1075,20 @@ def robustness(
         return RobustnessVerdict(1.0, NOT_ROBUST, (), InferenceTrace() if want_certificate else None,
                                  ExactnessCertificate(EXACT) if want_certificate else None)
     cm = _Columns(circuit, [evidence]).credal_map(params)[0]
-    return _robust_on_route(circuit, params, evidence, xstar, total, found, cm, want_certificate)
+    (low_xe,) = zip(*_Columns(circuit, [total]).sweep(params, MIN, found[1]))
+    return _robust_on_route(circuit, params, evidence, xstar, total, found, cm, low_xe, want_certificate)
 
 
 def _robust_on_route(circuit: Circuit, params: CsddParams, evidence: Mapping[int, bool],
                      xstar: Mapping[int, bool], total: Mapping[int, bool], found,
-                     cm: Sequence[_Tie], want_certificate: bool) -> RobustnessVerdict:
+                     cm: Sequence[_Tie], low_xe: Sequence[float], want_certificate: bool
+                     ) -> RobustnessVerdict:
     """:func:`robustness` of ``xstar`` given ``total``, the evidence and
-    ``xstar``, its route ``found`` (as :func:`_route` gives it) and ``cm``, the
-    evidence's row of :meth:`_Columns.credal_map`: the route's lower sweep,
+    ``xstar``, its route ``found`` (as :func:`_route` gives it), ``cm``, the
+    evidence's row of :meth:`_Columns.credal_map`, and ``low_xe``, ``total``'s
+    row of a lower :meth:`_Columns.sweep` over the route or a union of routes:
     each route node's options, the attaining completions and the verdict."""
     realized, route = found
-    low_xe = _credal_sweep(circuit, params, total, route, MIN)
     table = params.table
     nodes, root = circuit.nodes, circuit.root
 
@@ -1190,7 +1157,7 @@ def _robust_on_route(circuit: Circuit, params: CsddParams, evidence: Mapping[int
                     map_starts += node.elements[opt]
                     sweep_starts += ((child, MIN) for child in node.elements[j])
         _mark_map(trace, circuit, params, cm, evidence, map_starts)
-        up_xe = _credal_sweep(circuit, params, total, route, MAX)
+        (up_xe,) = zip(*_Columns(circuit, [total]).sweep(params, MAX, route))
         _mark_sweeps(trace, circuit, params, total, route, low_xe, up_xe, sweep_starts)
         certificate = exactness_certificate(trace, circuit.connectivity())
 
@@ -1205,11 +1172,12 @@ def _map_robustness(batch: _Columns, psdd: PsddParams, csdd: CsddParams
     csdd, e, xstar, want_certificate=False)`` answer, ``xstar`` the
     completion's free variables.  The MAP and credal MAP passes run as
     columns; each completion and its route come from its MAP choices, so no
-    truth pass runs, and :func:`_robust_on_route` reads the evidence's row
-    of the credal MAP pass.  Raises as the first failing evidence alone
-    does."""
+    truth pass runs.  One lower sweep of the completions runs over the
+    union of their routes, and :func:`_robust_on_route` reads the
+    evidence's row of the credal MAP pass and the completion's row of that
+    sweep.  Raises as the first failing evidence alone does."""
     circuit, root = batch.circuit, batch.circuit.root
-    values, cms, out = batch.map(psdd), batch.credal_map(csdd), []
+    values, cms, mapped = batch.map(psdd), batch.credal_map(csdd), []
     for j, evidence in enumerate(batch.evidences):
         _check_evidence(circuit, evidence)
         if values[root][j] <= 0.0:
@@ -1217,9 +1185,15 @@ def _map_robustness(batch: _Columns, psdd: PsddParams, csdd: CsddParams
         completion, found = _map_completion(circuit, psdd, values, j, evidence)
         if len(completion) != circuit.vtree.var_count:  # a root below the vtree's
             raise InferenceError(_UNCOVERED)
+        mapped.append((completion, found))
+    completions = [completion for completion, _ in mapped]
+    routes = sorted(set().union(*(route for _, (_, route) in mapped)))
+    lows = zip(*_Columns(circuit, completions).sweep(csdd, MIN, routes))
+    out = []
+    for j, (evidence, (completion, found), low_xe) in enumerate(zip(batch.evidences, mapped, lows)):
         xstar = {var: val for var, val in completion.items() if var not in evidence}
         out.append((values[root][j], completion, _robust_on_route(
-            circuit, csdd, evidence, xstar, completion, found, cms[j], False)))
+            circuit, csdd, evidence, xstar, completion, found, cms[j], low_xe, False)))
     return out
 
 

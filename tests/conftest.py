@@ -474,9 +474,10 @@ def credal_sweep_reference(
     ids: Sequence[int],
     sense: int,
 ) -> SweepReference:
-    """``infer._credal_sweep`` without its memo, recording beside each value
-    the point its local problem pinned.  Nodes outside ``ids`` read 0.0 and
-    pin nothing."""
+    """One evidence's lower or upper sweep as a scalar loop, which each row
+    of ``infer._Columns.sweep`` must equal, recording beside each value the
+    point its local problem pinned.  Nodes outside ``ids`` read 0.0 and pin
+    nothing."""
     from csdd.credal import _lp
     from csdd.infer import MAX
 
@@ -860,7 +861,7 @@ def check_map_batch(
     ``want_certificate``, the route step on the MAP choices' route and the
     evidence's row of the batch's credal MAP pass also certifies as the
     scalar call does (status and points).  Returns the batch's answers."""
-    from csdd.infer import _Columns, _map_completion, _map_robustness, _robust_on_route, robustness
+    from csdd.infer import MIN, _Columns, _map_completion, _map_robustness, _robust_on_route, robustness
 
     batch = _Columns(circuit, evidences)
     got = _map_robustness(batch, psdd, csdd)
@@ -877,7 +878,9 @@ def check_map_batch(
         assert repr(verdict) == repr(robustness(circuit, csdd, evidence, xstar, False))
         if want_certificate:
             found = _map_completion(circuit, psdd, values, j, evidence)[1]
-            certified = _robust_on_route(circuit, csdd, evidence, xstar, completion, found, row, True)
+            (low,) = zip(*_Columns(circuit, [completion]).sweep(csdd, MIN, found[1]))
+            certified = _robust_on_route(circuit, csdd, evidence, xstar, completion, found, row, low,
+                                         True)
             scalar = robustness(circuit, csdd, evidence, xstar, True)
             assert repr((certified.value, certified.label, certified.attaining, certified.certificate,
                          certified.trace.uses)) == repr((scalar.value, scalar.label, scalar.attaining,

@@ -61,7 +61,6 @@ from csdd.infer import (
     upper_marginal,
     _Columns,
     _Tie,
-    _credal_sweep,
     _find_crossing,
     _map_completion,
     _map_robustness,
@@ -1019,13 +1018,14 @@ class TestRoute:
             raise AssertionError("robustness tested consistency apart from its route")
 
         visited = []
+        sweep = _Columns.sweep
 
-        def spy(circuit, params, evidence, ids, sense):
-            visited.append(list(ids))
-            return _credal_sweep(circuit, params, evidence, ids, sense)
+        def spy(batch, params, sense, ids=None):
+            visited.append(ids if ids is None else list(ids))
+            return sweep(batch, params, sense, ids)
 
         monkeypatch.setattr(infer, "is_consistent", no_consistency_test)
-        monkeypatch.setattr(infer, "_credal_sweep", spy)
+        monkeypatch.setattr(_Columns, "sweep", spy)
         rng = Random(31)
         shorter = 0
         for case in range(120):
@@ -1063,12 +1063,12 @@ class TestMarkers:
         n = circuit.vtree.var_count
         evidence = {v: bool(rng.getrandbits(1)) for v in range(1, n + 1) if rng.random() < 0.5}
         cone = circuit.cone()
-        low = _credal_sweep(circuit, params, evidence, cone, MIN)
-        up = _credal_sweep(circuit, params, evidence, cone, MAX)
+        batch = _Columns(circuit, [evidence])
+        (low,), (up,) = (zip(*batch.sweep(params, sense)) for sense in (MIN, MAX))
         # the walks read the points the reference sweeps recorded
         low_ref = credal_sweep_reference(circuit, params, evidence, cone, MIN)
         up_ref = credal_sweep_reference(circuit, params, evidence, cone, MAX)
-        assert repr((low, up)) == repr((low_ref.values, up_ref.values))
+        assert repr((list(low), list(up))) == repr((low_ref.values, up_ref.values))
         cm = _Columns(circuit, [evidence]).credal_map(params)[0]
         assert all(type(cm[nid]) is _Tie for nid in cone)
         sweep_starts = [(rng.choice(cone), rng.choice((MIN, MAX))) for _ in range(rng.randint(1, 6))]
@@ -1313,9 +1313,10 @@ class TestMapBatch:
             found = _route(circuit, total)
             if found is None:
                 continue
+            (low,) = zip(*_Columns(circuit, [total]).sweep(csdd, MIN, found[1]))
             for certify in (False, True):
                 got = _robust_on_route(circuit, csdd, evidence, xstar, total, found,
-                                       rows[j], certify)
+                                       rows[j], low, certify)
                 assert _verdict(got) == _verdict(robustness(circuit, csdd, evidence, xstar, certify))
 
     def test_refusals(self):
@@ -1794,8 +1795,9 @@ class TestEvidenceFactsOnce:
             xstar = {v: b for v, b in completion.items() if v not in evidence}
             assert _verdict(verdict) == _verdict(robustness(circuit, csdd, evidence, xstar, False))
             # the route step on the MAP choices' route certifies as the scalar call
+            (low,) = zip(*_Columns(circuit, [completion]).sweep(csdd, MIN, found[1]))
             certified = _robust_on_route(circuit, csdd, evidence, xstar, completion, found,
-                                         cm[j], True)
+                                         cm[j], low, True)
             assert _verdict(certified) == _verdict(robustness(circuit, csdd, evidence, xstar, True))
             # any other completion runs its truth pass and answers as one-shot
             other = {v: bool(rng.getrandbits(1)) for v in xstar}
@@ -1898,14 +1900,24 @@ class TestValueSweeps:
         csdd = random_csdd_params(rng, circuit, 0.3)
         cone = circuit.cone()
         models = sorted(enumerate_models(circuit, circuit.root))
-        for _ in range(6):
-            total = dict(enumerate(rng.choice(models), 1))
-            route = _route(circuit, total)[1]
-            for sense in (MIN, MAX):
-                want = _credal_sweep(circuit, csdd, total, cone, sense)
+        totals = [dict(enumerate(rng.choice(models), 1)) for _ in range(6)]
+        # two models of different routes, where the circuit has them
+        by_route = {tuple(_route(circuit, dict(enumerate(m, 1)))[1]): m for m in models}
+        totals += [dict(enumerate(m, 1)) for m in list(by_route.values())[:2]]
+        routes = [_route(circuit, total)[1] for total in totals]
+        if len(by_route) > 1:  # every route holds the root; these differ elsewhere too
+            assert set(routes[-1]) != set(routes[-2])
+        union = sorted(set().union(*routes))
+        for sense in (MIN, MAX):
+            # a batch of the complete assignments sweeps the union of their
+            # routes: each row reads its own route as its batch of one does
+            batched = list(zip(*_Columns(circuit, totals).sweep(csdd, sense, union)))
+            for total, route, row in zip(totals, routes, batched):
+                want = credal_sweep_reference(circuit, csdd, total, cone, sense).values
                 for ids in (route, cone):
-                    got = _credal_sweep(circuit, csdd, total, ids, sense)
+                    (got,) = zip(*_Columns(circuit, [total]).sweep(csdd, sense, ids))
                     assert repr([got[nid] for nid in ids]) == repr([want[nid] for nid in ids])
+                assert repr([row[nid] for nid in route]) == repr([want[nid] for nid in route])
 
 
 class TestGreedyOncePerSet:
@@ -2023,8 +2035,6 @@ class TestTwoStateKernels:
             cols = batch.sweep(params, sense)
             for j, evidence in enumerate(_PROBE_EVIDENCE):
                 want = credal_sweep_reference(circuit, params, evidence, cone, sense).values
-                got = _credal_sweep(circuit, params, evidence, cone, sense)
-                assert repr(got) == repr(want), (evidence, sense)
                 assert repr([cols[nid][j] for nid in cone]) == repr([want[nid] for nid in cone])
         # sign test at mu = 0 for X1 = 1: each prime's message is +-1.0, and
         # the coefficient its message times the sibling's column that the
@@ -2056,10 +2066,10 @@ class TestTwoStateKernels:
     @example(cs=IntervalCredalSet((1.0,), (1.0,)), terms=(math.inf, 0.0, -0.5, 0.0), tie=False)
     def test_scalar_unroll_with_non_finite_coefficients(self, cs, terms, tie):
         # products of the terminals' values overflow, or meet inf - inf, where
-        # _lp's fsum raises; the unroll must raise there too, and the column
-        # sweep give the same value wherever the reference gives one.  The
-        # root has one or two elements, and every evidence observes some of
-        # its TRUE terminals, whose points hold those non-finite values
+        # _lp's fsum raises; the column sweep must give the same value
+        # wherever the reference gives one.  The root has one or two
+        # elements, and every evidence observes some of its TRUE terminals,
+        # whose points hold those non-finite values (no validated table does)
         k = cs.k
         circuit, primes, subs = _probe(k)
         a, b = terms[:2], terms[2:]
@@ -2073,8 +2083,6 @@ class TestTwoStateKernels:
             for j, evidence in enumerate(_PROBE_EVIDENCE):
                 want = _swept(lambda *args: credal_sweep_reference(*args).values,
                               circuit, params, evidence, cone, sense)
-                got = _swept(_credal_sweep, circuit, params, evidence, cone, sense)
-                assert repr(got) == repr(want), (evidence, sense)
                 if isinstance(want, list):
                     assert repr(cols[root][j]) == repr(want[root]), (evidence, sense)
 
@@ -2108,8 +2116,8 @@ class TestTwoStateKernels:
                 want = _lp(cs, [c + 0.0 for c in row], sense == MAX)[0]
                 got = batch.sweep(params, sense)[root]
                 assert repr(got[j]) == repr(want), (cs, row, sense)
-                scalar = [_credal_sweep(circuit, params, evidence, circuit.cone(), sense)[root]
-                          for evidence in _PROBE_EVIDENCE]
+                scalar = [credal_sweep_reference(circuit, params, evidence, circuit.cone(), sense)
+                          .values[root] for evidence in _PROBE_EVIDENCE]
                 assert repr(got) == repr(scalar), (cs, row, sense)
         # sign test at mu = 0 for X1 = 1, as in the two-state test: each
         # prime's message is +-1.0 and the sibling's column it reads holds
@@ -2162,7 +2170,7 @@ class TestColumnParity:
         for sense in (MIN, MAX):
             cols = batch.sweep(csdd, sense)
             for j, evidence in enumerate(evidences):
-                want = _credal_sweep(circuit, csdd, evidence, cone, sense)
+                want = credal_sweep_reference(circuit, csdd, evidence, cone, sense).values
                 assert repr([cols[nid][j] for nid in cone]) == repr([want[nid] for nid in cone]), (
                     evidence, sense)
 
