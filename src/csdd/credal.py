@@ -122,7 +122,10 @@ def normalize_reachable(lower: Sequence[float], upper: Sequence[float]) -> Inter
     """Tighten raw interval bounds to reachable form (same feasible set)."""
     lower, upper = tuple(map(float, lower)), tuple(map(float, upper))
     sl, su = _bound_sums(lower, upper)
-    new_lower = [min(max(l, 1.0 - (su - u)), u) for l, u in zip(lower, upper)]
+    # a lower bound rises only past the sums' rounding, which would otherwise
+    # lift a zero-count IDM bound of 0 to an ulp
+    rounding = 4 * 2.0 ** -53 * max(1.0, su)
+    new_lower = [min(t if (t := 1.0 - (su - u)) - l > rounding else l, u) for l, u in zip(lower, upper)]
     new_upper = [max(min(u, 1.0 - (sl - l)), l) for l, u in zip(lower, upper)]
     # the tightened bounds can cross by a rounding ulp; repair pairwise
     for i, (l, u) in enumerate(zip(new_lower, new_upper)):

@@ -75,9 +75,6 @@ class TestNormalizeReachable:
         cs = normalize_reachable((0.7, 0.0), (1.0, 0.0))
         assert cs.lower == (1.0, 0.0) and cs.upper == (1.0, 0.0)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: max(l, 1 - (su - u)) in floats rounds some zero-count "
-        "IDM lower bounds up to 1.1102230246251565e-16"))
     def test_zero_count_idm_lower_bound_stays_zero(self):
         # two-state counts [n, 0] and [0, n] at three ess values, bounded as
         # idm_estimate bounds them: the zero count's lower bound is 0
