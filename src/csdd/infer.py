@@ -748,18 +748,18 @@ class _Columns:
     A pass visits each node of its cone (or spine, or routes) once and
     fills a column, one entry per evidence.  Every pass fills its inputs by
     one terminal rule, :meth:`_inputs`, so its own loop holds only its
-    decision rule.  The point, MAP, credal MAP and sweep passes are the
-    only ones (a query on one evidence runs them on a batch of one); the
+    decision rule.  The point, MAP, credal MAP and sweep passes have no
+    other form (a query on one evidence runs them on a batch of one); the
     sign test gives the traced one's result
-    (:meth:`EvidenceSession._sign_test`), bit for bit, by the same float
-    operations.  An LP over one or two states is
-    ``_lp`` unrolled into one comprehension over the child columns: the
-    set's cached optimum that ``c1 < c0`` (``c0 < c1`` when maximizing)
-    picks, and its sum, with no ``fsum`` for a non-finite one, which no
-    sweep of a table gives.  Any other LP (``_lp`` on a row built from the
-    child columns), ``fsum`` or wide max runs once per distinct evidence
-    under the node: its key, the packed evidence (:func:`_pack`) masked to
-    the node's variables.  The evidences are not checked.
+    (:meth:`EvidenceSession._sign_test`) bit for bit, by the same float
+    operations.  An LP over one or two states is ``_lp`` unrolled into one
+    comprehension over the child columns: the set's cached optimum that
+    ``c1 < c0`` (``c0 < c1`` when maximizing) picks, and its sum, with no
+    ``fsum`` for a non-finite one, which no sweep of a table gives.  Any
+    other LP (``_lp`` on a row built from the child columns), ``fsum`` or
+    wide max runs once per distinct evidence under the node: its key, the
+    packed evidence (:func:`_pack`) masked to the node's variables.  The
+    evidences are not checked.
     """
 
     def __init__(self, circuit: Circuit, evidences: Sequence[Mapping[int, bool]]) -> None:
@@ -1053,11 +1053,11 @@ def robustness(
     P(x, e) / P(xstar, e)`` bottom-up along ``xstar``'s route: one credal
     MAP pass and one truth pass over the cone, then ``xstar``'s own lower
     sweep (and a certificate's upper one) and :func:`_robust_on_route`'s
-    options over the route only.  V is exact on
-    singly connected circuits and an upper bound otherwise (robust verdicts
-    are certain, non-robust ones may be conservative).  The verdict is
-    robust when only ``xstar`` attains V = 1, weakly robust when the maximum
-    is tied, and not robust otherwise (including inconsistent ``xstar``).
+    options over the route only.  V is exact on singly connected circuits
+    and an upper bound otherwise (robust verdicts are certain, non-robust
+    ones may be conservative).  The verdict is robust when only ``xstar``
+    attains V = 1, weakly robust when the maximum is tied, and not robust
+    otherwise (including inconsistent ``xstar``).
     A batch of MAP completions runs the cone passes as columns instead, and
     one lower sweep over the union of its routes (:func:`_map_robustness`).
     """
@@ -1186,9 +1186,8 @@ def _map_robustness(batch: _Columns, psdd: PsddParams, csdd: CsddParams
         if len(completion) != circuit.vtree.var_count:  # a root below the vtree's
             raise InferenceError(_UNCOVERED)
         mapped.append((completion, found))
-    completions = [completion for completion, _ in mapped]
-    routes = sorted(set().union(*(route for _, (_, route) in mapped)))
-    lows = zip(*_Columns(circuit, completions).sweep(csdd, MIN, routes))
+    routes = sorted(set().union(*(found[1] for _, found in mapped)))
+    lows = zip(*_Columns(circuit, [completion for completion, _ in mapped]).sweep(csdd, MIN, routes))
     out = []
     for j, (evidence, (completion, found), low_xe) in enumerate(zip(batch.evidences, mapped, lows)):
         xstar = {var: val for var, val in completion.items() if var not in evidence}
